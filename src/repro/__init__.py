@@ -22,6 +22,8 @@ Layers:
 * :mod:`repro.singleport` -- the Section 8 single-port adaptation;
 * :mod:`repro.lowerbounds` -- the Theorem 13 adversary constructions;
 * :mod:`repro.baselines` -- classical comparators;
+* :mod:`repro.families` -- the registry: one record per protocol family
+  (builder, sampler, oracles, bound, vec kernel);
 * :mod:`repro.scenarios` -- declarative omission/partition/churn fault
   scenarios (see ``docs/faults.md``);
 * :mod:`repro.trace` -- deterministic record/replay of executions;

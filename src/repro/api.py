@@ -8,14 +8,24 @@ paper's round/message/bit measures).  Correctness checking is left to
 the caller -- :mod:`repro.properties` has one predicate per problem --
 so benchmarks can time pure executions.
 
+There is one run path: every ``run_*`` states its family's recipe dict
+and hands it to :func:`run_recipe`, which validates it against the
+family's record in :mod:`repro.families`, builds the processes,
+resolves the fault schedule and executes.  The execution keywords are
+therefore the same for every family and are documented once (appended
+to each entry point's docstring).
+
 Backends
 --------
 ``backend`` selects the execution substrate; the same processes, the
-same seeded crash schedule and the same metrics on all three:
+same seeded crash schedule and the same metrics on all four:
 
 * ``"sim"`` (default) -- the lock-step simulator
   (:class:`~repro.sim.engine.Engine`); ``optimized`` picks its round
   loop.
+* ``"vec"`` -- numpy structure-of-arrays kernels (:mod:`repro.sim.vec`)
+  for the families whose record carries one, the optimized engine for
+  everything else; needs the optional ``[vec]`` extra.
 * ``"net"`` -- the asyncio runtime (:mod:`repro.net`) over the
   in-memory hub transport: concurrent node tasks, real message frames,
   a barrier per round.
@@ -23,9 +33,11 @@ same seeded crash schedule and the same metrics on all three:
   process; :func:`repro.net.serve_tcp` / :func:`repro.net.host_nodes_tcp`
   split coordinator and node shards across OS processes).
 
-The ``build_*_processes`` helpers expose the process construction on
-its own so multi-OS-process deployments can rebuild identical process
-shards from the same parameters (see ``examples/net_consensus.py``).
+The ``build_*_processes`` helpers (defined next to the registry in
+:mod:`repro.families`, re-exported here) expose the process
+construction on its own so multi-OS-process deployments can rebuild
+identical process shards from the same parameters (see
+``examples/net_consensus.py``).
 
 Fault scenarios and traces
 --------------------------
@@ -50,32 +62,24 @@ Every ``run_*`` also accepts the extended fault machinery:
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Optional, Sequence
 
-from repro.auth.signatures import SignatureService
-from repro.core.aea import AEAProcess, aea_overlay
-from repro.core.byzantine import (
-    ABConsensusProcess,
-    EquivocatingSource,
-    SilentByzantine,
-    SpammingByzantine,
+from repro.families import (
+    BYZANTINE_BEHAVIOURS,
+    build_ab_consensus_processes,
+    build_aea_processes,
+    build_approximate_processes,
+    build_checkpointing_processes,
+    build_consensus_processes,
+    build_flooding_processes,
+    build_gossip_processes,
+    build_lv_consensus_processes,
+    build_scv_processes,
+    by_recipe,
+    instance_shape,
+    lv_default_width,
 )
-from repro.core.checkpointing import CheckpointingProcess
-from repro.core.consensus import (
-    FewCrashesConsensusProcess,
-    ManyCrashesConsensusProcess,
-    mcc_overlay,
-)
-from repro.baselines.approximate import (
-    ApproximateConsensusProcess,
-    approximate_phase_count,
-)
-from repro.baselines.flooding_consensus import FloodingConsensusProcess
-from repro.baselines.lv_consensus import LVConsensusProcess
-from repro.core.gossip import GossipProcess, gossip_overlay
-from repro.core.params import ProtocolParams
-from repro.core.scv import SCVProcess
-from repro.graphs.families import spread_graph
 from repro.obs.recorder import coerce_recorder
 from repro.scenarios import Scenario
 from repro.sim.adversary import CrashAdversary, NoFailures, crash_schedule
@@ -84,6 +88,7 @@ from repro.sim.process import Process
 from repro.trace import Trace, TraceChecker, TraceRecorder
 
 __all__ = [
+    "BYZANTINE_BEHAVIOURS",
     "PreparedRun",
     "build_ab_consensus_processes",
     "build_aea_processes",
@@ -109,43 +114,40 @@ __all__ = [
     "run_scv",
 ]
 
-#: Byzantine behaviour constructors selectable by name.
-BYZANTINE_BEHAVIOURS: dict[str, Callable] = {
-    "silent": lambda pid, n, params, service: SilentByzantine(pid, n),
-    "equivocate": EquivocatingSource,
-    "spam": SpammingByzantine,
-}
 
-
-def _adversary(
+def _resolve_faults(
     crashes: Optional[str | CrashAdversary | Scenario],
+    scenario: Optional[Scenario | dict],
     n: int,
     t: int,
     seed: int,
     horizon: int,
-    victims: Optional[Sequence[int]] = None,
-    scenario: Optional[Scenario] = None,
-) -> CrashAdversary:
+) -> tuple[CrashAdversary, Optional[Scenario]]:
+    """Normalise the two fault arguments into ``(adversary, scenario)``.
+
+    ``scenario`` (a :class:`Scenario` or its ``to_dict()`` form, the
+    JSON-safe shape a serve client submits) wins over ``crashes``; a
+    :class:`Scenario` passed as ``crashes`` is promoted.  The returned
+    scenario (if any) is recorded into traces as provenance.
+    """
+    if isinstance(scenario, dict):
+        scenario = Scenario.from_dict(scenario)
+    if scenario is None and isinstance(crashes, Scenario):
+        scenario = crashes
     if scenario is not None:
         if scenario.n != n:
             raise ValueError(
                 f"scenario was built for n={scenario.n}, protocol has n={n}"
             )
-        return scenario.adversary()
+        return scenario.adversary(), scenario
     if crashes is None:
-        return NoFailures()
-    if isinstance(crashes, Scenario):
-        return _adversary(None, n, t, seed, horizon, scenario=crashes)
+        return NoFailures(), None
     if isinstance(crashes, CrashAdversary):
-        return crashes
-    return crash_schedule(
-        n,
-        t,
-        seed=seed,
-        kind=crashes,
-        max_round=max(1, horizon),
-        victims=victims,
+        return crashes, None
+    schedule = crash_schedule(
+        n, t, seed=seed, kind=crashes, max_round=max(1, horizon)
     )
+    return schedule, None
 
 
 def _execute(
@@ -207,42 +209,25 @@ def _execute(
             max_rounds=max_rounds,
         )
 
+    common = dict(
+        byzantine=byzantine,
+        max_rounds=max_rounds,
+        fast_forward=fast_forward,
+        recorder=recorder,
+        telemetry=tel,
+    )
     if backend == "sim":
-        result = Engine(
-            processes,
-            adversary,
-            byzantine=byzantine,
-            max_rounds=max_rounds,
-            fast_forward=fast_forward,
-            optimized=optimized,
-            recorder=recorder,
-            telemetry=tel,
-        ).run()
+        result = Engine(processes, adversary, optimized=optimized, **common).run()
     elif backend == "vec":
         from repro.sim.vec import vec_run
 
-        result = vec_run(
-            processes,
-            adversary,
-            byzantine=byzantine,
-            max_rounds=max_rounds,
-            fast_forward=fast_forward,
-            optimized=optimized,
-            recorder=recorder,
-            telemetry=tel,
-        )
+        result = vec_run(processes, adversary, optimized=optimized, **common)
     elif backend in ("net", "tcp"):
         from repro.net import run_protocol_net
 
+        transport = "memory" if backend == "net" else "tcp"
         result = run_protocol_net(
-            processes,
-            adversary,
-            byzantine=byzantine,
-            max_rounds=max_rounds,
-            fast_forward=fast_forward,
-            transport="memory" if backend == "net" else "tcp",
-            recorder=recorder,
-            telemetry=tel,
+            processes, adversary, transport=transport, **common
         )
     else:
         raise ValueError(
@@ -268,687 +253,7 @@ def _execute(
     return result
 
 
-# -- process builders --------------------------------------------------------
-
-
-def build_consensus_processes(
-    inputs: Sequence[int],
-    t: int,
-    *,
-    algorithm: str = "auto",
-    overlay_seed: int = 0,
-) -> tuple[list[Process], int]:
-    """Construct the consensus process vector and its crash horizon.
-
-    Deterministic in ``(inputs, t, algorithm, overlay_seed)``, so worker
-    processes of a distributed run can rebuild identical shards.
-    Returns ``(processes, horizon)`` where ``horizon`` bounds the rounds
-    in which a generated crash schedule places faults.
-    """
-    n = len(inputs)
-    params = ProtocolParams(n=n, t=t, seed=overlay_seed)
-    if algorithm == "auto":
-        algorithm = "few" if 5 * t < n else "many"
-    if algorithm == "few":
-        if 5 * t >= n:
-            raise ValueError(f"Few-Crashes-Consensus requires t < n/5, got t={t}, n={n}")
-        graph = aea_overlay(params)
-        spread = spread_graph(n, params.seed)
-        processes: list[Process] = [
-            FewCrashesConsensusProcess(
-                pid, params, inputs[pid], aea_graph=graph, spread=spread
-            )
-            for pid in range(n)
-        ]
-        horizon = params.little_flood_rounds + params.little_probe_rounds
-    elif algorithm == "many":
-        graph = mcc_overlay(params)
-        processes = [
-            ManyCrashesConsensusProcess(pid, params, inputs[pid], graph=graph)
-            for pid in range(n)
-        ]
-        horizon = params.mcc_flood_rounds + params.mcc_probe_rounds
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return processes, horizon
-
-
-def build_aea_processes(
-    inputs: Sequence[int], t: int, *, overlay_seed: int = 0
-) -> tuple[list[Process], int]:
-    """Almost-Everywhere-Agreement process vector; see
-    :func:`build_consensus_processes` for the contract."""
-    n = len(inputs)
-    params = ProtocolParams(n=n, t=t, seed=overlay_seed)
-    graph = aea_overlay(params)
-    processes: list[Process] = [
-        AEAProcess(pid, params, inputs[pid], graph) for pid in range(n)
-    ]
-    return processes, params.little_flood_rounds + params.little_probe_rounds
-
-
-def build_scv_processes(
-    n: int,
-    t: int,
-    holders: Sequence[int],
-    common_value: Any = 1,
-    *,
-    overlay_seed: int = 0,
-) -> tuple[list[Process], int]:
-    """Spread-Common-Value process vector; see
-    :func:`build_consensus_processes` for the contract."""
-    params = ProtocolParams(n=n, t=t, seed=overlay_seed)
-    holder_set = set(holders)
-    spread = spread_graph(n, params.seed)
-    processes: list[Process] = [
-        SCVProcess(pid, params, common_value if pid in holder_set else None, spread)
-        for pid in range(n)
-    ]
-    return processes, params.scv_spread_rounds
-
-
-def build_gossip_processes(
-    rumors: Sequence[Any], t: int, *, overlay_seed: int = 0
-) -> tuple[list[Process], int]:
-    """Gossip process vector; see :func:`build_consensus_processes` for
-    the contract."""
-    n = len(rumors)
-    if 5 * t >= n:
-        raise ValueError(f"Gossip requires t < n/5, got t={t}, n={n}")
-    params = ProtocolParams(n=n, t=t, seed=overlay_seed)
-    graph = gossip_overlay(params)
-    processes: list[Process] = [
-        GossipProcess(pid, params, rumors[pid], graph=graph) for pid in range(n)
-    ]
-    return processes, params.gossip_phase_count * (2 + params.little_probe_rounds)
-
-
-def build_checkpointing_processes(
-    n: int, t: int, *, overlay_seed: int = 0
-) -> tuple[list[Process], int]:
-    """Checkpointing process vector; see
-    :func:`build_consensus_processes` for the contract."""
-    if 5 * t >= n:
-        raise ValueError(f"Checkpointing requires t < n/5, got t={t}, n={n}")
-    params = ProtocolParams(n=n, t=t, seed=overlay_seed)
-    graph = gossip_overlay(params)
-    spread = spread_graph(n, params.seed)
-    processes: list[Process] = [
-        CheckpointingProcess(pid, params, graph=graph, spread=spread)
-        for pid in range(n)
-    ]
-    return processes, params.gossip_phase_count * (2 + params.little_probe_rounds)
-
-
-def build_ab_consensus_processes(
-    inputs: Sequence[int],
-    t: int,
-    *,
-    byzantine: Sequence[int] = (),
-    behaviour: str = "equivocate",
-    overlay_seed: int = 0,
-) -> tuple[list[Process], int]:
-    """Authenticated-Byzantine consensus process vector; see
-    :func:`build_consensus_processes` for the contract.
-
-    ``byzantine`` pids get the ``behaviour`` strategy from
-    :data:`BYZANTINE_BEHAVIOURS` instead of the honest
-    ``ABConsensusProcess``; all share one simulated
-    :class:`~repro.auth.signatures.SignatureService`.  The returned
-    horizon is 1: the Byzantine runs use no crash adversary, so no
-    schedule is generated from it.
-    """
-    n = len(inputs)
-    if 2 * t >= n:
-        raise ValueError(f"AB-Consensus requires t < n/2, got t={t}, n={n}")
-    byz = frozenset(byzantine)
-    if len(byz) > t:
-        raise ValueError(f"{len(byz)} Byzantine nodes exceed the bound t={t}")
-    params = ProtocolParams(n=n, t=t, seed=overlay_seed)
-    service = SignatureService(n)
-    spread = spread_graph(n, params.seed)
-    make_byz = BYZANTINE_BEHAVIOURS[behaviour]
-    processes: list[Process] = []
-    for pid in range(n):
-        if pid in byz:
-            processes.append(make_byz(pid, n, params, service))
-        else:
-            processes.append(
-                ABConsensusProcess(pid, params, inputs[pid], service, spread=spread)
-            )
-    return processes, 1
-
-
-def build_flooding_processes(
-    inputs: Sequence[int], t: int
-) -> tuple[list[Process], int]:
-    """Flooding-consensus baseline process vector; see
-    :func:`build_consensus_processes` for the contract.
-
-    The classical ``t + 1``-round flood (every node multicasts its
-    minimum to everyone, every round): quadratic communication, any
-    ``t < n``.  It is the textbook baseline the paper's linear
-    protocols are measured against, and the most regular family the
-    ``backend="vec"`` kernels accelerate.
-    """
-    n = len(inputs)
-    if not 0 <= t < n:
-        raise ValueError(
-            f"flooding consensus requires 0 <= t < n, got t={t}, n={n}"
-        )
-    processes: list[Process] = [
-        FloodingConsensusProcess(pid, n, t, inputs[pid]) for pid in range(n)
-    ]
-    return processes, t + 1
-
-
-def build_approximate_processes(
-    inputs: Sequence[float],
-    t: int,
-    *,
-    eps: float = 1.0,
-    mode: str = "midpoint",
-) -> tuple[list[Process], int]:
-    """Approximate-consensus process vector; see
-    :func:`build_consensus_processes` for the contract.
-
-    Phase-based averaging toward ε-agreement
-    (:class:`~repro.baselines.approximate.ApproximateConsensusProcess`):
-    real-valued inputs, decisions within ``eps`` of each other and
-    inside the input range.  The schedule is ``t + 1 + phases`` rounds
-    with ``phases`` derived from the input spread and ``eps``
-    (:func:`~repro.baselines.approximate.approximate_phase_count`), so
-    the horizon -- like the recipe -- is a pure function of the
-    arguments.  Any ``t < n``.
-    """
-    n = len(inputs)
-    if not 0 <= t < n:
-        raise ValueError(
-            f"approximate consensus requires 0 <= t < n, got t={t}, n={n}"
-        )
-    phases = approximate_phase_count(inputs, eps)
-    processes: list[Process] = [
-        ApproximateConsensusProcess(
-            pid, n, t, inputs[pid], eps, phases, mode=mode
-        )
-        for pid in range(n)
-    ]
-    return processes, t + 1 + phases
-
-
-def build_lv_consensus_processes(
-    inputs: Sequence[int], t: int, *, width: Optional[int] = None
-) -> tuple[list[Process], int]:
-    """Liang–Vaidya-slot multi-valued consensus process vector; see
-    :func:`build_consensus_processes` for the contract.
-
-    Rotating-coordinator consensus on ``width``-bit values
-    (:class:`~repro.baselines.lv_consensus.LVConsensusProcess`),
-    measured in payload bits.  ``width`` defaults to the widest input
-    and every input must fit in it; any ``t < n``.
-    """
-    n = len(inputs)
-    if not 0 <= t < n:
-        raise ValueError(
-            f"lv-consensus requires 0 <= t < n, got t={t}, n={n}"
-        )
-    if width is None:
-        width = max(1, max(int(v).bit_length() for v in inputs))
-    oversized = [v for v in inputs if v < 0 or int(v).bit_length() > width]
-    if oversized:
-        raise ValueError(
-            f"inputs must be non-negative and fit in width={width} bits, "
-            f"got {oversized[:5]}"
-        )
-    processes: list[Process] = [
-        LVConsensusProcess(pid, n, t, inputs[pid], width) for pid in range(n)
-    ]
-    return processes, t + 1
-
-
-# -- entry points ------------------------------------------------------------
-
-
-def _resolve_faults(
-    crashes: Optional[str | CrashAdversary | Scenario],
-    scenario: Optional[Scenario],
-    n: int,
-    t: int,
-    seed: int,
-    horizon: int,
-) -> tuple[CrashAdversary, Optional[Scenario]]:
-    """Normalise the two fault arguments into ``(adversary, scenario)``.
-
-    ``scenario`` wins over ``crashes``; a :class:`Scenario` passed as
-    ``crashes`` is promoted.  The returned scenario (if any) is recorded
-    into traces as provenance.
-    """
-    if scenario is None and isinstance(crashes, Scenario):
-        scenario = crashes
-    adversary = _adversary(
-        None if scenario is not None else crashes,
-        n,
-        t,
-        seed,
-        horizon,
-        scenario=scenario,
-    )
-    return adversary, scenario
-
-
-def run_consensus(
-    inputs: Sequence[int],
-    t: int,
-    *,
-    algorithm: str = "auto",
-    crashes: Optional[str | CrashAdversary | Scenario] = "random",
-    seed: int = 0,
-    overlay_seed: int = 0,
-    max_rounds: int = 200_000,
-    fast_forward: bool = True,
-    optimized: bool = True,
-    backend: str = "sim",
-    scenario: Optional[Scenario] = None,
-    record_trace: bool | str | os.PathLike = False,
-    replay: Optional[Any] = None,
-    telemetry: bool | str | os.PathLike | Any = False,
-) -> RunResult:
-    """Binary consensus with crashes (Figs. 3-4, Theorems 7-8).
-
-    ``algorithm``: ``"few"`` (requires ``t < n/5``), ``"many"`` (any
-    ``t < n``), or ``"auto"`` (``"few"`` when ``t < n/5``).
-    """
-    n = len(inputs)
-    processes, horizon = build_consensus_processes(
-        inputs, t, algorithm=algorithm, overlay_seed=overlay_seed
-    )
-    adversary, scenario = _resolve_faults(crashes, scenario, n, t, seed, horizon)
-    return _execute(
-        processes,
-        adversary,
-        backend=backend,
-        max_rounds=max_rounds,
-        fast_forward=fast_forward,
-        optimized=optimized,
-        record_trace=record_trace,
-        replay=replay,
-        scenario=scenario,
-        telemetry=telemetry,
-        protocol={
-            "name": "consensus",
-            "inputs": list(inputs),
-            "t": t,
-            "algorithm": algorithm,
-            "overlay_seed": overlay_seed,
-        },
-    )
-
-
-def run_flooding(
-    inputs: Sequence[int],
-    t: int,
-    *,
-    crashes: Optional[str | CrashAdversary | Scenario] = "random",
-    seed: int = 0,
-    max_rounds: int = 100_000,
-    fast_forward: bool = True,
-    optimized: bool = True,
-    backend: str = "sim",
-    scenario: Optional[Scenario] = None,
-    record_trace: bool | str | os.PathLike = False,
-    replay: Optional[Any] = None,
-    telemetry: bool | str | os.PathLike | Any = False,
-) -> RunResult:
-    """Baseline flooding consensus (``t + 1`` min-broadcast rounds).
-
-    The quadratic-communication comparator for Table 1; any ``t < n``.
-    No overlay graphs are involved, so there is no ``overlay_seed``.
-    """
-    n = len(inputs)
-    processes, horizon = build_flooding_processes(inputs, t)
-    adversary, scenario = _resolve_faults(crashes, scenario, n, t, seed, horizon)
-    return _execute(
-        processes,
-        adversary,
-        backend=backend,
-        max_rounds=max_rounds,
-        fast_forward=fast_forward,
-        optimized=optimized,
-        record_trace=record_trace,
-        replay=replay,
-        scenario=scenario,
-        telemetry=telemetry,
-        protocol={
-            "name": "flooding",
-            "inputs": list(inputs),
-            "t": t,
-        },
-    )
-
-
-def run_approximate(
-    inputs: Sequence[float],
-    t: int,
-    *,
-    eps: float = 1.0,
-    mode: str = "midpoint",
-    crashes: Optional[str | CrashAdversary | Scenario] = "random",
-    seed: int = 0,
-    max_rounds: int = 100_000,
-    fast_forward: bool = True,
-    optimized: bool = True,
-    backend: str = "sim",
-    scenario: Optional[Scenario] = None,
-    record_trace: bool | str | os.PathLike = False,
-    replay: Optional[Any] = None,
-    telemetry: bool | str | os.PathLike | Any = False,
-) -> RunResult:
-    """Approximate consensus: averaging toward ε-agreement.
-
-    Real-valued inputs; decisions lie within ``eps`` of each other and
-    inside ``[min(inputs), max(inputs)]`` (checked by
-    :func:`repro.properties.check_approximate`).  ``mode`` selects the
-    averaging rule: ``"midpoint"`` (seen-range midpoint) or ``"mean"``
-    (arithmetic mean).  Any ``t < n``; no overlay graphs.
-    """
-    n = len(inputs)
-    processes, horizon = build_approximate_processes(
-        inputs, t, eps=eps, mode=mode
-    )
-    adversary, scenario = _resolve_faults(crashes, scenario, n, t, seed, horizon)
-    return _execute(
-        processes,
-        adversary,
-        backend=backend,
-        max_rounds=max_rounds,
-        fast_forward=fast_forward,
-        optimized=optimized,
-        record_trace=record_trace,
-        replay=replay,
-        scenario=scenario,
-        telemetry=telemetry,
-        protocol={
-            "name": "approximate",
-            "inputs": [float(v) for v in inputs],
-            "t": t,
-            "eps": float(eps),
-            "mode": mode,
-        },
-    )
-
-
-def run_lv_consensus(
-    inputs: Sequence[int],
-    t: int,
-    *,
-    width: Optional[int] = None,
-    crashes: Optional[str | CrashAdversary | Scenario] = "random",
-    seed: int = 0,
-    max_rounds: int = 100_000,
-    fast_forward: bool = True,
-    optimized: bool = True,
-    backend: str = "sim",
-    scenario: Optional[Scenario] = None,
-    record_trace: bool | str | os.PathLike = False,
-    replay: Optional[Any] = None,
-    telemetry: bool | str | os.PathLike | Any = False,
-) -> RunResult:
-    """Multi-valued consensus measured in payload bits (Liang–Vaidya
-    slot): rotating-coordinator broadcast of ``width``-bit values,
-    ``(t + 1) · (n - 1)`` messages total.  Any ``t < n``; no overlay
-    graphs.
-    """
-    n = len(inputs)
-    processes, horizon = build_lv_consensus_processes(inputs, t, width=width)
-    adversary, scenario = _resolve_faults(crashes, scenario, n, t, seed, horizon)
-    width_ = processes[0].width if processes else 1
-    return _execute(
-        processes,
-        adversary,
-        backend=backend,
-        max_rounds=max_rounds,
-        fast_forward=fast_forward,
-        optimized=optimized,
-        record_trace=record_trace,
-        replay=replay,
-        scenario=scenario,
-        telemetry=telemetry,
-        protocol={
-            "name": "lv_consensus",
-            "inputs": list(inputs),
-            "t": t,
-            "width": width_,
-        },
-    )
-
-
-def run_aea(
-    inputs: Sequence[int],
-    t: int,
-    *,
-    crashes: Optional[str | CrashAdversary | Scenario] = "random",
-    seed: int = 0,
-    overlay_seed: int = 0,
-    max_rounds: int = 100_000,
-    fast_forward: bool = True,
-    optimized: bool = True,
-    backend: str = "sim",
-    scenario: Optional[Scenario] = None,
-    record_trace: bool | str | os.PathLike = False,
-    replay: Optional[Any] = None,
-    telemetry: bool | str | os.PathLike | Any = False,
-) -> RunResult:
-    """Almost-Everywhere-Agreement alone (Fig. 1, Theorem 5)."""
-    n = len(inputs)
-    processes, horizon = build_aea_processes(inputs, t, overlay_seed=overlay_seed)
-    adversary, scenario = _resolve_faults(crashes, scenario, n, t, seed, horizon)
-    return _execute(
-        processes,
-        adversary,
-        backend=backend,
-        max_rounds=max_rounds,
-        fast_forward=fast_forward,
-        optimized=optimized,
-        record_trace=record_trace,
-        replay=replay,
-        scenario=scenario,
-        telemetry=telemetry,
-        protocol={
-            "name": "aea",
-            "inputs": list(inputs),
-            "t": t,
-            "overlay_seed": overlay_seed,
-        },
-    )
-
-
-def run_scv(
-    n: int,
-    t: int,
-    holders: Sequence[int],
-    common_value: Any = 1,
-    *,
-    crashes: Optional[str | CrashAdversary | Scenario] = "random",
-    seed: int = 0,
-    overlay_seed: int = 0,
-    max_rounds: int = 100_000,
-    fast_forward: bool = True,
-    optimized: bool = True,
-    backend: str = "sim",
-    scenario: Optional[Scenario] = None,
-    record_trace: bool | str | os.PathLike = False,
-    replay: Optional[Any] = None,
-    telemetry: bool | str | os.PathLike | Any = False,
-) -> RunResult:
-    """Spread-Common-Value alone (Fig. 2, Theorem 6).
-
-    ``holders`` are the nodes initialised with ``common_value``; the
-    problem requires at least ``3n/5`` of them.
-    """
-    processes, horizon = build_scv_processes(
-        n, t, holders, common_value, overlay_seed=overlay_seed
-    )
-    adversary, scenario = _resolve_faults(crashes, scenario, n, t, seed, horizon)
-    return _execute(
-        processes,
-        adversary,
-        backend=backend,
-        max_rounds=max_rounds,
-        fast_forward=fast_forward,
-        optimized=optimized,
-        record_trace=record_trace,
-        replay=replay,
-        scenario=scenario,
-        telemetry=telemetry,
-        protocol={
-            "name": "scv",
-            "n": n,
-            "t": t,
-            "holders": list(holders),
-            "common_value": common_value,
-            "overlay_seed": overlay_seed,
-        },
-    )
-
-
-def run_gossip(
-    rumors: Sequence[Any],
-    t: int,
-    *,
-    crashes: Optional[str | CrashAdversary | Scenario] = "random",
-    seed: int = 0,
-    overlay_seed: int = 0,
-    max_rounds: int = 100_000,
-    fast_forward: bool = True,
-    optimized: bool = True,
-    backend: str = "sim",
-    scenario: Optional[Scenario] = None,
-    record_trace: bool | str | os.PathLike = False,
-    replay: Optional[Any] = None,
-    telemetry: bool | str | os.PathLike | Any = False,
-) -> RunResult:
-    """Gossiping with crashes (Fig. 5, Theorem 9), ``t < n/5``."""
-    n = len(rumors)
-    processes, horizon = build_gossip_processes(rumors, t, overlay_seed=overlay_seed)
-    adversary, scenario = _resolve_faults(crashes, scenario, n, t, seed, horizon)
-    return _execute(
-        processes,
-        adversary,
-        backend=backend,
-        max_rounds=max_rounds,
-        fast_forward=fast_forward,
-        optimized=optimized,
-        record_trace=record_trace,
-        replay=replay,
-        scenario=scenario,
-        telemetry=telemetry,
-        protocol={
-            "name": "gossip",
-            "rumors": list(rumors),
-            "t": t,
-            "overlay_seed": overlay_seed,
-        },
-    )
-
-
-def run_checkpointing(
-    n: int,
-    t: int,
-    *,
-    crashes: Optional[str | CrashAdversary | Scenario] = "random",
-    seed: int = 0,
-    overlay_seed: int = 0,
-    max_rounds: int = 200_000,
-    fast_forward: bool = True,
-    optimized: bool = True,
-    backend: str = "sim",
-    scenario: Optional[Scenario] = None,
-    record_trace: bool | str | os.PathLike = False,
-    replay: Optional[Any] = None,
-    telemetry: bool | str | os.PathLike | Any = False,
-) -> RunResult:
-    """Checkpointing with crashes (Fig. 6, Theorem 10), ``t < n/5``."""
-    processes, horizon = build_checkpointing_processes(
-        n, t, overlay_seed=overlay_seed
-    )
-    adversary, scenario = _resolve_faults(crashes, scenario, n, t, seed, horizon)
-    return _execute(
-        processes,
-        adversary,
-        backend=backend,
-        max_rounds=max_rounds,
-        fast_forward=fast_forward,
-        optimized=optimized,
-        record_trace=record_trace,
-        replay=replay,
-        scenario=scenario,
-        telemetry=telemetry,
-        protocol={
-            "name": "checkpointing",
-            "n": n,
-            "t": t,
-            "overlay_seed": overlay_seed,
-        },
-    )
-
-
-def run_ab_consensus(
-    inputs: Sequence[int],
-    t: int,
-    *,
-    byzantine: Optional[Sequence[int]] = None,
-    behaviour: str = "equivocate",
-    seed: int = 0,
-    overlay_seed: int = 0,
-    max_rounds: int = 100_000,
-    fast_forward: bool = True,
-    optimized: bool = True,
-    backend: str = "sim",
-    scenario: Optional[Scenario] = None,
-    record_trace: bool | str | os.PathLike = False,
-    replay: Optional[Any] = None,
-    telemetry: bool | str | os.PathLike | Any = False,
-) -> RunResult:
-    """Consensus under authenticated Byzantine faults (Fig. 7, Thm. 11).
-
-    ``byzantine`` lists the faulty nodes (at most ``t``); ``behaviour``
-    selects their strategy from ``BYZANTINE_BEHAVIOURS`` (``"silent"``,
-    ``"equivocate"``, ``"spam"``).  The Byzantine fault budget is spent
-    on the ``byzantine`` set itself, so the default fault schedule is
-    failure-free; a ``scenario`` may still add link faults (its crash /
-    churn events must avoid the Byzantine pids).
-    """
-    n = len(inputs)
-    byz = frozenset(byzantine if byzantine is not None else [])
-    processes, _horizon = build_ab_consensus_processes(
-        inputs,
-        t,
-        byzantine=sorted(byz),
-        behaviour=behaviour,
-        overlay_seed=overlay_seed,
-    )
-    adversary, scenario = _resolve_faults(None, scenario, n, t, seed, 1)
-    return _execute(
-        processes,
-        adversary,
-        backend=backend,
-        byzantine=byz,
-        max_rounds=max_rounds,
-        fast_forward=fast_forward,
-        optimized=optimized,
-        record_trace=record_trace,
-        replay=replay,
-        scenario=scenario,
-        telemetry=telemetry,
-        protocol={
-            "name": "ab_consensus",
-            "inputs": list(inputs),
-            "t": t,
-            "byzantine": sorted(byz),
-            "behaviour": behaviour,
-            "overlay_seed": overlay_seed,
-        },
-    )
+# -- the run path -------------------------------------------------------------
 
 
 def build_recipe_processes(
@@ -956,77 +261,21 @@ def build_recipe_processes(
 ) -> tuple[list[Process], int, frozenset[int]]:
     """Rebuild ``(processes, horizon, byzantine)`` from a protocol recipe.
 
-    The single registry behind every consumer of recipe dicts -- trace
-    replay (:func:`rebuild_trace_processes`), the fuzzer's dispatch
-    (:func:`run_recipe`) and the run-server's remote workers
-    (:mod:`repro.serve`), which must rebuild process shards *identical*
-    to what the submitting client would build locally.  Deterministic in
-    the recipe, by the same argument as the ``build_*_processes``
-    builders.
+    The single builder behind every consumer of recipe dicts -- the run
+    path (:func:`run_recipe`, :func:`prepare_recipe`), trace replay
+    (:func:`rebuild_trace_processes`) and the run-server's remote
+    workers (:mod:`repro.serve`), which must rebuild process shards
+    *identical* to what the submitting client would build locally.
+    Deterministic in the recipe, by the same argument as the
+    ``build_*_processes`` builders.  The recipe is validated against its
+    family's schema first: an unknown ``name``, a missing required key
+    or a key the family does not accept raises ``ValueError`` naming
+    the recipe and the accepted keys.
     """
-    recipe = dict(protocol)
-    name = recipe.pop("name", None)
-    overlay_seed = recipe.get("overlay_seed", 0)
-    if name == "consensus":
-        processes, horizon = build_consensus_processes(
-            recipe["inputs"],
-            recipe["t"],
-            algorithm=recipe.get("algorithm", "auto"),
-            overlay_seed=overlay_seed,
-        )
-        return processes, horizon, frozenset()
-    if name == "flooding":
-        processes, horizon = build_flooding_processes(
-            recipe["inputs"], recipe["t"]
-        )
-        return processes, horizon, frozenset()
-    if name == "approximate":
-        processes, horizon = build_approximate_processes(
-            recipe["inputs"],
-            recipe["t"],
-            eps=recipe.get("eps", 1.0),
-            mode=recipe.get("mode", "midpoint"),
-        )
-        return processes, horizon, frozenset()
-    if name == "lv_consensus":
-        processes, horizon = build_lv_consensus_processes(
-            recipe["inputs"], recipe["t"], width=recipe.get("width")
-        )
-        return processes, horizon, frozenset()
-    if name == "aea":
-        processes, horizon = build_aea_processes(
-            recipe["inputs"], recipe["t"], overlay_seed=overlay_seed
-        )
-        return processes, horizon, frozenset()
-    if name == "scv":
-        processes, horizon = build_scv_processes(
-            recipe["n"],
-            recipe["t"],
-            recipe["holders"],
-            recipe.get("common_value", 1),
-            overlay_seed=overlay_seed,
-        )
-        return processes, horizon, frozenset()
-    if name == "gossip":
-        processes, horizon = build_gossip_processes(
-            recipe["rumors"], recipe["t"], overlay_seed=overlay_seed
-        )
-        return processes, horizon, frozenset()
-    if name == "checkpointing":
-        processes, horizon = build_checkpointing_processes(
-            recipe["n"], recipe["t"], overlay_seed=overlay_seed
-        )
-        return processes, horizon, frozenset()
-    if name == "ab_consensus":
-        processes, horizon = build_ab_consensus_processes(
-            recipe["inputs"],
-            recipe["t"],
-            byzantine=recipe.get("byzantine", ()),
-            behaviour=recipe.get("behaviour", "equivocate"),
-            overlay_seed=overlay_seed,
-        )
-        return processes, horizon, frozenset(recipe.get("byzantine", ()))
-    raise ValueError(f"cannot rebuild processes for protocol {name!r}")
+    family = by_recipe(protocol.get("name"))
+    args = family.recipe_args(protocol)
+    processes, horizon = family.builder(**args)
+    return processes, horizon, frozenset(args.get("byzantine", ()))
 
 
 def rebuild_trace_processes(
@@ -1042,43 +291,28 @@ def rebuild_trace_processes(
     return processes, byzantine
 
 
+@dataclass(slots=True)
 class PreparedRun:
     """One recipe resolved into everything a coordinator needs.
 
     Produced by :func:`prepare_recipe`: the process vector, the resolved
     adversary, the Byzantine set and the per-family execution defaults
-    (``max_rounds``, crash handling), all derived exactly as the
-    ``run_*`` entry points derive them -- which is what makes a
-    run-server session's result ``check_parity``-identical to
-    ``run_recipe(protocol, backend="sim")`` with the same arguments.
+    (``max_rounds``, crash handling).  :func:`run_recipe` executes
+    exactly this -- which is what makes a run-server session's result
+    ``check_parity``-identical to ``run_recipe(protocol, backend="sim")``
+    with the same arguments.
     """
 
-    __slots__ = (
-        "processes",
-        "adversary",
-        "byzantine",
-        "scenario",
-        "max_rounds",
-        "fast_forward",
-        "n",
-    )
+    processes: list[Process]
+    adversary: CrashAdversary
+    byzantine: frozenset[int]
+    scenario: Optional[Scenario]
+    max_rounds: int
+    fast_forward: bool
 
-    def __init__(
-        self, processes, adversary, byzantine, scenario, max_rounds, fast_forward
-    ):
-        self.processes = processes
-        self.adversary = adversary
-        self.byzantine = byzantine
-        self.scenario = scenario
-        self.max_rounds = max_rounds
-        self.fast_forward = fast_forward
-        self.n = len(processes)
-
-
-#: Families whose ``run_*`` entry point defaults to 200k ``max_rounds``
-#: (their fault-free round counts grow fastest with ``n``); everything
-#: else defaults to 100k.  Mirrors the entry-point signatures.
-_LONG_FAMILIES = frozenset({"consensus", "checkpointing"})
+    @property
+    def n(self) -> int:
+        return len(self.processes)
 
 
 def prepare_recipe(
@@ -1092,46 +326,52 @@ def prepare_recipe(
 ) -> PreparedRun:
     """Resolve a recipe + execution parameters into a :class:`PreparedRun`.
 
-    Accepts the execution subset that is meaningful for a remote
-    submission (fault schedule, seed, scenario, round bound) and applies
-    the same per-family defaults as :func:`run_recipe`: ``max_rounds``
-    defaults to 200k for the consensus/checkpointing families and 100k
-    otherwise, and ``ab_consensus`` ignores ``crashes`` (its fault
-    budget is the recipe's ``byzantine`` set).  ``scenario`` may be a
-    :class:`~repro.scenarios.Scenario` or its ``to_dict()`` form (the
-    JSON-safe shape a serve client submits).
+    The first three steps of :func:`run_recipe` (validate, build,
+    resolve faults) for callers that execute the result themselves --
+    the run-server's sessions.  Accepts the execution subset that is
+    meaningful for a remote submission; ``max_rounds=None`` means the
+    family's default (:attr:`repro.families.Family.max_rounds`: 200k
+    for consensus and checkpointing, 100k otherwise), and a family
+    whose fault budget is its ``byzantine`` set ignores ``crashes``.
+    ``scenario`` may be a :class:`~repro.scenarios.Scenario` or its
+    ``to_dict()`` form.
     """
-    name = protocol.get("name")
+    family = by_recipe(protocol.get("name"))
     processes, horizon, byzantine = build_recipe_processes(protocol)
-    n = len(processes)
-    t = protocol.get("t", 0)
-    if isinstance(scenario, dict):
-        scenario = Scenario.from_dict(scenario)
-    if name == "ab_consensus":
-        adversary, scenario = _resolve_faults(None, scenario, n, t, seed, 1)
-    else:
-        adversary, scenario = _resolve_faults(
-            crashes, scenario, n, t, seed, horizon
-        )
+    n, t = instance_shape(protocol)
+    adversary, scenario = _resolve_faults(
+        crashes if family.crash_faults else None, scenario, n, t, seed, horizon
+    )
     if max_rounds is None:
-        max_rounds = 200_000 if name in _LONG_FAMILIES else 100_000
+        max_rounds = family.max_rounds
     return PreparedRun(
         processes, adversary, byzantine, scenario, max_rounds, fast_forward
     )
 
 
-def run_recipe(protocol: dict, **execution) -> RunResult:
-    """Execute a protocol rebuild recipe through its ``run_*`` entry point.
+def run_recipe(
+    protocol: dict,
+    *,
+    crashes: Optional[str | CrashAdversary | Scenario] = "random",
+    seed: int = 0,
+    max_rounds: Optional[int] = None,
+    fast_forward: bool = True,
+    optimized: bool = True,
+    backend: str = "sim",
+    scenario: Optional[Scenario | dict] = None,
+    record_trace: bool | str | os.PathLike = False,
+    replay: Optional[Any] = None,
+    telemetry: bool | str | os.PathLike | Any = False,
+) -> RunResult:
+    """Execute a protocol recipe: the one run path behind every ``run_*``.
 
-    ``protocol`` is the same JSON-safe recipe dict the ``run_*`` helpers
-    record into traces (and :func:`rebuild_trace_processes` consumes) --
-    protocol ``name`` plus its instance arguments.  ``execution``
-    forwards the uniform execution parameters (``backend=``,
-    ``scenario=``, ``crashes=``, ``record_trace=``, ``max_rounds=``,
-    ...), so one recipe can be re-run under different fault schedules
-    and substrates.  This is the dispatch surface :mod:`repro.check`
-    fuzzes and shrinks through: a fuzz configuration is exactly
-    ``(recipe, scenario, backends)``.
+    ``protocol`` is the JSON-safe recipe dict the ``run_*`` helpers
+    state and record into traces (and :func:`rebuild_trace_processes`
+    consumes) -- protocol ``name`` plus its instance arguments.  The
+    keywords are the uniform execution parameters, so one recipe can be
+    re-run under different fault schedules and substrates.  This is the
+    surface :mod:`repro.check` fuzzes and shrinks through: a fuzz
+    configuration is exactly ``(recipe, scenario, backends)``.
 
     >>> result = run_recipe(
     ...     {"name": "consensus", "inputs": [0, 1] * 10, "t": 3},
@@ -1140,69 +380,223 @@ def run_recipe(protocol: dict, **execution) -> RunResult:
     >>> sorted(set(result.correct_decisions().values()))
     [1]
     """
-    recipe = dict(protocol)
-    name = recipe.pop("name", None)
-    overlay_seed = recipe.get("overlay_seed", 0)
-    if name == "consensus":
-        return run_consensus(
-            recipe["inputs"],
-            recipe["t"],
-            algorithm=recipe.get("algorithm", "auto"),
-            overlay_seed=overlay_seed,
-            **execution,
+    prepared = prepare_recipe(
+        protocol,
+        crashes=crashes,
+        seed=seed,
+        scenario=scenario,
+        max_rounds=max_rounds,
+        fast_forward=fast_forward,
+    )
+    return _execute(
+        prepared.processes,
+        prepared.adversary,
+        backend=backend,
+        byzantine=prepared.byzantine,
+        max_rounds=prepared.max_rounds,
+        fast_forward=fast_forward,
+        optimized=optimized,
+        record_trace=record_trace,
+        replay=replay,
+        protocol=dict(protocol),
+        scenario=prepared.scenario,
+        telemetry=telemetry,
+    )
+
+
+# -- entry points: one recipe each --------------------------------------------
+
+
+def run_consensus(
+    inputs: Sequence[int],
+    t: int,
+    *,
+    algorithm: str = "auto",
+    overlay_seed: int = 0,
+    **execution,
+) -> RunResult:
+    """Binary consensus with crashes (Figs. 3-4, Theorems 7-8).
+
+    ``algorithm``: ``"few"`` (requires ``t < n/5``), ``"many"`` (any
+    ``t < n``), or ``"auto"`` (``"few"`` when ``t < n/5``).
+    """
+    return run_recipe(
+        {
+            "name": "consensus",
+            "inputs": list(inputs),
+            "t": t,
+            "algorithm": algorithm,
+            "overlay_seed": overlay_seed,
+        },
+        **execution,
+    )
+
+
+def run_flooding(inputs: Sequence[int], t: int, **execution) -> RunResult:
+    """Baseline flooding consensus (``t + 1`` min-broadcast rounds).
+
+    The quadratic-communication comparator for Table 1; any ``t < n``.
+    No overlay graphs are involved, so there is no ``overlay_seed``.
+    """
+    return run_recipe(
+        {"name": "flooding", "inputs": list(inputs), "t": t}, **execution
+    )
+
+
+def run_approximate(
+    inputs: Sequence[float],
+    t: int,
+    *,
+    eps: float = 1.0,
+    mode: str = "midpoint",
+    **execution,
+) -> RunResult:
+    """Approximate consensus: averaging toward ε-agreement.
+
+    Real-valued inputs; decisions lie within ``eps`` of each other and
+    inside ``[min(inputs), max(inputs)]`` (checked by
+    :func:`repro.properties.check_approximate`).  ``mode`` selects the
+    averaging rule: ``"midpoint"`` (seen-range midpoint) or ``"mean"``
+    (arithmetic mean).  Any ``t < n``; no overlay graphs.
+    """
+    return run_recipe(
+        {
+            "name": "approximate",
+            "inputs": [float(v) for v in inputs],
+            "t": t,
+            "eps": float(eps),
+            "mode": mode,
+        },
+        **execution,
+    )
+
+
+def run_lv_consensus(
+    inputs: Sequence[int],
+    t: int,
+    *,
+    width: Optional[int] = None,
+    **execution,
+) -> RunResult:
+    """Multi-valued consensus measured in payload bits (Liang–Vaidya
+    slot): rotating-coordinator broadcast of ``width``-bit values,
+    ``(t + 1) · (n - 1)`` messages total.  Any ``t < n``; no overlay
+    graphs.
+    """
+    if width is None:
+        width = lv_default_width(inputs)  # traces record the resolved width
+    return run_recipe(
+        {"name": "lv_consensus", "inputs": list(inputs), "t": t, "width": width},
+        **execution,
+    )
+
+
+def run_aea(
+    inputs: Sequence[int], t: int, *, overlay_seed: int = 0, **execution
+) -> RunResult:
+    """Almost-Everywhere-Agreement alone (Fig. 1, Theorem 5)."""
+    return run_recipe(
+        {
+            "name": "aea",
+            "inputs": list(inputs),
+            "t": t,
+            "overlay_seed": overlay_seed,
+        },
+        **execution,
+    )
+
+
+def run_scv(
+    n: int,
+    t: int,
+    holders: Sequence[int],
+    common_value: Any = 1,
+    *,
+    overlay_seed: int = 0,
+    **execution,
+) -> RunResult:
+    """Spread-Common-Value alone (Fig. 2, Theorem 6).
+
+    ``holders`` are the nodes initialised with ``common_value``; the
+    problem requires at least ``3n/5`` of them.
+    """
+    return run_recipe(
+        {
+            "name": "scv",
+            "n": n,
+            "t": t,
+            "holders": list(holders),
+            "common_value": common_value,
+            "overlay_seed": overlay_seed,
+        },
+        **execution,
+    )
+
+
+def run_gossip(
+    rumors: Sequence[Any], t: int, *, overlay_seed: int = 0, **execution
+) -> RunResult:
+    """Gossiping with crashes (Fig. 5, Theorem 9), ``t < n/5``."""
+    return run_recipe(
+        {
+            "name": "gossip",
+            "rumors": list(rumors),
+            "t": t,
+            "overlay_seed": overlay_seed,
+        },
+        **execution,
+    )
+
+
+def run_checkpointing(
+    n: int, t: int, *, overlay_seed: int = 0, **execution
+) -> RunResult:
+    """Checkpointing with crashes (Fig. 6, Theorem 10), ``t < n/5``."""
+    return run_recipe(
+        {"name": "checkpointing", "n": n, "t": t, "overlay_seed": overlay_seed},
+        **execution,
+    )
+
+
+def run_ab_consensus(
+    inputs: Sequence[int],
+    t: int,
+    *,
+    byzantine: Optional[Sequence[int]] = None,
+    behaviour: str = "equivocate",
+    overlay_seed: int = 0,
+    **execution,
+) -> RunResult:
+    """Consensus under authenticated Byzantine faults (Fig. 7, Thm. 11).
+
+    ``byzantine`` lists the faulty nodes (at most ``t``); ``behaviour``
+    selects their strategy from ``BYZANTINE_BEHAVIOURS`` (``"silent"``,
+    ``"equivocate"``, ``"spam"``).  The Byzantine fault budget is spent
+    on the ``byzantine`` set itself, so the default fault schedule is
+    failure-free; a ``scenario`` may still add link faults (its crash /
+    churn events must avoid the Byzantine pids).
+    """
+    if "crashes" in execution:
+        raise TypeError(
+            "run_ab_consensus() got an unexpected keyword argument 'crashes'"
         )
-    if name == "flooding":
-        return run_flooding(recipe["inputs"], recipe["t"], **execution)
-    if name == "approximate":
-        return run_approximate(
-            recipe["inputs"],
-            recipe["t"],
-            eps=recipe.get("eps", 1.0),
-            mode=recipe.get("mode", "midpoint"),
-            **execution,
-        )
-    if name == "lv_consensus":
-        return run_lv_consensus(
-            recipe["inputs"], recipe["t"], width=recipe.get("width"), **execution
-        )
-    if name == "aea":
-        return run_aea(
-            recipe["inputs"], recipe["t"], overlay_seed=overlay_seed, **execution
-        )
-    if name == "scv":
-        return run_scv(
-            recipe["n"],
-            recipe["t"],
-            recipe["holders"],
-            recipe.get("common_value", 1),
-            overlay_seed=overlay_seed,
-            **execution,
-        )
-    if name == "gossip":
-        return run_gossip(
-            recipe["rumors"], recipe["t"], overlay_seed=overlay_seed, **execution
-        )
-    if name == "checkpointing":
-        return run_checkpointing(
-            recipe["n"], recipe["t"], overlay_seed=overlay_seed, **execution
-        )
-    if name == "ab_consensus":
-        execution.pop("crashes", None)  # ab-consensus has no crash schedule
-        return run_ab_consensus(
-            recipe["inputs"],
-            recipe["t"],
-            byzantine=recipe.get("byzantine", ()),
-            behaviour=recipe.get("behaviour", "equivocate"),
-            overlay_seed=overlay_seed,
-            **execution,
-        )
-    raise ValueError(f"cannot run protocol recipe {name!r}")
+    return run_recipe(
+        {
+            "name": "ab_consensus",
+            "inputs": list(inputs),
+            "t": t,
+            "byzantine": sorted(set(byzantine or ())),
+            "behaviour": behaviour,
+            "overlay_seed": overlay_seed,
+        },
+        **execution,
+    )
 
 
 _EXECUTION_DOC = """
 
-    Execution parameters (uniform across every ``run_*`` entry point)
-    -----------------------------------------------------------------
+    Execution parameters (uniform across ``run_recipe`` and every ``run_*``)
+    ------------------------------------------------------------------------
     crashes:
         An adversary instance, a schedule kind for
         :func:`~repro.sim.adversary.crash_schedule` (``"random"`` /
@@ -1215,6 +609,8 @@ _EXECUTION_DOC = """
         overlay graphs.
     max_rounds:
         Safety bound; exceeding it marks the run ``completed=False``.
+        Defaults to the family's own (200k for consensus and
+        checkpointing, 100k otherwise).
     fast_forward:
         Quiescence skipping; observable behaviour is identical either
         way (pinned by tests).
@@ -1258,17 +654,8 @@ _EXECUTION_DOC = """
         bit-identical results (pinned by ``tests/test_obs.py``).
 """
 
-for _entry_point in (
-    run_consensus,
-    run_flooding,
-    run_approximate,
-    run_lv_consensus,
-    run_aea,
-    run_scv,
-    run_gossip,
-    run_checkpointing,
-    run_ab_consensus,
-):
-    if _entry_point.__doc__ is not None:  # stripped under python -OO
-        _entry_point.__doc__ += _EXECUTION_DOC
-del _entry_point
+for _name in __all__:
+    # (docstrings are stripped under python -OO)
+    if _name.startswith("run_") and globals()[_name].__doc__ is not None:
+        globals()[_name].__doc__ += _EXECUTION_DOC
+del _name

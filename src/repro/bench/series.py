@@ -27,19 +27,16 @@ from typing import Optional
 
 from repro import (
     check_aea,
-    check_approximate,
     check_checkpointing,
     check_consensus,
     check_gossip,
     check_scv,
     run_aea,
     run_ab_consensus,
-    run_approximate,
     run_checkpointing,
     run_consensus,
-    run_flooding,
     run_gossip,
-    run_lv_consensus,
+    run_recipe,
     run_scv,
 )
 from repro.baselines import (
@@ -53,6 +50,7 @@ from repro.bench.workloads import byzantine_sample, input_vector, rumor_vector, 
 from repro.check.driver import build_fuzz_spec
 from repro.check.oracles import check_parity
 from repro.core.params import ProtocolParams
+from repro.families import by_family, by_recipe
 from repro.lowerbounds import divergence_series, isolation_report
 from repro.sim import Engine, crash_schedule
 from repro.singleport.linear_consensus import (
@@ -87,23 +85,16 @@ def _log2(x: float) -> float:
 
 
 def _consensus_comm_bound(params: ProtocolParams) -> float:
-    """The Theorem 7 bit bound with the practical overlay constants:
-    committee probing + expander spreading."""
-    probing = (
-        params.little_count
-        * params.little_degree
-        * (params.little_probe_rounds + 1)
-    )
-    return probing + 20.0 * params.n
+    """The Theorem 7 bit bound with the practical overlay constants
+    (committee probing + expander spreading): the registry's envelope."""
+    return by_family("consensus-few").envelope(params, {})
 
 
 def _gossip_comm_bound(params: ProtocolParams) -> float:
-    """The Theorem 9 message bound with the practical constants:
-    2·⌈lg n⌉ phases of committee probing plus the linear inquiry part."""
-    per_phase = (
-        params.little_count * params.little_degree * params.little_probe_rounds
-    )
-    return 4.0 * params.n + 2.0 * params.gossip_phase_count * per_phase
+    """The Theorem 9 message bound with the practical constants (phases
+    of committee probing plus the linear inquiry part): the registry's
+    envelope."""
+    return by_family("gossip").envelope(params, {})
 
 
 # -- Table 1 ----------------------------------------------------------------
@@ -651,6 +642,25 @@ def exp_baselines(n: int = 240, seed: int = 1, jobs: int = 1) -> list[dict]:
 # -- Literature families vs the paper's algorithms ---------------------------
 
 
+def _wide_input(rng, width: int) -> int:
+    return rng.randrange(0, 2**width)
+
+
+#: The cross-family series' *comparable* instances (not the fuzzer's
+#: distribution): bench label -> (recipe name, one input drawn from
+#: ``rng``).  The two multi-valued protocols draw the same ``width``-bit
+#: inputs, so their payload-bit totals differ by the protocols alone.
+_BENCH_FAMILIES = {
+    "consensus": ("consensus", lambda rng, width: rng.randint(0, 1)),
+    "flooding": ("flooding", _wide_input),
+    "approximate": (
+        "approximate",
+        lambda rng, width: round(rng.uniform(0.0, 100.0), 4),
+    ),
+    "lv-consensus": ("lv_consensus", _wide_input),
+}
+
+
 def families_unit(params: dict) -> dict:
     """One cross-family cell: one ``(family, backend)`` run on a
     comparable instance, reported in the ``BENCH_families.json`` row
@@ -671,29 +681,17 @@ def families_unit(params: dict) -> dict:
     seed, backend = params["seed"], params["backend"]
     width = params.get("width", 128)
     rng = _random.Random(derive_seed(seed, ("families", family, n, t)))
-    kw = dict(
-        crashes=None, backend="sim", optimized=(backend != "sim-ref")
-    )
+    name, draw = _BENCH_FAMILIES[family]
+    record = by_recipe(name)
     start = _time.perf_counter()
-    if family == "consensus":
-        inputs = [rng.randint(0, 1) for _ in range(n)]
-        result = run_consensus(inputs, t, **kw)
-        check_consensus(result, inputs)
-    elif family == "flooding":
-        inputs = [rng.randrange(0, 2**width) for _ in range(n)]
-        result = run_flooding(inputs, t, **kw)
-        check_consensus(result, inputs)
-    elif family == "approximate":
-        inputs = [round(rng.uniform(0.0, 100.0), 4) for _ in range(n)]
-        eps = params.get("eps", 0.5)
-        result = run_approximate(inputs, t, eps=eps, **kw)
-        check_approximate(result, inputs, eps)
-    elif family == "lv-consensus":
-        inputs = [rng.randrange(0, 2**width) for _ in range(n)]
-        result = run_lv_consensus(inputs, t, width=width, **kw)
-        check_consensus(result, inputs)
-    else:
-        raise ValueError(f"unknown bench family {family!r}")
+    recipe = {"name": name, "inputs": [draw(rng, width) for _ in range(n)], "t": t}
+    # Pin the knobs this series sweeps on the families that have them.
+    knobs = {"width": width, "eps": params.get("eps", 0.5)}
+    recipe.update({k: v for k, v in knobs.items() if k in record.optional})
+    result = run_recipe(
+        recipe, crashes=None, backend="sim", optimized=(backend != "sim-ref")
+    )
+    record.safety(recipe, result)
     elapsed = _time.perf_counter() - start
     return {
         "family": family,
@@ -714,7 +712,7 @@ def families_spec(n: int = 40, t: int = 8, seed: int = 1) -> SweepSpec:
         name="families",
         runner=families_unit,
         grid={
-            "family": ["consensus", "flooding", "approximate", "lv-consensus"],
+            "family": list(_BENCH_FAMILIES),
             "n": [n],
             "t": [t],
             "seed": [seed],
@@ -731,6 +729,21 @@ def exp_families(
 
 
 # -- Simulator vs. net runtime ----------------------------------------------------------
+
+
+def _problem_recipe(problem: str, n: int, t: int, seed: int) -> dict:
+    """The standard instance of a problem as a recipe: the required keys
+    of its registry record, filled from :mod:`repro.bench.workloads`."""
+    fill = {
+        "inputs": lambda: input_vector(n, "random", seed),
+        "rumors": lambda: rumor_vector(n, seed),
+        "n": lambda: n,
+        "t": lambda: t,
+    }
+    return {
+        "name": problem,
+        **{key: fill[key]() for key in by_recipe(problem).required},
+    }
 
 
 def net_unit(params: dict) -> dict:
@@ -751,19 +764,9 @@ def net_unit(params: dict) -> dict:
 
     def execute(backend: str):
         started = time.perf_counter()
-        if problem == "consensus":
-            inputs = input_vector(n, "random", seed)
-            result = run_consensus(inputs, t, seed=seed, backend=backend)
-            check_consensus(result, inputs)
-        elif problem == "gossip":
-            rumors = rumor_vector(n, seed)
-            result = run_gossip(rumors, t, seed=seed, backend=backend)
-            check_gossip(result, rumors)
-        elif problem == "checkpointing":
-            result = run_checkpointing(n, t, seed=seed, backend=backend)
-            check_checkpointing(result)
-        else:
-            raise ValueError(f"unknown net-series problem {problem!r}")
+        recipe = _problem_recipe(problem, n, t, seed)
+        result = run_recipe(recipe, seed=seed, backend=backend)
+        by_recipe(problem).safety(recipe, result)
         return result, time.perf_counter() - started
 
     sim, sim_s = execute("sim")
@@ -832,22 +835,10 @@ def scenario_unit(params: dict) -> dict:
     else:
         raise ValueError(f"unknown scenario model {model!r}")
 
-    def execute(**kw):
-        if problem == "consensus":
-            inputs = input_vector(n, "random", seed)
-            result = run_consensus(inputs, t, scenario=scenario, **kw)
-            checker = lambda: check_consensus(result, inputs)
-        elif problem == "gossip":
-            rumors = rumor_vector(n, seed)
-            result = run_gossip(rumors, t, scenario=scenario, **kw)
-            checker = lambda: check_gossip(result, rumors)
-        else:
-            raise ValueError(f"unknown scenario problem {problem!r}")
-        return result, checker
-
-    opt, checker = execute()
-    ref, _ = execute(optimized=False)
-    net, _ = execute(backend="net")
+    recipe = _problem_recipe(problem, n, t, seed)
+    opt = run_recipe(recipe, scenario=scenario)
+    ref = run_recipe(recipe, scenario=scenario, optimized=False)
+    net = run_recipe(recipe, scenario=scenario, backend="net")
     for label, other in (("sim-ref", ref), ("net", net)):
         # One parity definition across tests / fuzzing / bench rows; the
         # label carries the unit context for pool-worker tracebacks.
@@ -855,7 +846,7 @@ def scenario_unit(params: dict) -> dict:
             opt, other, f"sim-opt[{problem}/{model} n={n} seed={seed}]", label
         )
     try:
-        checker()
+        by_recipe(problem).safety(recipe, opt)
         safety = "ok"
     except PropertyViolation as exc:
         safety = f"violated ({type(exc).__name__})"

@@ -36,6 +36,7 @@ from repro.check.oracles import (
     run_oracles,
 )
 from repro.core.params import ProtocolParams
+from repro.families import REGISTRY, by_family, instance_shape
 from repro.scenarios import Scenario, scenario_schedule
 from repro.sim.vec import HAVE_NUMPY, KERNEL_FAMILIES
 from repro.trace import TraceDivergence, replay_trace
@@ -51,24 +52,10 @@ __all__ = [
     "sample_instance",
 ]
 
-#: Every protocol family the driver covers; ``sample_config`` cycles
-#: through them by index, so any contiguous index range covers all.
-FAMILIES = (
-    "consensus-few",
-    "consensus-many",
-    "aea",
-    "scv",
-    "gossip",
-    "checkpointing",
-    "ab-consensus",
-    "flooding",
-    # Appended after the original eight: sample_config keys family
-    # choice on ``index % len(FAMILIES)``, but the digest pins in
-    # tests/test_search.py address families by *name*, so appending
-    # keeps every existing pin valid.
-    "approximate",
-    "lv-consensus",
-)
+#: Every protocol family the driver covers, in registry order;
+#: ``sample_config`` cycles through them by index, so any contiguous
+#: index range covers all.
+FAMILIES = tuple(family.family for family in REGISTRY)
 
 #: Default replay backends for differential comparison; ``tcp`` joins
 #: behind the CLI's ``--tcp`` flag (slow: real sockets per config).
@@ -128,104 +115,24 @@ def sample_instance(
     either pins it instead -- the search's per-``t`` sweeps use this to
     hold the instance fixed while only the scenario varies.
     """
-
-    def shape(n_lo: int, n_hi: int, t_cap) -> tuple[int, int]:
-        size = n if n is not None else rng.randrange(n_lo, n_hi)
-        bound = t if t is not None else rng.randrange(1, t_cap(size))
-        return size, bound
-
-    if family == "consensus-few":
-        n_, t_ = shape(20, 56, lambda size: (size - 1) // 5 + 1)
-        inputs = [rng.randint(0, 1) for _ in range(n_)]
-        return {"name": "consensus", "inputs": inputs, "t": t_, "algorithm": "few"}
-    if family == "consensus-many":
-        n_, t_ = shape(16, 40, lambda size: max(2, size // 2))
-        inputs = [rng.randint(0, 1) for _ in range(n_)]
-        return {"name": "consensus", "inputs": inputs, "t": t_, "algorithm": "many"}
-    if family == "aea":
-        n_, t_ = shape(24, 60, lambda size: max(2, size // 6 + 1))
-        inputs = [rng.randint(0, 1) for _ in range(n_)]
-        return {"name": "aea", "inputs": inputs, "t": t_}
-    if family == "scv":
-        n_, t_ = shape(20, 56, lambda size: (size - 1) // 5 + 1)
-        holders = sorted(rng.sample(range(n_), max(3 * n_ // 5 + 1, 7 * n_ // 10)))
-        return {"name": "scv", "n": n_, "t": t_, "holders": holders,
-                "common_value": 1}
-    if family == "gossip":
-        n_, t_ = shape(20, 50, lambda size: (size - 1) // 5 + 1)
-        rumors = [f"rumor-{seed}-{i}" for i in range(n_)]
-        return {"name": "gossip", "rumors": rumors, "t": t_}
-    if family == "checkpointing":
-        n_, t_ = shape(20, 50, lambda size: (size - 1) // 5 + 1)
-        return {"name": "checkpointing", "n": n_, "t": t_}
-    if family == "ab-consensus":
-        n_, t_ = shape(16, 40, lambda size: max(2, (size - 1) // 2))
-        byz_cap = min(t_, max(1, int(n_**0.5)))
-        byz = sorted(rng.sample(range(n_), rng.randrange(0, byz_cap + 1)))
-        inputs = [rng.randint(0, 1) for _ in range(n_)]
-        return {
-            "name": "ab_consensus",
-            "inputs": inputs,
-            "t": t_,
-            "byzantine": byz,
-            "behaviour": rng.choice(("silent", "equivocate", "spam")),
-        }
-    if family == "flooding":
-        n_, t_ = shape(20, 57, lambda size: max(2, size // 4))
-        inputs = [rng.randrange(0, 2**16) for _ in range(n_)]
-        return {"name": "flooding", "inputs": inputs, "t": t_}
-    if family == "approximate":
-        n_, t_ = shape(16, 44, lambda size: max(2, size // 3))
-        # Four-decimal floats survive the JSON round-trip of traces and
-        # shrink artifacts exactly (repr-based float serialisation).
-        inputs = [round(rng.uniform(0.0, 100.0), 4) for _ in range(n_)]
-        return {
-            "name": "approximate",
-            "inputs": inputs,
-            "t": t_,
-            "eps": rng.choice((0.5, 1.0, 2.0, 4.0)),
-            "mode": rng.choice(("midpoint", "mean")),
-        }
-    if family == "lv-consensus":
-        n_, t_ = shape(16, 48, lambda size: max(2, size // 3))
-        width = rng.choice((16, 64, 256))
-        inputs = [rng.randrange(0, 2**width) for _ in range(n_)]
-        return {"name": "lv_consensus", "inputs": inputs, "t": t_,
-                "width": width}
-    raise ValueError(f"unknown family {family!r}")
+    record = by_family(family)
+    size = n if n is not None else rng.randrange(*record.n_range)
+    bound = t if t is not None else rng.randrange(1, record.t_cap(size))
+    return {"name": record.recipe, **record.sample(rng, seed, size, bound)}
 
 
-def _instance_shape(recipe: dict) -> tuple[int, int]:
-    if "inputs" in recipe:
-        return len(recipe["inputs"]), recipe["t"]
-    if "rumors" in recipe:
-        return len(recipe["rumors"]), recipe["t"]
-    return recipe["n"], recipe["t"]
-
-
-def _fault_horizon(family: str, params: ProtocolParams) -> int:
-    """The round window faults are placed in -- the same horizon the
-    ``build_*_processes`` builders report for crash schedules."""
-    if family in ("consensus-few", "aea"):
-        return params.little_flood_rounds + params.little_probe_rounds
-    if family == "consensus-many":
-        return params.mcc_flood_rounds + params.mcc_probe_rounds
-    if family == "scv":
-        return params.scv_spread_rounds
-    if family in ("gossip", "checkpointing"):
-        return params.gossip_phase_count * (2 + params.little_probe_rounds)
-    if family == "ab-consensus":
-        return 8
-    if family == "flooding":
-        return params.t + 1
-    if family == "approximate":
-        # t + 1 + phases rounds; phases depends on inputs/eps (not in
-        # params), so use the widest sampled schedule (eps=0.5 over a
-        # 100-wide input range gives ceil(log2(200)) = 8 phases).
-        return params.t + 9
-    if family == "lv-consensus":
-        return params.t + 1
-    raise ValueError(f"unknown family {family!r}")
+def fault_window(family: str, recipe: dict) -> tuple[int, int, int]:
+    """``(horizon, event window, max_rounds)`` for fuzzing or searching
+    one instance: the family's fault horizon, the rounds fault events
+    are placed in, and the run's round bound."""
+    n, t = instance_shape(recipe)
+    params = ProtocolParams(n=n, t=t, seed=recipe.get("overlay_seed", 0))
+    horizon = by_family(family).fault_horizon(params)
+    # Generous but *bounded* safety net: a run that fails to quiesce
+    # (e.g. a churn node rejoined past its protocol's schedule) burns
+    # a few hundred rounds and reports completed=False instead of
+    # stalling the fuzzer at an engine-default six-figure bound.
+    return horizon, max(4, min(horizon, 24)), 4 * horizon + 4 * n + 64
 
 
 def _sample_scenario(
@@ -235,7 +142,7 @@ def _sample_scenario(
     window: int,
     name: str,
 ) -> tuple[str, Optional[Scenario]]:
-    n, t = _instance_shape(recipe)
+    n, t = instance_shape(recipe)
     draw = rng.random()
     kind = next(label for label, ceiling in _KIND_WEIGHTS if draw < ceiling)
     if kind == "none":
@@ -278,18 +185,10 @@ def sample_config(
     rng = random.Random(derive_seed(seed, ("repro.check", index)))
     family = families[index % len(families)]
     recipe = sample_instance(family, rng, seed)
-    n, t = _instance_shape(recipe)
-    params = ProtocolParams(n=n, t=t, seed=recipe.get("overlay_seed", 0))
-    horizon = _fault_horizon(family, params)
-    window = max(4, min(horizon, 24))
+    horizon, window, max_rounds = fault_window(family, recipe)
     kind, scenario = _sample_scenario(
         family, recipe, rng, window, name=f"fuzz-{seed}-{index}"
     )
-    # Generous but *bounded* safety net: a run that fails to quiesce
-    # (e.g. a churn node rejoined past its protocol's schedule) burns
-    # a few hundred rounds and reports completed=False instead of
-    # stalling the fuzzer at an engine-default six-figure bound.
-    max_rounds = 4 * horizon + 4 * n + 64
     backends = tuple(backends)
     if (
         backends == DEFAULT_BACKENDS
@@ -316,9 +215,8 @@ def sample_config(
 
 
 def _execution_kwargs(config: FuzzConfig) -> dict:
-    kwargs: dict = {"max_rounds": config.max_rounds}
-    if config.recipe.get("name") != "ab_consensus":
-        kwargs["crashes"] = None  # failure-free unless the scenario says so
+    # Failure-free unless the scenario says so.
+    kwargs: dict = {"max_rounds": config.max_rounds, "crashes": None}
     if config.scenario is not None:
         kwargs["scenario"] = config.scenario
     return kwargs
@@ -391,7 +289,7 @@ def run_config(config: FuzzConfig) -> dict:
     )
     violations.extend(oracle_violations)
 
-    n, t = _instance_shape(config.recipe)
+    n, t = instance_shape(config.recipe)
     row = {
         "index": config.index,
         "family": config.family,

@@ -34,20 +34,11 @@ the test-facing wrappers so a failing oracle reads like an assertion.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Optional
 
 from repro.core.params import ProtocolParams
-from repro.baselines.approximate import approximate_phase_count
-from repro.properties import (
-    PropertyViolation,
-    check_aea,
-    check_approximate,
-    check_checkpointing,
-    check_consensus,
-    check_gossip,
-    check_scv,
-)
+from repro.families import REGISTRY, by_family, by_recipe, instance_shape
+from repro.properties import PropertyViolation
 from repro.scenarios import Scenario
 
 __all__ = [
@@ -104,24 +95,6 @@ def check_parity(a, b, a_label: str = "a", b_label: str = "b") -> None:
 # -- safety / liveness --------------------------------------------------------
 
 
-def _safety_check(recipe: dict, result) -> None:
-    name = recipe.get("name")
-    if name in ("consensus", "ab_consensus", "flooding", "lv_consensus"):
-        check_consensus(result, recipe["inputs"])
-    elif name == "approximate":
-        check_approximate(result, recipe["inputs"], recipe["eps"])
-    elif name == "aea":
-        check_aea(result, recipe["inputs"])
-    elif name == "scv":
-        check_scv(result, recipe.get("common_value", 1))
-    elif name == "gossip":
-        check_gossip(result, recipe["rumors"])
-    elif name == "checkpointing":
-        check_checkpointing(result)
-    else:
-        raise ValueError(f"no safety predicate for protocol {name!r}")
-
-
 def in_crash_model(recipe: dict, scenario: Optional[Scenario]) -> bool:
     """Whether a run is inside the paper's proven fault model.
 
@@ -138,7 +111,7 @@ def in_crash_model(recipe: dict, scenario: Optional[Scenario]) -> bool:
         return True
     if scenario.omissions or scenario.partitions or scenario.churn:
         return False
-    if recipe.get("name") == "ab_consensus":
+    if not by_recipe(recipe.get("name")).crash_faults:
         # The Byzantine budget is spent on the byzantine set; extra
         # scheduled crashes leave the proven model.
         return not scenario.crashes
@@ -214,24 +187,10 @@ def _churn_consistency(
 
 # -- paper-bound certificates -------------------------------------------------
 
-#: Family -> (communication measure, envelope constant).  The constants
-#: are practical-instantiation headroom over the Table 1 envelope
-#: expressions below (overlay degrees are capped, committees have
-#: floors), calibrated on seeded fuzz sweeps and then doubled; the
-#: certificate records the constant and the observed ratio per run, so
-#: a drifting implementation shows up as ratios creeping toward 1.0
-#: before it becomes a violation.
+#: Family -> (communication measure, envelope constant), as stated on
+#: the registry records (:mod:`repro.families` explains the calibration).
 BOUND_CONSTANTS: dict[str, tuple[str, float]] = {
-    "consensus-few": ("bits", 8.0),
-    "consensus-many": ("bits", 8.0),
-    "aea": ("messages", 6.0),
-    "scv": ("messages", 8.0),
-    "gossip": ("messages", 6.0),
-    "checkpointing": ("messages", 6.0),
-    "ab-consensus": ("messages", 150.0),
-    "flooding": ("messages", 2.0),
-    "approximate": ("bits", 2.0),
-    "lv-consensus": ("bits", 2.0),
+    family.family: family.bound for family in REGISTRY
 }
 
 #: Slack added to the failure-free round count: the paper's running
@@ -239,67 +198,6 @@ BOUND_CONSTANTS: dict[str, tuple[str, float]] = {
 #: fault-triggered extension in this implementation is the
 #: Many-Crashes-Consensus recovery epilogue of ``t + 2`` rounds.
 ROUND_SLACK = 8
-
-
-def _log2(x: float) -> float:
-    return math.log2(max(2.0, x))
-
-
-def _comm_envelope(
-    family: str, params: ProtocolParams, recipe: Optional[dict] = None
-) -> float:
-    """The Table 1 communication envelope for one instance, with the
-    practical overlay constants (committee probing + linear part).
-
-    The literature families added next to Table 1 carry their envelope
-    parameters (``eps``, ``width``) in the recipe rather than in
-    :class:`ProtocolParams`, so ``recipe`` is threaded through for them.
-    """
-    n, t = params.n, params.t
-    probing = (
-        params.little_count
-        * params.little_degree
-        * (params.little_probe_rounds + 1)
-    )
-    if family == "consensus-few":
-        return probing + 20.0 * n
-    if family == "consensus-many":
-        # Flooding over the degree-d(α) overlay plus probing and the
-        # phase/recovery parts; candidates are single bits here.
-        return params.mcc_degree * n * (params.mcc_probe_rounds + 4) + 20.0 * n
-    if family == "aea":
-        return probing + 4.0 * n
-    if family == "scv":
-        return 4.0 * n + 20.0 * t * _log2(t)
-    if family == "gossip":
-        per_phase = (
-            params.little_count
-            * params.little_degree
-            * params.little_probe_rounds
-        )
-        return 4.0 * n + 2.0 * params.gossip_phase_count * per_phase
-    if family == "checkpointing":
-        per_phase = (
-            params.little_count
-            * params.little_degree
-            * params.little_probe_rounds
-        )
-        return 8.0 * n + 2.0 * params.gossip_phase_count * per_phase + probing
-    if family == "ab-consensus":
-        return float(t * t + n)
-    if family == "flooding":
-        # Every operational node multicasts to everyone for t + 1 rounds.
-        return float(n * n * (t + 1))
-    if family == "approximate":
-        # Every node multicasts one 64-bit float estimate to everyone
-        # for the full t + 1 + phases schedule.
-        phases = approximate_phase_count(recipe["inputs"], recipe["eps"])
-        return 64.0 * n * (n - 1) * (t + 1 + phases)
-    if family == "lv-consensus":
-        # One width-bit coordinator multicast per round: linear in n,
-        # the per-bit budget this family exists to pin.
-        return float((t + 1) * (n - 1) * recipe["width"])
-    raise ValueError(f"no communication envelope for family {family!r}")
 
 
 def bound_certificate(
@@ -320,17 +218,12 @@ def bound_certificate(
     ``ok`` summarises both checks; the caller turns ``ok=False`` into a
     violation carrying this certificate as its detail.
     """
-    if "inputs" in recipe:
-        n = len(recipe["inputs"])
-    elif "rumors" in recipe:
-        n = len(recipe["rumors"])
-    else:
-        n = recipe["n"]
-    t = recipe["t"]
+    record = by_family(family)
+    n, t = instance_shape(recipe)
     params = ProtocolParams(n=n, t=t, seed=recipe.get("overlay_seed", 0))
-    measure, constant = BOUND_CONSTANTS[family]
+    measure, constant = record.bound
     observed = result.bits if measure == "bits" else result.messages
-    envelope = _comm_envelope(family, params, recipe)
+    envelope = record.envelope(params, recipe)
     comm_bound = constant * envelope
     clean_rounds = (clean or result).rounds
     round_bound = clean_rounds + t + ROUND_SLACK
@@ -391,7 +284,7 @@ def run_oracles(
 
     if check_safety:
         try:
-            _safety_check(recipe, result)
+            by_recipe(recipe.get("name")).safety(recipe, result)
         except PropertyViolation as exc:
             violations.append({"oracle": "safety", "detail": str(exc)})
 

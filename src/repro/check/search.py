@@ -46,13 +46,9 @@ from typing import Optional, Sequence
 
 from repro import api
 from repro.bench.sweep import SweepSpec, derive_seed
-from repro.check.driver import (
-    _fault_horizon,
-    _instance_shape,
-    sample_instance,
-)
+from repro.check.driver import fault_window, sample_instance
 from repro.check.oracles import bound_certificate, check_parity
-from repro.core.params import ProtocolParams
+from repro.families import instance_shape
 from repro.scenarios import Scenario
 from repro.sim.vec import HAVE_NUMPY, KERNEL_FAMILIES
 
@@ -170,11 +166,8 @@ def make_search_config(
         )
     rng = random.Random(derive_seed(seed, ("repro.search", family)))
     recipe = sample_instance(family, rng, seed, n=n, t=t)
-    n_, t_ = _instance_shape(recipe)
-    params = ProtocolParams(n=n_, t=t_, seed=recipe.get("overlay_seed", 0))
-    horizon = _fault_horizon(family, params)
-    window = max(4, min(horizon, 24))
-    max_rounds = 4 * horizon + 4 * n_ + 64
+    n_, t_ = instance_shape(recipe)
+    _horizon, window, max_rounds = fault_window(family, recipe)
     victims = tuple(
         p for p in range(n_) if p not in set(recipe.get("byzantine", ()))
     )
@@ -218,9 +211,8 @@ class _Evaluator:
         self.clean = self._run(None, self.config.backend)
 
     def _kwargs(self, scenario: Optional[Scenario]) -> dict:
-        kwargs: dict = {"max_rounds": self.config.max_rounds}
-        if self.config.recipe.get("name") != "ab_consensus":
-            kwargs["crashes"] = None  # failure-free unless the scenario says so
+        # Failure-free unless the scenario says so.
+        kwargs: dict = {"max_rounds": self.config.max_rounds, "crashes": None}
         if scenario is not None and scenario.shrink_size() > 0:
             kwargs["scenario"] = scenario
         return kwargs
@@ -358,7 +350,7 @@ class SearchResult:
         """Flatten into a JSON-safe sweep row (byte-identical across
         ``--jobs`` counts: everything downstream -- artifacts included --
         derives from this row, never from worker-local state)."""
-        n, t = _instance_shape(self.config.recipe)
+        n, t = instance_shape(self.config.recipe)
         return {
             "family": self.config.family,
             "n": n,
@@ -399,7 +391,7 @@ def run_search(config: SearchConfig) -> SearchResult:
     rng = random.Random(
         derive_seed(config.seed, ("repro.search", config.family, config.method))
     )
-    n, _ = _instance_shape(config.recipe)
+    n, _ = instance_shape(config.recipe)
     empty = Scenario(n=n, name=f"search-{config.family}-{config.seed}")
     baseline = evaluator.evaluate(empty)
 
@@ -595,9 +587,7 @@ def record_search_trace(
         t=row["t"],
         top_k=len(row.get("top", ())) or 3,
     )
-    kwargs: dict = {"max_rounds": config.max_rounds}
-    if recipe.get("name") != "ab_consensus":
-        kwargs["crashes"] = None
+    kwargs: dict = {"max_rounds": config.max_rounds, "crashes": None}
     if scenario.shrink_size() > 0:
         kwargs["scenario"] = scenario
     result = api.run_recipe(

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
+from repro.families import REGISTRY
 from repro.scenarios import ScenarioAdversary
 from repro.sim.adversary import CrashAdversary, NoFailures, ScheduledCrashes
 from repro.sim.engine import Engine, RunResult
@@ -57,9 +58,11 @@ try:  # pragma: no cover - exercised by the no-numpy CI job
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     HAVE_NUMPY = False
 
-#: Protocol families with a compiled step kernel; other families fall
-#: back to the optimized engine (see the module docstring).
-KERNEL_FAMILIES = ("flooding", "gossip", "checkpointing")
+#: Protocol families whose registry record carries a step kernel; other
+#: families fall back to the optimized engine (see the module docstring).
+KERNEL_FAMILIES = tuple(
+    family.family for family in REGISTRY if family.kernel is not None
+)
 
 #: Adversary types known to be *oblivious* (the schedule never inspects
 #: the live execution), which is what lets a kernel consume the schedule

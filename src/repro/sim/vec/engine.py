@@ -28,10 +28,12 @@ five operations:
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.families import REGISTRY
 from repro.obs.recorder import coerce_recorder
 from repro.sim.adversary import CrashAdversary
 from repro.sim.engine import RunResult, check_pid_order
@@ -206,37 +208,20 @@ def build_kernel(processes: Sequence[Process]) -> Optional[Kernel]:
     """Build the step kernel for a homogeneous kernel-family vector.
 
     Returns ``None`` (caller falls back to the engine) when the vector
-    is empty, mixes process types, is not a kernel family, or a family
-    factory declines the concrete instances (e.g. flooding inputs that
-    are not plain machine-width ints).
+    is empty, mixes process types, is of no family whose registry record
+    names a kernel, or the kernel's factory declines the concrete
+    instances (e.g. flooding inputs that are not plain machine-width
+    ints).
     """
     if not processes:
         return None
     first_type = type(processes[0])
     if any(type(proc) is not first_type for proc in processes):
         return None
-
-    from repro.baselines.flooding_consensus import FloodingConsensusProcess
-
-    if first_type is FloodingConsensusProcess:
-        from repro.sim.vec.flooding import FloodingKernel
-
-        return FloodingKernel.build(processes)
-
-    from repro.core.gossip import GossipProcess
-
-    if first_type is GossipProcess:
-        from repro.sim.vec.gossip import GossipKernel
-
-        return GossipKernel.build(processes)
-
-    from repro.core.checkpointing import CheckpointingProcess
-
-    if first_type is CheckpointingProcess:
-        from repro.sim.vec.checkpointing import CheckpointingKernel
-
-        return CheckpointingKernel.build(processes)
-
+    for family in REGISTRY:
+        if family.kernel is not None and family.process is first_type:
+            module, _, name = family.kernel.partition(":")
+            return getattr(import_module(module), name).build(processes)
     return None
 
 

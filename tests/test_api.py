@@ -11,6 +11,9 @@ from repro import (
     run_consensus,
     run_gossip,
 )
+from repro.api import build_recipe_processes, run_recipe
+from repro.check.oracles import check_parity
+from repro.scenarios import scenario_schedule
 from repro.sim.adversary import CrashSpec, ScheduledCrashes
 from tests.conftest import random_bits
 
@@ -95,3 +98,25 @@ class TestOtherEntryPoints:
     def test_ab_consensus_unknown_behaviour(self):
         with pytest.raises(KeyError):
             run_ab_consensus([0] * 20, 2, byzantine=[1], behaviour="mystery")
+
+
+class TestRunRecipe:
+    def test_recipe_keys_are_validated(self):
+        good = {"name": "flooding", "inputs": [3, 1, 2, 0], "t": 1}
+        build_recipe_processes(good)
+        with pytest.raises(ValueError, match=r"'flooding'.*unknown keys \['overlay_sed'\]"):
+            build_recipe_processes({**good, "overlay_sed": 5})
+        with pytest.raises(ValueError, match=r"'flooding'.*missing keys \['t'\]"):
+            run_recipe({"name": "flooding", "inputs": [3, 1, 2, 0]})
+
+    def test_scenario_dict_and_default_round_bound(self):
+        """``run_recipe`` resolves faults and the round bound exactly as
+        ``prepare_recipe`` does: the JSON form of a scenario and
+        ``max_rounds=None`` are accepted and change nothing."""
+        recipe = {"name": "gossip", "rumors": list(range(30)), "t": 4}
+        scenario = scenario_schedule(
+            30, seed=5, crashes=2, omission_links=20, churn_nodes=1, max_round=8
+        )
+        direct = run_recipe(recipe, scenario=scenario)
+        as_dict = run_recipe(recipe, scenario=scenario.to_dict(), max_rounds=None)
+        check_parity(direct, as_dict, "Scenario", "to_dict()")

@@ -66,3 +66,31 @@ def test_readme_gallery_rows_are_complete():
         )
         assert row is not None, f"{name} missing from the gallery table"
         assert row.count("|") >= 4, f"gallery row for {name} lost its columns"
+
+
+def test_architecture_family_table_matches_the_registry():
+    """docs/architecture.md's "Protocol families" table is a hand-written
+    view of ``repro.families.REGISTRY``: same families in the same
+    order, each with its ``run_*`` entry point, bound measure, envelope
+    constant and vec column."""
+    from repro.families import REGISTRY
+
+    text = (ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+    match = re.search(r"## Protocol families\n(.*?)(\n## |\Z)", text, re.DOTALL)
+    assert match, "architecture.md lost its '## Protocol families' section"
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in match.group(1).splitlines()
+        if line.startswith("| `")
+    ]
+    assert [row[0] for row in rows] == [f"`{f.family}`" for f in REGISTRY]
+    for family, (_, entry, _notion, bound, backends) in zip(REGISTRY, rows):
+        assert entry.startswith(f"`run_{family.recipe}`"), (family.family, entry)
+        measure, constant = family.bound
+        measure = "payload bits" if measure == "bits" else "messages"
+        assert bound.startswith(f"{measure} ≤ {constant:g} × "), (
+            family.family, bound
+        )
+        assert ("**vec**" in backends) == (family.kernel is not None), (
+            family.family, backends
+        )

@@ -239,6 +239,20 @@ class TestServeClientAPI:
                     await client.submit(
                         make_recipe("flood-none", 0)[0], {"bogus_key": 1}
                     )
+                # A misspelt or missing recipe key is rejected at submit
+                # with the family's accepted keys, not built silently or
+                # surfaced as a bare KeyError.
+                flood = {"name": "flooding", "inputs": [0, 1, 1, 0], "t": 1}
+                with pytest.raises(
+                    RuntimeError, match=r"ValueError.*unknown keys \['overlay_sed'\]"
+                ):
+                    await client.submit({**flood, "overlay_sed": 5}, {})
+                del flood["t"]
+                with pytest.raises(
+                    RuntimeError, match=r"ValueError.*missing keys \['t'\].*required"
+                ):
+                    await client.submit(flood, {})
+                assert server.status()["submitted"] == 0
             finally:
                 await client.close()
                 await server.close()
