@@ -45,7 +45,6 @@ from repro.net.faults import NetFaultInjector, RuntimeView
 from repro.net.runtime import (
     NetRuntimeError,
     Session,
-    Synchronizer,
     host_nodes_tcp,
     run_node,
     run_protocol_net,
@@ -69,7 +68,6 @@ __all__ = [
     "RuntimeView",
     "Session",
     "SlowConsumerError",
-    "Synchronizer",
     "TCPHub",
     "TCPMux",
     "connect_tcp",

@@ -42,8 +42,26 @@ structural digest of every payload next to the wire and ship the
 records inside their ``SENT`` reports, so the coordinator records or
 verifies the same events the engine would.
 
+A barrier wait costs one suspension, not one per report: the
+coordinator first drains every report already queued
+(:meth:`~repro.net.transport.Endpoint.recv_nowait`) and only suspends
+in ``recv`` once the queue is empty, so a burst of ``n`` reports is
+consumed in one event-loop turn.  Liveness is one watchdog per session,
+not a timer per frame: before suspending the coordinator notes since
+when and on what it waits, and a single self-re-arming
+``loop.call_later`` timer (period ``min(timeout / 4, 1 s)``) cancels a
+wait older than ``timeout``; the cancellation becomes a
+:class:`NetRuntimeError` naming the phase, the round, the missing pids
+and each laggard's last completed span, raised within
+``[timeout, timeout + period]`` of the wait's start.
+
 Deployment shapes
 -----------------
+One OS process holds one hub connection
+(:class:`~repro.net.transport.TCPMux`) however many nodes it hosts;
+each node is an ``(instance, pid)`` endpoint bound on it, so a round's
+frames leave in a few batched writes.
+
 * :func:`run_protocol_net` -- everything (hub, coordinator, all nodes)
   in one OS process, over the in-memory or TCP transport.
 * :func:`serve_tcp` + :func:`host_nodes_tcp` -- the coordinator and
@@ -71,7 +89,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 from repro.net.codec import encode, set_codec_probe
 from repro.net.faults import NetFaultInjector, NodeStatus, RuntimeView
 from repro.obs.recorder import coerce_recorder
-from repro.net.transport import Endpoint, MemoryHub, TCPHub, connect_tcp
+from repro.net.transport import Endpoint, MemoryHub, TCPHub, connect_tcp, open_mux
 from repro.sim.adversary import CrashAdversary, NoFailures
 from repro.sim.engine import (
     RunResult,
@@ -86,7 +104,6 @@ from repro.trace import payload_digest
 __all__ = [
     "NetRuntimeError",
     "Session",
-    "Synchronizer",
     "host_nodes_tcp",
     "run_node",
     "run_protocol_net",
@@ -432,6 +449,13 @@ class Session:
         #: the laggard: "stuck in phase X of round R" plus how long ago
         #: each missing node last reported.
         self.last_progress: dict[int, tuple[str, int, float]] = {}
+        # Barrier watchdog state (see _recv / _watchdog): since when and
+        # on what the coordinator is suspended, None/stale while it runs.
+        self._blocked_since: Optional[float] = None
+        self._blocked_on: tuple[str, int, set[int]] = ("", -1, set())
+        self._timed_out = False
+        self._task: Optional[asyncio.Task] = None
+        self._watch: Optional[asyncio.TimerHandle] = None
 
     async def run(self, endpoint: Endpoint) -> RunResult:
         """Execute to completion and return an engine-shaped result.
@@ -447,10 +471,15 @@ class Session:
         tel = self.telemetry
         if tel is not None:
             tel.run_begin(n=self.n)
+        if self.timeout is not None:
+            self._task = asyncio.current_task()
+            self._watchdog()
         try:
             await self._await_ready(endpoint)
             completed, last_active_round = await self._round_loop(endpoint)
         finally:
+            if self._watch is not None:
+                self._watch.cancel()
             # Also on error: without STOP frames, remote node tasks stay
             # blocked in recv() and their worker processes never exit.
             # Best-effort -- the original exception must propagate even
@@ -483,30 +512,64 @@ class Session:
     # -- protocol steps --------------------------------------------------
 
     async def _recv(
-        self,
-        endpoint: Endpoint,
-        context: str = "",
-        pending: Optional[Iterable[int]] = None,
+        self, endpoint: Endpoint, phase: str, rnd: int, pending: set[int]
     ) -> tuple:
-        if self.timeout is None:
-            src, frame = await endpoint.recv()
-        else:
+        """The next report frame of a barrier: whatever is already
+        queued without suspending, else one watched wait.
+
+        ``phase`` / ``rnd`` / ``pending`` say what the barrier is
+        collecting; they are only read if the wait times out.
+        """
+        got = endpoint.recv_nowait()
+        if got is None:
+            self._blocked_on = (phase, rnd, pending)
+            self._blocked_since = time.monotonic()
             try:
-                src, frame = await asyncio.wait_for(endpoint.recv(), self.timeout)
-            except asyncio.TimeoutError:
-                where = f"session {self.instance}: " if self.instance else ""
-                raise NetRuntimeError(
-                    f"{where}coordinator timed out after {self.timeout}s "
-                    f"waiting for node reports ({context or 'unknown phase'}; "
-                    "a node task or worker process died?)"
-                    + self._laggard_detail(pending)
-                ) from None
+                got = await endpoint.recv()
+            except asyncio.CancelledError:
+                if not self._timed_out:
+                    raise
+                # Python >= 3.11 counts cancellation requests: take the
+                # watchdog's back, and if another is outstanding (an
+                # outer cancel raced it) that one wins.  3.10 has no
+                # count; swallowing the CancelledError is all it takes.
+                uncancel = getattr(self._task, "uncancel", None)
+                if uncancel is not None and uncancel() > 0:
+                    raise
+                raise self._timeout_error() from None
+            finally:
+                self._blocked_since = None
+        frame = got[1]
         if frame[0] == _ERROR:
             _, pid, kind, text = frame
             if kind == "ProtocolError":
                 raise ProtocolError(text)
             raise NetRuntimeError(f"node {pid} failed with {kind}: {text}")
         return frame
+
+    def _watchdog(self) -> None:
+        """The session's one timer: cancel a barrier wait that has
+        outlived ``timeout``, else re-arm.  Fires within
+        ``[timeout, timeout + period]`` of the wait's start."""
+        since = self._blocked_since
+        if since is not None and time.monotonic() - since >= self.timeout:
+            self._timed_out = True
+            self._task.cancel()
+            return
+        self._watch = asyncio.get_running_loop().call_later(
+            min(self.timeout / 4, 1.0), self._watchdog
+        )
+
+    def _timeout_error(self) -> NetRuntimeError:
+        phase, rnd, pending = self._blocked_on
+        where = f"session {self.instance}: " if self.instance else ""
+        context = phase if rnd < 0 else f"{phase} of round {rnd}"
+        return NetRuntimeError(
+            f"{where}coordinator timed out after {self.timeout}s "
+            f"waiting for node reports ({context}, missing pids "
+            f"{sorted(pending)}; a node task or worker process died?)"
+            + self._laggard_detail(pending)
+        )
 
     def _laggard_detail(self, pending: Optional[Iterable[int]]) -> str:
         """Per-missing-pid last-completed-span lines for timeout errors.
@@ -537,11 +600,7 @@ class Session:
     async def _await_ready(self, endpoint: Endpoint) -> None:
         pending = set(range(self.n))
         while pending:
-            frame = await self._recv(
-                endpoint,
-                f"ready phase, missing pids {sorted(pending)}",
-                pending=pending,
-            )
+            frame = await self._recv(endpoint, "ready phase", -1, pending)
             if frame[0] != _READY:
                 raise NetRuntimeError(f"expected ready, got {frame[0]!r}")
             _, pid, halted, decided, decision = frame
@@ -572,11 +631,7 @@ class Session:
             await endpoint.send(pid, (_REJOIN, rnd))
         pending = set(rejoining)
         while pending:
-            frame = await self._recv(
-                endpoint,
-                f"rejoin phase of round {rnd}, missing pids {sorted(pending)}",
-                pending=pending,
-            )
+            frame = await self._recv(endpoint, "rejoin phase", rnd, pending)
             if frame[0] != _REJOINED:
                 raise NetRuntimeError(f"expected rejoined, got {frame[0]!r}")
             _, pid, halted, decided, decision = frame
@@ -640,11 +695,7 @@ class Session:
             delivered_any = False
             pending = set(participants)
             while pending:
-                frame = await self._recv(
-                    endpoint,
-                    f"send phase of round {rnd}, missing pids {sorted(pending)}",
-                    pending=pending,
-                )
+                frame = await self._recv(endpoint, "send phase", rnd, pending)
                 if frame[0] != _SENT:
                     raise NetRuntimeError(f"expected sent, got {frame[0]!r}")
                 (_, r, pid, dest_counts, msgs, bits, dropped, records,
@@ -693,11 +744,7 @@ class Session:
                 await endpoint.send(pid, (_DELIVER, rnd, expected[pid], need_wake))
             pending = set(receivers)
             while pending:
-                frame = await self._recv(
-                    endpoint,
-                    f"receive phase of round {rnd}, missing pids {sorted(pending)}",
-                    pending=pending,
-                )
+                frame = await self._recv(endpoint, "receive phase", rnd, pending)
                 if frame[0] != _DONE:
                     raise NetRuntimeError(f"expected done, got {frame[0]!r}")
                 _, r, pid, halted, decided, decision, wake = frame
@@ -777,11 +824,6 @@ class Session:
             await endpoint.send(pid, (_STOP,))
 
 
-#: Backwards-compatible name from before sessions were per-instance
-#: objects: the coordinator used to be the one-and-only "Synchronizer".
-Synchronizer = Session
-
-
 # -- runners -----------------------------------------------------------------
 
 
@@ -810,18 +852,18 @@ async def _run_async(
         )
         set_codec_probe(tel)
     hub: Any
+    mux: Any
     if transport == "memory":
-        hub = MemoryHub()
-        endpoints: list[Endpoint] = [hub.endpoint(addr) for addr in range(n + 1)]
+        hub = mux = MemoryHub()
     elif transport == "tcp":
+        # One OS process, one hub connection: every address binds on the
+        # same mux, so a round's frames leave in a few batched writes.
         hub = TCPHub(host, port, batching=batching)
         await hub.start()
-        endpoints = [
-            await connect_tcp(host, hub.port, addr, batching=batching)
-            for addr in range(n + 1)
-        ]
+        mux = await open_mux(host, hub.port, batching=batching)
     else:
         raise ValueError(f"unknown transport {transport!r}")
+    endpoints: list[Endpoint] = [mux.endpoint(addr) for addr in range(n + 1)]
     sync = Session(
         n,
         adversary,
@@ -859,6 +901,7 @@ async def _run_async(
         await asyncio.gather(*node_tasks, return_exceptions=True)
         await endpoints[n].close()
         if transport == "tcp":
+            await mux.close()
             await hub.close()
     result.processes = list(processes)
     return result
@@ -977,8 +1020,9 @@ async def host_nodes_tcp(
     """Host a shard of nodes in this OS process, dialing a remote hub.
 
     ``processes`` maps pid to process (or is a sequence of processes
-    whose ``pid`` attributes name their addresses); each node gets its
-    own endpoint connection.  ``churn_pids`` names the pids with a
+    whose ``pid`` attributes name their addresses); every node is one
+    ``(instance 0, pid)`` endpoint on this process's single multiplexed
+    hub connection.  ``churn_pids`` names the pids with a
     scheduled crash-and-rejoin (the coordinator's adversary's
     ``rejoin_pids()``) so those nodes snapshot their initial state and
     survive their crash leg; workers of a churn scenario must pass it.
@@ -991,13 +1035,15 @@ async def host_nodes_tcp(
         else list(processes)
     )
     churn = frozenset(churn_pids)
-    endpoints = [
-        await connect_tcp(host, port, proc.pid, deadline=deadline)
-        for proc in procs
-    ]
-    await asyncio.gather(
-        *(
-            run_node(proc, endpoint, proc.n, churn=proc.pid in churn)
-            for proc, endpoint in zip(procs, endpoints)
+    mux = await open_mux(host, port, deadline=deadline)
+    try:
+        await asyncio.gather(
+            *(
+                run_node(
+                    proc, mux.endpoint(proc.pid), proc.n, churn=proc.pid in churn
+                )
+                for proc in procs
+            )
         )
-    )
+    finally:
+        await mux.close()

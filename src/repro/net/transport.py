@@ -1,9 +1,10 @@
 """Pluggable transports: an in-memory hub and a TCP hub.
 
 Both expose the same endpoint interface -- ``await send(dst, obj)``,
-``await recv() -> (src, obj)``, ``await close()`` -- over a hub (star)
-topology: every endpoint holds a link to a central router that forwards
-frames by ``(instance, destination address)``.  Addresses within one
+``await recv() -> (src, obj)``, the non-blocking ``recv_nowait()`` and
+``await close()`` -- over a hub (star) topology: every endpoint holds a
+link to a central router that forwards frames by
+``(instance, destination address)``.  Addresses within one
 protocol instance are the node pids ``0..n-1`` plus the coordinator at
 address ``n``; the *instance* tag is what lets many protocol instances
 share one hub (and, over TCP, one physical connection -- see
@@ -132,6 +133,18 @@ class Endpoint:
         """
         raise NotImplementedError
 
+    def recv_nowait(self) -> Optional[tuple[int, Any]]:
+        """The next inbound frame if one is already queued, else ``None``.
+
+        Same FIFO stream and same :func:`~repro.net.codec.decode` path
+        as :meth:`recv`; never suspends.  A closed connection also reads
+        as ``None`` here -- the failure (EOF, a frame-guard error) is
+        raised by the blocking :meth:`recv` the caller falls back to, so
+        a collector can drain whatever a burst delivered and pay one
+        suspension only once the queue is empty.
+        """
+        raise NotImplementedError
+
     async def close(self) -> None:
         """Detach from the hub; subsequent frames to this
         ``(instance, address)`` are dropped (a crashed or halted node
@@ -256,6 +269,12 @@ class MemoryEndpoint(Endpoint):
 
     async def recv(self) -> tuple[int, Any]:
         src, body = await self._queue.get()
+        return src, decode(body)
+
+    def recv_nowait(self) -> Optional[tuple[int, Any]]:
+        if self._queue.empty():
+            return None
+        src, body = self._queue.get_nowait()
         return src, decode(body)
 
     async def close(self) -> None:
@@ -717,6 +736,16 @@ class TCPMux:
         src, body = item
         return src, decode(body)
 
+    def _recv_nowait_on(self, queue: asyncio.Queue) -> Optional[tuple[int, Any]]:
+        if queue.empty():
+            return None
+        item = queue.get_nowait()
+        if item is _EOF:
+            queue.put_nowait(_EOF)  # left for the blocking recv() to raise
+            return None
+        src, body = item
+        return src, decode(body)
+
     # -- lifecycle --------------------------------------------------------
 
     async def flush(self) -> None:
@@ -786,6 +815,9 @@ class MuxEndpoint(Endpoint):
     async def recv(self) -> tuple[int, Any]:
         return await self._mux._recv_on(self._queue)
 
+    def recv_nowait(self) -> Optional[tuple[int, Any]]:
+        return self._mux._recv_nowait_on(self._queue)
+
     async def close(self) -> None:
         self._mux._close_endpoint((self.instance, self.address))
 
@@ -793,10 +825,11 @@ class MuxEndpoint(Endpoint):
 class TCPEndpoint(Endpoint):
     """A single-address hub connection (one dedicated :class:`TCPMux`).
 
-    The legacy one-connection-per-node shape used by
-    :func:`connect_tcp`: ``close`` tears down the whole connection,
-    which is what gives a crashed node's address its "receives nothing"
-    semantics in multi-OS-process deployments.
+    What :func:`connect_tcp` returns, for a process that needs exactly
+    one address on the hub (the :func:`~repro.net.runtime.serve_tcp`
+    coordinator, a probe in a test): ``close`` tears down the whole
+    connection.  A process hosting several addresses opens one
+    :class:`TCPMux` and binds them all on it instead.
     """
 
     def __init__(self, mux: TCPMux, endpoint: MuxEndpoint):
@@ -810,6 +843,9 @@ class TCPEndpoint(Endpoint):
 
     async def recv(self) -> tuple[int, Any]:
         return await self._endpoint.recv()
+
+    def recv_nowait(self) -> Optional[tuple[int, Any]]:
+        return self._endpoint.recv_nowait()
 
     async def close(self) -> None:
         await self._mux.close()

@@ -5,7 +5,7 @@ The repo's logical metrics (:class:`~repro.sim.metrics.Metrics`) answer
 answers *where the wall-clock went*.  Every execution substrate --
 :class:`~repro.sim.engine.Engine` (both round loops),
 :class:`~repro.sim.vec.engine.VecEngine`, and the :mod:`repro.net`
-:class:`~repro.net.runtime.Synchronizer` and node tasks -- emits the
+:class:`~repro.net.runtime.Session` and node tasks -- emits the
 same span taxonomy into a :class:`Recorder`, so one timeline format
 covers all backends.
 

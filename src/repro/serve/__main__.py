@@ -45,7 +45,6 @@ async def _serve(args: argparse.Namespace) -> int:
         transport="tcp",
         workers=args.workers,
         batching=args.batching,
-        session_timeout=None,
     )
     await server.start()
     port = await server.listen(args.host, args.port)

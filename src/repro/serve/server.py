@@ -115,7 +115,9 @@ class RunServer:
         Toggle transport frame batching (on by default; the off
         position exists for benchmarks).
     session_timeout:
-        Per-barrier-wait timeout for each session (``None`` disables).
+        Per-barrier-wait timeout for each session (``None`` disables):
+        one watchdog timer per session, nothing per frame, so the
+        default is also what ``python -m repro.serve`` runs with.
         Under heavy multiplexing a healthy session's barrier can wait
         a while for loop time; raise this before suspecting a hang.
     stream_queue:

@@ -8,6 +8,9 @@ gossip and checkpointing (and the rest of the protocol families).  The
 TCP transport must run the same executions over real loopback sockets.
 """
 
+import asyncio
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,16 @@ from repro import (
     run_scv,
 )
 from repro.bench.workloads import byzantine_sample, input_vector, rumor_vector
-from repro.net import run_protocol_net
+from repro.net import (
+    MemoryHub,
+    NetRuntimeError,
+    Session,
+    TCPHub,
+    open_mux,
+    run_node,
+    run_protocol_net,
+)
+from repro.scenarios import Scenario
 from repro.sim import Engine, crash_schedule
 from repro.sim.adaptive import CrashDecidersAdversary, StaggeredCommitteeAdversary
 from repro.sim.adversary import CrashSpec, ScheduledCrashes
@@ -320,11 +332,8 @@ class TestRuntimeEdgeCases:
         # A distributed run's result (no local Process objects) must
         # still answer correct_pids()/check_consensus meaningfully: the
         # coordinator substitutes its NodeStatus records.
-        import asyncio
-
         from repro import check_consensus
         from repro.api import build_consensus_processes
-        from repro.net import MemoryHub, Synchronizer, run_node
         from repro.sim.adversary import crash_schedule
 
         inputs = input_vector(20, "random", SEED)
@@ -334,7 +343,7 @@ class TestRuntimeEdgeCases:
         async def drive():
             hub = MemoryHub()
             endpoints = [hub.endpoint(addr) for addr in range(21)]
-            sync = Synchronizer(20, adversary)
+            sync = Session(20, adversary)
             tasks = [
                 asyncio.ensure_future(run_node(p, endpoints[p.pid], 20))
                 for p in procs
@@ -347,3 +356,152 @@ class TestRuntimeEdgeCases:
         assert sorted(p.pid for p in result.processes) == list(range(20))
         assert set(result.correct_pids()) == set(range(20)) - result.crashed
         check_consensus(result, inputs)  # termination clause is non-vacuous
+
+
+class TestBarrierTimeout:
+    """The session's watchdog, end to end: a node that never reports
+    fails the run within ``[timeout, 1.5 * timeout]`` with an error that
+    names the phase, the round and exactly the missing pid."""
+
+    TIMEOUT = 0.6
+    N = 6
+
+    async def _hosted(self, transport, hosted, make_proc, run):
+        """A Session over ``transport`` with node tasks for ``hosted``
+        pids only; ``run(session, coordinator_endpoint)`` is the body."""
+        hub = mux = MemoryHub()
+        if transport == "tcp":
+            hub = TCPHub()
+            await hub.start()
+            mux = await open_mux("127.0.0.1", hub.port)
+        tasks = []
+        try:
+            tasks.extend(
+                asyncio.ensure_future(
+                    run_node(make_proc(pid, tasks), mux.endpoint(pid), self.N)
+                )
+                for pid in hosted
+            )
+            session = Session(self.N, timeout=self.TIMEOUT)
+            return await run(session, mux.endpoint(self.N))
+        finally:
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            if transport == "tcp":
+                await mux.close()
+                await hub.close()
+
+    async def _timed_failure(self, session, endpoint):
+        started = time.monotonic()
+        with pytest.raises(NetRuntimeError) as excinfo:
+            await session.run(endpoint)
+        elapsed = time.monotonic() - started
+        assert self.TIMEOUT <= elapsed <= 1.5 * self.TIMEOUT
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_never_hosted_node(self, transport):
+        hosted = [pid for pid in range(self.N) if pid != 4]
+
+        async def run(session, endpoint):
+            # The five hosted nodes' READY reports are queued before the
+            # coordinator first looks: the drain path, then the wait.
+            await asyncio.sleep(0.05)
+            return await self._timed_failure(session, endpoint)
+
+        message = asyncio.run(
+            self._hosted(
+                transport, hosted, lambda pid, _tasks: _Recorder(pid, self.N), run
+            )
+        )
+        assert f"timed out after {self.TIMEOUT}s" in message
+        assert "ready phase, missing pids [4]" in message
+        assert "pid 4: no reports received yet" in message
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_node_killed_between_sent_and_done(self, transport):
+        n = self.N
+
+        class Doomed(_Recorder):
+            """Pid 2 has its own task cancelled while it runs round 1's
+            send hook: the cancellation lands at the task's next
+            suspension, after SENT went out and before DELIVER is read."""
+
+            def __init__(self, pid, tasks):
+                super().__init__(pid, n)
+                self.tasks = tasks
+
+            def send(self, rnd):
+                if rnd == 1 and self.pid == 2:
+                    asyncio.get_running_loop().call_soon(self.tasks[2].cancel)
+                return super().send(rnd)
+
+        message = asyncio.run(
+            self._hosted(transport, range(n), Doomed, self._timed_failure)
+        )
+        assert "receive phase of round 1, missing pids [2]" in message
+        assert "pid 2: last completed send of round 1" in message
+
+    def test_outer_cancel_is_not_a_timeout(self):
+        async def run(session, endpoint):
+            task = asyncio.ensure_future(session.run(endpoint))
+            await asyncio.sleep(0.05)  # blocked in the ready barrier by now
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        asyncio.run(
+            self._hosted("memory", [], lambda pid, _tasks: _Recorder(pid, self.N), run)
+        )
+
+
+class TestTurnBudget:
+    """A barrier wait is one suspension: event-loop turns grow with the
+    rounds executed, not with the reports collected, and no Task is
+    created per report.  Counts, not times, so the bound holds on any
+    machine (the per-frame ``wait_for`` this replaced took 100-450 turns
+    and ~n Tasks per round)."""
+
+    CASES = {
+        "consensus": (
+            {"name": "consensus", "inputs": [0, 1] * 20, "t": 5},
+            {"crashes": "random", "seed": 3},
+        ),
+        "gossip-one-crash": (
+            {"name": "gossip", "rumors": list(range(24)), "t": 3},
+            {"crashes": ScheduledCrashes({5: CrashSpec(round=2, keep=1)})},
+        ),
+        "flooding-crash-rejoin": (
+            {"name": "flooding", "inputs": [pid % 2 for pid in range(16)], "t": 4},
+            {"scenario": Scenario(n=16, crashes=[(3, 1, 0)], churn=[(7, 1, 3, None)])},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_turns_and_tasks_are_bounded(self, case, monkeypatch):
+        from asyncio.base_events import BaseEventLoop
+
+        from repro.api import run_recipe
+
+        protocol, execution = self.CASES[case]
+        counts = {"turns": 0, "tasks": 0}
+        run_once, create_task = BaseEventLoop._run_once, BaseEventLoop.create_task
+
+        def counting_run_once(loop):
+            counts["turns"] += 1
+            return run_once(loop)
+
+        def counting_create_task(loop, *args, **kwargs):
+            counts["tasks"] += 1
+            return create_task(loop, *args, **kwargs)
+
+        monkeypatch.setattr(BaseEventLoop, "_run_once", counting_run_once)
+        monkeypatch.setattr(BaseEventLoop, "create_task", counting_create_task)
+        net = run_recipe(protocol, backend="net", **execution)
+        monkeypatch.undo()
+
+        assert_parity(net, run_recipe(protocol, **execution))
+        n = len(net.processes)
+        assert counts["tasks"] <= n + 8
+        assert counts["turns"] <= 6 * net.rounds + 40

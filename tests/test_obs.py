@@ -26,7 +26,7 @@ from repro import api
 from repro.bench.sweep import SweepSpec, describe_unit, run_sweep
 from repro.check.driver import describe_fuzz_outcome
 from repro.check.oracles import check_parity
-from repro.net.runtime import Synchronizer
+from repro.net.runtime import Session
 from repro.obs import (
     NULL_RECORDER,
     NullRecorder,
@@ -415,7 +415,7 @@ def test_obs_cli_validate_flags_corrupt_artifact(tmp_path, capsys):
 def test_laggard_detail_names_last_completed_span():
     import time as _time
 
-    sync = Synchronizer(4)
+    sync = Session(4)
     now = _time.monotonic()
     sync.last_progress[1] = ("send", 5, now - 30.0)
     sync.last_progress[2] = ("ready", -1, now - 2.0)
@@ -429,6 +429,6 @@ def test_laggard_detail_names_last_completed_span():
 
 
 def test_laggard_detail_truncates_long_pending_sets():
-    sync = Synchronizer(20)
+    sync = Session(20)
     detail = sync._laggard_detail(set(range(12)))
     assert "... and 4 more" in detail

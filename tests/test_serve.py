@@ -22,6 +22,7 @@ transport underneath it:
 import asyncio
 import pickle
 import socket
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,9 +31,11 @@ from hypothesis import strategies as st
 from repro.api import run_recipe
 from repro.check import check_parity
 from repro.net.codec import CONTROL, HEADER, encode
+from repro.net.runtime import NetRuntimeError
 from repro.net.transport import TCPHub, open_mux
 from repro.scenarios import Scenario
 from repro.serve import RunServer, ServeClient, run_many
+from repro.serve import server as server_mod
 from repro.serve.server import _ClientConn
 from repro.serve.wire import send_msg
 
@@ -133,6 +136,50 @@ class TestConcurrentSessionParity:
             check_parity(
                 served, sim_reference(protocol, execution), "served", "sim"
             )
+
+
+class TestSessionTimeout:
+    """``session_timeout`` end to end: a wedged run fails by itself,
+    with an error that says which run and which node."""
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_wedged_run_fails_alone_naming_run_and_pid(self, transport, monkeypatch):
+        real_run_node = server_mod.run_node
+
+        async def wedged_run_node(proc, endpoint, coordinator, **kwargs):
+            if endpoint.instance == 1 and proc.pid == 2:
+                await asyncio.Event().wait()  # hosted, never reports READY
+            await real_run_node(proc, endpoint, coordinator, **kwargs)
+
+        monkeypatch.setattr(server_mod, "run_node", wedged_run_node)
+        wedged, healthy = make_recipe("flood-none", 1), make_recipe("churn", 2)
+
+        async def main():
+            server = RunServer(transport=transport, session_timeout=0.5)
+            await server.start()
+            try:
+                wedged_id = await server.submit(*wedged)
+                healthy_id = await server.submit(*healthy)
+                assert wedged_id == "run-000001"
+                started = time.monotonic()
+                with pytest.raises(NetRuntimeError) as excinfo:
+                    await server.result(wedged_id)
+                elapsed = time.monotonic() - started
+                return (
+                    str(excinfo.value),
+                    elapsed,
+                    await server.result(healthy_id),
+                    server.status(),
+                )
+            finally:
+                await server.close()
+
+        message, elapsed, served, status = asyncio.run(main())
+        assert 0.5 <= elapsed <= 0.75
+        assert "session 1: coordinator timed out after 0.5s" in message
+        assert "ready phase, missing pids [2]" in message
+        check_parity(served, sim_reference(*healthy), "served", "sim")
+        assert (status["completed"], status["failed"]) == (1, 1)
 
 
 class TestServeClientAPI:
