@@ -2,14 +2,15 @@
 
 The simulator in :mod:`repro.sim.engine` executes protocols inside one
 lock-step loop.  This package runs the *same* :class:`~repro.sim.process.Process`
-objects as concurrent asyncio tasks exchanging real messages over
-pluggable transports:
+objects behind asyncio host tasks -- one per OS process, each holding a
+shard of the processes -- exchanging real messages over pluggable
+transports:
 
 * an **in-memory hub** (:class:`~repro.net.transport.MemoryHub`) for
   tests and single-machine experiments, and
 * a **TCP hub** (:class:`~repro.net.transport.TCPHub`) for real
   socket-level runs, including multi-OS-process deployments where worker
-  processes host disjoint shards of the node set.
+  processes host disjoint shards of the process set.
 
 A coordinator task (:class:`~repro.net.runtime.Session`) implements
 the paper's synchronous model as a barrier per round: every message sent
@@ -35,7 +36,7 @@ Single runs use instance ``0`` throughout and are unaffected.
 Entry points: :func:`~repro.net.runtime.run_protocol_net` executes a
 process list end-to-end in one OS process over either transport;
 :func:`~repro.net.runtime.serve_tcp` / :func:`~repro.net.runtime.host_nodes_tcp`
-split the coordinator and node shards across OS processes (see
+split the coordinator and the shards across OS processes (see
 ``examples/net_consensus.py``).  The high-level ``repro.api.run_*``
 helpers accept ``backend="net"`` / ``backend="tcp"`` and route here.
 """
@@ -47,6 +48,7 @@ from repro.net.runtime import (
     Session,
     host_nodes_tcp,
     run_node,
+    run_nodes,
     run_protocol_net,
     serve_tcp,
 )
@@ -74,6 +76,7 @@ __all__ = [
     "host_nodes_tcp",
     "open_mux",
     "run_node",
+    "run_nodes",
     "run_protocol_net",
     "serve_tcp",
 ]

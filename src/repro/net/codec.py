@@ -171,11 +171,9 @@ def encode(obj: Any) -> bytes:
     The codec is round-agnostic: round numbers, phase tags and send
     sequence numbers live *inside* the frame tuple
     (:mod:`repro.net.runtime` defines the frame kinds), so the wire
-    format never changes when the round protocol grows.  Multicast
-    senders call this once per send group and fan the encoded bytes out
-    via :meth:`~repro.net.transport.Endpoint.send_encoded`, which is
-    what keeps a payload's pickling cost independent of its recipient
-    count.
+    format never changes when the round protocol grows.  A body that
+    goes to several destinations is encoded once and fanned out via
+    :meth:`~repro.net.transport.Endpoint.send_encoded`.
     """
     probe = _PROBE
     if probe is None:
@@ -190,9 +188,12 @@ def decode(body: bytes) -> Any:
     """Deserialise one frame body.
 
     Always produces a fresh object graph — even over the in-memory
-    transport a receiver gets an equal *copy*, never the sender's
-    instance — so payload mutation can never leak between nodes within
-    or across rounds.
+    transport a frame arrives as an equal *copy*, never the sender's
+    instance.  The round runtime decodes one ``DATA`` bundle per
+    destination host, so a payload is copied once per host: the
+    receivers behind one host share that copy (as the engine's receivers
+    share the sender's object), receivers behind different hosts and the
+    sender never share one.
     """
     probe = _PROBE
     if probe is None:

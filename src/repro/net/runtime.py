@@ -2,42 +2,86 @@
 
 Execution model
 ---------------
-Every node is one asyncio task (:func:`run_node`) hosting an unmodified
-:class:`~repro.sim.process.Process`; a coordinator task
-(:class:`Session`) implements the synchronous model of Section 2
-as a two-phase barrier per round:
+A *host* (:func:`run_nodes`) is one asyncio task on one endpoint holding
+a shard of unmodified :class:`~repro.sim.process.Process` objects -- all
+``n`` of them in a single-process run, one shard per worker in a
+distributed one.  A coordinator task (:class:`Session`) implements the
+synchronous model of Section 2 as a two-phase barrier per round, and
+talks to hosts, not to pids: a round costs one control frame per host
+per barrier phase and one data frame per ordered host pair, whatever
+``n`` and the number of messages are.  The model's cost is the messages
+and bits counted at the sender; envelopes are the runtime's business.
 
-0. ``REJOIN(r)`` -- before opening the round, crashed nodes whose churn
-   schedule rejoins them at ``r`` are reinstated: the node task (which
-   kept its connection open awaiting exactly this) resets its process
-   to the pre-``on_start`` snapshot, runs ``on_start`` again and
-   reports ``REJOINED``; the coordinator restores it to the live set so
-   it participates in round ``r``'s send phase.
-1. ``START(r)`` -- the coordinator opens round ``r`` for every live
-   node, attaching the partial-send budget ``keep`` for nodes the fault
-   injector crashes this round, the node's blocked-destination set for
-   link faults (omission/partition scenarios), whether a crashing node
-   should await a rejoin, and whether to report trace records.  Each
-   node runs its ``send(r)`` hook, normalises and truncates its sends
-   through the engine's own ``collect_sends`` + ``apply_link_filter``,
-   transmits one data frame per surviving point-to-point message
-   *directly to the destination endpoint* (multicasts are expanded on
-   the wire), counts its own messages, payload bits and dropped
-   messages, and reports ``SENT`` with its per-destination counts.
-2. ``DELIVER(r)`` -- once every live node has reported, the coordinator
-   tells each surviving node how many round-``r`` frames to expect.
-   The node collects exactly that many (data frames may already have
-   arrived and are buffered by round), orders the inbox by
-   ``(sender, send-order)`` -- byte-for-byte the simulator's delivery
-   order -- runs ``receive(r)``, and reports ``DONE``.
+0. ``READY`` / ``LAYOUT`` -- each host runs ``on_start`` for its pids
+   and reports them; the coordinator learns which pids live behind which
+   address from the reports and, once all ``n`` pids are accounted for,
+   sends the layout back so hosts can bucket their sends by destination
+   host.
+1. ``REJOIN(r)`` -- before opening the round, crashed pids whose churn
+   schedule rejoins them at ``r`` are reinstated: their host (which
+   stayed attached for exactly this) resets each to its
+   pre-``on_start`` snapshot, runs ``on_start`` again and reports
+   ``REJOINED``; the coordinator restores them to the live set so they
+   participate in round ``r``'s send phase.
+2. ``START(r)`` -- the coordinator opens round ``r`` on every host with
+   a live pid, naming those pids and -- only for the pids that have one
+   -- the partial-send budget ``keep`` of a pid the fault injector
+   crashes this round, its blocked-destination set for link faults
+   (omission/partition scenarios) and whether it should await a rejoin.
+   The host runs the ``send(r)`` hooks in pid order, normalises and
+   truncates each pid's sends through the engine's own ``collect_sends``
+   + ``apply_link_filter``, counts its messages, payload bits and
+   dropped messages, ships every destination host one ``DATA`` bundle
+   of the surviving send groups (pickled once; it goes through the hub
+   like every frame, so a one-host ``tcp`` run still sends its bundle
+   out of its connection and back) and reports one ``SENT``.
+3. ``DELIVER(r)`` -- once every host has reported, the coordinator tells
+   each host with a surviving pid how many round-``r`` bundles to expect
+   and which pids receive.  The host collects exactly that many (bundles
+   may already have arrived and are buffered), builds each receiver's
+   inbox ordered by ``(sender, send-order)`` -- byte-for-byte the
+   simulator's delivery order -- discards what was addressed to a
+   crashed or halted pid, runs the ``receive(r)`` hooks, and reports one
+   ``DONE``.
+
+Frames (``C`` is the coordinator; every status is ``halted, decided,
+decision``)::
+
+    READY     host -> C     [(pid, *status), ...]
+    LAYOUT    C -> host     [host address of pid 0, of pid 1, ...]
+    REJOIN    C -> host     round, [pid, ...]
+    REJOINED  host -> C     round, [(pid, *status), ...]
+    START     C -> host     round, [pid, ...], {pid: (crashing, keep,
+                            mask, will_rejoin)} where set, record
+    DATA      host -> host  round, [(src, seq, dsts, payload), ...]
+    SENT      host -> C     round, {host: bundles shipped to it},
+                            [(pid, msgs, bits, dropped, records,
+                              *status), ...]
+    DELIVER   C -> host     round, bundles to expect, need_wake,
+                            [receiver pid, ...]
+    DONE      host -> C     round, [(pid, *status, wake), ...]
+    STOP      C -> host     --
+    ERROR     host -> C     pid whose hook raised (None: the host
+                            itself), exception class name, text
+
+A ``DATA`` bundle holds, per send group with a destination behind the
+receiving host, the sender, the group's index in the sender's send
+order, those destinations and the payload; it closes at
+:data:`_BUNDLE_PAIRS` ``(group, destination)`` pairs or
+:data:`_BUNDLE_BYTES` of counted payload, whichever comes first, and
+``SENT`` counts bundles per destination host.  Receivers behind one host are
+handed the *same* decoded payload object (as ``Engine`` hands every
+receiver the sender's object); receivers behind different hosts, and
+the sender, never share one.
 
 The barrier guarantees the paper's synchrony: no process observes round
 ``r + 1`` before every round-``r`` message is delivered.  Crash faults,
 link faults, churn, fast-forward over quiescent stretches, termination,
 and the rounds/messages/bits/dropped accounting all mirror the
-simulator's reference loop statement by statement, which is what makes
-the sim/net parity tests exact rather than statistical.  When a trace
-recorder or checker is attached (:mod:`repro.trace`), nodes compute the
+simulator's reference loop statement by statement and pid by pid, which
+is what makes the sim/net parity tests exact rather than statistical --
+and independent of how pids are dealt to hosts.  When a trace recorder
+or checker is attached (:mod:`repro.trace`), hosts compute the
 structural digest of every payload next to the wire and ship the
 records inside their ``SENT`` reports, so the coordinator records or
 verifies the same events the engine would.
@@ -45,27 +89,27 @@ verifies the same events the engine would.
 A barrier wait costs one suspension, not one per report: the
 coordinator first drains every report already queued
 (:meth:`~repro.net.transport.Endpoint.recv_nowait`) and only suspends
-in ``recv`` once the queue is empty, so a burst of ``n`` reports is
-consumed in one event-loop turn.  Liveness is one watchdog per session,
-not a timer per frame: before suspending the coordinator notes since
-when and on what it waits, and a single self-re-arming
+in ``recv`` once the queue is empty.  Liveness is one watchdog per
+session, not a timer per frame: before suspending the coordinator notes
+since when and on what it waits, and a single self-re-arming
 ``loop.call_later`` timer (period ``min(timeout / 4, 1 s)``) cancels a
 wait older than ``timeout``; the cancellation becomes a
 :class:`NetRuntimeError` naming the phase, the round, the missing pids
-and each laggard's last completed span, raised within
-``[timeout, timeout + period]`` of the wait's start.
+(a silent host lists all of its pids) and each laggard's last completed
+span, raised within ``[timeout, timeout + period]`` of the wait's start.
 
 Deployment shapes
 -----------------
 One OS process holds one hub connection
-(:class:`~repro.net.transport.TCPMux`) however many nodes it hosts;
-each node is an ``(instance, pid)`` endpoint bound on it, so a round's
-frames leave in a few batched writes.
+(:class:`~repro.net.transport.TCPMux`) and, per session, one host
+endpoint on it -- by convention at the lowest pid it hosts; the
+coordinator sits at address ``n``.
 
-* :func:`run_protocol_net` -- everything (hub, coordinator, all nodes)
-  in one OS process, over the in-memory or TCP transport.
+* :func:`run_protocol_net` -- everything (hub, coordinator, one host of
+  all ``n`` processes) in one OS process, over the in-memory or TCP
+  transport.
 * :func:`serve_tcp` + :func:`host_nodes_tcp` -- the coordinator and
-  disjoint node shards in separate OS processes, meeting at a
+  disjoint shards in separate OS processes, meeting at a
   :class:`~repro.net.transport.TCPHub` (see ``examples/net_consensus.py``).
 * :mod:`repro.serve` -- a long-lived run-server advancing *many*
   :class:`Session` objects concurrently on one event loop, their frames
@@ -84,9 +128,11 @@ from __future__ import annotations
 import asyncio
 import copy
 import time
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.net.codec import encode, set_codec_probe
+from repro.net.codec import MAX_FRAME_BYTES, encode, set_codec_probe
 from repro.net.faults import NetFaultInjector, NodeStatus, RuntimeView
 from repro.obs.recorder import coerce_recorder
 from repro.net.transport import Endpoint, MemoryHub, TCPHub, connect_tcp, open_mux
@@ -106,17 +152,19 @@ __all__ = [
     "Session",
     "host_nodes_tcp",
     "run_node",
+    "run_nodes",
     "run_protocol_net",
     "serve_tcp",
 ]
 
 
 class NetRuntimeError(RuntimeError):
-    """A node task or transport failed; carries the remote traceback text."""
+    """A host task or transport failed; carries the remote error text."""
 
 
 # Frame kinds (first element of every decoded frame body).
 _READY = "ready"
+_LAYOUT = "layout"
 _START = "start"
 _SENT = "sent"
 _DELIVER = "deliver"
@@ -127,12 +175,331 @@ _DATA = "data"
 _REJOIN = "rejoin"
 _REJOINED = "rejoined"
 
+#: ``(group, destination)`` pairs at which a ``DATA`` bundle closes and
+#: the next one opens, so that dense flooding at large ``n`` cannot build
+#: one frame beyond :data:`~repro.net.codec.MAX_FRAME_BYTES`.
+_BUNDLE_PAIRS = 65_536
+
+#: Counted payload bytes (the model's ``payload_bits`` / 8, each group's
+#: payload once) at which a bundle closes as well: many unicast groups
+#: with large payloads stay under the pair cap, and sent one frame per
+#: message -- as the model has it -- none of them would be oversized.
+#: A fraction of the frame limit, since the pickled size is not the
+#: counted one.
+_BUNDLE_BYTES = MAX_FRAME_BYTES // 16
+
+#: ``START``'s per-pid fault fields ``(crashing, keep, mask,
+#: will_rejoin)`` for a pid the frame does not mention.
+_NO_FAULT = (False, None, (), False)
+
 
 def _status_of(proc: Process) -> tuple[bool, bool, Any]:
     return proc.halted, proc.decided, proc.decision
 
 
-# -- node side ---------------------------------------------------------------
+# -- host side ---------------------------------------------------------------
+
+
+def _bundles(
+    entries: list[tuple], bits_cache: dict[int, tuple[Any, int]]
+) -> Iterable[list[tuple]]:
+    """Cut one destination host's ``(src, seq, dsts, payload)`` entries
+    into bundles, closing each once it holds :data:`_BUNDLE_PAIRS`
+    ``(group, dst)`` pairs or :data:`_BUNDLE_BYTES` of payload (sizes
+    from the send phase's ``bits_cache``)."""
+    bundle: list[tuple] = []
+    pairs = size = 0
+    for entry in entries:
+        bundle.append(entry)
+        pairs += len(entry[2])
+        size += payload_bits_cached(entry[3], bits_cache) >> 3
+        if pairs >= _BUNDLE_PAIRS or size >= _BUNDLE_BYTES:
+            yield bundle
+            bundle, pairs, size = [], 0, 0
+    if bundle:
+        yield bundle
+
+
+class _Host:
+    """One shard's state between frames; see :func:`run_nodes`."""
+
+    def __init__(
+        self,
+        processes: Iterable[Process],
+        endpoint: Endpoint,
+        coordinator: int,
+        churn_pids: Iterable[int],
+        telemetry: Any,
+    ):
+        self.procs = {
+            proc.pid: proc for proc in sorted(processes, key=lambda p: p.pid)
+        }
+        self.endpoint = endpoint
+        self.coordinator = coordinator
+        self.tel = coerce_recorder(telemetry)
+        # Churn pids snapshot their pre-on_start state: a REJOIN restores
+        # it (fresh deep copy per rejoin) and runs on_start again -- the
+        # same reset the engine applies.
+        self.snapshots = {
+            pid: copy.deepcopy(self.procs[pid].__dict__)
+            for pid in churn_pids
+            if pid in self.procs
+        }
+        #: the pid whose hook is running, so an escaping exception is
+        #: reported against it
+        self.at: Optional[int] = None
+        #: local pids the coordinator may still address: neither halted
+        #: nor crashed for good (a crashed churn pid stays, awaiting its
+        #: REJOIN); the host ends when none is left
+        self.live: set[int] = set()
+        #: pid -> host address (LAYOUT)
+        self.host_of: Sequence[int] = ()
+        # Bundles of one round, buffered until its DELIVER: a peer that
+        # reaches round r + 1 first may deliver before this host's
+        # START(r + 1) arrives.
+        self.bundle_round = -1
+        self.bundles: list[list[tuple]] = []
+
+    async def run(self) -> None:
+        send = self.endpoint.send
+        await send(self.coordinator, (_READY, self._boot(self.procs)))
+        while self.live:
+            _src, frame = await self.endpoint.recv()
+            kind = frame[0]
+            if kind == _DATA:
+                self._buffer(frame[1], frame[2])
+            elif kind == _START:
+                await self._send_phase(*frame[1:])
+            elif kind == _DELIVER:
+                await self._deliver_phase(*frame[1:])
+            elif kind == _REJOIN:
+                _, rnd, pids = frame
+                await send(
+                    self.coordinator, (_REJOINED, rnd, self._boot(pids, reset=True))
+                )
+            elif kind == _LAYOUT:
+                self.host_of = frame[1]
+            elif kind == _STOP:
+                return
+            else:
+                raise NetRuntimeError(
+                    f"host of pids {sorted(self.procs)} received unknown "
+                    f"frame {kind!r}"
+                )
+
+    def _boot(self, pids: Iterable[int], reset: bool = False) -> list[tuple]:
+        """Run ``on_start`` for ``pids`` -- after restoring the snapshot,
+        when ``reset`` -- and return their ``(pid, *status)`` rows."""
+        rows = []
+        for pid in pids:
+            self.at = pid
+            proc = self.procs[pid]
+            if reset:
+                proc.__dict__.clear()
+                proc.__dict__.update(copy.deepcopy(self.snapshots[pid]))
+            proc.on_start()
+            if proc.halted:
+                # The coordinator never opens a round for this pid (the
+                # simulator's send/receive loops skip it).
+                self.live.discard(pid)
+            else:
+                self.live.add(pid)
+            rows.append((pid, *_status_of(proc)))
+        self.at = None
+        return rows
+
+    def _buffer(self, rnd: int, bundle: list[tuple]) -> None:
+        if rnd != self.bundle_round:
+            # A bundle of a later round proves every earlier round
+            # closed: what is still held was addressed to pids that had
+            # crashed or halted, and is lost exactly as in the simulator
+            # (where such pids never consume their inbox).
+            self.bundle_round, self.bundles = rnd, []
+        self.bundles.append(bundle)
+
+    async def _send_phase(
+        self, rnd: int, pids: Sequence[int], faults: Mapping[int, tuple], record: bool
+    ) -> None:
+        """The shard's send phase: per pid, in pid order, normalise,
+        validate and (for a crashing pid) truncate the sends with the
+        engine's own :func:`repro.sim.engine.collect_sends`, then remove
+        link-blocked destinations with
+        :func:`repro.sim.engine.apply_link_filter` -- the single sources
+        of partial-send and omission semantics on both substrates --
+        and count messages, payload bits and drops (plus per-group trace
+        records when ``record``).  The surviving groups leave as one
+        ``DATA`` bundle per destination host, then one ``SENT`` report."""
+        tel = self.tel
+        host_of = self.host_of
+        bits_cache: dict[int, tuple[Any, int]] = {}
+        out: dict[int, list[tuple]] = {}
+        reports = []
+        for pid in pids:
+            self.at = pid
+            proc = self.procs[pid]
+            crashing, keep, mask, will_rejoin = faults.get(pid, _NO_FAULT)
+            if tel is not None:
+                t_send = tel.clock()
+            groups = collect_sends(proc, rnd, keep, proc.n)
+            dropped = 0
+            if mask:
+                groups, dropped = apply_link_filter(groups, frozenset(mask))
+            msgs = 0
+            bits = 0
+            records: Optional[list] = [] if record else None
+            # ``seq`` is the group index: receivers order by
+            # ``(src, seq)``, and a multicast's payload is pickled once
+            # per destination host, not once per destination.
+            for seq, (dsts, payload) in enumerate(groups):
+                bits_each = payload_bits_cached(payload, bits_cache)
+                if records is not None:
+                    # Digest computed next to the wire, so the
+                    # coordinator's trace records exactly what this host
+                    # serialised.
+                    records.append((tuple(dsts), bits_each, payload_digest(payload)))
+                msgs += len(dsts)
+                bits += bits_each * len(dsts)
+                split: dict[int, list[int]] = {}
+                for dst in dsts:
+                    split.setdefault(host_of[dst], []).append(dst)
+                for host, local in split.items():
+                    out.setdefault(host, []).append((pid, seq, local, payload))
+            reports.append((pid, msgs, bits, dropped, records, *_status_of(proc)))
+            if tel is not None:
+                tel.span("node.send", rnd, t_send, tel.clock(), track=f"node-{pid}")
+            if crashing:
+                if not will_rejoin:
+                    self.live.discard(pid)  # crashed for good
+                elif pid not in self.snapshots:
+                    raise NetRuntimeError(
+                        f"node {pid} is scheduled to rejoin but was hosted "
+                        "without churn (pass the adversary's rejoin_pids() "
+                        "as churn_pids to host_nodes_tcp/run_nodes)"
+                    )
+            elif proc.halted:
+                # Halted inside send(): the engine skips such a process
+                # from the receive phase onwards, and the coordinator
+                # (told via the SENT report) never addresses it again.
+                self.live.discard(pid)
+        self.at = None
+        shipped: dict[int, int] = {}
+        for host, entries in out.items():
+            for bundle in _bundles(entries, bits_cache):
+                await self.endpoint.send_encoded(host, self._encode(rnd, bundle))
+                shipped[host] = shipped.get(host, 0) + 1
+        await self.endpoint.send(self.coordinator, (_SENT, rnd, shipped, reports))
+
+    def _encode(self, rnd: int, bundle: list[tuple]) -> bytes:
+        try:
+            return encode((_DATA, rnd, bundle))
+        except Exception:
+            # Re-raise against the pid whose payload does not serialise.
+            for src, _seq, _dsts, payload in bundle:
+                self.at = src
+                encode(payload)
+            self.at = None
+            raise
+
+    async def _deliver_phase(
+        self, rnd: int, expect: int, need_wake: bool, receivers: Sequence[int]
+    ) -> None:
+        """Wait until all ``expect`` round-``rnd`` bundles arrived, hand
+        each receiver its inbox ordered by ``(sender pid, per-sender send
+        order)`` -- the simulator's delivery order -- and report
+        ``DONE``.  The sort key excludes the payload (payloads need not
+        be comparable); each bundle is already in that order, so one
+        bundle needs no sort at all."""
+        tel = self.tel
+        while expect and (self.bundle_round != rnd or len(self.bundles) < expect):
+            _src, frame = await self.endpoint.recv()
+            if frame[0] != _DATA:
+                raise NetRuntimeError(
+                    f"expected data frames for round {rnd}, got {frame[0]!r}"
+                )
+            self._buffer(frame[1], frame[2])
+        bundles = self.bundles if self.bundle_round == rnd else []
+        self.bundles = []
+        if len(bundles) == 1:
+            entries = bundles[0]
+        else:
+            entries = sorted(chain.from_iterable(bundles), key=itemgetter(0, 1))
+        # Messages for a local pid that is not a receiver -- crashed or
+        # halted -- are discarded here.
+        inboxes: dict[int, list[tuple[int, Any]]] = {pid: [] for pid in receivers}
+        for src, _seq, dsts, payload in entries:
+            item = (src, payload)
+            for dst in dsts:
+                inbox = inboxes.get(dst)
+                if inbox is not None:
+                    inbox.append(item)
+        reports = []
+        for pid in receivers:
+            self.at = pid
+            proc = self.procs[pid]
+            if tel is not None:
+                t_deliver = tel.clock()
+            proc.receive(rnd, inboxes[pid])
+            wake: Optional[int] = None
+            if need_wake and not proc.halted:
+                wake = proc.next_activity(rnd)
+            reports.append((pid, *_status_of(proc), wake))
+            if proc.halted:
+                self.live.discard(pid)
+            if tel is not None:
+                tel.span(
+                    "node.deliver", rnd, t_deliver, tel.clock(), track=f"node-{pid}"
+                )
+        self.at = None
+        await self.endpoint.send(self.coordinator, (_DONE, rnd, reports))
+
+
+async def run_nodes(
+    processes: Iterable[Process],
+    endpoint: Endpoint,
+    coordinator: int,
+    *,
+    churn_pids: Iterable[int] = (),
+    telemetry: Any = None,
+) -> None:
+    """Host a shard of processes in this task, on one endpoint, until
+    each has halted or crashed for good, or the coordinator stops the
+    run.
+
+    ``endpoint`` may sit at any address no other host or the coordinator
+    uses (the runners bind the shard's lowest pid); the coordinator
+    learns which pids live behind it from the ``READY`` report.  (Only
+    a host at that conventional address is stopped when it attaches
+    after the coordinator already gave up on the ready phase.)
+    ``churn_pids`` names the pids with a scheduled rejoin
+    (:meth:`~repro.sim.adversary.CrashAdversary.rejoin_pids`): the
+    pre-``on_start`` state of those hosted here is snapshotted so a
+    later ``REJOIN`` frame can reset it.  Protocol errors (invalid
+    destinations, broken ``next_activity`` contracts, exceptions
+    escaping the hooks) are reported to the coordinator as ``ERROR``
+    frames naming the pid whose hook raised, so they surface in the
+    driving process even when this host lives in a remote worker.
+
+    ``telemetry`` (a live :class:`repro.obs.TelemetryRecorder` sharing
+    the coordinator's event loop, or ``None``) adds ``node.send`` /
+    ``node.deliver`` spans on a per-pid ``node-<pid>`` track.  Only the
+    in-process runners wire it; hosts in remote worker processes
+    (:func:`host_nodes_tcp`) have no recorder, so a distributed profile
+    shows the coordinator's barrier view only.
+    """
+    host = _Host(processes, endpoint, coordinator, churn_pids, telemetry)
+    try:
+        await host.run()
+    except asyncio.CancelledError:
+        raise
+    except Exception as exc:  # report, then end this host quietly
+        try:
+            await endpoint.send(
+                coordinator, (_ERROR, host.at, type(exc).__name__, str(exc))
+            )
+        except Exception:
+            pass  # transport already down; nothing left to tell
+    finally:
+        await endpoint.close()
 
 
 async def run_node(
@@ -143,240 +510,15 @@ async def run_node(
     churn: bool = False,
     telemetry: Any = None,
 ) -> None:
-    """Host one process on one endpoint until it halts, crashes for good
-    or is stopped.
-
-    ``churn`` marks a node with a scheduled rejoin
-    (:meth:`~repro.sim.adversary.CrashAdversary.rejoin_pids`): its
-    pre-``on_start`` state is snapshotted so a later ``REJOIN`` frame
-    can reset it, and on crashing it keeps the connection open awaiting
-    that frame instead of exiting.  Protocol errors (invalid
-    destinations, broken ``next_activity`` contracts, exceptions
-    escaping the hooks) are reported to the coordinator as ``ERROR``
-    frames so they surface in the driving process even when this node
-    lives in a remote worker.
-
-    ``telemetry`` (a live :class:`repro.obs.TelemetryRecorder` sharing
-    the coordinator's event loop, or ``None``) adds ``node.send`` /
-    ``node.deliver`` spans on a per-node track.  Only the in-process
-    runners wire it; nodes hosted in remote worker processes
-    (:func:`host_nodes_tcp`) have no recorder, so a distributed profile
-    shows the coordinator's barrier view only.
-    """
-    try:
-        await _node_loop(proc, endpoint, coordinator, churn, telemetry)
-    except asyncio.CancelledError:
-        raise
-    except Exception as exc:  # report, then end this node quietly
-        try:
-            await endpoint.send(
-                coordinator, (_ERROR, proc.pid, type(exc).__name__, str(exc))
-            )
-        except Exception:
-            pass  # transport already down; nothing left to tell
-    finally:
-        await endpoint.close()
-
-
-async def _await_rejoin(endpoint: Endpoint) -> bool:
-    """A crashed churn node's downtime: drain and discard traffic until
-    the coordinator rejoins (``True``) or stops (``False``) this node.
-
-    Data frames arriving here were addressed to a crashed node; they are
-    lost exactly as in the simulator (where crashed pids never consume
-    their inbox).  Per-sink FIFO ordering guarantees every such frame
-    precedes the ``REJOIN`` frame, so nothing from the downtime can leak
-    into the post-rejoin inbox.
-    """
-    while True:
-        _src, frame = await endpoint.recv()
-        kind = frame[0]
-        if kind == _DATA:
-            continue
-        if kind == _REJOIN:
-            return True
-        if kind == _STOP:
-            return False
-        raise NetRuntimeError(
-            f"crashed node awaiting rejoin received unexpected frame {kind!r}"
-        )
-
-
-async def _node_loop(
-    proc: Process,
-    endpoint: Endpoint,
-    coordinator: int,
-    churn: bool,
-    telemetry: Any = None,
-) -> None:
-    pid = proc.pid
-    n = proc.n
-    tel = coerce_recorder(telemetry)
-    track = f"node-{pid}"
-    # Churn nodes snapshot their pre-on_start state: a REJOIN restores
-    # it (fresh deep copy per rejoin) and runs on_start again -- the
-    # same reset the engine applies.
-    snapshot = copy.deepcopy(proc.__dict__) if churn else None
-    proc.on_start()
-    await endpoint.send(coordinator, (_READY, pid, *_status_of(proc)))
-    if proc.halted:
-        # Halted during on_start: the coordinator never opens a round
-        # for this node (the simulator's send/receive loops skip it).
-        return
-
-    # Data frames buffered by round: a peer that reaches round r + 1
-    # first may deliver before this node's START(r + 1) arrives.
-    buffers: dict[int, list[tuple[int, int, Any]]] = {}
-    bits_cache: dict[int, tuple[Any, int]] = {}
-
-    while True:
-        src, frame = await endpoint.recv()
-        kind = frame[0]
-        if kind == _DATA:
-            _, rnd, seq, payload = frame
-            buffers.setdefault(rnd, []).append((src, seq, payload))
-        elif kind == _START:
-            _, rnd, crashing, keep, blocked, will_rejoin, record = frame
-            bits_cache.clear()
-            if tel is not None:
-                t_send = tel.clock()
-            if crashing:
-                await _send_phase(
-                    proc, endpoint, coordinator, rnd, keep, bits_cache,
-                    blocked, record,
-                )
-                if tel is not None:
-                    tel.span("node.send", rnd, t_send, tel.clock(), track=track)
-                if not will_rejoin:
-                    return  # crashed for good: no further activity
-                if snapshot is None:
-                    raise NetRuntimeError(
-                        f"node {pid} is scheduled to rejoin but was hosted "
-                        "without churn=True (pass the adversary's "
-                        "rejoin_pids() to host_nodes_tcp/run_node)"
-                    )
-                if not await _await_rejoin(endpoint):
-                    return  # run ended while this node was down
-                # State reset: everything buffered during the downtime
-                # is lost, the process restarts from its initial state.
-                buffers.clear()
-                proc.__dict__.clear()
-                proc.__dict__.update(copy.deepcopy(snapshot))
-                proc.on_start()
-                await endpoint.send(
-                    coordinator, (_REJOINED, pid, *_status_of(proc))
-                )
-                if proc.halted:
-                    return
-                continue
-            await _send_phase(
-                proc, endpoint, coordinator, rnd, None, bits_cache,
-                blocked, record,
-            )
-            if tel is not None:
-                tel.span("node.send", rnd, t_send, tel.clock(), track=track)
-            if proc.halted:
-                # Halted inside send(): the engine skips such a process
-                # from the receive phase onwards, and the coordinator
-                # (told via the SENT report) never contacts it again --
-                # exit now rather than wait for a frame that won't come.
-                return
-        elif kind == _DELIVER:
-            _, rnd, expect, need_wake = frame
-            if tel is not None:
-                t_deliver = tel.clock()
-            inbox = await _collect_inbox(endpoint, buffers, rnd, expect)
-            proc.receive(rnd, inbox)
-            if tel is not None:
-                tel.span(
-                    "node.deliver", rnd, t_deliver, tel.clock(), track=track
-                )
-            wake: Optional[int] = None
-            if need_wake and not proc.halted:
-                wake = proc.next_activity(rnd)
-            await endpoint.send(
-                coordinator, (_DONE, rnd, pid, *_status_of(proc), wake)
-            )
-            if proc.halted:
-                return
-        elif kind == _STOP:
-            return
-        else:
-            raise NetRuntimeError(f"node {pid} received unknown frame {kind!r}")
-
-
-async def _send_phase(
-    proc: Process,
-    endpoint: Endpoint,
-    coordinator: int,
-    rnd: int,
-    keep: Optional[int],
-    bits_cache: dict,
-    blocked: tuple[int, ...] = (),
-    record: bool = False,
-) -> None:
-    """One node's send phase: normalise, validate and (for a crashing
-    node) truncate the sends with the engine's own
-    :func:`repro.sim.engine.collect_sends`, then remove link-blocked
-    destinations with :func:`repro.sim.engine.apply_link_filter` -- the
-    single sources of partial-send and omission semantics on both
-    substrates -- then transmit one data frame per surviving
-    point-to-point message, accumulate message/bit/dropped counts
-    locally (plus per-group trace records when ``record``) and flush one
-    ``SENT`` report."""
-    pid = proc.pid
-    groups = collect_sends(proc, rnd, keep, proc.n)
-    dropped = 0
-    if blocked:
-        groups, dropped = apply_link_filter(groups, frozenset(blocked))
-    msgs = 0
-    bits = 0
-    dest_counts: dict[int, int] = {}
-    records: Optional[list] = [] if record else None
-    for seq, (dsts, payload) in enumerate(groups):
-        bits_each = payload_bits_cached(payload, bits_cache)
-        if records is not None:
-            # Digest computed next to the wire, so the coordinator's
-            # trace records exactly what this node serialised.
-            records.append((tuple(dsts), bits_each, payload_digest(payload)))
-        # One frame body per send group: ``seq`` is the group index
-        # (receivers order by ``(src, seq)`` with a stable sort, so
-        # same-group duplicates keep their on-wire FIFO order), which
-        # lets a multicast pickle its payload once, not once per
-        # destination.
-        body = encode((_DATA, rnd, seq, payload))
-        for dst in dsts:
-            await endpoint.send_encoded(dst, body)
-            dest_counts[dst] = dest_counts.get(dst, 0) + 1
-        msgs += len(dsts)
-        bits += bits_each * len(dsts)
-    await endpoint.send(
+    """:func:`run_nodes` for a shard of one; ``churn`` marks ``proc`` as
+    a churn pid."""
+    await run_nodes(
+        [proc],
+        endpoint,
         coordinator,
-        (_SENT, rnd, pid, dest_counts, msgs, bits, dropped, records,
-         *_status_of(proc)),
+        churn_pids=(proc.pid,) if churn else (),
+        telemetry=telemetry,
     )
-
-
-async def _collect_inbox(
-    endpoint: Endpoint,
-    buffers: dict[int, list[tuple[int, int, Any]]],
-    rnd: int,
-    expect: int,
-) -> list[tuple[int, Any]]:
-    """Wait until all ``expect`` round-``rnd`` frames arrived, then order
-    them by ``(sender pid, per-sender send order)`` -- the simulator's
-    delivery order.  The sort key excludes the payload (payloads need
-    not be comparable); stability preserves on-wire FIFO order for
-    same-group duplicates."""
-    while len(buffers.get(rnd, ())) < expect:
-        src, frame = await endpoint.recv()
-        if frame[0] != _DATA:
-            raise NetRuntimeError(
-                f"expected data frames for round {rnd}, got {frame[0]!r}"
-            )
-        buffers.setdefault(frame[1], []).append((src, frame[2], frame[3]))
-    pending = sorted(buffers.pop(rnd, []), key=lambda entry: (entry[0], entry[1]))
-    return [(src, payload) for src, _seq, payload in pending]
 
 
 # -- coordinator side --------------------------------------------------------
@@ -393,7 +535,7 @@ class Session:
     message/bit totals, per-node and per-round tallies, crash sets and
     decisions on both substrates.
 
-    A session carries no global state: it talks to its nodes through
+    A session carries no global state: it talks to its hosts through
     whatever endpoint :meth:`run` is handed, so one event loop can
     advance many sessions concurrently over per-instance endpoints of a
     shared transport (the run-server in :mod:`repro.serve` does exactly
@@ -432,23 +574,26 @@ class Session:
         self.fast_forward = fast_forward
         self.timeout = timeout
         #: trace hook (:class:`repro.trace.TraceRecorder` / ``TraceChecker``);
-        #: when set, nodes are asked to ship per-group send records in
+        #: when set, hosts are asked to ship per-group send records in
         #: their ``SENT`` reports and every fault event is forwarded
         self.recorder = recorder
         #: wall-clock instrumentation (see :mod:`repro.obs`); the
         #: coordinator's send/deliver spans include the barrier wait for
-        #: the corresponding node reports
+        #: the corresponding host reports
         self.telemetry = coerce_recorder(telemetry)
         self.metrics = Metrics()
         self.crashed: set[int] = set()
         self.statuses = [NodeStatus(pid) for pid in range(n)]
         self.view = RuntimeView(self.statuses, self.crashed)
-        #: pid -> (phase, round, time.monotonic()) of the node's last
-        #: completed report.  Always maintained (one dict store per
-        #: report frame, telemetry or not) so a barrier timeout can name
+        #: pid -> (phase, round, time.monotonic()) of the pid's last
+        #: completed report.  Always maintained (one dict store per pid
+        #: per report frame, telemetry or not) so a barrier timeout can name
         #: the laggard: "stuck in phase X of round R" plus how long ago
         #: each missing node last reported.
         self.last_progress: dict[int, tuple[str, int, float]] = {}
+        #: pid -> address of the host it lives behind, learnt from the
+        #: ``READY`` reports
+        self.host_of: dict[int, int] = {}
         # Barrier watchdog state (see _recv / _watchdog): since when and
         # on what the coordinator is suspended, None/stale while it runs.
         self._blocked_since: Optional[float] = None
@@ -480,7 +625,7 @@ class Session:
         finally:
             if self._watch is not None:
                 self._watch.cancel()
-            # Also on error: without STOP frames, remote node tasks stay
+            # Also on error: without STOP frames, remote host tasks stay
             # blocked in recv() and their worker processes never exit.
             # Best-effort -- the original exception must propagate even
             # if the transport is already broken.
@@ -512,10 +657,11 @@ class Session:
     # -- protocol steps --------------------------------------------------
 
     async def _recv(
-        self, endpoint: Endpoint, phase: str, rnd: int, pending: set[int]
-    ) -> tuple:
-        """The next report frame of a barrier: whatever is already
-        queued without suspending, else one watched wait.
+        self, endpoint: Endpoint, want: str, phase: str, rnd: int, pending: set[int]
+    ) -> tuple[int, tuple]:
+        """The next ``want`` report of a barrier as ``(host, frame)``:
+        whatever is already queued without suspending, else one watched
+        wait.
 
         ``phase`` / ``rnd`` / ``pending`` say what the barrier is
         collecting; they are only read if the wait times out.
@@ -539,13 +685,16 @@ class Session:
                 raise self._timeout_error() from None
             finally:
                 self._blocked_since = None
-        frame = got[1]
+        src, frame = got
         if frame[0] == _ERROR:
             _, pid, kind, text = frame
             if kind == "ProtocolError":
                 raise ProtocolError(text)
-            raise NetRuntimeError(f"node {pid} failed with {kind}: {text}")
-        return frame
+            who = f"host {src}" if pid is None else f"node {pid}"
+            raise NetRuntimeError(f"{who} failed with {kind}: {text}")
+        if frame[0] != want:
+            raise NetRuntimeError(f"expected {want}, got {frame[0]!r}")
+        return got
 
     def _watchdog(self) -> None:
         """The session's one timer: cancel a barrier wait that has
@@ -567,7 +716,7 @@ class Session:
         return NetRuntimeError(
             f"{where}coordinator timed out after {self.timeout}s "
             f"waiting for node reports ({context}, missing pids "
-            f"{sorted(pending)}; a node task or worker process died?)"
+            f"{sorted(pending)}; a host task or worker process died?)"
             + self._laggard_detail(pending)
         )
 
@@ -598,15 +747,31 @@ class Session:
         return " | laggards: " + "; ".join(lines)
 
     async def _await_ready(self, endpoint: Endpoint) -> None:
+        """Collect every pid's ``READY`` row, learning the pid -> host
+        layout from the reports' source addresses, then send the layout
+        back once so hosts can bucket their sends by destination."""
         pending = set(range(self.n))
         while pending:
-            frame = await self._recv(endpoint, "ready phase", -1, pending)
-            if frame[0] != _READY:
-                raise NetRuntimeError(f"expected ready, got {frame[0]!r}")
-            _, pid, halted, decided, decision = frame
-            pending.discard(pid)
-            self._update(pid, halted, decided, decision)
-            self.last_progress[pid] = ("ready", -1, time.monotonic())
+            host, frame = await self._recv(
+                endpoint, _READY, "ready phase", -1, pending
+            )
+            now = time.monotonic()
+            for pid, halted, decided, decision in frame[1]:
+                pending.discard(pid)
+                self.host_of[pid] = host
+                self._update(pid, halted, decided, decision)
+                self.last_progress[pid] = ("ready", -1, now)
+        layout = [self.host_of[pid] for pid in range(self.n)]
+        body = encode((_LAYOUT, layout))
+        for host in sorted(set(layout)):
+            await endpoint.send_encoded(host, body)
+
+    def _by_host(self, pids: Iterable[int]) -> dict[int, list[int]]:
+        """``pids`` (kept in order) grouped by the host they live behind."""
+        shards: dict[int, list[int]] = {}
+        for pid in pids:
+            shards.setdefault(self.host_of[pid], []).append(pid)
+        return shards
 
     def _update(self, pid: int, halted: bool, decided: bool, decision: Any) -> None:
         status = self.statuses[pid]
@@ -618,29 +783,56 @@ class Session:
         """Reinstate crashed churn nodes scheduled to rejoin at ``rnd``.
 
         Mirrors the engine's rejoin phase: only currently-crashed pids
-        rejoin; each gets a ``REJOIN`` frame, resets to its snapshot,
-        runs ``on_start`` and reports ``REJOINED`` with fresh status
-        before the round opens (so no round-``rnd`` data frame can race
-        ahead of the reset).  Returns the sorted reinstated pids.
+        rejoin; their hosts get one ``REJOIN`` frame each, reset the
+        named pids to their snapshots, run ``on_start`` and report
+        ``REJOINED`` with fresh status before the round opens (so no
+        round-``rnd`` data frame can race ahead of the reset).  Returns
+        the sorted reinstated pids.
         """
         scheduled = self.injector.rejoins_for_round(rnd)
         if not scheduled:
             return []
         rejoining = sorted(pid for pid in scheduled if pid in self.crashed)
-        for pid in rejoining:
-            await endpoint.send(pid, (_REJOIN, rnd))
+        for host, pids in self._by_host(rejoining).items():
+            await endpoint.send(host, (_REJOIN, rnd, pids))
         pending = set(rejoining)
         while pending:
-            frame = await self._recv(endpoint, "rejoin phase", rnd, pending)
-            if frame[0] != _REJOINED:
-                raise NetRuntimeError(f"expected rejoined, got {frame[0]!r}")
-            _, pid, halted, decided, decision = frame
-            pending.discard(pid)
-            self.crashed.discard(pid)
-            self._update(pid, halted, decided, decision)
-            self.statuses[pid].wake = None
-            self.last_progress[pid] = ("rejoin", rnd, time.monotonic())
+            _host, frame = await self._recv(
+                endpoint, _REJOINED, "rejoin phase", rnd, pending
+            )
+            now = time.monotonic()
+            for pid, halted, decided, decision in frame[2]:
+                pending.discard(pid)
+                self.crashed.discard(pid)
+                self._update(pid, halted, decided, decision)
+                self.statuses[pid].wake = None
+                self.last_progress[pid] = ("rejoin", rnd, now)
         return rejoining
+
+    def _faults(
+        self,
+        pids: list[int],
+        rnd: int,
+        crashing: Mapping[int, Optional[int]],
+        blocked: Optional[Mapping[int, frozenset[int]]],
+    ) -> dict[int, tuple]:
+        """``START``'s per-pid ``(crashing, keep, mask, will_rejoin)``
+        fields, for the ``pids`` where one of them is set."""
+        faults: dict[int, tuple] = {}
+        if not crashing and not blocked:
+            return faults
+        for pid in pids:
+            crashes_now = pid in crashing
+            mask = blocked.get(pid) if blocked else None
+            if crashes_now or mask:
+                faults[pid] = (
+                    crashes_now,
+                    crashing.get(pid),
+                    tuple(sorted(mask)) if mask else (),
+                    crashes_now
+                    and self.injector.next_rejoin(pid, rnd) is not None,
+                )
+        return faults
 
     async def _round_loop(self, endpoint: Endpoint) -> tuple[bool, int]:
         rnd = 0
@@ -670,66 +862,60 @@ class Session:
                 for pid in crashing:
                     tel.point("crash", rnd, t_crash, pid=pid, keep=crashing[pid])
 
-            # Send phase: open the round for every live node.
+            # Send phase: open the round on every host with a live pid.
             participants = [
                 pid
                 for pid in range(self.n)
                 if pid not in self.crashed and not self.statuses[pid].halted
             ]
-            for pid in participants:
-                crashes_now = pid in crashing
-                mask = ()
-                if blocked:
-                    dsts = blocked.get(pid)
-                    if dsts:
-                        mask = tuple(sorted(dsts))
-                will_rejoin = (
-                    crashes_now and self.injector.next_rejoin(pid, rnd) is not None
-                )
+            for host, pids in self._by_host(participants).items():
                 await endpoint.send(
-                    pid,
-                    (_START, rnd, crashes_now, crashing.get(pid), mask,
-                     will_rejoin, record),
+                    host,
+                    (_START, rnd, pids,
+                     self._faults(pids, rnd, crashing, blocked), record),
                 )
-            expected = [0] * self.n
+            #: host -> DATA bundles addressed to it this round
+            expected: dict[int, int] = {}
             delivered_any = False
             pending = set(participants)
             while pending:
-                frame = await self._recv(endpoint, "send phase", rnd, pending)
-                if frame[0] != _SENT:
-                    raise NetRuntimeError(f"expected sent, got {frame[0]!r}")
-                (_, r, pid, dest_counts, msgs, bits, dropped, records,
-                 halted, decided, decision) = frame
-                pending.discard(pid)
-                self._update(pid, halted, decided, decision)
-                self.last_progress[pid] = ("send", rnd, time.monotonic())
-                for dst, count in dest_counts.items():
-                    expected[dst] += count
-                if msgs:
-                    delivered_any = True
-                    self.metrics.record_send(
-                        pid, msgs, bits, rnd, pid not in self.byzantine
-                    )
-                if dropped:
-                    if pid not in self.byzantine:
-                        self.metrics.record_drop(dropped)
-                    if record:
-                        self.recorder.record_drops(rnd, pid, dropped)
-                    if tel is not None:
-                        tel.point(
-                            "drop", rnd, tel.clock(), pid=pid, count=dropped
+                _host, frame = await self._recv(
+                    endpoint, _SENT, "send phase", rnd, pending
+                )
+                _, _r, shipped, reports = frame
+                now = time.monotonic()
+                for host, count in shipped.items():
+                    expected[host] = expected.get(host, 0) + count
+                for (pid, msgs, bits, dropped, records,
+                     halted, decided, decision) in reports:
+                    pending.discard(pid)
+                    self._update(pid, halted, decided, decision)
+                    self.last_progress[pid] = ("send", rnd, now)
+                    if msgs:
+                        delivered_any = True
+                        self.metrics.record_send(
+                            pid, msgs, bits, rnd, pid not in self.byzantine
                         )
-                if record and records:
-                    for dsts, bits_each, digest in records:
-                        self.recorder.record_send_digest(
-                            rnd, pid, dsts, bits_each, digest
-                        )
+                    if dropped:
+                        if pid not in self.byzantine:
+                            self.metrics.record_drop(dropped)
+                        if record:
+                            self.recorder.record_drops(rnd, pid, dropped)
+                        if tel is not None:
+                            tel.point(
+                                "drop", rnd, tel.clock(), pid=pid, count=dropped
+                            )
+                    if record and records:
+                        for dsts, bits_each, digest in records:
+                            self.recorder.record_send_digest(
+                                rnd, pid, dsts, bits_each, digest
+                            )
             for pid in crashing:
                 if pid in participants:
                     self.crashed.add(pid)
             if tel is not None:
                 # The send span covers opening the round plus the
-                # barrier wait for every live node's SENT report.
+                # barrier wait for every host's SENT report.
                 t_send = tel.clock()
                 tel.span("send", rnd, t_crash, t_send)
 
@@ -740,22 +926,27 @@ class Session:
                 for pid in participants
                 if pid not in self.crashed and not self.statuses[pid].halted
             ]
-            for pid in receivers:
-                await endpoint.send(pid, (_DELIVER, rnd, expected[pid], need_wake))
+            for host, pids in self._by_host(receivers).items():
+                await endpoint.send(
+                    host,
+                    (_DELIVER, rnd, expected.get(host, 0), need_wake, pids),
+                )
             pending = set(receivers)
             while pending:
-                frame = await self._recv(endpoint, "receive phase", rnd, pending)
-                if frame[0] != _DONE:
-                    raise NetRuntimeError(f"expected done, got {frame[0]!r}")
-                _, r, pid, halted, decided, decision, wake = frame
-                pending.discard(pid)
-                self._update(pid, halted, decided, decision)
-                self.last_progress[pid] = ("deliver", rnd, time.monotonic())
-                self.statuses[pid].wake = wake
-                if wake is not None and wake <= rnd:
-                    raise ProtocolError(
-                        f"process {pid} declared next_activity {wake} <= {rnd}"
-                    )
+                _host, frame = await self._recv(
+                    endpoint, _DONE, "receive phase", rnd, pending
+                )
+                now = time.monotonic()
+                for pid, halted, decided, decision, wake in frame[2]:
+                    pending.discard(pid)
+                    self._update(pid, halted, decided, decision)
+                    self.last_progress[pid] = ("deliver", rnd, now)
+                    self.statuses[pid].wake = wake
+                    if wake is not None and wake <= rnd:
+                        raise ProtocolError(
+                            f"process {pid} declared next_activity "
+                            f"{wake} <= {rnd}"
+                        )
             if tel is not None:
                 # Likewise, deliver covers the DONE barrier wait.
                 t_deliver = tel.clock()
@@ -815,13 +1006,19 @@ class Session:
         return max(rnd + 1, nxt)
 
     async def _stop_survivors(self, endpoint: Endpoint) -> None:
-        # Halted nodes have already detached (both hubs drop frames to
-        # detached addresses), and so have permanently-crashed ones --
-        # but a crashed *churn* node awaiting a rejoin that will never
-        # come is still listening.  STOP every pid rather than guess
-        # which ones remain attached.
-        for pid in range(self.n):
-            await endpoint.send(pid, (_STOP,))
+        # A host whose pids all halted or crashed for good has already
+        # detached (both hubs drop frames to detached addresses) -- but
+        # one with a crashed *churn* pid awaiting a rejoin that will
+        # never come is still listening.  STOP every host that reported
+        # rather than guess which ones remain attached.  After a failed
+        # ready phase, pids that never reported get one at their own
+        # address too: a host attaching late (the runners bind it at its
+        # lowest pid, and the hub buffers for an address not yet
+        # attached) must not sit in recv() forever.
+        hosts = set(self.host_of.values())
+        hosts.update(pid for pid in range(self.n) if pid not in self.host_of)
+        for host in sorted(hosts):
+            await endpoint.send(host, (_STOP,))
 
 
 # -- runners -----------------------------------------------------------------
@@ -845,7 +1042,7 @@ async def _run_async(
     tel = coerce_recorder(telemetry)
     if tel is not None:
         # Label and open the run span before any transport setup so the
-        # node/coordinator spans all land inside it; install the codec
+        # host/coordinator spans all land inside it; install the codec
         # probe so frame encode/decode cost aggregates into the stats.
         tel.run_begin(
             backend="net" if transport == "memory" else "tcp", n=n
@@ -856,14 +1053,15 @@ async def _run_async(
     if transport == "memory":
         hub = mux = MemoryHub()
     elif transport == "tcp":
-        # One OS process, one hub connection: every address binds on the
-        # same mux, so a round's frames leave in a few batched writes.
+        # One OS process, one hub connection: the host and the
+        # coordinator bind on the same mux, and every frame between them
+        # really crosses the socket to the hub and back.
         hub = TCPHub(host, port, batching=batching)
         await hub.start()
         mux = await open_mux(host, hub.port, batching=batching)
     else:
         raise ValueError(f"unknown transport {transport!r}")
-    endpoints: list[Endpoint] = [mux.endpoint(addr) for addr in range(n + 1)]
+    coordinator = mux.endpoint(n)
     sync = Session(
         n,
         adversary,
@@ -874,32 +1072,32 @@ async def _run_async(
         recorder=recorder,
         telemetry=tel,
     )
-    churn_pids = (
-        adversary.rejoin_pids() if adversary is not None else frozenset()
-    )
-    node_tasks = [
-        asyncio.create_task(
-            run_node(
-                proc,
-                endpoints[proc.pid],
-                n,
-                churn=proc.pid in churn_pids,
-                telemetry=tel,
+    # All n processes are one shard: one host task at address 0 (an
+    # empty run has no host, and address 0 is then the coordinator's).
+    host_tasks = []
+    if processes:
+        host_tasks.append(
+            asyncio.create_task(
+                run_nodes(
+                    processes,
+                    mux.endpoint(0),
+                    n,
+                    churn_pids=sync.injector.rejoin_pids(),
+                    telemetry=tel,
+                )
             )
         )
-        for proc in processes
-    ]
     try:
-        result = await sync.run(endpoints[n])
-        await asyncio.gather(*node_tasks)
+        result = await sync.run(coordinator)
+        await asyncio.gather(*host_tasks)
     finally:
         if tel is not None:
             set_codec_probe(None)
-        for task in node_tasks:
+        for task in host_tasks:
             if not task.done():
                 task.cancel()
-        await asyncio.gather(*node_tasks, return_exceptions=True)
-        await endpoints[n].close()
+        await asyncio.gather(*host_tasks, return_exceptions=True)
+        await coordinator.close()
         if transport == "tcp":
             await mux.close()
             await hub.close()
@@ -933,11 +1131,13 @@ def run_protocol_net(
     in-memory hub or a loopback TCP hub (real sockets, one OS process);
     ``recorder`` attaches a :mod:`repro.trace` recorder/checker;
     ``telemetry`` (see :mod:`repro.obs`) adds coordinator round/phase
-    spans, per-node ``node.send``/``node.deliver`` tracks and aggregated
+    spans, per-pid ``node.send``/``node.deliver`` tracks and aggregated
     codec timings, sealed onto ``result.telemetry``.  ``batching``
     (TCP only) toggles wire-write coalescing in the transport --
     delivery semantics and results are identical either way; the off
-    position exists to measure the speedup (``BENCH_net.json``).
+    position exists to measure the speedup (``BENCH_net.json``'s 1.81x
+    predates per-host bundling, which leaves a single run few frames to
+    coalesce).
     """
     check_pid_order(processes)
     return asyncio.run(
@@ -974,7 +1174,7 @@ async def serve_tcp(
 ) -> RunResult:
     """Run the hub and coordinator for an ``n``-node TCP deployment.
 
-    Node shards connect from worker processes via :func:`host_nodes_tcp`;
+    Shards connect from worker processes via :func:`host_nodes_tcp`;
     this coroutine returns once the protocol terminates.  Pass a
     pre-``start()``-ed ``hub`` to bind the port race-free before
     spawning workers (read the bound port from ``hub.port``; ownership
@@ -1017,33 +1217,30 @@ async def host_nodes_tcp(
     deadline: float = 30.0,
     churn_pids: Iterable[int] = (),
 ) -> None:
-    """Host a shard of nodes in this OS process, dialing a remote hub.
+    """Host a shard of processes in this OS process, dialing a remote hub.
 
-    ``processes`` maps pid to process (or is a sequence of processes
-    whose ``pid`` attributes name their addresses); every node is one
-    ``(instance 0, pid)`` endpoint on this process's single multiplexed
-    hub connection.  ``churn_pids`` names the pids with a
-    scheduled crash-and-rejoin (the coordinator's adversary's
-    ``rejoin_pids()``) so those nodes snapshot their initial state and
-    survive their crash leg; workers of a churn scenario must pass it.
-    Returns when every hosted node has halted, crashed for good or been
-    stopped by the coordinator.
+    ``processes`` maps pid to process (or is a sequence of processes);
+    the shard is one :func:`run_nodes` host on this process's hub
+    connection, bound at its lowest pid.  ``churn_pids`` names the pids
+    with a scheduled crash-and-rejoin (the coordinator's adversary's
+    ``rejoin_pids()``) so those hosted here snapshot their initial state
+    and survive their crash leg; workers of a churn scenario must pass
+    it.  Returns when every hosted process has halted, crashed for good
+    or been stopped by the coordinator.
     """
     procs = (
         list(processes.values())
         if isinstance(processes, Mapping)
         else list(processes)
     )
-    churn = frozenset(churn_pids)
     mux = await open_mux(host, port, deadline=deadline)
     try:
-        await asyncio.gather(
-            *(
-                run_node(
-                    proc, mux.endpoint(proc.pid), proc.n, churn=proc.pid in churn
-                )
-                for proc in procs
+        if procs:
+            await run_nodes(
+                procs,
+                mux.endpoint(min(proc.pid for proc in procs)),
+                procs[0].n,
+                churn_pids=churn_pids,
             )
-        )
     finally:
         await mux.close()

@@ -5,8 +5,9 @@ Both expose the same endpoint interface -- ``await send(dst, obj)``,
 ``await close()`` -- over a hub (star) topology: every endpoint holds a
 link to a central router that forwards frames by
 ``(instance, destination address)``.  Addresses within one
-protocol instance are the node pids ``0..n-1`` plus the coordinator at
-address ``n``; the *instance* tag is what lets many protocol instances
+protocol instance are one per host (by convention the lowest pid it
+hosts) plus the coordinator at address ``n``; the *instance* tag is
+what lets many protocol instances
 share one hub (and, over TCP, one physical connection -- see
 :class:`TCPMux`) without their frames mixing.
 
@@ -18,8 +19,9 @@ paper's communication measures.
 Delivery semantics (shared by both hubs via :class:`_Router`): frames
 for an ``(instance, address)`` that has not attached yet are buffered
 and flushed on attach, which makes startup order irrelevant; frames for
-a key that has already detached (a crashed or halted node) are dropped,
-mirroring the simulator's "crashed nodes receive nothing".
+a key that has already detached (a host whose processes all halted or
+crashed) are dropped, mirroring the simulator's "crashed nodes receive
+nothing".
 
 Multiplexing and batching (TCP)
 -------------------------------
@@ -97,11 +99,11 @@ class Endpoint:
     Ordering contract: frames from one sender to one destination are
     delivered FIFO, and a destination's frames from *all* senders pass
     through one sink queue in routing order.  The round runtime builds
-    on both properties — a node's ``SENT`` report can never overtake
-    its own data frames, and a crashed churn node can discard its
-    entire downtime backlog safely because every stale frame is queued
-    before the coordinator's ``REJOIN``.  Batching preserves both:
-    batches are split back into frames in entry order at every hop.
+    on both properties — a host's ``SENT`` report can never overtake
+    its own data bundles, and whatever was sent to a crashed churn pid
+    during its downtime is queued before the coordinator's ``REJOIN``.
+    Batching preserves both: batches are split back into frames in
+    entry order at every hop.
     """
 
     address: int
@@ -252,8 +254,9 @@ class MemoryEndpoint(Endpoint):
 
     Frames are pickled on send and unpickled on receive even though they
     never leave the process, so the memory transport exercises the exact
-    delivery semantics (payloads arrive as equal *copies*, not as shared
-    objects) of the TCP transport.
+    delivery semantics of the TCP transport: a frame arrives as an equal
+    *copy*, never as the sender's object (one copy per destination host
+    for the round runtime's data bundles).
     """
 
     def __init__(

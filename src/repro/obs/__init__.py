@@ -20,12 +20,13 @@ span            meaning
 ``rejoin``      churn rejoin phase (emitted only when a node rejoins)
 ``crash``       adversary crash nomination + link-mask computation
 ``send``        send phase; on the net runtime this includes the barrier
-                wait for every live node's ``SENT`` report
+                wait for every host's ``SENT`` report
 ``deliver``     receive phase; on the net runtime the barrier wait for
                 ``DONE`` reports
 ``kernel.step`` one vectorized round body (``backend="vec"`` kernels)
-``node.send``   one net node's send phase, on its own per-node track
-``node.deliver``one net node's inbox collection + ``receive`` hook
+``node.send``   one pid's send phase inside its net host, on its own
+                per-pid track
+``node.deliver``one pid's ``receive`` hook inside its net host
 ``codec.encode``/``codec.decode``  aggregated frame codec cost (stats
                 only, no per-frame events)
 ==============  ============================================================

@@ -3,14 +3,15 @@
 :class:`RunServer` owns one hub and advances any number of
 :class:`~repro.net.runtime.Session` coordinators concurrently on its
 event loop.  Each submitted recipe becomes one session: a fresh
-instance id, a coordinator endpoint and ``n`` node endpoints -- all
-virtual endpoints multiplexed over shared hub connections
+instance id, a coordinator endpoint and one host endpoint
+(:func:`~repro.net.runtime.run_nodes`, all ``n`` processes in one
+task) -- virtual endpoints multiplexed over shared hub connections
 (:class:`~repro.net.transport.TCPMux`), so a thousand concurrent
-instances cost a handful of sockets, and the transport's frame
-batching coalesces their simultaneous round traffic into shared wire
-writes.
+instances cost a handful of sockets and two tasks each, and the
+transport's frame batching coalesces their simultaneous round traffic
+into shared wire writes.
 
-Node placement: with ``workers=0`` every session's node tasks run in
+Host placement: with ``workers=0`` every session's host task runs in
 the server process (still through the hub -- real frames, real
 routing); with ``workers=k`` whole sessions are sharded round-robin
 across ``k`` spawned worker processes via the control channel in
@@ -29,6 +30,17 @@ client that stops reading (a stalled watcher) never blocks a session
 connection is dropped with an error naming the laggard and the run it
 was watching (``last_client_error``).
 
+Retention: the server forgets a run once its outcome is collected -- an
+in-process :meth:`RunServer.result` call returned or raised, or a
+client's ``result`` request was answered -- so a long-lived server's
+memory follows its *in-flight* runs (``status()["retained"]``), not its
+history.  Later ``result``/``watch`` requests for that id get the
+``unknown run_id`` error.  Collection is the only trigger: a run that
+is only watched, or whose submitter went away before asking for the
+result, keeps its entry (the finished ``RunResult``, its
+``processes`` included) until the server stops -- ``retained`` shows
+such runs, and nothing bounds them yet.
+
 The synchronous convenience :func:`run_many` boots a private server,
 submits a batch, and returns the results in order.
 """
@@ -43,7 +55,7 @@ from dataclasses import replace
 from typing import Any, Optional, Sequence
 
 from repro.api import PreparedRun, prepare_recipe
-from repro.net.runtime import NetRuntimeError, Session, run_node
+from repro.net.runtime import NetRuntimeError, Session, run_nodes
 from repro.net.transport import MemoryHub, TCPHub, open_mux
 from repro.serve import worker as worker_mod
 from repro.serve.wire import read_msg, send_msg
@@ -88,7 +100,8 @@ class _Run:
         self.instance = instance
         self.protocol = protocol
         self.execution = execution
-        self.prepared = prepared
+        #: released (``None``) when the session ends
+        self.prepared: Optional[PreparedRun] = prepared
         self.done = asyncio.Event()
         self.result: Optional[RunResult] = None
         self.error: Optional[BaseException] = None
@@ -109,8 +122,8 @@ class RunServer:
         ``"memory"`` uses the in-process hub (no sockets, no workers --
         the doctest- and unit-test-friendly shape).
     workers:
-        Number of node-hosting worker OS processes (TCP only).  ``0``
-        hosts all node tasks in the server process.
+        Number of session-hosting worker OS processes (TCP only).  ``0``
+        runs every session's host task in the server process.
     batching:
         Toggle transport frame batching (on by default; the off
         position exists for benchmarks).
@@ -278,9 +291,12 @@ class RunServer:
 
     async def result(self, run_id: str) -> RunResult:
         """Await a run's completion and return its result (raising the
-        session's failure, if it failed)."""
+        session's failure, if it failed).  Collecting the outcome is
+        what lets the server forget the run: the id is unknown
+        afterwards."""
         run = self._run(run_id)
         await run.done.wait()
+        self._runs.pop(run_id, None)
         if run.error is not None:
             raise run.error
         return run.result
@@ -310,6 +326,7 @@ class RunServer:
             "submitted": self._submitted,
             "completed": self._completed,
             "failed": self._failed,
+            "retained": len(self._runs),
         }
 
     def _run(self, run_id: str) -> _Run:
@@ -339,7 +356,7 @@ class RunServer:
         session.on_round = lambda s, rnd: self._on_round(run, s, rnd)
         churn_pids = prepared.adversary.rejoin_pids()
         coordinator = self._endpoint(n, instance)
-        node_tasks: list[asyncio.Task] = []
+        host_task: Optional[asyncio.Task] = None
         try:
             if self.workers:
                 index = instance % self.workers
@@ -348,20 +365,17 @@ class RunServer:
                     ("host", instance, run.protocol, sorted(churn_pids)),
                 )
             else:
-                node_tasks = [
-                    asyncio.create_task(
-                        run_node(
-                            proc,
-                            self._endpoint(proc.pid, instance),
-                            n,
-                            churn=proc.pid in churn_pids,
-                        )
+                host_task = asyncio.create_task(
+                    run_nodes(
+                        prepared.processes,
+                        self._endpoint(0, instance),
+                        n,
+                        churn_pids=churn_pids,
                     )
-                    for proc in prepared.processes
-                ]
+                )
             result = await session.run(coordinator)
-            if not self.workers:
-                await asyncio.gather(*node_tasks)
+            if host_task is not None:
+                await host_task
                 result.processes = list(prepared.processes)
             run.result = result
             self._completed += 1
@@ -373,10 +387,10 @@ class RunServer:
             self._failed += 1
         finally:
             self._active -= 1
-            for task in node_tasks:
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(*node_tasks, return_exceptions=True)
+            run.prepared = None
+            if host_task is not None:
+                host_task.cancel()
+                await asyncio.gather(host_task, return_exceptions=True)
             try:
                 await coordinator.close()
             except ConnectionError:

@@ -1,4 +1,4 @@
-"""Run-server worker process: hosts node shards for assigned sessions.
+"""Run-server worker process: hosts the processes of assigned sessions.
 
 A worker is one OS process holding one multiplexed hub connection
 (:class:`~repro.net.transport.TCPMux`).  The server assigns it whole
@@ -7,9 +7,9 @@ control traffic; run instances start at ``1``): a ``("host", instance,
 protocol, churn_pids)`` command makes the worker rebuild the recipe's
 process vector with :func:`repro.api.build_recipe_processes` -- which
 is deterministic, so the worker's processes are identical to what the
-server (or the submitting client) would build -- and run one
-:func:`~repro.net.runtime.run_node` task per process, each on a
-per-``(instance, pid)`` virtual endpoint of the shared connection.
+server (or the submitting client) would build -- and run them as one
+:func:`~repro.net.runtime.run_nodes` host task on the session's
+``(instance, 0)`` virtual endpoint of the shared connection.
 
 Control addresses on instance ``0``: the server listens at address
 ``0``; worker ``w`` listens at address ``w + 1``.
@@ -21,7 +21,7 @@ import asyncio
 import sys
 
 from repro.api import build_recipe_processes
-from repro.net.runtime import run_node
+from repro.net.runtime import run_nodes
 from repro.net.transport import open_mux
 
 __all__ = ["worker_main"]
@@ -49,18 +49,16 @@ async def _worker(host: str, port: int, index: int, batching: bool) -> None:
             if kind == "host":
                 _, instance, protocol, churn_pids = msg
                 processes, _horizon, _byz = build_recipe_processes(protocol)
-                churn = frozenset(churn_pids)
-                for proc in processes:
-                    task = asyncio.create_task(
-                        run_node(
-                            proc,
-                            mux.endpoint(proc.pid, instance),
-                            proc.n,
-                            churn=proc.pid in churn,
-                        )
+                task = asyncio.create_task(
+                    run_nodes(
+                        processes,
+                        mux.endpoint(0, instance),
+                        len(processes),
+                        churn_pids=churn_pids,
                     )
-                    hosted.add(task)
-                    task.add_done_callback(hosted.discard)
+                )
+                hosted.add(task)
+                task.add_done_callback(hosted.discard)
             elif kind == "shutdown":
                 return
             else:

@@ -31,6 +31,7 @@ from repro.net import (
     TCPHub,
     open_mux,
     run_node,
+    run_nodes,
     run_protocol_net,
 )
 from repro.scenarios import Scenario
@@ -443,6 +444,53 @@ class TestBarrierTimeout:
         assert "receive phase of round 1, missing pids [2]" in message
         assert "pid 2: last completed send of round 1" in message
 
+    def test_silent_host_lists_all_its_pids(self):
+        # Two 3-pid hosts, one never started: the coordinator cannot know
+        # the silent host's address, but it knows which pids are missing.
+        async def main():
+            hub = MemoryHub()
+            host = asyncio.ensure_future(
+                run_nodes(
+                    [_Recorder(pid, self.N) for pid in range(3)],
+                    hub.endpoint(0),
+                    self.N,
+                )
+            )
+            try:
+                session = Session(self.N, timeout=self.TIMEOUT)
+                return await self._timed_failure(session, hub.endpoint(self.N))
+            finally:
+                host.cancel()
+                await asyncio.gather(host, return_exceptions=True)
+
+        message = asyncio.run(main())
+        assert "ready phase, missing pids [3, 4, 5]" in message
+        for pid in (3, 4, 5):
+            assert f"pid {pid}: no reports received yet" in message
+
+    def test_late_host_is_stopped_after_a_ready_timeout(self):
+        # The silent host attaches after the session gave up: the STOP
+        # buffered at its address ends it instead of leaving it in recv().
+        async def main():
+            hub = MemoryHub()
+            early = asyncio.ensure_future(
+                run_nodes(
+                    [_Recorder(pid, self.N) for pid in range(3)],
+                    hub.endpoint(0),
+                    self.N,
+                )
+            )
+            session = Session(self.N, timeout=self.TIMEOUT)
+            await self._timed_failure(session, hub.endpoint(self.N))
+            late = run_nodes(
+                [_Recorder(pid, self.N) for pid in range(3, 6)],
+                hub.endpoint(3),
+                self.N,
+            )
+            await asyncio.wait_for(asyncio.gather(early, late), 5.0)
+
+        asyncio.run(main())
+
     def test_outer_cancel_is_not_a_timeout(self):
         async def run(session, endpoint):
             task = asyncio.ensure_future(session.run(endpoint))
@@ -457,11 +505,12 @@ class TestBarrierTimeout:
 
 
 class TestTurnBudget:
-    """A barrier wait is one suspension: event-loop turns grow with the
-    rounds executed, not with the reports collected, and no Task is
-    created per report.  Counts, not times, so the bound holds on any
-    machine (the per-frame ``wait_for`` this replaced took 100-450 turns
-    and ~n Tasks per round)."""
+    """A barrier wait is one suspension and a run is one host task:
+    event-loop turns grow with the rounds executed, not with the reports
+    collected, and Tasks do not grow with ``n`` at all.  Counts, not
+    times, so the bound holds on any machine (the per-frame ``wait_for``
+    and per-node tasks this replaced took 100-450 turns per round and
+    ~n Tasks per run)."""
 
     CASES = {
         "consensus": (
@@ -502,6 +551,5 @@ class TestTurnBudget:
         monkeypatch.undo()
 
         assert_parity(net, run_recipe(protocol, **execution))
-        n = len(net.processes)
-        assert counts["tasks"] <= n + 8
+        assert counts["tasks"] <= 8
         assert counts["turns"] <= 6 * net.rounds + 40

@@ -140,18 +140,19 @@ class TestConcurrentSessionParity:
 
 class TestSessionTimeout:
     """``session_timeout`` end to end: a wedged run fails by itself,
-    with an error that says which run and which node."""
+    with an error that says which run and which pids -- a silent host
+    lists every pid it was to report."""
 
     @pytest.mark.parametrize("transport", ["memory", "tcp"])
     def test_wedged_run_fails_alone_naming_run_and_pid(self, transport, monkeypatch):
-        real_run_node = server_mod.run_node
+        real_run_nodes = server_mod.run_nodes
 
-        async def wedged_run_node(proc, endpoint, coordinator, **kwargs):
-            if endpoint.instance == 1 and proc.pid == 2:
+        async def wedged_run_nodes(processes, endpoint, coordinator, **kwargs):
+            if endpoint.instance == 1:
                 await asyncio.Event().wait()  # hosted, never reports READY
-            await real_run_node(proc, endpoint, coordinator, **kwargs)
+            await real_run_nodes(processes, endpoint, coordinator, **kwargs)
 
-        monkeypatch.setattr(server_mod, "run_node", wedged_run_node)
+        monkeypatch.setattr(server_mod, "run_nodes", wedged_run_nodes)
         wedged, healthy = make_recipe("flood-none", 1), make_recipe("churn", 2)
 
         async def main():
@@ -177,7 +178,8 @@ class TestSessionTimeout:
         message, elapsed, served, status = asyncio.run(main())
         assert 0.5 <= elapsed <= 0.75
         assert "session 1: coordinator timed out after 0.5s" in message
-        assert "ready phase, missing pids [2]" in message
+        assert "ready phase, missing pids [0, 1, 2, 3, 4, 5]" in message
+        assert "pid 5: no reports received yet" in message
         check_parity(served, sim_reference(*healthy), "served", "sim")
         assert (status["completed"], status["failed"]) == (1, 1)
 
@@ -300,6 +302,71 @@ class TestServeClientAPI:
                 ):
                     await client.submit(flood, {})
                 assert server.status()["submitted"] == 0
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(scenario())
+
+
+class TestRetention:
+    """The server's memory follows its in-flight runs, not its history:
+    a run is forgotten once its outcome reached whoever asked for it."""
+
+    def test_delivered_runs_are_forgotten(self):
+        protocol = {"name": "flooding", "inputs": [0, 1, 1], "t": 1}
+
+        async def scenario():
+            server = RunServer(transport="tcp")
+            await server.start()
+            port = await server.listen("127.0.0.1", 0)
+            client = await ServeClient.connect("127.0.0.1", port)
+            todo = iter(range(2000))
+            rounds = set()
+
+            async def caller():
+                for i in todo:
+                    run_id = await client.submit(protocol, {"crashes": None, "seed": i})
+                    rounds.add((await client.result(run_id)).rounds)
+
+            try:
+                await asyncio.wait_for(
+                    asyncio.gather(*(caller() for _ in range(16))), 120
+                )
+                return rounds, await client.status(), len(server._tasks)
+            finally:
+                await client.close()
+                await server.close()
+
+        rounds, status, session_tasks = asyncio.run(scenario())
+        assert rounds == {2}
+        assert (status["submitted"], status["completed"]) == (2000, 2000)
+        assert status["retained"] == 0
+        assert session_tasks == 0
+
+    def test_forgotten_id_is_unknown_and_the_connection_survives(self):
+        protocol, execution = make_recipe("flood-none", 1)
+
+        async def scenario():
+            server = RunServer(transport="memory")
+            await server.start()
+            port = await server.listen("127.0.0.1", 0)
+            client = await ServeClient.connect("127.0.0.1", port)
+            try:
+                kept = await client.submit(protocol, execution)
+                run_id = await client.submit(protocol, execution)
+                assert (await client.result(run_id)).completed
+                with pytest.raises(RuntimeError, match="unknown run_id"):
+                    await client.result(run_id)
+                client.watch(run_id)  # answered with the same error
+                # An uncollected run stays, finished or not, until asked for.
+                await server._runs[kept].done.wait()
+                assert (await client.status())["retained"] == 1
+                assert server._runs[kept].prepared is None
+                assert (await client.result(kept)).completed
+                assert (await client.status())["retained"] == 0
+                with pytest.raises(KeyError, match="unknown run_id"):
+                    await server.result(kept)
             finally:
                 await client.close()
                 await server.close()
