@@ -20,8 +20,6 @@ from collections import deque
 from typing import Iterable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.graphs.graph import Graph
 
@@ -48,8 +46,12 @@ def ramanujan_bound(d: int) -> float:
     return 2.0 * math.sqrt(max(d - 1, 0))
 
 
-def adjacency_matrix(graph: Graph) -> sp.csr_matrix:
+def adjacency_matrix(graph: Graph) -> "scipy.sparse.csr_matrix":
     """Sparse adjacency matrix of ``graph``."""
+    # Imported where used: most processes that import repro.api (serve
+    # clients, servers, workers) never build a certified expander.
+    import scipy.sparse as sp
+
     rows: list[int] = []
     cols: list[int] = []
     for u in range(graph.n):
@@ -76,7 +78,9 @@ def second_eigenvalue(graph: Graph) -> float:
         return float(magnitudes[1])
     # Sparse path: the two largest-magnitude eigenvalues are the trivial
     # one (== d for regular graphs) and λ.
-    values = spla.eigsh(matrix, k=2, which="LM", return_eigenvectors=False, tol=1e-8)
+    from scipy.sparse.linalg import eigsh
+
+    values = eigsh(matrix, k=2, which="LM", return_eigenvectors=False, tol=1e-8)
     magnitudes = np.sort(np.abs(values))[::-1]
     return float(magnitudes[1])
 

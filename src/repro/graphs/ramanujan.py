@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import networkx as nx
-
 from repro.graphs.expander import ramanujan_bound, second_eigenvalue
 from repro.graphs.graph import Graph
 
@@ -117,6 +115,8 @@ def certified_ramanujan_graph(
     key = ("ramanujan", n, d, seed, slack if do_certify else None)
     if key in _CACHE:
         return _CACHE[key]
+
+    import networkx as nx  # deferred: see expander.adjacency_matrix
 
     bound = ramanujan_bound(d) * (1.0 + slack)
     last_lambda = None

@@ -100,24 +100,27 @@ span, raised within ``[timeout, timeout + period]`` of the wait's start.
 
 Deployment shapes
 -----------------
-One OS process holds one hub connection
-(:class:`~repro.net.transport.TCPMux`) and, per session, one host
-endpoint on it -- by convention at the lowest pid it hosts; the
-coordinator sits at address ``n``.
+The process that owns the hub binds on it directly
+(``hub.endpoint(...)``); every other OS process holds one hub
+connection (:class:`~repro.net.transport.TCPMux`).  Per session there
+is one host endpoint per process -- by convention at the lowest pid it
+hosts; the coordinator sits at address ``n``.
 
 * :func:`run_protocol_net` -- everything (hub, coordinator, one host of
   all ``n`` processes) in one OS process, over the in-memory or TCP
   transport.
-* :func:`serve_tcp` + :func:`host_nodes_tcp` -- the coordinator and
-  disjoint shards in separate OS processes, meeting at a
-  :class:`~repro.net.transport.TCPHub` (see ``examples/net_consensus.py``).
+* :func:`serve_tcp` + :func:`host_nodes_tcp` -- the coordinator
+  (bound locally on the :class:`~repro.net.transport.TCPHub` it owns)
+  and disjoint shards in separate OS processes dialling that hub (see
+  ``examples/net_consensus.py``).
 * :mod:`repro.serve` -- a long-lived run-server advancing *many*
-  :class:`Session` objects concurrently on one event loop, their frames
-  multiplexed over shared hub connections by instance tag.
+  :class:`Session` objects concurrently on one event loop, bound on the
+  server's own hub; with worker processes their frames are multiplexed
+  over the workers' hub connections by instance tag.
 
 A :class:`Session` is one protocol instance's coordinator state: it
 owns nothing global (no hub, no loop, no transport), so any number of
-sessions can run as sibling tasks over endpoints of one
+sessions can run as sibling tasks over endpoints of one hub or one
 :class:`~repro.net.transport.TCPMux`.  Frame *batching* in the
 transport layer then coalesces the round traffic of all concurrently
 advancing sessions into shared wire writes.
@@ -135,7 +138,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 from repro.net.codec import MAX_FRAME_BYTES, encode, set_codec_probe
 from repro.net.faults import NetFaultInjector, NodeStatus, RuntimeView
 from repro.obs.recorder import coerce_recorder
-from repro.net.transport import Endpoint, MemoryHub, TCPHub, connect_tcp, open_mux
+from repro.net.transport import Endpoint, MemoryHub, TCPHub, open_mux
 from repro.sim.adversary import CrashAdversary, NoFailures
 from repro.sim.engine import (
     RunResult,
@@ -1175,8 +1178,10 @@ async def serve_tcp(
     """Run the hub and coordinator for an ``n``-node TCP deployment.
 
     Shards connect from worker processes via :func:`host_nodes_tcp`;
-    this coroutine returns once the protocol terminates.  Pass a
-    pre-``start()``-ed ``hub`` to bind the port race-free before
+    the coordinator binds on the hub it owns (``hub.endpoint(n)``, no
+    socket of its own), so a coordinator<->host frame crosses one
+    socket.  This coroutine returns once the protocol terminates.  Pass
+    a pre-``start()``-ed ``hub`` to bind the port race-free before
     spawning workers (read the bound port from ``hub.port``; ownership
     transfers -- this coroutine closes it).  Without ``hub``, one is
     created on ``host``/``port``; pick a fixed ``port`` the workers
@@ -1189,7 +1194,7 @@ async def serve_tcp(
     if tel is not None:
         tel.run_begin(backend="tcp", n=n)
         set_codec_probe(tel)
-    endpoint = await connect_tcp(hub.host, hub.port, n)
+    endpoint = hub.endpoint(n)
     try:
         sync = Session(
             n,

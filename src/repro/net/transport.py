@@ -4,7 +4,10 @@ Both expose the same endpoint interface -- ``await send(dst, obj)``,
 ``await recv() -> (src, obj)``, the non-blocking ``recv_nowait()`` and
 ``await close()`` -- over a hub (star) topology: every endpoint holds a
 link to a central router that forwards frames by
-``(instance, destination address)``.  Addresses within one
+``(instance, destination address)``.  The process that owns a hub binds
+on it directly (``hub.endpoint(...)``, a queue); only other processes
+dial a :class:`TCPHub`'s socket, so a frame crosses a socket exactly
+where a process boundary is.  Addresses within one
 protocol instance are one per host (by convention the lowest pid it
 hosts) plus the coordinator at address ``n``; the *instance* tag is
 what lets many protocol instances
@@ -53,6 +56,7 @@ from __future__ import annotations
 import asyncio
 import sys
 from collections import deque
+from functools import partial
 from typing import Any, Iterable, Optional
 
 from repro.net.codec import (
@@ -155,11 +159,15 @@ class Endpoint:
 
 
 class _Router:
-    """Shared attach/route/detach bookkeeping behind both hubs.
+    """Attach/route/detach bookkeeping and the in-process endpoints of
+    both hubs.
 
     Routing keys are ``(instance, address)`` pairs; each attached key
     maps to a *sink* (an object with ``deliver(src, dst, instance,
-    body)``).  Frames for a key that has not attached yet are buffered
+    body)``): a queue for an endpoint bound with :meth:`endpoint` in the
+    hub's own process, a connection's outbound queue for one bound over
+    a :class:`TCPHub` socket.  Frames for a key that has not attached
+    yet are buffered
     and flushed on attach (startup order becomes irrelevant); frames for
     a key that attached and then detached — a crashed or halted node —
     are dropped, mirroring the simulator's "crashed nodes receive
@@ -198,6 +206,25 @@ class _Router:
         if sink is None or self._sinks.get(key) is sink:
             self._sinks.pop(key, None)
 
+    def endpoint(self, address: int, instance: int = 0) -> "MemoryEndpoint":
+        """Attach ``(instance, address)`` in the hub's own process and
+        return its endpoint (flushing any frames buffered for it before
+        it attached)."""
+        queue: asyncio.Queue = asyncio.Queue()
+        endpoint = MemoryEndpoint(self, address, instance, queue)
+        self._attach((instance, address), _QueueSink(queue))
+        return endpoint
+
+    def route(self, src: int, dst: int, body: bytes, instance: int = 0) -> None:
+        """Forward one frame; synchronous, so routing order *is* send
+        order -- the FIFO guarantee of :class:`Endpoint` for free."""
+        self._route(src, dst, instance, body)
+
+    def detach(self, address: int, instance: int = 0) -> None:
+        """Drop ``(instance, address)`` from the routing table; later
+        frames to it are discarded (crashed/halted node semantics)."""
+        self._detach((instance, address))
+
     def purge_instance(self, instance: int) -> None:
         """Forget every routing entry of one protocol instance.
 
@@ -228,39 +255,21 @@ class _QueueSink:
 
 
 class MemoryHub(_Router):
-    """Routes encoded frames between same-process endpoints via queues."""
-
-    def endpoint(self, address: int, instance: int = 0) -> "MemoryEndpoint":
-        """Attach ``(instance, address)`` and return its endpoint
-        (flushing any frames buffered for it before it attached)."""
-        queue: asyncio.Queue = asyncio.Queue()
-        endpoint = MemoryEndpoint(self, address, instance, queue)
-        self._attach((instance, address), _QueueSink(queue))
-        return endpoint
-
-    def route(self, src: int, dst: int, body: bytes, instance: int = 0) -> None:
-        """Forward one frame; synchronous, so routing order *is* send
-        order -- the FIFO guarantee of :class:`Endpoint` for free."""
-        self._route(src, dst, instance, body)
-
-    def detach(self, address: int, instance: int = 0) -> None:
-        """Drop ``(instance, address)`` from the routing table; later
-        frames to it are discarded (crashed/halted node semantics)."""
-        self._detach((instance, address))
+    """The bare router: every endpoint is a same-process queue."""
 
 
 class MemoryEndpoint(Endpoint):
-    """One attachment point on a :class:`MemoryHub`.
+    """One attachment point in the hub's own process (either hub kind).
 
     Frames are pickled on send and unpickled on receive even though they
-    never leave the process, so the memory transport exercises the exact
-    delivery semantics of the TCP transport: a frame arrives as an equal
+    never leave the process, so a local endpoint has the exact delivery
+    semantics of a socket-attached one: a frame arrives as an equal
     *copy*, never as the sender's object (one copy per destination host
     for the round runtime's data bundles).
     """
 
     def __init__(
-        self, hub: MemoryHub, address: int, instance: int, queue: asyncio.Queue
+        self, hub: _Router, address: int, instance: int, queue: asyncio.Queue
     ):
         self._hub = hub
         self.address = address
@@ -305,6 +314,8 @@ class _ConnSink:
         self.frames: deque[tuple[int, int, int, bytes]] = deque()
         self.wake = asyncio.Event()
         self.poisoned: Optional[BaseException] = None
+        #: set by :meth:`TCPHub.close`: write what is queued, then stop
+        self.closing = False
         #: accounting: frames delivered through this connection, and the
         #: deepest its outbound queue ever got (the slow-consumer gauge)
         self.delivered = 0
@@ -341,7 +352,8 @@ class _ConnSink:
 
 
 class TCPHub(_Router):
-    """A TCP frame router (software switch) on one listening socket.
+    """A TCP frame router (software switch): the router plus one
+    listening socket for endpoints in other processes.
 
     Connections exchange ``[len][src][dst][instance]`` framed bodies
     (see :mod:`repro.net.codec`).  A connection binds routing keys with
@@ -357,6 +369,9 @@ class TCPHub(_Router):
     dropped at the queue bound (:class:`SlowConsumerError`) instead of
     wedging the hub.
     """
+
+    #: how long :meth:`close` lets a pump write out its queue
+    drain_timeout = 5.0
 
     def __init__(
         self,
@@ -421,24 +436,25 @@ class TCPHub(_Router):
         ]
 
     async def close(self) -> None:
-        """Tear the hub down: stop listening, cancel the per-connection
-        pump tasks, and force-close established connections so remote
-        endpoints observe EOF instead of blocking in ``recv`` forever
-        on an error path."""
+        """Tear the hub down: stop listening, let the pumps write what
+        is queued (a local endpoint's last frames -- ``STOP``, a
+        worker's ``shutdown`` -- sit there, not in a socket buffer; a
+        consumer that stopped reading gets ``drain_timeout`` seconds),
+        and force-close established connections so remote endpoints
+        observe EOF instead of blocking in ``recv`` forever."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for pump in list(self._pumps.values()):
-            pump.cancel()
-        for pump in list(self._pumps.values()):
-            try:
-                await pump
-            except (asyncio.CancelledError, ConnectionError):
-                pass
+        pumps = list(self._pumps.values())
+        for sink in self._pumps:
+            sink.closing = True
+            sink.wake.set()
+        if pumps:
+            _done, stuck = await asyncio.wait(pumps, timeout=self.drain_timeout)
+            for pump in stuck:
+                pump.cancel()
+            await asyncio.gather(*pumps, return_exceptions=True)
         self._pumps.clear()
-        # Force-close established connections so remote endpoints see
-        # EOF instead of blocking in recv() forever when the hub goes
-        # away on an error path.
         for sink in list(self._conns):
             sink.writer.close()
         self._conns.clear()
@@ -467,39 +483,13 @@ class TCPHub(_Router):
         self._conns.add(sink)
         self._pumps[sink] = asyncio.create_task(self._pump(sink))
         try:
-            while True:
-                header = await reader.readexactly(HEADER.size)
-                length, src, dst, instance = HEADER.unpack(header)
-                if dst == BATCH:
-                    check_frame_size(
-                        length,
-                        limit=self.max_batch_bytes,
-                        peer=peer,
-                        phase="hub ingress (batch)",
-                    )
-                else:
-                    check_frame_size(
-                        length,
-                        limit=self.max_frame_bytes,
-                        peer=peer,
-                        phase="hub ingress",
-                        instance=instance,
-                    )
-                body = await reader.readexactly(length)
-                if dst == BATCH:
-                    # Control frames batch like any other frame (they
-                    # must: a bind travelling out of order with the data
-                    # behind it would break the attach-before-deliver
-                    # contract), so the inner loop dispatches them too.
-                    for fsrc, fdst, finst, fbody in decode_batch(
-                        body,
-                        limit=self.max_frame_bytes,
-                        peer=peer,
-                        phase="hub ingress (batch)",
-                    ):
-                        self._ingress(sink, fsrc, fdst, finst, fbody)
-                else:
-                    self._ingress(sink, src, dst, instance, body)
+            # Control frames batch like any other frame (they must: a
+            # bind travelling out of order with the data behind it would
+            # break the attach-before-deliver contract), so batched or
+            # not they all go through _ingress.
+            await _read_frames(
+                reader, partial(self._ingress, sink), self, peer, "hub ingress"
+            )
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         except (FrameTooLargeError, ValueError) as exc:
@@ -557,8 +547,42 @@ class TCPHub(_Router):
                 while sink.frames:
                     _write_pending(sink.writer, sink.frames, self.batching)
                     await sink.writer.drain()
+                if sink.closing:
+                    return
         except (ConnectionError, asyncio.CancelledError):
             pass
+
+
+async def _read_frames(
+    reader: asyncio.StreamReader, dispatch: Any, limits: Any, peer: str, phase: str
+) -> None:
+    """Read a hub connection's inbound stream (either end of it) until
+    it fails, calling ``dispatch(src, dst, instance, body)`` per frame,
+    batch frames split back into inner frames in entry order.  ``limits``
+    is the hub or mux whose ``max_frame_bytes``/``max_batch_bytes`` guard
+    the stream; guard errors name ``peer`` and ``phase``."""
+    batch_phase = f"{phase} (batch)"
+    while True:
+        header = await reader.readexactly(HEADER.size)
+        length, src, dst, instance = HEADER.unpack(header)
+        if dst == BATCH:
+            check_frame_size(
+                length, limit=limits.max_batch_bytes, peer=peer, phase=batch_phase
+            )
+            body = await reader.readexactly(length)
+            for frame in decode_batch(
+                body, limit=limits.max_frame_bytes, peer=peer, phase=batch_phase
+            ):
+                dispatch(*frame)
+        else:
+            check_frame_size(
+                length,
+                limit=limits.max_frame_bytes,
+                peer=peer,
+                phase=phase,
+                instance=instance,
+            )
+            dispatch(src, dst, instance, await reader.readexactly(length))
 
 
 def _write_pending(
@@ -584,11 +608,8 @@ def _write_pending(
     writer.write(HEADER.pack(len(body), -1, BATCH, 0) + body)
 
 
-class _MuxClosed:
-    pass
-
-
-_EOF = _MuxClosed()
+#: queued behind a dead connection's last frame (see ``TCPMux._recv_on``)
+_EOF = object()
 
 
 class TCPMux:
@@ -657,34 +678,9 @@ class TCPMux:
 
     async def _read_loop(self) -> None:
         try:
-            while True:
-                header = await self._reader.readexactly(HEADER.size)
-                length, src, dst, instance = HEADER.unpack(header)
-                if dst == BATCH:
-                    check_frame_size(
-                        length,
-                        limit=self.max_batch_bytes,
-                        peer=self.peer,
-                        phase="mux recv (batch)",
-                    )
-                    body = await self._reader.readexactly(length)
-                    for fsrc, fdst, finst, fbody in decode_batch(
-                        body,
-                        limit=self.max_frame_bytes,
-                        peer=self.peer,
-                        phase="mux recv (batch)",
-                    ):
-                        self._dispatch(fsrc, fdst, finst, fbody)
-                else:
-                    check_frame_size(
-                        length,
-                        limit=self.max_frame_bytes,
-                        peer=self.peer,
-                        phase="mux recv",
-                        instance=instance,
-                    )
-                    body = await self._reader.readexactly(length)
-                    self._dispatch(src, dst, instance, body)
+            await _read_frames(
+                self._reader, self._dispatch, self, self.peer, "mux recv"
+            )
         except (asyncio.IncompleteReadError, ConnectionError):
             pass  # EOF: hub (or this side) closed the connection
         except asyncio.CancelledError:
@@ -710,13 +706,16 @@ class TCPMux:
         virtual endpoint.  The bind control frame travels through the
         same FIFO stream as subsequent data, so nothing this endpoint
         sends can arrive at the hub before its binding."""
+        return MuxEndpoint(self, address, instance, self._bind(address, instance))
+
+    def _bind(self, address: int, instance: int) -> asyncio.Queue:
         key = (instance, address)
         if key in self._queues:
             raise ValueError(f"endpoint {key} already bound on this connection")
         queue: asyncio.Queue = asyncio.Queue()
         self._queues[key] = queue
         self._send(address, CONTROL, instance, encode(("bind", address)))
-        return MuxEndpoint(self, address, instance, queue)
+        return queue
 
     def _close_endpoint(self, key: tuple[int, int]) -> None:
         if self._queues.pop(key, None) is None:
@@ -825,30 +824,15 @@ class MuxEndpoint(Endpoint):
         self._mux._close_endpoint((self.instance, self.address))
 
 
-class TCPEndpoint(Endpoint):
-    """A single-address hub connection (one dedicated :class:`TCPMux`).
+class TCPEndpoint(MuxEndpoint):
+    """The one endpoint of a dedicated :class:`TCPMux`.
 
     What :func:`connect_tcp` returns, for a process that needs exactly
-    one address on the hub (the :func:`~repro.net.runtime.serve_tcp`
-    coordinator, a probe in a test): ``close`` tears down the whole
-    connection.  A process hosting several addresses opens one
-    :class:`TCPMux` and binds them all on it instead.
+    one address on a hub in another process (a probe, a single remote
+    node): ``close`` tears down the whole connection.  A process
+    hosting several addresses opens one :class:`TCPMux` and binds them
+    all on it instead.
     """
-
-    def __init__(self, mux: TCPMux, endpoint: MuxEndpoint):
-        self._mux = mux
-        self._endpoint = endpoint
-        self.address = endpoint.address
-        self.instance = endpoint.instance
-
-    async def send_encoded(self, dst: int, body: bytes) -> None:
-        await self._endpoint.send_encoded(dst, body)
-
-    async def recv(self) -> tuple[int, Any]:
-        return await self._endpoint.recv()
-
-    def recv_nowait(self) -> Optional[tuple[int, Any]]:
-        return self._endpoint.recv_nowait()
 
     async def close(self) -> None:
         await self._mux.close()
@@ -914,4 +898,4 @@ async def connect_tcp(
         max_frame_bytes=max_frame_bytes,
         batching=batching,
     )
-    return TCPEndpoint(mux, mux.endpoint(address, instance))
+    return TCPEndpoint(mux, address, instance, mux._bind(address, instance))

@@ -35,17 +35,14 @@ def _parse_args(argv: Optional[list] = None) -> argparse.Namespace:
         "--no-batching",
         dest="batching",
         action="store_false",
-        help="disable transport frame batching (diagnostic)",
+        help="disable frame batching on worker connections only -- with "
+        "--workers 0 no frame crosses a socket (diagnostic)",
     )
     return parser.parse_args(argv)
 
 
 async def _serve(args: argparse.Namespace) -> int:
-    server = RunServer(
-        transport="tcp",
-        workers=args.workers,
-        batching=args.batching,
-    )
+    server = RunServer(workers=args.workers, batching=args.batching)
     await server.start()
     port = await server.listen(args.host, args.port)
     print(

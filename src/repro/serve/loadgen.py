@@ -110,7 +110,6 @@ async def _drive(
     # the default bound the server's slow-consumer guard would (by
     # design) drop the connection mid-burst.
     server = RunServer(
-        transport="tcp",
         workers=workers,
         session_timeout=None,
         stream_queue=max(256, count + 64),

@@ -1,24 +1,28 @@
-"""The long-lived run-server: many protocol instances, one transport.
+"""The long-lived run-server: many protocol instances, one hub.
 
 :class:`RunServer` owns one hub and advances any number of
 :class:`~repro.net.runtime.Session` coordinators concurrently on its
 event loop.  Each submitted recipe becomes one session: a fresh
 instance id, a coordinator endpoint and one host endpoint
 (:func:`~repro.net.runtime.run_nodes`, all ``n`` processes in one
-task) -- virtual endpoints multiplexed over shared hub connections
-(:class:`~repro.net.transport.TCPMux`), so a thousand concurrent
-instances cost a handful of sockets and two tasks each, and the
-transport's frame batching coalesces their simultaneous round traffic
-into shared wire writes.
+task), told apart on the shared hub by the instance tag -- a thousand
+concurrent instances cost two tasks each and no socket of their own.
 
-Host placement: with ``workers=0`` every session's host task runs in
-the server process (still through the hub -- real frames, real
-routing); with ``workers=k`` whole sessions are sharded round-robin
-across ``k`` spawned worker processes via the control channel in
-:mod:`repro.serve.worker`.  Either way the per-session result is
+Host placement: the server binds everything it runs itself -- every
+coordinator, the worker-control endpoint and, with ``workers=0``, every
+session's host task -- directly on its hub (``hub.endpoint(...)``: real
+frames, real routing, no socket), so a frame crosses a socket only where
+a process boundary is.  With ``workers=0`` there is none: the hub is a
+:class:`~repro.net.transport.MemoryHub` and the server opens no socket
+until :meth:`RunServer.listen`.  With ``workers=k`` the hub is a
+:class:`~repro.net.transport.TCPHub` and whole sessions are sharded
+round-robin across ``k`` spawned worker processes
+(:mod:`repro.serve.worker`), each on one batching hub connection
+(:class:`~repro.net.transport.TCPMux`): a coordinator<->host frame
+crosses exactly one socket.  Either way the per-session result is
 ``check_parity``-identical to ``run_recipe(protocol, backend="sim")``
-with the same execution arguments: sessions replicate the entry
-points' fault-schedule and round-bound defaults through
+with the same execution arguments: sessions replicate the entry points'
+fault-schedule and round-bound defaults through
 :func:`repro.api.prepare_recipe`, and the barrier itself is the
 parity-certified net runtime.
 
@@ -35,11 +39,12 @@ in-process :meth:`RunServer.result` call returned or raised, or a
 client's ``result`` request was answered -- so a long-lived server's
 memory follows its *in-flight* runs (``status()["retained"]``), not its
 history.  Later ``result``/``watch`` requests for that id get the
-``unknown run_id`` error.  Collection is the only trigger: a run that
-is only watched, or whose submitter went away before asking for the
-result, keeps its entry (the finished ``RunResult``, its
-``processes`` included) until the server stops -- ``retained`` shows
-such runs, and nothing bounds them yet.
+``unknown run_id`` error.  A run submitted over a client connection is
+also forgotten once nobody is left to ask: when its submitter and every
+connection watching it have gone away, a finished run is dropped at
+once and an unfinished one when its session ends.  Runs submitted
+in-process (:meth:`RunServer.submit`) are only ever forgotten by
+:meth:`RunServer.result`; ``retained`` counts whatever is still held.
 
 The synchronous convenience :func:`run_many` boots a private server,
 submits a batch, and returns the results in order.
@@ -56,7 +61,7 @@ from typing import Any, Optional, Sequence
 
 from repro.api import PreparedRun, prepare_recipe
 from repro.net.runtime import NetRuntimeError, Session, run_nodes
-from repro.net.transport import MemoryHub, TCPHub, open_mux
+from repro.net.transport import MemoryHub, TCPHub
 from repro.serve import worker as worker_mod
 from repro.serve.wire import read_msg, send_msg
 from repro.sim.engine import RunResult
@@ -86,6 +91,7 @@ class _Run:
         "error",
         "watchers",
         "rounds_seen",
+        "holders",
     )
 
     def __init__(
@@ -109,6 +115,10 @@ class _Run:
         #: a slow subscriber can never stall the session
         self.watchers: list[Any] = []
         self.rounds_seen = 0
+        #: live client connections that submitted or watch this run;
+        #: ``None`` for an in-process submission, which only
+        #: :meth:`RunServer.result` forgets
+        self.holders: Optional[set] = None
 
 
 class RunServer:
@@ -116,17 +126,17 @@ class RunServer:
 
     Parameters
     ----------
-    transport:
-        ``"tcp"`` (default) routes every session through a real
-        :class:`~repro.net.transport.TCPHub` on ``host``/``port``;
-        ``"memory"`` uses the in-process hub (no sockets, no workers --
-        the doctest- and unit-test-friendly shape).
     workers:
-        Number of session-hosting worker OS processes (TCP only).  ``0``
-        runs every session's host task in the server process.
+        Number of session-hosting worker OS processes.  ``0`` runs
+        every session's host task in the server process on a
+        :class:`~repro.net.transport.MemoryHub` (no hub socket at all);
+        ``k > 0`` starts a :class:`~repro.net.transport.TCPHub` on
+        ``host``/``port`` for the workers to dial.  The hub kind follows
+        from this number; ``status()["transport"]`` reports it.
     batching:
-        Toggle transport frame batching (on by default; the off
-        position exists for benchmarks).
+        Toggle frame batching on the worker connections, the only
+        sockets frames cross (on by default; the off position exists
+        for benchmarks).
     session_timeout:
         Per-barrier-wait timeout for each session (``None`` disables):
         one watchdog timer per session, nothing per frame, so the
@@ -141,7 +151,6 @@ class RunServer:
     def __init__(
         self,
         *,
-        transport: str = "tcp",
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 0,
@@ -150,11 +159,6 @@ class RunServer:
         stream_queue: int = 256,
         max_queue_frames: int = 1_000_000,
     ):
-        if transport not in ("tcp", "memory"):
-            raise ValueError(f"unknown transport {transport!r}")
-        if workers and transport != "tcp":
-            raise ValueError("worker processes require the tcp transport")
-        self.transport = transport
         self.host = host
         self.port = port
         self.workers = workers
@@ -166,10 +170,8 @@ class RunServer:
         #: last dropped-client diagnostic (stalled stream, protocol
         #: error); names the peer and, for stalls, the run involved
         self.last_client_error: Optional[str] = None
-        self._mux: Any = None
         self._ctrl: Any = None
         self._worker_procs: list[Any] = []
-        self._ctrl_task: Optional[asyncio.Task] = None
         self._listener: Optional[asyncio.base_events.Server] = None
         self._client_tasks: set[asyncio.Task] = set()
         self._runs: dict[str, _Run] = {}
@@ -185,7 +187,7 @@ class RunServer:
 
     async def start(self) -> "RunServer":
         """Start the hub (and workers, if any); returns ``self``."""
-        if self.transport == "memory":
+        if not self.workers:
             self.hub = MemoryHub()
             return self
         self.hub = TCPHub(
@@ -196,27 +198,23 @@ class RunServer:
         )
         await self.hub.start()
         self.port = self.hub.port
-        self._mux = await open_mux(
-            self.host, self.port, batching=self.batching
+        self._ctrl = self.hub.endpoint(
+            worker_mod.SERVER_ADDR, worker_mod.CONTROL_INSTANCE
         )
-        if self.workers:
-            self._ctrl = self._mux.endpoint(
-                worker_mod.SERVER_ADDR, worker_mod.CONTROL_INSTANCE
+        ctx = multiprocessing.get_context("spawn")
+        for index in range(self.workers):
+            proc = ctx.Process(
+                target=worker_mod.worker_main,
+                args=(self.host, self.port, index, self.batching),
+                daemon=True,
             )
-            ctx = multiprocessing.get_context("spawn")
-            for index in range(self.workers):
-                proc = ctx.Process(
-                    target=worker_mod.worker_main,
-                    args=(self.host, self.port, index, self.batching),
-                    daemon=True,
-                )
-                proc.start()
-                self._worker_procs.append(proc)
-            pending = set(range(self.workers))
-            while pending:
-                _src, msg = await asyncio.wait_for(self._ctrl.recv(), 30.0)
-                if msg[0] == "ready":
-                    pending.discard(msg[1])
+            proc.start()
+            self._worker_procs.append(proc)
+        pending = set(range(self.workers))
+        while pending:
+            _src, msg = await asyncio.wait_for(self._ctrl.recv(), 30.0)
+            if msg[0] == "ready":
+                pending.discard(msg[1])
         return self
 
     async def listen(self, host: str = "127.0.0.1", port: int = 0) -> int:
@@ -237,24 +235,17 @@ class RunServer:
         for task in list(self._tasks.values()):
             task.cancel()
         await asyncio.gather(*self._tasks.values(), return_exceptions=True)
-        if self._ctrl is not None:
-            for index in range(self.workers):
-                try:
-                    await self._ctrl.send(
-                        worker_mod.worker_addr(index), ("shutdown",)
-                    )
-                except ConnectionError:
-                    pass
-            if self._mux is not None:
-                await self._mux.flush()
-        if self._mux is not None:
-            await self._mux.close()
+        if self._ctrl is None:
+            return
+        for index in range(self.workers):
+            await self._ctrl.send(worker_mod.worker_addr(index), ("shutdown",))
+        # The shutdown frames sit in the hub's per-connection queues;
+        # closing the hub writes them out before it drops the sockets.
+        await self.hub.close()
         for proc in self._worker_procs:
-            proc.join(timeout=10)
+            await asyncio.to_thread(proc.join, 10)
             if proc.is_alive():
                 proc.terminate()
-        if self.transport == "tcp" and self.hub is not None:
-            await self.hub.close()
 
     # -- submission and execution -----------------------------------------
 
@@ -297,6 +288,8 @@ class RunServer:
         run = self._run(run_id)
         await run.done.wait()
         self._runs.pop(run_id, None)
+        for conn in run.holders or ():
+            conn.held.discard(run_id)
         if run.error is not None:
             raise run.error
         return run.result
@@ -318,7 +311,7 @@ class RunServer:
     def status(self) -> dict:
         """Server-level gauges (the load generator samples these)."""
         return {
-            "transport": self.transport,
+            "transport": "tcp" if self.workers else "memory",
             "workers": self.workers,
             "batching": self.batching,
             "active": self._active,
@@ -335,11 +328,6 @@ class RunServer:
             raise KeyError(f"unknown run_id {run_id!r}")
         return run
 
-    def _endpoint(self, address: int, instance: int) -> Any:
-        if self.transport == "memory":
-            return self.hub.endpoint(address, instance)
-        return self._mux.endpoint(address, instance)
-
     async def _drive(self, run: _Run) -> None:
         prepared = run.prepared
         instance = run.instance
@@ -355,7 +343,7 @@ class RunServer:
         )
         session.on_round = lambda s, rnd: self._on_round(run, s, rnd)
         churn_pids = prepared.adversary.rejoin_pids()
-        coordinator = self._endpoint(n, instance)
+        coordinator = self.hub.endpoint(n, instance)
         host_task: Optional[asyncio.Task] = None
         try:
             if self.workers:
@@ -368,7 +356,7 @@ class RunServer:
                 host_task = asyncio.create_task(
                     run_nodes(
                         prepared.processes,
-                        self._endpoint(0, instance),
+                        self.hub.endpoint(0, instance),
                         n,
                         churn_pids=churn_pids,
                     )
@@ -391,10 +379,7 @@ class RunServer:
             if host_task is not None:
                 host_task.cancel()
                 await asyncio.gather(host_task, return_exceptions=True)
-            try:
-                await coordinator.close()
-            except ConnectionError:
-                pass
+            await coordinator.close()
             # The hub's per-(instance, pid) routing state is garbage
             # once the session ends; a long-lived server must not
             # accumulate it across thousands of runs.
@@ -402,6 +387,10 @@ class RunServer:
             run.done.set()
             self._publish(run, ("done", run.run_id, self._final_info(run)))
             run.watchers.clear()
+            if run.holders is not None and not run.holders:
+                # Submitted over a connection, and every connection
+                # that could ask for it went away while it ran.
+                self._runs.pop(run.run_id, None)
 
     def _on_round(self, run: _Run, session: Session, rnd: int) -> None:
         run.rounds_seen += 1
@@ -447,8 +436,10 @@ class RunServer:
                 if kind == "submit":
                     _, token, protocol, execution = msg
                     try:
-                        run_id = await self.submit(protocol, execution)
-                        conn.push(("accepted", token, run_id))
+                        run = self._runs[await self.submit(protocol, execution)]
+                        run.holders = set()
+                        conn.hold(run)
+                        conn.push(("accepted", token, run.run_id))
                     except Exception as exc:
                         conn.push(("error", token, f"{type(exc).__name__}: {exc}"))
                 elif kind == "watch":
@@ -458,6 +449,7 @@ class RunServer:
                             run_id,
                             lambda m, _c=conn, _r=run_id: _c.push(m, run=_r),
                         )
+                        conn.hold(self._runs[run_id])
                     except KeyError as exc:
                         conn.push(("error", run_id, str(exc)))
                 elif kind == "result":
@@ -512,7 +504,15 @@ class _ClientConn:
         self.bound = bound
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=bound)
         self.dead = False
+        #: ids of the uncollected runs this connection submitted or
+        #: watches (see the module's Retention paragraph)
+        self.held: set[str] = set()
         self._task = asyncio.create_task(self._drain())
+
+    def hold(self, run: _Run) -> None:
+        if run.holders is not None:
+            run.holders.add(self)
+            self.held.add(run.run_id)
 
     def push(self, message: tuple, run: Optional[str] = None) -> None:
         if self.dead:
@@ -562,6 +562,13 @@ class _ClientConn:
 
     async def aclose(self) -> None:
         self.dead = True
+        runs = self.server._runs
+        for run_id in self.held:
+            run = runs[run_id]
+            run.holders.discard(self)
+            if not run.holders and run.done.is_set():
+                del runs[run_id]  # an unfinished one: _drive's finally
+        self.held.clear()
         self._task.cancel()
         try:
             await self._task
@@ -573,7 +580,6 @@ class _ClientConn:
 def run_many(
     recipes: Sequence[dict | tuple[dict, dict]],
     *,
-    transport: str = "memory",
     workers: int = 0,
     batching: bool = True,
     session_timeout: Optional[float] = 120.0,
@@ -582,7 +588,9 @@ def run_many(
 
     Each item is a recipe dict or a ``(recipe, execution)`` pair.  All
     sessions are submitted up front and advance concurrently over one
-    shared hub; results come back in submission order.  The convenience
+    shared hub -- in this process with ``workers=0``, sharded across
+    ``workers`` spawned processes otherwise; results come back in
+    submission order.  The convenience
     wrapper for tests, docs and scripts -- long-lived deployments use
     :class:`RunServer` directly.
 
@@ -598,7 +606,6 @@ def run_many(
 
     async def _main() -> list[RunResult]:
         server = RunServer(
-            transport=transport,
             workers=workers,
             batching=batching,
             session_timeout=session_timeout,

@@ -1,7 +1,12 @@
 """Tests for the top-level run_* API."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import (
     check_checkpointing,
     check_consensus,
@@ -120,3 +125,27 @@ class TestRunRecipe:
         direct = run_recipe(recipe, scenario=scenario)
         as_dict = run_recipe(recipe, scenario=scenario.to_dict(), max_rounds=None)
         check_parity(direct, as_dict, "Scenario", "to_dict()")
+
+
+class TestImportCost:
+    def test_heavy_graph_dependencies_load_on_first_use_only(self):
+        """Importing the run, serve and net surfaces must not import
+        scipy or networkx: only building a certified expander needs
+        them, and a serve client, a server child or a worker that runs
+        small recipes never does (half of ``import repro.serve``)."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys; import repro.api, repro.serve, repro.net; "
+            "from repro.api import run_recipe; "
+            "assert run_recipe({'name': 'flooding', 'inputs': [0, 1, 1, 0], 't': 1}).completed; "
+            "print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"

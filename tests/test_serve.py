@@ -21,8 +21,10 @@ transport underneath it:
 
 import asyncio
 import pickle
+import random
 import socket
 import time
+from asyncio.base_events import BaseEventLoop
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.api import run_recipe
 from repro.check import check_parity
+from repro.check.driver import FAMILIES, sample_instance
 from repro.net.codec import CONTROL, HEADER, encode
 from repro.net.runtime import NetRuntimeError
 from repro.net.transport import TCPHub, open_mux
@@ -102,7 +105,7 @@ class TestConcurrentSessionParity:
     @given(specs=recipe_specs)
     def test_memory_hub_matches_serial_sim(self, specs):
         recipes = [make_recipe(kind, seed) for kind, seed in specs]
-        results = run_many(recipes, transport="memory")
+        results = run_many(recipes)
         for (protocol, execution), served in zip(recipes, results):
             check_parity(
                 served, sim_reference(protocol, execution), "served", "sim"
@@ -115,8 +118,10 @@ class TestConcurrentSessionParity:
     )
     @given(specs=recipe_specs)
     def test_tcp_hub_matches_serial_sim(self, specs):
+        # One worker process: every coordinator<->host frame crosses the
+        # hub socket, all sessions multiplexed on the one connection.
         recipes = [make_recipe(kind, seed) for kind, seed in specs]
-        results = run_many(recipes, transport="tcp")
+        results = run_many(recipes, workers=1)
         for (protocol, execution), served in zip(recipes, results):
             check_parity(
                 served, sim_reference(protocol, execution), "served", "sim"
@@ -131,11 +136,113 @@ class TestConcurrentSessionParity:
             make_recipe("churn", 3),
             make_recipe("gossip", 4),
         ]
-        results = run_many(recipes, transport="tcp")
+        results = run_many(recipes, workers=1)
         for (protocol, execution), served in zip(recipes, results):
             check_parity(
                 served, sim_reference(protocol, execution), "served", "sim"
             )
+
+
+class TestHubPlacement:
+    """A frame crosses a socket only where a process boundary is: the
+    server binds everything it runs itself on its own hub, and the hub
+    has a socket only when there are workers to dial it."""
+
+    def test_no_workers_opens_no_socket_before_listen(self, monkeypatch):
+        opened = []
+        for name in ("start_server", "open_connection"):
+            real = getattr(asyncio, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                opened.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(asyncio, name, counting)
+        protocol, execution = make_recipe("gossip", 2)
+
+        async def scenario():
+            server = RunServer()  # workers=0
+            await server.start()
+            try:
+                served = await server.result(await server.submit(protocol, execution))
+                before_listen = list(opened)
+                await server.listen("127.0.0.1", 0)
+                return served, before_listen, server.status()
+            finally:
+                await server.close()
+
+        served, before_listen, status = asyncio.run(scenario())
+        check_parity(served, sim_reference(protocol, execution), "served", "sim")
+        assert before_listen == []
+        assert opened == ["start_server"]  # the client API, nothing else
+        assert status["transport"] == "memory"
+
+    def test_served_session_stays_within_the_turn_budget(self, monkeypatch):
+        # ``tests/test_net_runtime.py::TestTurnBudget``'s bound, through
+        # the server: the self-dialled hub socket this replaced took
+        # ~24 turns per round (writer, hub reader, pump, mux reader).
+        protocol, execution = make_recipe("gossip", 5)
+        turns = [0]
+        run_once = BaseEventLoop._run_once
+
+        def counting_run_once(loop):
+            turns[0] += 1
+            return run_once(loop)
+
+        monkeypatch.setattr(BaseEventLoop, "_run_once", counting_run_once)
+
+        async def scenario():
+            server = await RunServer().start()
+            try:
+                before = turns[0]
+                served = await server.result(await server.submit(protocol, execution))
+                return served, turns[0] - before
+            finally:
+                await server.close()
+
+        served, spent = asyncio.run(scenario())
+        monkeypatch.undo()
+        check_parity(served, sim_reference(protocol, execution), "served", "sim")
+        assert spent <= 6 * served.rounds + 40
+
+    def test_all_families_match_sim_through_workers(self):
+        recipes = [
+            (sample_instance(family, random.Random(seed), seed), {"crashes": "random", "seed": seed})
+            for seed, family in enumerate(FAMILIES)
+        ]
+        assert len(recipes) == 10
+        results = run_many(recipes, workers=2)
+        for (protocol, execution), served in zip(recipes, results):
+            check_parity(
+                served, sim_reference(protocol, execution), "served", "sim"
+            )
+
+    def test_close_with_sessions_in_flight_stops_every_worker(self):
+        protocol = {"name": "gossip", "rumors": list(range(48)), "t": 5}
+
+        async def scenario():
+            server = RunServer(workers=2)
+            await server.start()
+            run_ids = [
+                await server.submit(protocol, {"crashes": None, "seed": seed})
+                for seed in range(8)
+            ]
+            # Let the sessions get under way on both workers, not finish.
+            while not all(server._runs[rid].rounds_seen for rid in run_ids):
+                await asyncio.sleep(0)
+            in_flight = server.status()["active"]
+            started = time.monotonic()
+            await server.close()
+            return in_flight, time.monotonic() - started, server
+
+        in_flight, elapsed, server = asyncio.run(scenario())
+        assert in_flight == 8
+        assert [proc.is_alive() for proc in server._worker_procs] == [False, False]
+        # Both got their shutdown frame and left by themselves (a worker
+        # that lost it would be terminated after the 10 s join).
+        assert [proc.exitcode for proc in server._worker_procs] == [0, 0]
+        assert elapsed < 5.0
+        assert server.status()["transport"] == "tcp"
 
 
 class TestSessionTimeout:
@@ -143,8 +250,8 @@ class TestSessionTimeout:
     with an error that says which run and which pids -- a silent host
     lists every pid it was to report."""
 
-    @pytest.mark.parametrize("transport", ["memory", "tcp"])
-    def test_wedged_run_fails_alone_naming_run_and_pid(self, transport, monkeypatch):
+    @pytest.mark.parametrize("workers", [0, 1], ids=["memory", "tcp"])
+    def test_wedged_run_fails_alone_naming_run_and_pid(self, workers, monkeypatch):
         real_run_nodes = server_mod.run_nodes
 
         async def wedged_run_nodes(processes, endpoint, coordinator, **kwargs):
@@ -156,8 +263,18 @@ class TestSessionTimeout:
         wedged, healthy = make_recipe("flood-none", 1), make_recipe("churn", 2)
 
         async def main():
-            server = RunServer(transport=transport, session_timeout=0.5)
+            server = RunServer(workers=workers, session_timeout=0.5)
             await server.start()
+            if workers:
+                # Hosting is the worker's: wedge run 1 by losing its
+                # "host" command, so no host ever binds or reports.
+                real_send = server._ctrl.send
+
+                async def lossy_send(dst, msg):
+                    if msg[:2] != ("host", 1):
+                        await real_send(dst, msg)
+
+                server._ctrl.send = lossy_send
             try:
                 wedged_id = await server.submit(*wedged)
                 healthy_id = await server.submit(*healthy)
@@ -189,7 +306,7 @@ class TestServeClientAPI:
         protocol, execution = make_recipe("flood-early", 3)
 
         async def scenario():
-            server = RunServer(transport="tcp")
+            server = RunServer()
             await server.start()
             port = await server.listen("127.0.0.1", 0)
             client = await ServeClient.connect("127.0.0.1", port)
@@ -226,7 +343,7 @@ class TestServeClientAPI:
         recipes = [make_recipe(kind, i) for i, kind in enumerate(RECIPE_KINDS)]
 
         async def scenario():
-            server = RunServer(transport="tcp", workers=2)
+            server = RunServer(workers=2)
             await server.start()
             port = await server.listen("127.0.0.1", 0)
             client = await ServeClient.connect("127.0.0.1", port)
@@ -260,7 +377,7 @@ class TestServeClientAPI:
             pickle.dumps(sim_reference(protocol, execution))
 
         async def scenario():
-            server = RunServer(transport="tcp")
+            server = RunServer()
             await server.start()
             port = await server.listen("127.0.0.1", 0)
             client = await ServeClient.connect("127.0.0.1", port)
@@ -277,7 +394,7 @@ class TestServeClientAPI:
 
     def test_bad_recipe_reports_error(self):
         async def scenario():
-            server = RunServer(transport="tcp")
+            server = RunServer()
             await server.start()
             port = await server.listen("127.0.0.1", 0)
             client = await ServeClient.connect("127.0.0.1", port)
@@ -317,7 +434,7 @@ class TestRetention:
         protocol = {"name": "flooding", "inputs": [0, 1, 1], "t": 1}
 
         async def scenario():
-            server = RunServer(transport="tcp")
+            server = RunServer()
             await server.start()
             port = await server.listen("127.0.0.1", 0)
             client = await ServeClient.connect("127.0.0.1", port)
@@ -348,7 +465,7 @@ class TestRetention:
         protocol, execution = make_recipe("flood-none", 1)
 
         async def scenario():
-            server = RunServer(transport="memory")
+            server = RunServer()
             await server.start()
             port = await server.listen("127.0.0.1", 0)
             client = await ServeClient.connect("127.0.0.1", port)
@@ -372,6 +489,56 @@ class TestRetention:
                 await server.close()
 
         asyncio.run(scenario())
+
+
+    def test_runs_nobody_can_ask_for_are_forgotten(self):
+        # A submitter that went away without asking for its results
+        # leaves nothing behind -- finished runs go at the disconnect,
+        # unfinished ones when their session ends -- unless another live
+        # connection watches the run.
+        protocol = {"name": "flooding", "inputs": [0, 1, 1], "t": 1}
+
+        async def scenario():
+            server = RunServer()
+            await server.start()
+            port = await server.listen("127.0.0.1", 0)
+            leaver = await ServeClient.connect("127.0.0.1", port)
+            watcher = await ServeClient.connect("127.0.0.1", port)
+            try:
+                run_ids = [
+                    await leaver.submit(protocol, {"crashes": None, "seed": i})
+                    for i in range(200)
+                ]
+                local = await server.submit(protocol, {"crashes": None})
+                events = watcher.watch(run_ids[-1])
+                await watcher.status()  # the watch request has been served
+                submitted = (await leaver.status())["retained"]
+                await leaver.close()
+                status = await watcher.status()
+                while status["active"] or status["retained"] > 2:
+                    await asyncio.sleep(0.01)
+                    status = await watcher.status()
+                kept = sorted(server._runs)
+                # The watched run outlives its submitter: the watcher
+                # sees it finish and can still collect it.
+                while (await asyncio.wait_for(events.get(), 30))[0] != "done":
+                    pass
+                watched = await watcher.result(run_ids[-1])
+                await watcher.close()
+                while server._client_tasks:  # both disconnects served
+                    await asyncio.sleep(0.01)
+                return submitted, kept, watched, server.status(), local
+            finally:
+                await leaver.close()
+                await watcher.close()
+                await server.close()
+
+        submitted, kept, watched, status, local = asyncio.run(scenario())
+        assert submitted == 201
+        assert kept == sorted([local, "run-000200"])
+        assert watched.completed and watched.rounds == 2
+        # In-process submissions are only forgotten by ``result()``.
+        assert status["retained"] == 1 and status["completed"] == 201
 
 
 class TestHubBackpressure:
@@ -449,7 +616,7 @@ class TestServeBackpressure:
         # the connection is killed with an error naming the run whose
         # stream the client stopped consuming.
         async def scenario():
-            server = RunServer(transport="memory", stream_queue=4)
+            server = RunServer(stream_queue=4)
             writer = _NeverDrains()
             conn = _ClientConn(server, writer, "client test", 4)
             for _ in range(4):
@@ -472,7 +639,7 @@ class TestServeBackpressure:
         protocol, execution = make_recipe("flood-none", 5)
 
         async def scenario():
-            server = RunServer(transport="tcp", stream_queue=8)
+            server = RunServer(stream_queue=8)
             await server.start()
             port = await server.listen("127.0.0.1", 0)
 

@@ -1,9 +1,17 @@
-"""``Endpoint.recv_nowait`` on the three endpoint kinds.
+"""``Endpoint.recv_nowait`` on the four endpoint kinds, and local and
+socket-attached endpoints sharing one hub.
 
 The round coordinator drains its queue with ``recv_nowait`` and only
 then pays a suspension in ``recv`` (see ``Session._recv``), so the two
 must read one FIFO stream through one decode path, and the non-blocking
 read must never eat the failure a dead connection owes the blocking one.
+
+Kinds: ``memory`` (``MemoryHub.endpoint``), ``local`` (the same
+in-process endpoint on a ``TCPHub`` -- how the hub's owner binds),
+``mux`` and ``tcp`` (other processes' ends of a hub socket).  The owner
+of a ``TCPHub`` and the processes dialling it meet in one router, so
+buffering before attach, per-destination FIFO, detach-drop and
+``purge_instance`` must hold across the two kinds of endpoint.
 """
 
 import asyncio
@@ -11,10 +19,10 @@ import asyncio
 import pytest
 
 from repro.net import FrameTooLargeError, MemoryHub, TCPHub, connect_tcp, open_mux
-from repro.net.codec import set_codec_probe
+from repro.net.codec import CONTROL, HEADER, encode, set_codec_probe
 from repro.obs.recorder import Recorder
 
-KINDS = ["memory", "mux", "tcp"]
+KINDS = ["memory", "local", "mux", "tcp"]
 
 
 class _Pair:
@@ -33,6 +41,8 @@ class _Pair:
         self.hub = TCPHub()
         await self.hub.start()
         port = self.hub.port
+        if self.kind == "local":
+            return self.hub.endpoint(0), self.hub.endpoint(1)
         if self.kind == "tcp":
             sender = await connect_tcp("127.0.0.1", port, 0)
             receiver = await connect_tcp("127.0.0.1", port, 1, **self.receiver_options)
@@ -91,14 +101,18 @@ def test_fifo_shared_with_recv(kind):
     asyncio.run(scenario())
 
 
-async def _reader_finished(receiver, deadline: float = 5.0):
-    """Wait until the receiver's connection reader has seen the end of
-    its stream (EOF or a frame-guard error) and queued the sentinel."""
+async def _until(condition, deadline: float = 5.0):
     loop = asyncio.get_running_loop()
     give_up = loop.time() + deadline
-    while not receiver._mux._reader_task.done():
-        assert loop.time() < give_up, "reader never finished"
+    while not condition():
+        assert loop.time() < give_up, "condition never held"
         await asyncio.sleep(0.005)
+
+
+async def _reader_finished(receiver):
+    """Wait until the receiver's connection reader has seen the end of
+    its stream (EOF or a frame-guard error) and queued the sentinel."""
+    await _until(receiver._mux._reader_task.done)
 
 
 async def _assert_failure_survives_nowait_reads(receiver, error):
@@ -173,3 +187,182 @@ def test_codec_probe_counts_both_reads(kind):
                 set_codec_probe(None)
 
     asyncio.run(scenario())
+
+
+class _OwnerAndDialler:
+    """A started ``TCPHub`` (bind locally with ``hub.endpoint``) and two
+    connections to it, as from two other processes."""
+
+    async def __aenter__(self):
+        self.hub = TCPHub()
+        await self.hub.start()
+        self.muxes = [
+            await open_mux("127.0.0.1", self.hub.port),
+            await open_mux("127.0.0.1", self.hub.port),
+        ]
+        return self.hub, *self.muxes
+
+    async def __aexit__(self, *exc):
+        for mux in self.muxes:
+            await mux.close()
+        await self.hub.close()
+
+
+async def _recv(endpoint):
+    return await asyncio.wait_for(endpoint.recv(), 5.0)
+
+
+class TestLocalAndRemoteEndpointsShareOneRouter:
+    """A local coordinator (address 9) and remote hosts on one hub."""
+
+    def test_frames_sent_before_attach_are_buffered_both_ways(self):
+        async def scenario():
+            async with _OwnerAndDialler() as (hub, mux, _other):
+                host = mux.endpoint(0, instance=3)
+                await host.send(9, "to a coordinator not bound yet")
+                await _until(lambda: (3, 9) in hub._pending)
+                coordinator = hub.endpoint(9, 3)
+                assert coordinator.recv_nowait() == (0, "to a coordinator not bound yet")
+                await coordinator.send(1, "to a host not bound yet")
+                assert (3, 1) in hub._pending
+                late_host = mux.endpoint(1, instance=3)
+                assert await _recv(late_host) == (9, "to a host not bound yet")
+                assert not hub._pending
+
+        asyncio.run(scenario())
+
+    def test_one_destination_reads_each_sender_in_order(self):
+        async def scenario():
+            async with _OwnerAndDialler() as (hub, mux, other):
+                coordinator = hub.endpoint(9)
+                local_host = hub.endpoint(0)
+                remote_host = mux.endpoint(4)
+                far_host = other.endpoint(6)
+                # A local and a remote sender, to a local and to a remote
+                # destination, interleaved.
+                for value in range(20):
+                    await local_host.send(9, value)
+                    await remote_host.send(9, value)
+                    await coordinator.send(6, value)
+                    await remote_host.send(6, value)
+                for receiver, senders in ((coordinator, (0, 4)), (far_host, (9, 4))):
+                    got = [await _recv(receiver) for _ in range(40)]
+                    for sender in senders:
+                        assert [v for src, v in got if src == sender] == list(range(20))
+                    assert receiver.recv_nowait() is None
+
+        asyncio.run(scenario())
+
+    def test_a_reply_cannot_overtake_what_caused_it(self):
+        # The REJOIN guarantee across the two kinds: what host 0 sent
+        # host 1 before reporting to the coordinator is queued at host 1
+        # before anything the coordinator sends on seeing that report.
+        async def scenario():
+            async with _OwnerAndDialler() as (hub, mux, other):
+                coordinator = hub.endpoint(9)
+                sender = mux.endpoint(0)
+                receiver = other.endpoint(1)
+                await _until(lambda: (0, 1) in hub._sinks)
+                for value in range(50):
+                    await sender.send(1, ("data", value))
+                await sender.send(9, "sent")
+                assert await _recv(coordinator) == (0, "sent")
+                await coordinator.send(1, "rejoin")
+                got = [await _recv(receiver) for _ in range(51)]
+                assert got == [(0, ("data", v)) for v in range(50)] + [(9, "rejoin")]
+
+        asyncio.run(scenario())
+
+    def test_frames_to_a_detached_endpoint_are_dropped(self):
+        async def scenario():
+            async with _OwnerAndDialler() as (hub, mux, _other):
+                coordinator = hub.endpoint(9)
+                halted_local = hub.endpoint(2)
+                host = mux.endpoint(0)
+                halted_remote = mux.endpoint(1)
+                await _until(lambda: (0, 1) in hub._sinks)
+                await halted_local.close()
+                await halted_remote.close()
+                await _until(lambda: (0, 1) not in hub._sinks)
+                delivered = [row["delivered"] for row in hub.connection_stats()]
+                # remote -> detached local, local -> detached remote
+                await host.send(2, "lost")
+                await coordinator.send(1, "lost")
+                await host.send(9, "after")  # same connection, so routed later
+                assert await _recv(coordinator) == (0, "after")
+                assert halted_local.recv_nowait() is None
+                assert not hub._pending  # dropped, not buffered
+                assert [row["delivered"] for row in hub.connection_stats()] == delivered
+
+        asyncio.run(scenario())
+
+    def test_purge_instance_forgets_local_and_remote_keys_alike(self):
+        async def scenario():
+            async with _OwnerAndDialler() as (hub, mux, _other):
+                done = hub.endpoint(9, 3), mux.endpoint(0, instance=3)
+                live = hub.endpoint(9, 4), mux.endpoint(0, instance=4)
+                await _until(lambda: (4, 0) in hub._sinks)
+                hub.purge_instance(3)
+                assert {key[0] for key in hub._sinks} == {4}
+                assert {key[0] for key in hub._seen} == {4}
+                # Purged keys buffer again (never-attached semantics) ...
+                await done[1].send(9, "late")
+                await live[1].send(9, "ping")
+                assert await _recv(live[0]) == (0, "ping")
+                assert done[0].recv_nowait() is None
+                assert [src for src, _body in hub._pending[(3, 9)]] == [0]
+                # ... and the neighbour instance still answers.
+                await live[0].send(0, "pong")
+                assert await _recv(live[1]) == (9, "pong")
+                hub.purge_instance(3)
+                assert not hub._pending
+
+        asyncio.run(scenario())
+
+
+class TestCloseWritesOutWhatIsQueued:
+    """A local sender's frames wait in the hub's per-connection queues,
+    not in a socket buffer, so ``TCPHub.close`` must let the pumps write
+    them before it drops the connections -- and must not wait forever
+    on a consumer that stopped reading."""
+
+    def test_a_local_senders_last_frames_arrive_before_eof(self):
+        async def scenario():
+            hub = TCPHub()
+            await hub.start()
+            mux = await open_mux("127.0.0.1", hub.port)
+            host = mux.endpoint(0)
+            await _until(lambda: (0, 0) in hub._sinks)
+            coordinator = hub.endpoint(9)
+            for value in range(300):
+                await coordinator.send(0, ("stop", value))
+            await hub.close()  # no turn given to the pump in between
+            got = [await _recv(host) for _ in range(300)]
+            assert got == [(9, ("stop", value)) for value in range(300)]
+            with pytest.raises(ConnectionResetError):
+                await _recv(host)
+            await mux.close()
+
+        asyncio.run(scenario())
+
+    def test_a_stalled_consumer_delays_close_by_the_drain_timeout_only(self):
+        async def scenario():
+            hub = TCPHub()
+            hub.drain_timeout = 0.2
+            await hub.start()
+            _reader, writer = await asyncio.open_connection("127.0.0.1", hub.port)
+            bind = encode(("bind", 1))
+            writer.write(HEADER.pack(len(bind), 1, CONTROL, 0) + bind)
+            await writer.drain()
+            await _until(lambda: (0, 1) in hub._sinks)
+            coordinator = hub.endpoint(9)
+            for value in range(400):  # far past the socket buffers, never read
+                await coordinator.send(1, value.to_bytes(2, "big") * 32768)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            await hub.close()
+            elapsed = loop.time() - started
+            writer.close()
+            return elapsed
+
+        assert 0.2 <= asyncio.run(scenario()) < 2.0
