@@ -6,7 +6,6 @@ Usage::
     python -m repro.bench.runner e5 e9 --jobs 4
     python -m repro.bench.runner all --jobs 8 --out results/
     repro-bench profile smoke --jobs 4 --out obs/   # instrumented run
-    repro-bench serve                               # run-server load gen
 
 Each experiment id maps to a declarative sweep spec in
 :mod:`repro.bench.series`; the scheduler in :mod:`repro.bench.sweep`
@@ -27,11 +26,10 @@ writes the telemetry artifacts -- ``<experiment>.events.jsonl`` and a
 Perfetto-loadable ``<experiment>.trace.json`` with one track per worker
 process (see :mod:`repro.obs`).
 
-``repro-bench serve`` boots a :class:`repro.serve.server.RunServer`
-over loopback TCP and drives it through the submit/stream client API
-under steady, churn-scenario and burst load, writing the
-``BENCH_serve.json`` throughput/latency artifact (see
-:mod:`repro.serve.loadgen`).
+Every table printed here is a *model* cost (rounds, messages, bits):
+deterministic and pinned by tier-1 tests.  Wall-clock is measured in
+one place only, the perf ladder ``benchmarks/perf/run.py`` declared by
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -238,10 +236,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str]) -> int:
     if argv and argv[0] == "profile":
         return profile_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.serve.loadgen import main as serve_main
-
-        return serve_main(argv[1:])
     args = _parse_args(argv)
     wanted = list(args.experiments)
     if wanted == ["all"]:

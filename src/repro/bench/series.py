@@ -663,8 +663,7 @@ _BENCH_FAMILIES = {
 
 def families_unit(params: dict) -> dict:
     """One cross-family cell: one ``(family, backend)`` run on a
-    comparable instance, reported in the ``BENCH_families.json`` row
-    shape (``tests/test_bench_artifacts.py``'s ``ROW_FIELDS``).
+    comparable instance.
 
     Instances are derived from the unit seed, so the protocol-metric
     columns (``rounds``/``messages``/``bits``/``completed``) are
@@ -990,8 +989,7 @@ def adversary_spec(
 
     ``t`` stays below ``(n - 1) / 5`` so every family accepts the pinned
     instance; rows are deterministic given ``seed`` and jobs-independent
-    like every sweep.  ``benchmarks/bench_adversary.py`` wraps this spec
-    into the committed ``BENCH_adversary.json`` artifact.
+    like every sweep.
     """
     from repro.sim.vec import KERNEL_FAMILIES
 

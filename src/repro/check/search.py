@@ -31,8 +31,8 @@ searches for the worst case:
 Surfaces: ``python -m repro.check --search`` (one search per family,
 top-k scenarios emitted as self-contained replayable trace artifacts
 with the search trajectory in ``Trace.meta``), ``repro-bench
-adversary`` (a per-``t`` sweep writing worst-case constants into
-``BENCH_adversary.json``), and the committed ``tests/corpus/``
+adversary`` (a per-``t`` sweep printing the worst-case constants
+found), and the committed ``tests/corpus/``
 regression corpus replayed by ``tests/test_adversary_corpus.py``.
 """
 

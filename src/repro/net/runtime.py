@@ -1138,9 +1138,9 @@ def run_protocol_net(
     codec timings, sealed onto ``result.telemetry``.  ``batching``
     (TCP only) toggles wire-write coalescing in the transport --
     delivery semantics and results are identical either way; the off
-    position exists to measure the speedup (``BENCH_net.json``'s 1.81x
-    predates per-host bundling, which leaves a single run few frames to
-    coalesce).
+    position exists to measure the gain (the perf ladder's
+    ``net.runtime.batching_gain`` on ``wire-ladder``; per-host bundling
+    leaves a single run few frames to coalesce).
     """
     check_pid_order(processes)
     return asyncio.run(

@@ -594,8 +594,8 @@ def _write_pending(
 
     With batching, everything currently queued coalesces into one batch
     frame (single frames skip the batch envelope); without, each frame
-    is written individually -- the measured baseline the batching
-    speedup in ``BENCH_net.json`` is quoted against.
+    is written individually -- the baseline arm of the perf ladder's
+    ``net.runtime.batching_gain`` (``wire-ladder`` workload).
     """
     if not batching or len(frames) == 1:
         src, dst, instance, body = frames.popleft()

@@ -15,10 +15,12 @@ writes.  The server adds the service surface:
 * :class:`~repro.serve.client.ServeClient` -- the TCP submit/stream
   client: submit recipes, stream per-round progress, fetch results.
 * :func:`~repro.serve.server.run_many` -- synchronous batch facade.
-* ``repro-bench serve`` / :mod:`repro.serve.loadgen` -- the load
-  generator measuring instances/sec and completion-latency tails under
-  steady, churn-scenario and burst load (``BENCH_serve.json``).
 * ``python -m repro.serve`` -- a standalone server process.
+
+Throughput and completion latency under closed-loop load are measured
+by the perf ladder's ``serve-mixed`` workload
+(``benchmarks/perf/run.py``: ``lat_p50_ms`` / ``lat_p95_ms``,
+``serve.peak_concurrent``, ``serve.inst_per_s.*``).
 
 Every per-run result is ``check_parity``-identical to
 ``run_recipe(recipe, backend="sim")`` with the same execution

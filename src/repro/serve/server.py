@@ -309,7 +309,7 @@ class RunServer:
         run.watchers.append(deliver)
 
     def status(self) -> dict:
-        """Server-level gauges (the load generator samples these)."""
+        """Server-level gauges."""
         return {
             "transport": "tcp" if self.workers else "memory",
             "workers": self.workers,

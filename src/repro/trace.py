@@ -271,7 +271,10 @@ class Trace:
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        """Compact by default (what :meth:`save` writes); pass
+        ``indent=2`` for a human-readable dump."""
+        separators = (",", ":") if indent is None else None
+        return json.dumps(self.to_dict(), indent=indent, separators=separators)
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
@@ -279,7 +282,7 @@ class Trace:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json(indent=2) + "\n")
+            handle.write(self.to_json() + "\n")
 
     @classmethod
     def load(cls, path) -> "Trace":

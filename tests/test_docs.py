@@ -43,6 +43,19 @@ def test_markdown_links_resolve():
     assert not problems, "\n".join(problems)
 
 
+def test_link_checker_sees_root_level_files(tmp_path):
+    """A code span naming a root-level file that is not there is a
+    problem, the same as a missing path under a known directory."""
+    page = tmp_path / "page.md"
+    page.write_text(
+        "Budgets live in `BENCHMARK.json`, history in `CHANGES.md`, "
+        "a snapshot in `NO_SUCH_ARTIFACT.json`.\n",
+        encoding="utf-8",
+    )
+    problems = check_links.check_file(page)
+    assert len(problems) == 1 and "`NO_SUCH_ARTIFACT.json`" in problems[0]
+
+
 def test_readme_gallery_lists_every_example():
     """The README 'Scenario gallery' table must name every script in
     examples/ (and nothing that does not exist — covered by the link

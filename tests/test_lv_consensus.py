@@ -11,12 +11,14 @@ round -- the quantity its envelope certificate pins.
 """
 
 import random
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro import check_consensus, run_flooding, run_lv_consensus
+from repro.bench.series import exp_families
 from repro.check.driver import FAMILIES, run_config, sample_config
 from repro.check.oracles import check_parity
 from repro.scenarios import scenario_schedule
@@ -133,6 +135,29 @@ class TestBitsAccounting:
         wide = run_lv_consensus([2**200 - 1] * 10, 2, width=200, crashes=None)
         assert narrow.messages == wide.messages
         assert wide.bits == 100 * narrow.bits
+
+    def test_families_series_pins_the_gap_to_flooding(self):
+        # The cross-family headline (Liang-Vaidya, arXiv 1008.4551): on
+        # the same 128-bit instance lv-consensus pays ~n times fewer
+        # payload bits than flooding.  Model costs are exact, both
+        # engine loops agree on them, and README quotes the quotient.
+        rows = exp_families(n=80, t=16, seed=1)
+        model = ("rounds", "messages", "bits", "completed")
+        cost = {
+            backend: {
+                row["family"]: {key: row[key] for key in model}
+                for row in rows
+                if row["backend"] == backend
+            }
+            for backend in ("sim-opt", "sim-ref")
+        }
+        assert cost["sim-ref"] == cost["sim-opt"]
+        flooding = cost["sim-opt"]["flooding"]["bits"]
+        lv = cost["sim-opt"]["lv-consensus"]["bits"]
+        assert (flooding, lv) == (13_241_190, 170_561)
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        ratio = flooding / lv
+        assert f"{ratio:.1f}× fewer bits at n=80, t=16" in readme
 
 
 class TestParityWall:

@@ -142,6 +142,33 @@ class TestConcurrentSessionParity:
                 served, sim_reference(protocol, execution), "served", "sim"
             )
 
+    def test_thousand_sessions_at_once_on_one_hub(self):
+        # The concurrency floor: 1000 instances submitted before any of
+        # them has advanced a round, all multiplexed on one hub.
+        recipes = [make_recipe("flood-early", seed) for seed in range(1000)]
+
+        async def burst():
+            server = RunServer()
+            await server.start()
+            try:
+                run_ids = [await server.submit(*recipe) for recipe in recipes]
+                in_flight = server.status()
+                results = [await server.result(run_id) for run_id in run_ids]
+                return in_flight, results, server.status()
+            finally:
+                await server.close()
+
+        in_flight, results, status = asyncio.run(burst())
+        assert in_flight["active"] == 1000
+        assert all(result.completed for result in results)
+        assert (status["completed"], status["failed"]) == (1000, 0)
+        assert status["peak_concurrent"] == 1000
+        assert (status["active"], status["retained"]) == (0, 0)
+        for (protocol, execution), served in list(zip(recipes, results))[::125]:
+            check_parity(
+                served, sim_reference(protocol, execution), "served", "sim"
+            )
+
 
 class TestHubPlacement:
     """A frame crosses a socket only where a process boundary is: the

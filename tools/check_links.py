@@ -3,11 +3,13 @@
 
 Verifies that every relative markdown link (``[text](target)``,
 ``![alt](target)``) resolves to an existing file in the repository, and
-that every ``examples/*.py``, ``src/repro/**.py``, ``tests/*.py`` or
-``docs/*.md`` path mentioned in inline code spans exists — so the
-README's scenario gallery and the fault-model handbook cannot silently
-rot when files move.  External ``http(s)``/``mailto`` targets are
-syntax-checked only (CI must stay offline-deterministic).
+that every ``examples/*.py``, ``src/repro/**.py``, ``tests/*.py``,
+``docs/*.md`` path or root-level ``*.json`` / ``*.md`` / ``*.toml`` name
+mentioned in inline code spans exists — so the README's scenario
+gallery, the fault-model handbook and the names of committed artifacts
+cannot silently rot when files move or go.  External
+``http(s)``/``mailto`` targets are syntax-checked only (CI must stay
+offline-deterministic).
 
 Usage::
 
@@ -25,10 +27,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: ``[text](target)`` and ``![alt](target)``; ignores reference-style
 #: links (unused in this repo) and fenced code blocks (stripped first).
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
-#: repo-relative paths mentioned in `inline code`
+#: repo-relative paths mentioned in `inline code`: anything under a
+#: known top-level directory, or a bare root-level file name
 _CODE_PATH = re.compile(
     r"`((?:examples|tests|docs|tools|benchmarks)/[A-Za-z0-9_./-]+"
-    r"|src/repro/[A-Za-z0-9_./-]+)`"
+    r"|src/repro/[A-Za-z0-9_./-]+"
+    r"|[A-Za-z0-9_-]+\.(?:json|md|toml))`"
 )
 _FENCE = re.compile(r"```.*?```", re.DOTALL)
 
@@ -41,7 +45,7 @@ def check_file(path: pathlib.Path) -> list[str]:
     """Return human-readable problems found in one markdown file."""
     problems: list[str] = []
     text = _strip_fences(path.read_text(encoding="utf-8"))
-    rel = path.relative_to(ROOT)
+    rel = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
     for match in _LINK.finditer(text):
         target = match.group(1)
         if target.startswith(("http://", "https://", "mailto:")):
