@@ -50,13 +50,14 @@ class EarlyStoppingConsensusProcess(Process):
         self._announce = False
 
     def send(self, rnd: int):
-        others = tuple(q for q in range(self.n) if q != self.pid)
-        if not others:
+        if self.n < 2:
             return ()
         if self._announce:
-            return [Multicast(others, (_DECIDED_TAG, self.decision))]
+            return [
+                Multicast(self.everyone_else(), (_DECIDED_TAG, self.decision))
+            ]
         if not self.decided:
-            return [Multicast(others, self.minimum)]
+            return [Multicast(self.everyone_else(), self.minimum)]
         return ()
 
     def receive(self, rnd: int, inbox: list[tuple[int, Any]]) -> None:

@@ -25,12 +25,11 @@ class FloodingConsensusProcess(Process):
         self.t = t
         self.minimum = input_value
         self.rounds = t + 1
-        self._everyone = tuple(q for q in range(n) if q != pid)
 
     def send(self, rnd: int):
-        if rnd >= self.rounds or not self._everyone:
+        if rnd >= self.rounds or self.n < 2:
             return ()
-        return [Multicast(self._everyone, self.minimum)]
+        return [Multicast(self.everyone_else(), self.minimum)]
 
     def receive(self, rnd: int, inbox: list[tuple[int, Any]]) -> None:
         if rnd >= self.rounds:

@@ -42,12 +42,11 @@ class LVConsensusProcess(Process):
         self.width = width
         self.value = input_value
         self.rounds = t + 1
-        self._everyone = tuple(q for q in range(n) if q != pid)
 
     def send(self, rnd: int):
-        if rnd >= self.rounds or rnd != self.pid or not self._everyone:
+        if rnd >= self.rounds or rnd != self.pid or self.n < 2:
             return ()
-        return [Multicast(self._everyone, self.value)]
+        return [Multicast(self.everyone_else(), self.value)]
 
     def receive(self, rnd: int, inbox: list[tuple[int, Any]]) -> None:
         if rnd >= self.rounds:

@@ -36,16 +36,15 @@ class NaiveCheckpointingProcess(Process):
         super().__init__(pid, n)
         self.t = t
         self.mask = 1 << pid
-        self._everyone = tuple(q for q in range(n) if q != pid)
         self.end_round = t + 2  # round 0 ping + rounds 1..t+1 flooding
 
     def send(self, rnd: int):
-        if not self._everyone:
+        if self.n < 2:
             return ()
         if rnd == 0:
-            return [Multicast(self._everyone, 1)]
+            return [Multicast(self.everyone_else(), 1)]
         if rnd < self.end_round:
-            return [Multicast(self._everyone, self.mask)]
+            return [Multicast(self.everyone_else(), self.mask)]
         return ()
 
     def receive(self, rnd: int, inbox: list[tuple[int, Any]]) -> None:

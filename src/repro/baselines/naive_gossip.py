@@ -22,15 +22,14 @@ class NaiveGossipProcess(Process):
     def __init__(self, pid: int, n: int, rumor: Any):
         super().__init__(pid, n)
         self.extant: dict[int, Any] = {pid: rumor}
-        self._everyone = tuple(q for q in range(n) if q != pid)
 
     def send(self, rnd: int):
-        if not self._everyone:
+        if self.n < 2:
             return ()
         if rnd == 0:
-            return [Multicast(self._everyone, (self.pid, self.extant[self.pid]))]
+            return [Multicast(self.everyone_else(), (self.pid, self.extant[self.pid]))]
         if rnd == 1:
-            return [Multicast(self._everyone, tuple(self.extant.items()))]
+            return [Multicast(self.everyone_else(), tuple(self.extant.items()))]
         return ()
 
     def receive(self, rnd: int, inbox: list[tuple[int, Any]]) -> None:

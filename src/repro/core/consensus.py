@@ -198,14 +198,20 @@ class ManyCrashesConsensusProcess(Process):
                 out.append(Multicast(tuple(self._inquirers), self.decision))
                 self._inquirers = []
             return out
-        everyone = tuple(q for q in range(self.n) if q != self.pid)
+        if self.n < 2:
+            return out
         if rnd == self.help_round:
-            if not self.decided and everyone:
-                out.append(Multicast(everyone, _HELP))
+            if not self.decided:
+                out.append(Multicast(self.everyone_else(), _HELP))
         elif self.help_round < rnd < self.recovery_end:
-            if self._recovering and everyone:
+            if self._recovering:
                 decided_value = self.decision if self.decided else self._seen_decided
-                out.append(Multicast(everyone, (decided_value, self._min_candidate)))
+                out.append(
+                    Multicast(
+                        self.everyone_else(),
+                        (decided_value, self._min_candidate),
+                    )
+                )
         return out
 
     def receive(self, rnd: int, inbox: list[tuple[int, Any]]) -> None:

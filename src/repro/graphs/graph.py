@@ -40,6 +40,15 @@ class Graph:
         adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
         return cls(n, adj, name)
 
+    # Immutable, so a copy is the graph itself: the ``n`` processes of a
+    # run share one overlay by identity, and the churn snapshots
+    # (``copy.deepcopy(proc.__dict__)``) must not walk it per process.
+    def __copy__(self) -> "Graph":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Graph":
+        return self
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
 

@@ -19,7 +19,7 @@ process is active) never changes observable behaviour.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple, Optional
 
 __all__ = [
     "Multicast",
@@ -142,6 +142,9 @@ class Process:
         self.halted = False
         self.decision: Any = None
         self._decided = False
+        # filled by everyone_else(); the ``_cache`` prefix keeps it out
+        # of state_digest
+        self._cache_peers: Optional[tuple[int, ...]] = None
 
     # -- protocol hooks ------------------------------------------------
 
@@ -177,6 +180,20 @@ class Process:
         return rnd + 1
 
     # -- helpers --------------------------------------------------------
+
+    def everyone_else(self) -> tuple[int, ...]:
+        """Every pid but this one, ascending: the destination tuple of
+        an all-to-all broadcast.
+
+        Built by the first call, not by ``__init__``: it is ``n - 1``
+        ints per process, ``n²`` per run, and neither a process that
+        never sends nor a ``backend="vec"`` kernel ever reads it.
+        """
+        everyone = self._cache_peers
+        if everyone is None:
+            everyone = (*range(self.pid), *range(self.pid + 1, self.n))
+            self._cache_peers = everyone
+        return everyone
 
     def decide(self, value: Any) -> None:
         """Irrevocably decide on ``value``.

@@ -30,8 +30,13 @@ import numpy as np
 from repro.core.checkpointing import CheckpointingProcess, _DUMMY_RUMOR
 from repro.graphs.families import scv_inquiry_graph
 from repro.sim.process import Process
-from repro.sim.vec.engine import Kernel, VecMetricsSink, bool_transport
-from repro.sim.vec.gossip import GossipCore, adjacency_matrix, deliver
+from repro.sim.vec.engine import (
+    Kernel,
+    VecMetricsSink,
+    bool_transport,
+    deliver,
+)
+from repro.sim.vec.gossip import GossipCore, adjacency_matrix
 
 __all__ = ["CheckpointingKernel"]
 
@@ -243,8 +248,7 @@ class CheckpointingKernel(Kernel):
                 payload = self.value.copy()
                 bits_each = self._mask_bits(self.value)
 
-        with_group = attempts.any(axis=1)
-        delivered = deliver(attempts, with_group, keep, blocked, sink)
+        delivered = deliver(attempts, keep, blocked, sink)
         counts = delivered.sum(axis=1).astype(np.int64)
         delivered_any = bool(counts.any())
         if delivered_any:

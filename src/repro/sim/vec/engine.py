@@ -44,11 +44,11 @@ __all__ = [
     "Kernel",
     "VecEngine",
     "VecMetricsSink",
-    "apply_blocked",
     "bit_length_array",
     "bool_transport",
     "build_kernel",
-    "keep_prefix",
+    "deliver",
+    "deliver_broadcast",
 ]
 
 _SHIFTS = (32, 16, 8, 4, 2, 1)
@@ -109,26 +109,55 @@ def keep_prefix(row: np.ndarray, keep: int) -> None:
         row[idx[keep:]] = False
 
 
-def apply_blocked(
-    matrix: np.ndarray,
-    blocked: Mapping[int, frozenset[int]],
+def deliver(
+    attempts: np.ndarray,
+    keep: Mapping[int, int],
+    blocked: Optional[Mapping[int, frozenset[int]]],
     sink: "VecMetricsSink",
-) -> None:
-    """Remove blocked links from an attempt matrix, tallying drops.
+    first: int = 0,
+) -> np.ndarray:
+    """Turn attempt rows into delivery rows, in place; returns them.
 
-    Mirrors :func:`repro.sim.engine.apply_link_filter`: a drop is an
-    *attempted* message (post ``keep`` truncation) removed in transit,
-    counted only for senders that actually attempted it this round.
+    Row ``i`` of ``attempts`` is what sender ``first + i`` attempted
+    this round -- a full ``(sender, receiver)`` matrix by default; a
+    kernel with one sender a round passes that one row.  The sequence
+    is the engine's (:func:`repro.sim.engine.collect_sends`, then
+    :func:`~repro.sim.engine.apply_link_filter`): the crash-round
+    ``keep`` budget truncates a row to a prefix, then blocked links are
+    removed and tallied as drops -- a drop is an *attempted* message
+    (post truncation) removed in transit, counted only for senders
+    that actually attempted it.
     """
-    n = matrix.shape[0]
-    for src, dsts in blocked.items():
-        if not dsts or not (0 <= src < n):
-            continue
-        row = matrix[src]
-        cols = [dst for dst in dsts if 0 <= dst < n and row[dst]]
-        if cols:
-            row[cols] = False
-            sink.add_drops(len(cols))
+    rows, n = attempts.shape
+    for pid, budget in keep.items():
+        if 0 <= pid - first < rows:
+            keep_prefix(attempts[pid - first], budget)
+    if blocked:
+        for src, dsts in blocked.items():
+            if not dsts or not (0 <= src - first < rows):
+                continue
+            row = attempts[src - first]
+            cols = [dst for dst in dsts if 0 <= dst < n and row[dst]]
+            if cols:
+                row[cols] = False
+                sink.add_drops(len(cols))
+    return attempts
+
+
+def deliver_broadcast(
+    senders: np.ndarray,
+    keep: Mapping[int, int],
+    blocked: Optional[Mapping[int, frozenset[int]]],
+    sink: "VecMetricsSink",
+) -> np.ndarray:
+    """Delivery matrix of a round in which every sender multicasts to
+    everyone else (:meth:`repro.sim.process.Process.everyone_else`,
+    ascending, so a ``keep`` budget is a prefix of the row)."""
+    n = len(senders)
+    attempts = np.zeros((n, n), dtype=bool)
+    attempts[senders] = True
+    np.fill_diagonal(attempts, False)
+    return deliver(attempts, keep, blocked, sink)
 
 
 class VecMetricsSink:

@@ -16,8 +16,8 @@ array reductions:
   masked column minimum.
 
 Destination order within the single per-round multicast is ascending
-pid (``_everyone``), so the crash-round ``keep`` budget is exactly a
-prefix of the matrix row.
+pid (``Process.everyone_else``), so the crash-round ``keep`` budget is
+exactly a prefix of the matrix row.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from repro.sim.process import Process
 from repro.sim.vec.engine import (
     Kernel,
     VecMetricsSink,
-    apply_blocked,
     bit_length_array,
-    keep_prefix,
+    deliver_broadcast,
 )
 
 __all__ = ["FloodingKernel"]
@@ -145,14 +144,7 @@ class FloodingKernel(Kernel):
         blocked: Optional[Mapping[int, frozenset[int]]],
         sink: VecMetricsSink,
     ) -> bool:
-        n = self.n
-        matrix = np.zeros((n, n), dtype=bool)
-        matrix[senders] = True
-        np.fill_diagonal(matrix, False)
-        for pid, budget in keep.items():
-            keep_prefix(matrix[pid], budget)
-        if blocked:
-            apply_blocked(matrix, blocked, sink)
+        matrix = deliver_broadcast(senders, keep, blocked, sink)
         counts = matrix.sum(axis=1).astype(np.int64)
         if not counts.any():
             return False

@@ -40,9 +40,8 @@ from repro.sim.process import Process, payload_bits
 from repro.sim.vec.engine import (
     Kernel,
     VecMetricsSink,
-    apply_blocked,
     bool_transport,
-    keep_prefix,
+    deliver,
 )
 
 __all__ = ["GossipCore", "GossipKernel", "adjacency_matrix"]
@@ -59,29 +58,6 @@ def adjacency_matrix(graph: Graph, n: int, rows: np.ndarray) -> np.ndarray:
         if neighbors:
             adj[pid, list(neighbors)] = True
     return adj
-
-
-def deliver(
-    attempts: np.ndarray,
-    senders_with_group: np.ndarray,
-    keep: Mapping[int, int],
-    blocked: Optional[Mapping[int, frozenset[int]]],
-    sink: VecMetricsSink,
-) -> np.ndarray:
-    """Apply the crash-round ``keep`` prefix and the link filter to an
-    attempt matrix, returning the delivery matrix.
-
-    ``attempts`` rows must already be zero outside
-    ``senders_with_group``; ``keep`` budgets apply only to senders that
-    produced a group this round (mirroring ``collect_sends``).
-    """
-    matrix = attempts
-    for pid, budget in keep.items():
-        if senders_with_group[pid]:
-            keep_prefix(matrix[pid], budget)
-    if blocked:
-        apply_blocked(matrix, blocked, sink)
-    return matrix
 
 
 class GossipCore:
@@ -247,8 +223,7 @@ class GossipCore:
                     1, self.C.sum(axis=1, dtype=np.int64) * _ENTRY_BITS
                 )
 
-        with_group = attempts.any(axis=1)
-        delivered = deliver(attempts, with_group, keep, blocked, sink)
+        delivered = deliver(attempts, keep, blocked, sink)
         counts = delivered.sum(axis=1).astype(np.int64)
         delivered_any = bool(counts.any())
         if delivered_any:

@@ -28,7 +28,8 @@ from repro.trace import Trace, replay_trace
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.trace.json"))
 
-KERNEL_FAMILIES = ("flooding", "gossip", "checkpointing")
+#: the families with a committed corpus (not every kernel family has one)
+CORPUS_FAMILIES = ("flooding", "gossip", "checkpointing")
 
 
 def _meta(path: Path) -> dict:
@@ -36,9 +37,9 @@ def _meta(path: Path) -> dict:
 
 
 def test_corpus_is_seeded():
-    """Top-3 per kernel family, as the search committed them."""
+    """Top-3 per corpus family, as the search committed them."""
     assert CORPUS, "tests/corpus/ must hold committed adversary traces"
-    by_family = {family: 0 for family in KERNEL_FAMILIES}
+    by_family = {family: 0 for family in CORPUS_FAMILIES}
     for path in CORPUS:
         meta = _meta(path)
         by_family[meta["family"]] += 1

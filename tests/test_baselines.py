@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from repro import run_checkpointing, run_consensus, run_gossip
+from repro import (
+    Scenario,
+    run_checkpointing,
+    run_consensus,
+    run_flooding,
+    run_gossip,
+    run_lv_consensus,
+)
 from repro.auth.signatures import SignatureService
 from repro.baselines import (
     DSEverywhereProcess,
@@ -14,8 +21,45 @@ from repro.baselines import (
 )
 from repro.core.params import ProtocolParams
 from repro.properties import check_checkpointing, check_consensus, check_gossip
+from repro.scenarios import CrashEvent
 from repro.sim import Engine, crash_schedule
 from tests.conftest import random_bits
+
+
+class TestPeerTuple:
+    """``Process.everyone_else`` is built by the first send: state
+    checks, not timings, that nobody pays for ``n²`` destination ints
+    they never use."""
+
+    def test_vec_never_builds_it_and_sim_builds_it_on_first_send(self):
+        pytest.importorskip("numpy")
+        n = 200
+        vec = run_flooding(list(range(n)), 3, backend="vec")
+        assert all(proc._cache_peers is None for proc in vec.processes)
+        sim = run_flooding(list(range(n)), 3, backend="sim")
+        for pid, proc in enumerate(sim.processes):
+            assert proc._cache_peers == tuple(
+                q for q in range(n) if q != pid
+            )
+
+    def test_only_the_coordinators_that_sent_hold_one(self):
+        # t = 5: coordinators 0..5, of which 2 is down before its round
+        scenario = Scenario(n=40, crashes=[CrashEvent(2, 0, 0)])
+        result = run_lv_consensus(
+            list(range(40)), 5, crashes=scenario, backend="sim"
+        )
+        assert [
+            proc.pid
+            for proc in result.processes
+            if proc._cache_peers is not None
+        ] == [0, 1, 3, 4, 5]
+
+    def test_state_digest_ignores_it(self):
+        sent = FloodingConsensusProcess(1, 5, 2, 7)
+        fresh = FloodingConsensusProcess(1, 5, 2, 7)
+        assert sent.send(0)[0].dsts == (0, 2, 3, 4)
+        assert fresh._cache_peers is None
+        assert sent.state_digest() == fresh.state_digest()
 
 
 class TestFloodingConsensus:

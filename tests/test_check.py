@@ -388,9 +388,9 @@ class TestBrokenImplementationCanaries:
         def spammy_send(self, rnd):
             # The bug: every node re-broadcasts every round, inflating
             # the bit spend by a factor n over the coordinator schedule.
-            if rnd >= self.rounds or not self._everyone:
+            if rnd >= self.rounds or self.n < 2:
                 return ()
-            return [Multicast(self._everyone, self.value)]
+            return [Multicast(self.everyone_else(), self.value)]
 
         def coordinator_only_receive(self, rnd, inbox):
             # Keep the decision logic correct (only coordinator messages

@@ -237,6 +237,22 @@ class TestChurnSemantics:
             procs = runs[label][0].processes
             assert procs[2].starts == 1
 
+    def test_rejoined_process_shares_the_overlay(self):
+        # The rejoin restores a deep copy of the process dict, but an
+        # overlay is immutable and shared by identity: the copy must
+        # hand back the same Graph, not walk it once per churn node.
+        n = 30
+        scenario = Scenario(n=n, churn=[ChurnSpec(2, 1, 4, 0)])
+        for backend in ("sim", "net"):
+            result = run_consensus(
+                input_vector(n, "random", 1), 3, crashes=scenario,
+                backend=backend,
+            )
+            assert 2 in result.decisions and result.crashed == set()
+            rejoined, neighbour = result.processes[2], result.processes[3]
+            assert rejoined._spread is neighbour._spread, backend
+            assert rejoined.aea.graph is neighbour.aea.graph, backend
+
     def test_on_start_reruns_at_rejoin(self):
         # A class-level (non-state) counter survives the reset and
         # proves on_start genuinely re-ran for the churn node.

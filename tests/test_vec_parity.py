@@ -32,12 +32,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
+    prepare_recipe,
     run_ab_consensus,
     run_checkpointing,
     run_consensus,
     run_flooding,
     run_gossip,
+    run_recipe,
 )
+from repro.baselines.approximate import ApproximateConsensusProcess
 from repro.check.driver import (
     DEFAULT_BACKENDS,
     FAMILIES,
@@ -46,9 +49,12 @@ from repro.check.driver import (
 )
 from repro.check.oracles import check_parity
 from repro.scenarios import scenario_schedule
+from repro.sim.engine import Engine
 from repro.sim.vec import KERNEL_FAMILIES, vec_run
+from repro.sim.vec.approximate import ApproximateKernel
 from repro.sim.vec.engine import VecEngine
 from repro.sim.vec.flooding import FloodingKernel
+from repro.sim.vec.lv_consensus import LVConsensusKernel
 
 WALL = settings(
     max_examples=20,
@@ -95,6 +101,26 @@ def _triple(runner, *args, scenario, **kwargs):
     return vec
 
 
+def _kernel_triple(kernel_type, recipe, scenario):
+    """:func:`_triple` for a kernel no registry record names yet:
+    the vec leg hands ``kernel_type`` to :class:`VecEngine` directly
+    (``backend="vec"`` would fall back to the engine and compare it
+    with itself)."""
+    ref = run_recipe(recipe, crashes=scenario, backend="sim",
+                     optimized=False, max_rounds=3000)
+    opt = run_recipe(recipe, crashes=scenario, backend="sim",
+                     optimized=True, max_rounds=3000)
+    prepared = prepare_recipe(recipe, crashes=scenario, max_rounds=3000)
+    kernel = kernel_type.build(prepared.processes)
+    assert kernel is not None, "kernel declined a regular instance"
+    vec = VecEngine(prepared.processes, prepared.adversary, kernel,
+                    max_rounds=prepared.max_rounds).run()
+    check_parity(ref, opt, "sim-ref", "sim-opt")
+    check_parity(ref, vec, "sim-ref", "vec")
+    for a, b in zip(ref.processes, vec.processes):
+        assert (a.value, a.halted) == (b.value, b.halted), a.pid
+
+
 class TestKernelFamilyParity:
     """vec == sim-ref == sim-opt on the full parity surface, under
     random extended-fault scenarios."""
@@ -123,6 +149,42 @@ class TestKernelFamilyParity:
     def test_checkpointing(self, draw, n):
         t = max(1, (n - 1) // 5)
         _triple(run_checkpointing, n, t, scenario=_scenario(draw, n, t))
+
+    @WALL
+    @given(
+        draw=scenario_draws,
+        n=st.integers(2, 40),
+        inputs_seed=st.integers(0, 10_000),
+        mode=st.sampled_from(("midpoint", "mean")),
+        integral=st.booleans(),
+    )
+    def test_approximate(self, draw, n, inputs_seed, mode, integral):
+        rng = random.Random(inputs_seed)
+        t = rng.randrange(0, n)
+        if integral:
+            inputs = [float(rng.randrange(-1000, 1000)) for _ in range(n)]
+        else:
+            inputs = [rng.uniform(-1e6, 1e6) for _ in range(n)]
+        recipe = {"name": "approximate", "inputs": inputs, "t": t,
+                  "eps": rng.choice((1e-3, 0.5, 1.0, 4.0)), "mode": mode}
+        _kernel_triple(ApproximateKernel, recipe, _scenario(draw, n, t))
+
+    @WALL
+    @given(
+        draw=scenario_draws,
+        n=st.integers(2, 40),
+        inputs_seed=st.integers(0, 10_000),
+        width=st.sampled_from((1, 64, 256)),
+    )
+    def test_lv_consensus(self, draw, n, inputs_seed, width):
+        # width 64 and 256 draw values past int64: the kernel moves
+        # indices, never the values
+        rng = random.Random(inputs_seed)
+        t = rng.randrange(0, n)
+        inputs = [rng.randrange(0, 2**width) for _ in range(n)]
+        recipe = {"name": "lv_consensus", "inputs": inputs, "t": t,
+                  "width": width}
+        _kernel_triple(LVConsensusKernel, recipe, _scenario(draw, n, t))
 
 
 class TestKernelEngagement:
@@ -168,6 +230,23 @@ class TestKernelEngagement:
                            optimized=False)
         check_parity(ref, vec, "sim-ref", "vec")
         assert vec.decisions[0] == -(2**80)
+
+    def test_non_finite_approximate_input_declines_the_kernel(self):
+        # ``run_approximate`` cannot even schedule an infinite spread,
+        # so the processes are built directly.
+        def processes(values):
+            return [
+                ApproximateConsensusProcess(pid, len(values), 1, value, 1.0, 2)
+                for pid, value in enumerate(values)
+            ]
+
+        assert ApproximateKernel.build(processes([3.0, -1.5, 7.0])) is not None
+        irregular = [3.0, float("inf"), -1.5, 7.0]
+        assert ApproximateKernel.build(processes(irregular)) is None
+        vec = vec_run(processes(irregular), None)
+        ref = Engine(processes(irregular), optimized=False).run()
+        check_parity(ref, vec, "sim-ref", "vec")
+        assert vec.decisions[0] == float("inf")
 
 
 class TestTraceRoundTrips:
@@ -258,3 +337,14 @@ class TestVecRunSurface:
         vec = run_flooding([42], 0, crashes=None, backend="vec")
         check_parity(ref, vec, "sim-ref", "vec")
         assert vec.decisions == {0: 42}
+        _kernel_triple(
+            ApproximateKernel,
+            {"name": "approximate", "inputs": [4.5], "t": 0, "eps": 1.0,
+             "mode": "mean"},
+            None,
+        )
+        _kernel_triple(
+            LVConsensusKernel,
+            {"name": "lv_consensus", "inputs": [42], "t": 0, "width": 6},
+            None,
+        )
