@@ -42,7 +42,7 @@ helpers accept ``backend="net"`` / ``backend="tcp"`` and route here.
 """
 
 from repro.net.codec import MAX_FRAME_BYTES, FrameTooLargeError
-from repro.net.faults import NetFaultInjector, RuntimeView
+from repro.net.faults import RuntimeView
 from repro.net.runtime import (
     NetRuntimeError,
     Session,
@@ -65,7 +65,6 @@ __all__ = [
     "FrameTooLargeError",
     "MAX_FRAME_BYTES",
     "MemoryHub",
-    "NetFaultInjector",
     "NetRuntimeError",
     "RuntimeView",
     "Session",

@@ -14,19 +14,18 @@ the engine's query surface, so any existing adversary -- oblivious
 :class:`~repro.sim.adversary.ScheduledCrashes` schedules as well as the
 adaptive ones -- drives the net runtime unchanged, and the same seed
 produces the same crash set on both substrates (pinned by the parity
-tests).  :class:`NetFaultInjector` wraps the adversary with the
-engine's validity checks.
+tests).  The coordinator hands the view to its
+:class:`~repro.sim.rounds.RoundControl`, which consults the adversary
+with the same validity checks and in the same order as on every other
+backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
-from repro.sim.adversary import CrashAdversary
-from repro.sim.process import ProtocolError
-
-__all__ = ["NetFaultInjector", "NodeStatus", "RuntimeView"]
+__all__ = ["NodeStatus", "RuntimeView"]
 
 
 @dataclass
@@ -58,62 +57,3 @@ class RuntimeView:
 
     def operational(self, pid: int) -> bool:
         return pid not in self.crashed
-
-
-class NetFaultInjector:
-    """Applies a :class:`~repro.sim.adversary.CrashAdversary` per round.
-
-    Wraps the adversary's full per-round surface — crash nominations,
-    churn rejoins and link masks — with the engine's validity checks, in
-    the same order the engine consults them at the top of each round:
-    :meth:`rejoins_for_round` (before the crash nomination, so adaptive
-    adversaries observe post-rejoin state), then
-    :meth:`crashes_for_round`, then :meth:`blocked_links` for the round's
-    send phase.
-    """
-
-    def __init__(self, adversary: CrashAdversary, byzantine: frozenset[int]):
-        self.adversary = adversary
-        self.byzantine = byzantine
-        for pid in adversary.rejoin_pids():
-            if pid in byzantine:
-                raise ProtocolError(
-                    f"adversary scheduled churn on Byzantine node {pid}"
-                )
-
-    def crashes_for_round(
-        self, rnd: int, view: RuntimeView
-    ) -> dict[int, Optional[int]]:
-        """pid -> partial-send ``keep`` budget for nodes crashing at ``rnd``."""
-        view.round = rnd
-        crashing = self.adversary.crashes_for_round(rnd, view)  # type: ignore[arg-type]
-        for pid in crashing:
-            if pid in self.byzantine:
-                raise ProtocolError(
-                    f"adversary attempted to crash Byzantine node {pid}"
-                )
-        return crashing
-
-    def rejoins_for_round(self, rnd: int):
-        """Pids whose churn schedule rejoins them at ``rnd`` (the
-        coordinator reinstates only those currently crashed)."""
-        return self.adversary.rejoins_for_round(rnd)
-
-    def rejoin_pids(self) -> frozenset[int]:
-        """All churn pids; node tasks hosting them snapshot initial state."""
-        return self.adversary.rejoin_pids()
-
-    def next_rejoin(self, pid: int, rnd: int) -> Optional[int]:
-        """Earliest rejoin of ``pid`` after ``rnd``; a crashing node with
-        one pending keeps its connection open instead of exiting."""
-        return self.adversary.next_rejoin(pid, rnd)
-
-    def blocked_links(
-        self, rnd: int
-    ) -> Optional[Mapping[int, frozenset[int]]]:
-        """The round's link mask; each participant receives its own
-        blocked-destination set inside the ``START`` frame."""
-        return self.adversary.blocked_links(rnd)
-
-    def next_event_round(self, rnd: int) -> Optional[int]:
-        return self.adversary.next_event_round(rnd)

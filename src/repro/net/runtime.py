@@ -25,7 +25,7 @@ and bits counted at the sender; envelopes are the runtime's business.
    participate in round ``r``'s send phase.
 2. ``START(r)`` -- the coordinator opens round ``r`` on every host with
    a live pid, naming those pids and -- only for the pids that have one
-   -- the partial-send budget ``keep`` of a pid the fault injector
+   -- the partial-send budget ``keep`` of a pid the adversary
    crashes this round, its blocked-destination set for link faults
    (omission/partition scenarios) and whether it should await a rejoin.
    The host runs the ``send(r)`` hooks in pid order, normalises and
@@ -75,11 +75,12 @@ receiver the sender's object); receivers behind different hosts, and
 the sender, never share one.
 
 The barrier guarantees the paper's synchrony: no process observes round
-``r + 1`` before every round-``r`` message is delivered.  Crash faults,
-link faults, churn, fast-forward over quiescent stretches, termination,
-and the rounds/messages/bits/dropped accounting all mirror the
-simulator's reference loop statement by statement and pid by pid, which
-is what makes the sim/net parity tests exact rather than statistical --
+``r + 1`` before every round-``r`` message is delivered.  Who rejoins,
+who crashes, which links are blocked, fast-forward over quiescent
+stretches and termination are decided by the session's
+:class:`~repro.sim.rounds.RoundControl`, as on every backend; hosts
+truncate, filter and count with the engine's own helpers, pid by pid.
+That makes the sim/net parity tests exact rather than statistical --
 and independent of how pids are dealt to hosts.  When a trace recorder
 or checker is attached (:mod:`repro.trace`), hosts compute the
 structural digest of every payload next to the wire and ship the
@@ -136,7 +137,7 @@ from operator import itemgetter
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from repro.net.codec import MAX_FRAME_BYTES, encode, set_codec_probe
-from repro.net.faults import NetFaultInjector, NodeStatus, RuntimeView
+from repro.net.faults import NodeStatus, RuntimeView
 from repro.obs.recorder import coerce_recorder
 from repro.net.transport import Endpoint, MemoryHub, TCPHub, open_mux
 from repro.sim.adversary import CrashAdversary, NoFailures
@@ -148,6 +149,7 @@ from repro.sim.engine import (
 )
 from repro.sim.metrics import Metrics
 from repro.sim.process import Process, ProtocolError, payload_bits_cached
+from repro.sim.rounds import RoundControl
 from repro.trace import payload_digest
 
 __all__ = [
@@ -530,13 +532,16 @@ async def run_node(
 class Session:
     """One protocol instance's round-barrier coordinator.
 
-    Drives the crash phase (via :class:`~repro.net.faults.NetFaultInjector`),
-    the send/deliver barrier, fast-forward over quiescent rounds, the
-    termination condition, and the :class:`~repro.sim.metrics.Metrics`
-    accounting -- all statement-for-statement mirrors of the simulator's
-    reference loop, so a seeded schedule yields identical rounds,
-    message/bit totals, per-node and per-round tallies, crash sets and
-    decisions on both substrates.
+    A data plane under :class:`~repro.sim.rounds.RoundControl`
+    (:attr:`control`), which consults the adversary through the
+    session's :class:`~repro.net.faults.RuntimeView` and decides
+    rejoins, crashes, link masks, termination and fast-forward; the
+    session drives the rejoin and send/deliver barriers and the
+    :class:`~repro.sim.metrics.Metrics` accounting.  That a seeded
+    schedule yields identical rounds, message/bit totals, per-node and
+    per-round tallies, crash sets and decisions on both substrates is
+    pinned by the parity tests, not by shared statements with the
+    reference loop.
 
     A session carries no global state: it talks to its hosts through
     whatever endpoint :meth:`run` is handed, so one event loop can
@@ -570,9 +575,7 @@ class Session:
         #: uses it to stream round/metrics updates to watchers.
         self.on_round: Optional[Any] = None
         self.byzantine = frozenset(byzantine)
-        self.injector = NetFaultInjector(
-            adversary if adversary is not None else NoFailures(), self.byzantine
-        )
+        self.adversary = adversary if adversary is not None else NoFailures()
         self.max_rounds = max_rounds
         self.fast_forward = fast_forward
         self.timeout = timeout
@@ -588,6 +591,18 @@ class Session:
         self.crashed: set[int] = set()
         self.statuses = [NodeStatus(pid) for pid in range(n)]
         self.view = RuntimeView(self.statuses, self.crashed)
+        #: the round's control plane; constructing it validates the
+        #: adversary's churn pids, so a bad schedule fails here as it
+        #: does in ``Engine.run``
+        self.control = RoundControl(
+            self.view,
+            self.adversary,
+            byzantine=self.byzantine,
+            max_rounds=max_rounds,
+            fast_forward=fast_forward,
+            recorder=recorder,
+            telemetry=self.telemetry,
+        )
         #: pid -> (phase, round, time.monotonic()) of the pid's last
         #: completed report.  Always maintained (one dict store per pid
         #: per report frame, telemetry or not) so a barrier timeout can name
@@ -624,7 +639,7 @@ class Session:
             self._watchdog()
         try:
             await self._await_ready(endpoint)
-            completed, last_active_round = await self._round_loop(endpoint)
+            await self._round_loop(endpoint)
         finally:
             if self._watch is not None:
                 self._watch.cancel()
@@ -636,26 +651,7 @@ class Session:
                 await self._stop_survivors(endpoint)
             except Exception:
                 pass
-        if not completed and all(
-            pid in self.crashed or pid in self.byzantine for pid in range(self.n)
-        ):
-            completed = True
-            self.metrics.rounds = max(last_active_round + 1, 0)
-        decisions = {
-            s.pid: s.decision for s in self.statuses if s.decided
-        }
-        result = RunResult(
-            processes=tuple(self.statuses),
-            metrics=self.metrics,
-            crashed=set(self.crashed),
-            byzantine=self.byzantine,
-            completed=completed,
-            decisions=decisions,
-        )
-        if tel is not None:
-            tel.run_end(completed=completed)
-            result.telemetry = tel.finish(result)
-        return result
+        return self.control.seal(tuple(self.statuses), self.metrics)
 
     # -- protocol steps --------------------------------------------------
 
@@ -782,20 +778,16 @@ class Session:
         status.decided = decided
         status.decision = decision
 
-    async def _rejoin_phase(self, endpoint: Endpoint, rnd: int) -> list[int]:
-        """Reinstate crashed churn nodes scheduled to rejoin at ``rnd``.
+    async def _rejoin_phase(
+        self, endpoint: Endpoint, rnd: int, rejoining: list[int]
+    ) -> None:
+        """Reinstate the crashed churn nodes ``rejoining`` at ``rnd``.
 
-        Mirrors the engine's rejoin phase: only currently-crashed pids
-        rejoin; their hosts get one ``REJOIN`` frame each, reset the
-        named pids to their snapshots, run ``on_start`` and report
-        ``REJOINED`` with fresh status before the round opens (so no
-        round-``rnd`` data frame can race ahead of the reset).  Returns
-        the sorted reinstated pids.
+        Their hosts get one ``REJOIN`` frame each, reset the named pids
+        to their snapshots, run ``on_start`` and report ``REJOINED``
+        with fresh status before the round opens (so no round-``rnd``
+        data frame can race ahead of the reset).
         """
-        scheduled = self.injector.rejoins_for_round(rnd)
-        if not scheduled:
-            return []
-        rejoining = sorted(pid for pid in scheduled if pid in self.crashed)
         for host, pids in self._by_host(rejoining).items():
             await endpoint.send(host, (_REJOIN, rnd, pids))
         pending = set(rejoining)
@@ -810,7 +802,6 @@ class Session:
                 self._update(pid, halted, decided, decision)
                 self.statuses[pid].wake = None
                 self.last_progress[pid] = ("rejoin", rnd, now)
-        return rejoining
 
     def _faults(
         self,
@@ -833,37 +824,20 @@ class Session:
                     crashing.get(pid),
                     tuple(sorted(mask)) if mask else (),
                     crashes_now
-                    and self.injector.next_rejoin(pid, rnd) is not None,
+                    and self.adversary.next_rejoin(pid, rnd) is not None,
                 )
         return faults
 
-    async def _round_loop(self, endpoint: Endpoint) -> tuple[bool, int]:
-        rnd = 0
-        completed = False
-        last_active_round = -1
-        hit_max = True
+    async def _round_loop(self, endpoint: Endpoint) -> None:
+        ctl = self.control
         record = self.recorder is not None
         tel = self.telemetry
-        decided_seen: set[int] = set()
-        while rnd < self.max_rounds:
-            if tel is not None:
-                t_round = tel.clock()
-            rejoining = await self._rejoin_phase(endpoint, rnd)
-            if tel is not None:
-                t_rejoin = tel.clock()
-                if rejoining:
-                    tel.span("rejoin", rnd, t_round, t_rejoin)
-                    for pid in rejoining:
-                        tel.point("rejoin", rnd, t_rejoin, pid=pid)
-            crashing = self.injector.crashes_for_round(rnd, self.view)
-            blocked = self.injector.blocked_links(rnd)
-            if record:
-                self.recorder.round_events(rnd, crashing, rejoining, blocked)
-            if tel is not None:
-                t_crash = tel.clock()
-                tel.span("crash", rnd, t_rejoin, t_crash)
-                for pid in crashing:
-                    tel.point("crash", rnd, t_crash, pid=pid, keep=crashing[pid])
+        rnd = ctl.begin()
+        while rnd is not None:
+            rejoining = ctl.rejoining(rnd)
+            if rejoining:
+                await self._rejoin_phase(endpoint, rnd, rejoining)
+            crashing, blocked = ctl.open(rnd, rejoining)
 
             # Send phase: open the round on every host with a live pid.
             participants = [
@@ -919,8 +893,7 @@ class Session:
             if tel is not None:
                 # The send span covers opening the round plus the
                 # barrier wait for every host's SENT report.
-                t_send = tel.clock()
-                tel.span("send", rnd, t_crash, t_send)
+                ctl.phase("send", rnd)
 
             # Receive phase: survivors consume their (possibly empty) inbox.
             need_wake = self.fast_forward and not delivered_any
@@ -952,61 +925,30 @@ class Session:
                         )
             if tel is not None:
                 # Likewise, deliver covers the DONE barrier wait.
-                t_deliver = tel.clock()
-                tel.span("deliver", rnd, t_send, t_deliver)
-                tel.span("round", rnd, t_round, t_deliver)
-                for status in self.statuses:
-                    if status.decided and status.pid not in decided_seen:
-                        decided_seen.add(status.pid)
-                        tel.point("decide", rnd, t_deliver, pid=status.pid)
-
-            if delivered_any:
-                last_active_round = rnd
+                ctl.phase("deliver", rnd, self.statuses)
 
             if self.on_round is not None:
                 self.on_round(self, rnd)
 
-            # Termination: all operational non-Byzantine nodes halted and
-            # no crashed node still has a scheduled rejoin ahead -- the
-            # engine's rule exactly (see Engine._rejoin_pending): a
-            # pending rejoin always fires before the run ends, and one at
-            # or beyond max_rounds exhausts the safety bound instead.
-            if all(
-                self.statuses[pid].halted
-                for pid in range(self.n)
-                if pid not in self.crashed and pid not in self.byzantine
-            ) and not self._rejoin_pending(rnd):
-                self.metrics.rounds = rnd + 1
-                completed = True
-                hit_max = False
-                break
-
-            rnd = self._advance(rnd, delivered_any, receivers)
-        if hit_max:
-            self.metrics.rounds = self.max_rounds
-        return completed, last_active_round
-
-    def _rejoin_pending(self, rnd: int) -> bool:
-        """Mirror of :meth:`repro.sim.engine.Engine._rejoin_pending`."""
-        for pid in self.crashed:
-            if self.injector.next_rejoin(pid, rnd) is not None:
-                return True
-        return False
-
-    def _advance(self, rnd: int, delivered_any: bool, receivers: list[int]) -> int:
-        """The engine's quiescence fast-forward over reported wake rounds."""
-        if not self.fast_forward or delivered_any:
-            return rnd + 1
-        nxt = self.max_rounds
-        for pid in receivers:
-            status = self.statuses[pid]
-            if status.halted or status.wake is None:
-                continue
-            nxt = min(nxt, status.wake)
-        crash_event = self.injector.next_event_round(rnd)
-        if crash_event is not None:
-            nxt = min(nxt, max(crash_event, rnd + 1))
-        return max(rnd + 1, nxt)
+            rnd = ctl.close(
+                rnd,
+                delivered_any,
+                all(
+                    self.statuses[pid].halted
+                    for pid in range(self.n)
+                    if pid not in self.crashed and pid not in self.byzantine
+                ),
+                # The wake rounds the receivers reported in DONE (a
+                # halted one reports none).
+                lambda: min(
+                    (
+                        self.statuses[pid].wake
+                        for pid in receivers
+                        if self.statuses[pid].wake is not None
+                    ),
+                    default=None,
+                ),
+            )
 
     async def _stop_survivors(self, endpoint: Endpoint) -> None:
         # A host whose pids all halted or crashed for good has already
@@ -1043,6 +985,18 @@ async def _run_async(
 ) -> RunResult:
     n = len(processes)
     tel = coerce_recorder(telemetry)
+    # First, so that a schedule the control rejects fails before a hub,
+    # a socket or the codec probe exists.
+    sync = Session(
+        n,
+        adversary,
+        byzantine=byzantine,
+        max_rounds=max_rounds,
+        fast_forward=fast_forward,
+        timeout=timeout,
+        recorder=recorder,
+        telemetry=tel,
+    )
     if tel is not None:
         # Label and open the run span before any transport setup so the
         # host/coordinator spans all land inside it; install the codec
@@ -1065,16 +1019,6 @@ async def _run_async(
     else:
         raise ValueError(f"unknown transport {transport!r}")
     coordinator = mux.endpoint(n)
-    sync = Session(
-        n,
-        adversary,
-        byzantine=byzantine,
-        max_rounds=max_rounds,
-        fast_forward=fast_forward,
-        timeout=timeout,
-        recorder=recorder,
-        telemetry=tel,
-    )
     # All n processes are one shard: one host task at address 0 (an
     # empty run has no host, and address 0 is then the coordinator's).
     host_tasks = []
@@ -1085,7 +1029,7 @@ async def _run_async(
                     processes,
                     mux.endpoint(0),
                     n,
-                    churn_pids=sync.injector.rejoin_pids(),
+                    churn_pids=sync.adversary.rejoin_pids(),
                     telemetry=tel,
                 )
             )

@@ -43,15 +43,20 @@ Hot path
 --------
 The engine carries two interchangeable round-loop implementations:
 
-* the **optimized** path (default) batches metric recording per sender
-  per round, shares one ``(src, payload)`` envelope across a
-  multicast's recipients, reuses preallocated inbox lists, caches
-  :func:`~repro.sim.process.payload_bits` per payload object within a
-  round, and walks an incrementally-maintained list of active (neither
-  crashed nor halted) processes instead of testing membership per
-  process per phase;
 * the **reference** path (``Engine(..., optimized=False)``) is the
-  original straight-line loop kept as the executable specification.
+  original straight-line loop kept as the executable specification --
+  of the send and receive phases and of the round's control flow
+  alike, written without the control it is compared against;
+* the **optimized** path (default) is a data plane under
+  :class:`~repro.sim.rounds.RoundControl`, the one other statement of
+  that control flow (which the vec, net and single-port backends drive
+  too).  Its send and receive phases batch metric recording per sender
+  per round, share one ``(src, payload)`` envelope across a
+  multicast's recipients, reuse preallocated inbox lists, cache
+  :func:`~repro.sim.process.payload_bits` per payload object within a
+  round, and walk an incrementally-maintained list of active (neither
+  crashed nor halted) processes instead of testing membership per
+  process per phase.
 
 Both paths produce identical rounds/messages/bits, per-node and
 per-round tallies, decisions and crash sets; ``tests/test_engine_parity.py``
@@ -61,7 +66,7 @@ pins this for every protocol family.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional, Sequence
 
 from repro.obs.recorder import coerce_recorder
@@ -74,6 +79,7 @@ from repro.sim.process import (
     payload_bits,
     payload_bits_cached,
 )
+from repro.sim.rounds import RoundControl, RunResult, earliest_wake
 
 __all__ = [
     "Engine",
@@ -152,54 +158,6 @@ def apply_link_filter(
         if surviving:
             kept.append((surviving, payload))
     return kept, dropped
-
-
-@dataclass
-class RunResult:
-    """Outcome of one simulated execution."""
-
-    processes: Sequence[Process]
-    metrics: Metrics
-    crashed: set[int]
-    byzantine: frozenset[int]
-    completed: bool
-    #: pid -> decision for processes that decided (crashed nodes that
-    #: decided before crashing are included; callers filter as needed)
-    decisions: dict[int, Any] = field(default_factory=dict)
-    #: the recorded :class:`repro.trace.Trace`, attached by the
-    #: ``repro.api`` entry points when ``record_trace`` was requested
-    trace: Any = None
-    #: the sealed :class:`repro.obs.RunTelemetry` artifact when the run
-    #: was executed with ``telemetry=`` enabled, else ``None``
-    telemetry: Any = None
-
-    @property
-    def rounds(self) -> int:
-        return self.metrics.rounds
-
-    @property
-    def messages(self) -> int:
-        return self.metrics.messages
-
-    @property
-    def bits(self) -> int:
-        return self.metrics.bits
-
-    def correct_pids(self) -> list[int]:
-        """Processes that are neither crashed nor Byzantine."""
-        return [
-            p.pid
-            for p in self.processes
-            if p.pid not in self.crashed and p.pid not in self.byzantine
-        ]
-
-    def correct_decisions(self) -> dict[int, Any]:
-        """Decisions of non-faulty processes only."""
-        return {
-            pid: value
-            for pid, value in self.decisions.items()
-            if pid not in self.crashed and pid not in self.byzantine
-        }
 
 
 class Engine:
@@ -307,13 +265,13 @@ class Engine:
             proc.on_start()
 
         if self.optimized:
-            completed, last_active_round = self._loop_optimized(
-                observer, fast_forward
-            )
-        else:
-            completed, last_active_round = self._loop_reference(
-                observer, fast_forward
-            )
+            return self._loop_optimized(observer, fast_forward)
+
+        # The reference keeps its own fixup and result assembly: the
+        # spec shares no statement with the control it is compared to.
+        completed, last_active_round = self._loop_reference(
+            observer, fast_forward
+        )
 
         if not completed:
             # Either max_rounds was hit, or every process crashed.
@@ -345,7 +303,7 @@ class Engine:
         """The original straight-line round loop (executable spec).
 
         Returns ``(completed, last_active_round)``; on non-completion the
-        caller applies the everyone-crashed fixup shared by both paths.
+        caller applies the everyone-crashed fixup.
         """
         recorder = self.recorder
         tel = self.telemetry
@@ -466,8 +424,9 @@ class Engine:
             self.metrics.rounds = self.max_rounds
         return completed, last_active_round
 
-    def _loop_optimized(self, observer, fast_forward: bool) -> tuple[bool, int]:
-        """Batched hot-path round loop; observably identical to
+    def _loop_optimized(self, observer, fast_forward: bool) -> RunResult:
+        """Batched hot-path round loop: a data plane under
+        :class:`~repro.sim.rounds.RoundControl`, observably identical to
         :meth:`_loop_reference` (see module docstring and the parity
         tests)."""
         n = self.n
@@ -489,47 +448,29 @@ class Engine:
             p for p in self.processes if p.pid not in crashed and not p.halted
         ]
         tel = self.telemetry
-        decided_seen: set[int] = set()
+        ctl = RoundControl(
+            self,
+            self.adversary,
+            byzantine=byzantine,
+            max_rounds=self.max_rounds,
+            fast_forward=fast_forward,
+            recorder=recorder,
+            telemetry=tel,
+        )
 
-        rnd = 0
-        completed = False
-        last_active_round = -1
-        while rnd < self.max_rounds:
-            self.round = rnd
-            if tel is not None:
-                t_round = tel.clock()
-
-            rejoining = self._apply_rejoins(rnd)
+        rnd = ctl.begin()
+        while rnd is not None:
+            rejoining = ctl.rejoining(rnd)
             if rejoining:
+                self._reinstate(rejoining, rnd)
                 # Rejoined pids must re-enter the active walk this round.
                 active = [
                     p
                     for p in self.processes
                     if p.pid not in crashed and not p.halted
                 ]
-            if tel is not None:
-                t_rejoin = tel.clock()
-                if rejoining:
-                    tel.span("rejoin", rnd, t_round, t_rejoin)
-                    for pid in rejoining:
-                        tel.point("rejoin", rnd, t_rejoin, pid=pid)
-
-            crashing = self.adversary.crashes_for_round(rnd, self)
+            crashing, blocked = ctl.open(rnd, rejoining)
             membership_dirty = bool(crashing)
-            if crashing:
-                for pid in crashing:
-                    if pid in byzantine:
-                        raise ProtocolError(
-                            f"adversary attempted to crash Byzantine node {pid}"
-                        )
-            blocked = self.adversary.blocked_links(rnd)
-            if recorder is not None:
-                recorder.round_events(rnd, crashing, rejoining, blocked)
-            if tel is not None:
-                t_crash = tel.clock()
-                tel.span("crash", rnd, t_rejoin, t_crash)
-                for pid in crashing:
-                    tel.point("crash", rnd, t_crash, pid=pid, keep=crashing[pid])
 
             # Send phase.  A sender takes the collect_sends slow path
             # when it crashes this round, when a link filter is active,
@@ -629,8 +570,7 @@ class Engine:
                     )
                     delivered_any = True
             if tel is not None:
-                t_send = tel.clock()
-                tel.span("send", rnd, t_crash, t_send)
+                ctl.phase("send", rnd)
 
             # Receive phase.
             for proc in active:
@@ -649,16 +589,7 @@ class Engine:
             for dst in touched:
                 inboxes[dst] = []
             if tel is not None:
-                t_deliver = tel.clock()
-                tel.span("deliver", rnd, t_send, t_deliver)
-                tel.span("round", rnd, t_round, t_deliver)
-                for proc in self.processes:
-                    if proc.decided and proc.pid not in decided_seen:
-                        decided_seen.add(proc.pid)
-                        tel.point("decide", rnd, t_deliver, pid=proc.pid)
-
-            if delivered_any:
-                last_active_round = rnd
+                ctl.phase("deliver", rnd, self.processes)
 
             if observer is not None:
                 observer(rnd, self.processes)
@@ -670,37 +601,36 @@ class Engine:
                     if not p.halted and p.pid not in crashed
                 ]
 
-            # Termination: all operational non-Byzantine halted, i.e.
-            # only Byzantine processes remain active -- and no crashed
-            # node still has a scheduled rejoin ahead.
-            if (
-                not active
-                or (byzantine and all(p.pid in byzantine for p in active))
-            ) and not self._rejoin_pending(rnd):
-                self.metrics.rounds = rnd + 1
-                completed = True
-                break
-
-            rnd = self._advance_active(rnd, delivered_any, active, fast_forward)
-        else:
-            self.metrics.rounds = self.max_rounds
-        return completed, last_active_round
+            # All operational non-Byzantine halted, i.e. only Byzantine
+            # processes remain active.
+            rnd = ctl.close(
+                rnd,
+                delivered_any,
+                all(p.pid in byzantine for p in active),
+                partial(earliest_wake, active, rnd),
+            )
+        return ctl.seal(self.processes, metrics)
 
     # -- internals --------------------------------------------------------
 
     def _apply_rejoins(self, rnd: int) -> list[int]:
-        """Reinstate crashed nodes whose rejoin is scheduled at ``rnd``.
-
-        State reset semantics: the process ``__dict__`` is restored from
-        a fresh deep copy of its pre-``on_start`` snapshot (so a node can
-        crash and rejoin more than once) and ``on_start`` runs again.
-        Pids that are not currently crashed (halted, or never crashed)
-        are skipped.  Returns the sorted list of reinstated pids.
+        """Reinstate crashed nodes whose rejoin is scheduled at ``rnd``
+        (the reference loop's rejoin phase).  Pids that are not
+        currently crashed (halted, or never crashed) are skipped.
+        Returns the sorted list of reinstated pids.
         """
         scheduled = self.adversary.rejoins_for_round(rnd)
         if not scheduled:
             return []
         rejoining = sorted(pid for pid in scheduled if pid in self.crashed)
+        self._reinstate(rejoining, rnd)
+        return rejoining
+
+    def _reinstate(self, rejoining: Sequence[int], rnd: int) -> None:
+        """State reset semantics: the process ``__dict__`` is restored from
+        a fresh deep copy of its pre-``on_start`` snapshot (so a node can
+        crash and rejoin more than once) and ``on_start`` runs again.
+        """
         for pid in rejoining:
             snapshot = self._snapshots.get(pid)
             if snapshot is None:
@@ -713,7 +643,6 @@ class Engine:
             proc.__dict__.update(copy.deepcopy(snapshot))
             self.crashed.discard(pid)
             proc.on_start()
-        return rejoining
 
     def _collect_sends(
         self, proc: Process, rnd: int, keep: Optional[int]
@@ -768,32 +697,6 @@ class Engine:
             nxt = min(nxt, wake)
             if nxt == rnd + 1:
                 return rnd + 1
-        crash_event = self.adversary.next_event_round(rnd)
-        if crash_event is not None:
-            nxt = min(nxt, max(crash_event, rnd + 1))
-        return max(rnd + 1, nxt)
-
-    def _advance_active(
-        self,
-        rnd: int,
-        delivered_any: bool,
-        active: Sequence[Process],
-        fast_forward: bool,
-    ) -> int:
-        """:meth:`_advance` over a pre-filtered active-process list."""
-        if not fast_forward or delivered_any:
-            return rnd + 1
-        nxt = self.max_rounds
-        for proc in active:
-            wake = proc.next_activity(rnd)
-            if wake <= rnd:
-                raise ProtocolError(
-                    f"process {proc.pid} declared next_activity {wake} <= {rnd}"
-                )
-            if wake < nxt:
-                nxt = wake
-                if nxt == rnd + 1:
-                    break
         crash_event = self.adversary.next_event_round(rnd)
         if crash_event is not None:
             nxt = min(nxt, max(crash_event, rnd + 1))

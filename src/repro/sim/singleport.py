@@ -18,12 +18,13 @@ polling, so this choice is invisible to the adapted algorithms.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.sim.adversary import CrashAdversary, NoFailures
+from repro.sim.engine import check_pid_order
 from repro.sim.metrics import Metrics
 from repro.sim.process import ProtocolError, payload_bits
+from repro.sim.rounds import RoundControl, RunResult, earliest_wake
 
 __all__ = ["SinglePortEngine", "SinglePortProcess", "SinglePortResult"]
 
@@ -87,32 +88,9 @@ class SinglePortProcess:
         return tuple(items)
 
 
-@dataclass
-class SinglePortResult:
-    processes: Sequence[SinglePortProcess]
-    metrics: Metrics
-    crashed: set[int]
-    completed: bool
-    decisions: dict[int, Any] = field(default_factory=dict)
-
-    @property
-    def rounds(self) -> int:
-        return self.metrics.rounds
-
-    @property
-    def messages(self) -> int:
-        return self.metrics.messages
-
-    @property
-    def bits(self) -> int:
-        return self.metrics.bits
-
-    def correct_decisions(self) -> dict[int, Any]:
-        return {
-            pid: value
-            for pid, value in self.decisions.items()
-            if pid not in self.crashed
-        }
+#: A single-port run seals the same result as every other backend
+#: (``byzantine`` is always empty here).
+SinglePortResult = RunResult
 
 
 class SinglePortEngine:
@@ -126,15 +104,18 @@ class SinglePortEngine:
         max_rounds: int = 1_000_000,
         fast_forward: bool = True,
     ):
-        for index, proc in enumerate(processes):
-            if proc.pid != index:
-                raise ProtocolError(
-                    f"process at index {index} has pid {proc.pid}; "
-                    "processes must be listed in pid order"
-                )
+        check_pid_order(processes)
         self.processes = list(processes)
         self.n = len(processes)
         self.adversary = adversary if adversary is not None else NoFailures()
+        churn = self.adversary.rejoin_pids()
+        if churn:
+            # There is no reset path here: a churn schedule would run as
+            # plain crashes, or idle until its rejoin round had passed.
+            raise ProtocolError(
+                "the single-port model has no churn; the adversary "
+                f"schedules rejoins for pids {sorted(churn)}"
+            )
         self.max_rounds = max_rounds
         self.fast_forward = fast_forward
         self.metrics = Metrics()
@@ -162,16 +143,20 @@ class SinglePortEngine:
         mutating ``self.fast_forward``), mirroring
         :meth:`repro.sim.engine.Engine.run`.
         """
-        fast_forward = self.fast_forward and observer is None
+        ctl = RoundControl(
+            self,
+            self.adversary,
+            max_rounds=self.max_rounds,
+            fast_forward=self.fast_forward and observer is None,
+        )
         for proc in self.processes:
             proc.on_start()
 
-        rnd = 0
-        completed = False
-        last_active = -1
-        while rnd < self.max_rounds:
-            self.round = rnd
-            crashing = self.adversary.crashes_for_round(rnd, self)
+        rnd = ctl.begin()
+        while rnd is not None:
+            # No churn and no link faults in this model: nothing to
+            # reset, and the link mask is not consulted.
+            crashing, _blocked = ctl.open(rnd, ctl.rejoining(rnd))
 
             # Send phase: at most one message per operational process.
             any_send = False
@@ -193,8 +178,7 @@ class SinglePortEngine:
                     raise ProtocolError(f"process {pid} sent to invalid pid {dst}")
                 bits = payload_bits(payload)
                 self.metrics.record_send(pid, 1, bits, rnd)
-                self._ports.setdefault(dst, {}).setdefault(src_key(pid), deque())
-                self._ports[dst][pid].append(payload)
+                self._ports.setdefault(dst, {}).setdefault(pid, deque()).append(payload)
                 any_send = True
 
             # Poll phase: at most one port check per operational process.
@@ -216,62 +200,18 @@ class SinglePortEngine:
                         any_receive = True
                 proc.receive(rnd, message)
 
-            if any_send or any_receive:
-                last_active = rnd
-
             if observer is not None:
                 observer(rnd, self.processes)
 
-            if self._all_halted():
-                self.metrics.rounds = rnd + 1
-                completed = True
-                break
+            procs, crashed = self.processes, self.crashed
+            rnd = ctl.close(
+                rnd,
+                any_send or any_receive,
+                all(p.pid in crashed or p.halted for p in procs),
+                lambda: earliest_wake(
+                    (p for p in procs if p.pid not in crashed and not p.halted),
+                    rnd,
+                ),
+            )
 
-            rnd = self._advance(rnd, any_send or any_receive, fast_forward)
-        else:
-            self.metrics.rounds = self.max_rounds
-
-        if not completed and all(p.pid in self.crashed for p in self.processes):
-            completed = True
-            self.metrics.rounds = max(last_active + 1, 0)
-
-        result = SinglePortResult(
-            processes=self.processes,
-            metrics=self.metrics,
-            crashed=set(self.crashed),
-            completed=completed,
-        )
-        for proc in self.processes:
-            if proc.decided:
-                result.decisions[proc.pid] = proc.decision
-        return result
-
-    def _all_halted(self) -> bool:
-        return all(
-            proc.pid in self.crashed or proc.halted for proc in self.processes
-        )
-
-    def _advance(self, rnd: int, active: bool, fast_forward: bool) -> int:
-        if not fast_forward or active:
-            return rnd + 1
-        nxt = self.max_rounds
-        for proc in self.processes:
-            if proc.pid in self.crashed or proc.halted:
-                continue
-            wake = proc.next_activity(rnd)
-            if wake <= rnd:
-                raise ProtocolError(
-                    f"process {proc.pid} declared next_activity {wake} <= {rnd}"
-                )
-            nxt = min(nxt, wake)
-            if nxt == rnd + 1:
-                return rnd + 1
-        crash_event = self.adversary.next_event_round(rnd)
-        if crash_event is not None:
-            nxt = min(nxt, max(crash_event, rnd + 1))
-        return max(rnd + 1, nxt)
-
-
-def src_key(pid: int) -> int:
-    """Identity helper kept for readability at the port-creation site."""
-    return pid
+        return ctl.seal(self.processes, self.metrics)

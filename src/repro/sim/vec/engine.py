@@ -1,13 +1,15 @@
 """The vectorized round loop and its shared kernel machinery.
 
-:class:`VecEngine` is a clone of the reference loop in
-:mod:`repro.sim.engine` with the per-process send/receive phases
-replaced by one :meth:`Kernel.step` call per round.  Everything the
-engine observes -- rejoin-before-crash ordering, the crash-round
-partial-send ``keep`` budget, link filtering with drop accounting,
-termination, fast-forward and the everyone-crashed fixup -- is
-reproduced here so that :func:`repro.check.oracles.check_parity`
-holds field-for-field against both engine paths.
+:class:`VecEngine` is a data plane under
+:class:`~repro.sim.rounds.RoundControl` -- which owns the
+rejoin-before-crash ordering, termination, fast-forward and the
+everyone-crashed fixup -- with the per-process send/receive phases
+replaced by one :meth:`Kernel.step` call per round.  What is left here
+is what depends on the arrays: resetting rejoined nodes, the crash-round
+partial-send ``keep`` budget and link filtering with drop accounting.
+That :func:`repro.check.oracles.check_parity` holds field-for-field
+against both engine paths is the parity wall's job
+(``tests/test_vec_parity.py``), not a property of shared code.
 
 A :class:`Kernel` owns all protocol state as numpy arrays and exposes
 five operations:
@@ -38,7 +40,8 @@ from repro.obs.recorder import coerce_recorder
 from repro.sim.adversary import CrashAdversary
 from repro.sim.engine import RunResult, check_pid_order
 from repro.sim.metrics import Metrics
-from repro.sim.process import Process, ProtocolError
+from repro.sim.process import Process
+from repro.sim.rounds import RoundControl
 
 __all__ = [
     "Kernel",
@@ -255,7 +258,8 @@ def build_kernel(processes: Sequence[Process]) -> Optional[Kernel]:
 
 
 class VecEngine:
-    """Structure-of-arrays clone of the reference engine loop."""
+    """Structure-of-arrays data plane under
+    :class:`~repro.sim.rounds.RoundControl`."""
 
     def __init__(
         self,
@@ -276,65 +280,49 @@ class VecEngine:
         self.fast_forward = fast_forward
         #: wall-clock instrumentation (see repro.obs); normalised to
         #: None when disabled so the round loop only pays an `is not
-        #: None` test per phase.  Spans: round / rejoin / crash /
-        #: kernel.step (the vectorized send+receive body).
+        #: None` test per phase.  Spans: the control's round / rejoin /
+        #: crash, and kernel.step (the vectorized send+receive body).
         self.telemetry = coerce_recorder(telemetry)
         self.round = 0
-        self.crashed_mask = np.zeros(self.n, dtype=bool)
+        self.crashed: set[int] = set()
         self.sink = VecMetricsSink(self.n)
 
     # CrashAdversary.crashes_for_round receives the engine; keep the
     # small surface adaptive adversaries would touch, although kernel
     # dispatch only admits oblivious adversary types.
     def operational(self, pid: int) -> bool:
-        return not bool(self.crashed_mask[pid])
+        return pid not in self.crashed
+
+    def _live(self) -> np.ndarray:
+        """Mask of the nodes that are neither crashed nor halted."""
+        live = ~self.kernel.halted
+        if self.crashed:
+            live[list(self.crashed)] = False
+        return live
 
     def run(self) -> RunResult:
-        n = self.n
-        adversary = self.adversary
         kernel = self.kernel
-        crashed = self.crashed_mask
-        for pid in adversary.rejoin_pids():
-            if not (0 <= pid < n):
-                raise ProtocolError(
-                    f"rejoin scheduled for invalid pid {pid}"
-                )
         tel = self.telemetry
         if tel is not None:
-            tel.run_begin(backend="vec", n=n, kernel=type(kernel).__name__)
-        rnd = 0
-        completed = False
-        exhausted = True
-        last_active_round = -1
-        rounds_metric = self.max_rounds
-        while rnd < self.max_rounds:
-            self.round = rnd
-            if tel is not None:
-                t_round = tel.clock()
-            scheduled = adversary.rejoins_for_round(rnd)
-            rejoining = (
-                sorted(pid for pid in scheduled if crashed[pid])
-                if scheduled
-                else []
+            tel.run_begin(
+                backend="vec", n=self.n, kernel=type(kernel).__name__
             )
+        ctl = RoundControl(
+            self,
+            self.adversary,
+            max_rounds=self.max_rounds,
+            fast_forward=self.fast_forward,
+            telemetry=tel,
+        )
+        rnd = ctl.begin()
+        while rnd is not None:
+            rejoining = ctl.rejoining(rnd)
             if rejoining:
                 kernel.reset_nodes(rejoining)
-                crashed[rejoining] = False
-            if tel is not None:
-                t_rejoin = tel.clock()
-                if rejoining:
-                    tel.span("rejoin", rnd, t_round, t_rejoin)
-                    for pid in rejoining:
-                        tel.point("rejoin", rnd, t_rejoin, pid=pid)
-            crashing = adversary.crashes_for_round(rnd, self)
-            blocked = adversary.blocked_links(rnd)
-            senders = ~crashed & ~kernel.halted
-            if crashing:
-                actually_crashing = [
-                    pid for pid in crashing if senders[pid]
-                ]
-            else:
-                actually_crashing = []
+                self.crashed.difference_update(rejoining)
+            crashing, blocked = ctl.open(rnd, rejoining)
+            senders = self._live()
+            actually_crashing = [pid for pid in crashing if senders[pid]]
             keep = {
                 pid: crashing[pid]
                 for pid in actually_crashing
@@ -345,79 +333,22 @@ class VecEngine:
                 receivers = senders.copy()
                 receivers[actually_crashing] = False
             if tel is not None:
-                t_crash = tel.clock()
-                tel.span("crash", rnd, t_rejoin, t_crash)
-                for pid in actually_crashing:
-                    tel.point(
-                        "crash", rnd, t_crash, pid=pid, keep=crashing[pid]
-                    )
                 drops_before = self.sink._dropped
             delivered_any = kernel.step(
                 rnd, senders, receivers, keep, blocked, self.sink
             )
             if tel is not None:
-                t_step = tel.clock()
-                tel.span("kernel.step", rnd, t_crash, t_step)
-                tel.span("round", rnd, t_round, t_step)
+                t_step = ctl.phase("kernel.step", rnd)
                 dropped = self.sink._dropped - drops_before
                 if dropped:
                     tel.point("drop", rnd, t_step, count=dropped)
-            if actually_crashing:
-                crashed[actually_crashing] = True
-            if delivered_any:
-                last_active_round = rnd
-            if not np.any(
-                ~crashed & ~kernel.halted
-            ) and not self._rejoin_pending(rnd):
-                rounds_metric = rnd + 1
-                completed = True
-                exhausted = False
-                break
-            rnd = self._advance(rnd, delivered_any)
-        if exhausted:
-            rounds_metric = self.max_rounds
-        if not completed and bool(crashed.all()):
-            # Everyone crashed: report the last round with traffic.
-            completed = True
-            rounds_metric = max(last_active_round + 1, 0)
-        metrics = self.sink.to_metrics(rounds_metric)
-        crashed_set = {int(pid) for pid in np.nonzero(crashed)[0]}
+            self.crashed.update(actually_crashing)
+            live = self._live()
+            rnd = ctl.close(
+                rnd,
+                delivered_any,
+                not live.any(),
+                lambda: kernel.next_wake(rnd, live) if live.any() else None,
+            )
         kernel.finalize(self.processes)
-        result = RunResult(
-            processes=self.processes,
-            metrics=metrics,
-            crashed=crashed_set,
-            byzantine=frozenset(),
-            completed=completed,
-        )
-        for proc in self.processes:
-            if proc.decided:
-                result.decisions[proc.pid] = proc.decision
-        if tel is not None:
-            # Kernels decide in bulk at finalize, so per-round decide
-            # timing is not observable here; stamp the markers at the
-            # final round instead (the counts still match the engine).
-            now = tel.clock()
-            for pid in sorted(result.decisions):
-                tel.point("decide", rounds_metric - 1, now, pid=pid)
-            tel.run_end(completed=completed)
-            result.telemetry = tel.finish(result)
-        return result
-
-    def _advance(self, rnd: int, delivered_any: bool) -> int:
-        if not self.fast_forward or delivered_any:
-            return rnd + 1
-        active = ~self.crashed_mask & ~self.kernel.halted
-        nxt = self.max_rounds
-        if active.any():
-            nxt = min(nxt, self.kernel.next_wake(rnd, active))
-        crash_event = self.adversary.next_event_round(rnd)
-        if crash_event is not None:
-            nxt = min(nxt, max(crash_event, rnd + 1))
-        return max(rnd + 1, nxt)
-
-    def _rejoin_pending(self, rnd: int) -> bool:
-        for pid in np.nonzero(self.crashed_mask)[0]:
-            if self.adversary.next_rejoin(int(pid), rnd) is not None:
-                return True
-        return False
+        return ctl.seal(self.processes, self.sink.to_metrics(ctl.rounds))

@@ -1,17 +1,20 @@
 """Fast-forward at the max_rounds horizon and across churn rejoins.
 
-``_advance`` / ``_advance_active`` clamp a quiescence jump to
-``max_rounds`` when nothing wakes; these tests pin that the clamped
-jump is *observably identical* to executing every round
-(``fast_forward=False``) -- rounds, metrics, decisions, completion --
-near the horizon and across churn-rejoin wake events, on both engine
-paths.  Plus the observer regression: ``Engine.run(observer=...)``
-must not leave ``fast_forward`` mutated on the engine.
+The reference loop's ``_advance`` and ``RoundControl.close`` clamp a
+quiescence jump to ``max_rounds`` when nothing wakes; these tests pin
+that the clamped jump is *observably identical* to executing every
+round (``fast_forward=False``) -- rounds, metrics, decisions,
+completion -- near the horizon and across churn-rejoin wake events, on
+both engine paths and the net runtime (every user of the control that
+can host a custom ``Process``).  Plus the observer regression:
+``Engine.run(observer=...)`` must not leave ``fast_forward`` mutated on
+the engine.
 """
 
 import pytest
 
 from repro.check.oracles import check_parity
+from repro.net import run_protocol_net
 from repro.scenarios import ChurnSpec, Scenario
 from repro.sim import Engine
 from repro.sim.process import Multicast, Process
@@ -41,10 +44,11 @@ class Sleeper(Process):
 
 
 def run_grid(make_procs, adversary_factory, max_rounds):
-    """The same execution on (optimized, reference) x (ff on, ff off)."""
+    """The same execution on (optimized, reference, net) x (ff on, ff
+    off); the engine cells are keyed by their ``optimized`` flag."""
     results = {}
-    for optimized in (True, False):
-        for fast_forward in (True, False):
+    for fast_forward in (True, False):
+        for optimized in (True, False):
             results[(optimized, fast_forward)] = Engine(
                 make_procs(),
                 adversary_factory(),
@@ -52,6 +56,13 @@ def run_grid(make_procs, adversary_factory, max_rounds):
                 optimized=optimized,
                 fast_forward=fast_forward,
             ).run()
+        results[("net", fast_forward)] = run_protocol_net(
+            make_procs(),
+            adversary_factory(),
+            max_rounds=max_rounds,
+            fast_forward=fast_forward,
+            transport="memory",
+        )
     return results
 
 
@@ -95,7 +106,7 @@ class TestHorizonClamp:
 
     def test_pure_quiescence_runs_to_horizon(self):
         # No process ever wakes: the clamped jump must report exactly
-        # max_rounds on all four paths, with zero traffic.
+        # max_rounds on every path, with zero traffic.
         max_rounds = 17
         make = lambda: [Sleeper(pid, 2, 10_000) for pid in range(2)]
         results = run_grid(make, lambda: None, max_rounds)

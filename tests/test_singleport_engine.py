@@ -117,6 +117,16 @@ class TestCrashes:
         assert poller.log == [(0, "a")]
         assert result.completed  # all-operational-halted or crashed
 
+    def test_churn_schedule_is_refused(self):
+        # No reset path in this model: a churn schedule used to run as
+        # plain crashes, without a word.
+        from repro.scenarios import ChurnSpec, Scenario
+
+        adversary = Scenario(n=2, churn=[ChurnSpec(0, 0, 2, 0)]).adversary()
+        procs = [Sender(0, 2, dst=1, payloads=["x"]), Poller(1, 2, 0, rounds=3)]
+        with pytest.raises(ProtocolError, match="single-port model has no churn"):
+            SinglePortEngine(procs, adversary)
+
 
 class TestStateDigest:
     def test_digest_reflects_dynamic_state(self):
