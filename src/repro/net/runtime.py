@@ -1005,36 +1005,37 @@ async def _run_async(
             backend="net" if transport == "memory" else "tcp", n=n
         )
         set_codec_probe(tel)
-    hub: Any
-    mux: Any
-    if transport == "memory":
-        hub = mux = MemoryHub()
-    elif transport == "tcp":
-        # One OS process, one hub connection: the host and the
-        # coordinator bind on the same mux, and every frame between them
-        # really crosses the socket to the hub and back.
-        hub = TCPHub(host, port, batching=batching)
-        await hub.start()
-        mux = await open_mux(host, hub.port, batching=batching)
-    else:
-        raise ValueError(f"unknown transport {transport!r}")
-    coordinator = mux.endpoint(n)
-    # All n processes are one shard: one host task at address 0 (an
-    # empty run has no host, and address 0 is then the coordinator's).
+    hub: Any = None
+    mux: Any = None
+    coordinator = None
     host_tasks = []
-    if processes:
-        host_tasks.append(
-            asyncio.create_task(
-                run_nodes(
-                    processes,
-                    mux.endpoint(0),
-                    n,
-                    churn_pids=sync.adversary.rejoin_pids(),
-                    telemetry=tel,
+    try:
+        if transport == "memory":
+            hub = mux = MemoryHub()
+        elif transport == "tcp":
+            # One OS process, one hub connection: the host and the
+            # coordinator bind on the same mux, and every frame between
+            # them really crosses the socket to the hub and back.
+            hub = TCPHub(host, port, batching=batching)
+            await hub.start()
+            mux = await open_mux(host, hub.port, batching=batching)
+        else:
+            raise ValueError(f"unknown transport {transport!r}")
+        coordinator = mux.endpoint(n)
+        # All n processes are one shard: one host task at address 0 (an
+        # empty run has no host, and address 0 is then the coordinator's).
+        if processes:
+            host_tasks.append(
+                asyncio.create_task(
+                    run_nodes(
+                        processes,
+                        mux.endpoint(0),
+                        n,
+                        churn_pids=sync.adversary.rejoin_pids(),
+                        telemetry=tel,
+                    )
                 )
             )
-        )
-    try:
         result = await sync.run(coordinator)
         await asyncio.gather(*host_tasks)
     finally:
@@ -1044,9 +1045,12 @@ async def _run_async(
             if not task.done():
                 task.cancel()
         await asyncio.gather(*host_tasks, return_exceptions=True)
-        await coordinator.close()
+        if coordinator is not None:
+            await coordinator.close()
         if transport == "tcp":
-            await mux.close()
+            # A dial or bind that failed must not leave the hub listening.
+            if mux is not None:
+                await mux.close()
             await hub.close()
     result.processes = list(processes)
     return result

@@ -31,23 +31,27 @@ Multiplexing and batching (TCP)
 One TCP connection is a :class:`TCPMux`: it can bind any number of
 ``(instance, address)`` endpoints, tagging outbound frames with the
 instance header field and demultiplexing inbound frames to per-endpoint
-queues.  Writes are *batched*: frames accumulated while the event loop
-was busy are coalesced into one batch frame
-(:func:`~repro.net.codec.encode_batch`) with payload interning, so a
-node's whole send phase -- or a thousand sessions' simultaneous round
-openings -- costs one syscall.  The hub's egress pumps batch the same
-way.  Batching never reorders a connection's stream, so the FIFO
-delivery contract is unchanged.
+queues.  Each end of the connection is an ``asyncio.Protocol``, with no
+reader, writer or pump task between the socket and the router: the turn
+a chunk arrives in parses it, and on the hub also routes its frames and
+writes them to the destination connections.  Writes are *batched*:
+frames queued within one event-loop turn are coalesced into one batch
+frame (:func:`~repro.net.codec.encode_batch`) with payload interning, so
+a host's whole send phase -- or a thousand sessions' simultaneous round
+openings -- costs one syscall, at either end.  Batching never reorders a
+connection's stream, so the FIFO delivery contract is unchanged.
 
 Backpressure
 ------------
-Each hub connection owns a *bounded* outbound queue drained by its pump
-task.  A consumer that stops reading (a stalled worker, a wedged
-client) fills its queue; at the bound the hub drops that connection
-with a :class:`SlowConsumerError` naming the laggard and the instance
-whose frame hit the limit -- the slow consumer is sacrificed so every
-other instance's rounds keep advancing.  Per-connection accounting
-(queue high-water mark, delivered frames, drop counter) is exposed via
+Each hub connection owns a *bounded* outbound queue that every frame
+routed to it passes through; it is handed to the transport once per
+turn, unless the transport's own buffer is full (``pause_writing``).  A
+consumer that stops reading (a stalled worker, a wedged client) thus
+fills its queue; at the bound the hub drops that connection with a
+:class:`SlowConsumerError` naming the laggard and the instance whose
+frame hit the limit -- the slow consumer is sacrificed so every other
+instance's rounds keep advancing.  Per-connection accounting (queue
+high-water mark, delivered frames, drop counter) is exposed via
 :meth:`TCPHub.connection_stats`.
 """
 
@@ -293,29 +297,202 @@ class MemoryEndpoint(Endpoint):
         self._hub.detach(self.address, self.instance)
 
 
+
+
 # -- TCP ---------------------------------------------------------------------
 
 
-class _ConnSink:
-    """One hub connection's bounded outbound queue + accounting.
+class _Connection(asyncio.Protocol):
+    """What the two ends of a hub connection share: the frame parser
+    and the outbound queue.
 
-    The hub's router delivers into this synchronously; the connection's
-    pump task drains it into batched socket writes.  ``maxsize`` is the
-    backpressure bound: a consumer that stops reading fills the queue,
-    and the overflow raises :class:`SlowConsumerError` naming this
-    connection and the instance whose frame hit the limit.
+    Inbound, :meth:`data_received` hands every frame its chunk
+    completes to ``_dispatch`` in arrival order, batch frames split back
+    into inner frames.  A header is held to the frame-size guard as soon
+    as its 16 bytes are there, before a byte of its body is waited for.
+    A guard failure, EOF or a lost connection ends the stream (it cannot
+    be resynchronised: what still arrives is discarded) and
+    ``_on_stream_end`` says what that means at this end.
+
+    Outbound, frames wait in ``frames`` until :meth:`_write_pending`
+    hands them to the transport, once per event-loop turn, so a send
+    burst -- a host's data bundles and its ``SENT`` -- coalesces into
+    one batch write; while the transport's buffer is over its
+    high-water mark (``pause_writing``) the queue is left to grow.
     """
 
-    def __init__(self, writer: asyncio.StreamWriter, peer: str, maxsize: int):
-        self.writer = writer
+    #: names this end of the connection in frame-guard errors
+    phase = ""
+
+    def __init__(
+        self, peer: str, max_frame_bytes: int, max_batch_bytes: int, batching: bool
+    ):
         self.peer = peer
-        self.maxsize = maxsize
-        self.bound: set[tuple[int, int]] = set()
+        self.max_frame_bytes = max_frame_bytes
+        self.max_batch_bytes = max_batch_bytes
+        self.batching = batching
         self.frames: deque[tuple[int, int, int, bytes]] = deque()
-        self.wake = asyncio.Event()
-        self.poisoned: Optional[BaseException] = None
-        #: set by :meth:`TCPHub.close`: write what is queued, then stop
-        self.closing = False
+        self._loop = asyncio.get_running_loop()
+        self._transport: Any = None
+        self._inbound = bytearray()
+        self._ended = False
+        self._flush_due = False
+        #: pending while the transport refuses more bytes, else ``None``
+        self._resumed: Optional[asyncio.Future] = None
+        #: resolved by ``connection_lost``
+        self._closed: asyncio.Future = self._loop.create_future()
+
+    @property
+    def stream_ended(self) -> bool:
+        """Whether the inbound stream is over (EOF, a frame-guard error
+        or a lost connection): nothing further will be dispatched."""
+        return self._ended
+
+    # -- inbound ----------------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        if self._ended:
+            return
+        self._inbound += data
+        try:
+            self._parse()
+        except (FrameTooLargeError, ValueError) as exc:
+            # Left to propagate, asyncio would log it and no more.
+            self._inbound = bytearray()
+            self._end_stream(exc)
+
+    def _parse(self) -> None:
+        buffer = self._inbound
+        start, size = 0, len(buffer)
+        while size - start >= HEADER.size:
+            length, src, dst, instance = HEADER.unpack_from(buffer, start)
+            batch = dst == BATCH
+            phase = f"{self.phase} (batch)" if batch else self.phase
+            check_frame_size(
+                length,
+                limit=self.max_batch_bytes if batch else self.max_frame_bytes,
+                peer=self.peer,
+                phase=phase,
+                instance=None if batch else instance,
+            )
+            end = start + HEADER.size + length
+            if end > size:
+                break
+            body = bytes(buffer[start + HEADER.size : end])
+            start = end
+            if not batch:
+                self._dispatch(src, dst, instance, body)
+                continue
+            for frame in decode_batch(
+                body, limit=self.max_frame_bytes, peer=self.peer, phase=phase
+            ):
+                self._dispatch(*frame)
+        del buffer[:start]
+
+    def _dispatch(self, src: int, dst: int, instance: int, body: bytes) -> None:
+        raise NotImplementedError
+
+    def eof_received(self) -> None:
+        # Neither end half-closes and goes on reading: the peer is gone,
+        # so let the transport close (it writes its buffer out first).
+        self._end_stream()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._end_stream()
+        self.resume_writing()  # nothing to write to: empties the queue
+        self._closed.set_result(None)
+
+    def _end_stream(self, error: Optional[Exception] = None) -> None:
+        if not self._ended:
+            self._ended = True
+            self._on_stream_end(error)
+
+    def _on_stream_end(self, error: Optional[Exception]) -> None:
+        raise NotImplementedError
+
+    # -- outbound ---------------------------------------------------------
+
+    def _enqueue(self, frame: tuple[int, int, int, bytes]) -> None:
+        self.frames.append(frame)
+        if not self._flush_due and self._resumed is None:
+            self._flush_due = True
+            self._flush_soon()
+
+    def _flush_soon(self) -> None:
+        self._loop.call_soon(self._write_pending)
+
+    def _write_pending(self) -> None:
+        """Hand the queued frames to the transport.
+
+        With batching, everything currently queued coalesces into one
+        batch frame (single frames skip the batch envelope); without,
+        each frame is written individually -- the baseline arm of the
+        perf ladder's ``net.runtime.batching_gain`` (``wire-ladder``
+        workload).
+        """
+        self._flush_due = False
+        frames = self.frames
+        if not frames or self._resumed is not None:
+            return
+        if self._transport.is_closing():
+            frames.clear()  # lost, as on any connection going away
+            return
+        if self.batching and len(frames) > 1:
+            body = encode_batch(frames)
+            frames.clear()
+            self._transport.write(HEADER.pack(len(body), -1, BATCH, 0) + body)
+            return
+        while frames and self._resumed is None:
+            src, dst, instance, body = frames.popleft()
+            self._transport.write(HEADER.pack(len(body), src, dst, instance) + body)
+
+    def pause_writing(self) -> None:
+        self._resumed = self._loop.create_future()
+
+    def resume_writing(self) -> None:
+        resumed, self._resumed = self._resumed, None
+        if resumed is not None:
+            resumed.set_result(None)
+        self._write_pending()
+
+
+async def _wait_closed(connections: list, timeout: float) -> None:
+    """Wait for closing connections to write their buffers out and go;
+    one still there after ``timeout`` seconds is aborted."""
+    closed = [connection._closed for connection in connections]
+    if closed:
+        await asyncio.wait(closed, timeout=timeout)
+        for connection in connections:
+            if not connection._closed.done():
+                connection._transport.abort()
+        await asyncio.wait(closed)
+
+
+class _ConnSink(_Connection):
+    """One hub connection: its ingress parser, and its bounded outbound
+    queue + accounting.
+
+    Every frame routed to the connection passes through the counted
+    queue -- :meth:`deliver` never writes through, so ``delivered`` and
+    ``queue_hwm`` see all of them -- and ``_write_pending`` empties it:
+    at the end of the ``data_received`` call that routed into it, or on
+    the next turn for frames a local endpoint sent.  ``maxsize`` is the
+    backpressure bound: a consumer that stops reading pauses its
+    transport, the queue fills, and the overflow raises
+    :class:`SlowConsumerError` naming this connection and the instance
+    whose frame hit the limit.
+    """
+
+    phase = "hub ingress"
+
+    def __init__(self, hub: "TCPHub"):
+        super().__init__("", hub.max_frame_bytes, hub.max_batch_bytes, hub.batching)
+        self.hub = hub
+        self.maxsize = hub.max_queue_frames
+        self.bound: set[tuple[int, int]] = set()
         #: accounting: frames delivered through this connection, and the
         #: deepest its outbound queue ever got (the slow-consumer gauge)
         self.delivered = 0
@@ -329,9 +506,47 @@ class _ConnSink:
             return f"{self.peer} (bound: {keys}{extra})"
         return self.peer
 
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self.peer = f"connection {transport.get_extra_info('peername')}"
+        self.hub._conns.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        hub = self.hub
+        hub._dirtied = dirtied = []
+        try:
+            super().data_received(data)
+        finally:
+            hub._dirtied = None
+            for sink in dirtied:
+                sink._write_pending()
+
+    def _dispatch(self, src: int, dst: int, instance: int, body: bytes) -> None:
+        # Control frames included, batched or not: a bind travelling
+        # out of order with the data behind it would break the
+        # attach-before-deliver contract.
+        self.hub._ingress(self, src, dst, instance, body)
+
+    def _on_stream_end(self, error: Optional[Exception]) -> None:
+        hub = self.hub
+        hub._unbind(self)
+        if error is not None:
+            # A corrupt stream cannot be resynchronised: drop this
+            # connection.  The peer -- and anyone awaiting its frames --
+            # observes EOF, so the failure surfaces as a named
+            # coordinator timeout/recv error instead of a 4 GiB read
+            # stall.  Keep the peer/phase diagnostic: the dropped
+            # connection alone would otherwise read as an anonymous
+            # worker death.
+            hub.last_frame_error = str(error)
+            print(f"TCPHub: {error}", file=sys.stderr)
+            self._transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self.hub._conns.discard(self)
+
     def deliver(self, src: int, dst: int, instance: int, body: bytes) -> None:
-        if self.poisoned is not None:
-            return  # connection is being dropped; frames are lost
         if len(self.frames) >= self.maxsize:
             raise SlowConsumerError(
                 f"outbound queue for {self.label()} overflowed its "
@@ -340,15 +555,17 @@ class _ConnSink:
                 "dropping the laggard connection so other sessions' rounds "
                 "keep advancing"
             )
-        self.frames.append((src, dst, instance, body))
+        self._enqueue((src, dst, instance, body))
         self.delivered += 1
         if len(self.frames) > self.queue_hwm:
             self.queue_hwm = len(self.frames)
-        self.wake.set()
 
-    def poison(self, exc: BaseException) -> None:
-        self.poisoned = exc
-        self.wake.set()
+    def _flush_soon(self) -> None:
+        dirtied = self.hub._dirtied
+        if dirtied is None:
+            super()._flush_soon()
+        else:
+            dirtied.append(self)
 
 
 class TCPHub(_Router):
@@ -361,16 +578,17 @@ class TCPHub(_Router):
     frame by ``(instance, dst)``, splitting batch frames
     (``dst == BATCH``) back into inner frames in order.
 
-    Each connection's bounded sink queue is drained by a pump task
-    writing to that connection in *batched* writes, so forwarding never
-    blocks a reader loop on a slow destination — which rules out
-    head-of-line deadlocks when two nodes flood each other past the
-    socket buffers — and a consumer that stops reading altogether is
-    dropped at the queue bound (:class:`SlowConsumerError`) instead of
-    wedging the hub.
+    A chunk read from one connection is parsed, routed into the
+    destination connections' bounded queues and written to their
+    transports in *batched* writes within one event-loop turn.  A
+    transport buffers what its socket will not take, so forwarding never
+    blocks on a slow destination — which rules out head-of-line
+    deadlocks when two nodes flood each other past the socket buffers —
+    and a consumer that stops reading altogether is dropped at the queue
+    bound (:class:`SlowConsumerError`) instead of wedging the hub.
     """
 
-    #: how long :meth:`close` lets a pump write out its queue
+    #: how long :meth:`close` lets a connection write out its queue
     drain_timeout = 5.0
 
     def __init__(
@@ -409,12 +627,16 @@ class TCPHub(_Router):
         self.backpressure_drops = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._conns: set[_ConnSink] = set()
-        self._pumps: dict[_ConnSink, asyncio.Task] = {}
+        #: inside a connection's ``data_received``: the sinks it has
+        #: routed into so far, written out when the chunk is done
+        self._dirtied: Optional[list[_ConnSink]] = None
 
     async def start(self) -> None:
         """Bind the listening socket; ``self.port`` then carries the
         actual port (useful when constructed with an ephemeral 0)."""
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            partial(_ConnSink, self), self.host, self.port
+        )
         self.port = self._server.sockets[0].getsockname()[1]
 
     def connection_stats(self) -> list[dict]:
@@ -436,87 +658,38 @@ class TCPHub(_Router):
         ]
 
     async def close(self) -> None:
-        """Tear the hub down: stop listening, let the pumps write what
-        is queued (a local endpoint's last frames -- ``STOP``, a
-        worker's ``shutdown`` -- sit there, not in a socket buffer; a
-        consumer that stopped reading gets ``drain_timeout`` seconds),
-        and force-close established connections so remote endpoints
-        observe EOF instead of blocking in ``recv`` forever."""
+        """Tear the hub down: stop listening, hand every connection's
+        queue to its transport (a local endpoint's last frames --
+        ``STOP``, a worker's ``shutdown`` -- sit there, not in a socket
+        buffer) and close it, which writes the buffer out first, so
+        remote endpoints observe EOF instead of blocking in ``recv``
+        forever; a consumer that stopped reading gets ``drain_timeout``
+        seconds and is then aborted."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        pumps = list(self._pumps.values())
-        for sink in self._pumps:
-            sink.closing = True
-            sink.wake.set()
-        if pumps:
-            _done, stuck = await asyncio.wait(pumps, timeout=self.drain_timeout)
-            for pump in stuck:
-                pump.cancel()
-            await asyncio.gather(*pumps, return_exceptions=True)
-        self._pumps.clear()
-        for sink in list(self._conns):
-            sink.writer.close()
-        self._conns.clear()
+        conns = list(self._conns)
+        for sink in conns:
+            sink.resume_writing()  # the bound has nothing left to protect
+            sink._transport.close()
+        await _wait_closed(conns, self.drain_timeout)
         self._sinks.clear()
 
+    def _unbind(self, sink: _ConnSink) -> None:
+        for key in sink.bound:
+            self._detach(key, sink)
+        sink.bound.clear()
+
     def _on_slow_consumer(self, sink: _ConnSink, exc: SlowConsumerError) -> None:
-        # Drop the laggard: poison its sink (pump exits and closes the
-        # socket, so the consumer sees EOF), detach its keys so further
-        # frames to it are discarded like any detached endpoint's, and
-        # keep the diagnostic -- the drop alone would otherwise read as
-        # an anonymous connection death.
+        # Drop the laggard: abort its connection (what is queued for it
+        # is lost, and the consumer sees EOF), detach its keys so
+        # further frames to it are discarded like any detached
+        # endpoint's, and keep the diagnostic -- the drop alone would
+        # otherwise read as an anonymous connection death.
         self.last_backpressure_error = str(exc)
         self.backpressure_drops += 1
         print(f"TCPHub: {exc}", file=sys.stderr)
-        for key in list(sink.bound):
-            self._detach(key, sink)
-        sink.bound.clear()
-        sink.poison(exc)
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peername = writer.get_extra_info("peername")
-        peer = f"connection {peername}"
-        sink = _ConnSink(writer, peer, self.max_queue_frames)
-        self._conns.add(sink)
-        self._pumps[sink] = asyncio.create_task(self._pump(sink))
-        try:
-            # Control frames batch like any other frame (they must: a
-            # bind travelling out of order with the data behind it would
-            # break the attach-before-deliver contract), so batched or
-            # not they all go through _ingress.
-            await _read_frames(
-                reader, partial(self._ingress, sink), self, peer, "hub ingress"
-            )
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass
-        except (FrameTooLargeError, ValueError) as exc:
-            # A corrupt stream cannot be resynchronised: drop this
-            # connection (the finally clause detaches and closes it).
-            # The peer -- and anyone awaiting its frames -- observes
-            # EOF, so the failure surfaces as a named coordinator
-            # timeout/recv error instead of a 4 GiB read stall.  Keep
-            # the peer/phase diagnostic: the dropped connection alone
-            # would otherwise read as an anonymous worker death.
-            self.last_frame_error = str(exc)
-            print(f"TCPHub: {exc}", file=sys.stderr)
-        except asyncio.CancelledError:
-            # Handler tasks are cancelled en masse when the hosting loop
-            # tears down after an error path; the hub is going away, so
-            # swallow the cancellation instead of logging a traceback
-            # per surviving connection.
-            pass
-        finally:
-            for key in list(sink.bound):
-                self._detach(key, sink)
-            sink.bound.clear()
-            pump = self._pumps.pop(sink, None)
-            if pump is not None:
-                pump.cancel()
-            self._conns.discard(sink)
-            writer.close()
+        self._unbind(sink)
+        sink._transport.abort()
 
     def _ingress(
         self, sink: _ConnSink, src: int, dst: int, instance: int, body: bytes
@@ -536,168 +709,54 @@ class TCPHub(_Router):
         else:
             self._route(src, dst, instance, body)
 
-    async def _pump(self, sink: _ConnSink) -> None:
-        try:
-            while True:
-                await sink.wake.wait()
-                sink.wake.clear()
-                if sink.poisoned is not None:
-                    sink.writer.close()
-                    return
-                while sink.frames:
-                    _write_pending(sink.writer, sink.frames, self.batching)
-                    await sink.writer.drain()
-                if sink.closing:
-                    return
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-
-
-async def _read_frames(
-    reader: asyncio.StreamReader, dispatch: Any, limits: Any, peer: str, phase: str
-) -> None:
-    """Read a hub connection's inbound stream (either end of it) until
-    it fails, calling ``dispatch(src, dst, instance, body)`` per frame,
-    batch frames split back into inner frames in entry order.  ``limits``
-    is the hub or mux whose ``max_frame_bytes``/``max_batch_bytes`` guard
-    the stream; guard errors name ``peer`` and ``phase``."""
-    batch_phase = f"{phase} (batch)"
-    while True:
-        header = await reader.readexactly(HEADER.size)
-        length, src, dst, instance = HEADER.unpack(header)
-        if dst == BATCH:
-            check_frame_size(
-                length, limit=limits.max_batch_bytes, peer=peer, phase=batch_phase
-            )
-            body = await reader.readexactly(length)
-            for frame in decode_batch(
-                body, limit=limits.max_frame_bytes, peer=peer, phase=batch_phase
-            ):
-                dispatch(*frame)
-        else:
-            check_frame_size(
-                length,
-                limit=limits.max_frame_bytes,
-                peer=peer,
-                phase=phase,
-                instance=instance,
-            )
-            dispatch(src, dst, instance, await reader.readexactly(length))
-
-
-def _write_pending(
-    writer: asyncio.StreamWriter,
-    frames: deque,
-    batching: bool,
-) -> None:
-    """Flush queued ``(src, dst, instance, body)`` frames to a writer.
-
-    With batching, everything currently queued coalesces into one batch
-    frame (single frames skip the batch envelope); without, each frame
-    is written individually -- the baseline arm of the perf ladder's
-    ``net.runtime.batching_gain`` (``wire-ladder`` workload).
-    """
-    if not batching or len(frames) == 1:
-        src, dst, instance, body = frames.popleft()
-        writer.write(HEADER.pack(len(body), src, dst, instance) + body)
-        return
-    batch: list[tuple[int, int, int, bytes]] = []
-    while frames:
-        batch.append(frames.popleft())
-    body = encode_batch(batch)
-    writer.write(HEADER.pack(len(body), -1, BATCH, 0) + body)
-
 
 #: queued behind a dead connection's last frame (see ``TCPMux._recv_on``)
 _EOF = object()
 
 
-class TCPMux:
+class TCPMux(_Connection):
     """One multiplexed hub connection hosting many virtual endpoints.
 
     The session-multiplexing workhorse: a run-server process opens a
     handful of these and runs *thousands* of protocol instances through
     them -- each :meth:`endpoint` is one ``(instance, address)`` routing
-    key, sharing the single socket, reader task and batching writer
-    task.  Closing an endpoint unbinds only its key (crashed-node drop
+    key, sharing the single socket, frame parser and batching outbound
+    queue.  Closing an endpoint unbinds only its key (crashed-node drop
     semantics for that key alone); closing the mux tears down the whole
     connection with the half-close-and-drain dance that keeps in-flight
-    frames safe from kernel RSTs.
+    frames safe from kernel RSTs.  :func:`open_mux` dials one.
     """
 
+    phase = "mux recv"
+
     def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-        max_batch_bytes: int = MAX_BATCH_BYTES,
-        batching: bool = True,
-        peer: str = "hub",
+        self, peer: str, max_frame_bytes: int, max_batch_bytes: int, batching: bool
     ):
-        self._reader = reader
-        self._writer = writer
-        self.max_frame_bytes = max_frame_bytes
-        self.max_batch_bytes = max_batch_bytes
-        self.batching = batching
-        self.peer = peer
+        super().__init__(peer, max_frame_bytes, max_batch_bytes, batching)
         self._queues: dict[tuple[int, int], asyncio.Queue] = {}
-        self._out: deque[tuple[int, int, int, bytes]] = deque()
-        self._wake = asyncio.Event()
-        self._drained = asyncio.Event()
-        self._drained.set()
         self._error: Optional[BaseException] = None
         self._closing = False
-        self._reader_task = asyncio.create_task(self._read_loop())
-        self._writer_task = asyncio.create_task(self._write_loop())
-
-    # -- outbound ---------------------------------------------------------
 
     def _send(self, src: int, dst: int, instance: int, body: bytes) -> None:
         if self._error is not None:
             raise self._error
         if self._closing:
             raise ConnectionResetError("mux connection is closing")
-        self._out.append((src, dst, instance, body))
-        self._drained.clear()
-        self._wake.set()
-
-    async def _write_loop(self) -> None:
-        try:
-            while True:
-                await self._wake.wait()
-                self._wake.clear()
-                while self._out:
-                    _write_pending(self._writer, self._out, self.batching)
-                    await self._writer.drain()
-                self._drained.set()
-        except (ConnectionError, asyncio.CancelledError):
-            self._drained.set()
-
-    # -- inbound ----------------------------------------------------------
-
-    async def _read_loop(self) -> None:
-        try:
-            await _read_frames(
-                self._reader, self._dispatch, self, self.peer, "mux recv"
-            )
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass  # EOF: hub (or this side) closed the connection
-        except asyncio.CancelledError:
-            pass
-        except (FrameTooLargeError, ValueError) as exc:
-            self._error = exc
-        finally:
-            # Wake every endpoint blocked in recv(): the connection is
-            # gone, so blocking forever would hide the failure.
-            for queue in self._queues.values():
-                queue.put_nowait(_EOF)
+        self._enqueue((src, dst, instance, body))
 
     def _dispatch(self, src: int, dst: int, instance: int, body: bytes) -> None:
         queue = self._queues.get((instance, dst))
         if queue is not None:
             queue.put_nowait((src, body))
         # else: endpoint closed locally; drop (detached semantics)
+
+    def _on_stream_end(self, error: Optional[Exception]) -> None:
+        # Wake every endpoint blocked in recv(): the connection is gone
+        # (or its stream is corrupt), so blocking forever would hide the
+        # failure.
+        self._error = error
+        for queue in self._queues.values():
+            queue.put_nowait(_EOF)
 
     # -- endpoint management ----------------------------------------------
 
@@ -721,10 +780,7 @@ class TCPMux:
         if self._queues.pop(key, None) is None:
             return
         if self._error is None and not self._closing:
-            try:
-                self._send(key[1], CONTROL, key[0], encode(("unbind", key[1])))
-            except ConnectionError:
-                pass
+            self._send(key[1], CONTROL, key[0], encode(("unbind", key[1])))
 
     async def _recv_on(self, queue: asyncio.Queue) -> tuple[int, Any]:
         item = await queue.get()
@@ -752,7 +808,9 @@ class TCPMux:
 
     async def flush(self) -> None:
         """Wait until every buffered outbound frame reached the socket."""
-        await self._drained.wait()
+        self._write_pending()
+        while self._resumed is not None:
+            await asyncio.shield(self._resumed)
 
     async def close(self) -> None:
         """Flush, half-close (FIN), drain inbound, then close.
@@ -762,6 +820,8 @@ class TCPMux:
         kernel send RST, which can destroy this connection's own
         in-flight outbound frames at the hub -- losing, say, a crashing
         node's final ``SENT`` report and deadlocking the round barrier.
+        The hub answers the FIN with its own once it has read everything
+        before it, and on that the transport closes.
         """
         if self._closing:
             return
@@ -770,37 +830,21 @@ class TCPMux:
         except asyncio.TimeoutError:
             pass
         self._closing = True
-        for task in (self._writer_task, self._reader_task):
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, ConnectionError):
-                pass
         try:
-            self._writer.write_eof()
-            await self._writer.drain()
+            self._transport.write_eof()
         except (OSError, RuntimeError):
             pass
-        try:
-            while await asyncio.wait_for(self._reader.read(65536), timeout=5.0):
-                pass
-        except (asyncio.TimeoutError, OSError):
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        await _wait_closed([self], 5.0)
 
 
 class MuxEndpoint(Endpoint):
     """One ``(instance, address)`` virtual endpoint on a :class:`TCPMux`.
 
-    ``send_encoded`` appends to the connection's shared write buffer
-    (flushed in batches by the writer task) and returns immediately, so
-    a whole send phase coalesces into one wire write; ``close`` unbinds
-    only this key, leaving the connection and its other endpoints
-    untouched.
+    ``send_encoded`` appends to the connection's shared outbound queue
+    (written out in batches once per event-loop turn) and returns
+    immediately, so a whole send phase coalesces into one wire write;
+    ``close`` unbinds only this key, leaving the connection and its
+    other endpoints untouched.
     """
 
     def __init__(
@@ -857,22 +901,17 @@ async def open_mux(
     """
     loop = asyncio.get_running_loop()
     give_up = loop.time() + deadline
+    factory = partial(
+        TCPMux, f"hub {host}:{port}", max_frame_bytes, max_batch_bytes, batching
+    )
     while True:
         try:
-            reader, writer = await asyncio.open_connection(host, port)
-            break
+            _transport, mux = await loop.create_connection(factory, host, port)
+            return mux
         except OSError:
             if loop.time() >= give_up:
                 raise
             await asyncio.sleep(0.05)
-    return TCPMux(
-        reader,
-        writer,
-        max_frame_bytes=max_frame_bytes,
-        max_batch_bytes=max_batch_bytes,
-        batching=batching,
-        peer=f"hub {host}:{port}",
-    )
 
 
 async def connect_tcp(

@@ -145,9 +145,9 @@ class TestEndpointRecvGuard:
                 victim = await connect_tcp(
                     "127.0.0.1", hub.port, 3, max_frame_bytes=64
                 )
-                # Reach under the endpoint to its raw socket and feed a
-                # corrupt header directly into its reader.
-                victim._mux._reader.feed_data(HEADER.pack(2**31, 5, 3, 9))
+                # Reach under the endpoint and hand its connection a
+                # corrupt header as if the socket had delivered it.
+                victim._mux.data_received(HEADER.pack(2**31, 5, 3, 9))
                 with pytest.raises(FrameTooLargeError) as excinfo:
                     await asyncio.wait_for(victim.recv(), timeout=5.0)
                 message = str(excinfo.value)

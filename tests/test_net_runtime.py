@@ -168,6 +168,27 @@ class TestTCPTransport:
             run_gossip(rumors, 4, seed=SEED),
         )
 
+    def test_a_failed_dial_does_not_leave_the_hub_listening(self, monkeypatch):
+        from repro.net import runtime
+
+        started = []
+        start = TCPHub.start
+
+        async def recording_start(hub):
+            await start(hub)
+            started.append(hub)
+
+        async def refused(*args, **kwargs):
+            raise OSError("dial refused")
+
+        monkeypatch.setattr(TCPHub, "start", recording_start)
+        monkeypatch.setattr(runtime, "open_mux", refused)
+        with pytest.raises(OSError, match="dial refused"):
+            run_protocol_net([_Recorder(pid, 4) for pid in range(4)], transport="tcp")
+        (hub,) = started
+        assert not hub._server.is_serving()
+        assert not hub._server.sockets
+
 
 class _Recorder(Process):
     """Broadcasts a distinct payload every round and logs every
@@ -527,8 +548,7 @@ class TestTurnBudget:
         ),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_turns_and_tasks_are_bounded(self, case, monkeypatch):
+    def _counts(self, case, backend, monkeypatch):
         from asyncio.base_events import BaseEventLoop
 
         from repro.api import run_recipe
@@ -547,9 +567,24 @@ class TestTurnBudget:
 
         monkeypatch.setattr(BaseEventLoop, "_run_once", counting_run_once)
         monkeypatch.setattr(BaseEventLoop, "create_task", counting_create_task)
-        net = run_recipe(protocol, backend="net", **execution)
+        net = run_recipe(protocol, backend=backend, **execution)
         monkeypatch.undo()
 
         assert_parity(net, run_recipe(protocol, **execution))
-        assert counts["tasks"] <= 8
-        assert counts["turns"] <= 6 * net.rounds + 40
+        return counts["turns"], counts["tasks"], net.rounds
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_turns_and_tasks_are_bounded(self, case, monkeypatch):
+        turns, tasks, rounds = self._counts(case, "net", monkeypatch)
+        assert tasks <= 8
+        assert turns <= 6 * rounds + 40
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_socket_hop_is_a_turn_not_a_task(self, case, monkeypatch):
+        # Over the hub socket a barrier phase is four hops -- sender,
+        # mux write, hub parse + route + write, mux parse -- and a round
+        # is four phases; reader, writer and pump tasks took 12 Tasks
+        # and ~28 turns a round.
+        turns, tasks, rounds = self._counts(case, "tcp", monkeypatch)
+        assert tasks <= 8
+        assert turns <= 17 * rounds + 60

@@ -12,14 +12,39 @@ in-process endpoint on a ``TCPHub`` -- how the hub's owner binds),
 of a ``TCPHub`` and the processes dialling it meet in one router, so
 buffering before attach, per-destination FIFO, detach-drop and
 ``purge_instance`` must hold across the two kinds of endpoint.
+
+Both ends of a hub socket parse their stream in ``data_received``, so
+how the bytes were cut into chunks must not show: the same frames are
+dispatched in the same order, the frame-size guard fires on a header
+alone, and every routed frame is counted in ``connection_stats()``.
 """
 
 import asyncio
+from itertools import cycle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net import FrameTooLargeError, MemoryHub, TCPHub, connect_tcp, open_mux
-from repro.net.codec import CONTROL, HEADER, encode, set_codec_probe
+from repro.net import (
+    FrameTooLargeError,
+    MemoryHub,
+    TCPHub,
+    TCPMux,
+    connect_tcp,
+    open_mux,
+)
+from repro.net.codec import (
+    BATCH,
+    CONTROL,
+    HEADER,
+    MAX_BATCH_BYTES,
+    MAX_FRAME_BYTES,
+    encode,
+    encode_batch,
+    set_codec_probe,
+)
+from repro.net.transport import _ConnSink
 from repro.obs.recorder import Recorder
 
 KINDS = ["memory", "local", "mux", "tcp"]
@@ -110,9 +135,9 @@ async def _until(condition, deadline: float = 5.0):
 
 
 async def _reader_finished(receiver):
-    """Wait until the receiver's connection reader has seen the end of
-    its stream (EOF or a frame-guard error) and queued the sentinel."""
-    await _until(receiver._mux._reader_task.done)
+    """Wait until the receiver's connection has seen the end of its
+    stream (EOF or a frame-guard error) and queued the sentinel."""
+    await _until(lambda: receiver._mux.stream_ended)
 
 
 async def _assert_failure_survives_nowait_reads(receiver, error):
@@ -366,3 +391,152 @@ class TestCloseWritesOutWhatIsQueued:
             return elapsed
 
         assert 0.2 <= asyncio.run(scenario()) < 2.0
+
+
+ENDS = ["hub ingress", "mux recv"]
+
+
+class _Wire(asyncio.Transport):
+    """A transport that is not a socket: the test is the peer, calling
+    ``data_received`` with the chunks it chooses."""
+
+    def __init__(self):
+        super().__init__({"peername": ("wire", 0)})
+        self.closed = False
+
+    def write(self, data):
+        pass
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+
+def _connect(end, max_frame_bytes=MAX_FRAME_BYTES):
+    """One end of a hub connection on a ``_Wire``, and the list every
+    frame it dispatches is appended to.  Needs a running loop."""
+    dispatched = []
+    if end == "mux recv":
+        connection = TCPMux("the hub", max_frame_bytes, MAX_BATCH_BYTES, True)
+        dispatch = connection._dispatch
+        connection._dispatch = lambda *frame: (dispatched.append(frame), dispatch(*frame))
+    else:
+        hub = TCPHub(max_frame_bytes=max_frame_bytes)
+        connection = _ConnSink(hub)
+        ingress = hub._ingress
+        hub._ingress = lambda sink, *frame: (dispatched.append(frame), ingress(sink, *frame))
+    connection.connection_made(_Wire())
+    return connection, dispatched
+
+
+def _failure(connection) -> str:
+    """What ended the connection's stream, as that end reports it."""
+    if isinstance(connection, TCPMux):
+        return str(connection._error)
+    return connection.hub.last_frame_error
+
+
+def _on_the_wire(item) -> bytes:
+    if isinstance(item, list):
+        body = encode_batch(item)
+        return HEADER.pack(len(body), -1, BATCH, 0) + body
+    src, dst, instance, body = item
+    return HEADER.pack(len(body), src, dst, instance) + body
+
+
+_plain = st.tuples(
+    st.integers(0, 9), st.integers(0, 9), st.integers(0, 3), st.binary(max_size=40)
+)
+_control = st.builds(
+    lambda op, addr, instance: (addr, CONTROL, instance, encode((op, addr))),
+    st.sampled_from(["bind", "unbind"]),
+    st.integers(0, 9),
+    st.integers(0, 3),
+)
+_frame = st.one_of(_plain, _control)
+
+
+class TestChunkingDoesNotShow:
+    @pytest.mark.parametrize("end", ENDS)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        items=st.lists(st.one_of(_frame, st.lists(_frame, max_size=5)), max_size=8),
+        sizes=st.lists(st.integers(1, 64), min_size=1, max_size=6),
+    )
+    def test_any_split_dispatches_the_same_frames(self, end, items, sizes):
+        stream = b"".join(map(_on_the_wire, items))
+        sent = [f for item in items for f in (item if isinstance(item, list) else [item])]
+
+        async def dispatched_when_cut_into(sizes):
+            connection, dispatched = _connect(end)
+            size, start = cycle(sizes), 0
+            while start < len(stream):
+                step = next(size)
+                connection.data_received(stream[start : start + step])
+                start += step
+            assert not connection.stream_ended and not connection._inbound
+            return dispatched
+
+        # One chunk, byte at a time, every header straddling two chunks,
+        # and whatever hypothesis drew.
+        for cut in ([len(stream) + 1], [1], [HEADER.size - 1, 2], sizes):
+            assert asyncio.run(dispatched_when_cut_into(cut)) == sent
+
+    @pytest.mark.parametrize("end", ENDS)
+    def test_the_guard_fires_on_a_header_alone(self, end):
+        async def scenario():
+            connection, dispatched = _connect(end, max_frame_bytes=64)
+            header = HEADER.pack(2**31, 5, 3, 9)
+            connection.data_received(header[:-1])
+            assert not connection.stream_ended
+            connection.data_received(header[-1:])  # not one body byte
+            assert connection.stream_ended and not dispatched
+            failure = _failure(connection)
+            assert "over the 64-byte limit" in failure
+            assert f"({end})" in failure and "instance 9" in failure
+            # The hub drops the connection; a mux is closed by its owner.
+            assert connection._transport.closed == (end == "hub ingress")
+            connection.data_received(_on_the_wire((0, 1, 0, b"late")))
+            assert not dispatched
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("end", ENDS)
+    def test_a_corrupt_batch_ends_the_stream_with_a_value_error(self, end):
+        async def scenario():
+            connection, dispatched = _connect(end)
+            body = encode_batch([(0, 1, 0, b"payload")])[:-3]
+            connection.data_received(_on_the_wire((0, 1, 0, b"fine")))
+            connection.data_received(HEADER.pack(len(body), -1, BATCH, 0) + body)
+            assert connection.stream_ended
+            assert dispatched == [(0, 1, 0, b"fine")]
+            failure = _failure(connection)
+            assert "corrupt batch frame" in failure and f"({end} (batch))" in failure
+            if end == "mux recv":
+                assert type(connection._error) is ValueError
+
+        asyncio.run(scenario())
+
+
+def test_every_routed_frame_is_counted_in_the_queue():
+    # ``deliver`` never writes through: a frame is in the connection's
+    # outbound queue before it is in its transport, whoever sent it.
+    async def scenario():
+        async with _OwnerAndDialler() as (hub, mux, other):
+            receiver = other.endpoint(1)
+            remote, local = mux.endpoint(0), hub.endpoint(9)
+            await _until(lambda: (0, 1) in hub._sinks)
+            for value in range(7):
+                await remote.send(1, value)
+            for value in range(5):
+                await local.send(1, value)
+            got = [await _recv(receiver) for _ in range(12)]
+            assert [src for src, _value in got].count(0) == 7
+            rows = {row["peer"].split("bound: ")[-1]: row for row in hub.connection_stats()}
+            assert rows["instance 0 addr 1)"]["delivered"] == 12
+            assert rows["instance 0 addr 1)"]["queue_hwm"] >= 1
+            assert rows["instance 0 addr 0)"]["delivered"] == 0
+
+    asyncio.run(scenario())
