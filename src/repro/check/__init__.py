@@ -20,7 +20,9 @@ the gap mechanically:
   configurations and their differential execution: the primary run
   records a :class:`repro.trace.Trace` on ``sim-opt``, every other
   backend replays it bit-for-bit (divergence = the first differing
-  event, not a boolean);
+  event, not a boolean), and one un-recorded ``sim-opt`` run -- the
+  engine's fast send path, which a recorder switches off -- must match
+  the primary (``parity:sim-fast``);
 * :mod:`repro.check.shrink` -- greedy deletion/narrowing over a
   failing scenario's events (via
   :meth:`repro.scenarios.Scenario.shrink_candidates`), re-running after

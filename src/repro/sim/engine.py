@@ -56,17 +56,27 @@ The engine carries two interchangeable round-loop implementations:
   :func:`~repro.sim.process.payload_bits` per payload object within a
   round, and walk an incrementally-maintained list of active (neither
   crashed nor halted) processes instead of testing membership per
-  process per phase.
+  process per phase.  A sender whose whole output for a round is one
+  :class:`~repro.sim.process.Multicast` to every pid but itself is not
+  fanned out at all: its envelope joins one per-round **broadcast
+  column**, and each receiver's inbox is that column minus its own
+  entry (two list slices), merged by sender pid with whatever reached
+  it through the append buffers -- so an all-to-all round costs one
+  list per receiver, not one append per message.  The destination
+  tuple is proved to be every pid but the sender (once per tuple
+  object), never assumed; anything else takes the general path.
 
 Both paths produce identical rounds/messages/bits, per-node and
-per-round tallies, decisions and crash sets; ``tests/test_engine_parity.py``
-pins this for every protocol family.
+per-round tallies, decisions, crash sets and inboxes (ascending sender
+pid, send order within a sender); ``tests/test_engine_parity.py`` pins
+this for every protocol family.
 """
 
 from __future__ import annotations
 
 import copy
 from functools import partial
+from operator import itemgetter
 from typing import Any, Optional, Sequence
 
 from repro.obs.recorder import coerce_recorder
@@ -444,6 +454,16 @@ class Engine:
         # id(payload) -> (payload, bits); pins the payload so ids cannot
         # be recycled while cached.  Cleared every round.
         bits_cache: dict[int, tuple[Any, int]] = {}
+        # Broadcast column (see module docstring): the envelopes of this
+        # round's pure broadcasters in ascending pid, ``column_at[pid]``
+        # the sender's own index (-1: not in it).  ``peers[pid]`` pins
+        # the last destination tuple *proved* to be every pid but
+        # ``pid``, so the proof runs once per tuple object, not per round.
+        column: list[tuple[int, Any]] = []
+        column_at = [-1] * n
+        peers: list[Optional[tuple[int, ...]]] = [None] * n
+        universe = frozenset(range(n))
+        by_sender = itemgetter(0)
         active = [
             p for p in self.processes if p.pid not in crashed and not p.halted
         ]
@@ -527,9 +547,34 @@ class Engine:
                             box.append(envelope)
                     delivered_any = True
                     continue
+                sent = proc.send(rnd)
+                if (
+                    type(sent) in (list, tuple)
+                    and len(sent) == 1
+                    and isinstance(sent[0], Multicast)
+                ):
+                    dsts, payload = sent[0]
+                    if type(dsts) is tuple and (
+                        dsts is peers[pid]
+                        or len(dsts) == n - 1 > 0
+                        and universe.difference(dsts) == {pid}
+                    ):
+                        # The sender's whole output is one multicast to
+                        # every pid but itself: one column entry instead
+                        # of n - 1 appends.
+                        peers[pid] = dsts
+                        bits_each = payload_bits_cached(payload, bits_cache)
+                        metrics.record_send(
+                            pid, n - 1, bits_each * (n - 1), rnd,
+                            pid not in byzantine,
+                        )
+                        column_at[pid] = len(column)
+                        column.append((pid, payload))
+                        delivered_any = True
+                        continue
                 msg_total = 0
                 bit_total = 0
-                for item in proc.send(rnd):
+                for item in sent:
                     if isinstance(item, Multicast):
                         dsts = item.dsts
                         payload = item.payload
@@ -581,6 +626,20 @@ class Engine:
                 if crashing and pid in crashed:
                     continue
                 box = inboxes[pid]
+                if column:
+                    # A private list by two C slices; anything that came
+                    # through the append buffer (a crasher's prefix, a
+                    # point-to-point message) is merged back into
+                    # ascending-sender order, which is the reference
+                    # loop's inbox order element for element.
+                    at = column_at[pid]
+                    merged = (
+                        column[:at] + column[at + 1:] if at >= 0 else column[:]
+                    )
+                    if box:
+                        merged += box
+                        merged.sort(key=by_sender)
+                    box = merged
                 proc.receive(rnd, box if box else [])
                 if proc.halted:
                     membership_dirty = True
@@ -588,6 +647,10 @@ class Engine:
             # Abandon delivered inboxes to their consumers.
             for dst in touched:
                 inboxes[dst] = []
+            if column:
+                for src, _ in column:
+                    column_at[src] = -1
+                column = []
             if tel is not None:
                 ctl.phase("deliver", rnd, self.processes)
 

@@ -163,9 +163,12 @@ class Process:
         """Consume messages delivered in round ``rnd``.
 
         ``inbox`` holds ``(src, payload)`` pairs for every message sent
-        to this process in this round, in an arbitrary but deterministic
-        order.  Called every round (possibly with an empty inbox) so that
-        protocols such as local probing can count per-round receptions.
+        to this process in this round, in ascending sender pid and, for
+        one sender, in the order it sent them -- the same list on every
+        backend.  The list is the receiver's own: it may be kept or
+        mutated.  Called every round (possibly with an empty inbox) so
+        that protocols such as local probing can count per-round
+        receptions.
         """
 
     def next_activity(self, rnd: int) -> int:

@@ -10,7 +10,12 @@ import random
 
 import pytest
 
+from repro.check.oracles import check_parity
 from repro.core.params import ProtocolParams
+from repro.net import run_protocol_net
+from repro.sim import Engine
+from repro.sim.adversary import ScheduledCrashes
+from repro.sim.process import Process
 
 
 @pytest.fixture
@@ -25,3 +30,62 @@ def make_params(n: int, t: int, seed: int = 3) -> ProtocolParams:
 def random_bits(n: int, seed: int) -> list[int]:
     gen = random.Random(seed)
     return [gen.randint(0, 1) for _ in range(n)]
+
+
+class ScriptedProcess(Process):
+    """Sends what ``plan(proc, rnd)`` returns and logs every inbox it is
+    handed under ``log[(rnd, pid)]``; halts after round ``last[pid]``
+    (default ``rounds - 1``).  The engine-parity, inbox-order and
+    property tests compare these logs across round loops and backends.
+    """
+
+    def __init__(self, pid, n, plan, log, rounds, last=None):
+        super().__init__(pid, n)
+        self.plan = plan
+        self.log = log
+        self.last = (last or {}).get(pid, rounds - 1)
+
+    def send(self, rnd):
+        return self.plan(self, rnd)
+
+    def receive(self, rnd, inbox):
+        self.log[(rnd, self.pid)] = list(inbox)
+        if rnd >= self.last:
+            self.halt()
+
+
+def run_scripted(
+    n, plan, rounds, *, backend="sim-opt", adversary=None,
+    byzantine=frozenset(), last=None,
+):
+    """Run ``n`` :class:`ScriptedProcess` on ``sim-opt`` / ``sim-ref`` /
+    ``net``; returns ``(result, inbox log)``."""
+    log = {}
+    procs = [ScriptedProcess(pid, n, plan, log, rounds, last) for pid in range(n)]
+    if backend == "net":
+        result = run_protocol_net(procs, adversary, byzantine=byzantine)
+    else:
+        result = Engine(
+            procs,
+            adversary,
+            byzantine=byzantine,
+            optimized=backend == "sim-opt",
+        ).run()
+    return result, log
+
+
+def scripted_pair(n, plan, rounds, crashes=dict, **kwargs):
+    """Run one send plan on both round loops; require full parity *and*
+    element-for-element equal inbox logs; returns the optimized
+    ``(result, log)``.  ``crashes`` is a ``{pid: CrashSpec}`` factory
+    (one schedule instance per run)."""
+    optimized, log = run_scripted(
+        n, plan, rounds, adversary=ScheduledCrashes(crashes()), **kwargs
+    )
+    reference, ref_log = run_scripted(
+        n, plan, rounds, backend="sim-ref",
+        adversary=ScheduledCrashes(crashes()), **kwargs
+    )
+    check_parity(optimized, reference, "optimized", "reference")
+    assert log == ref_log
+    return optimized, log

@@ -87,6 +87,36 @@ class TestDifferentialClean:
         assert fuzz_unit(dict(params)) == fuzz_unit(dict(params))
 
 
+class TestFastPathLeg:
+    """The primary run records a trace, which keeps the optimized engine
+    off its fast send path; the un-recorded ``parity:sim-fast`` leg is
+    what checks the path an ordinary run takes."""
+
+    def test_fault_only_an_unrecorded_run_shows_is_caught_and_shrunk(
+        self, monkeypatch
+    ):
+        from repro.sim.engine import Engine
+
+        loop = Engine._loop_optimized
+
+        def faulty(self, observer, fast_forward):
+            result = loop(self, observer, fast_forward)
+            if self.recorder is None:
+                result.metrics.messages += 1  # the bug
+            return result
+
+        monkeypatch.setattr(Engine, "_loop_optimized", faulty)
+        configs = (sample_config(0, i, families=("flooding",)) for i in range(40))
+        config = next(c for c in configs if c.kind == "crash")
+        row = run_config(config)
+        details = {v["oracle"]: v["detail"] for v in row["violation_details"]}
+        assert set(details) == {"parity:sim-fast"}
+        assert "sim-opt+trace" in details["parity:sim-fast"]
+        shrunk = shrink_scenario(config, row["violation_details"], max_runs=40)
+        assert "parity" in shrunk.categories
+        assert shrunk.minimal.shrink_size() < config.scenario.shrink_size()
+
+
 class TestParityOracle:
     def _result(self):
         from repro import run_consensus

@@ -1,8 +1,9 @@
 """Parity tests: the optimized engine hot path vs the reference loop.
 
 The optimized round loop (batched metric recording, shared multicast
-envelopes, reused inbox lists, per-round payload-bits caching, active
-membership tracking) must be *observably identical* to the reference
+envelopes, the broadcast column, reused inbox lists, per-round
+payload-bits caching, active membership tracking) must be *observably
+identical* to the reference
 loop kept from the seed engine: same rounds, messages, bits, per-node
 and per-round tallies, decisions, crash sets and completion status,
 for every protocol family and fault pattern.
@@ -24,6 +25,7 @@ from repro.check.oracles import check_parity
 from repro.sim import Engine, crash_schedule
 from repro.sim.adversary import CrashSpec, ScheduledCrashes
 from repro.sim.process import Multicast, Process, ProtocolError
+from tests.conftest import run_scripted, scripted_pair
 
 
 def assert_parity(optimized, reference):
@@ -35,6 +37,11 @@ def assert_parity(optimized, reference):
     drift between the test suite and the fuzzing/bench subsystems.
     """
     check_parity(optimized, reference, "optimized", "reference")
+
+
+def broadcast(proc, rnd):
+    """The pure-broadcaster output the column takes."""
+    return [Multicast(proc.everyone_else(), ("b", rnd, proc.pid))]
 
 
 N = 100
@@ -199,6 +206,194 @@ class TestEngineEdgeParity:
         assert histories[True] == histories[False]
         assert histories[True] == [[], [], [(0, "late")], []]
 
+    def test_retained_column_inboxes_are_private(self):
+        # The same contract on a broadcast-column round: every receiver
+        # gets its own list, and clearing or appending to it reaches no
+        # other receiver, no later round and no sender's peer tuple.
+        class Vandal(Process):
+            def on_start(self):
+                self.seen = []
+
+            def send(self, rnd):
+                return [Multicast(self.everyone_else(), (rnd, self.pid))]
+
+            def receive(self, rnd, inbox):
+                self.seen.append((inbox, list(inbox)))
+                if self.pid % 2:
+                    inbox.clear()
+                else:
+                    inbox.append((self.pid, "forged"))
+                if rnd >= 2:
+                    self.halt()
+
+        n = 5
+        histories = {}
+        for optimized in (True, False):
+            procs = [Vandal(pid, n) for pid in range(n)]
+            Engine(procs, optimized=optimized).run()
+            handed = [box for p in procs for box, _ in p.seen]
+            assert len({id(box) for box in handed}) == len(handed)
+            histories[optimized] = [[copy for _, copy in p.seen] for p in procs]
+            for p in procs:
+                assert p.everyone_else() == tuple(q for q in range(n) if q != p.pid)
+        assert histories[True] == histories[False]
+        assert histories[True][2][1] == [(q, (1, q)) for q in (0, 1, 3, 4)]
+
+    def test_column_round_with_mixed_traffic(self):
+        # pids 0-1 broadcast (column), 2 broadcasts and adds a
+        # point-to-point message, 3 is point-to-point only, 4 silent,
+        # 5 multicasts to a subset (all through the append buffers).
+        def plan(proc, rnd):
+            pid = proc.pid
+            if pid < 2:
+                return broadcast(proc, rnd)
+            if pid == 2:
+                return broadcast(proc, rnd) + [(0, ("extra", rnd))]
+            if pid == 3:
+                return [(5, ("p", rnd)), (1, ("q", rnd)), (5, ("r", rnd))]
+            if pid == 5:
+                return [Multicast((0, 3), ("sub", rnd))]
+            return ()
+
+        _result, log = scripted_pair(6, plan, 3)
+        assert log[(1, 0)] == [
+            (1, ("b", 1, 1)),
+            (2, ("b", 1, 2)),
+            (2, ("extra", 1)),
+            (5, ("sub", 1)),
+        ]
+        assert log[(1, 5)] == [
+            (0, ("b", 1, 0)),
+            (1, ("b", 1, 1)),
+            (2, ("b", 1, 2)),
+            (3, ("p", 1)),
+            (3, ("r", 1)),
+        ]
+        assert log[(2, 4)] == [(q, ("b", 2, q)) for q in range(3)]
+
+    @pytest.mark.parametrize("keep", [0, 1, 3, 5])
+    def test_column_merges_a_crashing_broadcaster(self, keep):
+        # n = 6, so keep covers {0, 1, n // 2, n - 1}.  pid 2 crashes in
+        # round 1 mid-broadcast: its prefix arrives through the append
+        # buffers and is merged into the others' column.  Destinations 4
+        # (crashed in round 0) and 5 (halted after round 0) are dead.
+        n = 6
+        schedule = lambda: {
+            4: CrashSpec(round=0, keep=0), 2: CrashSpec(round=1, keep=keep)
+        }
+        result, log = scripted_pair(n, broadcast, 3, schedule, last={5: 0})
+        assert result.crashed == {2, 4}
+        assert (1, 4) not in log and (1, 5) not in log and (1, 2) not in log
+        for pid in (0, 1, 3):
+            senders = [
+                q for q in (0, 1, 2, 3) if q != pid
+                and (q != 2 or pid in (0, 1, 3, 4, 5)[:keep])
+            ]
+            assert log[(1, pid)] == [(q, ("b", 1, q)) for q in senders]
+
+    def test_byzantine_broadcaster_delivered_not_counted(self):
+        n = 5
+        result, log = scripted_pair(n, broadcast, 2, byzantine=frozenset({1}))
+        assert (1, ("b", 0, 1)) in log[(0, 3)]
+        assert result.messages == 2 * (n - 1) * (n - 1)
+        assert result.metrics.faulty_messages == 2 * (n - 1)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["duplicate", "self", "list", "mutated-list", "generator", "fresh"],
+    )
+    def test_column_near_misses(self, case):
+        # pid 0 sends n - 1 destinations that are *not* (or not provably)
+        # every pid but itself while pids 1.. broadcast; only "fresh"
+        # (an equal tuple rebuilt every round) may take the column.
+        n = 5
+        mutable = [1, 2, 3, 4]
+
+        def plan(proc, rnd):
+            if proc.pid:
+                return broadcast(proc, rnd)
+            payload = ("odd", rnd)
+            if case == "generator":
+                return (m for m in [Multicast(proc.everyone_else(), payload)])
+            mutable[0] = 3 if rnd else 1
+            dsts = {
+                "duplicate": (1, 2, 3, 3),
+                "self": (0, 1, 2, 3),
+                "list": [1, 2, 3, 4],
+                "mutated-list": mutable,
+                "generator": None,
+                "fresh": tuple(range(1, n)),
+            }[case]
+            return [Multicast(dsts, payload)]
+
+        result, log = scripted_pair(n, plan, 3)
+        assert result.messages == 3 * n * (n - 1)
+        expect = {
+            "duplicate": [0, 0, 1, 2, 4],
+            "self": [0, 1, 2, 4],
+            "mutated-list": [0, 0, 1, 2, 4],
+        }.get(case, [0, 1, 2, 4])
+        assert [src for src, _ in log[(2, 3)]] == expect
+        assert log[(2, 1)][0] == (
+            (2, ("b", 2, 2)) if case == "mutated-list" else (0, ("odd", 2))
+        )
+        assert ((2, 0) in log and log[(2, 0)][0][0] == 0) == (case == "self")
+
+    def test_out_of_range_near_miss_same_error_both_paths(self):
+        def plan(proc, rnd):
+            if proc.pid:
+                return broadcast(proc, rnd)
+            return [Multicast((1, 2, 3, proc.n), "x")]
+
+        errors = []
+        for backend in ("sim-opt", "sim-ref"):
+            with pytest.raises(ProtocolError) as caught:
+                run_scripted(5, plan, 2, backend=backend)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] == "process 0 sent to invalid pid 5"
+
+    def test_multicast_without_destinations_is_not_a_broadcast(self):
+        for dsts, outcome in ((None, TypeError), ((), None)):
+            plan = lambda proc, rnd: [Multicast(dsts, "x")]
+            for backend in ("sim-opt", "sim-ref"):
+                if outcome:
+                    with pytest.raises(outcome):
+                        run_scripted(3, plan, 1, backend=backend)
+                else:
+                    result, log = run_scripted(3, plan, 1, backend=backend)
+                    assert result.messages == 0 and log[(0, 1)] == []
+
+    def test_two_processes_broadcast_to_each_other(self):
+        result, log = scripted_pair(2, broadcast, 2)
+        assert result.messages == 4
+        assert log[(1, 0)] == [(1, ("b", 1, 1))]
+
+    def test_lone_process_broadcast_to_nobody_is_not_a_delivery(self):
+        # n = 1: ``everyone_else()`` is ``()``.  Nothing is delivered, so
+        # the quiet round 0 fast-forwards to the declared wake-up.
+        class Sleeper(Process):
+            def on_start(self):
+                self.woken = []
+
+            def send(self, rnd):
+                return [Multicast(self.everyone_else(), rnd)]
+
+            def receive(self, rnd, inbox):
+                self.woken.append(rnd)
+                if rnd >= 5:
+                    self.halt()
+
+            def next_activity(self, rnd):
+                return max(rnd + 1, 5)
+
+        woken = {}
+        for optimized in (True, False):
+            proc = Sleeper(0, 1)
+            result = Engine([proc], optimized=optimized).run()
+            woken[optimized] = proc.woken
+            assert result.messages == 0 and result.rounds == 6
+        assert woken[True] == woken[False] == [0, 5]
+
     def test_invalid_destination_rejected_both_paths(self):
         class Bad(Process):
             def send(self, rnd):
@@ -218,3 +413,40 @@ class TestEngineEdgeParity:
             engine = Engine([BadMulticast(0, 1)], optimized=optimized)
             with pytest.raises(ProtocolError):
                 engine.run()
+
+
+class TestInboxOrderContract:
+    """``Process.receive`` documents its inbox order: ascending sender
+    pid, and a sender's messages in the order it sent them.  Every
+    substrate hands out that exact list."""
+
+    def test_sim_opt_sim_ref_and_net_hand_out_the_same_inboxes(self):
+        n = 7
+
+        def plan(proc, rnd):
+            pid = proc.pid
+            out = []
+            if (pid + rnd) % 3 == 0:
+                out += broadcast(proc, rnd)
+            if pid % 2:
+                # Descending destinations, twice to pid 0: send order,
+                # not destination or payload order, breaks the tie.
+                out += [(dst, ("p", rnd, pid, seq)) for seq, dst in
+                        enumerate((n - 1, 0, 0))]
+            if pid == 4:
+                out.append(Multicast((6, 1, 0), ("sub", rnd)))
+            return out
+
+        schedule = {2: CrashSpec(round=1, keep=3), 5: CrashSpec(round=2, keep=1)}
+        logs = {}
+        for backend in ("sim-opt", "sim-ref", "net"):
+            _result, logs[backend] = run_scripted(
+                n, plan, 4, backend=backend, adversary=ScheduledCrashes(schedule)
+            )
+        assert logs["sim-opt"] == logs["sim-ref"] == logs["net"]
+        for inbox in logs["sim-ref"].values():
+            senders = [src for src, _ in inbox]
+            assert senders == sorted(senders)
+        assert [m for m in logs["sim-ref"][(0, 0)] if m[0] == 1] == [
+            (1, ("p", 0, 1, 1)), (1, ("p", 0, 1, 2))
+        ]

@@ -23,7 +23,9 @@ from repro.core.checkpointing import mask_to_set, set_to_mask
 from repro.graphs.compactness import is_survival_subset, survival_subset
 from repro.graphs.expander import second_eigenvalue
 from repro.graphs.ramanujan import certified_ramanujan_graph
-from repro.sim.process import payload_bits
+from repro.sim.adversary import CrashSpec
+from repro.sim.process import Multicast, payload_bits
+from tests.conftest import scripted_pair
 
 FAST = settings(
     max_examples=20,
@@ -79,6 +81,67 @@ class TestGossipInvariants:
     def test_checkpointing_conditions(self, crash_seed):
         result = run_checkpointing(60, 9, crashes="random", seed=crash_seed)
         check_checkpointing(result)
+
+
+@st.composite
+def send_plans(draw):
+    """``(n, rounds, plan, crashes)``: per round and pid a short list of
+    send actions -- ``None`` broadcasts to everyone else, a tuple is a
+    subset multicast (duplicates and self allowed), an int a
+    point-to-point destination -- and a crash schedule with ``keep``."""
+    n = draw(st.integers(1, 7))
+    rounds = draw(st.integers(1, 4))
+    pids = st.integers(0, n - 1)
+    action = st.one_of(
+        st.none(), st.lists(pids, max_size=n).map(tuple), pids
+    )
+    plan = draw(
+        st.lists(
+            st.lists(
+                st.lists(action, max_size=2), min_size=n, max_size=n
+            ),
+            min_size=rounds,
+            max_size=rounds,
+        )
+    )
+    crashes = draw(
+        st.dictionaries(
+            pids,
+            st.tuples(
+                st.integers(0, rounds - 1),
+                st.one_of(st.none(), st.integers(0, n)),
+            ),
+            max_size=n,
+        )
+    )
+    return n, rounds, plan, crashes
+
+
+class TestRoundLoopParity:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=send_plans())
+    def test_any_send_plan_gives_identical_inboxes_and_metrics(self, drawn):
+        n, rounds, plan, crashes = drawn
+
+        def item(proc, action, payload):
+            if action is None:
+                return Multicast(proc.everyone_else(), payload)
+            if isinstance(action, tuple):
+                return Multicast(action, payload)
+            return (action, payload)
+
+        def sends(proc, rnd):
+            return [
+                item(proc, action, (rnd, proc.pid, seq))
+                for seq, action in enumerate(plan[rnd][proc.pid])
+            ]
+
+        scripted_pair(
+            n,
+            sends,
+            rounds,
+            lambda: {pid: CrashSpec(*spec) for pid, spec in crashes.items()},
+        )
 
 
 class TestGraphInvariants:
