@@ -2,8 +2,8 @@
 """Scenario: reproduce the paper's scaling claims in one run.
 
 Regenerates Table 1 and a per-theorem experiment sweep via the same
-series builders the benchmark harness uses, and prints the tables that
-EXPERIMENTS.md records.
+series builders the benchmark harness uses, and prints the tables
+``repro-bench`` does (README, "Benchmarks and sweeps").
 
 Usage::
 

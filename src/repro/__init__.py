@@ -29,7 +29,8 @@ Layers:
 * :mod:`repro.trace` -- deterministic record/replay of executions;
 * :mod:`repro.check` -- differential fuzzing with paper-bound oracles
   and scenario shrinking (``python -m repro.check``);
-* :mod:`repro.bench` -- the experiment harness behind EXPERIMENTS.md.
+* :mod:`repro.bench` -- the experiment harness behind ``repro-bench``
+  (README, "Benchmarks and sweeps").
 """
 
 from repro.api import (

@@ -1,6 +1,6 @@
 """Experiment harness: workload generators, per-experiment series
-builders, the parallel sweep scheduler and the CLI runner behind
-EXPERIMENTS.md."""
+builders, the parallel sweep scheduler and the ``repro-bench`` CLI
+runner (README, "Benchmarks and sweeps")."""
 
 from repro.bench.sweep import (
     SweepOutcome,

@@ -14,8 +14,8 @@ processes.  Row content and order are independent of the worker count
 (every unit is deterministically parameterised and results are
 collected in unit order), so ``--jobs`` only changes wall-clock time.
 
-The output is an aligned text table (the same rows recorded in
-EXPERIMENTS.md); ``--out DIR`` additionally writes one JSON report
+The output is an aligned text table (README, "Benchmarks and sweeps",
+says how to read one); ``--out DIR`` additionally writes one JSON report
 (parameters, rows, timings) and one CSV (rows only) per experiment for
 machine-readable trajectory tracking.
 

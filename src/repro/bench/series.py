@@ -1,4 +1,5 @@
-"""Per-experiment measurement series (the data behind EXPERIMENTS.md).
+"""Per-experiment measurement series (the tables ``repro-bench`` prints;
+README, "Benchmarks and sweeps").
 
 Each experiment is expressed as a :class:`~repro.bench.sweep.SweepSpec`:
 a declarative parameter grid plus a module-level *unit runner* mapping
@@ -8,11 +9,13 @@ expand the spec and execute it through the sweep scheduler — serially
 by default, or across cores with ``jobs > 1`` — so every table can be
 regenerated in parallel without changing a single row.
 
-Every unit validates its execution against the problem's correctness
+Every unit validates its execution against the family's correctness
 predicate (a benchmark number is only reported for a *correct* run).
-The ``bound_ratio``-style columns divide the measured quantity by the
-theorem's bound expression: Table 1's claims hold if the ratios stay
-bounded by a constant as the sweep grows.
+The theorem series (Table 1, e5–e11) share :func:`theorem_unit`, which
+divides the :class:`~repro.families.Family` record's measure by the
+record's ``envelope`` -- the fields the fuzzer's bound certificate reads
+-- so a theorem holds if ``<measure>/envelope`` stays under the
+``constant`` printed beside it as the sweep grows.
 
 Rows are byte-identical across runs and ``--jobs`` counts, with one
 documented exception: the ``net`` series' ``sim_ms``/``net_ms``/
@@ -22,23 +25,13 @@ stay deterministic; see :func:`net_unit`).
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
+import time
 from typing import Optional
 
-from repro import (
-    check_aea,
-    check_checkpointing,
-    check_consensus,
-    check_gossip,
-    check_scv,
-    run_aea,
-    run_ab_consensus,
-    run_checkpointing,
-    run_consensus,
-    run_gossip,
-    run_recipe,
-    run_scv,
-)
+from repro import check_consensus, run_recipe
 from repro.baselines import (
     FloodingConsensusProcess,
     NaiveCheckpointingProcess,
@@ -50,7 +43,7 @@ from repro.bench.workloads import byzantine_sample, input_vector, rumor_vector, 
 from repro.check.driver import build_fuzz_spec
 from repro.check.oracles import check_parity
 from repro.core.params import ProtocolParams
-from repro.families import by_family, by_recipe
+from repro.families import Family, by_family, by_recipe
 from repro.lowerbounds import divergence_series, isolation_report
 from repro.sim import Engine, crash_schedule
 from repro.singleport.linear_consensus import (
@@ -77,6 +70,7 @@ __all__ = [
     "exp_scenarios",
     "exp_table1",
     "smoke_spec",
+    "theorem_unit",
 ]
 
 
@@ -84,70 +78,120 @@ def _log2(x: float) -> float:
     return math.log2(max(2.0, x))
 
 
-def _consensus_comm_bound(params: ProtocolParams) -> float:
-    """The Theorem 7 bit bound with the practical overlay constants
-    (committee probing + expander spreading): the registry's envelope."""
-    return by_family("consensus-few").envelope(params, {})
+# -- The theorem unit: draw, run, validate, divide by the record's envelope ------
 
 
-def _gossip_comm_bound(params: ProtocolParams) -> float:
-    """The Theorem 9 message bound with the practical constants (phases
-    of committee probing plus the linear inquiry part): the registry's
-    envelope."""
-    return by_family("gossip").envelope(params, {})
+def _record(name: str) -> Family:
+    """A series names its record by family or -- ``consensus`` with the
+    algorithm left to ``auto`` -- by recipe (records that share a recipe
+    agree on its schema and predicate)."""
+    try:
+        return by_family(name)
+    except ValueError:
+        return by_recipe(name)
+
+
+def _standard_recipe(record: Family, params: dict) -> dict:
+    """The standard instance of a family as a recipe: every key of the
+    record's schema that ``params`` binds (``n``, ``t``, whatever the
+    series pins) taken from there, the rest of its required keys -- and
+    the Byzantine set where the fault budget is one -- drawn from
+    :mod:`repro.bench.workloads` with the unit's seed."""
+    n, t, seed = params["n"], params["t"], params["seed"]
+    draw = {
+        "inputs": lambda: input_vector(n, "random", seed),
+        "rumors": lambda: rumor_vector(n, seed),
+        "holders": lambda: sorted(random.Random(seed).sample(range(n), int(0.62 * n))),
+        "byzantine": lambda: byzantine_sample(n, t, seed),
+    }
+    recipe = {"name": record.recipe}
+    for key in (*record.required, *record.optional):
+        if key in params:
+            recipe[key] = params[key]
+        elif key in draw:
+            recipe[key] = draw[key]()
+    return recipe
+
+
+def _run_checked(params: dict, **execution):
+    """Draw, execute and validate the instance ``params`` binds
+    (``family``, ``n``, ``t``, ``seed`` plus any recipe key it pins);
+    returns ``(record, recipe, result)`` of a *correct* run."""
+    record = _record(params["family"])
+    recipe = _standard_recipe(record, params)
+    result = run_recipe(recipe, **execution)
+    record.safety(recipe, result)
+    return record, recipe, result
+
+
+def _theorem_run(params: dict):
+    """``(row, recipe, result)`` of one theorem unit; the series that
+    observe more than the common row add columns to it."""
+    record, recipe, result = _run_checked(params, crashes="random", seed=params["seed"])
+    n, t = params["n"], params["t"]
+    measure, constant = record.bound
+    envelope = record.envelope(ProtocolParams(n=n, t=t), recipe)
+    row = {
+        "n": n,
+        "t": t,
+        "rounds": result.rounds,
+        "messages": result.messages,
+        "bits": result.bits,
+        "rounds/(t+lg n)": round(result.rounds / (t + _log2(n)), 2),
+        f"{measure}/envelope": round(getattr(result, measure) / envelope, 3),
+        "constant": constant,
+    }
+    return row, recipe, result
+
+
+def theorem_unit(params: dict) -> dict:
+    """One theorem row: ``params`` binds ``family``, ``n``, ``t``,
+    ``seed`` (and any recipe key the series pins, e.g. ``algorithm``).
+    Runs the family's standard instance under random crashes, raises
+    unless the record's ``safety`` holds, and reports the model costs
+    with ``<measure>/envelope`` and ``constant`` read off the record."""
+    return _theorem_run(params)[0]
+
+
+def _theorem_spec(name, family, shapes, seed, runner=theorem_unit, **pins) -> SweepSpec:
+    """A theorem series: one unit per ``(n, t)`` shape of one family
+    (explicit units, since ``t`` is usually a function of ``n``)."""
+    units = [
+        {"family": family, "n": n, "t": t, "seed": seed, **pins} for n, t in shapes
+    ]
+    return SweepSpec(name=name, runner=runner, units=units, base_seed=seed)
 
 
 # -- Table 1 ----------------------------------------------------------------
 
+#: Table 1's rows: problem (its ``table1_fault_bound`` rule) -> (row
+#: label, family).  Crash consensus sits at t = Θ(n / log n) < n/5, the
+#: Few-Crashes range.
+TABLE1_ROWS = {
+    "consensus": ("crash/consensus", "consensus-few"),
+    "gossip": ("crash/gossip", "gossip"),
+    "checkpointing": ("crash/checkpointing", "checkpointing"),
+    "byzantine": ("auth-byz/consensus", "ab-consensus"),
+}
+
 
 def table1_unit(params: dict) -> dict:
-    """One Table 1 cell: ``params`` binds ``problem``, ``n`` and ``seed``."""
-    problem = params["problem"]
-    n = params["n"]
-    seed = params["seed"]
-    t = table1_fault_bound(problem, n)
-    if problem == "consensus":
-        # Crash consensus at t = Θ(n / log n); communication = bits.
-        inputs = input_vector(n, "random", seed)
-        result = run_consensus(inputs, t, algorithm="auto", seed=seed)
-        check_consensus(result, inputs)
-        pp = ProtocolParams(n=n, t=t)
-        comm = result.bits
-        bound = _consensus_comm_bound(pp)
-        row_name = "crash/consensus"
-    elif problem == "gossip":
-        rumors = rumor_vector(n, seed)
-        result = run_gossip(rumors, t, crashes="random", seed=seed)
-        check_gossip(result, rumors)
-        pp = ProtocolParams(n=n, t=t)
-        comm = result.messages
-        bound = _gossip_comm_bound(pp)
-        row_name = "crash/gossip"
-    elif problem == "checkpointing":
-        result = run_checkpointing(n, t, crashes="random", seed=seed)
-        check_checkpointing(result)
-        pp = ProtocolParams(n=n, t=t)
-        comm = result.messages
-        bound = _gossip_comm_bound(pp) + _consensus_comm_bound(pp)
-        row_name = "crash/checkpointing"
-    elif problem == "byzantine":
-        inputs = input_vector(n, "random", seed)
-        byz = byzantine_sample(n, t, seed)
-        result = run_ab_consensus(inputs, t, byzantine=byz, behaviour="equivocate")
-        comm = result.messages
-        bound = 30.0 * (t * t + n)
-        row_name = "auth-byz/consensus"
-    else:
-        raise ValueError(f"unknown Table 1 problem {problem!r}")
+    """One Table 1 cell: ``params`` binds ``problem``, ``n`` and ``seed``.
+    Rows differ in measure (bits for consensus, messages elsewhere), so
+    the row's own one is restated as ``comm``."""
+    problem, n = params["problem"], params["n"]
+    t = table1_fault_bound(problem, n)  # ValueError on an unknown problem
+    label, family = TABLE1_ROWS[problem]
+    row = theorem_unit({"family": family, "n": n, "t": t, "seed": params["seed"]})
+    measure = by_family(family).bound[0]
+    comm, ratio, constant = row[measure], row.pop(f"{measure}/envelope"), row.pop("constant")
     return {
-        "row": row_name,
-        "n": n,
-        "t": t,
-        "rounds": result.rounds,
+        "row": label,
+        **row,
         "comm": comm,
-        "rounds/(t+lg n)": round(result.rounds / (t + _log2(n)), 2),
         "comm/n": round(comm / n, 1),
-        "comm/bound": round(comm / bound, 2),
+        "comm/envelope": ratio,
+        "constant": constant,
     }
 
 
@@ -156,11 +200,7 @@ def table1_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
     return SweepSpec(
         name="table1",
         runner=table1_unit,
-        grid={
-            "problem": ["consensus", "gossip", "checkpointing", "byzantine"],
-            "n": ns,
-            "seed": [seed],
-        },
+        grid={"problem": list(TABLE1_ROWS), "n": ns, "seed": [seed]},
         base_seed=seed,
     )
 
@@ -173,16 +213,7 @@ def smoke_spec(n: int = 48, seed: int = 1) -> SweepSpec:
     produce a non-trivial multi-unit timeline and exercise the telemetry
     exporters, small enough to finish in seconds.
     """
-    return SweepSpec(
-        name="smoke",
-        runner=table1_unit,
-        grid={
-            "problem": ["consensus", "gossip", "checkpointing", "byzantine"],
-            "n": [n],
-            "seed": [seed],
-        },
-        base_seed=seed,
-    )
+    return dataclasses.replace(table1_spec([n], seed), name="smoke")
 
 
 def exp_table1(
@@ -198,29 +229,14 @@ def exp_table1(
 
 
 def aea_unit(params: dict) -> dict:
-    n, seed = params["n"], params["seed"]
-    t = n // 6
-    inputs = input_vector(n, "random", seed)
-    result = run_aea(inputs, t, crashes="random", seed=seed)
-    check_aea(result, inputs)
-    deciders = len(result.correct_decisions())
-    return {
-        "n": n,
-        "t": t,
-        "rounds": result.rounds,
-        "messages": result.messages,
-        "bits": result.bits,
-        "deciders/n": round((deciders + len(result.crashed)) / n, 3),
-        "rounds/t": round(result.rounds / t, 2),
-        "msgs/(n+t·lg t·d)": round(result.messages / (n + t * _log2(t) * 32), 2),
-    }
+    row, _, result = _theorem_run(params)
+    deciders = len(result.correct_decisions()) + len(result.crashed)
+    return {**row, "deciders/n": round(deciders / row["n"], 3)}
 
 
 def aea_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
     ns = ns or [120, 240, 480]
-    return SweepSpec(
-        name="e5", runner=aea_unit, grid={"n": ns, "seed": [seed]}, base_seed=seed
-    )
+    return _theorem_spec("e5", "aea", [(n, n // 6) for n in ns], seed, aea_unit)
 
 
 def exp_e5_aea(
@@ -233,33 +249,19 @@ def exp_e5_aea(
 
 
 def scv_unit(params: dict) -> dict:
-    import random as stdlib_random
-
-    n, t, seed = params["n"], params["t"], params["seed"]
-    pp = ProtocolParams(n=n, t=t)
-    rng = stdlib_random.Random(seed)
-    holders = set(rng.sample(range(n), int(0.62 * n)))
-    result = run_scv(n, t, holders, 1, crashes="random", seed=seed)
-    check_scv(result, 1)
+    row = theorem_unit(params)
+    direct = ProtocolParams(n=row["n"], t=row["t"]).scv_direct_inquiry
     return {
-        "n": n,
-        "t": t,
-        "branch": "direct(t²≤n)" if pp.scv_direct_inquiry else "doubling",
-        "rounds": result.rounds,
-        "messages": result.messages,
-        "rounds/lg t": round(result.rounds / _log2(t), 2),
-        "msgs/(n+t·lg t)": round(result.messages / (n + 20 * t * _log2(t)), 2),
+        **row,
+        "branch": "direct(t²≤n)" if direct else "doubling",
+        "rounds/lg t": round(row["rounds"] / _log2(row["t"]), 2),
     }
 
 
 def scv_spec(n: int = 400, seed: int = 1) -> SweepSpec:
-    return SweepSpec(
-        name="e6",
-        runner=scv_unit,
-        # spans the t² ≤ n crossover at t = √n
-        grid={"t": [10, 19, 21, 40, 79], "n": [n], "seed": [seed]},
-        base_seed=seed,
-    )
+    # spans the t² ≤ n crossover at t = √n
+    shapes = [(n, t) for t in (10, 19, 21, 40, 79)]
+    return _theorem_spec("e6", "scv", shapes, seed, scv_unit)
 
 
 def exp_e6_scv(n: int = 400, seed: int = 1, jobs: int = 1) -> list[dict]:
@@ -269,31 +271,10 @@ def exp_e6_scv(n: int = 400, seed: int = 1, jobs: int = 1) -> list[dict]:
 # -- E7: Theorem 7 (Few-Crashes-Consensus) ----------------------------------------
 
 
-def consensus_few_unit(params: dict) -> dict:
-    n, seed = params["n"], params["seed"]
-    t = params.get("t", n // 6)
-    inputs = input_vector(n, "random", seed)
-    result = run_consensus(inputs, t, algorithm="few", seed=seed)
-    check_consensus(result, inputs)
-    return {
-        "n": n,
-        "t": t,
-        "rounds": result.rounds,
-        "messages": result.messages,
-        "bits": result.bits,
-        "rounds/(t+lg n)": round(result.rounds / (t + _log2(n)), 2),
-        "bits/(n+t·lg t·d)": round(result.bits / (n + t * _log2(t) * 32), 2),
-    }
-
-
 def consensus_few_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
     ns = ns or [120, 240, 480]
-    return SweepSpec(
-        name="e7",
-        runner=consensus_few_unit,
-        grid={"n": ns, "seed": [seed]},
-        base_seed=seed,
-    )
+    shapes = [(n, n // 6) for n in ns]
+    return _theorem_spec("e7", "consensus-few", shapes, seed, algorithm="few")
 
 
 def exp_e7_consensus_few(
@@ -306,36 +287,27 @@ def exp_e7_consensus_few(
 
 
 def consensus_many_unit(params: dict) -> dict:
-    n, alpha_pct, seed = params["n"], params["alpha_pct"], params["seed"]
-    t = min(n - 1, max(1, n * alpha_pct // 100))
-    inputs = input_vector(n, "random", seed)
-    result = run_consensus(inputs, t, algorithm="many", seed=seed)
-    check_consensus(result, inputs)
+    row = theorem_unit(params)
+    n, t = row["n"], row["t"]
     base_bound = n + 3 * (1 + _log2(n)) + 7
     # Degenerate fault patterns (α → 1 with no probing survivor)
-    # trigger the recovery epilogue, adding at most t + 2 rounds;
-    # see DESIGN.md and the Many-Crashes-Consensus docstring.
-    recovery_used = result.rounds > base_bound
+    # trigger the recovery epilogue, adding at most t + 2 rounds (the
+    # HELP round and flood ManyCrashesConsensusProcess.__init__ lays out).
+    recovery_used = row["rounds"] > base_bound
     round_bound = base_bound + (t + 2 if recovery_used else 0)
     return {
-        "n": n,
-        "t": t,
+        **row,
         "alpha": round(t / n, 2),
-        "rounds": result.rounds,
         "round_bound(n+3(1+lg n))": int(round_bound),
         "recovery": "yes" if recovery_used else "no",
-        "messages": result.messages,
-        "bits": result.bits,
-        "rounds/bound": round(result.rounds / round_bound, 2),
+        "rounds/bound": round(row["rounds"] / round_bound, 2),
     }
 
 
 def consensus_many_spec(n: int = 96, seed: int = 1) -> SweepSpec:
-    return SweepSpec(
-        name="e8",
-        runner=consensus_many_unit,
-        grid={"alpha_pct": [30, 60, 90, 98], "n": [n], "seed": [seed]},
-        base_seed=seed,
+    shapes = [(n, min(n - 1, max(1, n * pct // 100))) for pct in (30, 60, 90, 98)]
+    return _theorem_spec(
+        "e8", "consensus-many", shapes, seed, consensus_many_unit, algorithm="many"
     )
 
 
@@ -347,28 +319,14 @@ def exp_e8_consensus_many(n: int = 96, seed: int = 1, jobs: int = 1) -> list[dic
 
 
 def gossip_unit(params: dict) -> dict:
-    n, seed = params["n"], params["seed"]
-    t = params.get("t", n // 10)
-    rumors = rumor_vector(n, seed)
-    result = run_gossip(rumors, t, crashes="random", seed=seed)
-    check_gossip(result, rumors)
-    return {
-        "n": n,
-        "t": t,
-        "rounds": result.rounds,
-        "messages": result.messages,
-        "rounds/(lg n·lg t)": round(result.rounds / (_log2(n) * _log2(t)), 2),
-        "msgs/bound": round(
-            result.messages / _gossip_comm_bound(ProtocolParams(n=n, t=t)), 2
-        ),
-    }
+    row = theorem_unit(params)
+    polylog = _log2(row["n"]) * _log2(row["t"])
+    return {**row, "rounds/(lg n·lg t)": round(row["rounds"] / polylog, 2)}
 
 
 def gossip_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
     ns = ns or [120, 240, 480]
-    return SweepSpec(
-        name="e9", runner=gossip_unit, grid={"n": ns, "seed": [seed]}, base_seed=seed
-    )
+    return _theorem_spec("e9", "gossip", [(n, n // 10) for n in ns], seed, gossip_unit)
 
 
 def exp_e9_gossip(
@@ -377,38 +335,60 @@ def exp_e9_gossip(
     return run_sweep(gossip_spec(ns, seed), jobs=jobs).rows()
 
 
+# -- The classical comparators (e10 and ``baselines``) ------------------------------
+
+#: family -> (label, process ``pid`` of the instance ``(n, t, recipe)``,
+#: last round its crash schedule may use).
+_BASELINES = {
+    "consensus-few": (
+        "flooding (t+1 rounds, all-to-all)",
+        lambda pid, n, t, recipe: FloodingConsensusProcess(pid, n, t, recipe["inputs"][pid]),
+        lambda t: t + 1,
+    ),
+    "gossip": (
+        "all-to-all exchange",
+        lambda pid, n, t, recipe: NaiveGossipProcess(pid, n, recipe["rumors"][pid]),
+        lambda t: 2,
+    ),
+    "checkpointing": (
+        "ping + mask AND-flooding (n²t)",
+        lambda pid, n, t, recipe: NaiveCheckpointingProcess(pid, n, t),
+        lambda t: t + 2,
+    ),
+}
+
+
+def _baseline_run(params: dict, recipe: dict):
+    """``(label, result)`` of the family's classical baseline on the same
+    instance and crash seed, validated by the same predicate."""
+    record = by_family(params["family"])
+    label, process, horizon = _BASELINES[record.family]
+    n, t = params["n"], params["t"]
+    adversary = crash_schedule(n, t, seed=params["seed"], max_round=horizon(t))
+    result = Engine([process(pid, n, t, recipe) for pid in range(n)], adversary).run()
+    record.safety(recipe, result)
+    return label, result
+
+
 # -- E10: Theorem 10 (Checkpointing) -----------------------------------------------
 
 
 def checkpointing_unit(params: dict) -> dict:
-    n, seed = params["n"], params["seed"]
-    t = params.get("t", n // 10)
-    result = run_checkpointing(n, t, crashes="random", seed=seed)
-    check_checkpointing(result)
-    baseline_procs = [NaiveCheckpointingProcess(i, n, t) for i in range(n)]
-    baseline = Engine(
-        baseline_procs, crash_schedule(n, t, seed=seed, max_round=t + 2)
-    ).run()
-    check_checkpointing(baseline)
+    row, recipe, _ = _theorem_run(params)
+    _, naive = _baseline_run(params, recipe)
+    round_bound = row["t"] + _log2(row["n"]) * _log2(row["t"])
     return {
-        "n": n,
-        "t": t,
-        "rounds": result.rounds,
-        "messages": result.messages,
-        "naive_msgs(n²t)": baseline.messages,
-        "msg_ratio(naive/paper)": round(baseline.messages / result.messages, 2),
-        "rounds/(t+lgn·lgt)": round(result.rounds / (t + _log2(n) * _log2(t)), 2),
+        **row,
+        "naive_msgs(n²t)": naive.messages,
+        "msg_ratio(naive/paper)": round(naive.messages / row["messages"], 2),
+        "rounds/(t+lgn·lgt)": round(row["rounds"] / round_bound, 2),
     }
 
 
 def checkpointing_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
     ns = ns or [100, 200, 400]
-    return SweepSpec(
-        name="e10",
-        runner=checkpointing_unit,
-        grid={"n": ns, "seed": [seed]},
-        base_seed=seed,
-    )
+    shapes = [(n, n // 10) for n in ns]
+    return _theorem_spec("e10", "checkpointing", shapes, seed, checkpointing_unit)
 
 
 def exp_e10_checkpointing(
@@ -421,30 +401,15 @@ def exp_e10_checkpointing(
 
 
 def byzantine_unit(params: dict) -> dict:
-    n, t, seed = params["n"], params["t"], params["seed"]
-    inputs = input_vector(n, "random", seed)
-    byz = byzantine_sample(n, t, seed)
-    result = run_ab_consensus(inputs, t, byzantine=byz, behaviour="equivocate")
-    return {
-        "n": n,
-        "t": t,
-        "t²/n": round(t * t / n, 2),
-        "rounds": result.rounds,
-        "messages": result.messages,
-        "rounds/t": round(result.rounds / t, 2),
-        "msgs/(t²+n)": round(result.messages / (t * t + n), 2),
-        "msgs/n": round(result.messages / n, 2),
-    }
+    row = theorem_unit(params)
+    n, t = row["n"], row["t"]
+    return {**row, "t²/n": round(t * t / n, 2), "msgs/n": round(row["messages"] / n, 2)}
 
 
 def byzantine_spec(n: int = 400, seed: int = 1) -> SweepSpec:
-    return SweepSpec(
-        name="e11",
-        runner=byzantine_unit,
-        # √n = 20: the linear-communication crossover
-        grid={"t": [5, 10, 20, 40], "n": [n], "seed": [seed]},
-        base_seed=seed,
-    )
+    # √n = 20: the linear-communication crossover
+    shapes = [(n, t) for t in (5, 10, 20, 40)]
+    return _theorem_spec("e11", "ab-consensus", shapes, seed, byzantine_unit)
 
 
 def exp_e11_byzantine(n: int = 400, seed: int = 1, jobs: int = 1) -> list[dict]:
@@ -564,74 +529,35 @@ def exp_e13_lowerbounds(seed: int = 1, jobs: int = 1) -> list[dict]:
 
 
 def baselines_unit(params: dict) -> dict:
-    problem, n, seed = params["problem"], params["n"], params["seed"]
-    t = n // 10
-    if problem == "consensus":
-        inputs = input_vector(n, "random", seed)
-        paper = run_consensus(inputs, t, algorithm="few", seed=seed)
-        check_consensus(paper, inputs)
-        procs = [FloodingConsensusProcess(i, n, t, inputs[i]) for i in range(n)]
-        flooding = Engine(
-            procs, crash_schedule(n, t, seed=seed, max_round=t + 1)
-        ).run()
-        check_consensus(flooding, inputs)
-        return {
-            "problem": "consensus",
-            "paper_msgs": paper.messages,
-            "baseline_msgs": flooding.messages,
-            "baseline": "flooding (t+1 rounds, all-to-all)",
-            "paper_rounds": paper.rounds,
-            "baseline_rounds": flooding.rounds,
-        }
-    if problem == "gossip":
-        # Gossip is compared at its Table 1 boundary t = Θ(n / log² n):
-        # that is where the linear-communication claim lives (at t = n/10
-        # the committee-degree constant still dominates at simulation
-        # sizes).
-        gossip_t = table1_fault_bound("gossip", n)
-        rumors = rumor_vector(n, seed)
-        paper = run_gossip(rumors, gossip_t, crashes="random", seed=seed)
-        check_gossip(paper, rumors)
-        gprocs = [NaiveGossipProcess(i, n, rumors[i]) for i in range(n)]
-        naive = Engine(
-            gprocs, crash_schedule(n, gossip_t, seed=seed, max_round=2)
-        ).run()
-        return {
-            "problem": f"gossip (t={gossip_t})",
-            "paper_msgs": paper.messages,
-            "baseline_msgs": naive.messages,
-            "baseline": "all-to-all exchange",
-            "paper_rounds": paper.rounds,
-            "baseline_rounds": naive.rounds,
-        }
-    if problem == "checkpointing":
-        paper = run_checkpointing(n, t, crashes="random", seed=seed)
-        check_checkpointing(paper)
-        cprocs = [NaiveCheckpointingProcess(i, n, t) for i in range(n)]
-        naive = Engine(
-            cprocs, crash_schedule(n, t, seed=seed, max_round=t + 2)
-        ).run()
-        return {
-            "problem": "checkpointing",
-            "paper_msgs": paper.messages,
-            "baseline_msgs": naive.messages,
-            "baseline": "ping + mask AND-flooding (n²t)",
-            "paper_rounds": paper.rounds,
-            "baseline_rounds": naive.rounds,
-        }
-    raise ValueError(f"unknown baseline problem {problem!r}")
+    _, recipe, paper = _theorem_run(params)
+    label, baseline = _baseline_run(params, recipe)
+    return {
+        "problem": recipe["name"],
+        "n": params["n"],
+        "t": params["t"],
+        "paper_msgs": paper.messages,
+        "baseline_msgs": baseline.messages,
+        "baseline": label,
+        "paper_rounds": paper.rounds,
+        "baseline_rounds": baseline.rounds,
+    }
 
 
 def baselines_spec(n: int = 240, seed: int = 1) -> SweepSpec:
+    # Gossip is compared at its Table 1 boundary t = Θ(n / log² n): that
+    # is where the linear-communication claim lives (at t = n/10 the
+    # committee-degree constant still dominates at simulation sizes).
+    fault_bounds = {
+        "consensus-few": n // 10,
+        "gossip": table1_fault_bound("gossip", n),
+        "checkpointing": n // 10,
+    }
+    units = [
+        {"family": family, "n": n, "t": t, "seed": seed}
+        for family, t in fault_bounds.items()
+    ]
     return SweepSpec(
-        name="baselines",
-        runner=baselines_unit,
-        grid={
-            "problem": ["consensus", "gossip", "checkpointing"],
-            "n": [n],
-            "seed": [seed],
-        },
-        base_seed=seed,
+        name="baselines", runner=baselines_unit, units=units, base_seed=seed
     )
 
 
@@ -640,25 +566,6 @@ def exp_baselines(n: int = 240, seed: int = 1, jobs: int = 1) -> list[dict]:
 
 
 # -- Literature families vs the paper's algorithms ---------------------------
-
-
-def _wide_input(rng, width: int) -> int:
-    return rng.randrange(0, 2**width)
-
-
-#: The cross-family series' *comparable* instances (not the fuzzer's
-#: distribution): bench label -> (recipe name, one input drawn from
-#: ``rng``).  The two multi-valued protocols draw the same ``width``-bit
-#: inputs, so their payload-bit totals differ by the protocols alone.
-_BENCH_FAMILIES = {
-    "consensus": ("consensus", lambda rng, width: rng.randint(0, 1)),
-    "flooding": ("flooding", _wide_input),
-    "approximate": (
-        "approximate",
-        lambda rng, width: round(rng.uniform(0.0, 100.0), 4),
-    ),
-    "lv-consensus": ("lv_consensus", _wide_input),
-}
 
 
 def families_unit(params: dict) -> dict:
@@ -673,25 +580,14 @@ def families_unit(params: dict) -> dict:
     contract).  Every run is validated by its family's correctness
     predicate before its numbers are reported.
     """
-    import random as _random
-    import time as _time
-
-    family, n, t = params["family"], params["n"], params["t"]
-    seed, backend = params["seed"], params["backend"]
-    width = params.get("width", 128)
-    rng = _random.Random(derive_seed(seed, ("families", family, n, t)))
-    name, draw = _BENCH_FAMILIES[family]
-    record = by_recipe(name)
-    start = _time.perf_counter()
-    recipe = {"name": name, "inputs": [draw(rng, width) for _ in range(n)], "t": t}
-    # Pin the knobs this series sweeps on the families that have them.
-    knobs = {"width": width, "eps": params.get("eps", 0.5)}
-    recipe.update({k: v for k, v in knobs.items() if k in record.optional})
-    result = run_recipe(
-        recipe, crashes=None, backend="sim", optimized=(backend != "sim-ref")
+    family, n, t, backend = (params[key] for key in ("family", "n", "t", "backend"))
+    start = time.perf_counter()
+    draw_seed = derive_seed(params["seed"], ("families", family, n, t))
+    inputs = input_vector(n, params["kind"], draw_seed, params["width"])
+    _, _, result = _run_checked(
+        {**params, "inputs": inputs}, crashes=None, optimized=(backend != "sim-ref")
     )
-    record.safety(recipe, result)
-    elapsed = _time.perf_counter() - start
+    elapsed = time.perf_counter() - start
     return {
         "family": family,
         "n": n,
@@ -707,18 +603,23 @@ def families_unit(params: dict) -> dict:
 
 
 def families_spec(n: int = 40, t: int = 8, seed: int = 1) -> SweepSpec:
-    return SweepSpec(
-        name="families",
-        runner=families_unit,
-        grid={
-            "family": list(_BENCH_FAMILIES),
-            "n": [n],
-            "t": [t],
-            "seed": [seed],
-            "backend": ["sim-opt", "sim-ref"],
-        },
-        base_seed=seed,
-    )
+    # The *comparable* instances (not the fuzzer's distribution): family
+    # -> input kind.  The two multi-valued protocols draw the same
+    # ``width``-bit inputs, so their payload-bit totals differ by the
+    # protocols alone; ``width`` and ``eps`` pin the families that take them.
+    kinds = {
+        "consensus": "random",
+        "flooding": "wide",
+        "approximate": "real",
+        "lv-consensus": "wide",
+    }
+    common = {"n": n, "t": t, "seed": seed, "width": 128, "eps": 0.5}
+    units = [
+        {"family": family, "kind": kind, **common, "backend": backend}
+        for family, kind in kinds.items()
+        for backend in ("sim-opt", "sim-ref")
+    ]
+    return SweepSpec(name="families", runner=families_unit, units=units, base_seed=seed)
 
 
 def exp_families(
@@ -728,21 +629,6 @@ def exp_families(
 
 
 # -- Simulator vs. net runtime ----------------------------------------------------------
-
-
-def _problem_recipe(problem: str, n: int, t: int, seed: int) -> dict:
-    """The standard instance of a problem as a recipe: the required keys
-    of its registry record, filled from :mod:`repro.bench.workloads`."""
-    fill = {
-        "inputs": lambda: input_vector(n, "random", seed),
-        "rumors": lambda: rumor_vector(n, seed),
-        "n": lambda: n,
-        "t": lambda: t,
-    }
-    return {
-        "name": problem,
-        **{key: fill[key]() for key in by_recipe(problem).required},
-    }
 
 
 def net_unit(params: dict) -> dict:
@@ -756,16 +642,13 @@ def net_unit(params: dict) -> dict:
     *measurements* (``sim_ms``/``net_ms``/``net/sim``), which jitter
     between runs like any timing and are excluded from the sweep
     harness's byte-identical-rows contract."""
-    import time
-
     problem, n, seed = params["problem"], params["n"], params["seed"]
     t = n // 6
+    instance = {**params, "family": problem, "t": t}
 
     def execute(backend: str):
         started = time.perf_counter()
-        recipe = _problem_recipe(problem, n, t, seed)
-        result = run_recipe(recipe, seed=seed, backend=backend)
-        by_recipe(problem).safety(recipe, result)
+        _, _, result = _run_checked(instance, seed=seed, backend=backend)
         return result, time.perf_counter() - started
 
     sim, sim_s = execute("sim")
@@ -834,7 +717,8 @@ def scenario_unit(params: dict) -> dict:
     else:
         raise ValueError(f"unknown scenario model {model!r}")
 
-    recipe = _problem_recipe(problem, n, t, seed)
+    record = by_recipe(problem)
+    recipe = _standard_recipe(record, {**params, "t": t})
     opt = run_recipe(recipe, scenario=scenario)
     ref = run_recipe(recipe, scenario=scenario, optimized=False)
     net = run_recipe(recipe, scenario=scenario, backend="net")
@@ -845,7 +729,7 @@ def scenario_unit(params: dict) -> dict:
             opt, other, f"sim-opt[{problem}/{model} n={n} seed={seed}]", label
         )
     try:
-        by_recipe(problem).safety(recipe, opt)
+        record.safety(recipe, opt)
         safety = "ok"
     except PropertyViolation as exc:
         safety = f"violated ({type(exc).__name__})"

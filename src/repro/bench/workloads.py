@@ -14,15 +14,21 @@ __all__ = [
 ]
 
 
-def input_vector(n: int, kind: str = "random", seed: int = 0) -> list[int]:
-    """A binary input assignment.
+def input_vector(n: int, kind: str = "random", seed: int = 0, width: int = 128) -> list:
+    """An input assignment, binary unless ``kind`` says otherwise.
 
     ``kind``: ``"random"`` (iid bits), ``"zeros"``, ``"ones"``,
-    ``"minority_one"`` (a single 1), ``"alternating"``.
+    ``"minority_one"`` (a single 1), ``"alternating"``; ``"wide"``
+    (iid ``width``-bit integers) and ``"real"`` (four-decimal floats in
+    ``[0, 100]``) for the multi-valued and approximate families.
     """
     rng = random.Random(seed)
     if kind == "random":
         return [rng.randint(0, 1) for _ in range(n)]
+    if kind == "wide":
+        return [rng.randrange(0, 2**width) for _ in range(n)]
+    if kind == "real":
+        return [round(rng.uniform(0.0, 100.0), 4) for _ in range(n)]
     if kind == "zeros":
         return [0] * n
     if kind == "ones":

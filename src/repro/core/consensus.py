@@ -141,7 +141,8 @@ class ManyCrashesConsensusProcess(Process):
         # round, and -- only when someone is still undecided -- t + 1
         # rounds of tagged flooding over the complete graph.  Healthy
         # executions halt right after the silent HELP round, so Theorem
-        # 8's round bound gains one round; see DESIGN.md.
+        # 8's round bound gains one round (``repro-bench e8`` prints which
+        # rows recovered).
         self.help_round = self.phase_end
         self.recovery_end = self.help_round + 1 + (params.t + 1)
         self.end_round = self.recovery_end

@@ -90,8 +90,8 @@ def is_ramanujan(graph: Graph, d: Optional[int] = None, slack: float = 0.0) -> b
 
     ``slack`` admits *near*-Ramanujan graphs: seeded random regular
     graphs achieve ``λ ≤ 2·sqrt(d−1) + o(1)`` and every property the
-    paper uses degrades continuously in ``λ``, so a small slack is the
-    substitution documented in DESIGN.md.
+    paper uses degrades continuously in ``λ``, so a small slack is how
+    seeded random regular graphs stand in for explicit Ramanujan ones.
     """
     degree = d if d is not None else graph.max_degree
     if graph.n <= degree + 1:

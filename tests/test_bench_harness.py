@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import PropertyViolation
+from repro.bench import series
 from repro.bench.runner import EXPERIMENTS, format_table, run_experiment
 from repro.bench.series import exp_e6_scv, exp_e8_consensus_many, exp_e13_lowerbounds
 from repro.bench.workloads import (
@@ -10,6 +12,8 @@ from repro.bench.workloads import (
     rumor_vector,
     table1_fault_bound,
 )
+from repro.check.oracles import bound_certificate
+from repro.families import by_family
 
 
 class TestWorkloads:
@@ -74,9 +78,134 @@ class TestFormatTable:
         assert format_table([]) == "(no rows)"
 
 
+#: The theorem series at small sizes: id -> (run, pinned columns, one
+#: tuple per row).  Model costs are exact, so these tuples are the proof
+#: that a change to how rows are *built* moved no execution: only ratio
+#: columns may differ between two commits that both pass this.
+GOLDEN = {
+    "table1": (
+        lambda: series.exp_table1(ns=[40, 60]),
+        ("n", "t", "rounds", "comm"),
+        [(40, 3, 32, 1932), (60, 5, 44, 5545), (40, 1, 84, 3732), (60, 1, 84, 3789),
+         (40, 1, 107, 4724), (60, 1, 107, 5121), (40, 3, 17, 1341), (60, 3, 17, 1738)],
+    ),
+    "e5": (
+        lambda: series.exp_e5_aea(ns=[40, 60]),
+        ("n", "t", "rounds", "messages", "bits"),
+        [(40, 6, 37, 6155, 6155), (60, 10, 58, 12615, 12615)],
+    ),
+    "e6": (
+        lambda: series.exp_e6_scv(n=100),
+        ("n", "t", "rounds", "messages"),
+        [(100, 10, 15, 1571), (100, 19, 25, 1558), (100, 21, 25, 1571),
+         (100, 40, 25, 1518), (100, 79, 27, 1468)],
+    ),
+    "e7": (
+        lambda: series.exp_e7_consensus_few(ns=[40, 60]),
+        ("n", "t", "rounds", "messages", "bits"),
+        [(40, 6, 50, 6699, 6699), (60, 10, 81, 13415, 13415)],
+    ),
+    "e8": (
+        lambda: series.exp_e8_consensus_many(n=48),
+        ("n", "t", "rounds", "messages", "bits"),
+        [(48, 14, 68, 15043, 15043), (48, 28, 70, 10306, 10306),
+         (48, 43, 70, 5042, 5042), (48, 47, 118, 6090, 12858)],
+    ),
+    "e9": (
+        lambda: series.exp_e9_gossip(ns=[40, 60]),
+        ("n", "t", "rounds", "messages"),
+        [(40, 4, 108, 29255), (60, 6, 108, 69975)],
+    ),
+    "e10": (
+        lambda: series.exp_e10_checkpointing(ns=[40, 60]),
+        ("n", "t", "rounds", "messages", "naive_msgs(n²t)"),
+        [(40, 4, 147, 32432, 8784), (60, 6, 158, 77363, 27503)],
+    ),
+    "e11": (
+        lambda: series.exp_e11_byzantine(n=100),
+        ("n", "t", "rounds", "messages"),
+        [(100, 5, 21, 3698), (100, 10, 28, 10108), (100, 20, 36, 32960),
+         (100, 40, 54, 24720)],
+    ),
+    "baselines": (
+        lambda: series.exp_baselines(n=60),
+        ("paper_rounds", "paper_msgs", "baseline_rounds", "baseline_msgs"),
+        [(50, 7446, 7, 23141), (84, 3789, 2, 6964), (158, 77363, 8, 27503)],
+    ),
+}
+
+
 class TestSeries:
-    """Small-size smoke runs of representative series builders (the
-    full sweeps run under benchmarks/)."""
+    """Small-size runs of the series builders (the full sweeps are
+    ``repro-bench <id>``; CI's examples-smoke job runs a few)."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_rows(self, name):
+        run, columns, expected = GOLDEN[name]
+        assert [tuple(row[c] for c in columns) for row in run()] == expected
+
+    @pytest.mark.parametrize("family", ["consensus-few", "ab-consensus"])
+    def test_violating_run_raises_instead_of_reporting(self, family, monkeypatch):
+        # A bench number is only reported for a correct run, in both
+        # fault models: flip one correct node's decision under the unit.
+        def tampered(recipe, **execution):
+            result = run_recipe(recipe, **execution)
+            pid = result.correct_pids()[0]
+            result.decisions[pid] = 1 - result.decisions[pid]
+            return result
+
+        run_recipe = series.run_recipe
+        params = {"family": family, "n": 40, "t": 4, "seed": 1}
+        assert series.theorem_unit(params)["rounds"] > 0
+        monkeypatch.setattr(series, "run_recipe", tampered)
+        with pytest.raises(PropertyViolation, match="agreement"):
+            series.theorem_unit(params)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            series.table1_spec([40, 60]),
+            series.aea_spec([40, 60, 240]),
+            series.scv_spec(100),
+            series.consensus_few_spec([40, 60, 240]),
+            series.consensus_many_spec(48),
+            series.gossip_spec([40, 60]),
+            series.checkpointing_spec([40, 60]),
+            series.byzantine_spec(100),
+        ],
+        ids=lambda spec: spec.name,
+    )
+    def test_rows_restate_the_fuzzers_certificate(self, spec, monkeypatch):
+        # One statement of each bound: the ratio a table prints is the
+        # bound oracle's own comm / envelope, and it stays under the
+        # record's constant at sizes the fuzzer's n_range never reaches.
+        def recording(recipe, **execution):
+            runs.append((recipe, run_recipe(recipe, **execution)))
+            return runs[-1][1]
+
+        run_recipe, runs = series.run_recipe, []
+        monkeypatch.setattr(series, "run_recipe", recording)
+        for unit in spec.expand():
+            del runs[:]
+            row = spec.runner(unit.params)
+            family = unit.params.get("family")
+            if family is None:  # a Table 1 cell names its problem
+                family = series.TABLE1_ROWS[unit.params["problem"]][1]
+            measure, constant = by_family(family).bound
+            ratio = row["comm/envelope" if "row" in row else f"{measure}/envelope"]
+            certificate = bound_certificate(family, *runs[0])
+            assert certificate["comm_measure"] == measure
+            assert ratio == pytest.approx(
+                certificate["comm"] / certificate["envelope"], abs=1e-3
+            )
+            assert 0 < ratio <= constant == row["constant"]
+            assert certificate["comm_ok"]
+
+    def test_smoke_is_a_table1_slice(self):
+        smoke, table1 = series.smoke_spec(48, 3), series.table1_spec([48], 3)
+        assert smoke.name == "smoke"
+        assert [u.params for u in smoke.expand()] == [u.params for u in table1.expand()]
+        assert smoke.runner is table1.runner
 
     def test_registry_complete(self):
         expected = {

@@ -56,6 +56,23 @@ def test_link_checker_sees_root_level_files(tmp_path):
     assert len(problems) == 1 and "`NO_SUCH_ARTIFACT.json`" in problems[0]
 
 
+def test_sources_point_at_markdown_files_that_exist(tmp_path):
+    """A docstring or comment under src/ or examples/ that sends the
+    reader to a ``*.md`` file names one that is there."""
+    problems = []
+    for path in check_links.collect_sources():
+        problems.extend(check_links.check_source(path))
+    assert not problems, "\n".join(problems)
+    module = tmp_path / "module.py"
+    module.write_text(
+        '"""See ``docs/faults.md``, api.md and README.md; the tables are in\n'
+        'EXPERIMENTS.md."""\n',
+        encoding="utf-8",
+    )
+    problems = check_links.check_source(module)
+    assert len(problems) == 1 and "`EXPERIMENTS.md`" in problems[0]
+
+
 def test_readme_gallery_lists_every_example():
     """The README 'Scenario gallery' table must name every script in
     examples/ (and nothing that does not exist — covered by the link

@@ -7,9 +7,11 @@ that every ``examples/*.py``, ``src/repro/**.py``, ``tests/*.py``,
 ``docs/*.md`` path or root-level ``*.json`` / ``*.md`` / ``*.toml`` name
 mentioned in inline code spans exists — so the README's scenario
 gallery, the fault-model handbook and the names of committed artifacts
-cannot silently rot when files move or go.  External
-``http(s)``/``mailto`` targets are syntax-checked only (CI must stay
-offline-deterministic).
+cannot silently rot when files move or go.  Python sources under
+``src/`` and ``examples/`` get the one check that applies to them: a
+``*.md`` file a docstring or comment sends the reader to must exist.
+External ``http(s)``/``mailto`` targets are syntax-checked only (CI must
+stay offline-deterministic).
 
 Usage::
 
@@ -35,6 +37,8 @@ _CODE_PATH = re.compile(
     r"|[A-Za-z0-9_-]+\.(?:json|md|toml))`"
 )
 _FENCE = re.compile(r"```.*?```", re.DOTALL)
+#: a markdown file named in a Python source, with or without a directory
+_SOURCE_MD = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b")
 
 
 def _strip_fences(text: str) -> str:
@@ -62,6 +66,23 @@ def check_file(path: pathlib.Path) -> list[str]:
     return problems
 
 
+def check_source(path: pathlib.Path) -> list[str]:
+    """Problems in one Python file: every ``*.md`` it names must be a
+    file, given repo-relative or as a bare name at the root or in docs/."""
+    rel = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
+    names = set(_SOURCE_MD.findall(path.read_text(encoding="utf-8")))
+    return [
+        f"{rel}: references missing file `{name}`"
+        for name in sorted(names)
+        if not any((base / name).is_file() for base in (ROOT, ROOT / "docs"))
+    ]
+
+
+def collect_sources() -> list[pathlib.Path]:
+    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "examples").glob("*.py")]
+    return sorted(sources)
+
+
 def collect_markdown() -> list[pathlib.Path]:
     files = [ROOT / "README.md"]
     files.extend(sorted((ROOT / "docs").glob("*.md")))
@@ -72,6 +93,8 @@ def main() -> int:
     problems: list[str] = []
     for path in collect_markdown():
         problems.extend(check_file(path))
+    for path in collect_sources():
+        problems.extend(check_source(path))
     for problem in problems:
         print(problem)
     if problems:
