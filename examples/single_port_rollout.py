@@ -6,7 +6,7 @@ DMA channel, one radio).  Section 8 of the paper adapts the consensus
 algorithm to this single-port model at the cost of a constant window
 factor; Theorem 13 shows Ω(t + log n) rounds are then unavoidable.
 
-The script runs Linear-Consensus under the single-port engine, compares
+The script runs Linear-Consensus under the single-port discipline, compares
 against the multi-port execution, and demonstrates the lower bound with
 the Theorem 13 isolation adversary.
 
@@ -24,7 +24,7 @@ from repro.singleport.linear_consensus import (
     LinearConsensusProcess,
     linear_consensus_schedule,
 )
-from repro.sim import SinglePortEngine, crash_schedule
+from repro.sim import Engine, crash_schedule
 
 
 def main() -> None:
@@ -41,7 +41,7 @@ def main() -> None:
         for pid in range(n)
     ]
     adversary = crash_schedule(n, t, seed=3, max_round=schedule.end)
-    single = SinglePortEngine(processes, adversary).run()
+    single = Engine(processes, adversary, max_rounds=schedule.end).run()
     check_consensus(single, inputs)
 
     print(f"{n} nodes, t = {t}, identical inputs:")

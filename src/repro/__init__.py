@@ -14,7 +14,8 @@ Quickstart::
 Layers:
 
 * :mod:`repro.sim` -- the synchronous message-passing simulator
-  (multi-port and single-port engines, crash/Byzantine adversaries);
+  (the lock-step engine, the single-port discipline, crash/Byzantine
+  adversaries);
 * :mod:`repro.graphs` -- (near-)Ramanujan overlays and their
   combinatorics (expansion, compactness, survival subsets);
 * :mod:`repro.auth` -- simulated unforgeable signatures;

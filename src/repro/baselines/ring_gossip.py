@@ -32,7 +32,7 @@ class RingGossipProcess(SinglePortProcess):
     def _offset(self, rnd: int) -> int:
         return rnd % max(1, self.n - 1)
 
-    def send(self, rnd: int) -> Optional[tuple[int, Any]]:
+    def emit(self, rnd: int) -> Optional[tuple[int, Any]]:
         if rnd >= self.end_round or self.n == 1:
             return None
         target = (self.pid + 1 + self._offset(rnd)) % self.n
@@ -46,7 +46,7 @@ class RingGossipProcess(SinglePortProcess):
         source = (self.pid - 1 - self._offset(rnd)) % self.n
         return None if source == self.pid else source
 
-    def receive(self, rnd: int, message: Optional[tuple[int, Any]]) -> None:
+    def absorb(self, rnd: int, message: Optional[tuple[int, Any]]) -> None:
         if message is not None:
             _, payload = message
             for q, rumor in payload:

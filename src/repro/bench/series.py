@@ -50,7 +50,6 @@ from repro.singleport.linear_consensus import (
     LinearConsensusProcess,
     linear_consensus_schedule,
 )
-from repro.sim.singleport import SinglePortEngine
 
 __all__ = [
     "exp_adversary",
@@ -430,7 +429,7 @@ def singleport_unit(params: dict) -> dict:
         for pid in range(n)
     ]
     adversary = crash_schedule(n, t, seed=seed, max_round=schedule.end)
-    result = SinglePortEngine(processes, adversary).run()
+    result = Engine(processes, adversary, max_rounds=schedule.end).run()
     check_consensus(result, inputs)
     return {
         "n": n,

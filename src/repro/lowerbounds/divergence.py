@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.sim.singleport import SinglePortEngine, SinglePortProcess
+from repro.sim.engine import Engine
+from repro.sim.singleport import SinglePortProcess
 
 __all__ = ["DivergenceReport", "divergence_series", "find_pivotal_index", "staircase"]
 
@@ -34,7 +35,7 @@ def staircase(n: int, i: int) -> list[int]:
 
 
 def _failure_free_decision(factory: ProtocolFactory, inputs: Sequence[int]):
-    result = SinglePortEngine(factory(inputs)).run()
+    result = Engine(factory(inputs)).run()
     decisions = set(result.correct_decisions().values())
     if len(decisions) != 1:
         raise AssertionError(f"protocol broke agreement on {inputs[:8]}...: {decisions}")
@@ -96,13 +97,9 @@ def divergence_series(factory: ProtocolFactory, n: int, max_rounds: int = 0) -> 
 
         return observer
 
-    engine_zero = SinglePortEngine(factory(inputs_zero))
-    engine_one = SinglePortEngine(factory(inputs_one))
-    if max_rounds:
-        engine_zero.max_rounds = max_rounds
-        engine_one.max_rounds = max_rounds
-    engine_zero.run(observer=observer_for(0))
-    engine_one.run(observer=observer_for(1))
+    bound = {"max_rounds": max_rounds} if max_rounds else {}
+    Engine(factory(inputs_zero), **bound).run(observer=observer_for(0))
+    Engine(factory(inputs_one), **bound).run(observer=observer_for(1))
 
     rounds = min(len(digests[0]), len(digests[1]))
     series = []

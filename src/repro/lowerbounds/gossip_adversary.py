@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.sim.adversary import CrashSpec, ScheduledCrashes
-from repro.sim.singleport import SinglePortEngine, SinglePortProcess
+from repro.sim.engine import Engine
+from repro.sim.singleport import SinglePortProcess
 
 __all__ = ["IsolationReport", "isolation_report"]
 
@@ -61,11 +62,12 @@ def _poll_targets(
         return port
 
     processes[victim].poll = spying_poll  # type: ignore[method-assign]
-    engine = SinglePortEngine(
-        processes, ScheduledCrashes(crashed), fast_forward=False
-    )
-    engine.max_rounds = upto_round + 1
-    engine.run()
+    Engine(
+        processes,
+        ScheduledCrashes(crashed),
+        max_rounds=upto_round + 1,
+        fast_forward=False,
+    ).run()
     return targets
 
 
@@ -107,14 +109,13 @@ def isolation_report(
     # Verify the invariant: victim state digests equal through `rounds`.
     digests: dict[int, list] = {0: [], 1: []}
     for tag, rumors in ((0, rumors_a), (1, rumors_b)):
-        processes = factory(rumors)
-        engine = SinglePortEngine(processes, ScheduledCrashes(crashes))
-        engine.max_rounds = rounds + 1
 
         def observer(rnd, procs, tag=tag):
             digests[tag].append(procs[victim].state_digest())
 
-        engine.run(observer=observer)
+        Engine(
+            factory(rumors), ScheduledCrashes(crashes), max_rounds=rounds + 1
+        ).run(observer=observer)
     matched = all(
         a == b
         for a, b in zip(digests[0][:rounds], digests[1][:rounds])

@@ -1,11 +1,10 @@
 """Correctness predicates for the paper's problems (Section 2).
 
 Every predicate takes a finished :class:`~repro.sim.engine.RunResult`
-(or the single-port equivalent) and raises :class:`PropertyViolation`
-with a precise description if the execution violates the problem's
-specification.  The test suite and the benchmark harness both run these
-after every execution, so a benchmark number is only ever reported for a
-*correct* run.
+and raises :class:`PropertyViolation` with a precise description if the
+execution violates the problem's specification.  The test suite and the
+benchmark harness both run these after every execution, so a benchmark
+number is only ever reported for a *correct* run.
 """
 
 from __future__ import annotations

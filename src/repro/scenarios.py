@@ -53,7 +53,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from repro.sim.adversary import CrashAdversary
+from repro.sim.adversary import FixedSchedule
 
 __all__ = [
     "ChurnSpec",
@@ -678,7 +678,7 @@ class Scenario:
             return cls.from_json(handle.read())
 
 
-class ScenarioAdversary(CrashAdversary):
+class ScenarioAdversary(FixedSchedule):
     """A :class:`Scenario` compiled for execution.
 
     Implements the full extended-adversary surface of
@@ -702,26 +702,14 @@ class ScenarioAdversary(CrashAdversary):
     def __init__(self, scenario: Scenario):
         scenario.validate()
         self.scenario = scenario
-        self._crashes_by_round: dict[int, dict[int, Optional[int]]] = {}
+        crashes: dict[int, dict[int, Optional[int]]] = {}
         for event in scenario.crashes:
-            self._crashes_by_round.setdefault(event.round, {})[
-                event.pid
-            ] = event.keep
-        self._rejoins_by_round: dict[int, frozenset[int]] = {}
-        self._rejoin_round: dict[int, int] = {}
-        rejoin_sets: dict[int, set[int]] = {}
+            crashes.setdefault(event.round, {})[event.pid] = event.keep
+        rejoins: dict[int, set[int]] = {}
         for spec in scenario.churn:
-            self._crashes_by_round.setdefault(spec.crash_round, {})[
-                spec.pid
-            ] = spec.keep
-            rejoin_sets.setdefault(spec.rejoin_round, set()).add(spec.pid)
-            self._rejoin_round[spec.pid] = spec.rejoin_round
-        self._rejoins_by_round = {
-            rnd: frozenset(pids) for rnd, pids in rejoin_sets.items()
-        }
-        self._event_rounds = sorted(
-            set(self._crashes_by_round) | set(self._rejoins_by_round)
-        )
+            crashes.setdefault(spec.crash_round, {})[spec.pid] = spec.keep
+            rejoins.setdefault(spec.rejoin_round, set()).add(spec.pid)
+        super().__init__(crashes, rejoins)
         self._omissions_by_round: dict[int, list[tuple[int, int]]] = {}
         for spec in scenario.omissions:
             for rnd in spec.rounds:
@@ -734,29 +722,6 @@ class ScenarioAdversary(CrashAdversary):
         # One-round memo: both substrates ask for the same round's mask
         # a small constant number of times in a row.
         self._blocked_memo: tuple[Optional[int], Optional[dict]] = (None, None)
-
-    # -- crash / churn ---------------------------------------------------
-
-    def crashes_for_round(self, rnd: int, engine) -> dict[int, Optional[int]]:
-        return self._crashes_by_round.get(rnd, {})
-
-    def rejoins_for_round(self, rnd: int) -> frozenset[int]:
-        return self._rejoins_by_round.get(rnd, frozenset())
-
-    def rejoin_pids(self) -> frozenset[int]:
-        return frozenset(self._rejoin_round)
-
-    def next_rejoin(self, pid: int, rnd: int) -> Optional[int]:
-        rejoin = self._rejoin_round.get(pid)
-        if rejoin is not None and rejoin > rnd:
-            return rejoin
-        return None
-
-    def next_event_round(self, rnd: int) -> Optional[int]:
-        for event in self._event_rounds:
-            if event > rnd:
-                return event
-        return None
 
     def total_budget(self) -> int:
         return self.scenario.fault_budget()

@@ -5,9 +5,9 @@ Public surface:
 * :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Multicast`
   -- the multi-port protocol interface;
 * :class:`~repro.sim.engine.Engine`, :class:`~repro.sim.engine.RunResult`
-  -- the multi-port lock-step engine;
-* :class:`~repro.sim.singleport.SinglePortEngine`,
-  :class:`~repro.sim.singleport.SinglePortProcess` -- the Section 8 model;
+  -- the lock-step engine;
+* :class:`~repro.sim.singleport.SinglePortProcess` -- the Section 8
+  single-port discipline, a :class:`Process` the same engine runs;
 * :mod:`~repro.sim.adversary` -- crash schedules and Byzantine bases;
 * :class:`~repro.sim.metrics.Metrics` -- rounds/messages/bits accounting.
 """
@@ -23,7 +23,7 @@ from repro.sim.adversary import (
 from repro.sim.engine import Engine, RunResult
 from repro.sim.metrics import Metrics
 from repro.sim.process import Multicast, Process, ProtocolError, payload_bits
-from repro.sim.singleport import SinglePortEngine, SinglePortProcess, SinglePortResult
+from repro.sim.singleport import SinglePortProcess
 
 __all__ = [
     "ByzantineProcess",
@@ -37,9 +37,7 @@ __all__ = [
     "ProtocolError",
     "RunResult",
     "ScheduledCrashes",
-    "SinglePortEngine",
     "SinglePortProcess",
-    "SinglePortResult",
     "crash_schedule",
     "payload_bits",
 ]

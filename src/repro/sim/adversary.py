@@ -26,6 +26,7 @@ runtime can consult the extended surface unconditionally; see
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from repro.sim.process import Process
@@ -37,6 +38,7 @@ __all__ = [
     "ByzantineProcess",
     "CrashAdversary",
     "CrashSpec",
+    "FixedSchedule",
     "NoFailures",
     "ScheduledCrashes",
     "crash_schedule",
@@ -146,24 +148,58 @@ class NoFailures(CrashAdversary):
     """The failure-free adversary."""
 
 
-class ScheduledCrashes(CrashAdversary):
+class FixedSchedule(CrashAdversary):
+    """Crash and rejoin rounds fixed before the run: the per-round
+    tables and the five lookups over them, shared by every oblivious
+    adversary.  ``crashes`` maps round -> ``{pid: keep}``, ``rejoins``
+    round -> pids; a subclass builds both and adds only what is its own
+    (link masks, its budget)."""
+
+    def __init__(
+        self,
+        crashes: Mapping[int, dict[int, Optional[int]]],
+        rejoins: Optional[Mapping[int, Iterable[int]]] = None,
+    ):
+        rejoins = rejoins or {}
+        self._crashes_by_round = crashes
+        self._rejoins_by_round = {
+            rnd: frozenset(pids) for rnd, pids in rejoins.items()
+        }
+        #: pid -> the (last) round it rejoins at
+        self._rejoin_round = {
+            pid: rnd for rnd in sorted(rejoins) for pid in rejoins[rnd]
+        }
+        self._event_rounds = sorted(set(crashes) | set(rejoins))
+
+    def crashes_for_round(self, rnd: int, engine: "Engine") -> dict[int, Optional[int]]:
+        return self._crashes_by_round.get(rnd, {})
+
+    def rejoins_for_round(self, rnd: int) -> frozenset[int]:
+        return self._rejoins_by_round.get(rnd, frozenset())
+
+    def rejoin_pids(self) -> frozenset[int]:
+        return frozenset(self._rejoin_round)
+
+    def next_rejoin(self, pid: int, rnd: int) -> Optional[int]:
+        rejoin = self._rejoin_round.get(pid)
+        if rejoin is not None and rejoin > rnd:
+            return rejoin
+        return None
+
+    def next_event_round(self, rnd: int) -> Optional[int]:
+        at = bisect_right(self._event_rounds, rnd)
+        return self._event_rounds[at] if at < len(self._event_rounds) else None
+
+
+class ScheduledCrashes(FixedSchedule):
     """An oblivious adversary committed to a fixed crash schedule."""
 
     def __init__(self, schedule: dict[int, CrashSpec]):
         self.schedule = dict(schedule)
-        self._by_round: dict[int, dict[int, Optional[int]]] = {}
+        by_round: dict[int, dict[int, Optional[int]]] = {}
         for pid, spec in self.schedule.items():
-            self._by_round.setdefault(spec.round, {})[pid] = spec.keep
-        self._event_rounds = sorted(self._by_round)
-
-    def crashes_for_round(self, rnd: int, engine: "Engine") -> dict[int, Optional[int]]:
-        return self._by_round.get(rnd, {})
-
-    def next_event_round(self, rnd: int) -> Optional[int]:
-        for event in self._event_rounds:
-            if event > rnd:
-                return event
-        return None
+            by_round.setdefault(spec.round, {})[pid] = spec.keep
+        super().__init__(by_round)
 
     def total_budget(self) -> int:
         return len(self.schedule)

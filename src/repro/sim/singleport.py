@@ -1,48 +1,69 @@
-"""Single-port synchronous engine (the model of Section 8).
+"""The single-port discipline (the model of Section 8).
 
 In the single-port model a node may, per round, *send* at most one
 message to one chosen node and *receive* from at most one chosen port.
 "A node does not obtain any signal from any of its ports that messages
-have been delivered to the port and need to be received" -- so reception
-is modelled as polling: each round a process nominates at most one
-sender pid whose port it checks, and retrieves the oldest pending
-message from that port, if any.
+have been delivered to the port and need to be received" -- so the
+ports are the receiver's own buffers, and the model is a rule about
+what one :class:`~repro.sim.process.Process` does inside the ordinary
+round, not a round of its own.  :class:`SinglePortProcess` is that rule:
+its :meth:`~SinglePortProcess.send` hands the engine the protocol's
+at-most-one message, its :meth:`~SinglePortProcess.receive` files the
+round's deliveries into per-sender FIFO ports and gives the protocol the
+oldest message of the one port it polls.  A vector of them runs on
+anything that runs processes -- both :class:`~repro.sim.engine.Engine`
+loops, :func:`~repro.net.run_protocol_net`, under traces, telemetry and
+every fault class:
 
-Messages sent in a round become available for polling in the same round
-(the engine runs all sends before all polls), consistent with the
-paper's "all messages sent to a node in this round get delivered"
-within-round delivery; Section 8's schedules never rely on same-round
-polling, so this choice is invisible to the adapted algorithms.
+>>> from repro.sim.engine import Engine
+>>> class Hello(SinglePortProcess):
+...     def emit(self, rnd):
+...         return (1, "hi") if self.pid == 0 else None
+...     def poll(self, rnd):
+...         return 0 if self.pid == 1 else None
+...     def absorb(self, rnd, message):
+...         self.decide(message)
+...         self.halt()
+>>> result = Engine([Hello(0, 2), Hello(1, 2)]).run()
+>>> result.decisions[1], result.rounds, result.messages
+((0, 'hi'), 1, 1)
+
+A message is pollable in the round it was sent: every engine runs all
+sends before all receives ("all messages sent to a node in this round
+get delivered"); Section 8's schedules never rely on it.  A round's
+*activity* is a send, the engine's rule: a round in which nodes only
+drain older messages counts as quiet, so a protocol whose polls are
+schedule-driven declares them through ``next_activity``.
+
+What waits unread in a port is not node state: it stays out of
+``state_digest`` (Theorem 13 compares nodes that have unread messages
+waiting), and a node rejoining after churn comes back with empty ports.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Optional, Sequence
+from collections import defaultdict, deque
+from typing import Any, Optional
 
-from repro.sim.adversary import CrashAdversary, NoFailures
-from repro.sim.engine import check_pid_order
-from repro.sim.metrics import Metrics
-from repro.sim.process import ProtocolError, payload_bits
-from repro.sim.rounds import RoundControl, RunResult, earliest_wake
+from repro.sim.process import Process, ProtocolError
 
-__all__ = ["SinglePortEngine", "SinglePortProcess", "SinglePortResult"]
+__all__ = ["SinglePortProcess"]
 
 
-class SinglePortProcess:
-    """Base class for single-port protocol participants."""
+class SinglePortProcess(Process):
+    """Base class for single-port protocol participants: override
+    :meth:`emit`, :meth:`poll` and :meth:`absorb`, not ``send`` /
+    ``receive``."""
 
     def __init__(self, pid: int, n: int):
-        self.pid = pid
-        self.n = n
-        self.halted = False
-        self.decision: Any = None
-        self._decided = False
+        super().__init__(pid, n)
+        # sender pid -> FIFO of unread payloads; the ``_cache`` prefix
+        # keeps it out of state_digest
+        self._cache_ports: defaultdict[int, deque] = defaultdict(deque)
 
-    def on_start(self) -> None:
-        """One-time initialisation before round 0."""
+    # -- protocol hooks ------------------------------------------------
 
-    def send(self, rnd: int) -> Optional[tuple[int, Any]]:
+    def emit(self, rnd: int) -> Optional[tuple[int, Any]]:
         """Return ``(dst, payload)`` or ``None`` (at most one send)."""
         return None
 
@@ -50,168 +71,28 @@ class SinglePortProcess:
         """Return the pid whose port to check this round, or ``None``."""
         return None
 
-    def receive(self, rnd: int, message: Optional[tuple[int, Any]]) -> None:
-        """Consume the polled message (``None`` if the port was empty)."""
+    def absorb(self, rnd: int, message: Optional[tuple[int, Any]]) -> None:
+        """Consume the polled ``(src, payload)`` (``None`` if nothing
+        was polled or the port was empty)."""
 
-    def next_activity(self, rnd: int) -> int:
-        """Earliest round after ``rnd`` with spontaneous activity.
+    # -- the discipline --------------------------------------------------
 
-        Mirrors :meth:`repro.sim.process.Process.next_activity`; note
-        that *polling* counts as activity because it is schedule-driven.
-        """
-        return rnd + 1
+    def send(self, rnd: int) -> tuple[tuple[int, Any], ...]:
+        out = self.emit(rnd)
+        return () if out is None else (out,)
 
-    def decide(self, value: Any) -> None:
-        if self._decided:
-            if self.decision != value:
+    def receive(self, rnd: int, inbox: list[tuple[int, Any]]) -> None:
+        ports = self._cache_ports
+        for src, payload in inbox:
+            ports[src].append(payload)
+        port = self.poll(rnd)
+        message = None
+        if port is not None:
+            if not 0 <= port < self.n:
                 raise ProtocolError(
-                    f"process {self.pid} attempted to change its decision "
-                    f"from {self.decision!r} to {value!r}"
+                    f"process {self.pid} polled invalid port {port}"
                 )
-            return
-        self.decision = value
-        self._decided = True
-
-    @property
-    def decided(self) -> bool:
-        return self._decided
-
-    def halt(self) -> None:
-        self.halted = True
-
-    def state_digest(self) -> tuple:
-        items = []
-        for key in sorted(self.__dict__):
-            if key.startswith("_cache"):
-                continue
-            items.append((key, repr(self.__dict__[key])))
-        return tuple(items)
-
-
-#: A single-port run seals the same result as every other backend
-#: (``byzantine`` is always empty here).
-SinglePortResult = RunResult
-
-
-class SinglePortEngine:
-    """Lock-step engine enforcing the single-port discipline."""
-
-    def __init__(
-        self,
-        processes: Sequence[SinglePortProcess],
-        adversary: Optional[CrashAdversary] = None,
-        *,
-        max_rounds: int = 1_000_000,
-        fast_forward: bool = True,
-    ):
-        check_pid_order(processes)
-        self.processes = list(processes)
-        self.n = len(processes)
-        self.adversary = adversary if adversary is not None else NoFailures()
-        churn = self.adversary.rejoin_pids()
-        if churn:
-            # There is no reset path here: a churn schedule would run as
-            # plain crashes, or idle until its rejoin round had passed.
-            raise ProtocolError(
-                "the single-port model has no churn; the adversary "
-                f"schedules rejoins for pids {sorted(churn)}"
-            )
-        self.max_rounds = max_rounds
-        self.fast_forward = fast_forward
-        self.metrics = Metrics()
-        self.crashed: set[int] = set()
-        # ports[dst][src] is the FIFO queue of messages from src pending
-        # at dst; created lazily.
-        self._ports: dict[int, dict[int, deque]] = {}
-        self.round: int = 0
-
-    def operational(self, pid: int) -> bool:
-        return pid not in self.crashed
-
-    def pending(self, dst: int, src: int) -> int:
-        """Number of unread messages from ``src`` pending at ``dst``."""
-        box = self._ports.get(dst)
-        if not box or src not in box:
-            return 0
-        return len(box[src])
-
-    def run(self, observer=None) -> SinglePortResult:
-        """Execute to completion.
-
-        ``observer(rnd, processes)`` is invoked after every executed
-        round (disables fast-forward for this call only, without
-        mutating ``self.fast_forward``), mirroring
-        :meth:`repro.sim.engine.Engine.run`.
-        """
-        ctl = RoundControl(
-            self,
-            self.adversary,
-            max_rounds=self.max_rounds,
-            fast_forward=self.fast_forward and observer is None,
-        )
-        for proc in self.processes:
-            proc.on_start()
-
-        rnd = ctl.begin()
-        while rnd is not None:
-            # No churn and no link faults in this model: nothing to
-            # reset, and the link mask is not consulted.
-            crashing, _blocked = ctl.open(rnd, ctl.rejoining(rnd))
-
-            # Send phase: at most one message per operational process.
-            any_send = False
-            for proc in self.processes:
-                pid = proc.pid
-                if pid in self.crashed or proc.halted:
-                    continue
-                crashes_now = pid in crashing
-                out = proc.send(rnd)
-                if crashes_now:
-                    keep = crashing[pid]
-                    if keep is not None and keep <= 0:
-                        out = None
-                    self.crashed.add(pid)
-                if out is None:
-                    continue
-                dst, payload = out
-                if not (0 <= dst < self.n):
-                    raise ProtocolError(f"process {pid} sent to invalid pid {dst}")
-                bits = payload_bits(payload)
-                self.metrics.record_send(pid, 1, bits, rnd)
-                self._ports.setdefault(dst, {}).setdefault(pid, deque()).append(payload)
-                any_send = True
-
-            # Poll phase: at most one port check per operational process.
-            any_receive = False
-            for proc in self.processes:
-                pid = proc.pid
-                if pid in self.crashed or proc.halted:
-                    continue
-                port = proc.poll(rnd)
-                message: Optional[tuple[int, Any]] = None
-                if port is not None:
-                    if not (0 <= port < self.n):
-                        raise ProtocolError(
-                            f"process {pid} polled invalid port {port}"
-                        )
-                    box = self._ports.get(pid)
-                    if box and port in box and box[port]:
-                        message = (port, box[port].popleft())
-                        any_receive = True
-                proc.receive(rnd, message)
-
-            if observer is not None:
-                observer(rnd, self.processes)
-
-            procs, crashed = self.processes, self.crashed
-            rnd = ctl.close(
-                rnd,
-                any_send or any_receive,
-                all(p.pid in crashed or p.halted for p in procs),
-                lambda: earliest_wake(
-                    (p for p in procs if p.pid not in crashed and not p.halted),
-                    rnd,
-                ),
-            )
-
-        return ctl.seal(self.processes, self.metrics)
+            pending = ports.get(port)
+            if pending:
+                message = (port, pending.popleft())
+        self.absorb(rnd, message)

@@ -141,7 +141,7 @@ class LinearConsensusProcess(SinglePortProcess):
 
     # -- SinglePortProcess interface ----------------------------------------------
 
-    def send(self, rnd: int) -> Optional[tuple[int, int]]:
+    def emit(self, rnd: int) -> Optional[tuple[int, int]]:
         located = self.schedule.locate(rnd)
         if located is None:
             return None
@@ -250,7 +250,7 @@ class LinearConsensusProcess(SinglePortProcess):
             return None
         return None
 
-    def receive(self, rnd: int, message: Optional[tuple[int, int]]) -> None:
+    def absorb(self, rnd: int, message: Optional[tuple[int, int]]) -> None:
         located = self.schedule.locate(rnd)
         if located is None:
             return

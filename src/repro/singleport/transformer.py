@@ -12,7 +12,8 @@ completely.
 
 :class:`WindowSchedule` does the slot arithmetic; it is shared by
 :class:`~repro.singleport.linear_consensus.LinearConsensusProcess` and
-by the tests that replay multi-port phases under the single-port engine.
+by the tests that replay multi-port phases under the single-port
+discipline.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ import json
 import os
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.sim.adversary import CrashAdversary
+from repro.sim.adversary import FixedSchedule
 
 __all__ = [
     "Trace",
@@ -552,7 +552,7 @@ class TraceChecker:
 # -- the recorded fault schedule as an adversary -----------------------------
 
 
-class TraceAdversary(CrashAdversary):
+class TraceAdversary(FixedSchedule):
     """Replays a trace's fault events as an oblivious schedule.
 
     Crash nominations (with their ``keep`` budgets), churn rejoins and
@@ -564,52 +564,27 @@ class TraceAdversary(CrashAdversary):
 
     def __init__(self, trace: Trace):
         self.trace = trace
-        self._crashes: dict[int, dict[int, Optional[int]]] = {}
-        self._rejoins: dict[int, frozenset[int]] = {}
+        crashes: dict[int, dict[int, Optional[int]]] = {}
+        rejoins: dict[int, list[int]] = {}
         self._blocked: dict[int, dict[int, frozenset[int]]] = {}
-        rejoin_rounds: dict[int, int] = {}
         for event in trace.events:
             rnd = event["round"]
             if event["crashes"]:
-                self._crashes[rnd] = dict(event["crashes"])
+                crashes[rnd] = dict(event["crashes"])
             if event["rejoins"]:
-                self._rejoins[rnd] = frozenset(event["rejoins"])
-                for pid in event["rejoins"]:
-                    rejoin_rounds[pid] = rnd
+                rejoins[rnd] = event["rejoins"]
             if event.get("blocked"):
                 self._blocked[rnd] = {
                     src: frozenset(dsts)
                     for src, dsts in event["blocked"].items()
                 }
-        self._rejoin_rounds = rejoin_rounds
-        self._event_rounds = sorted(set(self._crashes) | set(self._rejoins))
-
-    def crashes_for_round(self, rnd: int, engine) -> dict[int, Optional[int]]:
-        return self._crashes.get(rnd, {})
-
-    def rejoins_for_round(self, rnd: int) -> frozenset[int]:
-        return self._rejoins.get(rnd, frozenset())
-
-    def rejoin_pids(self) -> frozenset[int]:
-        return frozenset(self._rejoin_rounds)
-
-    def next_rejoin(self, pid: int, rnd: int) -> Optional[int]:
-        rejoin = self._rejoin_rounds.get(pid)
-        if rejoin is not None and rejoin > rnd:
-            return rejoin
-        return None
+        super().__init__(crashes, rejoins)
 
     def blocked_links(self, rnd: int) -> Optional[dict[int, frozenset[int]]]:
         return self._blocked.get(rnd)
 
-    def next_event_round(self, rnd: int) -> Optional[int]:
-        for event in self._event_rounds:
-            if event > rnd:
-                return event
-        return None
-
     def total_budget(self) -> int:
-        return sum(len(crashes) for crashes in self._crashes.values())
+        return sum(len(crashes) for crashes in self._crashes_by_round.values())
 
 
 # -- standalone replay -------------------------------------------------------

@@ -9,13 +9,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.check.oracles import check_parity
 from repro.core.params import ProtocolParams
 from repro.net import run_protocol_net
+from repro.scenarios import scenario_schedule
 from repro.sim import Engine
 from repro.sim.adversary import ScheduledCrashes
 from repro.sim.process import Process
+from repro.singleport.linear_consensus import (
+    LinearConsensusProcess,
+    linear_consensus_schedule,
+)
 
 
 @pytest.fixture
@@ -30,6 +36,55 @@ def make_params(n: int, t: int, seed: int = 3) -> ProtocolParams:
 def random_bits(n: int, seed: int) -> list[int]:
     gen = random.Random(seed)
     return [gen.randint(0, 1) for _ in range(n)]
+
+
+def scenario_draws(max_round, omission_links, churn_nodes):
+    """Strategy for one scenario draw of a parity wall: the seed for
+    ``scenario_schedule`` plus fault budgets (everything downstream is a
+    pure function of these).  ``max_round`` is a ``(lo, hi)`` range, the
+    other two are upper bounds; the walls differ in nothing else."""
+    return st.fixed_dictionaries(
+        {
+            "seed": st.integers(0, 10_000),
+            "crashes": st.integers(0, 4),
+            "omission_links": st.integers(0, omission_links),
+            "partition_windows": st.integers(0, 2),
+            "churn_nodes": st.integers(0, churn_nodes),
+            "max_round": st.integers(*max_round),
+        }
+    )
+
+
+def drawn_scenario(draw, n, t):
+    """The scenario of one :func:`scenario_draws` draw for ``n`` nodes
+    and fault bound ``t``."""
+    return scenario_schedule(
+        n,
+        seed=draw["seed"],
+        crashes=min(draw["crashes"], t),
+        omission_links=draw["omission_links"],
+        partition_windows=draw["partition_windows"],
+        churn_nodes=min(draw["churn_nodes"], max(1, n // 8)),
+        max_round=draw["max_round"],
+    )
+
+
+def linear_vector(n, t, inputs, overlay_seed=3):
+    """``(factory, horizon)`` for single-port Linear-Consensus: fresh
+    process vectors on one shared schedule, and the schedule's length
+    (the run's exact round count, passed as ``max_rounds``)."""
+    params = ProtocolParams(n=n, t=t, seed=overlay_seed)
+    schedule, shared = linear_consensus_schedule(params)
+
+    def factory():
+        return [
+            LinearConsensusProcess(
+                pid, params, inputs[pid], schedule=schedule, shared=shared
+            )
+            for pid in range(n)
+        ]
+
+    return factory, schedule.end
 
 
 class ScriptedProcess(Process):

@@ -27,6 +27,7 @@ from repro.baselines.approximate import approximate_phase_count
 from repro.check.driver import FAMILIES, run_config, sample_config
 from repro.check.oracles import check_parity
 from repro.scenarios import scenario_schedule
+from tests.conftest import drawn_scenario, scenario_draws
 
 WALL = settings(
     max_examples=15,
@@ -34,28 +35,7 @@ WALL = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-scenario_draws = st.fixed_dictionaries(
-    {
-        "seed": st.integers(0, 10_000),
-        "crashes": st.integers(0, 4),
-        "omission_links": st.integers(0, 10),
-        "partition_windows": st.integers(0, 2),
-        "churn_nodes": st.integers(0, 2),
-        "max_round": st.integers(6, 40),
-    }
-)
-
-
-def _scenario(draw, n, t):
-    return scenario_schedule(
-        n,
-        seed=draw["seed"],
-        crashes=min(draw["crashes"], t),
-        omission_links=draw["omission_links"],
-        partition_windows=draw["partition_windows"],
-        churn_nodes=min(draw["churn_nodes"], max(1, n // 8)),
-        max_round=draw["max_round"],
-    )
+SCENARIOS = scenario_draws(max_round=(6, 40), omission_links=10, churn_nodes=2)
 
 
 def _inputs(n, seed):
@@ -133,7 +113,7 @@ class TestParityWall:
 
     @WALL
     @given(
-        draw=scenario_draws,
+        draw=SCENARIOS,
         n=st.integers(3, 24),
         inputs_seed=st.integers(0, 10_000),
         mode=st.sampled_from(["midpoint", "mean"]),
@@ -143,7 +123,7 @@ class TestParityWall:
         t = rng.randrange(0, n)
         inputs = _inputs(n, inputs_seed)
         eps = rng.choice((0.5, 1.0, 4.0))
-        scenario = _scenario(draw, n, t)
+        scenario = drawn_scenario(draw, n, t)
         # Churn can park a rejoined node past its schedule (the run then
         # reports completed=False); a tight bound keeps the net arm fast
         # while every substrate still observes the identical cutoff.

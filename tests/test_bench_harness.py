@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import PropertyViolation
+from repro import PropertyViolation, check_consensus
 from repro.bench import series
 from repro.bench.runner import EXPERIMENTS, format_table, run_experiment
 from repro.bench.series import exp_e6_scv, exp_e8_consensus_many, exp_e13_lowerbounds
@@ -14,6 +14,8 @@ from repro.bench.workloads import (
 )
 from repro.check.oracles import bound_certificate
 from repro.families import by_family
+from repro.sim import Engine, crash_schedule
+from tests.conftest import linear_vector
 
 
 class TestWorkloads:
@@ -132,7 +134,44 @@ GOLDEN = {
         ("paper_rounds", "paper_msgs", "baseline_rounds", "baseline_msgs"),
         [(50, 7446, 7, 23141), (84, 3789, 2, 6964), (158, 77363, 8, 27503)],
     ),
+    "e12": (
+        lambda: series.exp_e12_singleport(ns=[40, 60]),
+        ("n", "t", "sp_rounds", "messages", "bits"),
+        [(40, 5, 2096, 5256, 5256), (60, 7, 3480, 10192, 10192)],
+    ),
+    "e13": (
+        lambda: series.exp_e13_lowerbounds(),
+        ("experiment", "measured", "bound", "detail"),
+        [("gossip isolation (t=8)", 7, 4, "crashes used 7, digests matched True"),
+         ("gossip isolation (t=16)", 15, 8, "crashes used 15, digests matched True"),
+         ("gossip isolation (t=24)", 23, 12, "crashes used 23, digests matched True"),
+         ("consensus divergence (n=40)", 1143, 3.4,
+          "pivot 14, |A_i|≤3^i holds: True")],
+    ),
 }
+
+
+#: Linear-Consensus (n = 40, t = 5, inputs and crashes seed 2) per
+#: crash-schedule kind, measured on the single-port engine before it
+#: was deleted: (rounds, messages, bits).
+SINGLEPORT_KINDS = {
+    "random": (2096, 5072, 5072),
+    "early": (2096, 4404, 4404),
+    "late": (2096, 5440, 5440),
+    "staggered": (2096, 4412, 4412),
+}
+
+
+@pytest.mark.parametrize("kind", list(SINGLEPORT_KINDS))
+def test_singleport_crash_kinds_hold_consensus_and_their_cost(kind):
+    n, t = 40, 5
+    inputs = input_vector(n, "random", 2)
+    factory, horizon = linear_vector(n, t, inputs)
+    adversary = crash_schedule(n, t, seed=2, kind=kind, max_round=horizon)
+    result = Engine(factory(), adversary, max_rounds=horizon).run()
+    check_consensus(result, inputs)
+    assert sorted(result.crashed) == [3, 5, 10, 19, 23]
+    assert (result.rounds, result.messages, result.bits) == SINGLEPORT_KINDS[kind]
 
 
 class TestSeries:

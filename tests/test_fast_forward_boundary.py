@@ -201,23 +201,3 @@ class TestObserverDoesNotMutateFastForward:
         assert rounds_seen == list(range(6))
         # ...but the engine's configuration is untouched.
         assert engine.fast_forward is True
-
-    def test_singleport_flag_survives_observer(self):
-        from repro.sim.singleport import SinglePortEngine, SinglePortProcess
-
-        class Idle(SinglePortProcess):
-            def send(self, rnd):
-                return None
-
-            def poll(self, rnd):
-                return None
-
-            def receive(self, rnd, message):
-                if rnd >= 2:
-                    self.halt()
-
-        engine = SinglePortEngine(
-            [Idle(0, 1)], max_rounds=10, fast_forward=True
-        )
-        engine.run(observer=lambda rnd, ps: None)
-        assert engine.fast_forward is True

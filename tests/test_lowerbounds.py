@@ -14,7 +14,7 @@ from repro.singleport.linear_consensus import (
     LinearConsensusProcess,
     linear_consensus_schedule,
 )
-from repro.sim.singleport import SinglePortEngine
+from repro.sim.engine import Engine
 
 
 def ring_factory(n):
@@ -76,7 +76,7 @@ class TestGossipIsolation:
     def test_ring_gossip_is_correct_failure_free(self):
         n = 30
         processes = ring_factory(n)([f"r{i}" for i in range(n)])
-        result = SinglePortEngine(processes).run()
+        result = Engine(processes).run()
         assert result.completed
         for extant in result.correct_decisions().values():
             assert len(extant) == n

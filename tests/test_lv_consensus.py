@@ -22,6 +22,7 @@ from repro.bench.series import exp_families
 from repro.check.driver import FAMILIES, run_config, sample_config
 from repro.check.oracles import check_parity
 from repro.scenarios import scenario_schedule
+from tests.conftest import drawn_scenario, scenario_draws
 
 WALL = settings(
     max_examples=15,
@@ -29,28 +30,7 @@ WALL = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-scenario_draws = st.fixed_dictionaries(
-    {
-        "seed": st.integers(0, 10_000),
-        "crashes": st.integers(0, 4),
-        "omission_links": st.integers(0, 10),
-        "partition_windows": st.integers(0, 2),
-        "churn_nodes": st.integers(0, 2),
-        "max_round": st.integers(4, 30),
-    }
-)
-
-
-def _scenario(draw, n, t):
-    return scenario_schedule(
-        n,
-        seed=draw["seed"],
-        crashes=min(draw["crashes"], t),
-        omission_links=draw["omission_links"],
-        partition_windows=draw["partition_windows"],
-        churn_nodes=min(draw["churn_nodes"], max(1, n // 8)),
-        max_round=draw["max_round"],
-    )
+SCENARIOS = scenario_draws(max_round=(4, 30), omission_links=10, churn_nodes=2)
 
 
 def _inputs(n, seed, width=64):
@@ -166,7 +146,7 @@ class TestParityWall:
 
     @WALL
     @given(
-        draw=scenario_draws,
+        draw=SCENARIOS,
         n=st.integers(3, 24),
         inputs_seed=st.integers(0, 10_000),
         width=st.sampled_from([16, 64, 256]),
@@ -175,7 +155,7 @@ class TestParityWall:
         rng = random.Random(inputs_seed)
         t = rng.randrange(0, n)
         inputs = _inputs(n, inputs_seed, width)
-        scenario = _scenario(draw, n, t)
+        scenario = drawn_scenario(draw, n, t)
         kwargs = dict(width=width, scenario=scenario, max_rounds=600)
         ref = run_lv_consensus(inputs, t, backend="sim", optimized=False,
                                **kwargs)

@@ -1,10 +1,13 @@
-"""Unit tests for the single-port engine (Section 8 model)."""
+"""Unit tests for the single-port discipline (Section 8 model): a
+:class:`SinglePortProcess` vector on the ordinary :class:`Engine`."""
 
 import pytest
 
+from repro.scenarios import ChurnSpec, OmissionSpec, Scenario
 from repro.sim.adversary import CrashSpec, ScheduledCrashes
-from repro.sim.process import ProtocolError
-from repro.sim.singleport import SinglePortEngine, SinglePortProcess
+from repro.sim.engine import Engine
+from repro.sim.process import Process, ProtocolError
+from repro.sim.singleport import SinglePortProcess
 
 
 class Sender(SinglePortProcess):
@@ -15,12 +18,12 @@ class Sender(SinglePortProcess):
         self.dst = dst
         self.payloads = payloads
 
-    def send(self, rnd):
+    def emit(self, rnd):
         if rnd < len(self.payloads):
             return (self.dst, self.payloads[rnd])
         return None
 
-    def receive(self, rnd, message):
+    def absorb(self, rnd, message):
         if rnd >= len(self.payloads):
             self.halt()
 
@@ -29,18 +32,20 @@ class Sender(SinglePortProcess):
 
 
 class Poller(SinglePortProcess):
-    """Polls a fixed port each round and logs what arrives."""
+    """Polls a fixed port each round from round ``first`` on and logs
+    what arrives."""
 
-    def __init__(self, pid, n, port, rounds):
+    def __init__(self, pid, n, port, rounds, first=0):
         super().__init__(pid, n)
         self.port = port
         self.rounds = rounds
+        self.first = first
         self.log = []
 
     def poll(self, rnd):
-        return self.port
+        return self.port if rnd >= self.first else None
 
-    def receive(self, rnd, message):
+    def absorb(self, rnd, message):
         if message is not None:
             self.log.append(message)
         if rnd >= self.rounds - 1:
@@ -56,41 +61,47 @@ class TestPortDiscipline:
         # FIFO, one per round.
         sender = Sender(0, 2, dst=1, payloads=["a", "b"])
         poller = Poller(1, 2, port=0, rounds=4)
-        result = SinglePortEngine([sender, poller]).run()
+        result = Engine([sender, poller]).run()
         assert result.completed
         assert poller.log == [(0, "a"), (0, "b")]
 
     def test_same_round_availability(self):
         sender = Sender(0, 2, dst=1, payloads=["x"])
         poller = Poller(1, 2, port=0, rounds=1)
-        SinglePortEngine([sender, poller]).run()
+        Engine([sender, poller]).run()
         assert poller.log == [(0, "x")]
 
     def test_unpolled_port_retains_messages(self):
         sender = Sender(0, 3, dst=1, payloads=["x"])
         wrong = Poller(1, 3, port=2, rounds=2)  # polls the wrong port
         idle = Poller(2, 3, port=0, rounds=2)
-        SinglePortEngine([sender, wrong, idle]).run()
+        Engine([sender, wrong, idle]).run()
         assert wrong.log == []
 
     def test_message_metrics(self):
         sender = Sender(0, 2, dst=1, payloads=[1, 1, 1])
         poller = Poller(1, 2, port=0, rounds=4)
-        result = SinglePortEngine([sender, poller]).run()
+        result = Engine([sender, poller]).run()
         assert result.messages == 3
         assert result.bits == 3
 
     def test_invalid_destination_rejected(self):
         sender = Sender(0, 2, dst=7, payloads=[1])
         poller = Poller(1, 2, port=0, rounds=2)
-        with pytest.raises(ProtocolError):
-            SinglePortEngine([sender, poller]).run()
+        with pytest.raises(ProtocolError, match="process 0 sent to invalid pid 7"):
+            Engine([sender, poller]).run()
 
     def test_invalid_port_rejected(self):
         sender = Sender(0, 2, dst=1, payloads=[1])
         poller = Poller(1, 2, port=9, rounds=2)
-        with pytest.raises(ProtocolError):
-            SinglePortEngine([sender, poller]).run()
+        with pytest.raises(ProtocolError, match="process 1 polled invalid port 9"):
+            Engine([sender, poller]).run()
+
+    def test_a_single_port_node_is_a_process(self):
+        assert Process in SinglePortProcess.__mro__
+        # at most one send by construction: the hook returns one message
+        sender = Sender(0, 2, dst=1, payloads=["x"])
+        assert sender.send(0) == ((1, "x"),) and sender.send(1) == ()
 
 
 class TestCrashes:
@@ -98,7 +109,7 @@ class TestCrashes:
         adversary = ScheduledCrashes({0: CrashSpec(round=0, keep=0)})
         sender = Sender(0, 2, dst=1, payloads=["x", "y"])
         poller = Poller(1, 2, port=0, rounds=3)
-        result = SinglePortEngine([sender, poller], adversary).run()
+        result = Engine([sender, poller], adversary).run()
         assert 0 in result.crashed
         assert poller.log == []
 
@@ -106,26 +117,39 @@ class TestCrashes:
         adversary = ScheduledCrashes({0: CrashSpec(round=0, keep=None)})
         sender = Sender(0, 2, dst=1, payloads=["x", "y"])
         poller = Poller(1, 2, port=0, rounds=3)
-        SinglePortEngine([sender, poller], adversary).run()
+        Engine([sender, poller], adversary).run()
         assert poller.log == [(0, "x")]
 
     def test_crashed_node_stops_polling(self):
         adversary = ScheduledCrashes({1: CrashSpec(round=1, keep=0)})
         sender = Sender(0, 2, dst=1, payloads=["a", "b", "c"])
         poller = Poller(1, 2, port=0, rounds=5)
-        result = SinglePortEngine([sender, poller], adversary).run()
+        result = Engine([sender, poller], adversary).run()
         assert poller.log == [(0, "a")]
         assert result.completed  # all-operational-halted or crashed
 
-    def test_churn_schedule_is_refused(self):
-        # No reset path in this model: a churn schedule used to run as
-        # plain crashes, without a word.
-        from repro.scenarios import ChurnSpec, Scenario
+    def test_rejoined_node_has_empty_ports(self):
+        # Node 1 files "a" unread (it polls from round 3 on), is down
+        # for rounds 1-2 and rejoins at 3 with reset state: its ports
+        # are empty, and "b" / "c", sent while it was down, are not
+        # replayed to it.
+        adversary = Scenario(n=2, churn=[ChurnSpec(1, 1, 3, 0)]).adversary()
+        sender = Sender(0, 2, dst=1, payloads=["a", "b", "c", "d", "e"])
+        poller = Poller(1, 2, port=0, rounds=6, first=3)
+        result = Engine([sender, poller], adversary).run()
+        assert result.completed and result.crashed == set()
+        assert poller.log == [(0, "d"), (0, "e")]
+        assert result.messages == 5
 
-        adversary = Scenario(n=2, churn=[ChurnSpec(0, 0, 2, 0)]).adversary()
-        procs = [Sender(0, 2, dst=1, payloads=["x"]), Poller(1, 2, 0, rounds=3)]
-        with pytest.raises(ProtocolError, match="single-port model has no churn"):
-            SinglePortEngine(procs, adversary)
+
+class TestLinkFaults:
+    def test_omitted_message_never_reaches_the_port(self):
+        adversary = Scenario(n=2, omissions=[OmissionSpec(0, 1, (0,))]).adversary()
+        sender = Sender(0, 2, dst=1, payloads=["x", "y"])
+        poller = Poller(1, 2, port=0, rounds=3)
+        result = Engine([sender, poller], adversary).run()
+        assert poller.log == [(0, "y")]  # nothing for round 0
+        assert result.metrics.dropped_messages == 1
 
 
 class TestStateDigest:
@@ -135,3 +159,16 @@ class TestStateDigest:
         assert first.state_digest() == second.state_digest()
         first.log.append((1, "x"))
         assert first.state_digest() != second.state_digest()
+
+    def test_unpolled_message_is_not_node_state(self):
+        # The Theorem 13 condition: two runs that differ only in a
+        # message left unpolled at node 1 leave it in equal states.
+        def run(payloads):
+            sender = Sender(0, 3, dst=1, payloads=payloads)
+            node = Poller(1, 3, port=2, rounds=2)  # never polls port 0
+            Engine([sender, node, Poller(2, 3, port=0, rounds=2)]).run()
+            return node
+
+        waiting, clean = run(["x"]), run([])
+        assert waiting._cache_ports[0] and not clean._cache_ports
+        assert waiting.state_digest() == clean.state_digest()

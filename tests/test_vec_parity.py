@@ -55,6 +55,7 @@ from repro.sim.vec.approximate import ApproximateKernel
 from repro.sim.vec.engine import VecEngine
 from repro.sim.vec.flooding import FloodingKernel
 from repro.sim.vec.lv_consensus import LVConsensusKernel
+from tests.conftest import drawn_scenario, scenario_draws
 
 WALL = settings(
     max_examples=20,
@@ -62,30 +63,7 @@ WALL = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: One scenario draw = the seed for ``scenario_schedule`` plus fault
-#: budgets; everything downstream is a pure function of these.
-scenario_draws = st.fixed_dictionaries(
-    {
-        "seed": st.integers(0, 10_000),
-        "crashes": st.integers(0, 4),
-        "omission_links": st.integers(0, 12),
-        "partition_windows": st.integers(0, 2),
-        "churn_nodes": st.integers(0, 3),
-        "max_round": st.integers(8, 80),
-    }
-)
-
-
-def _scenario(draw, n, t):
-    return scenario_schedule(
-        n,
-        seed=draw["seed"],
-        crashes=min(draw["crashes"], t),
-        omission_links=draw["omission_links"],
-        partition_windows=draw["partition_windows"],
-        churn_nodes=min(draw["churn_nodes"], max(1, n // 8)),
-        max_round=draw["max_round"],
-    )
+SCENARIOS = scenario_draws(max_round=(8, 80), omission_links=12, churn_nodes=3)
 
 
 def _triple(runner, *args, scenario, **kwargs):
@@ -127,7 +105,7 @@ class TestKernelFamilyParity:
 
     @WALL
     @given(
-        draw=scenario_draws,
+        draw=SCENARIOS,
         n=st.integers(2, 40),
         inputs_seed=st.integers(0, 10_000),
     )
@@ -135,24 +113,24 @@ class TestKernelFamilyParity:
         rng = random.Random(inputs_seed)
         t = rng.randrange(0, n)
         inputs = [rng.randrange(-(2**40), 2**40) for _ in range(n)]
-        _triple(run_flooding, inputs, t, scenario=_scenario(draw, n, t))
+        _triple(run_flooding, inputs, t, scenario=drawn_scenario(draw, n, t))
 
     @WALL
-    @given(draw=scenario_draws, n=st.integers(20, 44))
+    @given(draw=SCENARIOS, n=st.integers(20, 44))
     def test_gossip(self, draw, n):
         t = max(1, (n - 1) // 5)
         rumors = [f"rumor-{i}" for i in range(n)]
-        _triple(run_gossip, rumors, t, scenario=_scenario(draw, n, t))
+        _triple(run_gossip, rumors, t, scenario=drawn_scenario(draw, n, t))
 
     @WALL
-    @given(draw=scenario_draws, n=st.integers(20, 40))
+    @given(draw=SCENARIOS, n=st.integers(20, 40))
     def test_checkpointing(self, draw, n):
         t = max(1, (n - 1) // 5)
-        _triple(run_checkpointing, n, t, scenario=_scenario(draw, n, t))
+        _triple(run_checkpointing, n, t, scenario=drawn_scenario(draw, n, t))
 
     @WALL
     @given(
-        draw=scenario_draws,
+        draw=SCENARIOS,
         n=st.integers(2, 40),
         inputs_seed=st.integers(0, 10_000),
         mode=st.sampled_from(("midpoint", "mean")),
@@ -167,11 +145,11 @@ class TestKernelFamilyParity:
             inputs = [rng.uniform(-1e6, 1e6) for _ in range(n)]
         recipe = {"name": "approximate", "inputs": inputs, "t": t,
                   "eps": rng.choice((1e-3, 0.5, 1.0, 4.0)), "mode": mode}
-        _kernel_triple(ApproximateKernel, recipe, _scenario(draw, n, t))
+        _kernel_triple(ApproximateKernel, recipe, drawn_scenario(draw, n, t))
 
     @WALL
     @given(
-        draw=scenario_draws,
+        draw=SCENARIOS,
         n=st.integers(2, 40),
         inputs_seed=st.integers(0, 10_000),
         width=st.sampled_from((1, 64, 256)),
@@ -184,7 +162,7 @@ class TestKernelFamilyParity:
         inputs = [rng.randrange(0, 2**width) for _ in range(n)]
         recipe = {"name": "lv_consensus", "inputs": inputs, "t": t,
                   "width": width}
-        _kernel_triple(LVConsensusKernel, recipe, _scenario(draw, n, t))
+        _kernel_triple(LVConsensusKernel, recipe, drawn_scenario(draw, n, t))
 
 
 class TestKernelEngagement:
