@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.graphs.ramanujan import paper_delta
 
@@ -55,6 +56,11 @@ class ProtocolParams:
         algorithm code, so two nodes always build identical graphs.
     degree_cap:
         Practical overlay-degree cap (see module docstring).
+
+    Every derived quantity is a ``cached_property``: computed on first
+    read and kept in the instance ``__dict__`` (one ``ProtocolParams``
+    is read by every component of every process of a run).  Equality,
+    hashing, ``repr`` and :meth:`with_seed` see only the fields.
     """
 
     n: int
@@ -71,7 +77,7 @@ class ProtocolParams:
 
     # -- little nodes ----------------------------------------------------
 
-    @property
+    @cached_property
     def little_count(self) -> int:
         """Size of the little-node committee: ``min(n, max(5t, floor))``."""
         return min(self.n, max(5 * self.t, self.little_floor))
@@ -92,7 +98,7 @@ class ProtocolParams:
 
     # -- the committee overlay G (AEA Parts 1-2, Gossip probing) ---------
 
-    @property
+    @cached_property
     def little_degree(self) -> int:
         """Practical degree of the committee Ramanujan graph ``G``.
 
@@ -101,17 +107,17 @@ class ProtocolParams:
         """
         return min(self.degree_cap, max(1, self.little_count - 1))
 
-    @property
+    @cached_property
     def little_delta(self) -> int:
         """Probing threshold ``δ`` from the paper formula on the actual degree."""
         return paper_delta(self.little_degree)
 
-    @property
+    @cached_property
     def little_probe_rounds(self) -> int:
         """Probing duration ``γ = 2 + ⌈lg m⌉`` (Fig. 1 Part 2)."""
         return 2 + _ceil_log2(self.little_count)
 
-    @property
+    @cached_property
     def little_flood_rounds(self) -> int:
         """Part 1 flooding duration, the paper's ``5t − 1`` worst-case
         path length over the committee (at least 1)."""
@@ -119,12 +125,12 @@ class ProtocolParams:
 
     # -- the full overlay for Many-Crashes-Consensus ---------------------
 
-    @property
+    @cached_property
     def alpha(self) -> float:
         """``α = t / n``."""
         return self.t / self.n
 
-    @property
+    @cached_property
     def mcc_degree(self) -> int:
         """Degree ``d(α) = (4/(1−α))^8`` capped for practicality.
 
@@ -140,7 +146,7 @@ class ProtocolParams:
         )
         return min(max(1, self.n - 1), min(math.ceil(nominal), practical_cap))
 
-    @property
+    @cached_property
     def mcc_delta(self) -> int:
         """Probing threshold for the full overlay.
 
@@ -154,17 +160,17 @@ class ProtocolParams:
         safety = max(1, math.floor((1.0 - self.alpha) * self.mcc_degree / 4.0))
         return max(1, min(formula, safety))
 
-    @property
+    @cached_property
     def mcc_probe_rounds(self) -> int:
         """``2 + ⌈lg n⌉`` (Fig. 4 Part 2)."""
         return 2 + _ceil_log2(self.n)
 
-    @property
+    @cached_property
     def mcc_flood_rounds(self) -> int:
         """Part 1 flooding duration ``n − 1`` (Fig. 4)."""
         return max(1, self.n - 1)
 
-    @property
+    @cached_property
     def mcc_phase_count(self) -> int:
         """``1 + ⌈lg((1+3α)n/4)⌉`` phases in Part 3 (Fig. 4)."""
         m_value = (1.0 + 3.0 * self.alpha) * self.n / 4.0
@@ -172,7 +178,7 @@ class ProtocolParams:
 
     # -- Spread-Common-Value ----------------------------------------------
 
-    @property
+    @cached_property
     def scv_spread_rounds(self) -> int:
         """Part 1 duration ``⌈log_{3/2}((2n/5) / max(t, n/t))⌉`` plus
         slack (Fig. 2).
@@ -189,13 +195,13 @@ class ProtocolParams:
         base = math.log(max(numerator / denominator, 1.0), 1.5)
         return math.ceil(base) + _ceil_log2(self.n) + 2
 
-    @property
+    @cached_property
     def scv_direct_inquiry(self) -> bool:
         """Whether Part 2 uses the ``t² ≤ n`` branch (inquire all little
         nodes directly)."""
         return self.t * self.t <= self.n
 
-    @property
+    @cached_property
     def scv_phase_count(self) -> int:
         """``⌈lg(t + 1)⌉`` phases in the doubling branch, plus slack.
 
@@ -207,14 +213,14 @@ class ProtocolParams:
 
     # -- Gossip -----------------------------------------------------------
 
-    @property
+    @cached_property
     def gossip_phase_count(self) -> int:
         """``⌈lg n⌉`` phases in each gossip part (Fig. 5)."""
         return _ceil_log2(self.n)
 
     # -- Byzantine / AB-Consensus ------------------------------------------
 
-    @property
+    @cached_property
     def byz_little_count(self) -> int:
         """Committee for AB-Consensus: ``min(n, max(5t, floor))``.
 
@@ -224,7 +230,7 @@ class ProtocolParams:
         """
         return min(self.n, max(5 * self.t, self.little_floor))
 
-    @property
+    @cached_property
     def byz_certificate_threshold(self) -> int:
         """Signatures required on an authenticated common set.
 

@@ -716,6 +716,7 @@ class ScenarioAdversary(FixedSchedule):
                 self._omissions_by_round.setdefault(rnd, []).append(
                     (spec.src, spec.dst)
                 )
+        self._everyone = frozenset(range(scenario.n))
         self._link_fault_rounds = set(self._omissions_by_round)
         for spec in scenario.partitions:
             self._link_fault_rounds.update(range(spec.start, spec.stop))
@@ -734,26 +735,27 @@ class ScenarioAdversary(FixedSchedule):
         memo_round, memo_mask = self._blocked_memo
         if memo_round == rnd:
             return memo_mask
-        blocked: dict[int, set[int]] = {}
+        omitted: dict[int, set[int]] = {}
         for src, dst in self._omissions_by_round.get(rnd, ()):
-            blocked.setdefault(src, set()).add(dst)
-        n = self.scenario.n
+            omitted.setdefault(src, set()).add(dst)
+        mask = {src: frozenset(dsts) for src, dsts in omitted.items()}
+        everyone = self._everyone
         for spec in self.scenario.partitions:
             if not spec.start <= rnd < spec.stop:
                 continue
-            listed = {pid for group in spec.groups for pid in group}
-            remainder = tuple(pid for pid in range(n) if pid not in listed)
             groups = list(spec.groups)
+            remainder = everyone.difference(*groups)
             if remainder:
-                groups.append(remainder)
-            all_pids = {pid for group in groups for pid in group}
+                groups.append(tuple(sorted(remainder)))
             for group in groups:
-                others = all_pids - set(group)
+                # One mask object per group, shared by its pids: O(n)
+                # elements a round, not O(n^2).
+                others = everyone.difference(group)
                 if not others:
                     continue
                 for pid in group:
-                    blocked.setdefault(pid, set()).update(others)
-        mask = {src: frozenset(dsts) for src, dsts in blocked.items()}
+                    prior = mask.get(pid)
+                    mask[pid] = others if prior is None else prior | others
         self._blocked_memo = (rnd, mask)
         return mask
 

@@ -29,15 +29,24 @@ running-time metric.
 
 Fast-forward
 ------------
-Executions of the paper's algorithms contain long quiescent stretches
-(e.g. Part 1 of Many-Crashes-Consensus runs ``n - 1`` rounds but floods
-quiesce after the diameter).  When a round delivers no messages, every
-process declares its next spontaneous activity via
-:meth:`~repro.sim.process.Process.next_activity`, and the engine jumps
-directly to the earliest such round (or the next scheduled crash).  This
-is purely a simulator-cost optimisation; protocols are written against
-absolute round numbers so observable behaviour is identical (covered by
-tests comparing fast-forward on/off).
+Executions of the paper's algorithms are mostly silence: Theorems 5-9
+spend O(n + t polylog) messages over Theta(t + log n) rounds, so most
+nodes neither send nor receive in most rounds, and there are long
+stretches in which nobody does (e.g. Part 1 of Many-Crashes-Consensus
+runs ``n - 1`` rounds but floods quiesce after the diameter).  A process
+declares its next spontaneous activity via
+:meth:`~repro.sim.process.Process.next_activity`, and the engine uses
+the answer twice.  *Globally*: when a round delivers no messages, it
+jumps directly to the earliest declared round (or the adversary's next
+event).  *Per process* (optimized loop): a process that was called in a
+round and neither sent nor received is not called again until the round
+it declared, unless a message is delivered to it first -- see "Hot
+path".  Both are purely simulator-cost optimisations; protocols are
+written against absolute round numbers so observable behaviour is
+identical (covered by tests comparing fast-forward on/off, and per
+protocol by ``tests/test_wake_contract.py``).  ``fast_forward=False``
+and ``run(observer=...)`` turn both off: every live process is called
+in every round.
 
 Hot path
 --------
@@ -49,8 +58,8 @@ The engine carries two interchangeable round-loop implementations:
   alike, written without the control it is compared against;
 * the **optimized** path (default) is a data plane under
   :class:`~repro.sim.rounds.RoundControl`, the one other statement of
-  that control flow (which the vec, net and single-port backends drive
-  too).  Its send and receive phases batch metric recording per sender
+  that control flow (which the vec and net backends drive too).  Its
+  send and receive phases batch metric recording per sender
   per round, share one ``(src, payload)`` envelope across a
   multicast's recipients, reuse preallocated inbox lists, cache
   :func:`~repro.sim.process.payload_bits` per payload object within a
@@ -64,7 +73,28 @@ The engine carries two interchangeable round-loop implementations:
   it through the append buffers -- so an all-to-all round costs one
   list per receiver, not one append per message.  The destination
   tuple is proved to be every pid but the sender (once per tuple
-  object), never assumed; anything else takes the general path.
+  object), never assumed; anything else takes the general path, which
+  range-checks a multicast's destination tuple once per tuple object
+  per sender too (an overlay neighbourhood is one tuple for the run).
+
+  A round costs what it delivers, not ``n``.  The loop keeps one **wake
+  table**, ``wake[pid]`` = the first round at which ``pid`` must be
+  called although nothing was delivered to it.  The send phase skips a
+  process whose entry lies ahead; the receive phase skips it unless its
+  inbox is non-empty.  A process that sent or received stays awake
+  without being asked; one that was called and did neither is asked
+  ``next_activity`` and sleeps until then; a delivery wakes a sleeper in
+  that round's receive phase (its ``send`` for the round is skipped,
+  which is what it promised); a rejoin wakes it at the rejoin round; a
+  sleeper the adversary crashes just joins ``crashed``.  Crashed and
+  halted entries hold ``max_rounds``, so the quiescent-round jump is
+  ``min(wake)``.  The fault side pays the same way: the
+  :func:`collect_sends` / :func:`apply_link_filter` slow path is chosen
+  **per sender** -- it crashes now, the round's link mask names it, or a
+  trace recorder is attached -- so an omission round slows the two or
+  three senders it masks and everyone else keeps the batched path and
+  the column (the receiver-side merge by sender pid that orders a
+  crasher's prefix orders theirs).
 
 Both paths produce identical rounds/messages/bits, per-node and
 per-round tallies, decisions, crash sets and inboxes (ascending sender
@@ -89,7 +119,7 @@ from repro.sim.process import (
     payload_bits,
     payload_bits_cached,
 )
-from repro.sim.rounds import RoundControl, RunResult, earliest_wake
+from repro.sim.rounds import RoundControl, RunResult
 
 __all__ = [
     "Engine",
@@ -186,7 +216,8 @@ class Engine:
     max_rounds:
         Safety bound; exceeding it marks the run as not completed.
     fast_forward:
-        Enable quiescence skipping (see module docstring).
+        Enable quiescence skipping, of rounds and of idle processes
+        (see module docstring).
     optimized:
         Select the batched hot-path round loop (default) or the
         straight-line reference loop; both are observably identical
@@ -196,9 +227,9 @@ class Engine:
         :class:`repro.trace.TraceChecker`, or any object with the same
         ``round_events`` / ``record_send_group`` / ``record_drops``
         methods).  When set, the optimized loop routes every sender
-        through the shared :func:`collect_sends` slow path (the fast
-        path stays branch-free when no recorder is attached); metrics
-        are unaffected either way.
+        through the shared :func:`collect_sends` slow path, where the
+        recorder's hooks are; without one only the senders a round's
+        faults name take it.  Metrics are unaffected either way.
     telemetry:
         Wall-clock instrumentation (see :mod:`repro.obs`): ``True`` or a
         :class:`~repro.obs.TelemetryRecorder` enables per-phase span
@@ -444,6 +475,7 @@ class Engine:
         byzantine = self.byzantine
         crashed = self.crashed
         recorder = self.recorder
+        horizon = self.max_rounds
         # One append buffer per destination (indexed by pid, replacing
         # the reference path's dict+setdefault per message).  A buffer
         # that received messages is handed to its consumer and then
@@ -462,17 +494,33 @@ class Engine:
         column: list[tuple[int, Any]] = []
         column_at = [-1] * n
         peers: list[Optional[tuple[int, ...]]] = [None] * n
+        # ``checked[pid]`` pins the last multicast destination tuple of
+        # ``pid`` found in range, the same way: an overlay neighbourhood
+        # is one tuple object for the whole run.
+        checked: list[Optional[tuple[int, ...]]] = [None] * n
         universe = frozenset(range(n))
         by_sender = itemgetter(0)
         active = [
             p for p in self.processes if p.pid not in crashed and not p.halted
         ]
+        # Wake table (see module docstring): ``wake[pid]`` is the first
+        # round at which ``pid`` must be called although nothing was
+        # delivered to it; at or below the current round means awake.
+        # Crashed and halted pids hold the horizon, so ``min(wake)`` is
+        # the earliest wake of the live processes.  With fast-forward
+        # off no process is ever asked, so nobody sleeps.
+        wake = [horizon] * n
+        for proc in active:
+            wake[proc.pid] = 0
+        # ``silent[pid]`` is the last round in which ``pid`` was called
+        # and its ``send`` returned no message.
+        silent = [-1] * n
         tel = self.telemetry
         ctl = RoundControl(
             self,
             self.adversary,
             byzantine=byzantine,
-            max_rounds=self.max_rounds,
+            max_rounds=horizon,
             fast_forward=fast_forward,
             recorder=recorder,
             telemetry=tel,
@@ -489,46 +537,64 @@ class Engine:
                     for p in self.processes
                     if p.pid not in crashed and not p.halted
                 ]
+                for pid in rejoining:
+                    if not self.processes[pid].halted:
+                        wake[pid] = rnd
             crashing, blocked = ctl.open(rnd, rejoining)
             membership_dirty = bool(crashing)
+            for pid in crashing:
+                # A sleeper has nothing to send: it just crashes.
+                if (
+                    wake[pid] > rnd
+                    and pid not in crashed
+                    and not self.processes[pid].halted
+                ):
+                    crashed.add(pid)
 
             # Send phase.  A sender takes the collect_sends slow path
-            # when it crashes this round, when a link filter is active,
-            # or when a trace recorder is attached; the common
-            # crash-only case keeps the batched fast path below.
-            slow_round = blocked is not None or recorder is not None
+            # when it crashes this round, when the link filter names it,
+            # or when a trace recorder is attached; everyone else keeps
+            # the column and the batched path below.
+            masks = blocked or {}
+            faulty = bool(crashing) or bool(masks) or recorder is not None
             bits_cache.clear()
             touched: list[int] = []
             delivered_any = False
             for proc in active:
                 pid = proc.pid
+                if wake[pid] > rnd:
+                    continue
                 if proc.halted:
                     # Halted since the last membership rebuild (e.g.
                     # during on_start); skip, mirroring the reference.
                     membership_dirty = True
                     continue
-                if slow_round or (crashing and pid in crashing):
-                    crashes_now = bool(crashing) and pid in crashing
+                if faulty and (
+                    recorder is not None or pid in crashing or masks.get(pid)
+                ):
+                    crashes_now = pid in crashing
+                    mask = masks.get(pid)
                     keep = crashing[pid] if crashes_now else None
                     groups = self._collect_sends(proc, rnd, keep)
                     if crashes_now:
                         crashed.add(pid)
-                    if blocked is not None:
-                        mask = blocked.get(pid)
-                        if mask:
-                            groups, dropped = apply_link_filter(groups, mask)
-                            if dropped:
-                                if pid not in byzantine:
-                                    metrics.record_drop(dropped)
-                                if recorder is not None:
-                                    recorder.record_drops(rnd, pid, dropped)
-                                if tel is not None:
-                                    tel.point(
-                                        "drop", rnd, tel.clock(), pid=pid,
-                                        count=dropped,
-                                    )
                     if not groups:
+                        silent[pid] = rnd
                         continue
+                    if mask:
+                        groups, dropped = apply_link_filter(groups, mask)
+                        if dropped:
+                            if pid not in byzantine:
+                                metrics.record_drop(dropped)
+                            if recorder is not None:
+                                recorder.record_drops(rnd, pid, dropped)
+                            if tel is not None:
+                                tel.point(
+                                    "drop", rnd, tel.clock(), pid=pid,
+                                    count=dropped,
+                                )
+                        if not groups:
+                            continue
                     counted = pid not in byzantine
                     for dsts, payload in groups:
                         bits_each = payload_bits_cached(payload, bits_cache)
@@ -581,13 +647,16 @@ class Engine:
                         width = len(dsts)
                         if width == 0:
                             continue
-                        if min(dsts) < 0 or max(dsts) >= n:
-                            bad = next(
-                                d for d in dsts if not (0 <= d < n)
-                            )
-                            raise ProtocolError(
-                                f"process {pid} sent to invalid pid {bad}"
-                            )
+                        if dsts is not checked[pid]:
+                            if min(dsts) < 0 or max(dsts) >= n:
+                                bad = next(
+                                    d for d in dsts if not (0 <= d < n)
+                                )
+                                raise ProtocolError(
+                                    f"process {pid} sent to invalid pid {bad}"
+                                )
+                            if type(dsts) is tuple:
+                                checked[pid] = dsts
                         bits_each = payload_bits_cached(payload, bits_cache)
                         msg_total += width
                         bit_total += bits_each * width
@@ -614,24 +683,29 @@ class Engine:
                         pid, msg_total, bit_total, rnd, pid not in byzantine
                     )
                     delivered_any = True
+                else:
+                    silent[pid] = rnd
             if tel is not None:
                 ctl.phase("send", rnd)
 
             # Receive phase.
             for proc in active:
+                pid = proc.pid
+                box = inboxes[pid]
+                asleep = wake[pid] > rnd
+                if asleep and not box and not column:
+                    continue
                 if proc.halted:
                     membership_dirty = True
                     continue
-                pid = proc.pid
                 if crashing and pid in crashed:
                     continue
-                box = inboxes[pid]
                 if column:
                     # A private list by two C slices; anything that came
                     # through the append buffer (a crasher's prefix, a
-                    # point-to-point message) is merged back into
-                    # ascending-sender order, which is the reference
-                    # loop's inbox order element for element.
+                    # masked sender, a point-to-point message) is merged
+                    # back into ascending-sender order, which is the
+                    # reference loop's inbox order element for element.
                     at = column_at[pid]
                     merged = (
                         column[:at] + column[at + 1:] if at >= 0 else column[:]
@@ -640,7 +714,24 @@ class Engine:
                         merged += box
                         merged.sort(key=by_sender)
                     box = merged
-                proc.receive(rnd, box if box else [])
+                if box:
+                    proc.receive(rnd, box)
+                    if asleep:
+                        # Woken by a delivery: its send for this round
+                        # was skipped, the next one is not.
+                        wake[pid] = rnd
+                else:
+                    proc.receive(rnd, [])
+                    if fast_forward and silent[pid] == rnd and not proc.halted:
+                        # Neither sent nor received: it sleeps until the
+                        # round it declares (or a delivery).
+                        nxt = proc.next_activity(rnd)
+                        if nxt <= rnd:
+                            raise ProtocolError(
+                                f"process {pid} declared next_activity "
+                                f"{nxt} <= {rnd}"
+                            )
+                        wake[pid] = nxt
                 if proc.halted:
                     membership_dirty = True
 
@@ -658,19 +749,23 @@ class Engine:
                 observer(rnd, self.processes)
 
             if membership_dirty:
-                active = [
-                    p
-                    for p in active
-                    if not p.halted and p.pid not in crashed
-                ]
+                live = []
+                for proc in active:
+                    if proc.halted or proc.pid in crashed:
+                        wake[proc.pid] = horizon
+                    else:
+                        live.append(proc)
+                active = live
 
             # All operational non-Byzantine halted, i.e. only Byzantine
-            # processes remain active.
+            # processes remain active.  After a quiescent round every
+            # awake process has just been asked (or had its sends
+            # dropped and stays awake), so the table holds every answer.
             rnd = ctl.close(
                 rnd,
                 delivered_any,
                 all(p.pid in byzantine for p in active),
-                partial(earliest_wake, active, rnd),
+                partial(min, wake),
             )
         return ctl.seal(self.processes, metrics)
 

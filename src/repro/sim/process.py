@@ -13,8 +13,9 @@ A protocol is implemented by subclassing :class:`Process` and overriding
 
 Processes are *round-schedule state machines*: all timing decisions must
 be made against the absolute round number passed to ``send``/``receive``
-so that the engine's quiescence fast-forward (skipping rounds in which no
-process is active) never changes observable behaviour.
+so that the engine's fast-forward (not executing rounds in which no
+process is active, not calling a process in rounds it declared idle --
+see :meth:`Process.next_activity`) never changes observable behaviour.
 """
 
 from __future__ import annotations
@@ -166,19 +167,39 @@ class Process:
         to this process in this round, in ascending sender pid and, for
         one sender, in the order it sent them -- the same list on every
         backend.  The list is the receiver's own: it may be kept or
-        mutated.  Called every round (possibly with an empty inbox) so
-        that protocols such as local probing can count per-round
-        receptions.
+        mutated.
+
+        Called in every executed round in which something was delivered
+        to this process, and with an empty inbox in every executed round
+        in which the process is *awake* -- so protocols such as local
+        probing can count per-round receptions.  A process sleeps only
+        through rounds it declared idle itself (:meth:`next_activity`);
+        one that keeps the default is called every executed round.
         """
 
     def next_activity(self, rnd: int) -> int:
         """Earliest round after ``rnd`` at which this process may act
         spontaneously (send without having received anything).
 
-        The engine fast-forwards over rounds in which no process is
-        active and no messages are in flight.  The default, ``rnd + 1``,
-        disables fast-forwarding; schedule-driven protocols override this
-        with the next boundary of their round schedule.
+        The answer ``w`` is a promise about every round ``r`` with
+        ``rnd < r < w``, for as long as nothing is delivered to the
+        process: ``send(r)`` would return no message and
+        ``receive(r, [])`` would leave the process as it is (same
+        ``state_digest``, not halted), so an engine may skip both calls.
+        The first delivery ends the promise: the process gets that
+        round's ``receive`` (its ``send`` for that round was already
+        skipped) and is called normally from the next round on.
+
+        It is asked only after a round ``rnd`` in which the process
+        received nothing and none of its messages was delivered: by the
+        optimized engine of each process that was called, sent nothing
+        and received nothing (it then sleeps until ``w``; a round no
+        process is awake in is not executed at all), by the reference
+        loop of every process after a round that delivered nothing.  An
+        answer ``<= rnd`` is a :class:`ProtocolError`.  The default,
+        ``rnd + 1``, means "always called"; override it only where the
+        idle stretch is a fact of the round schedule, never a guess
+        (``tests/test_wake_contract.py`` holds every family to it).
         """
         return rnd + 1
 

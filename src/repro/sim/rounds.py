@@ -3,8 +3,9 @@
 Every backend executes the same lock-step round (Section 2, plus the
 extensions of :mod:`repro.scenarios`); what differs is where the
 processes live -- Python objects walked one by one, numpy arrays, hosts
-behind a barrier, single-port queues.  :class:`RoundControl` owns every
-statement of an execution that does *not* depend on that: which crashed
+behind a barrier (a single-port vector is ordinary processes on any of
+these).  :class:`RoundControl` owns every statement of an execution
+that does *not* depend on that: which crashed
 pids rejoin, who the adversary crashes and which links it blocks, the
 trace recorder's ``round_events``, the ``rejoin`` / ``crash`` / ``round``
 spans and ``decide`` points, termination, the quiescence fast-forward,
@@ -51,13 +52,13 @@ twice -- the spec and this control -- and nowhere else;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.sim.adversary import CrashAdversary
 from repro.sim.metrics import Metrics
 from repro.sim.process import Process, ProtocolError
 
-__all__ = ["RoundControl", "RunResult", "earliest_wake"]
+__all__ = ["RoundControl", "RunResult"]
 
 
 @dataclass
@@ -106,24 +107,6 @@ class RunResult:
             for pid, value in self.decisions.items()
             if pid not in self.crashed and pid not in self.byzantine
         }
-
-
-def earliest_wake(live: Iterable[Any], rnd: int) -> Optional[int]:
-    """Earliest ``next_activity(rnd)`` among the ``live`` (neither
-    crashed nor halted) processes, ``None`` when there are none -- the
-    ``next_wake`` of a backend that holds process objects."""
-    nxt = None
-    for proc in live:
-        wake = proc.next_activity(rnd)
-        if wake <= rnd:
-            raise ProtocolError(
-                f"process {proc.pid} declared next_activity {wake} <= {rnd}"
-            )
-        if nxt is None or wake < nxt:
-            nxt = wake
-            if nxt == rnd + 1:
-                break
-    return nxt
 
 
 class RoundControl:

@@ -55,9 +55,10 @@ def scenario_draws(max_round, omission_links, churn_nodes):
     )
 
 
-def drawn_scenario(draw, n, t):
+def drawn_scenario(draw, n, t, victims=None):
     """The scenario of one :func:`scenario_draws` draw for ``n`` nodes
-    and fault bound ``t``."""
+    and fault bound ``t``; ``victims`` is the pool crash and churn
+    victims come from (default: every pid)."""
     return scenario_schedule(
         n,
         seed=draw["seed"],
@@ -66,6 +67,7 @@ def drawn_scenario(draw, n, t):
         partition_windows=draw["partition_windows"],
         churn_nodes=min(draw["churn_nodes"], max(1, n // 8)),
         max_round=draw["max_round"],
+        victims=victims,
     )
 
 
@@ -90,15 +92,18 @@ def linear_vector(n, t, inputs, overlay_seed=3):
 class ScriptedProcess(Process):
     """Sends what ``plan(proc, rnd)`` returns and logs every inbox it is
     handed under ``log[(rnd, pid)]``; halts after round ``last[pid]``
-    (default ``rounds - 1``).  The engine-parity, inbox-order and
-    property tests compare these logs across round loops and backends.
+    (default ``rounds - 1``); declares ``wake(proc, rnd)`` as its
+    ``next_activity`` (default: always active).  The engine-parity,
+    inbox-order and property tests compare these logs across round
+    loops and backends.
     """
 
-    def __init__(self, pid, n, plan, log, rounds, last=None):
+    def __init__(self, pid, n, plan, log, rounds, last=None, wake=None):
         super().__init__(pid, n)
         self.plan = plan
         self.log = log
         self.last = (last or {}).get(pid, rounds - 1)
+        self.wake = wake
 
     def send(self, rnd):
         return self.plan(self, rnd)
@@ -108,15 +113,22 @@ class ScriptedProcess(Process):
         if rnd >= self.last:
             self.halt()
 
+    def next_activity(self, rnd):
+        return rnd + 1 if self.wake is None else self.wake(self, rnd)
+
 
 def run_scripted(
     n, plan, rounds, *, backend="sim-opt", adversary=None,
-    byzantine=frozenset(), last=None,
+    byzantine=frozenset(), last=None, wake=None, observer=None, **engine,
 ):
     """Run ``n`` :class:`ScriptedProcess` on ``sim-opt`` / ``sim-ref`` /
-    ``net``; returns ``(result, inbox log)``."""
+    ``net``; returns ``(result, inbox log)``.  ``observer`` and
+    ``engine`` (``Engine`` keywords) are for the two simulator loops."""
     log = {}
-    procs = [ScriptedProcess(pid, n, plan, log, rounds, last) for pid in range(n)]
+    procs = [
+        ScriptedProcess(pid, n, plan, log, rounds, last, wake)
+        for pid in range(n)
+    ]
     if backend == "net":
         result = run_protocol_net(procs, adversary, byzantine=byzantine)
     else:
@@ -125,7 +137,8 @@ def run_scripted(
             adversary,
             byzantine=byzantine,
             optimized=backend == "sim-opt",
-        ).run()
+            **engine,
+        ).run(observer)
     return result, log
 
 

@@ -22,6 +22,7 @@ from repro import (
 from repro.baselines import FloodingConsensusProcess
 from repro.bench.workloads import byzantine_sample, input_vector, rumor_vector
 from repro.check.oracles import check_parity
+from repro.scenarios import ChurnSpec, OmissionSpec, Scenario
 from repro.sim import Engine, crash_schedule
 from repro.sim.adversary import CrashSpec, ScheduledCrashes
 from repro.sim.process import Multicast, Process, ProtocolError
@@ -413,6 +414,155 @@ class TestEngineEdgeParity:
             engine = Engine([BadMulticast(0, 1)], optimized=optimized)
             with pytest.raises(ProtocolError):
                 engine.run()
+
+    # -- the wake table: who is called, and when --------------------------
+
+    @staticmethod
+    def _sleepy_pair(n, plan, rounds, wake, adversary=lambda: None, **engine):
+        """One plan on both loops with ``wake`` as every process's
+        ``next_activity``: results at parity, every inbox sim-ref handed
+        out that sim-opt did not is empty (and never the reverse).
+        Returns ``(result, log, calls)`` of the sim-opt run, ``calls``
+        the ``(rnd, pid)`` of every ``send`` made."""
+        runs = []
+        for backend in ("sim-opt", "sim-ref"):
+            calls = []
+
+            def logged(proc, rnd, calls=calls):
+                calls.append((rnd, proc.pid))
+                return plan(proc, rnd)
+
+            result, log = run_scripted(
+                n, logged, rounds, backend=backend, adversary=adversary(),
+                wake=wake, **engine,
+            )
+            runs.append((result, log, calls))
+        (optimized, log, calls), (reference, ref_log, ref_calls) = runs
+        assert_parity(optimized, reference)
+        assert set(log) <= set(ref_log) and set(calls) <= set(ref_calls)
+        assert all(log.get(key, []) == box for key, box in ref_log.items())
+        return optimized, log, calls
+
+    @staticmethod
+    def _chatter(proc, rnd):
+        """Pids 1 and 2 talk to each other every round, so every round
+        is executed whatever pid 0 declares."""
+        return [(3 - proc.pid, rnd)] if proc.pid in (1, 2) else []
+
+    @staticmethod
+    def _until(wake_round):
+        """Pid 0 declares ``wake_round``; the others are always active."""
+        return lambda proc, rnd: (
+            max(rnd + 1, wake_round) if proc.pid == 0 else rnd + 1
+        )
+
+    @pytest.mark.parametrize("keep", [0, 1])
+    def test_sleeper_crashing_in_its_sleep_sends_nothing(self, keep):
+        def plan(proc, rnd):
+            if proc.pid == 0:
+                return broadcast(proc, rnd) if rnd >= 6 else []
+            return self._chatter(proc, rnd)
+
+        result, log, calls = self._sleepy_pair(
+            4, plan, 10, self._until(6),
+            lambda: ScheduledCrashes({0: CrashSpec(round=3, keep=keep)}),
+        )
+        assert result.crashed == {0}
+        assert result.metrics.per_node_messages.get(0, 0) == 0
+        assert [rnd for rnd, pid in calls if pid == 0] == [0]
+
+    def test_message_to_a_sleeper_is_delivered_that_round(self):
+        def plan(proc, rnd):
+            if proc.pid == 1 and rnd == 3:
+                return [(0, "knock")]
+            return self._chatter(proc, rnd)
+
+        _, log, calls = self._sleepy_pair(3, plan, 10, self._until(8))
+        assert log[(3, 0)] == [(1, "knock")]
+        # round 0 called and idle -> asleep; the delivery of round 3
+        # arrives after that round's send phase; awake at 4, idle again.
+        assert [rnd for rnd, pid in calls if pid == 0] == [0, 4, 8, 9]
+        assert [rnd for rnd, pid in log if pid == 0] == [0, 3, 4, 8, 9]
+
+    def test_churned_sleeper_is_called_at_its_rejoin_round(self):
+        scenario = Scenario(n=3, churn=(ChurnSpec(0, 2, 5, None),))
+        result, _, calls = self._sleepy_pair(
+            3, self._chatter, 10, self._until(8), scenario.adversary
+        )
+        assert result.crashed == set()
+        assert [rnd for rnd, pid in calls if pid == 0] == [0, 5, 8, 9]
+
+    def test_process_halting_inside_send(self):
+        def plan(proc, rnd):
+            if proc.pid == 0 and rnd == 2:
+                proc.halt()
+                return [(1, "last words")]
+            return self._chatter(proc, rnd)
+
+        _, log, calls = self._sleepy_pair(3, plan, 6, self._until(2))
+        assert (2, 0) not in log and log[(2, 1)][0] == (0, "last words")
+        assert [rnd for rnd, pid in calls if pid == 0] == [0, 2]
+
+    def test_next_activity_not_in_the_future_same_error_both_paths(self):
+        errors = []
+        for backend in ("sim-opt", "sim-ref"):
+            with pytest.raises(ProtocolError) as caught:
+                run_scripted(
+                    3, lambda proc, rnd: [], 4, backend=backend,
+                    wake=lambda proc, rnd: rnd,
+                )
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] == "process 0 declared next_activity 0 <= 0"
+
+    @pytest.mark.parametrize(
+        "engine", [dict(fast_forward=False), dict(observer=lambda rnd, ps: None)]
+    )
+    def test_without_fast_forward_everyone_is_called_every_round(self, engine):
+        _, log, calls = self._sleepy_pair(
+            3, self._chatter, 10, self._until(8), **engine
+        )
+        everyone = [(rnd, pid) for rnd in range(10) for pid in range(3)]
+        assert calls == everyone and sorted(log) == everyone
+
+    def test_omission_round_masks_one_broadcaster_of_the_column(self):
+        n = 6
+        scenario = Scenario(
+            n=n,
+            omissions=(OmissionSpec(2, 4, (1, 2)), OmissionSpec(2, 0, (2,))),
+        )
+        result, log, _ = self._sleepy_pair(
+            n, broadcast, 4, None, scenario.adversary
+        )
+        assert result.metrics.dropped_messages == 3
+        assert result.messages == 4 * n * (n - 1) - 3
+        # the masked sender went through the append buffers, the other
+        # five through the column: merged back in ascending sender pid
+        assert [src for src, _ in log[(1, 3)]] == [0, 1, 2, 4, 5]
+        assert [src for src, _ in log[(1, 4)]] == [0, 1, 3, 5]
+        assert [src for src, _ in log[(2, 0)]] == [1, 3, 4, 5]
+
+    def test_sender_alternating_two_destination_tuples(self):
+        tuples = ((1, 2), (2, 3))
+        plan = lambda proc, rnd: (
+            [Multicast(tuples[rnd % 2], rnd), (4, "x")] if proc.pid == 0 else []
+        )
+        result, log, _ = self._sleepy_pair(5, plan, 6, None)
+        assert result.messages == 6 * 3
+        assert log[(3, 3)] == [(0, 3)] and log[(3, 1)] == []
+
+    def test_replaced_destination_tuple_is_checked_again(self):
+        # (1, 2) is proved in range in round 0 and (2, 3) replaces it in
+        # round 1: neither proof covers the equally long (1, 5).
+        tuples = ((1, 2), (2, 3), (1, 5))
+        plan = lambda proc, rnd: (
+            [Multicast(tuples[rnd], rnd), (4, "x")] if proc.pid == 0 else []
+        )
+        errors = []
+        for backend in ("sim-opt", "sim-ref"):
+            with pytest.raises(ProtocolError) as caught:
+                run_scripted(5, plan, 3, backend=backend)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] == "process 0 sent to invalid pid 5"
 
 
 class TestInboxOrderContract:

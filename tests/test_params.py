@@ -1,10 +1,14 @@
 """Unit tests for the parameter derivation (paper formulas vs practical
 caps)."""
 
+import copy
+from functools import cached_property
+
 import pytest
 
 from repro.core.params import DEGREE_CAP, LITTLE_FLOOR, ProtocolParams
 from repro.graphs.ramanujan import paper_delta
+from repro.sim.process import Process
 
 
 class TestValidation:
@@ -143,6 +147,37 @@ class TestMisc:
         params = ProtocolParams(n=100, t=10, seed=1)
         other = params.with_seed(9)
         assert other.seed == 9 and other.n == 100 and params.seed == 1
+
+    def test_derived_quantities_are_computed_once_and_invisible(self):
+        # Every derived quantity is cached in the instance __dict__ on
+        # first read; equality, hashing, repr, with_seed and deepcopy see
+        # only the fields, so a warm instance is the same value as a
+        # cold one -- also inside a process's state_digest.
+        derived = [
+            name
+            for name, attr in vars(ProtocolParams).items()
+            if isinstance(attr, cached_property)
+        ]
+        assert len(derived) == 17
+        warm, cold = ProtocolParams(n=60, t=7, seed=3), ProtocolParams(n=60, t=7, seed=3)
+        values = {name: getattr(warm, name) for name in derived}
+        assert set(derived) <= set(vars(warm)) and not set(derived) & set(vars(cold))
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        clone = copy.deepcopy(warm)
+        assert clone == warm and {n: getattr(clone, n) for n in derived} == values
+        reseeded = warm.with_seed(9)
+        assert reseeded == ProtocolParams(n=60, t=7, seed=9)
+        assert reseeded.with_seed(3) == warm and not set(derived) & set(vars(reseeded))
+
+        class Holder(Process):
+            def __init__(self, params):
+                super().__init__(0, params.n)
+                self.params = params
+
+        before = Holder(cold).state_digest()
+        assert {n: getattr(cold, n) for n in derived} == values
+        after = Holder(cold).state_digest()
+        assert before == after and hash(before) == hash(after)
 
     def test_paper_constants_uncapped(self):
         params = ProtocolParams.paper(n=10**9, t=10**8)

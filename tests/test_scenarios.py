@@ -8,6 +8,8 @@ crash-only pinning discipline of ``test_engine_parity.py`` and
 checked on a logging toy protocol.
 """
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from repro import (
@@ -28,6 +30,8 @@ from repro.scenarios import (
 )
 from repro.sim import Engine
 from repro.sim.process import Multicast, Process
+from repro.trace import replay_trace
+from tests.conftest import drawn_scenario, scenario_draws
 
 
 class Chatter(Process):
@@ -503,3 +507,94 @@ class TestAdversarySurface:
         assert ScenarioAdversary(
             Scenario(n=6, crashes=[CrashEvent(0, 1)], churn=[ChurnSpec(1, 0, 2)])
         ).total_budget() == 2
+
+
+def _link_by_link(scenario, rnd):
+    """``blocked_links(rnd)`` recomputed one directed link at a time."""
+
+    def side(spec, pid):
+        return next((i for i, group in enumerate(spec.groups) if pid in group), -1)
+
+    mask = {}
+    for src in range(scenario.n):
+        cut = frozenset(
+            dst
+            for dst in range(scenario.n)
+            if dst != src
+            and (
+                any(
+                    (spec.src, spec.dst) == (src, dst) and rnd in spec.rounds
+                    for spec in scenario.omissions
+                )
+                or any(
+                    spec.start <= rnd < spec.stop
+                    and side(spec, src) != side(spec, dst)
+                    for spec in scenario.partitions
+                )
+            )
+        )
+        if cut:
+            mask[src] = cut
+    return mask
+
+
+class TestLinkMask:
+    """The mask is built group by group (one shared ``frozenset`` per
+    partition group); it must stay value-equal to the quadratic
+    definition."""
+
+    @staticmethod
+    def _overlapping(base):
+        """``base`` plus two overlapping partitions (the second with an
+        implicit remainder group) and an omission on a partitioned src."""
+        n = base.n
+        return Scenario(
+            n=n,
+            crashes=base.crashes,
+            churn=base.churn,
+            omissions=base.omissions + (OmissionSpec(0, n - 1, (2, 3, 4)),),
+            partitions=base.partitions + (
+                PartitionSpec(2, 6, (tuple(range(n // 2)), tuple(range(n // 2, n)))),
+                PartitionSpec(4, 8, (tuple(range(0, n, 3)), (1,))),
+            ),
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        draw=scenario_draws(max_round=(6, 30), omission_links=12, churn_nodes=2),
+        n=st.integers(4, 24),
+    )
+    def test_mask_equals_link_by_link_recomputation(self, draw, n):
+        scenario = self._overlapping(drawn_scenario(draw, n, n // 4))
+        adversary = scenario.adversary()
+        for rnd in range(scenario.horizon() + 2):
+            assert (adversary.blocked_links(rnd) or {}) == _link_by_link(
+                scenario, rnd
+            ), rnd
+
+    def test_lone_partition_shares_one_mask_per_group(self):
+        # The O(n) property: n masks, two frozenset objects.
+        n = 40
+        left, right = tuple(range(0, n, 2)), tuple(range(1, n, 2))
+        adversary = Scenario(
+            n=n, partitions=[PartitionSpec(1, 3, (left,))]
+        ).adversary()
+        mask = adversary.blocked_links(1)
+        assert mask == _link_by_link(adversary.scenario, 1) and len(mask) == n
+        for group, other in ((left, right), (right, left)):
+            assert mask[group[0]] == frozenset(other)
+            assert all(mask[pid] is mask[group[0]] for pid in group)
+
+    def test_record_replay_of_overlapping_masks(self):
+        n, t = 24, 3
+        scenario = self._overlapping(
+            scenario_schedule(n, seed=5, crashes=2, omission_links=8,
+                              partition_windows=1, churn_nodes=1, max_round=12)
+        )
+        inputs = input_vector(n, "random", 5)
+        recorded = run_consensus(
+            inputs, t, scenario=scenario, seed=5, record_trace=True
+        )
+        assert recorded.metrics.dropped_messages > 0
+        for optimized in (True, False):
+            replay_trace(recorded.trace, backend="sim", optimized=optimized)
