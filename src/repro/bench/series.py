@@ -831,7 +831,6 @@ def adversary_unit(params: dict) -> dict:
         params["family"],
         seed=params["search_seed"],
         budget=params["budget"],
-        method=params.get("method") or "anneal",
         moves="crash",  # stay inside the proven crash model
         objective="comm",
         n=params["n"],

@@ -20,9 +20,7 @@ the gap mechanically:
   configurations and their differential execution: the primary run
   records a :class:`repro.trace.Trace` on ``sim-opt``, every other
   backend replays it bit-for-bit (divergence = the first differing
-  event, not a boolean), and one un-recorded ``sim-opt`` run -- the
-  engine's fast send path, which a recorder switches off -- must match
-  the primary (``parity:sim-fast``);
+  event, not a boolean);
 * :mod:`repro.check.shrink` -- greedy deletion/narrowing over a
   failing scenario's events (via
   :meth:`repro.scenarios.Scenario.shrink_candidates`), re-running after
@@ -30,11 +28,11 @@ the gap mechanically:
   oracle, emitted as a self-contained trace artifact that
   :func:`repro.trace.replay_trace` reproduces anywhere;
 * :mod:`repro.check.search` -- the *optimization-guided* complement to
-  blind fuzzing: simulated annealing (or greedy hill-climb) over
-  scenario space with grow+shrink moves, maximizing the measured bound
-  ratio from the paper-bound certificates; ``python -m repro.check
-  --search`` / ``repro-bench adversary``, with the worst scenarios
-  emitted as replayable trace artifacts and regression-tested from
+  blind fuzzing: simulated annealing over scenario space with
+  grow+shrink moves, maximizing the measured bound ratio from the
+  paper-bound certificates; ``python -m repro.check --search`` /
+  ``repro-bench adversary``, with the worst scenarios emitted as
+  replayable trace artifacts and regression-tested from
   ``tests/corpus/``;
 * :mod:`repro.check.cli` -- ``python -m repro.check --seed 0 --budget
   200`` (deterministic given ``--seed``, parallel via the sweep

@@ -21,11 +21,11 @@ status is non-zero.
 
 ``--search`` switches from blind fuzzing to the optimization-guided
 adversary search of :mod:`repro.check.search`: one simulated-annealing
-(or ``--method greedy``) walk per family over scenario space,
-maximizing the measured bound ratio, with the top-``k`` worst scenarios
-emitted as self-contained replayable trace artifacts (search
-trajectory in ``Trace.meta["repro.search"]``).  Deterministic given
-``--seed``, jobs-independent down to the artifact bytes.
+walk per family over scenario space, maximizing the measured bound
+ratio, with the top-``k`` worst scenarios emitted as self-contained
+replayable trace artifacts (search trajectory in
+``Trace.meta["repro.search"]``).  Deterministic given ``--seed``,
+jobs-independent down to the artifact bytes.
 
 Long budgets used to print nothing until the end; now a throttled
 heartbeat (configs done/budget, configs/sec, eta, worker utilization,
@@ -49,7 +49,6 @@ from repro.check.driver import (
     sample_config,
 )
 from repro.check.search import (
-    METHODS,
     MOVE_SETS,
     OBJECTIVES,
     SEARCH_BACKENDS,
@@ -142,11 +141,6 @@ def _parse_args(argv) -> argparse.Namespace:
         ),
     )
     search.add_argument(
-        "--method", choices=METHODS, default="anneal",
-        help="optimizer: simulated annealing or greedy hill-climb with "
-             "restarts (default anneal)",
-    )
-    search.add_argument(
         "--objective", choices=OBJECTIVES, default="max",
         help=(
             "what to maximize: rounds-ratio, comm-ratio, or the larger of "
@@ -213,7 +207,6 @@ def _search_main(args, families) -> int:
         args.seed,
         args.budget,
         families=families,
-        method=args.method,
         backend=args.backend,
         moves=args.moves,
         objective=args.objective,
@@ -233,7 +226,7 @@ def _search_main(args, families) -> int:
     rows = report.rows()
     print(
         f"repro.check --search: {len(rows)} families x {args.budget} "
-        f"evaluations ({args.method}, objective={args.objective}, "
+        f"evaluations (objective={args.objective}, "
         f"moves={args.moves}, seed={args.seed}) "
         f"[{report.elapsed:.1f}s, jobs={report.jobs}]"
     )

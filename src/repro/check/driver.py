@@ -12,17 +12,16 @@ engine with a :class:`repro.trace.TraceRecorder` attached, and every
 other backend (reference engine, asyncio runtime over memory or TCP)
 **replays the trace with verification** -- so a cross-backend
 divergence is reported as the first differing event
-(:class:`repro.trace.TraceDivergence`), not as a boolean.  A recorder
-keeps the optimized engine off its fast send path, so the same
-configuration also runs once *un-recorded* and must match the primary
-on the full parity surface (oracle ``parity:sim-fast``, always on).
-The oracles of :mod:`repro.check.oracles` then run on the primary
-result.
+(:class:`repro.trace.TraceDivergence`), not as a boolean.  The
+recorded primary executes exactly what an un-recorded run executes
+plus the recorder's hook calls, so it *is* the run a user makes.  The
+oracles of :mod:`repro.check.oracles` then run on the primary result.
 
 ``fuzz_unit`` is the module-level (picklable) sweep runner: the
 ``repro-bench fuzz`` series and the ``python -m repro.check`` CLI both
-fan configurations out through the PR 1 sweep scheduler, so ``--jobs``
-parallelism never changes a row.
+fan configurations out through the sweep scheduler
+(:mod:`repro.bench.sweep`), so ``--jobs`` parallelism never changes a
+row.
 """
 
 from __future__ import annotations
@@ -244,20 +243,6 @@ def run_config(config: FuzzConfig) -> dict:
     )
     trace = primary.trace
     violations: list[dict] = []
-    # A recorder sends every sender of the primary through the engine's
-    # slow path, so the batched send path and the broadcast column --
-    # what an un-traced run, i.e. a user's run, executes -- are only
-    # differentiated by running once more without one.
-    fast = api.run_recipe(
-        config.recipe,
-        backend="sim",
-        optimized=True,
-        **_execution_kwargs(config),
-    )
-    try:
-        check_parity(primary, fast, "sim-opt+trace", "sim-opt")
-    except OracleViolation as exc:
-        violations.append({"oracle": "parity:sim-fast", "detail": str(exc)})
     for backend in config.backends:
         try:
             if backend == "sim-ref":

@@ -17,8 +17,7 @@ searches for the worst case:
   against a failure-free baseline of the same instance; runs that fail
   to complete score ``-1`` and are never adopted;
 * **optimizer** -- simulated annealing (geometric cooling, Metropolis
-  acceptance) or a greedy hill-climb with restarts
-  (``method="greedy"``), both driven exclusively by a
+  acceptance), driven exclusively by a
   :func:`~repro.bench.sweep.derive_seed`-keyed ``random.Random`` so a
   search is a pure function of ``(seed, config)``;
 * **evaluation** -- :func:`repro.api.run_recipe` on the vectorized
@@ -71,8 +70,6 @@ __all__ = [
 #: comparable against the Table 1 claims.
 MOVE_SETS = ("all", "crash")
 
-METHODS = ("anneal", "greedy")
-
 SEARCH_BACKENDS = ("auto", "vec", "sim")
 
 #: What the walk maximizes: the rounds-ratio, the communication-ratio,
@@ -94,7 +91,6 @@ class SearchConfig:
     seed: int
     #: scenario evaluations (the unit of cost: one protocol run each)
     budget: int = 120
-    method: str = "anneal"
     #: ``auto`` resolves to ``vec`` for kernel families when numpy is
     #: present, ``sim`` (optimized engine) otherwise
     backend: str = "auto"
@@ -111,9 +107,6 @@ class SearchConfig:
     victims: tuple[int, ...] = ()
     initial_temperature: float = 0.04
     cooling: float = 0.95
-    #: greedy only: restart from the empty scenario after this many
-    #: consecutive rejected proposals
-    restart_after: int = 12
     #: cross-backend parity check every Nth fresh evaluation (0 = never)
     spot_check_every: int = 25
     #: grow candidates drawn per proposal
@@ -136,7 +129,6 @@ def make_search_config(
     *,
     seed: int = 0,
     budget: int = 120,
-    method: str = "anneal",
     backend: str = "auto",
     moves: str = "all",
     objective: str = "max",
@@ -152,8 +144,6 @@ def make_search_config(
     pinned (the per-``t`` bench sweep).  Deterministic given the
     arguments.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown search method {method!r}; choose from {METHODS}")
     if moves not in MOVE_SETS:
         raise ValueError(f"unknown move set {moves!r}; choose from {MOVE_SETS}")
     if backend not in SEARCH_BACKENDS:
@@ -176,7 +166,6 @@ def make_search_config(
         recipe=recipe,
         seed=seed,
         budget=budget,
-        method=method,
         backend=resolve_search_backend(family, backend),
         moves=moves,
         objective=objective,
@@ -344,7 +333,6 @@ class SearchResult:
     evaluations: int = 0
     cache_hits: int = 0
     spot_checks: int = 0
-    restarts: int = 0
 
     def to_row(self) -> dict:
         """Flatten into a JSON-safe sweep row (byte-identical across
@@ -355,7 +343,7 @@ class SearchResult:
             "family": self.config.family,
             "n": n,
             "t": t,
-            "method": self.config.method,
+            "method": "anneal",
             "backend": self.config.backend,
             "moves": self.config.moves,
             "objective": self.config.objective,
@@ -370,7 +358,6 @@ class SearchResult:
             "evaluations": self.evaluations,
             "cache_hits": self.cache_hits,
             "spot_checks": self.spot_checks,
-            "restarts": self.restarts,
             "recipe": self.config.recipe,
             "best_scenario": self.best_scenario.to_dict(),
             "best_certificate": self.best["certificate"],
@@ -383,13 +370,13 @@ def run_search(config: SearchConfig) -> SearchResult:
     """Walk scenario space for ``config.budget`` evaluations.
 
     Deterministic: all randomness comes from one ``random.Random``
-    derived from ``(config.seed, family, method)``; protocol runs are
+    derived from ``(config.seed, family, "anneal")``; protocol runs are
     deterministic state machines, so the whole search -- trajectory,
     best scenario, top-k list -- is a pure function of the config.
     """
     evaluator = _Evaluator(config)
     rng = random.Random(
-        derive_seed(config.seed, ("repro.search", config.family, config.method))
+        derive_seed(config.seed, ("repro.search", config.family, "anneal"))
     )
     n, _ = instance_shape(config.recipe)
     empty = Scenario(n=n, name=f"search-{config.family}-{config.seed}")
@@ -401,8 +388,6 @@ def run_search(config: SearchConfig) -> SearchResult:
     seen_at: dict[Scenario, tuple[float, int]] = {empty: (baseline["energy"], 0)}
     trajectory: list[dict] = []
     temperature = config.initial_temperature
-    stall = 0
-    restarts = 0
 
     for step in range(1, config.budget + 1):
         candidate = _propose(current, config, rng)
@@ -413,19 +398,11 @@ def run_search(config: SearchConfig) -> SearchResult:
         if candidate not in seen_at:
             seen_at[candidate] = (energy, step)
         delta = energy - current_eval["energy"]
-        if config.method == "anneal":
-            accepted = delta >= 0 or (
-                evaluation["completed"]
-                and rng.random() < math.exp(delta / max(temperature, 1e-9))
-            )
-            temperature *= config.cooling
-        else:  # greedy hill-climb with restarts
-            accepted = delta > 0
-            stall = 0 if accepted else stall + 1
-            if stall >= config.restart_after:
-                current, current_eval = empty, baseline
-                stall = 0
-                restarts += 1
+        accepted = delta >= 0 or (
+            evaluation["completed"]
+            and rng.random() < math.exp(delta / max(temperature, 1e-9))
+        )
+        temperature *= config.cooling
         if accepted:
             current, current_eval = candidate, evaluation
             if energy > best_eval["energy"]:
@@ -469,7 +446,6 @@ def run_search(config: SearchConfig) -> SearchResult:
         evaluations=evaluator.fresh,
         cache_hits=evaluator.cache_hits,
         spot_checks=evaluator.spot_checks,
-        restarts=restarts,
     )
 
 
@@ -489,7 +465,6 @@ def search_unit(params: dict) -> dict:
         params["family"],
         seed=params["search_seed"],
         budget=params["budget"],
-        method=params.get("method") or "anneal",
         backend=params.get("backend") or "auto",
         moves=params.get("moves") or "all",
         objective=params.get("objective") or "max",
@@ -505,7 +480,6 @@ def build_search_spec(
     budget: int,
     *,
     families: Sequence[str],
-    method: str = "anneal",
     backend: str = "auto",
     moves: str = "all",
     objective: str = "max",
@@ -524,7 +498,6 @@ def build_search_spec(
             "search_seed": seed,
             "seed": seed,
             "budget": budget,
-            "method": method,
             "backend": backend,
             "moves": moves,
             "objective": objective,
@@ -579,7 +552,6 @@ def record_search_trace(
         row["family"],
         seed=row["seed"],
         budget=row["budget"],
-        method=row["method"],
         backend=row["backend"],
         moves=row["moves"],
         objective=row.get("objective", "max"),
@@ -600,7 +572,7 @@ def record_search_trace(
     cli = (
         f"python -m repro.check --search --seed {row['seed']} "
         f"--budget {row['budget']} --families {row['family']} "
-        f"--method {row['method']} --moves {row['moves']} "
+        f"--moves {row['moves']} "
         f"--objective {row.get('objective', 'max')}"
     )
     trace.meta = {

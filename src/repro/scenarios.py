@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 from repro.sim.adversary import FixedSchedule
@@ -309,33 +309,22 @@ class Scenario:
         a minimal one that still trips the same oracle.
         """
 
-        def variant(**changes) -> "Scenario":
-            fields = {
-                "n": self.n,
-                "name": self.name,
-                "crashes": self.crashes,
-                "omissions": self.omissions,
-                "partitions": self.partitions,
-                "churn": self.churn,
-            }
-            fields.update(changes)
-            return Scenario(**fields)
-
         def drop(items: tuple, index: int) -> tuple:
             return items[:index] + items[index + 1 :]
 
         # 1. whole-entry deletions.
         for i in range(len(self.crashes)):
-            yield variant(crashes=drop(self.crashes, i))
+            yield replace(self, crashes=drop(self.crashes, i))
         for i in range(len(self.churn)):
-            yield variant(churn=drop(self.churn, i))
+            yield replace(self, churn=drop(self.churn, i))
         for i in range(len(self.omissions)):
-            yield variant(omissions=drop(self.omissions, i))
+            yield replace(self, omissions=drop(self.omissions, i))
         for i in range(len(self.partitions)):
-            yield variant(partitions=drop(self.partitions, i))
+            yield replace(self, partitions=drop(self.partitions, i))
         # 2. churn -> plain crash (the rejoin leg deleted).
         for i, spec in enumerate(self.churn):
-            yield variant(
+            yield replace(
+                self,
                 churn=drop(self.churn, i),
                 crashes=self.crashes
                 + (CrashEvent(spec.pid, spec.crash_round, spec.keep),),
@@ -345,7 +334,8 @@ class Scenario:
             if len(spec.rounds) > 1:
                 mid = len(spec.rounds) // 2
                 for half in (spec.rounds[:mid], spec.rounds[mid:]):
-                    yield variant(
+                    yield replace(
+                        self,
                         omissions=drop(self.omissions, i)
                         + (OmissionSpec(spec.src, spec.dst, half),)
                     )
@@ -356,13 +346,15 @@ class Scenario:
             if span > 1:
                 mid = spec.start + span // 2
                 for window in ((spec.start, mid), (mid, spec.stop)):
-                    yield variant(
+                    yield replace(
+                        self,
                         partitions=rest
                         + (PartitionSpec(window[0], window[1], spec.groups),)
                     )
             if len(spec.groups) > 1:
                 for g in range(len(spec.groups)):
-                    yield variant(
+                    yield replace(
+                        self,
                         partitions=rest
                         + (
                             PartitionSpec(
@@ -373,13 +365,15 @@ class Scenario:
         # 4. keep-budget simplification.
         for i, event in enumerate(self.crashes):
             if event.keep is not None:
-                yield variant(
+                yield replace(
+                    self,
                     crashes=drop(self.crashes, i)
                     + (CrashEvent(event.pid, event.round, None),)
                 )
         for i, spec in enumerate(self.churn):
             if spec.keep is not None:
-                yield variant(
+                yield replace(
+                    self,
                     churn=drop(self.churn, i)
                     + (
                         ChurnSpec(
@@ -438,18 +432,6 @@ class Scenario:
         if rng is None:
             rng = random.Random(0)
 
-        def variant(**changes) -> "Scenario":
-            fields = {
-                "n": self.n,
-                "name": self.name,
-                "crashes": self.crashes,
-                "omissions": self.omissions,
-                "partitions": self.partitions,
-                "churn": self.churn,
-            }
-            fields.update(changes)
-            return Scenario(**fields)
-
         pool = list(victims) if victims is not None else list(range(self.n))
         taken = {event.pid for event in self.crashes}
         taken.update(spec.pid for spec in self.churn)
@@ -466,7 +448,7 @@ class Scenario:
                 return None
             pid = free[rng.randrange(len(free))]
             event = CrashEvent(pid, rng.randrange(max_round), keep_draw())
-            return variant(crashes=self.crashes + (event,))
+            return replace(self, crashes=self.crashes + (event,))
 
         def add_churn() -> Optional["Scenario"]:
             if not free or not budget_room:
@@ -475,7 +457,7 @@ class Scenario:
             crash_round = rng.randrange(max_round)
             rejoin_round = crash_round + 1 + rng.randrange(6)
             spec = ChurnSpec(pid, crash_round, rejoin_round, keep_draw())
-            return variant(churn=self.churn + (spec,))
+            return replace(self, churn=self.churn + (spec,))
 
         def add_omission() -> Optional["Scenario"]:
             if self.n < 2:
@@ -484,7 +466,8 @@ class Scenario:
             start = rng.randrange(max_round)
             span = 1 + rng.randrange(3)
             rounds = tuple(range(start, min(start + span, max_round)))
-            return variant(
+            return replace(
+                self,
                 omissions=self.omissions + (OmissionSpec(src, dst, rounds),)
             )
 
@@ -502,7 +485,8 @@ class Scenario:
             grown = OmissionSpec(
                 spec.src, spec.dst, tuple(sorted(spec.rounds + (extra,)))
             )
-            return variant(
+            return replace(
+                self,
                 omissions=self.omissions[:i] + (grown,) + self.omissions[i + 1 :]
             )
 
@@ -513,7 +497,8 @@ class Scenario:
             stop = min(start + 1 + rng.randrange(3), max_round + 1)
             size = max(1, self.n // 2)
             group = tuple(sorted(rng.sample(range(self.n), size)))
-            return variant(
+            return replace(
+                self,
                 partitions=self.partitions + (PartitionSpec(start, stop, (group,)),)
             )
 
@@ -531,7 +516,8 @@ class Scenario:
             if not candidates:
                 return None
             i, widened = candidates[rng.randrange(len(candidates))]
-            return variant(
+            return replace(
+                self,
                 partitions=self.partitions[:i]
                 + (widened,)
                 + self.partitions[i + 1 :]
@@ -552,12 +538,14 @@ class Scenario:
             ):
                 i, event = bare_crashes[rng.randrange(len(bare_crashes))]
                 budgeted = CrashEvent(event.pid, event.round, keep)
-                return variant(
+                return replace(
+                    self,
                     crashes=self.crashes[:i] + (budgeted,) + self.crashes[i + 1 :]
                 )
             i, spec = bare_churn[rng.randrange(len(bare_churn))]
             budgeted = ChurnSpec(spec.pid, spec.crash_round, spec.rejoin_round, keep)
-            return variant(
+            return replace(
+                self,
                 churn=self.churn[:i] + (budgeted,) + self.churn[i + 1 :]
             )
 
@@ -568,7 +556,8 @@ class Scenario:
             event = self.crashes[i]
             rejoin_round = event.round + 1 + rng.randrange(6)
             spec = ChurnSpec(event.pid, event.round, rejoin_round, event.keep)
-            return variant(
+            return replace(
+                self,
                 crashes=self.crashes[:i] + self.crashes[i + 1 :],
                 churn=self.churn + (spec,),
             )

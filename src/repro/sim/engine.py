@@ -88,13 +88,22 @@ The engine carries two interchangeable round-loop implementations:
   which is what it promised); a rejoin wakes it at the rejoin round; a
   sleeper the adversary crashes just joins ``crashed``.  Crashed and
   halted entries hold ``max_rounds``, so the quiescent-round jump is
-  ``min(wake)``.  The fault side pays the same way: the
-  :func:`collect_sends` / :func:`apply_link_filter` slow path is chosen
-  **per sender** -- it crashes now, the round's link mask names it, or a
-  trace recorder is attached -- so an omission round slows the two or
-  three senders it masks and everyone else keeps the batched path and
-  the column (the receiver-side merge by sender pid that orders a
-  crasher's prefix orders theirs).
+  ``min(wake)``.
+
+  The send phase has two deliveries, the column and the batched loop,
+  and every sender's output takes one of them.  A sender with a fault
+  this round -- it crashes now or the round's link mask names it -- is
+  normalised first: :func:`collect_sends` truncates to the crash-round
+  ``keep``, :func:`apply_link_filter` removes the blocked destinations
+  and the drops are tallied; what survives is handed on as ordinary
+  multicasts, so a crasher that finished its broadcast still joins the
+  column, and a crasher's prefix or a masked sender's remainder goes
+  through the append buffers and is merged by sender pid on the
+  receiver side like any point-to-point message.  An omission round
+  thus slows the two or three senders it masks and nobody else.  The
+  trace recorder's ``record_send_group`` hook is called where a group
+  is accounted, in the column and in the batched loop: a recorded run
+  executes exactly what an unrecorded run executes, plus hook calls.
 
 Both paths produce identical rounds/messages/bits, per-node and
 per-round tallies, decisions, crash sets and inboxes (ascending sender
@@ -226,10 +235,9 @@ class Engine:
         Optional trace hook (:class:`repro.trace.TraceRecorder` or
         :class:`repro.trace.TraceChecker`, or any object with the same
         ``round_events`` / ``record_send_group`` / ``record_drops``
-        methods).  When set, the optimized loop routes every sender
-        through the shared :func:`collect_sends` slow path, where the
-        recorder's hooks are; without one only the senders a round's
-        faults name take it.  Metrics are unaffected either way.
+        methods).  Both loops call the hooks where they account a send
+        group or a drop; attaching one selects no other code path and
+        leaves metrics unaffected.
     telemetry:
         Wall-clock instrumentation (see :mod:`repro.obs`): ``True`` or a
         :class:`~repro.obs.TelemetryRecorder` enables per-phase span
@@ -551,12 +559,12 @@ class Engine:
                 ):
                     crashed.add(pid)
 
-            # Send phase.  A sender takes the collect_sends slow path
-            # when it crashes this round, when the link filter names it,
-            # or when a trace recorder is attached; everyone else keeps
-            # the column and the batched path below.
+            # Send phase.  A sender with a fault this round (it crashes
+            # now or the link mask names it) is normalised first by the
+            # shared helpers; what survives is delivered below like
+            # anyone's output: the column or the batched loop.
             masks = blocked or {}
-            faulty = bool(crashing) or bool(masks) or recorder is not None
+            faulty = bool(crashing) or bool(masks)
             bits_cache.clear()
             touched: list[int] = []
             delivered_any = False
@@ -569,18 +577,17 @@ class Engine:
                     # during on_start); skip, mirroring the reference.
                     membership_dirty = True
                     continue
-                if faulty and (
-                    recorder is not None or pid in crashing or masks.get(pid)
-                ):
+                if faulty and (pid in crashing or masks.get(pid)):
                     crashes_now = pid in crashing
-                    mask = masks.get(pid)
-                    keep = crashing[pid] if crashes_now else None
-                    groups = self._collect_sends(proc, rnd, keep)
+                    groups = collect_sends(
+                        proc, rnd, crashing[pid] if crashes_now else None, n
+                    )
                     if crashes_now:
                         crashed.add(pid)
                     if not groups:
                         silent[pid] = rnd
                         continue
+                    mask = masks.get(pid)
                     if mask:
                         groups, dropped = apply_link_filter(groups, mask)
                         if dropped:
@@ -594,26 +601,12 @@ class Engine:
                                     count=dropped,
                                 )
                         if not groups:
+                            # Everything it sent was dropped: it sent,
+                            # so it stays awake without being asked.
                             continue
-                    counted = pid not in byzantine
-                    for dsts, payload in groups:
-                        bits_each = payload_bits_cached(payload, bits_cache)
-                        metrics.record_send(
-                            pid, len(dsts), bits_each * len(dsts), rnd, counted
-                        )
-                        if recorder is not None:
-                            recorder.record_send_group(
-                                rnd, pid, dsts, bits_each, payload
-                            )
-                        envelope = (pid, payload)
-                        for dst in dsts:
-                            box = inboxes[dst]
-                            if not box:
-                                touched.append(dst)
-                            box.append(envelope)
-                    delivered_any = True
-                    continue
-                sent = proc.send(rnd)
+                    sent = [Multicast(*group) for group in groups]
+                else:
+                    sent = proc.send(rnd)
                 if (
                     type(sent) in (list, tuple)
                     and len(sent) == 1
@@ -634,6 +627,10 @@ class Engine:
                             pid, n - 1, bits_each * (n - 1), rnd,
                             pid not in byzantine,
                         )
+                        if recorder is not None:
+                            recorder.record_send_group(
+                                rnd, pid, dsts, bits_each, payload
+                            )
                         column_at[pid] = len(column)
                         column.append((pid, payload))
                         delivered_any = True
@@ -660,6 +657,10 @@ class Engine:
                         bits_each = payload_bits_cached(payload, bits_cache)
                         msg_total += width
                         bit_total += bits_each * width
+                        if recorder is not None:
+                            recorder.record_send_group(
+                                rnd, pid, dsts, bits_each, payload
+                            )
                         envelope = (pid, payload)
                         for dst in dsts:
                             box = inboxes[dst]
@@ -672,8 +673,13 @@ class Engine:
                             raise ProtocolError(
                                 f"process {pid} sent to invalid pid {dst}"
                             )
+                        bits_each = payload_bits_cached(payload, bits_cache)
                         msg_total += 1
-                        bit_total += payload_bits_cached(payload, bits_cache)
+                        bit_total += bits_each
+                        if recorder is not None:
+                            recorder.record_send_group(
+                                rnd, pid, (dst,), bits_each, payload
+                            )
                         box = inboxes[dst]
                         if not box:
                             touched.append(dst)

@@ -27,9 +27,10 @@ checker attached -- falls back to the optimized engine, which is
 observably identical by the engine parity tests, so ``backend="vec"``
 is always safe to request:
 
-* **record on vec, replay on sim-ref**: recording routes through the
-  optimized engine (traces are bit-identical by parity), so the trace
-  replays on any backend;
+* **record on vec, replay on sim-ref**: kernels have no per-group
+  payloads to digest, so recording runs the optimized engine -- its
+  ordinary loop, a recorder selects no other path there -- and the
+  trace replays on any backend;
 * **replay on vec**: a replay carries a :class:`~repro.trace.TraceChecker`
   and is bit-verified through the same fallback.
 

@@ -7,6 +7,9 @@ by the safety oracle, shrunk to a minimal scenario, and reproduced via
 ``replay_trace`` from the emitted self-contained artifact.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro import PropertyViolation, check_consensus, replay_trace
@@ -87,34 +90,36 @@ class TestDifferentialClean:
         assert fuzz_unit(dict(params)) == fuzz_unit(dict(params))
 
 
-class TestFastPathLeg:
-    """The primary run records a trace, which keeps the optimized engine
-    off its fast send path; the un-recorded ``parity:sim-fast`` leg is
-    what checks the path an ordinary run takes."""
+class TestRunsPerConfig:
+    """A recorded run executes what an un-recorded run executes plus the
+    recorder's hook calls, so the recorded primary is the only sim-opt
+    run of the faulted instance a config needs."""
 
-    def test_fault_only_an_unrecorded_run_shows_is_caught_and_shrunk(
-        self, monkeypatch
-    ):
-        from repro.sim.engine import Engine
+    def test_no_unrecorded_sim_run_and_rows_unmoved(self, monkeypatch):
+        from repro import api
 
-        loop = Engine._loop_optimized
+        calls, run_recipe = [], api.run_recipe
 
-        def faulty(self, observer, fast_forward):
-            result = loop(self, observer, fast_forward)
-            if self.recorder is None:
-                result.metrics.messages += 1  # the bug
-            return result
+        def logged(recipe, **kwargs):
+            calls.append(kwargs)
+            return run_recipe(recipe, **kwargs)
 
-        monkeypatch.setattr(Engine, "_loop_optimized", faulty)
-        configs = (sample_config(0, i, families=("flooding",)) for i in range(40))
-        config = next(c for c in configs if c.kind == "crash")
-        row = run_config(config)
-        details = {v["oracle"]: v["detail"] for v in row["violation_details"]}
-        assert set(details) == {"parity:sim-fast"}
-        assert "sim-opt+trace" in details["parity:sim-fast"]
-        shrunk = shrink_scenario(config, row["violation_details"], max_runs=40)
-        assert "parity" in shrunk.categories
-        assert shrunk.minimal.shrink_size() < config.scenario.shrink_size()
+        monkeypatch.setattr(api, "run_recipe", logged)
+        configs = [sample_config(0, index) for index in range(10)]
+        rows = [run_config(config) for config in configs]
+        sim = [kw for kw in calls if kw["backend"] == "sim"]
+        assert all(kw.get("optimized", True) for kw in sim)
+        assert sum(bool(kw.get("record_trace")) for kw in sim) == len(configs)
+        # the only un-recorded sim run is the failure-free ``clean``
+        # baseline of the rounds certificate
+        unrecorded = [kw for kw in sim if not kw.get("record_trace")]
+        assert all(
+            kw["crashes"] is None and "scenario" not in kw for kw in unrecorded
+        )
+        assert len(unrecorded) < len(configs)
+        # the rows of these ten configs as the six-run driver wrote them
+        blob = json.dumps(rows, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == "48aff4b084d04d78"
 
 
 class TestParityOracle:

@@ -124,3 +124,20 @@ def test_architecture_family_table_matches_the_registry():
         assert ("**vec**" in backends) == (family.kernel is not None), (
             family.family, backends
         )
+
+
+def test_changes_entries_are_capped():
+    """A CHANGES.md entry is a summary for the next session, not a lab
+    notebook: every entry after PR 23 is at most 2,000 characters (the
+    pair table, the deletions, net lines under ``src/``)."""
+    text = (ROOT / "CHANGES.md").read_text(encoding="utf-8")
+    headers = list(re.finditer(r"^(?:- )?PR (\d+):", text, re.MULTILINE))
+    assert headers, "CHANGES.md lost its 'PR N:' entry headers"
+    for header, following in zip(headers, headers[1:] + [None]):
+        end = following.start() if following else len(text)
+        entry = text[header.start():end].strip()
+        if int(header.group(1)) > 23:
+            assert len(entry) <= 2000, (
+                f"CHANGES.md entry for PR {header.group(1)} is "
+                f"{len(entry)} characters; the cap is 2,000"
+            )

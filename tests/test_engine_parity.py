@@ -9,9 +9,14 @@ and per-round tallies, decisions, crash sets and completion status,
 for every protocol family and fault pattern.
 """
 
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (
+    api,
     run_aea,
     run_ab_consensus,
     run_checkpointing,
@@ -24,9 +29,15 @@ from repro.bench.workloads import byzantine_sample, input_vector, rumor_vector
 from repro.check.oracles import check_parity
 from repro.scenarios import ChurnSpec, OmissionSpec, Scenario
 from repro.sim import Engine, crash_schedule
+from repro.sim import engine as engine_module
 from repro.sim.adversary import CrashSpec, ScheduledCrashes
 from repro.sim.process import Multicast, Process, ProtocolError
-from tests.conftest import run_scripted, scripted_pair
+from tests.conftest import (
+    drawn_scenario,
+    run_scripted,
+    scenario_draws,
+    scripted_pair,
+)
 
 
 def assert_parity(optimized, reference):
@@ -540,6 +551,97 @@ class TestEngineEdgeParity:
         assert [src for src, _ in log[(1, 3)]] == [0, 1, 2, 4, 5]
         assert [src for src, _ in log[(1, 4)]] == [0, 1, 3, 5]
         assert [src for src, _ in log[(2, 0)]] == [1, 3, 4, 5]
+
+    def test_fully_masked_sender_stays_awake_and_a_silent_one_is_asked(self):
+        # pid 0 declares rounds 2, 8, 12; the mask names it in rounds 2
+        # and 8.  Round 2: its only message is dropped -- it sent, so it
+        # is called again in round 3 although it would have declared 8.
+        # Round 8: its send returns nothing -- it is asked, and sleeps
+        # until 12 like any silent sender.
+        def plan(proc, rnd):
+            if proc.pid == 0:
+                return [(3, "lost")] if rnd == 2 else []
+            return self._chatter(proc, rnd)
+
+        wake = lambda proc, rnd: (
+            next(w for w in (2, 8, 12, rnd + 1) if w > rnd)
+            if proc.pid == 0 else rnd + 1
+        )
+        scenario = Scenario(n=4, omissions=(OmissionSpec(0, 3, (2, 8)),))
+        result, log, calls = self._sleepy_pair(
+            4, plan, 14, wake, scenario.adversary
+        )
+        assert result.metrics.dropped_messages == 1
+        assert result.metrics.per_node_messages.get(0, 0) == 0
+        assert all(src != 0 for box in log.values() for src, _ in box)
+        assert [rnd for rnd, pid in calls if pid == 0] == [0, 2, 3, 8, 12, 13]
+
+    # -- who is normalised: a fault, not a recorder -----------------------
+
+    @staticmethod
+    def _recorded_run(recipe, scenario):
+        """One *recorded* sim-opt run of ``recipe``.  Returns the
+        ``(rnd, pid)`` of every ``send`` the engine asked for and of
+        every call it made to ``collect_sends``, each in call order."""
+        prepared = api.prepare_recipe(
+            recipe, crashes=None, scenario=scenario, max_rounds=600
+        )
+        sends, collected = [], []
+        for proc in prepared.processes:
+            def send(rnd, pid=proc.pid, inner=proc.send):
+                sends.append((rnd, pid))
+                return inner(rnd)
+
+            proc.send = send
+
+        collect = engine_module.collect_sends
+
+        def counting(proc, rnd, keep, n):
+            collected.append((rnd, proc.pid))
+            return collect(proc, rnd, keep, n)
+
+        with mock.patch.object(engine_module, "collect_sends", counting):
+            result = api._execute(
+                prepared.processes,
+                prepared.adversary,
+                backend="sim",
+                byzantine=prepared.byzantine,
+                max_rounds=prepared.max_rounds,
+                record_trace=True,
+            )
+        assert result.trace.total_sends() > 0
+        return sends, collected
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        draw=scenario_draws(max_round=(3, 16), omission_links=16, churn_nodes=2),
+        family=st.sampled_from(("flooding", "gossip")),
+    )
+    def test_recorded_run_normalises_exactly_its_faulted_senders(
+        self, draw, family
+    ):
+        n, t = (12, 3) if family == "flooding" else (24, 3)
+        recipe = {
+            "flooding": {"name": "flooding", "inputs": input_vector(n, seed=SEED)},
+            "gossip": {"name": "gossip", "rumors": rumor_vector(n)},
+        }[family] | {"t": t}
+        scenario = drawn_scenario(draw, n, t)
+        sends, collected = self._recorded_run(recipe, scenario)
+        adversary = scenario.adversary()
+        faulted = [
+            (rnd, pid)
+            for rnd, pid in sends
+            if pid in adversary.crashes_for_round(rnd, None)
+            or (adversary.blocked_links(rnd) or {}).get(pid)
+        ]
+        # once per (sender, round) with a fault, and for nobody else
+        assert collected == faulted
+        sends, collected = self._recorded_run(recipe, None)
+        assert sends and collected == []
 
     def test_sender_alternating_two_destination_tuples(self):
         tuples = ((1, 2), (2, 3))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro import (
     Scenario,
     Trace,
+    api,
     replay_trace,
     run_ab_consensus,
     run_consensus,
@@ -26,6 +27,7 @@ from repro import (
 from repro.bench.workloads import byzantine_sample, input_vector, rumor_vector
 from repro.scenarios import ChurnSpec, CrashEvent, OmissionSpec, PartitionSpec
 from repro.sim.adaptive import StaggeredCommitteeAdversary
+from repro.sim.process import Multicast
 from repro.trace import (
     TraceAdversary,
     TraceChecker,
@@ -34,6 +36,7 @@ from repro.trace import (
     canonical,
     payload_digest,
 )
+from tests.conftest import ScriptedProcess
 
 SEED = 11
 
@@ -166,6 +169,55 @@ class TestRecordReplay:
                 optimized=optimized,
             )
             assert_same_outcome(replayed, recorded)
+
+    @pytest.mark.parametrize("keep", [0, 1, 3, 5])
+    def test_every_send_shape_records_one_trace_on_every_backend(self, keep):
+        # n = 6, so keep covers {0, 1, n // 2, n - 1}.  Every way a
+        # sender's output reaches the recorder, in one run: pid 0 a pure
+        # broadcaster, 1 a broadcaster the link mask names (rounds 1-2),
+        # 2 a broadcaster crashing mid-send, 3 unicasts around a
+        # multicast, 4 Byzantine, 5 silent.
+        n, rounds, byzantine = 6, 4, frozenset({4})
+
+        def plan(proc, rnd):
+            pid = proc.pid
+            everyone = [Multicast(proc.everyone_else(), ("b", rnd, pid))]
+            if pid in (0, 1, 2):
+                return everyone
+            if pid == 3:
+                return [
+                    (5, ("p", rnd)),
+                    Multicast((0, 4), ("sub", rnd)),
+                    (1, ("q", rnd)),
+                ]
+            return everyone + [(0, ("lie", rnd))] if pid == 4 else []
+
+        scenario = Scenario(
+            n=n,
+            crashes=[CrashEvent(2, 1, keep)],
+            omissions=[OmissionSpec(1, 4, (1, 2)), OmissionSpec(1, 0, (2,))],
+        )
+        vector = lambda: [
+            ScriptedProcess(pid, n, plan, {}, rounds) for pid in range(n)
+        ]
+        traces = []
+        for backend, optimized in BACKENDS:
+            trace = api._execute(
+                vector(), scenario.adversary(), backend=backend,
+                optimized=optimized, byzantine=byzantine, max_rounds=50,
+                record_trace=True,
+            ).trace
+            trace.backend = ""  # the one field that names the substrate
+            traces.append(trace)
+        first = traces[0]
+        assert all(trace.to_json() == first.to_json() for trace in traces)
+        crash_round = {e["round"]: e for e in first.events}[1]
+        assert sum(len(g[0]) for g in crash_round["sends"].get(2, [])) == keep
+        assert crash_round["drops"] == {1: 1}
+        for backend, optimized in BACKENDS:
+            replay_trace(
+                first, backend=backend, optimized=optimized, processes=vector()
+            )
 
     def test_replay_without_check(self):
         inputs = input_vector(20, "random", SEED)
