@@ -33,6 +33,10 @@ same seeded crash schedule and the same metrics on all four:
   process; :func:`repro.net.serve_tcp` / :func:`repro.net.host_nodes_tcp`
   split coordinator and node shards across OS processes).
 
+:data:`BACKENDS` names the five runs a checker or a bench row compares
+-- ``sim-opt``, ``sim-ref``, ``net``, ``tcp``, ``vec`` -- by the
+keywords that select each, the labels traces record.
+
 The ``build_*_processes`` helpers (defined next to the registry in
 :mod:`repro.families`, re-exported here) expose the process
 construction on its own so multi-OS-process deployments can rebuild
@@ -88,6 +92,7 @@ from repro.sim.process import Process
 from repro.trace import Trace, TraceChecker, TraceRecorder
 
 __all__ = [
+    "BACKENDS",
     "BYZANTINE_BEHAVIOURS",
     "PreparedRun",
     "build_ab_consensus_processes",
@@ -113,6 +118,17 @@ __all__ = [
     "run_lv_consensus",
     "run_scv",
 ]
+
+#: Backend name -> the :func:`run_recipe` / :func:`repro.trace.replay_trace`
+#: keywords that run it.  ``sim-opt`` is the optimized engine loop,
+#: ``sim-ref`` the reference (spec) loop.
+BACKENDS = {
+    "sim-opt": {"backend": "sim"},
+    "sim-ref": {"backend": "sim", "optimized": False},
+    "net": {"backend": "net"},
+    "tcp": {"backend": "tcp"},
+    "vec": {"backend": "vec"},
+}
 
 
 def _resolve_faults(

@@ -40,7 +40,8 @@ import sys
 import time
 
 from repro.bench import series
-from repro.bench.sweep import run_sweep, union_columns, write_csv, write_json
+from repro.bench.sweep import run_sweep, write_csv, write_json
+from repro.obs.export import format_summary
 
 __all__ = [
     "EXPERIMENTS",
@@ -92,26 +93,10 @@ EXPERIMENTS = {
 
 
 def format_table(rows: list[dict]) -> str:
-    """Align a list of row dicts into a printable text table.
-
-    The column set is the union of all row keys (ordered by first
-    appearance), so heterogeneous rows render every field instead of
-    silently dropping keys absent from the first row.
-    """
-    if not rows:
-        return "(no rows)"
-    columns = union_columns(rows)
-    cells = [[str(row.get(col, "")) for col in columns] for row in rows]
-    widths = [
-        max(len(col), *(len(row[i]) for row in cells)) for i, col in enumerate(columns)
-    ]
-    header = "  ".join(col.ljust(widths[i]) for i, col in enumerate(columns))
-    rule = "  ".join("-" * w for w in widths)
-    body = "\n".join(
-        "  ".join(row[i].ljust(widths[i]) for i in range(len(columns)))
-        for row in cells
-    )
-    return f"{header}\n{rule}\n{body}"
+    """Align a list of row dicts into a printable text table: the
+    telemetry summary's :func:`repro.obs.format_summary` (every key of
+    every row is a column), with ``(no rows)`` for an empty list."""
+    return format_summary(rows) if rows else "(no rows)"
 
 
 def run_experiment(name: str, jobs: int = 1) -> list[dict]:
@@ -158,7 +143,7 @@ def _profile_args(argv: list[str]) -> argparse.Namespace:
 
 def profile_main(argv: list[str]) -> int:
     """The ``repro-bench profile <experiment>`` subcommand."""
-    from repro.obs import ProgressReporter, format_summary, sweep_telemetry
+    from repro.obs import ProgressReporter, sweep_telemetry
 
     args = _profile_args(argv)
     if args.experiment not in EXPERIMENTS:

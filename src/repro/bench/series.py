@@ -32,6 +32,7 @@ import time
 from typing import Optional
 
 from repro import check_consensus, run_recipe
+from repro.api import BACKENDS
 from repro.baselines import (
     FloodingConsensusProcess,
     NaiveCheckpointingProcess,
@@ -42,6 +43,7 @@ from repro.bench.sweep import SweepSpec, derive_seed, run_sweep
 from repro.bench.workloads import byzantine_sample, input_vector, rumor_vector, table1_fault_bound
 from repro.check.driver import build_fuzz_spec
 from repro.check.oracles import check_parity
+from repro.check.search import search_unit
 from repro.core.params import ProtocolParams
 from repro.families import Family, by_family, by_recipe
 from repro.lowerbounds import divergence_series, isolation_report
@@ -584,7 +586,7 @@ def families_unit(params: dict) -> dict:
     draw_seed = derive_seed(params["seed"], ("families", family, n, t))
     inputs = input_vector(n, params["kind"], draw_seed, params["width"])
     _, _, result = _run_checked(
-        {**params, "inputs": inputs}, crashes=None, optimized=(backend != "sim-ref")
+        {**params, "inputs": inputs}, crashes=None, **BACKENDS[backend]
     )
     elapsed = time.perf_counter() - start
     return {
@@ -647,15 +649,14 @@ def net_unit(params: dict) -> dict:
 
     def execute(backend: str):
         started = time.perf_counter()
-        _, _, result = _run_checked(instance, seed=seed, backend=backend)
+        _, _, result = _run_checked(instance, seed=seed, **BACKENDS[backend])
         return result, time.perf_counter() - started
 
-    sim, sim_s = execute("sim")
-    net, net_s = execute("net")
+    (sim, sim_s), (net, net_s) = (execute(b) for b in ("sim-opt", "net"))
     # One parity definition across tests / fuzzing / bench certification;
     # the labels carry the unit context so a violation raised from a
     # pool worker still names its row.
-    check_parity(sim, net, f"sim[{problem} n={n} seed={seed}]", "net")
+    check_parity(sim, net, f"sim-opt[{problem} n={n} seed={seed}]", "net")
     return {
         "problem": problem,
         "n": n,
@@ -718,10 +719,12 @@ def scenario_unit(params: dict) -> dict:
 
     record = by_recipe(problem)
     recipe = _standard_recipe(record, {**params, "t": t})
-    opt = run_recipe(recipe, scenario=scenario)
-    ref = run_recipe(recipe, scenario=scenario, optimized=False)
-    net = run_recipe(recipe, scenario=scenario, backend="net")
-    for label, other in (("sim-ref", ref), ("net", net)):
+    runs = {
+        backend: run_recipe(recipe, scenario=scenario, **BACKENDS[backend])
+        for backend in ("sim-opt", "sim-ref", "net")
+    }
+    opt = runs.pop("sim-opt")
+    for label, other in runs.items():
         # One parity definition across tests / fuzzing / bench rows; the
         # label carries the unit context for pool-worker tracebacks.
         check_parity(
@@ -824,26 +827,14 @@ def adversary_unit(params: dict) -> dict:
     constant, the search measures how much of that bound an adaptive
     crash adversary can actually consume.
     """
-    from repro.check.oracles import BOUND_CONSTANTS
-    from repro.check.search import make_search_config, run_search
-
-    config = make_search_config(
-        params["family"],
-        seed=params["search_seed"],
-        budget=params["budget"],
-        moves="crash",  # stay inside the proven crash model
-        objective="comm",
-        n=params["n"],
-        t=params["t"],
-    )
-    result = run_search(config)
-    row = result.to_row()
-    measure, constant = BOUND_CONSTANTS[params["family"]]
+    row = search_unit({**params, "moves": "crash", "objective": "comm"})
+    certificate = row["best_certificate"]
+    constant = certificate["constant"]
     return {
         "family": row["family"],
         "n": row["n"],
         "t": row["t"],
-        "measure": measure,
+        "measure": certificate["comm_measure"],
         "budget": row["budget"],
         "baseline_ratio": row["baseline_energy"],
         "worst_ratio": row["best_energy"],

@@ -2,10 +2,12 @@
 
 The paper's claims are *exact* -- agreement / validity / termination
 plus the Table 1 round and communication budgets -- and the repository
-has three execution substrates (``Engine`` optimized and reference, the
-:mod:`repro.net` runtime) plus a scenario generator whose combined
-state space no hand-written test matrix covers.  This package closes
-the gap mechanically:
+runs them on five backends (:data:`repro.api.BACKENDS`: ``sim-opt``
+and ``sim-ref``, the two ``Engine`` loops; ``vec``, the numpy kernels;
+``net`` and ``tcp``, the :mod:`repro.net` runtime over memory and
+sockets) under a scenario generator whose combined state space no
+hand-written test matrix covers.  This package closes the gap
+mechanically:
 
 * :mod:`repro.check.oracles` -- one definition of "identical
   execution" (:func:`~repro.check.oracles.check_parity`, shared with
@@ -20,7 +22,8 @@ the gap mechanically:
   configurations and their differential execution: the primary run
   records a :class:`repro.trace.Trace` on ``sim-opt``, every other
   backend replays it bit-for-bit (divergence = the first differing
-  event, not a boolean);
+  event, not a boolean); its ``run_on`` / ``write_artifact`` are how
+  every checker here runs an instance and saves one;
 * :mod:`repro.check.shrink` -- greedy deletion/narrowing over a
   failing scenario's events (via
   :meth:`repro.scenarios.Scenario.shrink_candidates`), re-running after

@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.api import BACKENDS
 from repro.bench.sweep import run_sweep
 from repro.check.driver import (
     DEFAULT_BACKENDS,
@@ -51,7 +52,6 @@ from repro.check.driver import (
 from repro.check.search import (
     MOVE_SETS,
     OBJECTIVES,
-    SEARCH_BACKENDS,
     build_search_spec,
     describe_search_outcome,
     record_search_trace,
@@ -61,14 +61,14 @@ from repro.obs import ProgressReporter
 
 __all__ = ["main"]
 
-#: Replay backends the driver understands (the primary is always
-#: sim-opt); validated at argument-parse time.  ``vec`` joins the
-#: default rotation automatically for kernel families when numpy is
-#: installed; naming it here forces it for every config instead.
-KNOWN_BACKENDS = ("sim-ref", "net", "tcp", "vec")
+#: Replay backends the driver understands: every backend but the
+#: primary, which is always sim-opt.  ``vec`` joins the default rotation
+#: automatically for kernel families when numpy is installed; naming it
+#: here forces it for every config instead.
+KNOWN_BACKENDS = tuple(name for name in BACKENDS if name != "sim-opt")
 
 
-def _parse_args(argv) -> argparse.Namespace:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check",
         description=(
@@ -156,14 +156,6 @@ def _parse_args(argv) -> argparse.Namespace:
         ),
     )
     search.add_argument(
-        "--backend", choices=SEARCH_BACKENDS, default="auto",
-        help=(
-            "evaluation backend (default auto: vec for kernel families "
-            "when numpy is present, otherwise the optimized engine); every "
-            "25th evaluation is cross-verified on a second backend"
-        ),
-    )
-    search.add_argument(
         "--top-k", type=int, default=3, metavar="K",
         help="adversarial scenarios emitted as trace artifacts per family "
              "(default 3)",
@@ -177,28 +169,32 @@ def _parse_args(argv) -> argparse.Namespace:
         "--t", type=int, default=None,
         help="pin the instance fault bound (default: sampled)",
     )
-    return parser.parse_args(argv)
+    return parser
 
 
-def _families_tuple(arg: str):
-    names = tuple(f for f in arg.split(",") if f)
+def _names(arg: str, kind: str, known, default):
+    """A comma-joined ``--families`` / ``--backends`` list, validated."""
+    names = tuple(name for name in arg.split(",") if name)
     for name in names:
-        if name not in FAMILIES:
+        if name not in known:
             raise SystemExit(
-                f"unknown family {name!r}; choose from {', '.join(FAMILIES)}"
+                f"unknown {kind} {name!r}; choose from {', '.join(known)}"
             )
-    return names or FAMILIES
+    return names or default
 
 
-def _backends_tuple(arg: str):
-    names = tuple(b for b in arg.split(",") if b)
-    for name in names:
-        if name not in KNOWN_BACKENDS:
-            raise SystemExit(
-                f"unknown backend {name!r}; choose from "
-                f"{', '.join(KNOWN_BACKENDS)}"
-            )
-    return names or DEFAULT_BACKENDS
+def _sweep(spec, args, label: str, describe):
+    """Run ``spec`` over ``--jobs`` workers with progress heartbeats."""
+    reporter = ProgressReporter(
+        total=len(spec.expand()),
+        label=label,
+        jobs=args.jobs,
+        describe=describe,
+        enabled=args.progress,
+    )
+    report = run_sweep(spec, jobs=args.jobs, progress=reporter.unit_done)
+    reporter.close()
+    return report
 
 
 def _search_main(args, families) -> int:
@@ -207,22 +203,13 @@ def _search_main(args, families) -> int:
         args.seed,
         args.budget,
         families=families,
-        backend=args.backend,
         moves=args.moves,
         objective=args.objective,
         n=args.n,
         t=args.t,
         top_k=args.top_k,
     )
-    reporter = ProgressReporter(
-        total=len(spec.expand()),
-        label="repro.check --search",
-        jobs=args.jobs,
-        describe=describe_search_outcome,
-        enabled=args.progress,
-    )
-    report = run_sweep(spec, jobs=args.jobs, progress=reporter.unit_done)
-    reporter.close()
+    report = _sweep(spec, args, "repro.check --search", describe_search_outcome)
     rows = report.rows()
     print(
         f"repro.check --search: {len(rows)} families x {args.budget} "
@@ -258,11 +245,11 @@ def _search_main(args, families) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv if argv is not None else sys.argv[1:])
-    families = _families_tuple(args.families)
+    args = _parser().parse_args(argv if argv is not None else sys.argv[1:])
+    families = _names(args.families, "family", FAMILIES, FAMILIES)
     if args.search:
         return _search_main(args, families)
-    backends = _backends_tuple(args.backends)
+    backends = _names(args.backends, "backend", KNOWN_BACKENDS, DEFAULT_BACKENDS)
     if args.tcp and "tcp" not in backends:
         backends = backends + ("tcp",)
     indices = None
@@ -275,15 +262,7 @@ def main(argv=None) -> int:
         backends=",".join(backends),
         indices=indices,
     )
-    reporter = ProgressReporter(
-        total=len(spec.expand()),
-        label="repro.check",
-        jobs=args.jobs,
-        describe=describe_fuzz_outcome,
-        enabled=args.progress,
-    )
-    report = run_sweep(spec, jobs=args.jobs, progress=reporter.unit_done)
-    reporter.close()
+    report = _sweep(spec, args, "repro.check", describe_fuzz_outcome)
     rows = report.rows()
 
     clean = [row for row in rows if not row["violations"]]

@@ -17,6 +17,10 @@ recorded primary executes exactly what an un-recorded run executes
 plus the recorder's hook calls, so it *is* the run a user makes.  The
 oracles of :mod:`repro.check.oracles` then run on the primary result.
 
+Every checker runs an instance through :func:`run_on` (a backend named
+as in :data:`repro.api.BACKENDS`) and saves one as an artifact through
+:func:`write_artifact`.
+
 ``fuzz_unit`` is the module-level (picklable) sweep runner: the
 ``repro-bench fuzz`` series and the ``python -m repro.check`` CLI both
 fan configurations out through the sweep scheduler
@@ -26,11 +30,13 @@ row.
 
 from __future__ import annotations
 
+import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro import api
+from repro.api import BACKENDS
 from repro.bench.sweep import SweepSpec, derive_seed
 from repro.check.oracles import (
     OracleViolation,
@@ -41,7 +47,7 @@ from repro.check.oracles import (
 from repro.core.params import ProtocolParams
 from repro.families import REGISTRY, by_family, instance_shape
 from repro.scenarios import Scenario, scenario_schedule
-from repro.sim.vec import HAVE_NUMPY, KERNEL_FAMILIES
+from repro.sim.vec import has_kernel
 from repro.trace import TraceDivergence, replay_trace
 
 __all__ = [
@@ -51,8 +57,10 @@ __all__ = [
     "describe_fuzz_outcome",
     "fuzz_unit",
     "run_config",
+    "run_on",
     "sample_config",
     "sample_instance",
+    "write_artifact",
 ]
 
 #: Every protocol family the driver covers, in registry order;
@@ -94,9 +102,6 @@ class FuzzConfig:
     include_safety: Optional[bool] = None
     #: extra metadata for reports (victim pool, horizon, ...)
     info: dict = field(default_factory=dict)
-
-    def with_scenario(self, scenario: Optional[Scenario]) -> "FuzzConfig":
-        return replace(self, scenario=scenario)
 
 
 def sample_instance(
@@ -193,11 +198,7 @@ def sample_config(
         family, recipe, rng, window, name=f"fuzz-{seed}-{index}"
     )
     backends = tuple(backends)
-    if (
-        backends == DEFAULT_BACKENDS
-        and family in KERNEL_FAMILIES
-        and HAVE_NUMPY
-    ):
+    if backends == DEFAULT_BACKENDS and has_kernel(family):
         # Kernel families additionally run on the vectorized backend and
         # must match the primary run on the full parity surface.
         backends = backends + ("vec",)
@@ -217,12 +218,48 @@ def sample_config(
 # -- differential execution ---------------------------------------------------
 
 
-def _execution_kwargs(config: FuzzConfig) -> dict:
-    # Failure-free unless the scenario says so.
-    kwargs: dict = {"max_rounds": config.max_rounds, "crashes": None}
-    if config.scenario is not None:
-        kwargs["scenario"] = config.scenario
-    return kwargs
+def run_on(
+    backend: str, recipe: dict, scenario: Optional[Scenario], max_rounds: int, **extra
+):
+    """Run one instance for checking on ``backend`` (a
+    :data:`repro.api.BACKENDS` name): failure-free unless ``scenario``
+    has an event, bounded by ``max_rounds``.  ``extra`` is passed on to
+    :func:`repro.api.run_recipe` (``record_trace=True``)."""
+    if scenario is not None and scenario.shrink_size() > 0:
+        extra["scenario"] = scenario
+    return api.run_recipe(
+        recipe, crashes=None, max_rounds=max_rounds, **BACKENDS[backend], **extra
+    )
+
+
+def write_artifact(
+    recipe: dict,
+    scenario: Optional[Scenario],
+    max_rounds: int,
+    out_dir: str | os.PathLike,
+    name: str,
+    meta: dict,
+) -> str:
+    """Save one instance as a self-contained trace artifact.
+
+    Re-runs it recorded on sim-opt, stores ``meta`` as ``Trace.meta``
+    and writes ``<out_dir>/<name>.trace.json`` -- recipe, scenario and
+    meta embedded, so ``repro.trace.replay_trace(path)`` reproduces the
+    run anywhere.  When ``$REPRO_CHECK_ARTIFACT_DIR`` names another
+    directory (the one CI uploads), the same bytes are written there
+    too.  Returns the path under ``out_dir``.
+    """
+    trace = run_on("sim-opt", recipe, scenario, max_rounds, record_trace=True).trace
+    trace.meta = meta
+    filename = f"{name}.trace.json"
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(os.fspath(out_dir), filename)
+    trace.save(path)
+    mirror = os.environ.get("REPRO_CHECK_ARTIFACT_DIR")
+    if mirror and os.path.abspath(mirror) != os.path.abspath(out_dir):
+        os.makedirs(mirror, exist_ok=True)
+        trace.save(os.path.join(mirror, filename))
+    return path
 
 
 def run_config(config: FuzzConfig) -> dict:
@@ -234,33 +271,20 @@ def run_config(config: FuzzConfig) -> dict:
     violation -- violations are data, so a sweep over many
     configurations completes and reports them all.
     """
-    primary = api.run_recipe(
-        config.recipe,
-        backend="sim",
-        optimized=True,
-        record_trace=True,
-        **_execution_kwargs(config),
-    )
+    instance = (config.recipe, config.scenario, config.max_rounds)
+    primary = run_on("sim-opt", *instance, record_trace=True)
     trace = primary.trace
     violations: list[dict] = []
     for backend in config.backends:
         try:
-            if backend == "sim-ref":
-                replay_trace(trace, backend="sim", optimized=False)
-            elif backend in ("net", "tcp"):
-                replay_trace(trace, backend=backend)
-            elif backend == "vec":
-                # A replay would route through the engine fallback, so
-                # run the kernel path independently (the fault schedule
-                # is pure data) and compare the full parity surface.
-                vec_result = api.run_recipe(
-                    config.recipe,
-                    backend="vec",
-                    **_execution_kwargs(config),
-                )
-                check_parity(primary, vec_result, "sim-opt", "vec")
+            if backend == "vec":
+                # A recorder forces vec's engine fallback, so a replay
+                # would never reach the kernels: run them independently
+                # (the fault schedule is pure data) and compare the full
+                # parity surface.
+                check_parity(primary, run_on("vec", *instance), "sim-opt", "vec")
             else:
-                raise ValueError(f"unknown replay backend {backend!r}")
+                replay_trace(trace, **BACKENDS[backend])
         except (TraceDivergence, OracleViolation) as exc:
             violations.append(
                 {"oracle": f"parity:{backend}", "detail": str(exc)}
@@ -274,12 +298,7 @@ def run_config(config: FuzzConfig) -> dict:
     ):
         # Failure-free baseline of the same instance, for the
         # rounds-within-O(t) certificate.
-        clean = api.run_recipe(
-            config.recipe,
-            backend="sim",
-            crashes=None,
-            max_rounds=config.max_rounds,
-        )
+        clean = run_on("sim-opt", config.recipe, None, config.max_rounds)
     oracle_violations, certificate = run_oracles(
         config.family,
         config.recipe,

@@ -20,10 +20,10 @@ searches for the worst case:
   acceptance), driven exclusively by a
   :func:`~repro.bench.sweep.derive_seed`-keyed ``random.Random`` so a
   search is a pure function of ``(seed, config)``;
-* **evaluation** -- :func:`repro.api.run_recipe` on the vectorized
-  backend for the kernel families (when numpy is present) and the
-  optimized engine otherwise, with every ``spot_check_every``-th fresh
-  evaluation cross-verified on a second backend through
+* **evaluation** -- :func:`repro.check.driver.run_on` on ``vec`` for
+  the kernel families (when numpy is present) and ``sim-opt``
+  otherwise, with every :data:`SPOT_CHECK_EVERY`-th fresh evaluation
+  cross-verified on a second backend through
   :func:`~repro.check.oracles.check_parity` -- an optimizer steering by
   a buggy backend would chase phantoms.
 
@@ -43,13 +43,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro import api
 from repro.bench.sweep import SweepSpec, derive_seed
-from repro.check.driver import fault_window, sample_instance
+from repro.check.driver import fault_window, run_on, sample_instance, write_artifact
 from repro.check.oracles import bound_certificate, check_parity
 from repro.families import instance_shape
 from repro.scenarios import Scenario
-from repro.sim.vec import HAVE_NUMPY, KERNEL_FAMILIES
+from repro.sim.vec import has_kernel
 
 __all__ = [
     "SearchConfig",
@@ -58,7 +57,6 @@ __all__ = [
     "describe_search_outcome",
     "make_search_config",
     "record_search_trace",
-    "resolve_search_backend",
     "run_search",
     "search_unit",
 ]
@@ -70,7 +68,15 @@ __all__ = [
 #: comparable against the Table 1 claims.
 MOVE_SETS = ("all", "crash")
 
-SEARCH_BACKENDS = ("auto", "vec", "sim")
+#: The annealing schedule: the starting temperature, cooled
+#: geometrically by ``COOLING`` per step.
+INITIAL_TEMPERATURE = 0.04
+COOLING = 0.95
+#: Every ``SPOT_CHECK_EVERY``-th fresh evaluation is re-run on a second
+#: backend and must match.
+SPOT_CHECK_EVERY = 25
+#: Grow candidates drawn per proposal.
+GROW_SAMPLES = 6
 
 #: What the walk maximizes: the rounds-ratio, the communication-ratio,
 #: or the larger of the two.  ``max`` is the headline number (what the
@@ -91,9 +97,6 @@ class SearchConfig:
     seed: int
     #: scenario evaluations (the unit of cost: one protocol run each)
     budget: int = 120
-    #: ``auto`` resolves to ``vec`` for kernel families when numpy is
-    #: present, ``sim`` (optimized engine) otherwise
-    backend: str = "auto"
     moves: str = "all"
     objective: str = "max"
     top_k: int = 3
@@ -105,23 +108,12 @@ class SearchConfig:
     crash_budget: int = 1
     #: crash/churn victim pool (Byzantine pids excluded)
     victims: tuple[int, ...] = ()
-    initial_temperature: float = 0.04
-    cooling: float = 0.95
-    #: cross-backend parity check every Nth fresh evaluation (0 = never)
-    spot_check_every: int = 25
-    #: grow candidates drawn per proposal
-    grow_samples: int = 6
 
-
-def resolve_search_backend(family: str, backend: str) -> str:
-    """Resolve ``auto`` to the fastest certified backend for ``family``."""
-    if backend == "auto":
-        if family in KERNEL_FAMILIES and HAVE_NUMPY:
-            return "vec"
-        return "sim"
-    if backend == "vec" and not HAVE_NUMPY:
-        return "sim"
-    return backend
+    @property
+    def backend(self) -> str:
+        """Where evaluations run: ``vec`` where the family has a kernel
+        in this install, ``sim-opt`` otherwise."""
+        return "vec" if has_kernel(self.family) else "sim-opt"
 
 
 def make_search_config(
@@ -129,7 +121,6 @@ def make_search_config(
     *,
     seed: int = 0,
     budget: int = 120,
-    backend: str = "auto",
     moves: str = "all",
     objective: str = "max",
     n: Optional[int] = None,
@@ -146,10 +137,6 @@ def make_search_config(
     """
     if moves not in MOVE_SETS:
         raise ValueError(f"unknown move set {moves!r}; choose from {MOVE_SETS}")
-    if backend not in SEARCH_BACKENDS:
-        raise ValueError(
-            f"unknown search backend {backend!r}; choose from {SEARCH_BACKENDS}"
-        )
     if objective not in OBJECTIVES:
         raise ValueError(
             f"unknown objective {objective!r}; choose from {OBJECTIVES}"
@@ -166,7 +153,6 @@ def make_search_config(
         recipe=recipe,
         seed=seed,
         budget=budget,
-        backend=resolve_search_backend(family, backend),
         moves=moves,
         objective=objective,
         top_k=top_k,
@@ -197,35 +183,10 @@ class _Evaluator:
         self.spot_checks = 0
         # Failure-free baseline of the same instance: the clean_rounds
         # anchor of the rounds bound, computed once on the primary.
-        self.clean = self._run(None, self.config.backend)
+        self.clean = self._run(config.backend, None)
 
-    def _kwargs(self, scenario: Optional[Scenario]) -> dict:
-        # Failure-free unless the scenario says so.
-        kwargs: dict = {"max_rounds": self.config.max_rounds, "crashes": None}
-        if scenario is not None and scenario.shrink_size() > 0:
-            kwargs["scenario"] = scenario
-        return kwargs
-
-    def _run(self, scenario: Optional[Scenario], backend: str):
-        if backend == "vec":
-            return api.run_recipe(
-                self.config.recipe, backend="vec", **self._kwargs(scenario)
-            )
-        if backend == "sim":
-            return api.run_recipe(
-                self.config.recipe,
-                backend="sim",
-                optimized=True,
-                **self._kwargs(scenario),
-            )
-        if backend == "sim-ref":
-            return api.run_recipe(
-                self.config.recipe,
-                backend="sim",
-                optimized=False,
-                **self._kwargs(scenario),
-            )
-        raise ValueError(f"unknown evaluation backend {backend!r}")
+    def _run(self, backend: str, scenario: Optional[Scenario]):
+        return run_on(backend, self.config.recipe, scenario, self.config.max_rounds)
 
     def evaluate(self, scenario: Scenario) -> dict:
         """Energy and certificate for one scenario (cached)."""
@@ -234,20 +195,18 @@ class _Evaluator:
             self.cache_hits += 1
             return hit
         self.fresh += 1
-        result = self._run(scenario, self.config.backend)
-        every = self.config.spot_check_every
-        if every and self.fresh % every == 0:
+        backend = self.config.backend
+        result = self._run(backend, scenario)
+        if self.fresh % SPOT_CHECK_EVERY == 0:
             # Cross-backend spot verification: the optimizer must not be
             # steered by a backend-specific artifact.  vec is verified
-            # against the optimized engine, sim against the reference
-            # loop.  A divergence raises OracleViolation -- loudly.
-            spot_backend = "sim" if self.config.backend == "vec" else "sim-ref"
-            spot = self._run(scenario, spot_backend)
+            # against sim-opt, sim-opt against the reference loop.  A
+            # divergence raises OracleViolation -- loudly.
+            spot_backend = "sim-opt" if backend == "vec" else "sim-ref"
             check_parity(
                 result,
-                spot,
-                f"{self.config.backend}[{self.config.family} "
-                f"seed={self.config.seed}]",
+                self._run(spot_backend, scenario),
+                f"{backend}[{self.config.family} seed={self.config.seed}]",
                 spot_backend,
             )
             self.spot_checks += 1
@@ -299,7 +258,7 @@ def _propose(
             crash_budget=config.crash_budget,
             victims=config.victims,
             rng=rng,
-            samples=config.grow_samples,
+            samples=GROW_SAMPLES,
         )
     )
     shrinks = list(current.shrink_candidates())
@@ -387,7 +346,7 @@ def run_search(config: SearchConfig) -> SearchResult:
     # Scenario -> (energy, first step seen); distinct-by-value top-k.
     seen_at: dict[Scenario, tuple[float, int]] = {empty: (baseline["energy"], 0)}
     trajectory: list[dict] = []
-    temperature = config.initial_temperature
+    temperature = INITIAL_TEMPERATURE
 
     for step in range(1, config.budget + 1):
         candidate = _propose(current, config, rng)
@@ -402,7 +361,7 @@ def run_search(config: SearchConfig) -> SearchResult:
             evaluation["completed"]
             and rng.random() < math.exp(delta / max(temperature, 1e-9))
         )
-        temperature *= config.cooling
+        temperature *= COOLING
         if accepted:
             current, current_eval = candidate, evaluation
             if energy > best_eval["energy"]:
@@ -465,7 +424,6 @@ def search_unit(params: dict) -> dict:
         params["family"],
         seed=params["search_seed"],
         budget=params["budget"],
-        backend=params.get("backend") or "auto",
         moves=params.get("moves") or "all",
         objective=params.get("objective") or "max",
         n=params.get("n"),
@@ -480,7 +438,6 @@ def build_search_spec(
     budget: int,
     *,
     families: Sequence[str],
-    backend: str = "auto",
     moves: str = "all",
     objective: str = "max",
     n: Optional[int] = None,
@@ -498,7 +455,6 @@ def build_search_spec(
             "search_seed": seed,
             "seed": seed,
             "budget": budget,
-            "backend": backend,
             "moves": moves,
             "objective": objective,
             "n": n,
@@ -535,37 +491,16 @@ def record_search_trace(
     """Write one top-k scenario as a self-contained replayable trace.
 
     ``row`` is a :meth:`SearchResult.to_row` dict, ``entry`` one of its
-    ``top`` items.  Re-executes the scenario on the optimized engine
-    with trace recording (the kernel backends share its fault semantics
-    bit-for-bit, and a trace needs the engine's recording hooks),
-    annotates ``Trace.meta["repro.search"]`` with the certificate, the
-    search trajectory and the exact reproduction commands, and saves to
-    ``out_dir``.  ``repro.trace.replay_trace(path)`` reproduces the run
-    standalone; ``tests/test_adversary_corpus.py`` replays the committed
-    corpus on every test run.
+    ``top`` items.  The scenario goes through
+    :func:`repro.check.driver.write_artifact` (recorded on sim-opt: the
+    kernel backends share its fault semantics bit-for-bit, and a trace
+    needs the engine's recording hooks) with
+    ``Trace.meta["repro.search"]`` carrying the certificate, the search
+    trajectory and the exact reproduction commands.
+    ``repro.trace.replay_trace(path)`` reproduces the run standalone;
+    ``tests/test_adversary_corpus.py`` replays the committed corpus on
+    every test run.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    scenario = Scenario.from_dict(entry["scenario"])
-    recipe = row["recipe"]
-    # Re-derive the execution envelope exactly as the search did.
-    config = make_search_config(
-        row["family"],
-        seed=row["seed"],
-        budget=row["budget"],
-        backend=row["backend"],
-        moves=row["moves"],
-        objective=row.get("objective", "max"),
-        n=row["n"],
-        t=row["t"],
-        top_k=len(row.get("top", ())) or 3,
-    )
-    kwargs: dict = {"max_rounds": config.max_rounds, "crashes": None}
-    if scenario.shrink_size() > 0:
-        kwargs["scenario"] = scenario
-    result = api.run_recipe(
-        recipe, backend="sim", optimized=True, record_trace=True, **kwargs
-    )
-    trace = result.trace
     name = label or (
         f"search-{row['family']}-seed{row['seed']}-rank{entry['rank']}"
     )
@@ -575,7 +510,7 @@ def record_search_trace(
         f"--moves {row['moves']} "
         f"--objective {row.get('objective', 'max')}"
     )
-    trace.meta = {
+    meta = {
         "repro.search": {
             "family": row["family"],
             "seed": row["seed"],
@@ -599,12 +534,11 @@ def record_search_trace(
             },
         }
     }
-    path = os.path.join(os.fspath(out_dir), f"{name}.trace.json")
-    trace.save(path)
-    # CI hook: mirror into the uploaded-artifacts directory (same
-    # contract as repro.check.shrink.emit_artifact).
-    mirror = os.environ.get("REPRO_CHECK_ARTIFACT_DIR")
-    if mirror and os.path.abspath(mirror) != os.path.abspath(os.fspath(out_dir)):
-        os.makedirs(mirror, exist_ok=True)
-        trace.save(os.path.join(mirror, f"{name}.trace.json"))
-    return path
+    return write_artifact(
+        row["recipe"],
+        Scenario.from_dict(entry["scenario"]),
+        fault_window(row["family"], row["recipe"])[2],
+        out_dir,
+        name,
+        meta,
+    )

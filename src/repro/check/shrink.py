@@ -27,8 +27,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from repro import api
-from repro.check.driver import FuzzConfig, run_config
+from repro.check.driver import FuzzConfig, run_config, write_artifact
 from repro.scenarios import Scenario
 
 __all__ = ["ShrinkResult", "emit_artifact", "oracle_categories", "shrink_scenario"]
@@ -142,31 +141,19 @@ def emit_artifact(
 ) -> str:
     """Write the minimal failing run as one self-contained trace file.
 
-    Re-executes the minimal configuration on the primary backend with
-    trace recording, annotates the trace's ``meta`` block with the
-    violated oracles, the original (pre-shrink) scenario and the exact
-    reproduction commands, and saves it under ``out_dir``.  Returns the
-    artifact path; ``repro.trace.replay_trace(path)`` reproduces the
-    execution standalone on any backend.
+    The minimal configuration goes through
+    :func:`repro.check.driver.write_artifact` with a ``meta`` block
+    naming the violated oracles, the original (pre-shrink) scenario and
+    the exact reproduction commands.  Returns the artifact path;
+    ``repro.trace.replay_trace(path)`` reproduces the execution
+    standalone on any backend.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    minimal = config.with_scenario(shrink.minimal)
-    from repro.check.driver import _execution_kwargs  # local: avoid cycle
-
-    result = api.run_recipe(
-        minimal.recipe,
-        backend="sim",
-        optimized=True,
-        record_trace=True,
-        **_execution_kwargs(minimal),
-    )
-    trace = result.trace
     name = label or f"fuzz-seed{config.seed}-index{config.index}"
     repro_cli = (
         f"python -m repro.check --seed {config.seed} "
         f"--only {config.index} --budget {config.index + 1}"
     )
-    trace.meta = {
+    meta = {
         "repro.check": {
             "violations": shrink.violations,
             "family": config.family,
@@ -182,13 +169,6 @@ def emit_artifact(
             },
         }
     }
-    path = os.path.join(os.fspath(out_dir), f"{name}.trace.json")
-    trace.save(path)
-    # CI hook: mirror every artifact into the directory the workflow
-    # uploads on failure, so a shrunk trace produced inside a failing
-    # test run (tmp_path) is preserved too.
-    mirror = os.environ.get("REPRO_CHECK_ARTIFACT_DIR")
-    if mirror and os.path.abspath(mirror) != os.path.abspath(os.fspath(out_dir)):
-        os.makedirs(mirror, exist_ok=True)
-        trace.save(os.path.join(mirror, f"{name}.trace.json"))
-    return path
+    return write_artifact(
+        config.recipe, shrink.minimal, config.max_rounds, out_dir, name, meta
+    )

@@ -32,7 +32,7 @@ from repro.obs.export import (
     validate_telemetry_dict,
     write_chrome_trace,
 )
-from repro.obs.recorder import RunTelemetry
+from repro.obs.recorder import SCHEMA, RunTelemetry
 
 __all__ = ["main"]
 
@@ -63,7 +63,7 @@ def _jsonl_to_telemetry(lines, meta_header: dict) -> RunTelemetry:
         counts=meta_header.get("counts", {}),
         events=events,
         dropped_events=meta_header.get("dropped_events", 0),
-        schema=meta_header.get("schema", "repro-obs/1"),
+        schema=meta_header.get("schema", SCHEMA),
     )
 
 

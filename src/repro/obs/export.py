@@ -31,9 +31,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Optional
 
-from repro.obs.recorder import PhaseStats, RunTelemetry
-
-SCHEMA = "repro-obs/1"
+from repro.obs.recorder import SCHEMA, PhaseStats, RunTelemetry
 
 __all__ = [
     "SCHEMA",
@@ -177,7 +175,13 @@ def summary_rows(telemetry: RunTelemetry) -> list[dict]:
 
 
 def format_summary(rows: list[dict]) -> str:
-    """Align summary rows into a printable text table (column union)."""
+    """Align row dicts into a printable text table.
+
+    The columns are the union of all row keys, in first-appearance
+    order, so heterogeneous rows render every field.  This is also
+    :func:`repro.bench.runner.format_table`, which only words the empty
+    table differently.
+    """
     if not rows:
         return "(no phases recorded)"
     columns: dict[str, None] = {}

@@ -33,6 +33,8 @@ class ServeClient:
         self._results: dict[str, asyncio.Future] = {}
         self._status: list[asyncio.Future] = []
         self._watches: dict[str, asyncio.Queue] = {}
+        #: the reader's terminal error, once the connection is gone
+        self._error: Optional[BaseException] = None
         self._closed = False
         self._reader_task = asyncio.create_task(self._read_loop())
 
@@ -78,13 +80,14 @@ class ServeClient:
                         if not fut.done():
                             fut.set_result(msg[1])
                 elif kind == "error":
-                    _, token, text = msg
-                    exc = RuntimeError(f"run-server error: {text}")
-                    fut = self._submits.pop(token, None) or self._results.pop(
-                        token, None
+                    _, ref, text = msg
+                    fut = self._submits.pop(ref, None) or self._results.pop(
+                        ref, None
                     )
-                    if fut is not None and not fut.done():
-                        fut.set_exception(exc)
+                    if fut is None and ref in self._watches:
+                        self._watches.pop(ref).put_nowait(("error", text))
+                    elif fut is not None and not fut.done():
+                        fut.set_exception(RuntimeError(f"run-server error: {text}"))
         except (asyncio.IncompleteReadError, ConnectionError):
             error = ConnectionResetError("run-server connection closed")
         except asyncio.CancelledError:
@@ -92,15 +95,23 @@ class ServeClient:
         except Exception as exc:
             error = exc
         finally:
+            self._error = error = error or ConnectionResetError()
             for fut in (
                 list(self._submits.values())
                 + list(self._results.values())
                 + self._status
             ):
                 if not fut.done():
-                    fut.set_exception(error or ConnectionResetError())
+                    fut.set_exception(error)
             for queue in self._watches.values():
                 queue.put_nowait(("closed", None))
+
+    def _check_open(self) -> None:
+        """Fail a request at once when the connection is already gone."""
+        if self._error is not None:
+            raise ConnectionResetError(
+                f"run-server connection is gone: {self._error}"
+            )
 
     async def _send(self, msg: tuple) -> None:
         send_msg(self._writer, msg)
@@ -110,6 +121,7 @@ class ServeClient:
         self, protocol: dict, execution: Optional[dict] = None
     ) -> str:
         """Submit one recipe; returns the server-assigned ``run_id``."""
+        self._check_open()
         token = next(self._tokens)
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
         self._submits[token] = fut
@@ -117,18 +129,28 @@ class ServeClient:
         return await fut
 
     def watch(self, run_id: str) -> asyncio.Queue:
-        """Subscribe to a run's progress; returns a queue of
-        ``("update" | "done" | "closed", info)`` pairs."""
+        """Subscribe to a run's progress; returns a queue of ``(kind,
+        info)`` pairs: ``("update", info)`` per round, then one of
+        ``("done", info)``; ``("error", text)`` -- the server refused the
+        watch, the ``run_id`` being unknown or its result already
+        collected; or ``("closed", None)`` -- the connection is gone."""
         queue = self._watches.get(run_id)
         if queue is None:
-            queue = self._watches[run_id] = asyncio.Queue()
-            asyncio.ensure_future(self._send(("watch", run_id)))
+            queue = asyncio.Queue()
+            if self._error is not None:
+                queue.put_nowait(("closed", None))
+                return queue
+            self._watches[run_id] = queue
+            # Buffered, not drained: a watch is a few bytes, and a failed
+            # write ends the reader, which closes the queue.
+            send_msg(self._writer, ("watch", run_id))
         return queue
 
     async def result(self, run_id: str) -> Any:
         """Await a run's completion; returns its ``RunResult``."""
         fut = self._results.get(run_id)
         if fut is None:
+            self._check_open()
             fut = asyncio.get_running_loop().create_future()
             self._results[run_id] = fut
             await self._send(("result", run_id))
@@ -136,6 +158,7 @@ class ServeClient:
 
     async def status(self) -> dict:
         """Fetch the server's gauges (active/peak/completed counts)."""
+        self._check_open()
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
         self._status.append(fut)
         await self._send(("status",))

@@ -451,7 +451,7 @@ class RunServer:
                         )
                         conn.hold(self._runs[run_id])
                     except KeyError as exc:
-                        conn.push(("error", run_id, str(exc)))
+                        conn.push(("error", run_id, exc.args[0]))
                 elif kind == "result":
                     _, run_id = msg
                     # Awaiting here would head-of-line-block this
@@ -480,7 +480,7 @@ class RunServer:
             # travel intact.
             conn.push(("result", run_id, replace(result, processes=(), trace=None, telemetry=None)))
         except KeyError as exc:
-            conn.push(("error", run_id, str(exc)))
+            conn.push(("error", run_id, exc.args[0]))
         except Exception as exc:
             conn.push(("error", run_id, f"{type(exc).__name__}: {exc}"))
 

@@ -50,7 +50,7 @@ from repro.sim.adversary import CrashAdversary, NoFailures, ScheduledCrashes
 from repro.sim.engine import Engine, RunResult
 from repro.sim.process import Process
 
-__all__ = ["HAVE_NUMPY", "KERNEL_FAMILIES", "vec_run"]
+__all__ = ["HAVE_NUMPY", "KERNEL_FAMILIES", "has_kernel", "vec_run"]
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as _numpy  # noqa: F401
@@ -64,6 +64,12 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 KERNEL_FAMILIES = tuple(
     family.family for family in REGISTRY if family.kernel is not None
 )
+
+
+def has_kernel(family: str) -> bool:
+    """Whether ``backend="vec"`` runs ``family`` on a kernel in this
+    install: its record carries one and numpy is present."""
+    return HAVE_NUMPY and family in KERNEL_FAMILIES
 
 #: Adversary types known to be *oblivious* (the schedule never inspects
 #: the live execution), which is what lets a kernel consume the schedule

@@ -16,7 +16,7 @@ from repro import (
     run_consensus,
     run_gossip,
 )
-from repro.api import build_recipe_processes, run_recipe
+from repro.api import BACKENDS, build_recipe_processes, run_recipe
 from repro.check.oracles import check_parity
 from repro.scenarios import scenario_schedule
 from repro.sim.adversary import CrashSpec, ScheduledCrashes
@@ -125,6 +125,17 @@ class TestRunRecipe:
         direct = run_recipe(recipe, scenario=scenario)
         as_dict = run_recipe(recipe, scenario=scenario.to_dict(), max_rounds=None)
         check_parity(direct, as_dict, "Scenario", "to_dict()")
+
+    @pytest.mark.parametrize("name", list(BACKENDS))
+    def test_backend_table_names_the_run_a_trace_records(self, name):
+        """``BACKENDS`` is the one statement of what a backend name
+        means: a run through its keywords records a trace labelled with
+        that name (``sim-ref`` is the reference loop, not sim-opt)."""
+        if name == "vec":
+            pytest.importorskip("numpy")
+        recipe = {"name": "flooding", "inputs": [0, 1] * 4, "t": 2}
+        result = run_recipe(recipe, crashes=None, record_trace=True, **BACKENDS[name])
+        assert result.trace.backend == name
 
 
 class TestImportCost:

@@ -80,10 +80,12 @@ class TestFormatTable:
         assert format_table([]) == "(no rows)"
 
 
-#: The theorem series at small sizes: id -> (run, pinned columns, one
-#: tuple per row).  Model costs are exact, so these tuples are the proof
-#: that a change to how rows are *built* moved no execution: only ratio
-#: columns may differ between two commits that both pass this.
+#: The theorem series -- and the families / net / scenarios / adversary
+#: series that run one instance on several backends -- at small sizes:
+#: id -> (run, pinned columns, one tuple per row).  Model costs are
+#: exact, so these tuples are the proof that a change to how rows are
+#: *built* moved no execution: only ratio and wall-clock columns may
+#: differ between two commits that both pass this.
 GOLDEN = {
     "table1": (
         lambda: series.exp_table1(ns=[40, 60]),
@@ -147,6 +149,39 @@ GOLDEN = {
          ("gossip isolation (t=24)", 23, 12, "crashes used 23, digests matched True"),
          ("consensus divergence (n=40)", 1143, 3.4,
           "pivot 14, |A_i|≤3^i holds: True")],
+    ),
+    "families": (
+        lambda: series.exp_families(n=24, t=4),
+        ("family", "backend", "rounds", "messages", "bits"),
+        [("consensus", "sim-opt", 38, 3428, 3428), ("consensus", "sim-ref", 38, 3428, 3428),
+         ("flooding", "sim-opt", 5, 2760, 346265), ("flooding", "sim-ref", 5, 2760, 346265),
+         ("approximate", "sim-opt", 13, 7176, 459264),
+         ("approximate", "sim-ref", 13, 7176, 459264),
+         ("lv-consensus", "sim-opt", 5, 115, 14720),
+         ("lv-consensus", "sim-ref", 5, 115, 14720)],
+    ),
+    "net": (
+        lambda: series.exp_net(ns=[30]),
+        ("problem", "rounds", "messages", "bits", "parity"),
+        [("consensus", 43, 4725, 4725, "exact"), ("gossip", 90, 38411, 53508422, "exact"),
+         ("checkpointing", 133, 43039, 53619079, "exact")],
+    ),
+    "scenarios": (
+        lambda: series.exp_scenarios(n=24),
+        ("faults", "rounds", "messages", "dropped", "safety"),
+        [(0, 38, 3423, 5, "ok"), (0, 38, 3317, 111, "ok"), (2, 38, 3447, 0, "ok"),
+         (2, 38, 3276, 3, "ok"), (0, 90, 27348, 125, "ok"), (0, 90, 26985, 347, "ok"),
+         (2, 90, 27498, 0, "ok"), (2, 90, 25895, 215, "ok")],
+    ),
+    "adversary": (
+        lambda: series.exp_adversary(n=12, ts=[1, 2], budget=8),
+        ("family", "t", "baseline_ratio", "worst_ratio", "measured_constant", "faults"),
+        [("gossip", 1, 0.18109, 0.18109, 1.0865, 0),
+         ("gossip", 2, 0.176625, 0.177121, 1.0627, 2),
+         ("checkpointing", 1, 0.184506, 0.184506, 1.107, 0),
+         ("checkpointing", 2, 0.178128, 0.178855, 1.0731, 1),
+         ("flooding", 1, 0.458333, 0.458333, 0.9167, 0),
+         ("flooding", 2, 0.458333, 0.458333, 0.9167, 0)],
     ),
 }
 

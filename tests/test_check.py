@@ -9,6 +9,8 @@ by the safety oracle, shrunk to a minimal scenario, and reproduced via
 
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -313,6 +315,56 @@ class TestInjectedFaultEndToEnd:
         path = emit_artifact(config, shrunk, tmp_path, label="net-replay")
         replayed = replay_trace(path, backend="net")
         assert set(replayed.correct_decisions().values()) == {0, 1}
+
+
+def _split_vote_artifact_args():
+    config = _crafted_split_vote_config()
+    row = run_config(config)
+    return config, shrink_scenario(config, row["violation_details"], max_runs=40)
+
+
+class TestArtifactBytes:
+    """What a shrink artifact is made of: its bytes are pinned, and the
+    CI mirror (``$REPRO_CHECK_ARTIFACT_DIR``) receives an identical copy
+    of every artifact either writer saves."""
+
+    def test_emit_artifact_bytes_pinned(self, tmp_path):
+        config, shrunk = _split_vote_artifact_args()
+        path = emit_artifact(config, shrunk, tmp_path, label="pin")
+        blob = Path(path).read_bytes()
+        assert hashlib.sha256(blob).hexdigest()[:16] == "8890ef90aa5b272e"
+
+    def test_both_writers_mirror_once(self, tmp_path, monkeypatch):
+        from repro.check.search import (
+            make_search_config,
+            record_search_trace,
+            run_search,
+        )
+
+        saves = []
+        save = Trace.save
+        monkeypatch.setattr(
+            Trace, "save", lambda self, path: (saves.append(path), save(self, path))
+        )
+        config, shrunk = _split_vote_artifact_args()
+        search = run_search(
+            make_search_config("flooding", seed=0, budget=3, n=12, t=2)
+        ).to_row()
+        writers = (
+            lambda out: emit_artifact(config, shrunk, out, label="mirrored"),
+            lambda out: record_search_trace(search, search["top"][0], out),
+        )
+        mirror = tmp_path / "mirror"
+        monkeypatch.setenv("REPRO_CHECK_ARTIFACT_DIR", str(mirror))
+        for write in writers:
+            del saves[:]
+            path = write(tmp_path / "out")
+            copy = mirror / os.path.basename(path)
+            assert copy.read_bytes() == Path(path).read_bytes()
+            assert len(saves) == 2
+            del saves[:]
+            assert write(mirror) == str(copy)
+            assert saves == [str(copy)]  # out_dir is the mirror: one write
 
 
 def _crafted_misconverging_approximate_config() -> FuzzConfig:

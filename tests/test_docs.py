@@ -126,6 +126,28 @@ def test_architecture_family_table_matches_the_registry():
         )
 
 
+def test_api_search_flag_table_matches_the_parser():
+    """docs/api.md's search-flag table lists exactly the options of
+    ``python -m repro.check``'s "adversary search" argument group: a
+    removed flag cannot stay documented, a new one cannot ship
+    undocumented."""
+    from repro.check.cli import _parser
+
+    text = (ROOT / "docs" / "api.md").read_text(encoding="utf-8")
+    match = re.search(r"\| Flag \| Meaning \|\n\|---\|---\|\n((?:\|.*\n)+)", text)
+    assert match, "api.md lost its search-flag table"
+    documented = [
+        flag
+        for line in match.group(1).splitlines()
+        for flag in re.findall(r"`(--[a-z-]+)", line.split("|")[1])
+    ]
+    (group,) = [
+        g for g in _parser()._action_groups if g.title.startswith("adversary search")
+    ]
+    parsed = [flag for action in group._group_actions for flag in action.option_strings]
+    assert documented == parsed
+
+
 def test_changes_entries_are_capped():
     """A CHANGES.md entry is a summary for the next session, not a lab
     notebook: every entry after PR 23 is at most 2,000 characters (the

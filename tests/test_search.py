@@ -149,6 +149,13 @@ class TestDeterminism:
         assert meta["rank"] == entry["rank"]
         assert meta["scenario"] == entry["scenario"]
 
+    def test_artifact_bytes_pinned(self, tmp_path):
+        pinned = {"flooding": "69701ef782bfc16a", "gossip": "9125e483e463c659"}
+        for row in run_sweep(_small_spec(), jobs=1).rows():
+            path = record_search_trace(row, row["top"][0], tmp_path)
+            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+            assert digest == pinned[row["family"]], row["family"]
+
 
 # ---------------------------------------------------------------------------
 # acceptance (the ISSUE's headline criterion)

@@ -20,6 +20,7 @@ transport underneath it:
 """
 
 import asyncio
+import gc
 import pickle
 import random
 import socket
@@ -452,6 +453,53 @@ class TestServeClientAPI:
 
         asyncio.run(scenario())
 
+    def test_watch_of_a_never_submitted_id_yields_the_error(self):
+        async def scenario():
+            server = RunServer()
+            await server.start()
+            port = await server.listen("127.0.0.1", 0)
+            client = await ServeClient.connect("127.0.0.1", port)
+            try:
+                queue = client.watch("run-999999")
+                return await asyncio.wait_for(queue.get(), 5)
+            finally:
+                await client.close()
+                await server.close()
+
+        # The server's KeyError text, not its repr: no doubled quotes.
+        assert asyncio.run(scenario()) == ("error", "unknown run_id 'run-999999'")
+
+    def test_requests_after_the_server_went_away_fail_fast(self):
+        protocol, execution = make_recipe("flood-none", 2)
+
+        async def scenario():
+            unretrieved = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: unretrieved.append(context["message"])
+            )
+            server = RunServer()
+            await server.start()
+            port = await server.listen("127.0.0.1", 0)
+            client = await ServeClient.connect("127.0.0.1", port)
+            await client.status()
+            await server.close()
+            requests = (
+                client.status(),
+                client.submit(protocol, execution),
+                client.result("run-000001"),
+            )
+            for request in requests:
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(request, 1)
+            late = client.watch("run-000002")
+            assert await asyncio.wait_for(late.get(), 1) == ("closed", None)
+            await client.close()
+            gc.collect()  # an unretrieved task exception is reported here
+            await asyncio.sleep(0)
+            return unretrieved
+
+        assert asyncio.run(scenario()) == []
+
 
 class TestRetention:
     """The server's memory follows its in-flight runs, not its history:
@@ -502,7 +550,9 @@ class TestRetention:
                 assert (await client.result(run_id)).completed
                 with pytest.raises(RuntimeError, match="unknown run_id"):
                     await client.result(run_id)
-                client.watch(run_id)  # answered with the same error
+                queue = client.watch(run_id)  # answered with the same error
+                kind, text = await asyncio.wait_for(queue.get(), 5)
+                assert kind == "error" and f"unknown run_id '{run_id}'" in text
                 # An uncollected run stays, finished or not, until asked for.
                 await server._runs[kept].done.wait()
                 assert (await client.status())["retained"] == 1
