@@ -23,7 +23,7 @@ backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 __all__ = ["NodeStatus", "RuntimeView"]
 
@@ -36,8 +36,6 @@ class NodeStatus:
     halted: bool = False
     decided: bool = False
     decision: Any = None
-    #: next spontaneous-activity round, reported only when requested
-    wake: Optional[int] = None
 
 
 class RuntimeView:

@@ -15,51 +15,57 @@ and bits counted at the sender; envelopes are the runtime's business.
 0. ``READY`` / ``LAYOUT`` -- each host runs ``on_start`` for its pids
    and reports them; the coordinator learns which pids live behind which
    address from the reports and, once all ``n`` pids are accounted for,
-   sends the layout back so hosts can bucket their sends by destination
-   host.
+   sends the layout back, with the session's ``fast_forward`` flag, so
+   hosts can bucket their sends by destination host.
 1. ``REJOIN(r)`` -- before opening the round, crashed pids whose churn
    schedule rejoins them at ``r`` are reinstated: their host (which
    stayed attached for exactly this) resets each to its
-   pre-``on_start`` snapshot, runs ``on_start`` again and reports
-   ``REJOINED``; the coordinator restores them to the live set so they
-   participate in round ``r``'s send phase.
+   pre-``on_start`` snapshot, runs ``on_start`` again, wakes it and
+   reports ``REJOINED``; the coordinator restores them to the live set
+   so they participate in round ``r``'s send phase.
 2. ``START(r)`` -- the coordinator opens round ``r`` on every host with
-   a live pid, naming those pids and -- only for the pids that have one
-   -- the partial-send budget ``keep`` of a pid the adversary
-   crashes this round, its blocked-destination set for link faults
+   a live pid.  The frame names only the live pids with a fault this
+   round: the partial-send budget ``keep`` of a pid the adversary
+   crashes now, its blocked-destination set for link faults
    (omission/partition scenarios) and whether it should await a rejoin.
-   The host runs the ``send(r)`` hooks in pid order, normalises and
+   The host walks its own live pids in pid order and runs the
+   ``send(r)`` hook of each awake one (see "Wake table"), normalises and
    truncates each pid's sends through the engine's own ``collect_sends``
    + ``apply_link_filter``, counts its messages, payload bits and
    dropped messages, ships every destination host one ``DATA`` bundle
    of the surviving send groups (pickled once; it goes through the hub
    like every frame, so a one-host ``tcp`` run still sends its bundle
-   out of its connection and back) and reports one ``SENT``.
+   out of its connection and back) and reports one ``SENT`` with a row
+   per pid it called.
 3. ``DELIVER(r)`` -- once every host has reported, the coordinator tells
-   each host with a surviving pid how many round-``r`` bundles to expect
-   and which pids receive.  The host collects exactly that many (bundles
-   may already have arrived and are buffered), builds each receiver's
-   inbox ordered by ``(sender, send-order)`` -- byte-for-byte the
-   simulator's delivery order -- discards what was addressed to a
-   crashed or halted pid, runs the ``receive(r)`` hooks, and reports one
-   ``DONE``.
+   each host with a surviving pid how many round-``r`` bundles to
+   expect.  The host collects exactly that many (bundles may already
+   have arrived and are buffered), builds each inbox ordered by
+   ``(sender, send-order)`` -- byte-for-byte the simulator's delivery
+   order -- discards what was addressed to a crashed or halted pid, runs
+   the ``receive(r)`` hooks of its awake pids and of every sleeper that
+   got mail, and reports one ``DONE`` with a row per pid it called and,
+   after a round that delivered nothing, its earliest wake.
 
 Frames (``C`` is the coordinator; every status is ``halted, decided,
 decision``)::
 
     READY     host -> C     [(pid, *status), ...]
-    LAYOUT    C -> host     [host address of pid 0, of pid 1, ...]
+    LAYOUT    C -> host     [host address of pid 0, of pid 1, ...],
+                            fast_forward
     REJOIN    C -> host     round, [pid, ...]
     REJOINED  host -> C     round, [(pid, *status), ...]
-    START     C -> host     round, [pid, ...], {pid: (crashing, keep,
-                            mask, will_rejoin)} where set, record
+    START     C -> host     round, {pid: (crashing, keep, mask,
+                            will_rejoin)} for the live pids with a
+                            fault, record
     DATA      host -> host  round, [(src, seq, dsts, payload), ...]
     SENT      host -> C     round, {host: bundles shipped to it},
                             [(pid, msgs, bits, dropped, records,
-                              *status), ...]
-    DELIVER   C -> host     round, bundles to expect, need_wake,
-                            [receiver pid, ...]
-    DONE      host -> C     round, [(pid, *status, wake), ...]
+                              *status), ...] per pid called
+    DELIVER   C -> host     round, bundles to expect, need_wake
+    DONE      host -> C     round, [(pid, *status), ...] per pid
+                            called, earliest wake (None unless
+                            need_wake)
     STOP      C -> host     --
     ERROR     host -> C     pid whose hook raised (None: the host
                             itself), exception class name, text
@@ -81,7 +87,24 @@ stretches and termination are decided by the session's
 :class:`~repro.sim.rounds.RoundControl`, as on every backend; hosts
 truncate, filter and count with the engine's own helpers, pid by pid.
 That makes the sim/net parity tests exact rather than statistical --
-and independent of how pids are dealt to hosts.  When a trace recorder
+and independent of how pids are dealt to hosts.
+
+Wake table
+----------
+A round costs what it delivers, not ``n``.  Each host keeps the wake
+table and silent marks of the engine's optimized loop for its own pids
+and applies the same rules (:mod:`repro.sim.engine`, "Hot path"), so a
+net round makes exactly the hook calls a sim-opt round makes: a pid
+that was called and neither sent nor received is asked
+``next_activity`` and skipped in both phases until the round it
+declared; a delivery wakes it in that round's receive phase and a
+``REJOIN`` at the rejoin round; a sleeper the adversary crashes just
+crashes; a sender whose whole output a link mask dropped stays awake;
+under ``fast_forward=False`` nobody sleeps.  The coordinator keeps the
+live pids per host and the set of running non-Byzantine pids, so its
+share of a round is O(hosts + rows), with no walk over ``range(n)``;
+the earliest wakes the hosts report in ``DONE`` are where a quiescent
+round jumps to.  When a trace recorder
 or checker is attached (:mod:`repro.trace`), hosts compute the
 structural digest of every payload next to the wire and ship the
 records inside their ``SENT`` reports, so the coordinator records or
@@ -96,8 +119,9 @@ since when and on what it waits, and a single self-re-arming
 ``loop.call_later`` timer (period ``min(timeout / 4, 1 s)``) cancels a
 wait older than ``timeout``; the cancellation becomes a
 :class:`NetRuntimeError` naming the phase, the round, the missing pids
-(a silent host lists all of its pids) and each laggard's last completed
-span, raised within ``[timeout, timeout + period]`` of the wait's start.
+(a silent host lists all of its live pids) and each laggard's last
+completed span, raised within ``[timeout, timeout + period]`` of the
+wait's start.
 
 Deployment shapes
 -----------------
@@ -132,9 +156,11 @@ from __future__ import annotations
 import asyncio
 import copy
 import time
+from bisect import insort
+from collections import defaultdict
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.net.codec import MAX_FRAME_BYTES, encode, set_codec_probe
 from repro.net.faults import NodeStatus, RuntimeView
@@ -257,8 +283,19 @@ class _Host:
         #: nor crashed for good (a crashed churn pid stays, awaiting its
         #: REJOIN); the host ends when none is left
         self.live: set[int] = set()
-        #: pid -> host address (LAYOUT)
+        #: local pids neither crashed nor halted, in pid order: who each
+        #: phase walks
+        self.running: list[int] = []
+        #: the engine's wake table for local pids: the first round at
+        #: which a pid must be called although nothing was delivered to
+        #: it (at or below the current round means awake) ...
+        self.wake: dict[int, int] = {}
+        #: ... and the last round in which it was called and its
+        #: ``send`` returned no message
+        self.silent: dict[int, int] = {}
+        #: pid -> host address, and whether idle pids may sleep (LAYOUT)
         self.host_of: Sequence[int] = ()
+        self.fast_forward = True
         # Bundles of one round, buffered until its DELIVER: a peer that
         # reaches round r + 1 first may deliver before this host's
         # START(r + 1) arrives.
@@ -280,10 +317,10 @@ class _Host:
             elif kind == _REJOIN:
                 _, rnd, pids = frame
                 await send(
-                    self.coordinator, (_REJOINED, rnd, self._boot(pids, reset=True))
+                    self.coordinator, (_REJOINED, rnd, self._boot(pids, rnd))
                 )
             elif kind == _LAYOUT:
-                self.host_of = frame[1]
+                _, self.host_of, self.fast_forward = frame
             elif kind == _STOP:
                 return
             else:
@@ -292,14 +329,15 @@ class _Host:
                     f"frame {kind!r}"
                 )
 
-    def _boot(self, pids: Iterable[int], reset: bool = False) -> list[tuple]:
+    def _boot(self, pids: Iterable[int], rejoin: Optional[int] = None) -> list[tuple]:
         """Run ``on_start`` for ``pids`` -- after restoring the snapshot,
-        when ``reset`` -- and return their ``(pid, *status)`` rows."""
+        when they ``rejoin`` at that round -- wake them and return their
+        ``(pid, *status)`` rows."""
         rows = []
         for pid in pids:
             self.at = pid
             proc = self.procs[pid]
-            if reset:
+            if rejoin is not None:
                 proc.__dict__.clear()
                 proc.__dict__.update(copy.deepcopy(self.snapshots[pid]))
             proc.on_start()
@@ -309,6 +347,9 @@ class _Host:
                 self.live.discard(pid)
             else:
                 self.live.add(pid)
+                insort(self.running, pid)
+                self.wake[pid] = rejoin or 0
+                self.silent[pid] = -1
             rows.append((pid, *_status_of(proc)))
         self.at = None
         return rows
@@ -323,32 +364,54 @@ class _Host:
         self.bundles.append(bundle)
 
     async def _send_phase(
-        self, rnd: int, pids: Sequence[int], faults: Mapping[int, tuple], record: bool
+        self, rnd: int, faults: Mapping[int, tuple], record: bool
     ) -> None:
-        """The shard's send phase: per pid, in pid order, normalise,
-        validate and (for a crashing pid) truncate the sends with the
-        engine's own :func:`repro.sim.engine.collect_sends`, then remove
-        link-blocked destinations with
+        """The shard's send phase: per awake pid, in pid order,
+        normalise, validate and (for a crashing pid) truncate the sends
+        with the engine's own :func:`repro.sim.engine.collect_sends`,
+        then remove link-blocked destinations with
         :func:`repro.sim.engine.apply_link_filter` -- the single sources
         of partial-send and omission semantics on both substrates --
         and count messages, payload bits and drops (plus per-group trace
-        records when ``record``).  The surviving groups leave as one
-        ``DATA`` bundle per destination host, then one ``SENT`` report."""
+        records when ``record``).  A sleeper is skipped, and just
+        crashes if ``faults`` crashes it.  The surviving groups leave as
+        one ``DATA`` bundle per destination host, then one ``SENT``
+        report with a row per pid called."""
         tel = self.tel
         host_of = self.host_of
+        wake = self.wake
         bits_cache: dict[int, tuple[Any, int]] = {}
         out: dict[int, list[tuple]] = {}
         reports = []
-        for pid in pids:
+        stopped = set()
+        for pid in self.running:
             self.at = pid
+            crashing, keep, mask, will_rejoin = (
+                faults.get(pid, _NO_FAULT) if faults else _NO_FAULT
+            )
+            if crashing:
+                stopped.add(pid)
+                if not will_rejoin:
+                    self.live.discard(pid)  # crashed for good
+                elif pid not in self.snapshots:
+                    raise NetRuntimeError(
+                        f"node {pid} is scheduled to rejoin but was hosted "
+                        "without churn (pass the adversary's rejoin_pids() "
+                        "as churn_pids to host_nodes_tcp/run_nodes)"
+                    )
+            if wake[pid] > rnd:
+                continue  # asleep: nothing to send, and a crash is all
             proc = self.procs[pid]
-            crashing, keep, mask, will_rejoin = faults.get(pid, _NO_FAULT)
             if tel is not None:
                 t_send = tel.clock()
             groups = collect_sends(proc, rnd, keep, proc.n)
+            if not groups:
+                self.silent[pid] = rnd
             dropped = 0
             if mask:
-                groups, dropped = apply_link_filter(groups, frozenset(mask))
+                # A sender whose whole output is dropped here still sent,
+                # so it stays awake without being asked.
+                groups, dropped = apply_link_filter(groups, mask)
             msgs = 0
             bits = 0
             records: Optional[list] = [] if record else None
@@ -372,21 +435,15 @@ class _Host:
             reports.append((pid, msgs, bits, dropped, records, *_status_of(proc)))
             if tel is not None:
                 tel.span("node.send", rnd, t_send, tel.clock(), track=f"node-{pid}")
-            if crashing:
-                if not will_rejoin:
-                    self.live.discard(pid)  # crashed for good
-                elif pid not in self.snapshots:
-                    raise NetRuntimeError(
-                        f"node {pid} is scheduled to rejoin but was hosted "
-                        "without churn (pass the adversary's rejoin_pids() "
-                        "as churn_pids to host_nodes_tcp/run_nodes)"
-                    )
-            elif proc.halted:
+            if proc.halted and not crashing:
                 # Halted inside send(): the engine skips such a process
                 # from the receive phase onwards, and the coordinator
                 # (told via the SENT report) never addresses it again.
+                stopped.add(pid)
                 self.live.discard(pid)
         self.at = None
+        if stopped:
+            self.running = [pid for pid in self.running if pid not in stopped]
         shipped: dict[int, int] = {}
         for host, entries in out.items():
             for bundle in _bundles(entries, bits_cache):
@@ -405,15 +462,15 @@ class _Host:
             self.at = None
             raise
 
-    async def _deliver_phase(
-        self, rnd: int, expect: int, need_wake: bool, receivers: Sequence[int]
-    ) -> None:
+    async def _deliver_phase(self, rnd: int, expect: int, need_wake: bool) -> None:
         """Wait until all ``expect`` round-``rnd`` bundles arrived, hand
-        each receiver its inbox ordered by ``(sender pid, per-sender send
-        order)`` -- the simulator's delivery order -- and report
-        ``DONE``.  The sort key excludes the payload (payloads need not
-        be comparable); each bundle is already in that order, so one
-        bundle needs no sort at all."""
+        each awake pid and each sleeper with mail its inbox ordered by
+        ``(sender pid, per-sender send order)`` -- the simulator's
+        delivery order -- and report ``DONE`` (with the earliest wake of
+        the pids still running when ``need_wake``).  The sort key
+        excludes the payload (payloads need not be comparable); each
+        bundle is already in that order, so one bundle needs no sort at
+        all."""
         tel = self.tel
         while expect and (self.bundle_round != rnd or len(self.bundles) < expect):
             _src, frame = await self.endpoint.recv()
@@ -428,34 +485,60 @@ class _Host:
             entries = bundles[0]
         else:
             entries = sorted(chain.from_iterable(bundles), key=itemgetter(0, 1))
-        # Messages for a local pid that is not a receiver -- crashed or
-        # halted -- are discarded here.
-        inboxes: dict[int, list[tuple[int, Any]]] = {pid: [] for pid in receivers}
+        # Messages for a local pid that is not running -- crashed or
+        # halted -- are never looked up, so they are discarded here.
+        inboxes: defaultdict[int, list[tuple[int, Any]]] = defaultdict(list)
         for src, _seq, dsts, payload in entries:
             item = (src, payload)
             for dst in dsts:
-                inbox = inboxes.get(dst)
-                if inbox is not None:
-                    inbox.append(item)
+                inboxes[dst].append(item)
+        wake = self.wake
+        ask = self.fast_forward
         reports = []
-        for pid in receivers:
+        halted = set()
+        for pid in self.running:
+            inbox = inboxes.get(pid)
+            asleep = wake[pid] > rnd
+            if asleep and not inbox:
+                continue
             self.at = pid
             proc = self.procs[pid]
             if tel is not None:
                 t_deliver = tel.clock()
-            proc.receive(rnd, inboxes[pid])
-            wake: Optional[int] = None
-            if need_wake and not proc.halted:
-                wake = proc.next_activity(rnd)
-            reports.append((pid, *_status_of(proc), wake))
+            if inbox:
+                proc.receive(rnd, inbox)
+                if asleep:
+                    # Woken by a delivery: its send for this round was
+                    # skipped, the next one is not.
+                    wake[pid] = rnd
+            else:
+                proc.receive(rnd, [])
+                if ask and self.silent[pid] == rnd and not proc.halted:
+                    # Neither sent nor received: it sleeps until the
+                    # round it declares (or a delivery).
+                    nxt = proc.next_activity(rnd)
+                    if nxt <= rnd:
+                        raise ProtocolError(
+                            f"process {pid} declared next_activity {nxt} <= {rnd}"
+                        )
+                    wake[pid] = nxt
+            reports.append((pid, *_status_of(proc)))
             if proc.halted:
+                halted.add(pid)
                 self.live.discard(pid)
             if tel is not None:
                 tel.span(
                     "node.deliver", rnd, t_deliver, tel.clock(), track=f"node-{pid}"
                 )
         self.at = None
-        await self.endpoint.send(self.coordinator, (_DONE, rnd, reports))
+        if halted:
+            self.running = [pid for pid in self.running if pid not in halted]
+        earliest = (
+            min(map(wake.__getitem__, self.running), default=None)
+            if need_wake
+            else None
+        )
+        await self.endpoint.send(self.coordinator, (_DONE, rnd, reports, earliest))
 
 
 async def run_nodes(
@@ -486,7 +569,8 @@ async def run_nodes(
 
     ``telemetry`` (a live :class:`repro.obs.TelemetryRecorder` sharing
     the coordinator's event loop, or ``None``) adds ``node.send`` /
-    ``node.deliver`` spans on a per-pid ``node-<pid>`` track.  Only the
+    ``node.deliver`` spans on a per-pid ``node-<pid>`` track, one per
+    hook call (a sleeping pid has none).  Only the
     in-process runners wire it; hosts in remote worker processes
     (:func:`host_nodes_tcp`) have no recorder, so a distributed profile
     shows the coordinator's barrier view only.
@@ -604,18 +688,25 @@ class Session:
             telemetry=self.telemetry,
         )
         #: pid -> (phase, round, time.monotonic()) of the pid's last
-        #: completed report.  Always maintained (one dict store per pid
-        #: per report frame, telemetry or not) so a barrier timeout can name
+        #: completed report.  Always maintained (one dict store per
+        #: report row, telemetry or not) so a barrier timeout can name
         #: the laggard: "stuck in phase X of round R" plus how long ago
         #: each missing node last reported.
         self.last_progress: dict[int, tuple[str, int, float]] = {}
         #: pid -> address of the host it lives behind, learnt from the
         #: ``READY`` reports
         self.host_of: dict[int, int] = {}
+        #: host address -> its live pids (neither crashed nor halted):
+        #: a round opens on the hosts where this is not empty
+        self.live_at: dict[int, set[int]] = {}
+        #: live non-Byzantine pids: the run ends when none is left
+        self.running: set[int] = set()
         # Barrier watchdog state (see _recv / _watchdog): since when and
         # on what the coordinator is suspended, None/stale while it runs.
         self._blocked_since: Optional[float] = None
-        self._blocked_on: tuple[str, int, set[int]] = ("", -1, set())
+        self._blocked_on: tuple[str, int, Callable[[], Iterable[int]]] = (
+            "", -1, tuple
+        )
         self._timed_out = False
         self._task: Optional[asyncio.Task] = None
         self._watch: Optional[asyncio.TimerHandle] = None
@@ -656,18 +747,24 @@ class Session:
     # -- protocol steps --------------------------------------------------
 
     async def _recv(
-        self, endpoint: Endpoint, want: str, phase: str, rnd: int, pending: set[int]
+        self,
+        endpoint: Endpoint,
+        want: str,
+        phase: str,
+        rnd: int,
+        missing: Callable[[], Iterable[int]],
     ) -> tuple[int, tuple]:
         """The next ``want`` report of a barrier as ``(host, frame)``:
         whatever is already queued without suspending, else one watched
         wait.
 
-        ``phase`` / ``rnd`` / ``pending`` say what the barrier is
-        collecting; they are only read if the wait times out.
+        ``phase`` / ``rnd`` say what the barrier is collecting and
+        ``missing()`` from which pids; they are only read if the wait
+        times out.
         """
         got = endpoint.recv_nowait()
         if got is None:
-            self._blocked_on = (phase, rnd, pending)
+            self._blocked_on = (phase, rnd, missing)
             self._blocked_since = time.monotonic()
             try:
                 got = await endpoint.recv()
@@ -709,7 +806,8 @@ class Session:
         )
 
     def _timeout_error(self) -> NetRuntimeError:
-        phase, rnd, pending = self._blocked_on
+        phase, rnd, missing = self._blocked_on
+        pending = set(missing())
         where = f"session {self.instance}: " if self.instance else ""
         context = phase if rnd < 0 else f"{phase} of round {rnd}"
         return NetRuntimeError(
@@ -752,31 +850,46 @@ class Session:
         pending = set(range(self.n))
         while pending:
             host, frame = await self._recv(
-                endpoint, _READY, "ready phase", -1, pending
+                endpoint, _READY, "ready phase", -1, lambda: pending
             )
-            now = time.monotonic()
-            for pid, halted, decided, decision in frame[1]:
+            progress = ("ready", -1, time.monotonic())
+            self.live_at.setdefault(host, set())
+            for pid, *status in frame[1]:
                 pending.discard(pid)
                 self.host_of[pid] = host
-                self._update(pid, halted, decided, decision)
-                self.last_progress[pid] = ("ready", -1, now)
+                self._enlist(host, pid)
+                self._update(host, pid, progress, *status)
         layout = [self.host_of[pid] for pid in range(self.n)]
-        body = encode((_LAYOUT, layout))
+        body = encode((_LAYOUT, layout, self.fast_forward))
         for host in sorted(set(layout)):
             await endpoint.send_encoded(host, body)
 
-    def _by_host(self, pids: Iterable[int]) -> dict[int, list[int]]:
-        """``pids`` (kept in order) grouped by the host they live behind."""
-        shards: dict[int, list[int]] = {}
-        for pid in pids:
-            shards.setdefault(self.host_of[pid], []).append(pid)
-        return shards
+    def _enlist(self, host: int, pid: int) -> None:
+        """Count ``pid`` live behind ``host`` (until :meth:`_update`
+        reads it halted or the send phase crashes it)."""
+        self.live_at[host].add(pid)
+        if pid not in self.byzantine:
+            self.running.add(pid)
 
-    def _update(self, pid: int, halted: bool, decided: bool, decision: Any) -> None:
+    def _update(
+        self,
+        host: int,
+        pid: int,
+        progress: tuple[str, int, float],
+        halted: bool,
+        decided: bool,
+        decision: Any,
+    ) -> None:
+        """One report row of ``pid`` behind ``host``: its status and
+        progress mark; a halted pid leaves the live sets for good."""
         status = self.statuses[pid]
         status.halted = halted
         status.decided = decided
         status.decision = decision
+        self.last_progress[pid] = progress
+        if halted:
+            self.live_at[host].discard(pid)
+            self.running.discard(pid)
 
     async def _rejoin_phase(
         self, endpoint: Endpoint, rnd: int, rejoining: list[int]
@@ -788,50 +901,58 @@ class Session:
         with fresh status before the round opens (so no round-``rnd``
         data frame can race ahead of the reset).
         """
-        for host, pids in self._by_host(rejoining).items():
+        shards: dict[int, list[int]] = {}
+        for pid in rejoining:
+            shards.setdefault(self.host_of[pid], []).append(pid)
+        for host, pids in shards.items():
             await endpoint.send(host, (_REJOIN, rnd, pids))
         pending = set(rejoining)
         while pending:
-            _host, frame = await self._recv(
-                endpoint, _REJOINED, "rejoin phase", rnd, pending
+            host, frame = await self._recv(
+                endpoint, _REJOINED, "rejoin phase", rnd, lambda: pending
             )
-            now = time.monotonic()
-            for pid, halted, decided, decision in frame[2]:
+            progress = ("rejoin", rnd, time.monotonic())
+            for pid, *status in frame[2]:
                 pending.discard(pid)
                 self.crashed.discard(pid)
-                self._update(pid, halted, decided, decision)
-                self.statuses[pid].wake = None
-                self.last_progress[pid] = ("rejoin", rnd, now)
+                self._enlist(host, pid)
+                self._update(host, pid, progress, *status)
 
     def _faults(
         self,
-        pids: list[int],
         rnd: int,
         crashing: Mapping[int, Optional[int]],
         blocked: Optional[Mapping[int, frozenset[int]]],
-    ) -> dict[int, tuple]:
-        """``START``'s per-pid ``(crashing, keep, mask, will_rejoin)``
-        fields, for the ``pids`` where one of them is set."""
-        faults: dict[int, tuple] = {}
-        if not crashing and not blocked:
-            return faults
-        for pid in pids:
+    ) -> tuple[dict[int, dict[int, tuple]], list[int]]:
+        """``START``'s ``(crashing, keep, mask, will_rejoin)`` fields
+        per host, for the live pids where one of them is set, and the
+        live pids crashing now."""
+        faults: dict[int, dict[int, tuple]] = {}
+        crashed_now: list[int] = []
+        masks = blocked or {}
+        for pid in {*crashing, *masks}:
+            host = self.host_of.get(pid)
+            if host is None or pid not in self.live_at[host]:
+                continue
             crashes_now = pid in crashing
-            mask = blocked.get(pid) if blocked else None
-            if crashes_now or mask:
-                faults[pid] = (
-                    crashes_now,
-                    crashing.get(pid),
-                    tuple(sorted(mask)) if mask else (),
-                    crashes_now
-                    and self.adversary.next_rejoin(pid, rnd) is not None,
-                )
-        return faults
+            mask = masks.get(pid)
+            if crashes_now:
+                crashed_now.append(pid)
+            elif not mask:
+                continue
+            faults.setdefault(host, {})[pid] = (
+                crashes_now,
+                crashing.get(pid),
+                mask or (),
+                crashes_now and self.adversary.next_rejoin(pid, rnd) is not None,
+            )
+        return faults, crashed_now
 
     async def _round_loop(self, endpoint: Endpoint) -> None:
         ctl = self.control
         record = self.recorder is not None
         tel = self.telemetry
+        live_at = self.live_at
         rnd = ctl.begin()
         while rnd is not None:
             rejoining = ctl.rejoining(rnd)
@@ -840,34 +961,31 @@ class Session:
             crashing, blocked = ctl.open(rnd, rejoining)
 
             # Send phase: open the round on every host with a live pid.
-            participants = [
-                pid
-                for pid in range(self.n)
-                if pid not in self.crashed and not self.statuses[pid].halted
-            ]
-            for host, pids in self._by_host(participants).items():
-                await endpoint.send(
-                    host,
-                    (_START, rnd, pids,
-                     self._faults(pids, rnd, crashing, blocked), record),
-                )
+            faults, crashed_now = self._faults(rnd, crashing, blocked)
+            opened = [host for host, live in live_at.items() if live]
+            for host in opened:
+                await endpoint.send(host, (_START, rnd, faults.get(host, {}), record))
             #: host -> DATA bundles addressed to it this round
             expected: dict[int, int] = {}
             delivered_any = False
-            pending = set(participants)
+            pending = set(opened)
+
+            def missing() -> Iterable[int]:
+                # A silent host is missing all of its live pids.
+                return chain.from_iterable(live_at[host] for host in pending)
+
             while pending:
-                _host, frame = await self._recv(
-                    endpoint, _SENT, "send phase", rnd, pending
+                host, frame = await self._recv(
+                    endpoint, _SENT, "send phase", rnd, missing
                 )
+                pending.discard(host)
                 _, _r, shipped, reports = frame
-                now = time.monotonic()
-                for host, count in shipped.items():
-                    expected[host] = expected.get(host, 0) + count
+                progress = ("send", rnd, time.monotonic())
+                for dst, count in shipped.items():
+                    expected[dst] = expected.get(dst, 0) + count
                 for (pid, msgs, bits, dropped, records,
                      halted, decided, decision) in reports:
-                    pending.discard(pid)
-                    self._update(pid, halted, decided, decision)
-                    self.last_progress[pid] = ("send", rnd, now)
+                    self._update(host, pid, progress, halted, decided, decision)
                     if msgs:
                         delivered_any = True
                         self.metrics.record_send(
@@ -887,9 +1005,10 @@ class Session:
                             self.recorder.record_send_digest(
                                 rnd, pid, dsts, bits_each, digest
                             )
-            for pid in crashing:
-                if pid in participants:
-                    self.crashed.add(pid)
+            for pid in crashed_now:
+                self.crashed.add(pid)
+                live_at[self.host_of[pid]].discard(pid)
+                self.running.discard(pid)
             if tel is not None:
                 # The send span covers opening the round plus the
                 # barrier wait for every host's SENT report.
@@ -897,32 +1016,24 @@ class Session:
 
             # Receive phase: survivors consume their (possibly empty) inbox.
             need_wake = self.fast_forward and not delivered_any
-            receivers = [
-                pid
-                for pid in participants
-                if pid not in self.crashed and not self.statuses[pid].halted
-            ]
-            for host, pids in self._by_host(receivers).items():
+            opened = [host for host in opened if live_at[host]]
+            for host in opened:
                 await endpoint.send(
-                    host,
-                    (_DELIVER, rnd, expected.get(host, 0), need_wake, pids),
+                    host, (_DELIVER, rnd, expected.get(host, 0), need_wake)
                 )
-            pending = set(receivers)
+            pending = set(opened)
+            earliest: Optional[int] = None
             while pending:
-                _host, frame = await self._recv(
-                    endpoint, _DONE, "receive phase", rnd, pending
+                host, frame = await self._recv(
+                    endpoint, _DONE, "receive phase", rnd, missing
                 )
-                now = time.monotonic()
-                for pid, halted, decided, decision, wake in frame[2]:
-                    pending.discard(pid)
-                    self._update(pid, halted, decided, decision)
-                    self.last_progress[pid] = ("deliver", rnd, now)
-                    self.statuses[pid].wake = wake
-                    if wake is not None and wake <= rnd:
-                        raise ProtocolError(
-                            f"process {pid} declared next_activity "
-                            f"{wake} <= {rnd}"
-                        )
+                pending.discard(host)
+                _, _r, reports, wake = frame
+                progress = ("deliver", rnd, time.monotonic())
+                for pid, halted, decided, decision in reports:
+                    self._update(host, pid, progress, halted, decided, decision)
+                if wake is not None and (earliest is None or wake < earliest):
+                    earliest = wake
             if tel is not None:
                 # Likewise, deliver covers the DONE barrier wait.
                 ctl.phase("deliver", rnd, self.statuses)
@@ -930,25 +1041,9 @@ class Session:
             if self.on_round is not None:
                 self.on_round(self, rnd)
 
-            rnd = ctl.close(
-                rnd,
-                delivered_any,
-                all(
-                    self.statuses[pid].halted
-                    for pid in range(self.n)
-                    if pid not in self.crashed and pid not in self.byzantine
-                ),
-                # The wake rounds the receivers reported in DONE (a
-                # halted one reports none).
-                lambda: min(
-                    (
-                        self.statuses[pid].wake
-                        for pid in receivers
-                        if self.statuses[pid].wake is not None
-                    ),
-                    default=None,
-                ),
-            )
+            # The hosts' earliest wakes (asked only after a quiescent
+            # round, when every awake pid has just been asked).
+            rnd = ctl.close(rnd, delivered_any, not self.running, lambda: earliest)
 
     async def _stop_survivors(self, endpoint: Endpoint) -> None:
         # A host whose pids all halted or crashed for good has already

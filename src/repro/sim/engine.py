@@ -41,10 +41,12 @@ jumps directly to the earliest declared round (or the adversary's next
 event).  *Per process* (optimized loop): a process that was called in a
 round and neither sent nor received is not called again until the round
 it declared, unless a message is delivered to it first -- see "Hot
-path".  Both are purely simulator-cost optimisations; protocols are
-written against absolute round numbers so observable behaviour is
-identical (covered by tests comparing fast-forward on/off, and per
-protocol by ``tests/test_wake_contract.py``).  ``fast_forward=False``
+path".  Both are execution-cost optimisations, made by this engine
+and, with the same wake table kept per host, by the :mod:`repro.net`
+runtime; protocols are written against absolute round numbers so
+observable behaviour is identical (covered by tests comparing
+fast-forward on/off, and per protocol by
+``tests/test_wake_contract.py``).  ``fast_forward=False``
 and ``run(observer=...)`` turn both off: every live process is called
 in every round.
 

@@ -123,14 +123,21 @@ def run_scripted(
 ):
     """Run ``n`` :class:`ScriptedProcess` on ``sim-opt`` / ``sim-ref`` /
     ``net``; returns ``(result, inbox log)``.  ``observer`` and
-    ``engine`` (``Engine`` keywords) are for the two simulator loops."""
+    ``engine`` (``Engine`` keywords) are for the two simulator loops;
+    net has no observer, so there either one of them turns fast-forward
+    off, as an observer does on the engine."""
     log = {}
     procs = [
         ScriptedProcess(pid, n, plan, log, rounds, last, wake)
         for pid in range(n)
     ]
     if backend == "net":
-        result = run_protocol_net(procs, adversary, byzantine=byzantine)
+        result = run_protocol_net(
+            procs,
+            adversary,
+            byzantine=byzantine,
+            fast_forward=engine.get("fast_forward", True) and observer is None,
+        )
     else:
         result = Engine(
             procs,

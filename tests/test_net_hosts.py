@@ -2,9 +2,11 @@
 
 * **Partition invariance** (hypothesis property): however the pids are
   dealt to hosts -- one shard or four, memory hub or one ``TCPMux`` per
-  host -- a run is ``check_parity``-identical to ``backend="sim"``, for
-  every family of ``repro.families.REGISTRY`` under the fuzzer's random
-  crash/omission/partition/churn scenarios, and its trace replays.
+  host -- a run is ``check_parity``-identical to ``backend="sim"`` and
+  calls each pid's hooks exactly as often, with fast-forward on or off,
+  for every family of ``repro.families.REGISTRY`` under the fuzzer's
+  random crash/omission/partition/churn scenarios, and its trace
+  replays.
 * **Frame budget**, counted at ``_Router._route`` (every frame of both
   hubs passes through it): a round costs one control frame per host per
   barrier phase and one data frame per host pair.
@@ -16,6 +18,7 @@
 
 import asyncio
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,6 +40,7 @@ from repro.net.codec import decode
 from repro.net.runtime import run_nodes
 from repro.net.transport import _Router
 from repro.scenarios import Scenario
+from repro.sim import Engine
 from repro.sim.process import Multicast, Process
 from repro.trace import TraceChecker, TraceRecorder, replay_trace
 
@@ -112,12 +116,31 @@ def fuzz_case(family, seed):
     return config.recipe, execution
 
 
+def count_calls(processes):
+    """Wrap every process's ``send`` / ``receive`` / ``next_activity``;
+    the returned counter tallies the calls by ``(pid, hook)``."""
+    calls = Counter()
+    for proc in processes:
+        for hook in ("send", "receive", "next_activity"):
+            def counted(*args, key=(proc.pid, hook), inner=getattr(proc, hook)):
+                calls[key] += 1
+                return inner(*args)
+
+            setattr(proc, hook, counted)
+    return calls
+
+
 class TestPartitionInvariance:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize(
         "transport, examples", [("memory", 10), ("tcp", 3)], ids=["memory", "tcp"]
     )
     def test_any_partition_matches_sim(self, family, transport, examples):
+        """Parity with sim-opt, and each pid's hook calls equal to
+        sim-opt's: a host keeps the engine's wake table, so a sleeper
+        woken by a bundle from another host is called when the engine
+        calls it, and under ``fast_forward=False`` nobody sleeps."""
+
         @settings(
             max_examples=examples,
             deadline=None,
@@ -127,13 +150,28 @@ class TestPartitionInvariance:
             seed=st.integers(0, 10_000),
             hosts=st.integers(1, 4),
             cut=st.integers(0, 10_000),
+            fast_forward=st.booleans(),
         )
-        def check(seed, hosts, cut):
+        def check(seed, hosts, cut, fast_forward):
             recipe, execution = fuzz_case(family, seed)
+            execution["fast_forward"] = fast_forward
             prepared = prepare_recipe(recipe, **execution)
+            calls = count_calls(prepared.processes)
             shards = deal(prepared.n, hosts, cut)
             served = asyncio.run(drive(prepared, shards, transport))
-            check_parity(served, run_recipe(recipe, **execution), "hosts", "sim")
+            reference = prepare_recipe(recipe, **execution)
+            sim_calls = count_calls(reference.processes)
+            sim = Engine(
+                reference.processes,
+                reference.adversary,
+                byzantine=reference.byzantine,
+                max_rounds=reference.max_rounds,
+                fast_forward=fast_forward,
+            ).run()
+            check_parity(served, sim, "hosts", "sim")
+            assert calls == sim_calls
+            if not fast_forward:
+                assert not any(hook == "next_activity" for _pid, hook in calls)
 
         check()
 
