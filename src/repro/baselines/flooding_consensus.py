@@ -34,9 +34,11 @@ class FloodingConsensusProcess(Process):
     def receive(self, rnd: int, inbox: list[tuple[int, Any]]) -> None:
         if rnd >= self.rounds:
             return
+        low = self.minimum
         for _, payload in inbox:
-            if payload < self.minimum:
-                self.minimum = payload
+            if payload < low:
+                low = payload
+        self.minimum = low
         if rnd == self.rounds - 1:
             self.decide(self.minimum)
             self.halt()

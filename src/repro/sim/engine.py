@@ -71,11 +71,14 @@ The engine carries two interchangeable round-loop implementations:
   :class:`~repro.sim.process.Multicast` to every pid but itself is not
   fanned out at all: its envelope joins one per-round **broadcast
   column**, and each receiver's inbox is that column minus its own
-  entry (two list slices), merged by sender pid with whatever reached
-  it through the append buffers -- so an all-to-all round costs one
-  list per receiver, not one append per message.  The destination
-  tuple is proved to be every pid but the sender (once per tuple
-  object), never assumed; anything else takes the general path, which
+  entry (one list copy and a ``del``), merged by sender pid with
+  whatever reached it through the append buffers -- so an all-to-all
+  round costs one list per receiver, not one append per message.  The
+  destination tuple is proved to be every pid but the sender (once per
+  tuple object: by identity with the tuple
+  :meth:`~repro.sim.process.Process.everyone_else` hands out from its
+  shared table, by a set difference for any other tuple), never
+  assumed; anything else takes the general path, which
   range-checks a multicast's destination tuple once per tuple object
   per sender too (an overlay neighbourhood is one tuple for the run).
 
@@ -129,6 +132,7 @@ from repro.sim.process import (
     ProtocolError,
     payload_bits,
     payload_bits_cached,
+    shared_peers,
 )
 from repro.sim.rounds import RoundControl, RunResult
 
@@ -500,7 +504,9 @@ class Engine:
         # round's pure broadcasters in ascending pid, ``column_at[pid]``
         # the sender's own index (-1: not in it).  ``peers[pid]`` pins
         # the last destination tuple *proved* to be every pid but
-        # ``pid``, so the proof runs once per tuple object, not per round.
+        # ``pid``, so the proof runs once per tuple object, not per round;
+        # the proof is identity with the shared peer table's tuple, and
+        # the set difference only for a tuple the table does not hold.
         column: list[tuple[int, Any]] = []
         column_at = [-1] * n
         peers: list[Optional[tuple[int, ...]]] = [None] * n
@@ -618,7 +624,10 @@ class Engine:
                     if type(dsts) is tuple and (
                         dsts is peers[pid]
                         or len(dsts) == n - 1 > 0
-                        and universe.difference(dsts) == {pid}
+                        and (
+                            dsts is shared_peers(n, pid)
+                            or universe.difference(dsts) == {pid}
+                        )
                     ):
                         # The sender's whole output is one multicast to
                         # every pid but itself: one column entry instead
@@ -709,15 +718,16 @@ class Engine:
                 if crashing and pid in crashed:
                     continue
                 if column:
-                    # A private list by two C slices; anything that came
-                    # through the append buffer (a crasher's prefix, a
-                    # masked sender, a point-to-point message) is merged
-                    # back into ascending-sender order, which is the
-                    # reference loop's inbox order element for element.
+                    # A private list by one C copy (minus the receiver's
+                    # own entry); anything that came through the append
+                    # buffer (a crasher's prefix, a masked sender, a
+                    # point-to-point message) is merged back into
+                    # ascending-sender order, which is the reference
+                    # loop's inbox order element for element.
+                    merged = column.copy()
                     at = column_at[pid]
-                    merged = (
-                        column[:at] + column[at + 1:] if at >= 0 else column[:]
-                    )
+                    if at >= 0:
+                        del merged[at]
                     if box:
                         merged += box
                         merged.sort(key=by_sender)

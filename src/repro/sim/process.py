@@ -23,11 +23,13 @@ from __future__ import annotations
 from typing import Any, Iterable, NamedTuple, Optional
 
 __all__ = [
+    "PEER_TABLE_SLOTS",
     "Multicast",
     "Process",
     "ProtocolError",
     "payload_bits",
     "payload_bits_cached",
+    "shared_peers",
 ]
 
 
@@ -116,6 +118,40 @@ def payload_bits_cached(
     bits = payload_bits(payload)
     cache[id(payload)] = (payload, bits)
     return bits
+
+
+#: Bound of the shared peer tables: at most this many destination slots
+#: (``n * (n - 1)`` per process count ``n`` kept), the least recently
+#: used count dropped first and the newest always kept.  2²² slots
+#: (32 MiB of tuple pointers at most) hold one complete table up to
+#: ``n = 2048``, or several smaller ones.
+PEER_TABLE_SLOTS = 1 << 22
+
+# n -> (tuple(range(n)), [pid -> every pid but pid, or None until asked])
+_peer_tables: dict[int, tuple[tuple[int, ...], list]] = {}
+
+
+def shared_peers(n: int, pid: int) -> Optional[tuple[int, ...]]:
+    """The peer tuple :meth:`Process.everyone_else` handed to ``(n,
+    pid)``, or ``None`` if none is held now.  Builds and evicts nothing:
+    the engine's proof by identity, which falls back to a set proof on a
+    miss."""
+    table = _peer_tables.get(n)
+    return None if table is None else table[1][pid]
+
+
+def _peer_table(n: int) -> tuple[tuple[int, ...], list]:
+    """The table for ``n``, made the most recently used one."""
+    table = _peer_tables.pop(n, None)
+    if table is None:
+        while _peer_tables and (
+            n * (n - 1) + sum(k * (k - 1) for k in _peer_tables)
+            > PEER_TABLE_SLOTS
+        ):
+            del _peer_tables[next(iter(_peer_tables))]
+        table = (tuple(range(n)), [None] * n)
+    _peer_tables[n] = table
+    return table
 
 
 class Process:
@@ -209,13 +245,27 @@ class Process:
         """Every pid but this one, ascending: the destination tuple of
         an all-to-all broadcast.
 
-        Built by the first call, not by ``__init__``: it is ``n - 1``
-        ints per process, ``n²`` per run, and neither a process that
-        never sends nor a ``backend="vec"`` kernel ever reads it.
+        Fetched by the first call, not by ``__init__``, so neither a
+        process that never sends nor a ``backend="vec"`` kernel asks for
+        one.  The tuple comes from a table shared by every process of
+        the same ``n`` (bounded by :data:`PEER_TABLE_SLOTS`), sliced out
+        of one ``tuple(range(n))``: a run holds ``n`` int objects, not
+        ``n²``, a second run of the same ``n`` allocates no tuple, and
+        the engine proves an all-to-all send by identity.
+
+        >>> a, b = Process(2, 5), Process(2, 5)
+        >>> a.everyone_else()
+        (0, 1, 3, 4)
+        >>> a.everyone_else() is b.everyone_else()
+        True
         """
         everyone = self._cache_peers
         if everyone is None:
-            everyone = (*range(self.pid), *range(self.pid + 1, self.n))
+            ids, slots = _peer_table(self.n)
+            pid = self.pid
+            everyone = slots[pid]
+            if everyone is None:
+                everyone = slots[pid] = ids[:pid] + ids[pid + 1:]
             self._cache_peers = everyone
         return everyone
 

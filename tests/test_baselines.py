@@ -1,6 +1,7 @@
 """Tests for the baseline comparators (and the comparisons themselves)."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,13 +24,15 @@ from repro.core.params import ProtocolParams
 from repro.properties import check_checkpointing, check_consensus, check_gossip
 from repro.scenarios import CrashEvent
 from repro.sim import Engine, crash_schedule
+from repro.sim import process as process_module
+from repro.sim.process import PEER_TABLE_SLOTS, Process, shared_peers
 from tests.conftest import random_bits
 
 
 class TestPeerTuple:
-    """``Process.everyone_else`` is built by the first send: state
-    checks, not timings, that nobody pays for ``n²`` destination ints
-    they never use."""
+    """``Process.everyone_else`` is fetched by the first send from a
+    table shared per ``n``: state checks, not timings, that nobody pays
+    for ``n²`` destination ints, once per run or at all."""
 
     def test_vec_never_builds_it_and_sim_builds_it_on_first_send(self):
         pytest.importorskip("numpy")
@@ -53,6 +56,40 @@ class TestPeerTuple:
             for proc in result.processes
             if proc._cache_peers is not None
         ] == [0, 1, 3, 4, 5]
+
+    def test_runs_of_equal_n_hand_each_pid_the_same_tuple(self):
+        first, second = (
+            run_flooding(list(range(60)), 2, backend="sim") for _ in range(2)
+        )
+        assert all(
+            a._cache_peers is b._cache_peers is shared_peers(60, a.pid)
+            for a, b in zip(first.processes, second.processes)
+        )
+
+    def test_a_second_run_of_the_same_n_allocates_no_peer_tuple(self):
+        n = 800
+        run_flooding(list(range(n)), 1, backend="sim")
+        tracemalloc.start()
+        try:
+            result = run_flooding(list(range(n)), 1, backend="sim")
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert all(proc._cache_peers for proc in result.processes)
+        made_here = snapshot.filter_traces(
+            [tracemalloc.Filter(True, process_module.__file__)]
+        )
+        # a peer tuple is n - 1 pointers; nothing else there is that big
+        assert not [t for t in made_here.traces if t.size >= 8 * (n - 1)]
+
+    def test_sweeping_sizes_keeps_the_tables_inside_the_bound(self):
+        tables = process_module._peer_tables
+        sizes = range(600, 1500, 100)  # 9.6 M slots in all
+        for n in sizes:
+            Process(n - 1, n).everyone_else()
+            assert n in tables
+            assert sum(k * (k - 1) for k in tables) <= PEER_TABLE_SLOTS
+        assert len(tables) < len(sizes)
 
     def test_state_digest_ignores_it(self):
         sent = FloodingConsensusProcess(1, 5, 2, 7)

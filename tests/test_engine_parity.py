@@ -9,6 +9,7 @@ and per-round tallies, decisions, crash sets and completion status,
 for every protocol family and fault pattern.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -30,6 +31,7 @@ from repro.check.oracles import check_parity
 from repro.scenarios import ChurnSpec, OmissionSpec, Scenario
 from repro.sim import Engine, crash_schedule
 from repro.sim import engine as engine_module
+from repro.sim import process as process_module
 from repro.sim.adversary import CrashSpec, ScheduledCrashes
 from repro.sim.process import Multicast, Process, ProtocolError
 from tests.conftest import (
@@ -54,6 +56,22 @@ def assert_parity(optimized, reference):
 def broadcast(proc, rnd):
     """The pure-broadcaster output the column takes."""
     return [Multicast(proc.everyone_else(), ("b", rnd, proc.pid))]
+
+
+@contextmanager
+def counted_set_proofs():
+    """Yield a list that grows by one per set proof the optimized loop
+    runs on a broadcast's destination tuple (its ``universe`` is the
+    engine module's only ``frozenset`` that is asked for a difference)."""
+    proofs = []
+
+    class Universe(frozenset):
+        def difference(self, *others):
+            proofs.append(others)
+            return frozenset.difference(self, *others)
+
+    with mock.patch.object(engine_module, "frozenset", Universe, create=True):
+        yield proofs
 
 
 N = 100
@@ -312,12 +330,18 @@ class TestEngineEdgeParity:
 
     @pytest.mark.parametrize(
         "case",
-        ["duplicate", "self", "list", "mutated-list", "generator", "fresh"],
+        [
+            "duplicate", "self", "other-pid", "list", "mutated-list",
+            "generator", "fresh", "evicted",
+        ],
     )
     def test_column_near_misses(self, case):
         # pid 0 sends n - 1 destinations that are *not* (or not provably)
         # every pid but itself while pids 1.. broadcast; only "fresh"
-        # (an equal tuple rebuilt every round) may take the column.
+        # (an equal tuple rebuilt every round) and "evicted" (its own
+        # peer tuple, first sent after the shared table was dropped) may
+        # take the column, and only through the set proof.  "other-pid"
+        # is pid 1's shared peer tuple, which names pid 0.
         n = 5
         mutable = [1, 2, 3, 4]
 
@@ -327,18 +351,31 @@ class TestEngineEdgeParity:
             payload = ("odd", rnd)
             if case == "generator":
                 return (m for m in [Multicast(proc.everyone_else(), payload)])
+            if case == "evicted" and rnd == 0:
+                proc.everyone_else()
+                del process_module._peer_tables[n]
+                return [Multicast(tuple(range(1, n)), payload)]
             mutable[0] = 3 if rnd else 1
             dsts = {
                 "duplicate": (1, 2, 3, 3),
                 "self": (0, 1, 2, 3),
+                "other-pid": Process(1, n).everyone_else(),
                 "list": [1, 2, 3, 4],
                 "mutated-list": mutable,
                 "generator": None,
                 "fresh": tuple(range(1, n)),
+                "evicted": proc.everyone_else(),
             }[case]
             return [Multicast(dsts, payload)]
 
-        result, log = scripted_pair(n, plan, 3)
+        with counted_set_proofs() as proofs:
+            result, log = scripted_pair(n, plan, 3)
+        # pids 1.. are proved by identity; pid 0 once per tuple object
+        # that is not in the table ("evicted": the fresh tuple of round
+        # 0, then its own), and every round if the proof fails.
+        assert len(proofs) == {
+            "list": 0, "mutated-list": 0, "generator": 0, "evicted": 2,
+        }.get(case, 3)
         assert result.messages == 3 * n * (n - 1)
         expect = {
             "duplicate": [0, 0, 1, 2, 4],
@@ -347,9 +384,13 @@ class TestEngineEdgeParity:
         }.get(case, [0, 1, 2, 4])
         assert [src for src, _ in log[(2, 3)]] == expect
         assert log[(2, 1)][0] == (
-            (2, ("b", 2, 2)) if case == "mutated-list" else (0, ("odd", 2))
+            (2, ("b", 2, 2))
+            if case in ("mutated-list", "other-pid")
+            else (0, ("odd", 2))
         )
-        assert ((2, 0) in log and log[(2, 0)][0][0] == 0) == (case == "self")
+        assert ((2, 0) in log and log[(2, 0)][0][0] == 0) == (
+            case in ("self", "other-pid")
+        )
 
     def test_out_of_range_near_miss_same_error_both_paths(self):
         def plan(proc, rnd):
