@@ -15,6 +15,7 @@ import sys
 
 from repro.bench import series
 from repro.bench.runner import format_table
+from repro.bench.sweep import run_sweep
 
 
 def main() -> None:
@@ -22,19 +23,19 @@ def main() -> None:
     ns = [128, 256, 512] if full else [96, 192]
 
     print("== Table 1: linear time + communication at the optimality boundaries")
-    print(format_table(series.exp_table1(ns=ns)))
+    print(format_table(run_sweep(series.table1_spec(ns=ns)).rows()))
 
     print("\n== Theorem 7: Few-Crashes-Consensus scaling")
-    print(format_table(series.exp_e7_consensus_few(ns=ns)))
+    print(format_table(run_sweep(series.consensus_few_spec(ns=ns)).rows()))
 
     print("\n== Theorem 9: Gossip scaling (polylog rounds)")
-    print(format_table(series.exp_e9_gossip(ns=ns)))
+    print(format_table(run_sweep(series.gossip_spec(ns=ns)).rows()))
 
     print("\n== Theorem 11: AB-Consensus and the t = √n crossover")
-    print(format_table(series.exp_e11_byzantine(n=ns[-1])))
+    print(format_table(run_sweep(series.byzantine_spec(n=ns[-1])).rows()))
 
     print("\n== Baseline cross-comparison")
-    print(format_table(series.exp_baselines(n=ns[-1])))
+    print(format_table(run_sweep(series.baselines_spec(n=ns[-1])).rows()))
 
 
 if __name__ == "__main__":

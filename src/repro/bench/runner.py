@@ -54,8 +54,7 @@ __all__ = [
 
 #: Experiment id -> (zero-argument spec builder, display title).  The
 #: single registry behind both :func:`run_experiment` and the CLI; the
-#: ``exp_*`` wrappers in :mod:`repro.bench.series` remain the
-#: parameterisable library surface.
+#: builders take the series' parameters when called from a library.
 EXPERIMENTS = {
     "table1": (series.table1_spec, "Table 1: linear time + communication ranges"),
     "e5": (series.aea_spec, "Theorem 5: Almost-Everywhere-Agreement"),

@@ -3,11 +3,12 @@ README, "Benchmarks and sweeps").
 
 Each experiment is expressed as a :class:`~repro.bench.sweep.SweepSpec`:
 a declarative parameter grid plus a module-level *unit runner* mapping
-one fully-bound parameter dict to one row dict.  The ``exp_*`` wrappers
-(the public surface used by :mod:`repro.bench.runner` and the tests)
-expand the spec and execute it through the sweep scheduler — serially
-by default, or across cores with ``jobs > 1`` — so every table can be
-regenerated in parallel without changing a single row.
+one fully-bound parameter dict to one row dict.  The ``*_spec``
+builders are the public surface (:mod:`repro.bench.runner` names them
+by experiment id); ``run_sweep(<x>_spec(...), jobs=jobs).rows()``
+executes one through the sweep scheduler — serially by default, or
+across cores with ``jobs > 1`` — so every table can be regenerated in
+parallel without changing a single row.
 
 Every unit validates its execution against the family's correctness
 predicate (a benchmark number is only reported for a *correct* run).
@@ -39,7 +40,7 @@ from repro.baselines import (
     NaiveGossipProcess,
 )
 from repro.baselines.ring_gossip import RingGossipProcess
-from repro.bench.sweep import SweepSpec, derive_seed, run_sweep
+from repro.bench.sweep import SweepSpec, derive_seed
 from repro.bench.workloads import byzantine_sample, input_vector, rumor_vector, table1_fault_bound
 from repro.check.driver import build_fuzz_spec
 from repro.check.oracles import check_parity
@@ -54,23 +55,23 @@ from repro.singleport.linear_consensus import (
 )
 
 __all__ = [
-    "exp_adversary",
-    "exp_baselines",
-    "exp_families",
-    "exp_fuzz",
-    "exp_e5_aea",
-    "exp_e6_scv",
-    "exp_e7_consensus_few",
-    "exp_e8_consensus_many",
-    "exp_e9_gossip",
-    "exp_e10_checkpointing",
-    "exp_e11_byzantine",
-    "exp_e12_singleport",
-    "exp_e13_lowerbounds",
-    "exp_net",
-    "exp_scenarios",
-    "exp_table1",
+    "adversary_spec",
+    "aea_spec",
+    "baselines_spec",
+    "byzantine_spec",
+    "checkpointing_spec",
+    "consensus_few_spec",
+    "consensus_many_spec",
+    "families_spec",
+    "fuzz_spec",
+    "gossip_spec",
+    "lowerbounds_spec",
+    "net_spec",
+    "scenarios_spec",
+    "scv_spec",
+    "singleport_spec",
     "smoke_spec",
+    "table1_spec",
     "theorem_unit",
 ]
 
@@ -197,6 +198,9 @@ def table1_unit(params: dict) -> dict:
 
 
 def table1_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
+    """Table 1: with ``t`` pinned at each row's optimality boundary,
+    both ``rounds/(t + lg n)`` and ``comm/n`` must stay bounded as
+    ``n`` grows."""
     ns = ns or [128, 256, 512]
     return SweepSpec(
         name="table1",
@@ -217,14 +221,6 @@ def smoke_spec(n: int = 48, seed: int = 1) -> SweepSpec:
     return dataclasses.replace(table1_spec([n], seed), name="smoke")
 
 
-def exp_table1(
-    ns: Optional[list[int]] = None, seed: int = 1, jobs: int = 1
-) -> list[dict]:
-    """Regenerate Table 1: with ``t`` pinned at each row's optimality
-    boundary, both ``rounds/(t + lg n)`` and ``comm/n`` must stay
-    bounded as ``n`` grows."""
-    return run_sweep(table1_spec(ns, seed), jobs=jobs).rows()
-
 
 # -- E5: Theorem 5 (AEA) -------------------------------------------------------
 
@@ -239,11 +235,6 @@ def aea_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
     ns = ns or [120, 240, 480]
     return _theorem_spec("e5", "aea", [(n, n // 6) for n in ns], seed, aea_unit)
 
-
-def exp_e5_aea(
-    ns: Optional[list[int]] = None, seed: int = 1, jobs: int = 1
-) -> list[dict]:
-    return run_sweep(aea_spec(ns, seed), jobs=jobs).rows()
 
 
 # -- E6: Theorem 6 (SCV) -------------------------------------------------------
@@ -265,9 +256,6 @@ def scv_spec(n: int = 400, seed: int = 1) -> SweepSpec:
     return _theorem_spec("e6", "scv", shapes, seed, scv_unit)
 
 
-def exp_e6_scv(n: int = 400, seed: int = 1, jobs: int = 1) -> list[dict]:
-    return run_sweep(scv_spec(n, seed), jobs=jobs).rows()
-
 
 # -- E7: Theorem 7 (Few-Crashes-Consensus) ----------------------------------------
 
@@ -277,11 +265,6 @@ def consensus_few_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSp
     shapes = [(n, n // 6) for n in ns]
     return _theorem_spec("e7", "consensus-few", shapes, seed, algorithm="few")
 
-
-def exp_e7_consensus_few(
-    ns: Optional[list[int]] = None, seed: int = 1, jobs: int = 1
-) -> list[dict]:
-    return run_sweep(consensus_few_spec(ns, seed), jobs=jobs).rows()
 
 
 # -- E8: Theorem 8 / Corollary 1 (Many-Crashes-Consensus) ---------------------------
@@ -312,9 +295,6 @@ def consensus_many_spec(n: int = 96, seed: int = 1) -> SweepSpec:
     )
 
 
-def exp_e8_consensus_many(n: int = 96, seed: int = 1, jobs: int = 1) -> list[dict]:
-    return run_sweep(consensus_many_spec(n, seed), jobs=jobs).rows()
-
 
 # -- E9: Theorem 9 (Gossip) -----------------------------------------------------
 
@@ -329,11 +309,6 @@ def gossip_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
     ns = ns or [120, 240, 480]
     return _theorem_spec("e9", "gossip", [(n, n // 10) for n in ns], seed, gossip_unit)
 
-
-def exp_e9_gossip(
-    ns: Optional[list[int]] = None, seed: int = 1, jobs: int = 1
-) -> list[dict]:
-    return run_sweep(gossip_spec(ns, seed), jobs=jobs).rows()
 
 
 # -- The classical comparators (e10 and ``baselines``) ------------------------------
@@ -392,11 +367,6 @@ def checkpointing_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSp
     return _theorem_spec("e10", "checkpointing", shapes, seed, checkpointing_unit)
 
 
-def exp_e10_checkpointing(
-    ns: Optional[list[int]] = None, seed: int = 1, jobs: int = 1
-) -> list[dict]:
-    return run_sweep(checkpointing_spec(ns, seed), jobs=jobs).rows()
-
 
 # -- E11: Theorem 11 (AB-Consensus) --------------------------------------------------
 
@@ -412,9 +382,6 @@ def byzantine_spec(n: int = 400, seed: int = 1) -> SweepSpec:
     shapes = [(n, t) for t in (5, 10, 20, 40)]
     return _theorem_spec("e11", "ab-consensus", shapes, seed, byzantine_unit)
 
-
-def exp_e11_byzantine(n: int = 400, seed: int = 1, jobs: int = 1) -> list[dict]:
-    return run_sweep(byzantine_spec(n, seed), jobs=jobs).rows()
 
 
 # -- E12: Theorem 12 (single-port Linear-Consensus) ------------------------------------
@@ -453,11 +420,6 @@ def singleport_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
         base_seed=seed,
     )
 
-
-def exp_e12_singleport(
-    ns: Optional[list[int]] = None, seed: int = 1, jobs: int = 1
-) -> list[dict]:
-    return run_sweep(singleport_spec(ns, seed), jobs=jobs).rows()
 
 
 # -- E13: Theorem 13 (lower bounds) ----------------------------------------------------
@@ -522,9 +484,6 @@ def lowerbounds_spec(seed: int = 1) -> SweepSpec:
     )
 
 
-def exp_e13_lowerbounds(seed: int = 1, jobs: int = 1) -> list[dict]:
-    return run_sweep(lowerbounds_spec(seed), jobs=jobs).rows()
-
 
 # -- Baseline cross-comparison ---------------------------------------------------------
 
@@ -561,9 +520,6 @@ def baselines_spec(n: int = 240, seed: int = 1) -> SweepSpec:
         name="baselines", runner=baselines_unit, units=units, base_seed=seed
     )
 
-
-def exp_baselines(n: int = 240, seed: int = 1, jobs: int = 1) -> list[dict]:
-    return run_sweep(baselines_spec(n, seed), jobs=jobs).rows()
 
 
 # -- Literature families vs the paper's algorithms ---------------------------
@@ -622,11 +578,6 @@ def families_spec(n: int = 40, t: int = 8, seed: int = 1) -> SweepSpec:
     ]
     return SweepSpec(name="families", runner=families_unit, units=units, base_seed=seed)
 
-
-def exp_families(
-    n: int = 40, t: int = 8, seed: int = 1, jobs: int = 1
-) -> list[dict]:
-    return run_sweep(families_spec(n, t, seed), jobs=jobs).rows()
 
 
 # -- Simulator vs. net runtime ----------------------------------------------------------
@@ -750,6 +701,9 @@ def scenario_unit(params: dict) -> dict:
 
 
 def scenarios_spec(n: int = 60, seed: int = 1) -> SweepSpec:
+    """Fault-model degradation series: omission / partition / churn /
+    mixed scenarios on consensus and gossip, every row parity-certified
+    across sim-opt, sim-ref and net, with safety reported as data."""
     return SweepSpec(
         name="scenarios",
         runner=scenario_unit,
@@ -763,14 +717,11 @@ def scenarios_spec(n: int = 60, seed: int = 1) -> SweepSpec:
     )
 
 
-def exp_scenarios(n: int = 60, seed: int = 1, jobs: int = 1) -> list[dict]:
-    """Fault-model degradation series: omission / partition / churn /
-    mixed scenarios on consensus and gossip, every row parity-certified
-    across sim-opt, sim-ref and net, with safety reported as data."""
-    return run_sweep(scenarios_spec(n, seed), jobs=jobs).rows()
-
 
 def net_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
+    """Sim-vs-net cost series: every row certifies exact metric parity
+    and reports the wall-clock ratio of the asyncio runtime over the
+    lock-step engine for the same execution."""
     ns = ns or [60, 120, 240]
     return SweepSpec(
         name="net",
@@ -783,12 +734,6 @@ def net_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
         base_seed=seed,
     )
 
-
-def exp_net(ns: Optional[list[int]] = None, seed: int = 1, jobs: int = 1) -> list[dict]:
-    """Sim-vs-net cost series: every row certifies exact metric parity
-    and reports the wall-clock ratio of the asyncio runtime over the
-    lock-step engine for the same execution."""
-    return run_sweep(net_spec(ns, seed), jobs=jobs).rows()
 
 
 # -- Differential fuzzing (repro.check) --------------------------------------
@@ -808,10 +753,6 @@ def fuzz_spec(budget: int = 35, seed: int = 0) -> SweepSpec:
     """
     return build_fuzz_spec(seed, budget)
 
-
-def exp_fuzz(budget: int = 35, seed: int = 0, jobs: int = 1) -> list[dict]:
-    """Run the differential-fuzz series and return its rows."""
-    return run_sweep(fuzz_spec(budget, seed), jobs=jobs).rows()
 
 
 # -- Adversary search (repro.check.search) ------------------------------------
@@ -882,14 +823,3 @@ def adversary_spec(
     return SweepSpec(
         name="adversary", runner=adversary_unit, units=units, base_seed=seed
     )
-
-
-def exp_adversary(
-    n: int = 24,
-    ts: Optional[list[int]] = None,
-    seed: int = 0,
-    budget: int = 60,
-    jobs: int = 1,
-) -> list[dict]:
-    """Run the adversary-search series and return its per-``t`` rows."""
-    return run_sweep(adversary_spec(n, ts, seed, budget), jobs=jobs).rows()

@@ -47,7 +47,6 @@ from repro.net.runtime import (
     NetRuntimeError,
     Session,
     host_nodes_tcp,
-    run_node,
     run_nodes,
     run_protocol_net,
     serve_tcp,
@@ -74,7 +73,6 @@ __all__ = [
     "connect_tcp",
     "host_nodes_tcp",
     "open_mux",
-    "run_node",
     "run_nodes",
     "run_protocol_net",
     "serve_tcp",

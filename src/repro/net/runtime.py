@@ -19,10 +19,10 @@ and bits counted at the sender; envelopes are the runtime's business.
    hosts can bucket their sends by destination host.
 1. ``REJOIN(r)`` -- before opening the round, crashed pids whose churn
    schedule rejoins them at ``r`` are reinstated: their host (which
-   stayed attached for exactly this) resets each to its
-   pre-``on_start`` snapshot, runs ``on_start`` again, wakes it and
-   reports ``REJOINED``; the coordinator restores them to the live set
-   so they participate in round ``r``'s send phase.
+   stayed attached for exactly this) restarts each from its snapshot
+   (:meth:`~repro.sim.shard.Shard.start`) and reports ``REJOINED``; the
+   coordinator restores them to the live set so they participate in
+   round ``r``'s send phase.
 2. ``START(r)`` -- the coordinator opens round ``r`` on every host with
    a live pid.  The frame names only the live pids with a fault this
    round: the partial-send budget ``keep`` of a pid the adversary
@@ -91,20 +91,15 @@ and independent of how pids are dealt to hosts.
 
 Wake table
 ----------
-A round costs what it delivers, not ``n``.  Each host keeps the wake
-table and silent marks of the engine's optimized loop for its own pids
-and applies the same rules (:mod:`repro.sim.engine`, "Hot path"), so a
-net round makes exactly the hook calls a sim-opt round makes: a pid
-that was called and neither sent nor received is asked
-``next_activity`` and skipped in both phases until the round it
-declared; a delivery wakes it in that round's receive phase and a
-``REJOIN`` at the rejoin round; a sleeper the adversary crashes just
-crashes; a sender whose whole output a link mask dropped stays awake;
-under ``fast_forward=False`` nobody sleeps.  The coordinator keeps the
-live pids per host and the set of running non-Byzantine pids, so its
-share of a round is O(hosts + rows), with no walk over ``range(n)``;
-the earliest wakes the hosts report in ``DONE`` are where a quiescent
-round jumps to.  When a trace recorder
+A round costs what it delivers, not ``n``.  Each host drives one
+:class:`~repro.sim.shard.Shard` of its own pids -- the engine's start,
+churn snapshot, wake table and sleep rule (stated in
+:mod:`repro.sim.shard`) -- so a net round makes exactly the hook calls
+a sim-opt round makes.  The coordinator keeps the live pids per host
+and the set of running non-Byzantine pids, so its share of a round is
+O(hosts + rows), with no walk over ``range(n)``; the earliest wakes the
+hosts report in ``DONE`` are where a quiescent round jumps to.  When a
+trace recorder
 or checker is attached (:mod:`repro.trace`), hosts compute the
 structural digest of every payload next to the wire and ship the
 records inside their ``SENT`` reports, so the coordinator records or
@@ -154,9 +149,8 @@ advancing sessions into shared wire writes.
 from __future__ import annotations
 
 import asyncio
-import copy
+import sys
 import time
-from bisect import insort
 from collections import defaultdict
 from itertools import chain
 from operator import itemgetter
@@ -176,13 +170,13 @@ from repro.sim.engine import (
 from repro.sim.metrics import Metrics
 from repro.sim.process import Process, ProtocolError, payload_bits_cached
 from repro.sim.rounds import RoundControl
+from repro.sim.shard import Shard
 from repro.trace import payload_digest
 
 __all__ = [
     "NetRuntimeError",
     "Session",
     "host_nodes_tcp",
-    "run_node",
     "run_nodes",
     "run_protocol_net",
     "serve_tcp",
@@ -262,40 +256,23 @@ class _Host:
         churn_pids: Iterable[int],
         telemetry: Any,
     ):
-        self.procs = {
-            proc.pid: proc for proc in sorted(processes, key=lambda p: p.pid)
-        }
+        procs = list(processes)
+        # The horizon: any int above every round, since the control caps
+        # a reported wake at max_rounds (which a host does not know).
+        n = procs[0].n if procs else 0
+        self.shard = Shard(procs, n, sys.maxsize, churn_pids)
         self.endpoint = endpoint
         self.coordinator = coordinator
         self.tel = coerce_recorder(telemetry)
-        # Churn pids snapshot their pre-on_start state: a REJOIN restores
-        # it (fresh deep copy per rejoin) and runs on_start again -- the
-        # same reset the engine applies.
-        self.snapshots = {
-            pid: copy.deepcopy(self.procs[pid].__dict__)
-            for pid in churn_pids
-            if pid in self.procs
-        }
         #: the pid whose hook is running, so an escaping exception is
         #: reported against it
         self.at: Optional[int] = None
-        #: local pids the coordinator may still address: neither halted
-        #: nor crashed for good (a crashed churn pid stays, awaiting its
-        #: REJOIN); the host ends when none is left
-        self.live: set[int] = set()
-        #: local pids neither crashed nor halted, in pid order: who each
-        #: phase walks
-        self.running: list[int] = []
-        #: the engine's wake table for local pids: the first round at
-        #: which a pid must be called although nothing was delivered to
-        #: it (at or below the current round means awake) ...
-        self.wake: dict[int, int] = {}
-        #: ... and the last round in which it was called and its
-        #: ``send`` returned no message
-        self.silent: dict[int, int] = {}
-        #: pid -> host address, and whether idle pids may sleep (LAYOUT)
+        #: crashed local pids awaiting their REJOIN: with the shard's
+        #: running pids, who the coordinator may still address (the
+        #: host ends when neither is left)
+        self.awaiting: set[int] = set()
+        #: pid -> host address (LAYOUT)
         self.host_of: Sequence[int] = ()
-        self.fast_forward = True
         # Bundles of one round, buffered until its DELIVER: a peer that
         # reaches round r + 1 first may deliver before this host's
         # START(r + 1) arrives.
@@ -304,8 +281,8 @@ class _Host:
 
     async def run(self) -> None:
         send = self.endpoint.send
-        await send(self.coordinator, (_READY, self._boot(self.procs)))
-        while self.live:
+        await send(self.coordinator, (_READY, self._boot(sorted(self.shard.procs))))
+        while self.shard.running or self.awaiting:
             _src, frame = await self.endpoint.recv()
             kind = frame[0]
             if kind == _DATA:
@@ -320,37 +297,25 @@ class _Host:
                     self.coordinator, (_REJOINED, rnd, self._boot(pids, rnd))
                 )
             elif kind == _LAYOUT:
-                _, self.host_of, self.fast_forward = frame
+                _, self.host_of, self.shard.fast_forward = frame
             elif kind == _STOP:
                 return
             else:
                 raise NetRuntimeError(
-                    f"host of pids {sorted(self.procs)} received unknown "
+                    f"host of pids {sorted(self.shard.procs)} received unknown "
                     f"frame {kind!r}"
                 )
 
-    def _boot(self, pids: Iterable[int], rejoin: Optional[int] = None) -> list[tuple]:
-        """Run ``on_start`` for ``pids`` -- after restoring the snapshot,
-        when they ``rejoin`` at that round -- wake them and return their
-        ``(pid, *status)`` rows."""
+    def _boot(self, pids: Iterable[int], rnd: int = 0) -> list[tuple]:
+        """Start ``pids`` at ``rnd`` on the shard, one at a time so a
+        raising ``on_start`` is reported against its pid, and return
+        their ``(pid, *status)`` rows; a halted pid is never addressed."""
         rows = []
         for pid in pids:
             self.at = pid
-            proc = self.procs[pid]
-            if rejoin is not None:
-                proc.__dict__.clear()
-                proc.__dict__.update(copy.deepcopy(self.snapshots[pid]))
-            proc.on_start()
-            if proc.halted:
-                # The coordinator never opens a round for this pid (the
-                # simulator's send/receive loops skip it).
-                self.live.discard(pid)
-            else:
-                self.live.add(pid)
-                insort(self.running, pid)
-                self.wake[pid] = rejoin or 0
-                self.silent[pid] = -1
-            rows.append((pid, *_status_of(proc)))
+            self.awaiting.discard(pid)
+            self.shard.start((pid,), rnd)
+            rows.append((pid, *_status_of(self.shard.procs[pid])))
         self.at = None
         return rows
 
@@ -379,34 +344,35 @@ class _Host:
         report with a row per pid called."""
         tel = self.tel
         host_of = self.host_of
-        wake = self.wake
+        shard = self.shard
+        wake = shard.wake
         bits_cache: dict[int, tuple[Any, int]] = {}
         out: dict[int, list[tuple]] = {}
         reports = []
         stopped = set()
-        for pid in self.running:
+        for proc in shard.running:
+            pid = proc.pid
             self.at = pid
             crashing, keep, mask, will_rejoin = (
                 faults.get(pid, _NO_FAULT) if faults else _NO_FAULT
             )
             if crashing:
                 stopped.add(pid)
-                if not will_rejoin:
-                    self.live.discard(pid)  # crashed for good
-                elif pid not in self.snapshots:
+                if will_rejoin and pid not in shard.snapshots:
                     raise NetRuntimeError(
                         f"node {pid} is scheduled to rejoin but was hosted "
                         "without churn (pass the adversary's rejoin_pids() "
                         "as churn_pids to host_nodes_tcp/run_nodes)"
                     )
+                if will_rejoin:
+                    self.awaiting.add(pid)
             if wake[pid] > rnd:
                 continue  # asleep: nothing to send, and a crash is all
-            proc = self.procs[pid]
             if tel is not None:
                 t_send = tel.clock()
             groups = collect_sends(proc, rnd, keep, proc.n)
             if not groups:
-                self.silent[pid] = rnd
+                shard.silent[pid] = rnd
             dropped = 0
             if mask:
                 # A sender whose whole output is dropped here still sent,
@@ -435,15 +401,14 @@ class _Host:
             reports.append((pid, msgs, bits, dropped, records, *_status_of(proc)))
             if tel is not None:
                 tel.span("node.send", rnd, t_send, tel.clock(), track=f"node-{pid}")
-            if proc.halted and not crashing:
+            if proc.halted:
                 # Halted inside send(): the engine skips such a process
                 # from the receive phase onwards, and the coordinator
                 # (told via the SENT report) never addresses it again.
                 stopped.add(pid)
-                self.live.discard(pid)
         self.at = None
         if stopped:
-            self.running = [pid for pid in self.running if pid not in stopped]
+            shard.prune(stopped)
         shipped: dict[int, int] = {}
         for host, entries in out.items():
             for bundle in _bundles(entries, bits_cache):
@@ -492,17 +457,17 @@ class _Host:
             item = (src, payload)
             for dst in dsts:
                 inboxes[dst].append(item)
-        wake = self.wake
-        ask = self.fast_forward
+        shard = self.shard
+        wake = shard.wake
         reports = []
-        halted = set()
-        for pid in self.running:
+        halted = False
+        for proc in shard.running:
+            pid = proc.pid
             inbox = inboxes.get(pid)
             asleep = wake[pid] > rnd
             if asleep and not inbox:
                 continue
             self.at = pid
-            proc = self.procs[pid]
             if tel is not None:
                 t_deliver = tel.clock()
             if inbox:
@@ -513,31 +478,18 @@ class _Host:
                     wake[pid] = rnd
             else:
                 proc.receive(rnd, [])
-                if ask and self.silent[pid] == rnd and not proc.halted:
-                    # Neither sent nor received: it sleeps until the
-                    # round it declares (or a delivery).
-                    nxt = proc.next_activity(rnd)
-                    if nxt <= rnd:
-                        raise ProtocolError(
-                            f"process {pid} declared next_activity {nxt} <= {rnd}"
-                        )
-                    wake[pid] = nxt
+                shard.idle(proc, rnd)
             reports.append((pid, *_status_of(proc)))
             if proc.halted:
-                halted.add(pid)
-                self.live.discard(pid)
+                halted = True
             if tel is not None:
                 tel.span(
                     "node.deliver", rnd, t_deliver, tel.clock(), track=f"node-{pid}"
                 )
         self.at = None
         if halted:
-            self.running = [pid for pid in self.running if pid not in halted]
-        earliest = (
-            min(map(wake.__getitem__, self.running), default=None)
-            if need_wake
-            else None
-        )
+            shard.prune(())
+        earliest = min(wake) if need_wake else None
         await self.endpoint.send(self.coordinator, (_DONE, rnd, reports, earliest))
 
 
@@ -589,25 +541,6 @@ async def run_nodes(
             pass  # transport already down; nothing left to tell
     finally:
         await endpoint.close()
-
-
-async def run_node(
-    proc: Process,
-    endpoint: Endpoint,
-    coordinator: int,
-    *,
-    churn: bool = False,
-    telemetry: Any = None,
-) -> None:
-    """:func:`run_nodes` for a shard of one; ``churn`` marks ``proc`` as
-    a churn pid."""
-    await run_nodes(
-        [proc],
-        endpoint,
-        coordinator,
-        churn_pids=(proc.pid,) if churn else (),
-        telemetry=telemetry,
-    )
 
 
 # -- coordinator side --------------------------------------------------------

@@ -40,15 +40,15 @@ the answer twice.  *Globally*: when a round delivers no messages, it
 jumps directly to the earliest declared round (or the adversary's next
 event).  *Per process* (optimized loop): a process that was called in a
 round and neither sent nor received is not called again until the round
-it declared, unless a message is delivered to it first -- see "Hot
-path".  Both are execution-cost optimisations, made by this engine
-and, with the same wake table kept per host, by the :mod:`repro.net`
-runtime; protocols are written against absolute round numbers so
-observable behaviour is identical (covered by tests comparing
-fast-forward on/off, and per protocol by
-``tests/test_wake_contract.py``).  ``fast_forward=False``
-and ``run(observer=...)`` turn both off: every live process is called
-in every round.
+it declared, unless a message is delivered to it first -- the wake
+table of :mod:`repro.sim.shard`.  Both are execution-cost
+optimisations, made by this engine and, with one shard per host, by
+the :mod:`repro.net` runtime; protocols are written against absolute
+round numbers so observable behaviour is identical (covered by tests
+comparing fast-forward on/off, and per protocol by
+``tests/test_wake_contract.py``).  ``fast_forward=False`` and
+``run(observer=...)`` turn both off: every live process is called in
+every round.
 
 Hot path
 --------
@@ -82,18 +82,9 @@ The engine carries two interchangeable round-loop implementations:
   range-checks a multicast's destination tuple once per tuple object
   per sender too (an overlay neighbourhood is one tuple for the run).
 
-  A round costs what it delivers, not ``n``.  The loop keeps one **wake
-  table**, ``wake[pid]`` = the first round at which ``pid`` must be
-  called although nothing was delivered to it.  The send phase skips a
-  process whose entry lies ahead; the receive phase skips it unless its
-  inbox is non-empty.  A process that sent or received stays awake
-  without being asked; one that was called and did neither is asked
-  ``next_activity`` and sleeps until then; a delivery wakes a sleeper in
-  that round's receive phase (its ``send`` for the round is skipped,
-  which is what it promised); a rejoin wakes it at the rejoin round; a
-  sleeper the adversary crashes just joins ``crashed``.  Crashed and
-  halted entries hold ``max_rounds``, so the quiescent-round jump is
-  ``min(wake)``.
+  A round costs what it delivers, not ``n``: the loop walks one
+  :class:`~repro.sim.shard.Shard` of all ``n`` processes and reads its
+  wake table inline (the rules are stated in :mod:`repro.sim.shard`).
 
   The send phase has two deliveries, the column and the batched loop,
   and every sender's output takes one of them.  A sender with a fault
@@ -118,7 +109,6 @@ this for every protocol family.
 
 from __future__ import annotations
 
-import copy
 from functools import partial
 from operator import itemgetter
 from typing import Any, Optional, Sequence
@@ -135,6 +125,7 @@ from repro.sim.process import (
     shared_peers,
 )
 from repro.sim.rounds import RoundControl, RunResult
+from repro.sim.shard import Shard
 
 __all__ = [
     "Engine",
@@ -279,9 +270,6 @@ class Engine:
         self.metrics = Metrics()
         self.crashed: set[int] = set()
         self.round: int = 0
-        #: pid -> deep copy of the process ``__dict__`` before
-        #: ``on_start``; taken only for pids with a scheduled rejoin
-        self._snapshots: dict[int, dict] = {}
 
     # -- queries used by adaptive adversaries ---------------------------
 
@@ -308,16 +296,19 @@ class Engine:
             tel.run_begin(
                 backend="sim-opt" if self.optimized else "sim-ref", n=self.n
             )
-        for pid in self.adversary.rejoin_pids():
+        churn = self.adversary.rejoin_pids()
+        for pid in churn:
             if not 0 <= pid < self.n:
                 raise ProtocolError(f"rejoin scheduled for invalid pid {pid}")
             if pid in self.byzantine:
                 raise ProtocolError(
                     f"adversary scheduled churn on Byzantine node {pid}"
                 )
-            self._snapshots[pid] = copy.deepcopy(self.processes[pid].__dict__)
-        for proc in self.processes:
-            proc.on_start()
+        #: the processes' start, snapshots and wake table (the reference
+        #: loop only starts and rejoins through it)
+        self.shard = Shard(self.processes, self.n, self.max_rounds, churn)
+        self.shard.fast_forward = fast_forward
+        self.shard.start(range(self.n), 0)
 
         if self.optimized:
             return self._loop_optimized(observer, fast_forward)
@@ -372,9 +363,13 @@ class Engine:
                 t_round = tel.clock()
 
             # Rejoin phase (churn): crashed nodes scheduled to come back
-            # are reset and reinstated before the crash nomination, so
-            # they participate in this round's send phase.
-            rejoining = self._apply_rejoins(rnd)
+            # (a halted or never-crashed pid is skipped) are reset and
+            # reinstated before the crash nomination, so they
+            # participate in this round's send phase.
+            scheduled = self.adversary.rejoins_for_round(rnd)
+            rejoining = sorted(pid for pid in scheduled if pid in self.crashed)
+            self.crashed.difference_update(rejoining)
+            self.shard.start(rejoining, rnd)
             if tel is not None:
                 t_rejoin = tel.clock()
                 if rejoining:
@@ -409,7 +404,7 @@ class Engine:
                 crashes_now = pid in crashing
                 if crashes_now:
                     keep = crashing[pid]
-                sent = self._collect_sends(proc, rnd, keep)
+                sent = collect_sends(proc, rnd, keep, self.n)
                 if crashes_now:
                     self.crashed.add(pid)
                 if blocked is not None:
@@ -489,7 +484,6 @@ class Engine:
         byzantine = self.byzantine
         crashed = self.crashed
         recorder = self.recorder
-        horizon = self.max_rounds
         # One append buffer per destination (indexed by pid, replacing
         # the reference path's dict+setdefault per message).  A buffer
         # that received messages is handed to its consumer and then
@@ -516,27 +510,16 @@ class Engine:
         checked: list[Optional[tuple[int, ...]]] = [None] * n
         universe = frozenset(range(n))
         by_sender = itemgetter(0)
-        active = [
-            p for p in self.processes if p.pid not in crashed and not p.halted
-        ]
-        # Wake table (see module docstring): ``wake[pid]`` is the first
-        # round at which ``pid`` must be called although nothing was
-        # delivered to it; at or below the current round means awake.
-        # Crashed and halted pids hold the horizon, so ``min(wake)`` is
-        # the earliest wake of the live processes.  With fast-forward
-        # off no process is ever asked, so nobody sleeps.
-        wake = [horizon] * n
-        for proc in active:
-            wake[proc.pid] = 0
-        # ``silent[pid]`` is the last round in which ``pid`` was called
-        # and its ``send`` returned no message.
-        silent = [-1] * n
+        # The shard's wake table, read and written inline.
+        shard = self.shard
+        active, wake, silent = shard.running, shard.wake, shard.silent
+        idle = shard.idle
         tel = self.telemetry
         ctl = RoundControl(
             self,
             self.adversary,
             byzantine=byzantine,
-            max_rounds=horizon,
+            max_rounds=self.max_rounds,
             fast_forward=fast_forward,
             recorder=recorder,
             telemetry=tel,
@@ -546,16 +529,8 @@ class Engine:
         while rnd is not None:
             rejoining = ctl.rejoining(rnd)
             if rejoining:
-                self._reinstate(rejoining, rnd)
-                # Rejoined pids must re-enter the active walk this round.
-                active = [
-                    p
-                    for p in self.processes
-                    if p.pid not in crashed and not p.halted
-                ]
-                for pid in rejoining:
-                    if not self.processes[pid].halted:
-                        wake[pid] = rnd
+                crashed.difference_update(rejoining)
+                shard.start(rejoining, rnd)
             crashing, blocked = ctl.open(rnd, rejoining)
             membership_dirty = bool(crashing)
             for pid in crashing:
@@ -740,16 +715,7 @@ class Engine:
                         wake[pid] = rnd
                 else:
                     proc.receive(rnd, [])
-                    if fast_forward and silent[pid] == rnd and not proc.halted:
-                        # Neither sent nor received: it sleeps until the
-                        # round it declares (or a delivery).
-                        nxt = proc.next_activity(rnd)
-                        if nxt <= rnd:
-                            raise ProtocolError(
-                                f"process {pid} declared next_activity "
-                                f"{nxt} <= {rnd}"
-                            )
-                        wake[pid] = nxt
+                    idle(proc, rnd)
                 if proc.halted:
                     membership_dirty = True
 
@@ -767,13 +733,7 @@ class Engine:
                 observer(rnd, self.processes)
 
             if membership_dirty:
-                live = []
-                for proc in active:
-                    if proc.halted or proc.pid in crashed:
-                        wake[proc.pid] = horizon
-                    else:
-                        live.append(proc)
-                active = live
+                shard.prune(crashed)
 
             # All operational non-Byzantine halted, i.e. only Byzantine
             # processes remain active.  After a quiescent round every
@@ -789,42 +749,6 @@ class Engine:
 
     # -- internals --------------------------------------------------------
 
-    def _apply_rejoins(self, rnd: int) -> list[int]:
-        """Reinstate crashed nodes whose rejoin is scheduled at ``rnd``
-        (the reference loop's rejoin phase).  Pids that are not
-        currently crashed (halted, or never crashed) are skipped.
-        Returns the sorted list of reinstated pids.
-        """
-        scheduled = self.adversary.rejoins_for_round(rnd)
-        if not scheduled:
-            return []
-        rejoining = sorted(pid for pid in scheduled if pid in self.crashed)
-        self._reinstate(rejoining, rnd)
-        return rejoining
-
-    def _reinstate(self, rejoining: Sequence[int], rnd: int) -> None:
-        """State reset semantics: the process ``__dict__`` is restored from
-        a fresh deep copy of its pre-``on_start`` snapshot (so a node can
-        crash and rejoin more than once) and ``on_start`` runs again.
-        """
-        for pid in rejoining:
-            snapshot = self._snapshots.get(pid)
-            if snapshot is None:
-                raise ProtocolError(
-                    f"rejoin of pid {pid} at round {rnd} was not announced "
-                    "via rejoin_pids(), so no snapshot was taken"
-                )
-            proc = self.processes[pid]
-            proc.__dict__.clear()
-            proc.__dict__.update(copy.deepcopy(snapshot))
-            self.crashed.discard(pid)
-            proc.on_start()
-
-    def _collect_sends(
-        self, proc: Process, rnd: int, keep: Optional[int]
-    ) -> list[tuple[tuple[int, ...], Any]]:
-        return collect_sends(proc, rnd, keep, self.n)
-
     def _all_halted(self) -> bool:
         for proc in self.processes:
             pid = proc.pid
@@ -835,19 +759,9 @@ class Engine:
         return True
 
     def _rejoin_pending(self, rnd: int) -> bool:
-        """Whether a currently-crashed node has a rejoin scheduled after
-        ``rnd``.
-
-        Termination semantics under churn: a run never ends while a
-        scheduled rejoin is still outstanding -- the engine idles (the
-        quiescence fast-forward jumps straight to the rejoin, which
-        :meth:`~repro.sim.adversary.CrashAdversary.next_event_round`
-        reports) until the node is reinstated, and only then re-checks
-        the all-halted condition.  A rejoin scheduled at or beyond
-        ``max_rounds`` can never fire, so the run exhausts the safety
-        bound and reports ``completed=False``.  The net runtime applies
-        the identical rule (pinned by the churn parity tests).
-        """
+        """Whether a crashed node has a rejoin scheduled after ``rnd``:
+        the run cannot end before it fires (module docstring,
+        "Termination"; the quiescence jump goes straight to it)."""
         for pid in self.crashed:
             if self.adversary.next_rejoin(pid, rnd) is not None:
                 return True

@@ -5,7 +5,7 @@ import pytest
 from repro import PropertyViolation, check_consensus
 from repro.bench import series
 from repro.bench.runner import EXPERIMENTS, format_table, run_experiment
-from repro.bench.series import exp_e6_scv, exp_e8_consensus_many, exp_e13_lowerbounds
+from repro.bench.sweep import run_sweep
 from repro.bench.workloads import (
     byzantine_sample,
     input_vector,
@@ -88,61 +88,61 @@ class TestFormatTable:
 #: differ between two commits that both pass this.
 GOLDEN = {
     "table1": (
-        lambda: series.exp_table1(ns=[40, 60]),
+        lambda: run_sweep(series.table1_spec(ns=[40, 60])).rows(),
         ("n", "t", "rounds", "comm"),
         [(40, 3, 32, 1932), (60, 5, 44, 5545), (40, 1, 84, 3732), (60, 1, 84, 3789),
          (40, 1, 107, 4724), (60, 1, 107, 5121), (40, 3, 17, 1341), (60, 3, 17, 1738)],
     ),
     "e5": (
-        lambda: series.exp_e5_aea(ns=[40, 60]),
+        lambda: run_sweep(series.aea_spec(ns=[40, 60])).rows(),
         ("n", "t", "rounds", "messages", "bits"),
         [(40, 6, 37, 6155, 6155), (60, 10, 58, 12615, 12615)],
     ),
     "e6": (
-        lambda: series.exp_e6_scv(n=100),
+        lambda: run_sweep(series.scv_spec(n=100)).rows(),
         ("n", "t", "rounds", "messages"),
         [(100, 10, 15, 1571), (100, 19, 25, 1558), (100, 21, 25, 1571),
          (100, 40, 25, 1518), (100, 79, 27, 1468)],
     ),
     "e7": (
-        lambda: series.exp_e7_consensus_few(ns=[40, 60]),
+        lambda: run_sweep(series.consensus_few_spec(ns=[40, 60])).rows(),
         ("n", "t", "rounds", "messages", "bits"),
         [(40, 6, 50, 6699, 6699), (60, 10, 81, 13415, 13415)],
     ),
     "e8": (
-        lambda: series.exp_e8_consensus_many(n=48),
+        lambda: run_sweep(series.consensus_many_spec(n=48)).rows(),
         ("n", "t", "rounds", "messages", "bits"),
         [(48, 14, 68, 15043, 15043), (48, 28, 70, 10306, 10306),
          (48, 43, 70, 5042, 5042), (48, 47, 118, 6090, 12858)],
     ),
     "e9": (
-        lambda: series.exp_e9_gossip(ns=[40, 60]),
+        lambda: run_sweep(series.gossip_spec(ns=[40, 60])).rows(),
         ("n", "t", "rounds", "messages"),
         [(40, 4, 108, 29255), (60, 6, 108, 69975)],
     ),
     "e10": (
-        lambda: series.exp_e10_checkpointing(ns=[40, 60]),
+        lambda: run_sweep(series.checkpointing_spec(ns=[40, 60])).rows(),
         ("n", "t", "rounds", "messages", "naive_msgs(n²t)"),
         [(40, 4, 147, 32432, 8784), (60, 6, 158, 77363, 27503)],
     ),
     "e11": (
-        lambda: series.exp_e11_byzantine(n=100),
+        lambda: run_sweep(series.byzantine_spec(n=100)).rows(),
         ("n", "t", "rounds", "messages"),
         [(100, 5, 21, 3698), (100, 10, 28, 10108), (100, 20, 36, 32960),
          (100, 40, 54, 24720)],
     ),
     "baselines": (
-        lambda: series.exp_baselines(n=60),
+        lambda: run_sweep(series.baselines_spec(n=60)).rows(),
         ("paper_rounds", "paper_msgs", "baseline_rounds", "baseline_msgs"),
         [(50, 7446, 7, 23141), (84, 3789, 2, 6964), (158, 77363, 8, 27503)],
     ),
     "e12": (
-        lambda: series.exp_e12_singleport(ns=[40, 60]),
+        lambda: run_sweep(series.singleport_spec(ns=[40, 60])).rows(),
         ("n", "t", "sp_rounds", "messages", "bits"),
         [(40, 5, 2096, 5256, 5256), (60, 7, 3480, 10192, 10192)],
     ),
     "e13": (
-        lambda: series.exp_e13_lowerbounds(),
+        lambda: run_sweep(series.lowerbounds_spec()).rows(),
         ("experiment", "measured", "bound", "detail"),
         [("gossip isolation (t=8)", 7, 4, "crashes used 7, digests matched True"),
          ("gossip isolation (t=16)", 15, 8, "crashes used 15, digests matched True"),
@@ -151,7 +151,7 @@ GOLDEN = {
           "pivot 14, |A_i|≤3^i holds: True")],
     ),
     "families": (
-        lambda: series.exp_families(n=24, t=4),
+        lambda: run_sweep(series.families_spec(n=24, t=4)).rows(),
         ("family", "backend", "rounds", "messages", "bits"),
         [("consensus", "sim-opt", 38, 3428, 3428), ("consensus", "sim-ref", 38, 3428, 3428),
          ("flooding", "sim-opt", 5, 2760, 346265), ("flooding", "sim-ref", 5, 2760, 346265),
@@ -161,20 +161,20 @@ GOLDEN = {
          ("lv-consensus", "sim-ref", 5, 115, 14720)],
     ),
     "net": (
-        lambda: series.exp_net(ns=[30]),
+        lambda: run_sweep(series.net_spec(ns=[30])).rows(),
         ("problem", "rounds", "messages", "bits", "parity"),
         [("consensus", 43, 4725, 4725, "exact"), ("gossip", 90, 38411, 53508422, "exact"),
          ("checkpointing", 133, 43039, 53619079, "exact")],
     ),
     "scenarios": (
-        lambda: series.exp_scenarios(n=24),
+        lambda: run_sweep(series.scenarios_spec(n=24)).rows(),
         ("faults", "rounds", "messages", "dropped", "safety"),
         [(0, 38, 3423, 5, "ok"), (0, 38, 3317, 111, "ok"), (2, 38, 3447, 0, "ok"),
          (2, 38, 3276, 3, "ok"), (0, 90, 27348, 125, "ok"), (0, 90, 26985, 347, "ok"),
          (2, 90, 27498, 0, "ok"), (2, 90, 25895, 215, "ok")],
     ),
     "adversary": (
-        lambda: series.exp_adversary(n=12, ts=[1, 2], budget=8),
+        lambda: run_sweep(series.adversary_spec(n=12, ts=[1, 2], budget=8)).rows(),
         ("family", "t", "baseline_ratio", "worst_ratio", "measured_constant", "faults"),
         [("gossip", 1, 0.18109, 0.18109, 1.0865, 0),
          ("gossip", 2, 0.176625, 0.177121, 1.0627, 2),
@@ -304,16 +304,16 @@ class TestSeries:
         assert set(EXPERIMENTS) == expected
 
     def test_e6_rows_cover_both_branches(self):
-        rows = exp_e6_scv(n=100)
+        rows = run_sweep(series.scv_spec(n=100)).rows()
         branches = {row["branch"] for row in rows}
         assert len(branches) == 2
 
     def test_e8_rows_have_bound_ratio(self):
-        rows = exp_e8_consensus_many(n=48)
+        rows = run_sweep(series.consensus_many_spec(n=48)).rows()
         assert all(0 < row["rounds/bound"] <= 1.2 for row in rows)
 
     def test_e13_rows_meet_bounds(self):
-        rows = exp_e13_lowerbounds()
+        rows = run_sweep(series.lowerbounds_spec()).rows()
         for row in rows:
             assert row["measured"] >= row["bound"] - 1
 

@@ -566,10 +566,11 @@ class TestCLI:
 
 class TestBenchSeries:
     def test_fuzz_rows_jobs_independent(self):
-        from repro.bench.series import exp_fuzz
+        from repro.bench import series
+        from repro.bench.sweep import run_sweep
 
-        serial = exp_fuzz(budget=4, seed=0, jobs=1)
-        parallel = exp_fuzz(budget=4, seed=0, jobs=2)
+        serial = run_sweep(series.fuzz_spec(budget=4, seed=0), jobs=1).rows()
+        parallel = run_sweep(series.fuzz_spec(budget=4, seed=0), jobs=2).rows()
         assert serial == parallel
         assert all(row["violations"] == 0 for row in serial)
 

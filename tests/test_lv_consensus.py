@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import pytest
 
 from repro import check_consensus, run_flooding, run_lv_consensus
-from repro.bench.series import exp_families
+from repro.bench import series
+from repro.bench.sweep import run_sweep
 from repro.check.driver import FAMILIES, run_config, sample_config
 from repro.check.oracles import check_parity
 from repro.scenarios import scenario_schedule
@@ -121,7 +122,7 @@ class TestBitsAccounting:
         # the same 128-bit instance lv-consensus pays ~n times fewer
         # payload bits than flooding.  Model costs are exact, both
         # engine loops agree on them, and README quotes the quotient.
-        rows = exp_families(n=80, t=16, seed=1)
+        rows = run_sweep(series.families_spec(n=80, t=16, seed=1)).rows()
         model = ("rounds", "messages", "bits", "completed")
         cost = {
             backend: {

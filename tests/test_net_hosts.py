@@ -18,6 +18,7 @@
 
 import asyncio
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -400,10 +401,13 @@ class TestDiagnosticsStayPerPid:
     def test_rejoin_without_churn_pids_names_the_pid(self):
         recipe, execution = BUDGET_CASES["flooding-churn"]
         prepared = prepare_recipe(recipe, **execution)
+        started = time.monotonic()
         with pytest.raises(
             NetRuntimeError, match="node 7 is scheduled to rejoin but was hosted"
         ):
             asyncio.run(drive(prepared, deal(16, 2, 0), churn_pids=()))
+        # At the crash, not at the session's 60 s watchdog.
+        assert time.monotonic() - started < 10
 
 
 class _Keeper(Process):

@@ -30,7 +30,6 @@ from repro.net import (
     Session,
     TCPHub,
     open_mux,
-    run_node,
     run_nodes,
     run_protocol_net,
 )
@@ -367,7 +366,7 @@ class TestRuntimeEdgeCases:
             endpoints = [hub.endpoint(addr) for addr in range(21)]
             sync = Session(20, adversary)
             tasks = [
-                asyncio.ensure_future(run_node(p, endpoints[p.pid], 20))
+                asyncio.ensure_future(run_nodes([p], endpoints[p.pid], 20))
                 for p in procs
             ]
             result = await sync.run(endpoints[20])
@@ -400,7 +399,7 @@ class TestBarrierTimeout:
         try:
             tasks.extend(
                 asyncio.ensure_future(
-                    run_node(make_proc(pid, tasks), mux.endpoint(pid), self.N)
+                    run_nodes([make_proc(pid, tasks)], mux.endpoint(pid), self.N)
                 )
                 for pid in hosted
             )

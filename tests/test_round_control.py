@@ -324,20 +324,71 @@ def test_replayed_trace_with_an_unknown_rejoin_pid_is_refused(backend):
         run_recipe(recipe, replay=tampered, backend=backend)
 
 
+class Unannounced(Script):
+    """Crashes pid 1 in round 0 and rejoins it in round 2, but leaves it
+    out of ``rejoin_pids()``, so nobody snapshots it."""
+
+    def __init__(self):
+        super().__init__(crashes={0: {1: None}}, rejoins={2: [1]})
+
+    def rejoin_pids(self):
+        return frozenset()
+
+
+@pytest.mark.parametrize("backend", ["sim-opt", "sim-ref"])
+def test_a_rejoin_without_a_snapshot_is_refused(backend):
+    engine = Engine(_procs(), Unannounced(), optimized=backend == "sim-opt")
+    with pytest.raises(
+        ProtocolError, match="rejoin of pid 1 at round 2 was not announced"
+    ):
+        engine.run()
+
+
+class HaltsAtFour(Process):
+    def receive(self, rnd, inbox):
+        if rnd >= 4:
+            self.halt()
+
+
+@pytest.mark.parametrize("backend", ["sim-opt", "sim-ref"])
+def test_a_rejoin_enters_the_running_list_once(backend):
+    # The reference loop never prunes, so the rejoining pid is still
+    # listed; starting it again must not list it twice.
+    adversary = Script(crashes={0: {1: None}}, rejoins={2: [1]})
+    engine = Engine(
+        [HaltsAtFour(pid, 3) for pid in range(3)],
+        adversary,
+        optimized=backend == "sim-opt",
+    )
+    result = engine.run()
+    assert result.completed and not result.crashed
+    assert ("rejoins", 2) in adversary.calls
+    pids = [proc.pid for proc in engine.shard.running]
+    assert pids == sorted(set(pids))
+    if backend == "sim-ref":
+        assert pids == [0, 1, 2]
+
+
 # -- and it stays one ----------------------------------------------------------
+
+
+def _method_calls(tree, names):
+    """Every call ``<expr>.<name>(...)`` in ``tree`` with ``name`` in ``names``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in names
+    ]
 
 
 def _hook_call_sites():
     """``(file, hook)`` for every call ``<expr>.<hook>(...)`` under src/repro."""
     sites = []
     for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in HOOKS
-            ):
-                sites.append((path.relative_to(SRC).as_posix(), node.func.attr))
+        for node in _method_calls(ast.parse(path.read_text()), HOOKS):
+            sites.append((path.relative_to(SRC).as_posix(), node.func.attr))
     return sites
 
 
@@ -352,3 +403,34 @@ def test_the_adversary_is_consulted_in_the_spec_and_the_control_only():
     assert spec == sorted(HOOKS)
     assert control == sorted(HOOKS)
     assert elsewhere == [("net/runtime.py", "next_rejoin")]
+
+
+def test_a_process_life_is_stated_in_the_shard_and_the_spec_only():
+    asks, delegations, snapshots = [], [], []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text())
+        # A protocol's own next_activity may ask a component's.
+        delegating = {
+            id(call)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "next_activity"
+            for call in _method_calls(fn, {"next_activity"})
+        }
+        for call in _method_calls(tree, {"next_activity"}):
+            (delegations if id(call) in delegating else asks).append(where)
+        snapshots += [
+            where
+            for call in _method_calls(tree, {"deepcopy"})
+            if any(
+                isinstance(arg, ast.Attribute) and arg.attr == "__dict__"
+                for arg in call.args
+            )
+        ]
+    # The sleep rule asks in the shard, the reference's quiescent jump
+    # in _advance; churn snapshots are taken in the shard alone.
+    assert sorted(asks) == ["sim/engine.py", "sim/shard.py"]
+    assert delegations and all(
+        where.startswith(("core/", "baselines/")) for where in delegations
+    )
+    assert snapshots == ["sim/shard.py"]
