@@ -31,6 +31,7 @@ cost near-linear.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Optional
 
 from repro.core.local_probe import LocalProbe
@@ -234,7 +235,7 @@ class GossipProcess(Process):
                 if probe.finished(rnd):
                     self._survived_last = probe.survived
         if rnd >= self.end_round - 1:
-            self.decide(tuple(sorted(self.extant.items())))
+            self.decide(tuple(sorted(self.extant.items(), key=itemgetter(0))))
             self.halt()
 
     def next_activity(self, rnd: int) -> int:
@@ -252,5 +253,8 @@ class GossipProcess(Process):
             self._extant_delta[q] = rumor
 
     def _absorb_extant(self, entries: tuple) -> None:
-        for q, rumor in entries:
-            self._learn(q, rumor)
+        # ``entries`` are a sender's dict items: no pid twice.
+        extant = self.extant
+        new = [entry for entry in entries if entry[0] not in extant]
+        extant.update(new)
+        self._extant_delta.update(new)

@@ -6,11 +6,11 @@ A *host* (:func:`run_nodes`) is one asyncio task on one endpoint holding
 a shard of unmodified :class:`~repro.sim.process.Process` objects -- all
 ``n`` of them in a single-process run, one shard per worker in a
 distributed one.  A coordinator task (:class:`Session`) implements the
-synchronous model of Section 2 as a two-phase barrier per round, and
-talks to hosts, not to pids: a round costs one control frame per host
-per barrier phase and one data frame per ordered host pair, whatever
-``n`` and the number of messages are.  The model's cost is the messages
-and bits counted at the sender; envelopes are the runtime's business.
+synchronous model of Section 2 as one barrier per round, and talks to
+hosts, not to pids: a round costs three control frames per host and
+one data frame per ordered host pair, whatever ``n`` and the number of
+messages are.  The model's cost is the messages and bits counted at the
+sender; envelopes are the runtime's business.
 
 0. ``READY`` / ``LAYOUT`` -- each host runs ``on_start`` for its pids
    and reports them; the coordinator learns which pids live behind which
@@ -24,28 +24,32 @@ and bits counted at the sender; envelopes are the runtime's business.
    coordinator restores them to the live set so they participate in
    round ``r``'s send phase.
 2. ``START(r)`` -- the coordinator opens round ``r`` on every host with
-   a live pid.  The frame names only the live pids with a fault this
-   round: the partial-send budget ``keep`` of a pid the adversary
-   crashes now, its blocked-destination set for link faults
-   (omission/partition scenarios) and whether it should await a rejoin.
-   The host walks its own live pids in pid order and runs the
+   a live pid and names those hosts.  The frame also names the live
+   pids with a fault this round: the partial-send budget ``keep`` of a
+   pid the adversary crashes now, its blocked-destination set for link
+   faults (omission/partition scenarios) and whether it should await a
+   rejoin.  The host walks its own live pids in pid order and runs the
    ``send(r)`` hook of each awake one (see "Wake table"), normalises and
    truncates each pid's sends through the engine's own ``collect_sends``
    + ``apply_link_filter``, counts its messages, payload bits and
-   dropped messages, ships every destination host one ``DATA`` bundle
-   of the surviving send groups (pickled once; it goes through the hub
-   like every frame, so a one-host ``tcp`` run still sends its bundle
-   out of its connection and back) and reports one ``SENT`` with a row
-   per pid it called.
-3. ``DELIVER(r)`` -- once every host has reported, the coordinator tells
-   each host with a surviving pid how many round-``r`` bundles to
-   expect.  The host collects exactly that many (bundles may already
-   have arrived and are buffered), builds each inbox ordered by
-   ``(sender, send-order)`` -- byte-for-byte the simulator's delivery
+   dropped messages, and ships ``DATA`` bundles of the surviving send
+   groups (pickled once; they go through the hub like every frame, so a
+   one-host ``tcp`` run still sends its bundle out of its connection and
+   back): every *other* opened host gets at least one, empty when there
+   is nothing for it, and itself one when it has mail for its own pids;
+   the last bundle to each host is flagged.  It then reports one
+   ``SENT`` with a row per pid it called.
+3. Receive -- a host whose pids are not all gone collects one flagged
+   last bundle from each host that ships to it (bundles may arrive
+   before its own ``START`` and are buffered), builds each inbox ordered
+   by ``(sender, send-order)`` -- byte-for-byte the simulator's delivery
    order -- discards what was addressed to a crashed or halted pid, runs
    the ``receive(r)`` hooks of its awake pids and of every sleeper that
    got mail, and reports one ``DONE`` with a row per pid it called and,
-   after a round that delivered nothing, its earliest wake.
+   after a round in which it neither sent nor received a message, its
+   earliest wake.  The coordinator collects ``SENT`` and ``DONE`` in any
+   host order and closes the round once every opened host has sent the
+   one and every host with a surviving pid the other.
 
 Frames (``C`` is the coordinator; every status is ``halted, decided,
 decision``)::
@@ -57,15 +61,13 @@ decision``)::
     REJOINED  host -> C     round, [(pid, *status), ...]
     START     C -> host     round, {pid: (crashing, keep, mask,
                             will_rejoin)} for the live pids with a
-                            fault, record
-    DATA      host -> host  round, [(src, seq, dsts, payload), ...]
-    SENT      host -> C     round, {host: bundles shipped to it},
-                            [(pid, msgs, bits, dropped, records,
+                            fault, record, [opened host, ...]
+    DATA      host -> host  round, [(src, seq, dsts, payload), ...], last
+    SENT      host -> C     round, [(pid, msgs, bits, dropped, records,
                               *status), ...] per pid called
-    DELIVER   C -> host     round, bundles to expect, need_wake
     DONE      host -> C     round, [(pid, *status), ...] per pid
-                            called, earliest wake (None unless
-                            need_wake)
+                            called, earliest wake (None after a round
+                            the host sent or received a message in)
     STOP      C -> host     --
     ERROR     host -> C     pid whose hook raised (None: the host
                             itself), exception class name, text
@@ -75,10 +77,11 @@ receiving host, the sender, the group's index in the sender's send
 order, those destinations and the payload; it closes at
 :data:`_BUNDLE_PAIRS` ``(group, destination)`` pairs or
 :data:`_BUNDLE_BYTES` of counted payload, whichever comes first, and
-``SENT`` counts bundles per destination host.  Receivers behind one host are
-handed the *same* decoded payload object (as ``Engine`` hands every
-receiver the sender's object); receivers behind different hosts, and
-the sender, never share one.
+``last`` marks a sender's final bundle to that host in the round (the
+hubs keep each sender-receiver stream in order).  Receivers behind one
+host are handed the *same* decoded payload object (as ``Engine`` hands
+every receiver the sender's object); receivers behind different hosts,
+and the sender, never share one.
 
 The barrier guarantees the paper's synchrony: no process observes round
 ``r + 1`` before every round-``r`` message is delivered.  Who rejoins,
@@ -116,7 +119,10 @@ wait older than ``timeout``; the cancellation becomes a
 :class:`NetRuntimeError` naming the phase, the round, the missing pids
 (a silent host lists all of its live pids) and each laggard's last
 completed span, raised within ``[timeout, timeout + period]`` of the
-wait's start.
+wait's start.  Hosts wait on each other's bundles, so ``SENT`` is the
+progress mark that tells a dead host from the peers it blocks: one
+that dies before shipping round ``r`` is the only one missing from
+round ``r``'s send phase.
 
 Deployment shapes
 -----------------
@@ -192,7 +198,6 @@ _READY = "ready"
 _LAYOUT = "layout"
 _START = "start"
 _SENT = "sent"
-_DELIVER = "deliver"
 _DONE = "done"
 _STOP = "stop"
 _ERROR = "error"
@@ -273,11 +278,17 @@ class _Host:
         self.awaiting: set[int] = set()
         #: pid -> host address (LAYOUT)
         self.host_of: Sequence[int] = ()
-        # Bundles of one round, buffered until its DELIVER: a peer that
-        # reaches round r + 1 first may deliver before this host's
-        # START(r + 1) arrives.
+        # One round's bundles and how many of them were flagged last: a
+        # peer that got its START(r) first may ship before this host's
+        # START(r) arrives.
         self.bundle_round = -1
         self.bundles: list[list[tuple]] = []
+        self.lasts = 0
+        #: flagged last bundles the open round's receive phase waits
+        #: for, None when none is pending
+        self.due: Optional[int] = None
+        #: whether a pid of this host sent a message in the open round
+        self.sent_any = False
 
     async def run(self) -> None:
         send = self.endpoint.send
@@ -286,11 +297,9 @@ class _Host:
             _src, frame = await self.endpoint.recv()
             kind = frame[0]
             if kind == _DATA:
-                self._buffer(frame[1], frame[2])
+                self._buffer(*frame[1:])
             elif kind == _START:
                 await self._send_phase(*frame[1:])
-            elif kind == _DELIVER:
-                await self._deliver_phase(*frame[1:])
             elif kind == _REJOIN:
                 _, rnd, pids = frame
                 await send(
@@ -305,6 +314,8 @@ class _Host:
                     f"host of pids {sorted(self.shard.procs)} received unknown "
                     f"frame {kind!r}"
                 )
+            if self.due is not None and self.lasts >= self.due:
+                await self._receive_phase()
 
     def _boot(self, pids: Iterable[int], rnd: int = 0) -> list[tuple]:
         """Start ``pids`` at ``rnd`` on the shard, one at a time so a
@@ -319,17 +330,23 @@ class _Host:
         self.at = None
         return rows
 
-    def _buffer(self, rnd: int, bundle: list[tuple]) -> None:
+    def _buffer(self, rnd: int, bundle: list[tuple], last: bool) -> None:
         if rnd != self.bundle_round:
-            # A bundle of a later round proves every earlier round
-            # closed: what is still held was addressed to pids that had
-            # crashed or halted, and is lost exactly as in the simulator
-            # (where such pids never consume their inbox).
-            self.bundle_round, self.bundles = rnd, []
-        self.bundles.append(bundle)
+            # A bundle or START of a later round proves every earlier
+            # round closed: what is still held was addressed to pids
+            # that had crashed or halted, and is lost exactly as in the
+            # simulator (where such pids never consume their inbox).
+            self.bundle_round, self.bundles, self.lasts = rnd, [], 0
+        if bundle:
+            self.bundles.append(bundle)
+        self.lasts += last
 
     async def _send_phase(
-        self, rnd: int, faults: Mapping[int, tuple], record: bool
+        self,
+        rnd: int,
+        faults: Mapping[int, tuple],
+        record: bool,
+        opened: Sequence[int],
     ) -> None:
         """The shard's send phase: per awake pid, in pid order,
         normalise, validate and (for a crashing pid) truncate the sends
@@ -340,8 +357,11 @@ class _Host:
         and count messages, payload bits and drops (plus per-group trace
         records when ``record``).  A sleeper is skipped, and just
         crashes if ``faults`` crashes it.  The surviving groups leave as
-        one ``DATA`` bundle per destination host, then one ``SENT``
-        report with a row per pid called."""
+        ``DATA`` bundles, the last one to each host flagged: at least one
+        to every other ``opened`` host, one to this host only if it has
+        mail for its own pids.  Then one ``SENT`` report with a row per
+        pid called, and the round's receive phase is due unless no pid
+        here is left running."""
         tel = self.tel
         host_of = self.host_of
         shard = self.shard
@@ -409,16 +429,27 @@ class _Host:
         self.at = None
         if stopped:
             shard.prune(stopped)
-        shipped: dict[int, int] = {}
-        for host, entries in out.items():
-            for bundle in _bundles(entries, bits_cache):
-                await self.endpoint.send_encoded(host, self._encode(rnd, bundle))
-                shipped[host] = shipped.get(host, 0) + 1
-        await self.endpoint.send(self.coordinator, (_SENT, rnd, shipped, reports))
+        # Mail for a host that is not opened is for crashed pids: lost.
+        me = self.endpoint.address
+        for host in opened:
+            bundles = list(_bundles(out.get(host, ()), bits_cache))
+            if not bundles and host != me:
+                bundles.append([])
+            last = len(bundles) - 1
+            for i, bundle in enumerate(bundles):
+                await self.endpoint.send_encoded(
+                    host, self._encode(rnd, bundle, i == last)
+                )
+        await self.endpoint.send(self.coordinator, (_SENT, rnd, reports))
+        if shard.running:
+            # Open this round's buffer (dropping a stale round's mail).
+            self._buffer(rnd, [], False)
+            self.due = len(opened) - (me not in out)
+            self.sent_any = bool(out)
 
-    def _encode(self, rnd: int, bundle: list[tuple]) -> bytes:
+    def _encode(self, rnd: int, bundle: list[tuple], last: bool) -> bytes:
         try:
-            return encode((_DATA, rnd, bundle))
+            return encode((_DATA, rnd, bundle, last))
         except Exception:
             # Re-raise against the pid whose payload does not serialise.
             for src, _seq, _dsts, payload in bundle:
@@ -427,25 +458,19 @@ class _Host:
             self.at = None
             raise
 
-    async def _deliver_phase(self, rnd: int, expect: int, need_wake: bool) -> None:
-        """Wait until all ``expect`` round-``rnd`` bundles arrived, hand
-        each awake pid and each sleeper with mail its inbox ordered by
-        ``(sender pid, per-sender send order)`` -- the simulator's
-        delivery order -- and report ``DONE`` (with the earliest wake of
-        the pids still running when ``need_wake``).  The sort key
-        excludes the payload (payloads need not be comparable); each
-        bundle is already in that order, so one bundle needs no sort at
-        all."""
+    async def _receive_phase(self) -> None:
+        """With every bundle of the open round in, hand each awake pid
+        and each sleeper with mail its inbox ordered by ``(sender pid,
+        per-sender send order)`` -- the simulator's delivery order --
+        and report ``DONE`` (with the earliest wake of the pids still
+        running after a round this host sent and received nothing in:
+        only then may the round have delivered nothing, the one case the
+        coordinator reads it).  The sort key excludes the payload
+        (payloads need not be comparable); each bundle is already in
+        that order, so one bundle needs no sort at all."""
         tel = self.tel
-        while expect and (self.bundle_round != rnd or len(self.bundles) < expect):
-            _src, frame = await self.endpoint.recv()
-            if frame[0] != _DATA:
-                raise NetRuntimeError(
-                    f"expected data frames for round {rnd}, got {frame[0]!r}"
-                )
-            self._buffer(frame[1], frame[2])
-        bundles = self.bundles if self.bundle_round == rnd else []
-        self.bundles = []
+        rnd, bundles = self.bundle_round, self.bundles
+        self.bundles, self.due = [], None
         if len(bundles) == 1:
             entries = bundles[0]
         else:
@@ -489,7 +514,8 @@ class _Host:
         self.at = None
         if halted:
             shard.prune(())
-        earliest = min(wake) if need_wake else None
+        quiet = shard.fast_forward and not (self.sent_any or entries)
+        earliest = min(wake) if quiet else None
         await self.endpoint.send(self.coordinator, (_DONE, rnd, reports, earliest))
 
 
@@ -553,7 +579,7 @@ class Session:
     (:attr:`control`), which consults the adversary through the
     session's :class:`~repro.net.faults.RuntimeView` and decides
     rejoins, crashes, link masks, termination and fast-forward; the
-    session drives the rejoin and send/deliver barriers and the
+    session drives the rejoin and round barriers and the
     :class:`~repro.sim.metrics.Metrics` accounting.  That a seeded
     schedule yields identical rounds, message/bit totals, per-node and
     per-round tallies, crash sets and decisions on both substrates is
@@ -587,7 +613,7 @@ class Session:
         #: transport layer does the actual routing by it)
         self.instance = instance
         #: optional per-round progress hook ``on_round(session, rnd)``,
-        #: invoked after each round's deliver barrier closes.  ``None``
+        #: invoked after each round's barrier closes.  ``None``
         #: (the default) costs one truth test per round; the run-server
         #: uses it to stream round/metrics updates to watchers.
         self.on_round: Optional[Any] = None
@@ -682,14 +708,14 @@ class Session:
     async def _recv(
         self,
         endpoint: Endpoint,
-        want: str,
+        want: tuple[str, ...],
         phase: str,
         rnd: int,
         missing: Callable[[], Iterable[int]],
     ) -> tuple[int, tuple]:
-        """The next ``want`` report of a barrier as ``(host, frame)``:
-        whatever is already queued without suspending, else one watched
-        wait.
+        """The next report of a barrier, of a kind in ``want``, as
+        ``(host, frame)``: whatever is already queued without
+        suspending, else one watched wait.
 
         ``phase`` / ``rnd`` say what the barrier is collecting and
         ``missing()`` from which pids; they are only read if the wait
@@ -721,8 +747,9 @@ class Session:
                 raise ProtocolError(text)
             who = f"host {src}" if pid is None else f"node {pid}"
             raise NetRuntimeError(f"{who} failed with {kind}: {text}")
-        if frame[0] != want:
-            raise NetRuntimeError(f"expected {want}, got {frame[0]!r}")
+        if frame[0] not in want:
+            expected = " or ".join(want)
+            raise NetRuntimeError(f"expected {expected}, got {frame[0]!r}")
         return got
 
     def _watchdog(self) -> None:
@@ -783,7 +810,7 @@ class Session:
         pending = set(range(self.n))
         while pending:
             host, frame = await self._recv(
-                endpoint, _READY, "ready phase", -1, lambda: pending
+                endpoint, (_READY,), "ready phase", -1, lambda: pending
             )
             progress = ("ready", -1, time.monotonic())
             self.live_at.setdefault(host, set())
@@ -842,7 +869,7 @@ class Session:
         pending = set(rejoining)
         while pending:
             host, frame = await self._recv(
-                endpoint, _REJOINED, "rejoin phase", rnd, lambda: pending
+                endpoint, (_REJOINED,), "rejoin phase", rnd, lambda: pending
             )
             progress = ("rejoin", rnd, time.monotonic())
             for pid, *status in frame[2]:
@@ -856,12 +883,10 @@ class Session:
         rnd: int,
         crashing: Mapping[int, Optional[int]],
         blocked: Optional[Mapping[int, frozenset[int]]],
-    ) -> tuple[dict[int, dict[int, tuple]], list[int]]:
+    ) -> dict[int, dict[int, tuple]]:
         """``START``'s ``(crashing, keep, mask, will_rejoin)`` fields
-        per host, for the live pids where one of them is set, and the
-        live pids crashing now."""
+        per host, for the live pids where one of them is set."""
         faults: dict[int, dict[int, tuple]] = {}
-        crashed_now: list[int] = []
         masks = blocked or {}
         for pid in {*crashing, *masks}:
             host = self.host_of.get(pid)
@@ -869,9 +894,7 @@ class Session:
                 continue
             crashes_now = pid in crashing
             mask = masks.get(pid)
-            if crashes_now:
-                crashed_now.append(pid)
-            elif not mask:
+            if not (crashes_now or mask):
                 continue
             faults.setdefault(host, {})[pid] = (
                 crashes_now,
@@ -879,7 +902,7 @@ class Session:
                 mask or (),
                 crashes_now and self.adversary.next_rejoin(pid, rnd) is not None,
             )
-        return faults, crashed_now
+        return faults
 
     async def _round_loop(self, endpoint: Endpoint) -> None:
         ctl = self.control
@@ -893,29 +916,41 @@ class Session:
                 await self._rejoin_phase(endpoint, rnd, rejoining)
             crashing, blocked = ctl.open(rnd, rejoining)
 
-            # Send phase: open the round on every host with a live pid.
-            faults, crashed_now = self._faults(rnd, crashing, blocked)
+            # Open the round on every host with a live pid.  Each reports
+            # SENT once its bundles are out and, unless its pids all
+            # crashed or halted there, DONE once its peers' are in.
+            faults = self._faults(rnd, crashing, blocked)
             opened = [host for host, live in live_at.items() if live]
             for host in opened:
-                await endpoint.send(host, (_START, rnd, faults.get(host, {}), record))
-            #: host -> DATA bundles addressed to it this round
-            expected: dict[int, int] = {}
+                await endpoint.send(
+                    host, (_START, rnd, faults.get(host, {}), record, opened)
+                )
+            sending = set(opened)
+            receiving: set[int] = set()
             delivered_any = False
-            pending = set(opened)
+            earliest: Optional[int] = None
 
             def missing() -> Iterable[int]:
                 # A silent host is missing all of its live pids.
-                return chain.from_iterable(live_at[host] for host in pending)
+                return chain.from_iterable(live_at[h] for h in sending or receiving)
 
-            while pending:
+            while sending or receiving:
+                phase = "send phase" if sending else "receive phase"
                 host, frame = await self._recv(
-                    endpoint, _SENT, "send phase", rnd, missing
+                    endpoint, (_SENT, _DONE), phase, rnd, missing
                 )
-                pending.discard(host)
-                _, _r, shipped, reports = frame
+                if frame[0] == _DONE:
+                    receiving.discard(host)
+                    _, _r, reports, wake = frame
+                    progress = ("deliver", rnd, time.monotonic())
+                    for pid, halted, decided, decision in reports:
+                        self._update(host, pid, progress, halted, decided, decision)
+                    if wake is not None and (earliest is None or wake < earliest):
+                        earliest = wake
+                    continue
+                sending.discard(host)
+                _, _r, reports = frame
                 progress = ("send", rnd, time.monotonic())
-                for dst, count in shipped.items():
-                    expected[dst] = expected.get(dst, 0) + count
                 for (pid, msgs, bits, dropped, records,
                      halted, decided, decision) in reports:
                     self._update(host, pid, progress, halted, decided, decision)
@@ -938,37 +973,20 @@ class Session:
                             self.recorder.record_send_digest(
                                 rnd, pid, dsts, bits_each, digest
                             )
-            for pid in crashed_now:
-                self.crashed.add(pid)
-                live_at[self.host_of[pid]].discard(pid)
-                self.running.discard(pid)
+                for pid, fault in faults.get(host, {}).items():
+                    if fault[0]:
+                        self.crashed.add(pid)
+                        live_at[host].discard(pid)
+                        self.running.discard(pid)
+                if live_at[host]:
+                    receiving.add(host)
+                if tel is not None and not sending:
+                    # The send span covers opening the round up to the
+                    # last SENT report.
+                    ctl.phase("send", rnd)
             if tel is not None:
-                # The send span covers opening the round plus the
-                # barrier wait for every host's SENT report.
-                ctl.phase("send", rnd)
-
-            # Receive phase: survivors consume their (possibly empty) inbox.
-            need_wake = self.fast_forward and not delivered_any
-            opened = [host for host in opened if live_at[host]]
-            for host in opened:
-                await endpoint.send(
-                    host, (_DELIVER, rnd, expected.get(host, 0), need_wake)
-                )
-            pending = set(opened)
-            earliest: Optional[int] = None
-            while pending:
-                host, frame = await self._recv(
-                    endpoint, _DONE, "receive phase", rnd, missing
-                )
-                pending.discard(host)
-                _, _r, reports, wake = frame
-                progress = ("deliver", rnd, time.monotonic())
-                for pid, halted, decided, decision in reports:
-                    self._update(host, pid, progress, halted, decided, decision)
-                if wake is not None and (earliest is None or wake < earliest):
-                    earliest = wake
-            if tel is not None:
-                # Likewise, deliver covers the DONE barrier wait.
+                # Deliver covers the rest of the barrier, up to the last
+                # DONE report.
                 ctl.phase("deliver", rnd, self.statuses)
 
             if self.on_round is not None:

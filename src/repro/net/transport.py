@@ -107,9 +107,10 @@ class Endpoint:
     Ordering contract: frames from one sender to one destination are
     delivered FIFO, and a destination's frames from *all* senders pass
     through one sink queue in routing order.  The round runtime builds
-    on both properties — a host's ``SENT`` report can never overtake
-    its own data bundles, and whatever was sent to a crashed churn pid
-    during its downtime is queued before the coordinator's ``REJOIN``.
+    on both properties — a host's flagged last data bundle of a round
+    to a peer can never overtake its earlier ones, and whatever was
+    sent to a crashed churn pid during its downtime is queued before
+    the coordinator's ``REJOIN``.
     Batching preserves both: batches are split back into frames in
     entry order at every hop.
     """
@@ -137,9 +138,11 @@ class Endpoint:
     async def recv(self) -> tuple[int, Any]:
         """Await the next inbound frame as ``(source address, body)``.
 
-        Blocks indefinitely; the round runtime guarantees liveness by
-        always answering a node's report with a next-phase frame
-        (``DELIVER``, ``START``, ``REJOIN`` or ``STOP``).
+        Blocks indefinitely; in the round runtime a host's wait ends
+        with a peer's bundle or a coordinator frame (``START``,
+        ``REJOIN`` or ``STOP``), and a peer that dies before shipping is
+        named by the coordinator's watchdog, whose ``STOP`` then ends
+        the wait.
         """
         raise NotImplementedError
 

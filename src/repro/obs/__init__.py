@@ -20,9 +20,9 @@ span            meaning
 ``rejoin``      churn rejoin phase (emitted only when a node rejoins)
 ``crash``       adversary crash nomination + link-mask computation
 ``send``        send phase; on the net runtime this includes the barrier
-                wait for every host's ``SENT`` report
-``deliver``     receive phase; on the net runtime the barrier wait for
-                ``DONE`` reports
+                wait up to the last host's ``SENT`` report
+``deliver``     receive phase; on the net runtime the rest of the
+                barrier wait, up to the last ``DONE`` report
 ``kernel.step`` one vectorized round body (``backend="vec"`` kernels)
 ``node.send``   one pid's send phase inside its net host, on its own
                 per-pid track

@@ -8,8 +8,8 @@
   random crash/omission/partition/churn scenarios, and its trace
   replays.
 * **Frame budget**, counted at ``_Router._route`` (every frame of both
-  hubs passes through it): a round costs one control frame per host per
-  barrier phase and one data frame per host pair.
+  hubs passes through it): a round is one barrier and costs three
+  control frames per host and one data frame per host pair.
 * **Bundle cap** and the frame-size guard behind it.
 * **Sharing contract**: co-hosted receivers of one send group get the
   same decoded object (as ``Engine`` hands every receiver the sender's
@@ -259,20 +259,20 @@ class TestFrameBudget:
         assert served.metrics.messages > 0
         h = len(shards)
         if h == 1:
-            assert len(routed) <= 5 * len(executed) + 8
-        # START, SENT, DELIVER, DONE per host and a bundle per host pair
-        # each round; READY, LAYOUT, STOP (and one spare) per host each
-        # run; REJOIN and REJOINED per host each rejoin.
+            assert len(routed) <= 4 * len(executed) + 8
+        # START, SENT, DONE per host and a bundle per host pair each
+        # round; READY, LAYOUT, STOP (and one spare) per host each run;
+        # REJOIN and REJOINED per host each rejoin.
         rejoins = routed.count("rejoin")
         assert rejoins <= h * (case == "flooding-churn")
-        assert len(routed) <= (h * h + 4 * h) * len(executed) + 4 * h + 2 * rejoins
+        assert len(routed) <= (h * h + 3 * h) * len(executed) + 4 * h + 2 * rejoins
         assert routed.count("data") <= h * h * len(executed)
 
     @pytest.mark.parametrize("backend", ["net", "tcp"])
     def test_run_recipe_is_one_host(self, backend, routed):
         recipe, execution = BUDGET_CASES["flooding"]
         result = run_recipe(recipe, backend=backend, **execution)
-        assert len(routed) <= 5 * result.rounds + 8
+        assert len(routed) <= 4 * result.rounds + 8
 
 
 class TestBundleCap:
