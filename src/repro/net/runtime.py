@@ -929,6 +929,8 @@ class Session:
             receiving: set[int] = set()
             delivered_any = False
             earliest: Optional[int] = None
+            if tel is not None and not sending:
+                ctl.phase("send", rnd)  # every pid crashed, a rejoin ahead
 
             def missing() -> Iterable[int]:
                 # A silent host is missing all of its live pids.

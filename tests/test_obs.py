@@ -43,6 +43,7 @@ from repro.obs import (
     validate_telemetry_dict,
 )
 from repro.obs.cli import main as obs_main
+from repro.scenarios import Scenario
 from repro.sim.vec import HAVE_NUMPY
 
 
@@ -182,6 +183,26 @@ def test_net_span_taxonomy_and_node_tracks():
     assert {"codec.encode", "codec.decode"} <= set(telemetry.phases)
     tracks = {event["track"] for event in telemetry.events}
     assert any(track.startswith("node-") for track in tracks)
+
+
+@pytest.mark.parametrize("backend", ["sim", "net"])
+def test_a_round_without_live_pids_has_both_phase_spans(backend):
+    # Every pid is down in rounds 1 and 2 (fast-forward off, pid 2
+    # rejoins at 3): the net barrier opens on no host there, yet each
+    # round still closes a send and a deliver span, as on the engine.
+    scenario = Scenario(
+        n=4, crashes=[(0, 0, 0), (1, 0, 0), (3, 0, 0)], churn=[(2, 0, 3, None)]
+    )
+    result = api.run_recipe(
+        {"name": "flooding", "inputs": [0, 1, 0, 1], "t": 3},
+        backend=backend,
+        scenario=scenario,
+        fast_forward=False,
+        telemetry=True,
+    )
+    phases = result.telemetry.phases
+    assert result.rounds == phases["round"]["count"] == 4
+    assert phases["send"]["count"] == phases["deliver"]["count"] == 4
 
 
 # -- the collecting recorder -------------------------------------------------
