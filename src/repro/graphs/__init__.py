@@ -1,6 +1,7 @@
-"""Overlay-graph substrate: (near-)Ramanujan constructions and the
-combinatorics (expansion, compactness, dense neighborhoods) of paper
-Section 3.
+"""Overlay-graph substrate of paper Section 3: one seeded stdlib
+generator for the (near-)Ramanujan overlays, a spectral check that never
+changes the graph it checks, and the combinatorics (expansion,
+compactness, dense neighborhoods) the proofs use.
 """
 
 from repro.graphs.compactness import (
@@ -29,13 +30,11 @@ from repro.graphs.families import (
     spread_graph,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.lps import lps_graph, lps_parameters_ok, lps_vertex_count
 from repro.graphs.ramanujan import (
     certified_ramanujan_graph,
     clear_graph_cache,
     complete_graph,
     ell_expansion_size,
-    margulis_graph,
     paper_delta,
     paper_ell,
 )
@@ -54,10 +53,6 @@ __all__ = [
     "is_connected_within",
     "is_ramanujan",
     "is_survival_subset",
-    "lps_graph",
-    "lps_parameters_ok",
-    "lps_vertex_count",
-    "margulis_graph",
     "mcc_phase_degree",
     "mcc_phase_graph",
     "mixing_lemma_gap",

@@ -19,12 +19,9 @@ import math
 from collections import deque
 from typing import Iterable, Optional
 
-import numpy as np
-
 from repro.graphs.graph import Graph
 
 __all__ = [
-    "adjacency_matrix",
     "edges_between",
     "induced_volume",
     "is_connected_within",
@@ -46,40 +43,33 @@ def ramanujan_bound(d: int) -> float:
     return 2.0 * math.sqrt(max(d - 1, 0))
 
 
-def adjacency_matrix(graph: Graph) -> "scipy.sparse.csr_matrix":
-    """Sparse adjacency matrix of ``graph``."""
-    # Imported where used: most processes that import repro.api (serve
-    # clients, servers, workers) never build a certified expander.
-    import scipy.sparse as sp
-
-    rows: list[int] = []
-    cols: list[int] = []
-    for u in range(graph.n):
-        for v in graph.adj[u]:
-            rows.append(u)
-            cols.append(v)
-    data = np.ones(len(rows), dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(graph.n, graph.n))
-
-
 def second_eigenvalue(graph: Graph) -> float:
     """``λ = max(|λ₂|, |λₙ|)`` of the adjacency matrix.
 
     For a connected non-bipartite ``d``-regular graph this is the second
-    largest eigenvalue magnitude.  Complete graphs return 1.0.
+    largest eigenvalue magnitude.  Complete graphs return 1.0.  Needs
+    numpy, and scipy above the dense cutoff (the ``[vec]`` extra); they
+    are imported here, so the rest of the package runs on the stdlib.
     """
     n = graph.n
     if n <= 2:
         return 0.0
-    matrix = adjacency_matrix(graph)
+    import numpy as np
+
     if n <= _DENSE_CUTOFF:
-        eigenvalues = np.linalg.eigvalsh(matrix.toarray())
-        magnitudes = np.sort(np.abs(eigenvalues))[::-1]
+        matrix = np.zeros((n, n))
+        for u, row in enumerate(graph.adj):
+            matrix[u, list(row)] = 1.0
+        magnitudes = np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1]
         return float(magnitudes[1])
     # Sparse path: the two largest-magnitude eigenvalues are the trivial
     # one (== d for regular graphs) and λ.
+    import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh
 
+    rows = [u for u in range(n) for _ in graph.adj[u]]
+    cols = [v for row in graph.adj for v in row]
+    matrix = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     values = eigsh(matrix, k=2, which="LM", return_eigenvectors=False, tol=1e-8)
     magnitudes = np.sort(np.abs(values))[::-1]
     return float(magnitudes[1])

@@ -22,7 +22,8 @@ import math
 import random
 
 from repro.graphs.graph import Graph
-from repro.graphs.ramanujan import certified_ramanujan_graph, complete_graph
+# One memo for every overlay, so ``clear_graph_cache`` drops these too.
+from repro.graphs.ramanujan import _CACHE, certified_ramanujan_graph, complete_graph
 
 __all__ = [
     "mcc_phase_degree",
@@ -32,8 +33,6 @@ __all__ = [
     "scv_inquiry_graph",
     "spread_graph",
 ]
-
-_CACHE: dict[tuple, Graph] = {}
 
 #: Practical degree for the spreading graph H.  The paper sets Δ ≥ 64 to
 #: get edge expansion ≥ Δ/3; degree 16 keeps simulations fast while the

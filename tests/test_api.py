@@ -138,25 +138,60 @@ class TestRunRecipe:
         assert result.trace.backend == name
 
 
+def _python(code: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter on this ``repro``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+#: What only the spectral check (numpy, and scipy above 600 vertices) and
+#: the vec backend (numpy) import; networkx is imported by nothing.
+OPTIONAL = ("numpy", "scipy", "networkx")
+
+
 class TestImportCost:
     def test_heavy_graph_dependencies_load_on_first_use_only(self):
-        """Importing the run, serve and net surfaces must not import
-        scipy or networkx: only building a certified expander needs
-        them, and a serve client, a server child or a worker that runs
-        small recipes never does (half of ``import repro.serve``)."""
-        src = os.path.dirname(os.path.dirname(repro.__file__))
+        """Importing the run, serve and net surfaces and running a small
+        recipe imports none of :data:`OPTIONAL`: a serve client, a
+        server child or a worker that runs small recipes never needs
+        them (half of ``import repro.serve``)."""
         code = (
             "import sys; import repro.api, repro.serve, repro.net; "
             "from repro.api import run_recipe; "
             "assert run_recipe({'name': 'flooding', 'inputs': [0, 1, 1, 0], 't': 1}).completed; "
-            "print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
+            f"print(sorted(set({OPTIONAL!r}) & set(sys.modules)))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
+        assert _python(code) == "[]"
+
+    def test_bare_interpreter_runs_every_family(self):
+        """With every one of :data:`OPTIONAL` blocked, each family's run
+        and the overlays it built give the digest they give with them
+        installed: the spectral check is skipped, and nothing changes."""
+        code = (
+            "import hashlib, random, sys\n"
+            "for name in BLOCKED: sys.modules[name] = None\n"
+            "from repro.api import run_recipe\n"
+            "from repro.check.driver import sample_instance\n"
+            "from repro.families import REGISTRY\n"
+            "from repro.graphs.ramanujan import _CACHE\n"
+            "h = hashlib.sha256()\n"
+            "for record in REGISTRY:\n"
+            "    recipe = sample_instance(record.family, random.Random(0), 0)\n"
+            "    result = run_recipe(recipe, seed=1)\n"
+            "    h.update(repr((record.family, result.rounds, result.messages, result.bits,\n"
+            "                   sorted(result.decisions.items()))).encode())\n"
+            "overlays = sorted((key[:4], g.adj) for key, g in _CACHE.items() if key[0] == 'ramanujan')\n"
+            "h.update(repr(overlays).encode())\n"
+            "print(len(overlays), h.hexdigest())\n"
         )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        blocked = _python(code.replace("BLOCKED", repr(OPTIONAL)))
+        assert int(blocked.split()[0]) > 0  # some family built a checked overlay
+        assert blocked == _python(code.replace("BLOCKED", "()"))

@@ -6,6 +6,7 @@ memoised across examples.
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -152,6 +153,7 @@ class TestGraphInvariants:
         seed=st.integers(0, 50),
     )
     def test_certified_graphs_regular_with_gap(self, n, d, seed):
+        pytest.importorskip("numpy")
         graph = certified_ramanujan_graph(n, d, seed=seed)
         degree = graph.max_degree
         assert graph.is_regular()
