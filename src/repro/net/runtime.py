@@ -29,27 +29,34 @@ sender; envelopes are the runtime's business.
    pid the adversary crashes now, its blocked-destination set for link
    faults (omission/partition scenarios) and whether it should await a
    rejoin.  The host walks its own live pids in pid order and runs the
-   ``send(r)`` hook of each awake one (see "Wake table"), normalises and
-   truncates each pid's sends through the engine's own ``collect_sends``
-   + ``apply_link_filter``, counts its messages, payload bits and
-   dropped messages, and ships ``DATA`` bundles of the surviving send
-   groups (pickled once; they go through the hub like every frame, so a
-   one-host ``tcp`` run still sends its bundle out of its connection and
-   back): every *other* opened host gets at least one, empty when there
-   is nothing for it, and itself one when it has mail for its own pids;
-   the last bundle to each host is flagged.  It then reports one
-   ``SENT`` with a row per pid it called.
+   ``send(r)`` hook of each awake one (see "Wake table"), truncates and
+   filters the sends of a pid with a fault through the engine's own
+   ``collect_sends`` + ``apply_link_filter``, counts each pid's
+   messages, payload bits and dropped messages, and ships ``DATA``
+   bundles of the surviving send groups (pickled once; they go through
+   the hub like every frame, so a one-host ``tcp`` run still sends its
+   bundle out of its connection and back): every *other* opened host
+   gets at least one, empty when there is nothing for it, and itself
+   one when it has mail for its own pids; the last bundle to each host
+   is flagged.  It then reports one ``SENT`` with a row per pid that
+   sent, dropped or recorded something, or whose status moved.
 3. Receive -- a host whose pids are not all gone collects one flagged
    last bundle from each host that ships to it (bundles may arrive
    before its own ``START`` and are buffered), builds each inbox ordered
    by ``(sender, send-order)`` -- byte-for-byte the simulator's delivery
    order -- discards what was addressed to a crashed or halted pid, runs
    the ``receive(r)`` hooks of its awake pids and of every sleeper that
-   got mail, and reports one ``DONE`` with a row per pid it called and,
-   after a round in which it neither sent nor received a message, its
-   earliest wake.  The coordinator collects ``SENT`` and ``DONE`` in any
-   host order and closes the round once every opened host has sent the
-   one and every host with a surviving pid the other.
+   got mail, and reports one ``DONE`` with a row per pid whose status
+   moved and, after a round in which it neither sent nor received a
+   message, its earliest wake.  The coordinator collects ``SENT`` and
+   ``DONE`` in any host order and closes the round once every opened
+   host has sent the one and every host with a surviving pid the other.
+
+Reports carry news only: a status moved when any of ``halted`` and
+``decided`` differs from the pid's last row or its ``decision`` is not
+the same object (an unsure case ships a row), and a pid without a row
+keeps the status of its last one.  The coordinator stamps barrier
+progress once per report frame, per host.
 
 Frames (``C`` is the coordinator; every status is ``halted, decided,
 decision``)::
@@ -63,34 +70,42 @@ decision``)::
                             will_rejoin)} for the live pids with a
                             fault, record, [opened host, ...]
     DATA      host -> host  round, [(src, seq, dsts, payload), ...], last
+                            (dsts None: every pid behind the receiving
+                            host but src)
     SENT      host -> C     round, [(pid, msgs, bits, dropped, records,
-                              *status), ...] per pid called
-    DONE      host -> C     round, [(pid, *status), ...] per pid
-                            called, earliest wake (None after a round
-                            the host sent or received a message in)
+                              *status), ...] per pid that sent, dropped
+                            or recorded something or whose status moved
+    DONE      host -> C     round, [(pid, *status), ...] per pid whose
+                            status moved, earliest wake (None after a
+                            round the host sent or received a message in)
     STOP      C -> host     --
     ERROR     host -> C     pid whose hook raised (None: the host
                             itself), exception class name, text
 
 A ``DATA`` bundle holds, per send group with a destination behind the
 receiving host, the sender, the group's index in the sender's send
-order, those destinations and the payload; it closes at
-:data:`_BUNDLE_PAIRS` ``(group, destination)`` pairs or
-:data:`_BUNDLE_BYTES` of counted payload, whichever comes first, and
-``last`` marks a sender's final bundle to that host in the round (the
-hubs keep each sender-receiver stream in order).  Receivers behind one
-host are handed the *same* decoded payload object (as ``Engine`` hands
-every receiver the sender's object); receivers behind different hosts,
-and the sender, never share one.
+order, those destinations and the payload.  A sender whose whole output
+is one multicast to every pid but itself -- proved as the engine proves
+its broadcast column, by :func:`~repro.sim.process.proves_everyone_else`
+-- ships one entry with ``dsts`` None per host, and the receiving host
+delivers those entries as the engine's column; any other group is split
+by host once per destination tuple object per pid.  A bundle closes at
+:data:`_BUNDLE_PAIRS` ``(group, destination)`` pairs (a ``None`` entry
+counts ``n - 1``) or :data:`_BUNDLE_BYTES` of counted payload,
+whichever comes first, and ``last`` marks a sender's final bundle to
+that host in the round (the hubs keep each sender-receiver stream in
+order).  Receivers behind one host are handed the *same* decoded
+payload object (as ``Engine`` hands every receiver the sender's object);
+receivers behind different hosts, and the sender, never share one.
 
 The barrier guarantees the paper's synchrony: no process observes round
 ``r + 1`` before every round-``r`` message is delivered.  Who rejoins,
 who crashes, which links are blocked, fast-forward over quiescent
 stretches and termination are decided by the session's
 :class:`~repro.sim.rounds.RoundControl`, as on every backend; hosts
-truncate, filter and count with the engine's own helpers, pid by pid.
-That makes the sim/net parity tests exact rather than statistical --
-and independent of how pids are dealt to hosts.
+truncate, filter, prove broadcasts and count with the engine's own
+helpers, pid by pid.  That makes the sim/net parity tests exact rather
+than statistical -- and independent of how pids are dealt to hosts.
 
 Wake table
 ----------
@@ -157,7 +172,7 @@ from __future__ import annotations
 import asyncio
 import sys
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -174,7 +189,13 @@ from repro.sim.engine import (
     collect_sends,
 )
 from repro.sim.metrics import Metrics
-from repro.sim.process import Process, ProtocolError, payload_bits_cached
+from repro.sim.process import (
+    Multicast,
+    Process,
+    ProtocolError,
+    payload_bits_cached,
+    proves_everyone_else,
+)
 from repro.sim.rounds import RoundControl
 from repro.sim.shard import Shard
 from repro.trace import payload_digest
@@ -230,18 +251,22 @@ def _status_of(proc: Process) -> tuple[bool, bool, Any]:
 # -- host side ---------------------------------------------------------------
 
 
+_by_sender = itemgetter(0)
+
+
 def _bundles(
-    entries: list[tuple], bits_cache: dict[int, tuple[Any, int]]
+    entries: list[tuple], bits_cache: dict[int, tuple[Any, int]], n: int
 ) -> Iterable[list[tuple]]:
     """Cut one destination host's ``(src, seq, dsts, payload)`` entries
     into bundles, closing each once it holds :data:`_BUNDLE_PAIRS`
-    ``(group, dst)`` pairs or :data:`_BUNDLE_BYTES` of payload (sizes
-    from the send phase's ``bits_cache``)."""
+    ``(group, dst)`` pairs (a broadcast entry, ``dsts`` None, counts
+    ``n - 1``) or :data:`_BUNDLE_BYTES` of payload (sizes from the send
+    phase's ``bits_cache``)."""
     bundle: list[tuple] = []
     pairs = size = 0
     for entry in entries:
         bundle.append(entry)
-        pairs += len(entry[2])
+        pairs += n - 1 if entry[2] is None else len(entry[2])
         size += payload_bits_cached(entry[3], bits_cache) >> 3
         if pairs >= _BUNDLE_PAIRS or size >= _BUNDLE_BYTES:
             yield bundle
@@ -264,7 +289,7 @@ class _Host:
         procs = list(processes)
         # The horizon: any int above every round, since the control caps
         # a reported wake at max_rounds (which a host does not know).
-        n = procs[0].n if procs else 0
+        self.n = n = procs[0].n if procs else 0
         self.shard = Shard(procs, n, sys.maxsize, churn_pids)
         self.endpoint = endpoint
         self.coordinator = coordinator
@@ -278,6 +303,18 @@ class _Host:
         self.awaiting: set[int] = set()
         #: pid -> host address (LAYOUT)
         self.host_of: Sequence[int] = ()
+        #: the hosts a broadcast of a pid here goes to: every host with
+        #: a pid other than the sender (LAYOUT)
+        self.fanout: tuple[int, ...] = ()
+        #: every pid, what a broadcast is proved against
+        self.universe = frozenset(range(n))
+        #: pid -> its last destination tuple proved every pid but it
+        self.peers: dict[int, tuple[int, ...]] = {}
+        #: pid -> (its last multicast destination tuple found in range,
+        #: that tuple's ``(host, destinations)`` split)
+        self.routes: dict[int, tuple] = {}
+        #: pid -> the ``(halted, decided, decision)`` of its last row
+        self.reported: dict[int, tuple[bool, bool, Any]] = {}
         # One round's bundles and how many of them were flagged last: a
         # peer that got its START(r) first may ship before this host's
         # START(r) arrives.
@@ -307,6 +344,11 @@ class _Host:
                 )
             elif kind == _LAYOUT:
                 _, self.host_of, self.shard.fast_forward = frame
+                pids_at = Counter(self.host_of)
+                me = self.endpoint.address
+                self.fanout = tuple(
+                    host for host, pids in pids_at.items() if host != me or pids > 1
+                )
             elif kind == _STOP:
                 return
             else:
@@ -326,9 +368,25 @@ class _Host:
             self.at = pid
             self.awaiting.discard(pid)
             self.shard.start((pid,), rnd)
-            rows.append((pid, *_status_of(self.shard.procs[pid])))
+            self.reported[pid] = status = _status_of(self.shard.procs[pid])
+            rows.append((pid, *status))
         self.at = None
         return rows
+
+    def _changed(self, proc: Process) -> bool:
+        """Whether ``proc``'s ``(halted, decided, decision)`` moved since
+        its last row -- the decision compared by identity, so that an
+        unsure case is a change -- noting a changed status as reported
+        (the caller ships its row)."""
+        last = self.reported[proc.pid]
+        if (
+            proc.halted is last[0]
+            and proc.decided is last[1]
+            and proc.decision is last[2]
+        ):
+            return False
+        self.reported[proc.pid] = _status_of(proc)
+        return True
 
     def _buffer(self, rnd: int, bundle: list[tuple], last: bool) -> None:
         if rnd != self.bundle_round:
@@ -348,24 +406,26 @@ class _Host:
         record: bool,
         opened: Sequence[int],
     ) -> None:
-        """The shard's send phase: per awake pid, in pid order,
-        normalise, validate and (for a crashing pid) truncate the sends
-        with the engine's own :func:`repro.sim.engine.collect_sends`,
-        then remove link-blocked destinations with
-        :func:`repro.sim.engine.apply_link_filter` -- the single sources
-        of partial-send and omission semantics on both substrates --
-        and count messages, payload bits and drops (plus per-group trace
-        records when ``record``).  A sleeper is skipped, and just
-        crashes if ``faults`` crashes it.  The surviving groups leave as
-        ``DATA`` bundles, the last one to each host flagged: at least one
-        to every other ``opened`` host, one to this host only if it has
-        mail for its own pids.  Then one ``SENT`` report with a row per
-        pid called, and the round's receive phase is due unless no pid
-        here is left running."""
+        """The shard's send phase: per awake pid, in pid order, route
+        its sends (:meth:`_route`) and count messages, payload bits and
+        drops (plus per-group trace records when ``record``).  A pid
+        with a fault is normalised first by the engine's own
+        :func:`repro.sim.engine.collect_sends`, which truncates a
+        crashing pid's sends, and
+        :func:`repro.sim.engine.apply_link_filter`, which removes its
+        link-blocked destinations -- the single sources of partial-send
+        and omission semantics on both substrates.  A sleeper is
+        skipped, and just crashes if ``faults`` crashes it.  The routed
+        entries leave as ``DATA`` bundles, the last one to each host
+        flagged: at least one to every other ``opened`` host, one to
+        this host only if it has mail for its own pids.  Then one
+        ``SENT`` report with a row per pid that sent, dropped or
+        recorded something or whose status changed, and the round's
+        receive phase is due unless no pid here is left running."""
         tel = self.tel
-        host_of = self.host_of
         shard = self.shard
         wake = shard.wake
+        n = self.n
         bits_cache: dict[int, tuple[Any, int]] = {}
         out: dict[int, list[tuple]] = {}
         reports = []
@@ -390,35 +450,22 @@ class _Host:
                 continue  # asleep: nothing to send, and a crash is all
             if tel is not None:
                 t_send = tel.clock()
-            groups = collect_sends(proc, rnd, keep, proc.n)
-            if not groups:
-                shard.silent[pid] = rnd
             dropped = 0
-            if mask:
+            if crashing or mask:
+                groups = collect_sends(proc, rnd, keep, n)
+                if mask:
+                    groups, dropped = apply_link_filter(groups, mask)
+                sent = [Multicast(*group) for group in groups]
+            else:
+                sent = proc.send(rnd)
+            msgs, bits, records = self._route(pid, sent, out, bits_cache, record)
+            if not (msgs or dropped):
                 # A sender whose whole output is dropped here still sent,
                 # so it stays awake without being asked.
-                groups, dropped = apply_link_filter(groups, mask)
-            msgs = 0
-            bits = 0
-            records: Optional[list] = [] if record else None
-            # ``seq`` is the group index: receivers order by
-            # ``(src, seq)``, and a multicast's payload is pickled once
-            # per destination host, not once per destination.
-            for seq, (dsts, payload) in enumerate(groups):
-                bits_each = payload_bits_cached(payload, bits_cache)
-                if records is not None:
-                    # Digest computed next to the wire, so the
-                    # coordinator's trace records exactly what this host
-                    # serialised.
-                    records.append((tuple(dsts), bits_each, payload_digest(payload)))
-                msgs += len(dsts)
-                bits += bits_each * len(dsts)
-                split: dict[int, list[int]] = {}
-                for dst in dsts:
-                    split.setdefault(host_of[dst], []).append(dst)
-                for host, local in split.items():
-                    out.setdefault(host, []).append((pid, seq, local, payload))
-            reports.append((pid, msgs, bits, dropped, records, *_status_of(proc)))
+                shard.silent[pid] = rnd
+            changed = self._changed(proc)
+            if changed or msgs or dropped or records:
+                reports.append((pid, msgs, bits, dropped, records, *self.reported[pid]))
             if tel is not None:
                 tel.span("node.send", rnd, t_send, tel.clock(), track=f"node-{pid}")
             if proc.halted:
@@ -432,7 +479,7 @@ class _Host:
         # Mail for a host that is not opened is for crashed pids: lost.
         me = self.endpoint.address
         for host in opened:
-            bundles = list(_bundles(out.get(host, ()), bits_cache))
+            bundles = list(_bundles(out.get(host, ()), bits_cache, n))
             if not bundles and host != me:
                 bundles.append([])
             last = len(bundles) - 1
@@ -446,6 +493,92 @@ class _Host:
             self._buffer(rnd, [], False)
             self.due = len(opened) - (me not in out)
             self.sent_any = bool(out)
+
+    def _route(
+        self,
+        pid: int,
+        sent: Iterable[Any],
+        out: dict[int, list[tuple]],
+        bits_cache: dict[int, tuple[Any, int]],
+        record: bool,
+    ) -> tuple[int, int, Optional[list]]:
+        """Append ``pid``'s round output ``sent`` to ``out`` (destination
+        host -> ``(src, seq, dsts, payload)`` entries, ``seq`` the
+        item's index in the send order) and return its messages, bits
+        and trace records (None unless ``record``).
+
+        A sender whose whole output is one multicast to every pid but
+        itself -- proved as the engine proves it, once per tuple object
+        -- ships one entry with ``dsts`` None to each host in
+        :attr:`fanout`; the receivers take it as the engine's broadcast
+        column.  Any other multicast is range-checked and split by
+        destination host once per tuple object per pid, and a
+        point-to-point message goes to its destination's host.  A
+        payload is pickled once per destination host, not once per
+        destination."""
+        records: Optional[list] = [] if record else None
+        if (
+            type(sent) in (list, tuple)
+            and len(sent) == 1
+            and isinstance(sent[0], Multicast)
+        ):
+            dsts, payload = sent[0]
+            if type(dsts) is tuple and (
+                dsts is self.peers.get(pid)
+                or proves_everyone_else(dsts, pid, self.universe)
+            ):
+                self.peers[pid] = dsts
+                bits_each = payload_bits_cached(payload, bits_cache)
+                if records is not None:
+                    records.append((dsts, bits_each, payload_digest(payload)))
+                entry = (pid, 0, None, payload)
+                for host in self.fanout:
+                    out.setdefault(host, []).append(entry)
+                return len(dsts), bits_each * len(dsts), records
+        msgs = bits = 0
+        for seq, item in enumerate(sent):
+            if isinstance(item, Multicast):
+                dsts, payload = item
+                width = len(dsts)
+                if not width:
+                    continue
+                route = self.routes.get(pid)
+                if route is None or route[0] is not dsts:
+                    route = (dsts, self._split(pid, dsts))
+                    if type(dsts) is tuple:
+                        self.routes[pid] = route
+                split = route[1]
+            else:
+                dst, payload = item
+                if dst < 0 or dst >= self.n:
+                    raise ProtocolError(f"process {pid} sent to invalid pid {dst}")
+                width = 1
+                dsts = (dst,)
+                split = ((self.host_of[dst], dsts),)
+            bits_each = payload_bits_cached(payload, bits_cache)
+            msgs += width
+            bits += bits_each * width
+            if records is not None:
+                # Digest computed next to the wire, so the coordinator's
+                # trace records exactly what this host serialised.
+                records.append((tuple(dsts), bits_each, payload_digest(payload)))
+            for host, local in split:
+                out.setdefault(host, []).append((pid, seq, local, payload))
+        return msgs, bits, records
+
+    def _split(
+        self, pid: int, dsts: Sequence[int]
+    ) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``pid``'s multicast destinations ``dsts``, range-checked, as
+        ``(host, destinations behind it)`` pairs."""
+        n = self.n
+        if min(dsts) < 0 or max(dsts) >= n:
+            bad = next(d for d in dsts if not 0 <= d < n)
+            raise ProtocolError(f"process {pid} sent to invalid pid {bad}")
+        split: dict[int, list[int]] = {}
+        for dst in dsts:
+            split.setdefault(self.host_of[dst], []).append(dst)
+        return tuple((host, tuple(local)) for host, local in split.items())
 
     def _encode(self, rnd: int, bundle: list[tuple], last: bool) -> bytes:
         try:
@@ -462,12 +595,15 @@ class _Host:
         """With every bundle of the open round in, hand each awake pid
         and each sleeper with mail its inbox ordered by ``(sender pid,
         per-sender send order)`` -- the simulator's delivery order --
-        and report ``DONE`` (with the earliest wake of the pids still
-        running after a round this host sent and received nothing in:
-        only then may the round have delivered nothing, the one case the
-        coordinator reads it).  The sort key excludes the payload
-        (payloads need not be comparable); each bundle is already in
-        that order, so one bundle needs no sort at all."""
+        and report ``DONE`` (a row per pid whose status changed, and the
+        earliest wake of the pids still running after a round this host
+        sent and received nothing in: only then may the round have
+        delivered nothing, the one case the coordinator reads it).  The
+        sort key excludes the payload (payloads need not be comparable);
+        each bundle is already in that order, so one bundle needs no sort
+        at all.  Broadcast entries (``dsts`` None) form the engine's
+        column: each receiver gets one copy of it minus its own entry,
+        merged by sender with the rest of its mail."""
         tel = self.tel
         rnd, bundles = self.bundle_round, self.bundles
         self.bundles, self.due = [], None
@@ -478,7 +614,13 @@ class _Host:
         # Messages for a local pid that is not running -- crashed or
         # halted -- are never looked up, so they are discarded here.
         inboxes: defaultdict[int, list[tuple[int, Any]]] = defaultdict(list)
+        column: list[tuple[int, Any]] = []
+        column_at: dict[int, int] = {}
         for src, _seq, dsts, payload in entries:
+            if dsts is None:
+                column_at[src] = len(column)
+                column.append((src, payload))
+                continue
             item = (src, payload)
             for dst in dsts:
                 inboxes[dst].append(item)
@@ -490,11 +632,22 @@ class _Host:
             pid = proc.pid
             inbox = inboxes.get(pid)
             asleep = wake[pid] > rnd
-            if asleep and not inbox:
+            if asleep and not inbox and not column:
                 continue
             self.at = pid
             if tel is not None:
                 t_deliver = tel.clock()
+            if column:
+                # A column sender sends nothing else, so a stable sort
+                # by sender restores the (sender, send order) order.
+                merged = column.copy()
+                at = column_at.get(pid)
+                if at is not None:
+                    del merged[at]
+                if inbox:
+                    merged += inbox
+                    merged.sort(key=_by_sender)
+                inbox = merged
             if inbox:
                 proc.receive(rnd, inbox)
                 if asleep:
@@ -504,7 +657,8 @@ class _Host:
             else:
                 proc.receive(rnd, [])
                 shard.idle(proc, rnd)
-            reports.append((pid, *_status_of(proc)))
+            if self._changed(proc):
+                reports.append((pid, *self.reported[pid]))
             if proc.halted:
                 halted = True
             if tel is not None:
@@ -646,11 +800,11 @@ class Session:
             recorder=recorder,
             telemetry=self.telemetry,
         )
-        #: pid -> (phase, round, time.monotonic()) of the pid's last
-        #: completed report.  Always maintained (one dict store per
-        #: report row, telemetry or not) so a barrier timeout can name
-        #: the laggard: "stuck in phase X of round R" plus how long ago
-        #: each missing node last reported.
+        #: host address -> (phase, round, time.monotonic()) of the
+        #: host's last report frame.  Always maintained (one dict store
+        #: per report frame, telemetry or not) so a barrier timeout can
+        #: name the laggard: "stuck in phase X of round R" plus how long
+        #: ago each missing node's host last reported.
         self.last_progress: dict[int, tuple[str, int, float]] = {}
         #: pid -> address of the host it lives behind, learnt from the
         #: ``READY`` reports
@@ -780,16 +934,17 @@ class Session:
     def _laggard_detail(self, pending: Optional[Iterable[int]]) -> str:
         """Per-missing-pid last-completed-span lines for timeout errors.
 
-        Built from :attr:`last_progress` (maintained on every report
-        frame, so available whether or not telemetry is enabled): names
-        which nodes the barrier is stuck on and what each last finished.
+        Built from :attr:`last_progress` (stamped on every report frame,
+        so available whether or not telemetry is enabled) through
+        :attr:`host_of`: names which nodes the barrier is stuck on and
+        what the host of each last finished.
         """
         if not pending:
             return ""
         now = time.monotonic()
         lines = []
         for pid in sorted(pending)[:8]:
-            entry = self.last_progress.get(pid)
+            entry = self.last_progress.get(self.host_of.get(pid))
             if entry is None:
                 lines.append(f"pid {pid}: no reports received yet")
             else:
@@ -812,13 +967,13 @@ class Session:
             host, frame = await self._recv(
                 endpoint, (_READY,), "ready phase", -1, lambda: pending
             )
-            progress = ("ready", -1, time.monotonic())
+            self.last_progress[host] = ("ready", -1, time.monotonic())
             self.live_at.setdefault(host, set())
             for pid, *status in frame[1]:
                 pending.discard(pid)
                 self.host_of[pid] = host
                 self._enlist(host, pid)
-                self._update(host, pid, progress, *status)
+                self._update(host, pid, *status)
         layout = [self.host_of[pid] for pid in range(self.n)]
         body = encode((_LAYOUT, layout, self.fast_forward))
         for host in sorted(set(layout)):
@@ -832,21 +987,15 @@ class Session:
             self.running.add(pid)
 
     def _update(
-        self,
-        host: int,
-        pid: int,
-        progress: tuple[str, int, float],
-        halted: bool,
-        decided: bool,
-        decision: Any,
+        self, host: int, pid: int, halted: bool, decided: bool, decision: Any
     ) -> None:
-        """One report row of ``pid`` behind ``host``: its status and
-        progress mark; a halted pid leaves the live sets for good."""
+        """One report row of ``pid`` behind ``host``: its status; a
+        halted pid leaves the live sets for good.  A pid with no row in
+        a report kept the status of its last one."""
         status = self.statuses[pid]
         status.halted = halted
         status.decided = decided
         status.decision = decision
-        self.last_progress[pid] = progress
         if halted:
             self.live_at[host].discard(pid)
             self.running.discard(pid)
@@ -871,12 +1020,12 @@ class Session:
             host, frame = await self._recv(
                 endpoint, (_REJOINED,), "rejoin phase", rnd, lambda: pending
             )
-            progress = ("rejoin", rnd, time.monotonic())
+            self.last_progress[host] = ("rejoin", rnd, time.monotonic())
             for pid, *status in frame[2]:
                 pending.discard(pid)
                 self.crashed.discard(pid)
                 self._enlist(host, pid)
-                self._update(host, pid, progress, *status)
+                self._update(host, pid, *status)
 
     def _faults(
         self,
@@ -944,18 +1093,18 @@ class Session:
                 if frame[0] == _DONE:
                     receiving.discard(host)
                     _, _r, reports, wake = frame
-                    progress = ("deliver", rnd, time.monotonic())
+                    self.last_progress[host] = ("deliver", rnd, time.monotonic())
                     for pid, halted, decided, decision in reports:
-                        self._update(host, pid, progress, halted, decided, decision)
+                        self._update(host, pid, halted, decided, decision)
                     if wake is not None and (earliest is None or wake < earliest):
                         earliest = wake
                     continue
                 sending.discard(host)
                 _, _r, reports = frame
-                progress = ("send", rnd, time.monotonic())
+                self.last_progress[host] = ("send", rnd, time.monotonic())
                 for (pid, msgs, bits, dropped, records,
                      halted, decided, decision) in reports:
-                    self._update(host, pid, progress, halted, decided, decision)
+                    self._update(host, pid, halted, decided, decision)
                     if msgs:
                         delivered_any = True
                         self.metrics.record_send(

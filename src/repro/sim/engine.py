@@ -75,9 +75,8 @@ The engine carries two interchangeable round-loop implementations:
   whatever reached it through the append buffers -- so an all-to-all
   round costs one list per receiver, not one append per message.  The
   destination tuple is proved to be every pid but the sender (once per
-  tuple object: by identity with the tuple
-  :meth:`~repro.sim.process.Process.everyone_else` hands out from its
-  shared table, by a set difference for any other tuple), never
+  tuple object, by :func:`~repro.sim.process.proves_everyone_else`,
+  which a :mod:`repro.net` host runs too), never
   assumed; anything else takes the general path, which
   range-checks a multicast's destination tuple once per tuple object
   per sender too (an overlay neighbourhood is one tuple for the run).
@@ -122,7 +121,7 @@ from repro.sim.process import (
     ProtocolError,
     payload_bits,
     payload_bits_cached,
-    shared_peers,
+    proves_everyone_else,
 )
 from repro.sim.rounds import RoundControl, RunResult
 from repro.sim.shard import Shard
@@ -498,9 +497,8 @@ class Engine:
         # round's pure broadcasters in ascending pid, ``column_at[pid]``
         # the sender's own index (-1: not in it).  ``peers[pid]`` pins
         # the last destination tuple *proved* to be every pid but
-        # ``pid``, so the proof runs once per tuple object, not per round;
-        # the proof is identity with the shared peer table's tuple, and
-        # the set difference only for a tuple the table does not hold.
+        # ``pid``, so the proof (:func:`proves_everyone_else`) runs once
+        # per tuple object, not per round.
         column: list[tuple[int, Any]] = []
         column_at = [-1] * n
         peers: list[Optional[tuple[int, ...]]] = [None] * n
@@ -598,11 +596,7 @@ class Engine:
                     dsts, payload = sent[0]
                     if type(dsts) is tuple and (
                         dsts is peers[pid]
-                        or len(dsts) == n - 1 > 0
-                        and (
-                            dsts is shared_peers(n, pid)
-                            or universe.difference(dsts) == {pid}
-                        )
+                        or proves_everyone_else(dsts, pid, universe)
                     ):
                         # The sender's whole output is one multicast to
                         # every pid but itself: one column entry instead

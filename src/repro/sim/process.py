@@ -29,6 +29,7 @@ __all__ = [
     "ProtocolError",
     "payload_bits",
     "payload_bits_cached",
+    "proves_everyone_else",
     "shared_peers",
 ]
 
@@ -134,10 +135,26 @@ _peer_tables: dict[int, tuple[tuple[int, ...], list]] = {}
 def shared_peers(n: int, pid: int) -> Optional[tuple[int, ...]]:
     """The peer tuple :meth:`Process.everyone_else` handed to ``(n,
     pid)``, or ``None`` if none is held now.  Builds and evicts nothing:
-    the engine's proof by identity, which falls back to a set proof on a
-    miss."""
+    the first half of :func:`proves_everyone_else`."""
     table = _peer_tables.get(n)
     return None if table is None else table[1][pid]
+
+
+def proves_everyone_else(
+    dsts: tuple[int, ...], pid: int, universe: frozenset[int]
+) -> bool:
+    """Whether ``dsts`` is every pid of ``universe`` (``frozenset(range(n))``)
+    but ``pid``: by identity with the peer tuple
+    :meth:`Process.everyone_else` handed ``(n, pid)``, else by a set
+    difference.  The one statement of the broadcast column's proof, run
+    by the engine's optimized loop and by a :mod:`repro.net` host, each
+    pinning a proved tuple per pid so that it runs once per tuple
+    object; a pin needs an immutable ``dsts``, so both callers only ask
+    about a ``tuple``."""
+    n = len(universe)
+    return len(dsts) == n - 1 > 0 and (
+        dsts is shared_peers(n, pid) or universe.difference(dsts) == {pid}
+    )
 
 
 def _peer_table(n: int) -> tuple[tuple[int, ...], list]:

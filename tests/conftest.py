@@ -150,17 +150,18 @@ def run_scripted(
 
 
 def scripted_pair(n, plan, rounds, crashes=dict, **kwargs):
-    """Run one send plan on both round loops; require full parity *and*
-    element-for-element equal inbox logs; returns the optimized
-    ``(result, log)``.  ``crashes`` is a ``{pid: CrashSpec}`` factory
-    (one schedule instance per run)."""
+    """Run one send plan on both round loops and on a net host; require
+    full parity *and* element-for-element equal inbox logs; returns the
+    optimized ``(result, log)``.  ``crashes`` is a ``{pid: CrashSpec}``
+    factory (one schedule instance per run)."""
     optimized, log = run_scripted(
         n, plan, rounds, adversary=ScheduledCrashes(crashes()), **kwargs
     )
-    reference, ref_log = run_scripted(
-        n, plan, rounds, backend="sim-ref",
-        adversary=ScheduledCrashes(crashes()), **kwargs
-    )
-    check_parity(optimized, reference, "optimized", "reference")
-    assert log == ref_log
+    for backend in ("sim-ref", "net"):
+        other, other_log = run_scripted(
+            n, plan, rounds, backend=backend,
+            adversary=ScheduledCrashes(crashes()), **kwargs
+        )
+        check_parity(optimized, other, "optimized", backend)
+        assert log == other_log, backend
     return optimized, log

@@ -28,6 +28,7 @@ from repro import (
 from repro.baselines import FloodingConsensusProcess
 from repro.bench.workloads import byzantine_sample, input_vector, rumor_vector
 from repro.check.oracles import check_parity
+from repro.net import runtime as runtime_module
 from repro.scenarios import ChurnSpec, OmissionSpec, Scenario
 from repro.sim import Engine, crash_schedule
 from repro.sim import engine as engine_module
@@ -60,17 +61,24 @@ def broadcast(proc, rnd):
 
 @contextmanager
 def counted_set_proofs():
-    """Yield a list that grows by one per set proof the optimized loop
-    runs on a broadcast's destination tuple (its ``universe`` is the
-    engine module's only ``frozenset`` that is asked for a difference)."""
-    proofs = []
+    """Yield ``{backend: list}`` for the two callers of the shared proof
+    (``proves_everyone_else``), the optimized loop and a net host: each
+    list grows by one per set proof that caller runs on a broadcast's
+    destination tuple.  The universe each caller hands the helper is
+    its module's only ``frozenset`` that is asked for a difference."""
+    proofs = {"sim-opt": [], "net": []}
 
-    class Universe(frozenset):
-        def difference(self, *others):
-            proofs.append(others)
-            return frozenset.difference(self, *others)
+    def universe(backend):
+        class Universe(frozenset):
+            def difference(self, *others):
+                proofs[backend].append(others)
+                return frozenset.difference(self, *others)
 
-    with mock.patch.object(engine_module, "frozenset", Universe, create=True):
+        return Universe
+
+    with mock.patch.object(
+        engine_module, "frozenset", universe("sim-opt"), create=True
+    ), mock.patch.object(runtime_module, "frozenset", universe("net"), create=True):
         yield proofs
 
 
@@ -372,10 +380,12 @@ class TestEngineEdgeParity:
             result, log = scripted_pair(n, plan, 3)
         # pids 1.. are proved by identity; pid 0 once per tuple object
         # that is not in the table ("evicted": the fresh tuple of round
-        # 0, then its own), and every round if the proof fails.
-        assert len(proofs) == {
-            "list": 0, "mutated-list": 0, "generator": 0, "evicted": 2,
-        }.get(case, 3)
+        # 0, then its own), and every round if the proof fails -- on the
+        # engine and on the host alike.
+        for backend in ("sim-opt", "net"):
+            assert len(proofs[backend]) == {
+                "list": 0, "mutated-list": 0, "generator": 0, "evicted": 2,
+            }.get(case, 3), backend
         assert result.messages == 3 * n * (n - 1)
         expect = {
             "duplicate": [0, 0, 1, 2, 4],

@@ -40,10 +40,11 @@ from repro.net import runtime as runtime_mod
 from repro.net.codec import decode
 from repro.net.runtime import run_nodes
 from repro.net.transport import _Router
-from repro.scenarios import Scenario
+from repro.scenarios import OmissionSpec, Scenario
 from repro.sim import Engine
 from repro.sim.process import Multicast, Process
 from repro.trace import TraceChecker, TraceRecorder, replay_trace
+from tests.conftest import ScriptedProcess
 
 
 def deal(n, hosts, seed):
@@ -217,6 +218,21 @@ def routed(monkeypatch):
     return kinds
 
 
+@pytest.fixture
+def wire(monkeypatch):
+    """``(src, dst, decoded frame)`` of every frame either hub routes,
+    in routing order."""
+    frames = []
+    route = _Router._route
+
+    def spying_route(self, src, dst, instance, body):
+        frames.append((src, dst, decode(body)))
+        return route(self, src, dst, instance, body)
+
+    monkeypatch.setattr(_Router, "_route", spying_route)
+    return frames
+
+
 BUDGET_CASES = {
     "flooding": (
         {"name": "flooding", "inputs": [pid % 2 for pid in range(64)], "t": 3},
@@ -273,6 +289,47 @@ class TestFrameBudget:
         recipe, execution = BUDGET_CASES["flooding"]
         result = run_recipe(recipe, backend=backend, **execution)
         assert len(routed) <= 4 * result.rounds + 8
+
+    def test_reports_carry_news_only(self, wire):
+        # A row of SENT or DONE is a pid that sent, or one whose
+        # (halted, decided, decision) moved: not one per hook call (at
+        # the parent commit this run shipped 503 rows for 314 news).
+        recipe, execution = BUDGET_CASES["flooding"]
+        prepared = prepare_recipe(recipe, **execution)
+        senders, changes = set(), []
+        for proc in prepared.processes:
+            for hook in ("send", "receive"):
+                def spied(rnd, *inbox, proc=proc, inner=getattr(proc, hook)):
+                    before = (proc.halted, proc.decided, proc.decision)
+                    out = inner(rnd, *inbox)
+                    if out:
+                        senders.add((rnd, proc.pid))
+                    if (proc.halted, proc.decided, proc.decision) != before:
+                        changes.append((rnd, proc.pid))
+                    return out
+
+                setattr(proc, hook, spied)
+        served = asyncio.run(drive(prepared, [list(range(prepared.n))]))
+        check_parity(served, run_recipe(recipe, **execution), "host", "sim")
+        rows = sum(
+            len(frame[2]) for _s, _d, frame in wire if frame[0] in ("sent", "done")
+        )
+        assert rows <= len(senders) + len(changes)
+
+    def test_dense_flooding_ships_broadcasts_without_destinations(self, wire):
+        recipe, execution = BUDGET_CASES["flooding"]
+        net = run_recipe(recipe, backend="net", **execution)
+        check_parity(net, run_recipe(recipe, **execution), "net", "sim")
+        entries = [
+            entry for _s, _d, frame in wire if frame[0] == "data" for entry in frame[2]
+        ]
+        # Every sender broadcasts every round: a broadcast entry stands
+        # for its 63 messages, and all that carries destination ints is
+        # a crasher's prefix.
+        broadcasts = sum(dsts is None for _src, _seq, dsts, _p in entries)
+        prefixes = [(src, dsts) for src, _seq, dsts, _p in entries if dsts is not None]
+        assert all(src in net.crashed and len(dsts) < 63 for src, dsts in prefixes)
+        assert 63 * broadcasts + sum(len(d) for _s, d in prefixes) == net.metrics.messages
 
 
 class TestBundleCap:
@@ -408,6 +465,56 @@ class TestDiagnosticsStayPerPid:
             asyncio.run(drive(prepared, deal(16, 2, 0), churn_pids=()))
         # At the crash, not at the session's 60 s watchdog.
         assert time.monotonic() - started < 10
+
+
+class TestBroadcastColumn:
+    def test_column_crosses_hosts_beside_a_masked_sender_and_a_prefix(self, wire):
+        # Six all-to-all broadcasters on two hosts.  In round 1 pid 2
+        # crashes after 4 of its 5 messages and the link 4 -> 1 is
+        # blocked: those two senders' groups are split by host, every
+        # other sender ships one entry with dsts None per host, and each
+        # inbox equals the engine's element for element.
+        n = 6
+        scenario = Scenario(
+            n=n, crashes=[(2, 1, 4)], omissions=[OmissionSpec(4, 1, (1,))]
+        )
+        shards = deal(n, 2, 1)
+        assert shards == [[0, 1, 3], [2, 4, 5]]
+
+        def plan(proc, rnd):
+            return [Multicast(proc.everyone_else(), ("b", rnd, proc.pid))]
+
+        sim_log, net_log = {}, {}
+        sim = Engine(
+            [ScriptedProcess(pid, n, plan, sim_log, 3) for pid in range(n)],
+            scenario.adversary(),
+        ).run()
+        prepared = prepare_recipe(
+            {"name": "flooding", "inputs": [0] * n, "t": 2}, scenario=scenario
+        )
+        prepared.processes = [
+            ScriptedProcess(pid, n, plan, net_log, 3) for pid in range(n)
+        ]
+        served = asyncio.run(drive(prepared, shards))
+        check_parity(served, sim, "hosts", "sim")
+        assert net_log == sim_log
+        assert sim_log[(1, 1)] == [(q, ("b", 1, q)) for q in (0, 2, 3, 5)]
+        round_one = [
+            (src, dst, entry)
+            for src, dst, frame in wire
+            if frame[0] == "data" and frame[1] == 1
+            for entry in frame[2]
+        ]
+        # Round 1 on the wire: a broadcast crosses hosts as one entry ...
+        assert (0, 2, (0, 0, None, ("b", 1, 0))) in round_one
+        # ... while the crasher's prefix and the masked remainder carry
+        # the destinations behind each host.
+        assert (2, 0, (2, 0, (0, 1, 3), ("b", 1, 2))) in round_one
+        assert (2, 2, (2, 0, (4,), ("b", 1, 2))) in round_one
+        assert (2, 0, (4, 0, (0, 3), ("b", 1, 4))) in round_one
+        assert {src for _s, _d, (src, _q, dsts, _p) in round_one if dsts is None} == {
+            0, 1, 3, 5
+        }
 
 
 class _Keeper(Process):

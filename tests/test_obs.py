@@ -438,6 +438,8 @@ def test_laggard_detail_names_last_completed_span():
 
     sync = Session(4)
     now = _time.monotonic()
+    # Pids 1 and 2 behind two hosts, pid 3 behind none yet.
+    sync.host_of.update({1: 1, 2: 2})
     sync.last_progress[1] = ("send", 5, now - 30.0)
     sync.last_progress[2] = ("ready", -1, now - 2.0)
     detail = sync._laggard_detail({1, 2, 3})
