@@ -58,7 +58,7 @@ def main() -> None:
     rumors_b = ["x"] * m
     rumors_b[7] = "y"
     for budget in (10, 20):
-        report = isolation_report(factory, rumors_a, rumors_b, budget, victim=0)
+        report = isolation_report(factory, rumors_a, rumors_b, budget)
         print(f"  adversary budget t = {budget:>2}: victim ignorant for "
               f"{report.isolated_rounds} rounds "
               f"({report.crashes_used} crashes spent)")

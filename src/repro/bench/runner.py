@@ -49,12 +49,11 @@ __all__ = [
     "format_table",
     "main",
     "profile_main",
-    "run_experiment",
 ]
 
-#: Experiment id -> (zero-argument spec builder, display title).  The
-#: single registry behind both :func:`run_experiment` and the CLI; the
-#: builders take the series' parameters when called from a library.
+#: Experiment id -> (zero-argument spec builder, display title): the
+#: registry behind the CLI; the builders take the series' parameters
+#: when called from a library.
 EXPERIMENTS = {
     "table1": (series.table1_spec, "Table 1: linear time + communication ranges"),
     "e5": (series.aea_spec, "Theorem 5: Almost-Everywhere-Agreement"),
@@ -96,12 +95,6 @@ def format_table(rows: list[dict]) -> str:
     telemetry summary's :func:`repro.obs.format_summary` (every key of
     every row is a column), with ``(no rows)`` for an empty list."""
     return format_summary(rows) if rows else "(no rows)"
-
-
-def run_experiment(name: str, jobs: int = 1) -> list[dict]:
-    """Run one experiment by id and return its rows."""
-    spec_builder, _ = EXPERIMENTS[name]
-    return run_sweep(spec_builder(), jobs=jobs).rows()
 
 
 def _profile_args(argv: list[str]) -> argparse.Namespace:

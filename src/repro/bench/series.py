@@ -75,6 +75,10 @@ __all__ = [
     "theorem_unit",
 ]
 
+#: The seed every model series draws its instances from (the fuzz and
+#: adversary series search from seed 0).
+SEED = 1
+
 
 def _log2(x: float) -> float:
     return math.log2(max(2.0, x))
@@ -155,13 +159,13 @@ def theorem_unit(params: dict) -> dict:
     return _theorem_run(params)[0]
 
 
-def _theorem_spec(name, family, shapes, seed, runner=theorem_unit, **pins) -> SweepSpec:
+def _theorem_spec(name, family, shapes, runner=theorem_unit, **pins) -> SweepSpec:
     """A theorem series: one unit per ``(n, t)`` shape of one family
     (explicit units, since ``t`` is usually a function of ``n``)."""
     units = [
-        {"family": family, "n": n, "t": t, "seed": seed, **pins} for n, t in shapes
+        {"family": family, "n": n, "t": t, "seed": SEED, **pins} for n, t in shapes
     ]
-    return SweepSpec(name=name, runner=runner, units=units, base_seed=seed)
+    return SweepSpec(name=name, runner=runner, units=units, base_seed=SEED)
 
 
 # -- Table 1 ----------------------------------------------------------------
@@ -197,7 +201,7 @@ def table1_unit(params: dict) -> dict:
     }
 
 
-def table1_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
+def table1_spec(ns: Optional[list[int]] = None) -> SweepSpec:
     """Table 1: with ``t`` pinned at each row's optimality boundary,
     both ``rounds/(t + lg n)`` and ``comm/n`` must stay bounded as
     ``n`` grows."""
@@ -205,20 +209,20 @@ def table1_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
     return SweepSpec(
         name="table1",
         runner=table1_unit,
-        grid={"problem": list(TABLE1_ROWS), "n": ns, "seed": [seed]},
-        base_seed=seed,
+        grid={"problem": list(TABLE1_ROWS), "n": ns, "seed": [SEED]},
+        base_seed=SEED,
     )
 
 
-def smoke_spec(n: int = 48, seed: int = 1) -> SweepSpec:
+def smoke_spec() -> SweepSpec:
     """A seconds-scale slice of the Table 1 grid, for profiling smoke runs.
 
     ``repro-bench profile smoke`` is what the CI observability job runs:
-    one unit per Table 1 problem at a small ``n`` -- enough work to
+    one unit per Table 1 problem at ``n = 48`` -- enough work to
     produce a non-trivial multi-unit timeline and exercise the telemetry
     exporters, small enough to finish in seconds.
     """
-    return dataclasses.replace(table1_spec([n], seed), name="smoke")
+    return dataclasses.replace(table1_spec([48]), name="smoke")
 
 
 
@@ -231,9 +235,9 @@ def aea_unit(params: dict) -> dict:
     return {**row, "deciders/n": round(deciders / row["n"], 3)}
 
 
-def aea_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
+def aea_spec(ns: Optional[list[int]] = None) -> SweepSpec:
     ns = ns or [120, 240, 480]
-    return _theorem_spec("e5", "aea", [(n, n // 6) for n in ns], seed, aea_unit)
+    return _theorem_spec("e5", "aea", [(n, n // 6) for n in ns], aea_unit)
 
 
 
@@ -250,20 +254,20 @@ def scv_unit(params: dict) -> dict:
     }
 
 
-def scv_spec(n: int = 400, seed: int = 1) -> SweepSpec:
+def scv_spec(n: int = 400) -> SweepSpec:
     # spans the t² ≤ n crossover at t = √n
     shapes = [(n, t) for t in (10, 19, 21, 40, 79)]
-    return _theorem_spec("e6", "scv", shapes, seed, scv_unit)
+    return _theorem_spec("e6", "scv", shapes, scv_unit)
 
 
 
 # -- E7: Theorem 7 (Few-Crashes-Consensus) ----------------------------------------
 
 
-def consensus_few_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
+def consensus_few_spec(ns: Optional[list[int]] = None) -> SweepSpec:
     ns = ns or [120, 240, 480]
     shapes = [(n, n // 6) for n in ns]
-    return _theorem_spec("e7", "consensus-few", shapes, seed, algorithm="few")
+    return _theorem_spec("e7", "consensus-few", shapes, algorithm="few")
 
 
 
@@ -288,10 +292,10 @@ def consensus_many_unit(params: dict) -> dict:
     }
 
 
-def consensus_many_spec(n: int = 96, seed: int = 1) -> SweepSpec:
+def consensus_many_spec(n: int = 96) -> SweepSpec:
     shapes = [(n, min(n - 1, max(1, n * pct // 100))) for pct in (30, 60, 90, 98)]
     return _theorem_spec(
-        "e8", "consensus-many", shapes, seed, consensus_many_unit, algorithm="many"
+        "e8", "consensus-many", shapes, consensus_many_unit, algorithm="many"
     )
 
 
@@ -305,9 +309,9 @@ def gossip_unit(params: dict) -> dict:
     return {**row, "rounds/(lg n·lg t)": round(row["rounds"] / polylog, 2)}
 
 
-def gossip_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
+def gossip_spec(ns: Optional[list[int]] = None) -> SweepSpec:
     ns = ns or [120, 240, 480]
-    return _theorem_spec("e9", "gossip", [(n, n // 10) for n in ns], seed, gossip_unit)
+    return _theorem_spec("e9", "gossip", [(n, n // 10) for n in ns], gossip_unit)
 
 
 
@@ -361,10 +365,10 @@ def checkpointing_unit(params: dict) -> dict:
     }
 
 
-def checkpointing_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
+def checkpointing_spec(ns: Optional[list[int]] = None) -> SweepSpec:
     ns = ns or [100, 200, 400]
     shapes = [(n, n // 10) for n in ns]
-    return _theorem_spec("e10", "checkpointing", shapes, seed, checkpointing_unit)
+    return _theorem_spec("e10", "checkpointing", shapes, checkpointing_unit)
 
 
 
@@ -377,10 +381,10 @@ def byzantine_unit(params: dict) -> dict:
     return {**row, "t²/n": round(t * t / n, 2), "msgs/n": round(row["messages"] / n, 2)}
 
 
-def byzantine_spec(n: int = 400, seed: int = 1) -> SweepSpec:
+def byzantine_spec(n: int = 400) -> SweepSpec:
     # √n = 20: the linear-communication crossover
     shapes = [(n, t) for t in (5, 10, 20, 40)]
-    return _theorem_spec("e11", "ab-consensus", shapes, seed, byzantine_unit)
+    return _theorem_spec("e11", "ab-consensus", shapes, byzantine_unit)
 
 
 
@@ -411,13 +415,13 @@ def singleport_unit(params: dict) -> dict:
     }
 
 
-def singleport_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
+def singleport_spec(ns: Optional[list[int]] = None) -> SweepSpec:
     ns = ns or [60, 120, 240]
     return SweepSpec(
         name="e12",
         runner=singleport_unit,
-        grid={"n": ns, "seed": [seed]},
-        base_seed=seed,
+        grid={"n": ns, "seed": [SEED]},
+        base_seed=SEED,
     )
 
 
@@ -435,7 +439,7 @@ def lowerbounds_unit(params: dict) -> dict:
         rumors_a = ["x"] * n
         rumors_b = ["x"] * n
         rumors_b[7] = "y"
-        report = isolation_report(factory, rumors_a, rumors_b, t, victim=0)
+        report = isolation_report(factory, rumors_a, rumors_b, t)
         return {
             "experiment": f"gossip isolation (t={t})",
             "measured": report.isolated_rounds,
@@ -471,16 +475,16 @@ def lowerbounds_unit(params: dict) -> dict:
     raise ValueError(f"unknown lower-bound experiment kind {kind!r}")
 
 
-def lowerbounds_spec(seed: int = 1) -> SweepSpec:
+def lowerbounds_spec() -> SweepSpec:
     # Heterogeneous units: a rectangular grid cannot mix the isolation
     # t-sweep with the single divergence run, so list them explicitly.
     units = [
-        {"kind": "gossip_isolation", "n": 60, "t": t, "seed": seed}
+        {"kind": "gossip_isolation", "n": 60, "t": t, "seed": SEED}
         for t in (8, 16, 24)
     ]
-    units.append({"kind": "divergence", "n": 40, "seed": seed})
+    units.append({"kind": "divergence", "n": 40, "seed": SEED})
     return SweepSpec(
-        name="e13", runner=lowerbounds_unit, units=units, base_seed=seed
+        name="e13", runner=lowerbounds_unit, units=units, base_seed=SEED
     )
 
 
@@ -503,7 +507,7 @@ def baselines_unit(params: dict) -> dict:
     }
 
 
-def baselines_spec(n: int = 240, seed: int = 1) -> SweepSpec:
+def baselines_spec(n: int = 240) -> SweepSpec:
     # Gossip is compared at its Table 1 boundary t = Θ(n / log² n): that
     # is where the linear-communication claim lives (at t = n/10 the
     # committee-degree constant still dominates at simulation sizes).
@@ -513,11 +517,11 @@ def baselines_spec(n: int = 240, seed: int = 1) -> SweepSpec:
         "checkpointing": n // 10,
     }
     units = [
-        {"family": family, "n": n, "t": t, "seed": seed}
+        {"family": family, "n": n, "t": t, "seed": SEED}
         for family, t in fault_bounds.items()
     ]
     return SweepSpec(
-        name="baselines", runner=baselines_unit, units=units, base_seed=seed
+        name="baselines", runner=baselines_unit, units=units, base_seed=SEED
     )
 
 
@@ -559,7 +563,7 @@ def families_unit(params: dict) -> dict:
     }
 
 
-def families_spec(n: int = 40, t: int = 8, seed: int = 1) -> SweepSpec:
+def families_spec(n: int = 40, t: int = 8) -> SweepSpec:
     # The *comparable* instances (not the fuzzer's distribution): family
     # -> input kind.  The two multi-valued protocols draw the same
     # ``width``-bit inputs, so their payload-bit totals differ by the
@@ -570,13 +574,13 @@ def families_spec(n: int = 40, t: int = 8, seed: int = 1) -> SweepSpec:
         "approximate": "real",
         "lv-consensus": "wide",
     }
-    common = {"n": n, "t": t, "seed": seed, "width": 128, "eps": 0.5}
+    common = {"n": n, "t": t, "seed": SEED, "width": 128, "eps": 0.5}
     units = [
         {"family": family, "kind": kind, **common, "backend": backend}
         for family, kind in kinds.items()
         for backend in ("sim-opt", "sim-ref")
     ]
-    return SweepSpec(name="families", runner=families_unit, units=units, base_seed=seed)
+    return SweepSpec(name="families", runner=families_unit, units=units, base_seed=SEED)
 
 
 
@@ -700,7 +704,7 @@ def scenario_unit(params: dict) -> dict:
     }
 
 
-def scenarios_spec(n: int = 60, seed: int = 1) -> SweepSpec:
+def scenarios_spec(n: int = 60) -> SweepSpec:
     """Fault-model degradation series: omission / partition / churn /
     mixed scenarios on consensus and gossip, every row parity-certified
     across sim-opt, sim-ref and net, with safety reported as data."""
@@ -711,14 +715,14 @@ def scenarios_spec(n: int = 60, seed: int = 1) -> SweepSpec:
             "problem": ["consensus", "gossip"],
             "model": ["omission", "partition", "churn", "mixed"],
             "n": [n],
-            "seed": [seed],
+            "seed": [SEED],
         },
-        base_seed=seed,
+        base_seed=SEED,
     )
 
 
 
-def net_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
+def net_spec(ns: Optional[list[int]] = None) -> SweepSpec:
     """Sim-vs-net cost series: every row certifies exact metric parity
     and reports the wall-clock ratio of the asyncio runtime over the
     lock-step engine for the same execution."""
@@ -729,9 +733,9 @@ def net_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
         grid={
             "problem": ["consensus", "gossip", "checkpointing"],
             "n": ns,
-            "seed": [seed],
+            "seed": [SEED],
         },
-        base_seed=seed,
+        base_seed=SEED,
     )
 
 
@@ -739,7 +743,7 @@ def net_spec(ns: Optional[list[int]] = None, seed: int = 1) -> SweepSpec:
 # -- Differential fuzzing (repro.check) --------------------------------------
 
 
-def fuzz_spec(budget: int = 35, seed: int = 0) -> SweepSpec:
+def fuzz_spec(budget: int = 35) -> SweepSpec:
     """The :mod:`repro.check` differential-fuzz series as a sweep.
 
     Each unit is one sampled ``(family, params, scenario, backends)``
@@ -748,10 +752,10 @@ def fuzz_spec(budget: int = 35, seed: int = 0) -> SweepSpec:
     ``oracles`` columns), and ``python -m repro.check`` is the
     fail-fast/shrinking front end over the *same* spec
     (:func:`repro.check.driver.build_fuzz_spec` is the single unit-shape
-    definition, so the two surfaces cannot drift).  Deterministic given
-    ``seed``; families cycle so any ``budget`` ≥ 7 covers all.
+    definition, so the two surfaces cannot drift).  Deterministic (seed
+    0); families cycle so any ``budget`` ≥ 7 covers all.
     """
-    return build_fuzz_spec(seed, budget)
+    return build_fuzz_spec(0, budget)
 
 
 
@@ -794,7 +798,6 @@ def adversary_unit(params: dict) -> dict:
 def adversary_spec(
     n: int = 24,
     ts: Optional[list[int]] = None,
-    seed: int = 0,
     budget: int = 60,
 ) -> SweepSpec:
     """The ``repro-bench adversary`` series: per-``t`` worst-case
@@ -802,8 +805,8 @@ def adversary_spec(
     search (crash-model moves, communication objective).
 
     ``t`` stays below ``(n - 1) / 5`` so every family accepts the pinned
-    instance; rows are deterministic given ``seed`` and jobs-independent
-    like every sweep.
+    instance; rows are deterministic (seed 0) and jobs-independent like
+    every sweep.
     """
     from repro.sim.vec import KERNEL_FAMILIES
 
@@ -813,13 +816,13 @@ def adversary_spec(
             "family": family,
             "n": n,
             "t": t,
-            "search_seed": seed,
-            "seed": seed,
+            "search_seed": 0,
+            "seed": 0,
             "budget": budget,
         }
         for family in KERNEL_FAMILIES
         for t in ts
     ]
     return SweepSpec(
-        name="adversary", runner=adversary_unit, units=units, base_seed=seed
+        name="adversary", runner=adversary_unit, units=units, base_seed=0
     )

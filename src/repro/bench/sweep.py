@@ -45,7 +45,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 __all__ = [
@@ -189,8 +189,6 @@ class SweepReport:
     outcomes: list[SweepOutcome]
     jobs: int = 1
     elapsed: float = 0.0
-    #: extra metadata recorded into the JSON artifact (git rev, host, ...)
-    meta: dict = field(default_factory=dict)
 
     def rows(self) -> list[dict]:
         """The result rows in unit order (what the text table prints)."""
@@ -201,7 +199,6 @@ class SweepReport:
             "experiment": self.name,
             "jobs": self.jobs,
             "elapsed_seconds": round(self.elapsed, 3),
-            "meta": dict(self.meta),
             "units": [
                 {
                     "index": outcome.unit.index,
@@ -249,7 +246,6 @@ def run_sweep(
     spec: SweepSpec,
     jobs: int = 1,
     *,
-    meta: Optional[Mapping[str, Any]] = None,
     progress: Optional[Callable[[SweepOutcome], None]] = None,
 ) -> SweepReport:
     """Execute every unit of ``spec`` and return the ordered report.
@@ -288,7 +284,6 @@ def run_sweep(
         outcomes=outcomes,
         jobs=used,
         elapsed=time.perf_counter() - started,
-        meta=dict(meta or {}),
     )
 
 

@@ -17,10 +17,9 @@ __all__ = [
 def input_vector(n: int, kind: str = "random", seed: int = 0, width: int = 128) -> list:
     """An input assignment, binary unless ``kind`` says otherwise.
 
-    ``kind``: ``"random"`` (iid bits), ``"zeros"``, ``"ones"``,
-    ``"minority_one"`` (a single 1), ``"alternating"``; ``"wide"``
-    (iid ``width``-bit integers) and ``"real"`` (four-decimal floats in
-    ``[0, 100]``) for the multi-valued and approximate families.
+    ``kind``: ``"random"`` (iid bits); ``"wide"`` (iid ``width``-bit
+    integers) and ``"real"`` (four-decimal floats in ``[0, 100]``) for
+    the multi-valued and approximate families.
     """
     rng = random.Random(seed)
     if kind == "random":
@@ -29,16 +28,6 @@ def input_vector(n: int, kind: str = "random", seed: int = 0, width: int = 128) 
         return [rng.randrange(0, 2**width) for _ in range(n)]
     if kind == "real":
         return [round(rng.uniform(0.0, 100.0), 4) for _ in range(n)]
-    if kind == "zeros":
-        return [0] * n
-    if kind == "ones":
-        return [1] * n
-    if kind == "minority_one":
-        values = [0] * n
-        values[rng.randrange(n)] = 1
-        return values
-    if kind == "alternating":
-        return [i % 2 for i in range(n)]
     raise ValueError(f"unknown input kind {kind!r}")
 
 
@@ -47,13 +36,13 @@ def rumor_vector(n: int, seed: int = 0) -> list[Any]:
     return [f"rumor-{seed}-{i}" for i in range(n)]
 
 
-def byzantine_sample(n: int, t: int, seed: int = 0, little_bias: float = 0.5) -> list[int]:
-    """A Byzantine node set of size ``t``; ``little_bias`` is the
-    fraction drawn from the committee (attacking little nodes is the
-    interesting case for AB-Consensus)."""
+def byzantine_sample(n: int, t: int, seed: int = 0) -> list[int]:
+    """A Byzantine node set of size ``t``, half of it drawn from the
+    committee (attacking little nodes is the interesting case for
+    AB-Consensus)."""
     rng = random.Random(seed)
     committee = min(n, max(5 * t, 8))
-    from_little = min(int(t * little_bias), committee)
+    from_little = min(t // 2, committee)
     chosen = set(rng.sample(range(committee), from_little))
     rest = [pid for pid in range(n) if pid not in chosen]
     chosen.update(rng.sample(rest, t - len(chosen)))

@@ -125,10 +125,6 @@ def _parser() -> argparse.ArgumentParser:
         "--no-progress", dest="progress", action="store_false",
         help="suppress progress lines even on a TTY",
     )
-    parser.add_argument(
-        "--max-shrink-runs", type=int, default=150,
-        help="re-run budget per shrink (default 150)",
-    )
     search = parser.add_argument_group(
         "adversary search (--search)",
         "annealing over scenario space for the worst measured bound ratio",
@@ -297,11 +293,7 @@ def main(argv=None) -> int:
         )
         if args.no_shrink:
             continue
-        shrunk = shrink_scenario(
-            config,
-            row.get("violation_details", []),
-            max_runs=args.max_shrink_runs,
-        )
+        shrunk = shrink_scenario(config, row.get("violation_details", []))
         path = emit_artifact(config, shrunk, args.out)
         summary = shrunk.summary()
         print(

@@ -485,8 +485,6 @@ def record_search_trace(
     row: dict,
     entry: dict,
     out_dir: str | os.PathLike,
-    *,
-    label: Optional[str] = None,
 ) -> str:
     """Write one top-k scenario as a self-contained replayable trace.
 
@@ -501,9 +499,7 @@ def record_search_trace(
     ``tests/test_adversary_corpus.py`` replays the committed corpus on
     every test run.
     """
-    name = label or (
-        f"search-{row['family']}-seed{row['seed']}-rank{entry['rank']}"
-    )
+    name = f"search-{row['family']}-seed{row['seed']}-rank{entry['rank']}"
     cli = (
         f"python -m repro.check --search --seed {row['seed']} "
         f"--budget {row['budget']} --families {row['family']} "

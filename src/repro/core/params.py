@@ -67,7 +67,6 @@ class ProtocolParams:
     t: int
     seed: int = 0
     degree_cap: int = DEGREE_CAP
-    little_floor: int = LITTLE_FLOOR
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -80,7 +79,7 @@ class ProtocolParams:
     @cached_property
     def little_count(self) -> int:
         """Size of the little-node committee: ``min(n, max(5t, floor))``."""
-        return min(self.n, max(5 * self.t, self.little_floor))
+        return min(self.n, max(5 * self.t, LITTLE_FLOOR))
 
     def is_little(self, pid: int) -> bool:
         """Little nodes are the ``little_count`` smallest names."""
@@ -228,7 +227,7 @@ class ProtocolParams:
         nodes; when ``5t > n`` the committee is everyone (the paper's
         linear-communication regime is ``t = O(√n)`` anyway).
         """
-        return min(self.n, max(5 * self.t, self.little_floor))
+        return min(self.n, max(5 * self.t, LITTLE_FLOOR))
 
     @cached_property
     def byz_certificate_threshold(self) -> int:

@@ -13,9 +13,6 @@ from repro.graphs.compactness import (
 )
 from repro.graphs.expander import (
     edges_between,
-    induced_volume,
-    is_connected_within,
-    is_ramanujan,
     mixing_lemma_gap,
     ramanujan_bound,
     second_eigenvalue,
@@ -34,9 +31,7 @@ from repro.graphs.ramanujan import (
     certified_ramanujan_graph,
     clear_graph_cache,
     complete_graph,
-    ell_expansion_size,
     paper_delta,
-    paper_ell,
 )
 
 __all__ = [
@@ -47,17 +42,12 @@ __all__ = [
     "complete_graph",
     "dense_neighborhood",
     "edges_between",
-    "ell_expansion_size",
     "generalized_neighborhood",
-    "induced_volume",
-    "is_connected_within",
-    "is_ramanujan",
     "is_survival_subset",
     "mcc_phase_degree",
     "mcc_phase_graph",
     "mixing_lemma_gap",
     "paper_delta",
-    "paper_ell",
     "ramanujan_bound",
     "random_out_graph",
     "scv_inquiry_degree",

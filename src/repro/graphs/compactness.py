@@ -135,13 +135,12 @@ def compactness_profile(
     *,
     trials: int = 20,
     seed: int = 0,
-    adversarial: bool = True,
 ) -> float:
     """Empirical ``(ℓ, ε, δ)``-compactness: the worst ratio ``|C|/ℓ``.
 
-    Samples ``trials`` vertex sets ``B`` of size ``ell`` (random plus,
-    when ``adversarial``, BFS-ball-shaped sets, which are the hardest
-    for survival since their boundary is thin) and reports the minimum
+    Samples ``trials`` vertex sets ``B`` of size ``ell`` (random plus
+    BFS-ball-shaped sets, which are the hardest for survival since
+    their boundary is thin) and reports the minimum
     over samples of ``|survival_subset(B)| / ell``.  Theorem 2 predicts
     at least ``3/4`` for genuinely Ramanujan graphs with the paper's
     parameters.
@@ -153,21 +152,20 @@ def compactness_profile(
     samples: list[set[int]] = []
     for _ in range(trials):
         samples.append(set(rng.sample(range(graph.n), ell)))
-    if adversarial:
-        for _ in range(max(1, trials // 4)):
-            start = rng.randrange(graph.n)
-            ball: list[int] = []
-            seen = {start}
-            queue = deque([start])
-            while queue and len(ball) < ell:
-                u = queue.popleft()
-                ball.append(u)
-                for v in graph.adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-            if len(ball) == ell:
-                samples.append(set(ball))
+    for _ in range(max(1, trials // 4)):
+        start = rng.randrange(graph.n)
+        ball: list[int] = []
+        seen = {start}
+        queue = deque([start])
+        while queue and len(ball) < ell:
+            u = queue.popleft()
+            ball.append(u)
+            for v in graph.adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        if len(ball) == ell:
+            samples.append(set(ball))
     for subset in samples:
         surviving = survival_subset(graph, subset, delta)
         worst = min(worst, len(surviving) / ell)

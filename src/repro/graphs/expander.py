@@ -6,26 +6,21 @@ graph: ``λ = max(|λ₂|, |λₙ|)``.  A graph is Ramanujan when
 ``λ`` through the Expander Mixing Lemma, so this module provides:
 
 * :func:`second_eigenvalue` -- compute ``λ``;
-* :func:`is_ramanujan` / :func:`spectral_certificate` -- certification;
+* :func:`spectral_certificate` -- ``λ`` against the Ramanujan bound,
+  which :func:`repro.graphs.certified_ramanujan_graph` checks;
 * :func:`edges_between` and :func:`mixing_lemma_gap` -- direct checks of
-  the Expander Mixing Lemma used by the property tests;
-* :func:`is_connected_within` -- connectivity of induced subgraphs,
-  which underlies the agreement arguments (Lemmas 4 and 9).
+  the Expander Mixing Lemma used by the property tests.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Iterable, Optional
 
 from repro.graphs.graph import Graph
 
 __all__ = [
     "edges_between",
-    "induced_volume",
-    "is_connected_within",
-    "is_ramanujan",
     "mixing_lemma_gap",
     "ramanujan_bound",
     "second_eigenvalue",
@@ -75,20 +70,6 @@ def second_eigenvalue(graph: Graph) -> float:
     return float(magnitudes[1])
 
 
-def is_ramanujan(graph: Graph, d: Optional[int] = None, slack: float = 0.0) -> bool:
-    """Whether ``λ ≤ 2·sqrt(d−1)·(1 + slack)``.
-
-    ``slack`` admits *near*-Ramanujan graphs: seeded random regular
-    graphs achieve ``λ ≤ 2·sqrt(d−1) + o(1)`` and every property the
-    paper uses degrades continuously in ``λ``, so a small slack is how
-    seeded random regular graphs stand in for explicit Ramanujan ones.
-    """
-    degree = d if d is not None else graph.max_degree
-    if graph.n <= degree + 1:
-        return True  # complete graph: λ = 1
-    return second_eigenvalue(graph) <= ramanujan_bound(degree) * (1.0 + slack)
-
-
 def spectral_certificate(graph: Graph, d: Optional[int] = None) -> dict:
     """A report of the spectral quality of ``graph``.
 
@@ -98,7 +79,8 @@ def spectral_certificate(graph: Graph, d: Optional[int] = None) -> dict:
     degree = d if d is not None else graph.max_degree
     lam = second_eigenvalue(graph)
     bound = ramanujan_bound(degree)
-    return {"lambda": lam, "bound": bound, "ratio": lam / bound if bound else 0.0}
+    ratio = lam / bound if bound else (math.inf if lam > 0 else 0.0)
+    return {"lambda": lam, "bound": bound, "ratio": ratio}
 
 
 def edges_between(graph: Graph, first: Iterable[int], second: Iterable[int]) -> int:
@@ -111,17 +93,6 @@ def edges_between(graph: Graph, first: Iterable[int], second: Iterable[int]) -> 
     for u in set_a:
         for v in graph.adj[u]:
             if v in set_b:
-                count += 1
-    return count
-
-
-def induced_volume(graph: Graph, vertices: Iterable[int]) -> int:
-    """``vol(S)``: number of edges with both endpoints in ``S`` (Lemma 1)."""
-    subset = set(vertices)
-    count = 0
-    for u in subset:
-        for v in graph.adj[u]:
-            if v in subset and u < v:
                 count += 1
     return count
 
@@ -140,24 +111,3 @@ def mixing_lemma_gap(graph: Graph, first: Iterable[int], second: Iterable[int]) 
     expected = d * len(set_a) * len(set_b) / graph.n
     actual = edges_between(graph, set_a, set_b)
     return lam * math.sqrt(len(set_a) * len(set_b)) - abs(actual - expected)
-
-
-def is_connected_within(graph: Graph, vertices: Optional[Iterable[int]] = None) -> bool:
-    """Whether the subgraph induced by ``vertices`` is connected.
-
-    ``None`` means the whole graph.  The empty set and singletons count
-    as connected.
-    """
-    subset = set(vertices) if vertices is not None else set(range(graph.n))
-    if len(subset) <= 1:
-        return True
-    start = next(iter(subset))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in graph.adj[u]:
-            if v in subset and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(subset)

@@ -44,9 +44,9 @@ SPREAD_DEGREE = 16
 SCV_INQUIRY_BASE = 4
 
 
-def spread_graph(n: int, seed: int = 0, degree: int = SPREAD_DEGREE) -> Graph:
+def spread_graph(n: int, seed: int = 0) -> Graph:
     """Graph ``H``: a certified constant-degree expander on all nodes."""
-    return certified_ramanujan_graph(n, min(degree, max(1, n - 1)), seed=seed)
+    return certified_ramanujan_graph(n, min(SPREAD_DEGREE, max(1, n - 1)), seed=seed)
 
 
 def random_out_graph(n: int, out_degree: int, seed: int, name: str = "") -> Graph:

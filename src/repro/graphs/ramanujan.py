@@ -21,16 +21,14 @@ import math
 import random
 from typing import Optional
 
-from repro.graphs.expander import ramanujan_bound, second_eigenvalue
+from repro.graphs.expander import spectral_certificate
 from repro.graphs.graph import Graph
 
 __all__ = [
     "certified_ramanujan_graph",
     "clear_graph_cache",
     "complete_graph",
-    "ell_expansion_size",
     "paper_delta",
-    "paper_ell",
 ]
 
 #: Multiplicative slack admitted on the Ramanujan bound.
@@ -45,11 +43,6 @@ def clear_graph_cache() -> None:
     _CACHE.clear()
 
 
-def paper_ell(n: int, d: int) -> float:
-    """``ℓ(n, d) = 4·n·d^{-1/8}`` (Section 3)."""
-    return 4.0 * n * d ** (-1.0 / 8.0)
-
-
 def paper_delta(d: int) -> int:
     """``δ(d) = ½(d^{7/8} − d^{5/8})`` rounded up, and at least 1.
 
@@ -58,11 +51,6 @@ def paper_delta(d: int) -> int:
     """
     raw = 0.5 * (d ** (7.0 / 8.0) - d ** (5.0 / 8.0))
     return max(1, math.ceil(raw))
-
-
-def ell_expansion_size(n: int, d: int) -> int:
-    """Integer version of ``ℓ(n, d)``, clamped to ``[1, n]``."""
-    return max(1, min(n, math.ceil(paper_ell(n, d))))
 
 
 def complete_graph(n: int) -> Graph:
@@ -166,16 +154,16 @@ def certified_ramanujan_graph(
     graph = Graph.from_edges(n, edges, name=f"G({n},{d})#s{seed}")
     if do_certify:
         try:
-            lam = second_eigenvalue(graph)
+            certificate = spectral_certificate(graph, d)
         except ImportError:  # no eigensolver: the default skips the check
             if certify:
                 raise
         else:
-            bound = ramanujan_bound(d) * (1.0 + SLACK)
-            if lam > bound:
+            if certificate["ratio"] > 1.0 + SLACK:
                 raise RuntimeError(
                     f"G({n},{d}) on seed {seed} is not near-Ramanujan: "
-                    f"λ={lam:.3f} > bound {bound:.3f}"
+                    f"λ={certificate['lambda']:.3f} > bound "
+                    f"{certificate['bound'] * (1.0 + SLACK):.3f}"
                 )
     _CACHE[key] = graph
     return graph

@@ -80,7 +80,7 @@ class DivergenceReport:
         )
 
 
-def divergence_series(factory: ProtocolFactory, n: int, max_rounds: int = 0) -> DivergenceReport:
+def divergence_series(factory: ProtocolFactory, n: int) -> DivergenceReport:
     """Run the two pivotal executions and measure state divergence."""
     pivot = find_pivotal_index(factory, n)
     inputs_one = staircase(n, pivot)      # decides 1
@@ -97,9 +97,8 @@ def divergence_series(factory: ProtocolFactory, n: int, max_rounds: int = 0) -> 
 
         return observer
 
-    bound = {"max_rounds": max_rounds} if max_rounds else {}
-    Engine(factory(inputs_zero), **bound).run(observer=observer_for(0))
-    Engine(factory(inputs_one), **bound).run(observer=observer_for(1))
+    Engine(factory(inputs_zero)).run(observer=observer_for(0))
+    Engine(factory(inputs_one)).run(observer=observer_for(1))
 
     rounds = min(len(digests[0]), len(digests[1]))
     series = []

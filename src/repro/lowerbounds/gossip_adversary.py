@@ -76,15 +76,15 @@ def isolation_report(
     rumors_a: Sequence[Any],
     rumors_b: Sequence[Any],
     t: int,
-    victim: int = 0,
 ) -> IsolationReport:
-    """Run the Theorem 13 construction.
+    """Run the Theorem 13 construction against node 0, the victim.
 
     ``rumors_a``/``rumors_b`` are two rumor configurations (the proof
     uses two assignments the victim must distinguish); the adversary has
     budget ``t`` and crashes, round by round, the node whose port the
     victim polls next in either execution.
     """
+    victim = 0
     n = len(rumors_a)
     if len(rumors_b) != n:
         raise ValueError("configurations must have equal length")

@@ -151,10 +151,10 @@ def check_frame_size(
     Returns ``length`` unchanged when acceptable; raises
     :class:`FrameTooLargeError` naming ``peer`` (who sent the header),
     ``phase`` (which read loop hit it) and, when given, the protocol
-    ``instance`` the frame belongs to.  A negative ``limit`` disables
-    the guard (for tests that need to exercise the raw path).
+    ``instance`` the frame belongs to.  The guard has no off switch: it
+    protects every read from a listening socket.
     """
-    if 0 <= limit < length:
+    if length > limit:
         where = f" for instance {instance}" if instance is not None else ""
         raise FrameTooLargeError(
             f"frame from {peer}{where} announces a {length}-byte body, over "

@@ -1310,51 +1310,25 @@ async def serve_tcp(
     n: int,
     adversary: Optional[CrashAdversary] = None,
     *,
-    byzantine: frozenset[int] = frozenset(),
+    hub: TCPHub,
     max_rounds: int = 100_000,
-    fast_forward: bool = True,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    hub: Optional[TCPHub] = None,
     timeout: Optional[float] = 120.0,
-    recorder: Optional[Any] = None,
-    telemetry: Any = None,
 ) -> RunResult:
-    """Run the hub and coordinator for an ``n``-node TCP deployment.
+    """Run the coordinator of an ``n``-node TCP deployment on ``hub``.
 
     Shards connect from worker processes via :func:`host_nodes_tcp`;
-    the coordinator binds on the hub it owns (``hub.endpoint(n)``, no
-    socket of its own), so a coordinator<->host frame crosses one
-    socket.  This coroutine returns once the protocol terminates.  Pass
-    a pre-``start()``-ed ``hub`` to bind the port race-free before
-    spawning workers (read the bound port from ``hub.port``; ownership
-    transfers -- this coroutine closes it).  Without ``hub``, one is
-    created on ``host``/``port``; pick a fixed ``port`` the workers
-    know, since an ephemeral one is not reported back.
+    the coordinator binds on the hub (``hub.endpoint(n)``, no socket of
+    its own), so a coordinator<->host frame crosses one socket.  This
+    coroutine returns once the protocol terminates.  Pass a
+    ``start()``-ed hub to bind the port race-free before spawning
+    workers (read the bound port from ``hub.port``); ownership transfers
+    -- this coroutine closes it.
     """
-    if hub is None:
-        hub = TCPHub(host, port)
-        await hub.start()
-    tel = coerce_recorder(telemetry)
-    if tel is not None:
-        tel.run_begin(backend="tcp", n=n)
-        set_codec_probe(tel)
     endpoint = hub.endpoint(n)
     try:
-        sync = Session(
-            n,
-            adversary,
-            byzantine=byzantine,
-            max_rounds=max_rounds,
-            fast_forward=fast_forward,
-            timeout=timeout,
-            recorder=recorder,
-            telemetry=tel,
-        )
+        sync = Session(n, adversary, max_rounds=max_rounds, timeout=timeout)
         return await sync.run(endpoint)
     finally:
-        if tel is not None:
-            set_codec_probe(None)
         await endpoint.close()
         await hub.close()
 
@@ -1364,7 +1338,6 @@ async def host_nodes_tcp(
     host: str,
     port: int,
     *,
-    deadline: float = 30.0,
     churn_pids: Iterable[int] = (),
 ) -> None:
     """Host a shard of processes in this OS process, dialing a remote hub.
@@ -1383,7 +1356,7 @@ async def host_nodes_tcp(
         if isinstance(processes, Mapping)
         else list(processes)
     )
-    mux = await open_mux(host, port, deadline=deadline)
+    mux = await open_mux(host, port)
     try:
         if procs:
             await run_nodes(

@@ -90,6 +90,10 @@ __all__ = [
     "open_mux",
 ]
 
+#: Seconds a dialler keeps retrying a refused connection, so it can race
+#: the listener's startup (a freshly spawned worker's included).
+CONNECT_DEADLINE = 30.0
+
 
 class SlowConsumerError(RuntimeError):
     """A connection's bounded outbound queue overflowed.
@@ -326,13 +330,16 @@ class _Connection(asyncio.Protocol):
 
     #: names this end of the connection in frame-guard errors
     phase = ""
+    #: per-frame body-size ceiling enforced on ingress (see
+    #: :func:`repro.net.codec.check_frame_size`); a connection whose
+    #: header announces more is dropped before the body is read
+    max_frame_bytes = MAX_FRAME_BYTES
+    #: whole-batch ceiling for ``dst == BATCH`` frames; inner frames
+    #: are additionally held to ``max_frame_bytes`` at decode time
+    max_batch_bytes = MAX_BATCH_BYTES
 
-    def __init__(
-        self, peer: str, max_frame_bytes: int, max_batch_bytes: int, batching: bool
-    ):
+    def __init__(self, peer: str, batching: bool):
         self.peer = peer
-        self.max_frame_bytes = max_frame_bytes
-        self.max_batch_bytes = max_batch_bytes
         self.batching = batching
         self.frames: deque[tuple[int, int, int, bytes]] = deque()
         self._loop = asyncio.get_running_loop()
@@ -492,7 +499,9 @@ class _ConnSink(_Connection):
     phase = "hub ingress"
 
     def __init__(self, hub: "TCPHub"):
-        super().__init__("", hub.max_frame_bytes, hub.max_batch_bytes, hub.batching)
+        super().__init__("", hub.batching)
+        self.max_frame_bytes = hub.max_frame_bytes
+        self.max_batch_bytes = hub.max_batch_bytes
         self.hub = hub
         self.maxsize = hub.max_queue_frames
         self.bound: set[tuple[int, int]] = set()
@@ -593,29 +602,16 @@ class TCPHub(_Router):
 
     #: how long :meth:`close` lets a connection write out its queue
     drain_timeout = 5.0
+    #: the ingress guards of every connection (see :class:`_Connection`)
+    max_frame_bytes = MAX_FRAME_BYTES
+    max_batch_bytes = MAX_BATCH_BYTES
+    #: per-connection outbound queue bound (backpressure)
+    max_queue_frames = 1_000_000
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-        max_batch_bytes: int = MAX_BATCH_BYTES,
-        max_queue_frames: int = 1_000_000,
-        batching: bool = True,
-    ):
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, *, batching: bool = True):
         super().__init__()
         self.host = host
         self.port = port
-        #: per-frame body-size ceiling enforced on ingress (see
-        #: :func:`repro.net.codec.check_frame_size`); a connection whose
-        #: header announces more is dropped before the body is read
-        self.max_frame_bytes = max_frame_bytes
-        #: whole-batch ceiling for ``dst == BATCH`` frames; inner frames
-        #: are additionally held to ``max_frame_bytes`` at decode time
-        self.max_batch_bytes = max_batch_bytes
-        #: per-connection outbound queue bound (backpressure)
-        self.max_queue_frames = max_queue_frames
         #: coalesce egress writes into batch frames (disable to measure
         #: the per-frame baseline; semantics are identical either way)
         self.batching = batching
@@ -732,10 +728,8 @@ class TCPMux(_Connection):
 
     phase = "mux recv"
 
-    def __init__(
-        self, peer: str, max_frame_bytes: int, max_batch_bytes: int, batching: bool
-    ):
-        super().__init__(peer, max_frame_bytes, max_batch_bytes, batching)
+    def __init__(self, peer: str, batching: bool):
+        super().__init__(peer, batching)
         self._queues: dict[tuple[int, int], asyncio.Queue] = {}
         self._error: Optional[BaseException] = None
         self._closing = False
@@ -885,28 +879,18 @@ class TCPEndpoint(MuxEndpoint):
         await self._mux.close()
 
 
-async def open_mux(
-    host: str,
-    port: int,
-    *,
-    deadline: float = 10.0,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-    max_batch_bytes: int = MAX_BATCH_BYTES,
-    batching: bool = True,
-) -> TCPMux:
+async def open_mux(host: str, port: int, *, batching: bool = True) -> TCPMux:
     """Dial a :class:`TCPHub` and return a bare multiplexed connection.
 
-    Retrying until ``deadline`` lets callers race the hub's startup: the
-    first process to run simply waits for the listener to appear.  Bind
-    endpoints on the returned mux with
+    Retrying for :data:`CONNECT_DEADLINE` seconds lets callers race the
+    hub's startup: the first process to run simply waits for the
+    listener to appear.  Bind endpoints on the returned mux with
     :meth:`TCPMux.endpoint`; see :func:`connect_tcp` for the
     single-endpoint convenience shape.
     """
     loop = asyncio.get_running_loop()
-    give_up = loop.time() + deadline
-    factory = partial(
-        TCPMux, f"hub {host}:{port}", max_frame_bytes, max_batch_bytes, batching
-    )
+    give_up = loop.time() + CONNECT_DEADLINE
+    factory = partial(TCPMux, f"hub {host}:{port}", batching)
     while True:
         try:
             _transport, mux = await loop.create_connection(factory, host, port)
@@ -918,26 +902,9 @@ async def open_mux(
 
 
 async def connect_tcp(
-    host: str,
-    port: int,
-    address: int,
-    *,
-    instance: int = 0,
-    deadline: float = 10.0,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-    batching: bool = True,
+    host: str, port: int, address: int, *, batching: bool = True
 ) -> TCPEndpoint:
-    """Connect one endpoint to a :class:`TCPHub`, retrying until ``deadline``.
-
-    ``max_frame_bytes`` is the endpoint's inbound frame-size guard (see
-    :func:`repro.net.codec.check_frame_size`); ``instance`` tags every
-    frame for multi-instance hubs (single runs keep the default 0).
-    """
-    mux = await open_mux(
-        host,
-        port,
-        deadline=deadline,
-        max_frame_bytes=max_frame_bytes,
-        batching=batching,
-    )
-    return TCPEndpoint(mux, address, instance, mux._bind(address, instance))
+    """Connect one endpoint (instance 0) to a :class:`TCPHub`, retrying
+    as :func:`open_mux` does."""
+    mux = await open_mux(host, port, batching=batching)
+    return TCPEndpoint(mux, address, 0, mux._bind(address, 0))

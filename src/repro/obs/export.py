@@ -300,7 +300,6 @@ def sweep_telemetry(report) -> RunTelemetry:
             "units": len(outcomes),
             "jobs": report.jobs,
             "workers": {str(pid): info for pid, info in sorted(workers.items())},
-            **{k: v for k, v in report.meta.items() if isinstance(v, _SCALARS)},
         },
         wall_seconds=report.elapsed,
         phases={report.name: stats.to_dict()},

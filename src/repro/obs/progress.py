@@ -61,13 +61,15 @@ class ProgressReporter:
     embed in their artifacts.
     """
 
+    #: seconds between two heartbeat lines
+    interval = 2.0
+
     def __init__(
         self,
         total: int,
         *,
         label: str = "sweep",
         stream=None,
-        interval: float = 2.0,
         jobs: int = 1,
         describe: Optional[Callable[[Any], str]] = None,
         enabled: Optional[bool] = None,
@@ -76,7 +78,6 @@ class ProgressReporter:
         self.total = total
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
-        self.interval = interval
         self.jobs = max(jobs, 1)
         self.describe = describe or _default_describe
         if enabled is None:

@@ -68,10 +68,9 @@ class Recorder:
     ) -> None:
         """Record a completed ``[start, end]`` span on ``track``."""
 
-    def point(
-        self, name: str, rnd: int, ts: float, track: str = "run", **args: Any
-    ) -> None:
-        """Record an instantaneous event (crash / rejoin / drop / decide)."""
+    def point(self, name: str, rnd: int, ts: float, **args: Any) -> None:
+        """Record an instantaneous event (crash / rejoin / drop / decide)
+        on the ``run`` track."""
 
     def sample(self, name: str, duration: float, track: str = "run") -> None:
         """Aggregate a duration into the phase stats without storing an
@@ -154,11 +153,9 @@ class TelemetryRecorder(Recorder):
 
     enabled = True
 
-    def __init__(
-        self, *, max_events: int = 200_000, meta: Optional[dict] = None
-    ) -> None:
+    def __init__(self, *, max_events: int = 200_000) -> None:
         self.max_events = max_events
-        self.meta: dict = dict(meta or {})
+        self.meta: dict = {}
         self.stats: dict[str, PhaseStats] = {}
         self.counts: dict[str, int] = {}
         #: raw events: ("span", name, track, rnd, start, end, args) or
@@ -206,12 +203,10 @@ class TelemetryRecorder(Recorder):
         else:
             self.dropped_events += 1
 
-    def point(
-        self, name: str, rnd: int, ts: float, track: str = "run", **args: Any
-    ) -> None:
+    def point(self, name: str, rnd: int, ts: float, **args: Any) -> None:
         self.counts[name] = self.counts.get(name, 0) + 1
         if len(self.events) < self.max_events:
-            self.events.append(("point", name, track, rnd, ts, args or None))
+            self.events.append(("point", name, "run", rnd, ts, args or None))
         else:
             self.dropped_events += 1
 

@@ -21,6 +21,9 @@ __all__ = [
     "check_scv",
 ]
 
+#: AEA's coverage κ (Theorem 5): the share of nodes that decide or fail.
+KAPPA = 3 / 5
+
 
 class PropertyViolation(AssertionError):
     """An execution violated its problem specification."""
@@ -97,21 +100,21 @@ def check_approximate(result, inputs: Sequence[float], eps: float) -> None:
         )
 
 
-def check_aea(result, inputs: Sequence[int], kappa: float = 3 / 5) -> None:
+def check_aea(result, inputs: Sequence[int]) -> None:
     """The κ-almost-everywhere-agreement specification.
 
-    At least ``κ·n`` nodes decide or fail; agreement and validity hold
-    among the nodes that decided.
+    At least ``κ·n`` nodes decide or fail (:data:`KAPPA`); agreement
+    and validity hold among the nodes that decided.
     """
     if not result.completed:
         raise PropertyViolation("execution did not complete")
     n = len(result.processes)
     decisions = _correct_decisions(result)
     settled = len(decisions) + len(result.crashed)
-    if settled < kappa * n:
+    if settled < KAPPA * n:
         raise PropertyViolation(
             f"coverage violated: {len(decisions)} deciders + "
-            f"{len(result.crashed)} crashed < {kappa}·{n}"
+            f"{len(result.crashed)} crashed < {KAPPA}·{n}"
         )
     values = set(decisions.values())
     if len(values) > 1:

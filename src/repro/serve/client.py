@@ -17,6 +17,7 @@ import asyncio
 import itertools
 from typing import Any, Optional
 
+from repro.net.transport import CONNECT_DEADLINE
 from repro.serve.wire import read_msg, send_msg
 
 __all__ = ["ServeClient"]
@@ -39,11 +40,9 @@ class ServeClient:
         self._reader_task = asyncio.create_task(self._read_loop())
 
     @classmethod
-    async def connect(
-        cls, host: str, port: int, *, deadline: float = 10.0
-    ) -> "ServeClient":
+    async def connect(cls, host: str, port: int) -> "ServeClient":
         loop = asyncio.get_running_loop()
-        give_up = loop.time() + deadline
+        give_up = loop.time() + CONNECT_DEADLINE
         while True:
             try:
                 reader, writer = await asyncio.open_connection(host, port)

@@ -130,42 +130,27 @@ class RunServer:
         Number of session-hosting worker OS processes.  ``0`` runs
         every session's host task in the server process on a
         :class:`~repro.net.transport.MemoryHub` (no hub socket at all);
-        ``k > 0`` starts a :class:`~repro.net.transport.TCPHub` on
-        ``host``/``port`` for the workers to dial.  The hub kind follows
-        from this number; ``status()["transport"]`` reports it.
+        ``k > 0`` starts a :class:`~repro.net.transport.TCPHub` on an
+        ephemeral loopback port for the workers to dial.  The hub kind
+        follows from this number; ``status()["transport"]`` reports it.
     batching:
         Toggle frame batching on the worker connections, the only
         sockets frames cross (on by default; the off position exists
         for benchmarks).
-    session_timeout:
-        Per-barrier-wait timeout for each session (``None`` disables):
-        one watchdog timer per session, nothing per frame, so the
-        default is also what ``python -m repro.serve`` runs with.
-        Under heavy multiplexing a healthy session's barrier can wait
-        a while for loop time; raise this before suspecting a hang.
-    stream_queue:
-        Bound of each client connection's outbound message queue (the
-        slow-consumer guard).
     """
 
-    def __init__(
-        self,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        workers: int = 0,
-        batching: bool = True,
-        session_timeout: Optional[float] = 120.0,
-        stream_queue: int = 256,
-        max_queue_frames: int = 1_000_000,
-    ):
-        self.host = host
-        self.port = port
+    #: Per-barrier-wait timeout for each session (``None`` disables):
+    #: one watchdog timer per session, nothing per frame.  Under heavy
+    #: multiplexing a healthy session's barrier can wait a while for
+    #: loop time; raise this before suspecting a hang.
+    session_timeout: Optional[float] = 120.0
+    #: Bound of each client connection's outbound message queue (the
+    #: slow-consumer guard).
+    stream_queue = 256
+
+    def __init__(self, *, workers: int = 0, batching: bool = True):
         self.workers = workers
         self.batching = batching
-        self.session_timeout = session_timeout
-        self.stream_queue = stream_queue
-        self.max_queue_frames = max_queue_frames
         self.hub: Any = None
         #: last dropped-client diagnostic (stalled stream, protocol
         #: error); names the peer and, for stalls, the run involved
@@ -190,14 +175,8 @@ class RunServer:
         if not self.workers:
             self.hub = MemoryHub()
             return self
-        self.hub = TCPHub(
-            self.host,
-            self.port,
-            batching=self.batching,
-            max_queue_frames=self.max_queue_frames,
-        )
+        self.hub = TCPHub(batching=self.batching)
         await self.hub.start()
-        self.port = self.hub.port
         self._ctrl = self.hub.endpoint(
             worker_mod.SERVER_ADDR, worker_mod.CONTROL_INSTANCE
         )
@@ -205,7 +184,7 @@ class RunServer:
         for index in range(self.workers):
             proc = ctx.Process(
                 target=worker_mod.worker_main,
-                args=(self.host, self.port, index, self.batching),
+                args=(self.hub.host, self.hub.port, index, self.batching),
                 daemon=True,
             )
             proc.start()
@@ -582,7 +561,6 @@ def run_many(
     *,
     workers: int = 0,
     batching: bool = True,
-    session_timeout: Optional[float] = 120.0,
 ) -> list[RunResult]:
     """Run a batch of recipes concurrently through a private server.
 
@@ -605,11 +583,7 @@ def run_many(
     """
 
     async def _main() -> list[RunResult]:
-        server = RunServer(
-            workers=workers,
-            batching=batching,
-            session_timeout=session_timeout,
-        )
+        server = RunServer(workers=workers, batching=batching)
         await server.start()
         try:
             run_ids = []

@@ -33,11 +33,10 @@ async def read_msg(
     reader: asyncio.StreamReader,
     *,
     peer: str,
-    limit: int = MAX_FRAME_BYTES,
 ) -> Any:
     """Read one framed message; raises ``IncompleteReadError`` on EOF."""
     header = await reader.readexactly(MSG_HEADER.size)
     (length,) = MSG_HEADER.unpack(header)
-    check_frame_size(length, limit=limit, peer=peer, phase="serve message")
+    check_frame_size(length, limit=MAX_FRAME_BYTES, peer=peer, phase="serve message")
     body = await reader.readexactly(length)
     return pickle.loads(body)

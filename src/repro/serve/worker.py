@@ -38,7 +38,7 @@ def worker_addr(index: int) -> int:
 
 
 async def _worker(host: str, port: int, index: int, batching: bool) -> None:
-    mux = await open_mux(host, port, deadline=30.0, batching=batching)
+    mux = await open_mux(host, port, batching=batching)
     ctrl = mux.endpoint(worker_addr(index), CONTROL_INSTANCE)
     hosted: set[asyncio.Task] = set()
     try:

@@ -61,14 +61,13 @@ class StaggeredCommitteeAdversary(CrashAdversary):
     information asymmetry.
     """
 
-    def __init__(self, committee_size: int, budget: int, start_round: int = 0):
+    def __init__(self, committee_size: int, budget: int):
         self.committee_size = committee_size
         self.budget = budget
-        self.start_round = start_round
         self._used = 0
 
     def crashes_for_round(self, rnd: int, engine: "Engine") -> dict[int, Optional[int]]:
-        if rnd < self.start_round or self._used >= self.budget:
+        if self._used >= self.budget:
             return {}
         victim = None
         for pid in range(self.committee_size):
@@ -83,7 +82,7 @@ class StaggeredCommitteeAdversary(CrashAdversary):
     def next_event_round(self, rnd: int) -> Optional[int]:
         if self._used >= self.budget:
             return None
-        return max(rnd + 1, self.start_round)
+        return rnd + 1
 
     def total_budget(self) -> int:
         return self.budget

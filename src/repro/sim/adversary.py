@@ -210,17 +210,14 @@ def crash_schedule(
     t: int,
     *,
     seed: int = 0,
-    rng: Optional[random.Random] = None,
     kind: str = "random",
     max_round: int = 64,
-    partial: bool = True,
     victims: Optional[Iterable[int]] = None,
 ) -> ScheduledCrashes:
     """Build a :class:`ScheduledCrashes` adversary for ``t`` crashes.
 
-    Randomness is drawn exclusively from ``rng`` (an explicit
-    ``random.Random`` instance) or, when ``rng`` is ``None``, from a
-    fresh ``random.Random(seed)``.  The module-level ``random`` state is
+    Randomness is drawn exclusively from a fresh
+    ``random.Random(seed)``.  The module-level ``random`` state is
     never touched on any code path, so schedules are a pure function of
     their arguments -- which is what keeps sweep rows byte-identical
     across ``--jobs`` worker counts and lets the net runtime replay the
@@ -236,17 +233,13 @@ def crash_schedule(
         ``"late"`` -- all crashes in the last quarter of ``max_round``;
         ``"staggered"`` -- one crash per round starting at round 0, the
         classical worst case for early-stopping consensus.
-    partial:
-        When true, each crashing node delivers a random prefix of its
-        final-round sends (partial send); otherwise crash takes effect
-        after a complete send phase.
     victims:
         Optional explicit victim pool to draw from (e.g. little nodes).
-    rng:
-        Explicit random source; overrides ``seed`` when given.
+
+    Each crashing node delivers a random prefix of its final-round
+    sends (a partial send).
     """
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     pool = list(victims) if victims is not None else list(range(n))
     if t > len(pool):
         raise ValueError(f"cannot crash {t} nodes out of a pool of {len(pool)}")
@@ -266,7 +259,7 @@ def crash_schedule(
         # ``keep`` counts point-to-point messages; protocols here send at
         # most a few multicasts per round, so a small random prefix makes
         # genuinely partial deliveries.
-        keep = rng.randrange(0, 4) if partial else None
+        keep = rng.randrange(0, 4)
         schedule[pid] = CrashSpec(round=rnd, keep=keep)
     return ScheduledCrashes(schedule)
 

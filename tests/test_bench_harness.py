@@ -4,7 +4,7 @@ import pytest
 
 from repro import PropertyViolation, check_consensus
 from repro.bench import series
-from repro.bench.runner import EXPERIMENTS, format_table, run_experiment
+from repro.bench.runner import EXPERIMENTS, format_table
 from repro.bench.sweep import run_sweep
 from repro.bench.workloads import (
     byzantine_sample,
@@ -20,10 +20,6 @@ from tests.conftest import linear_vector
 
 class TestWorkloads:
     def test_input_kinds(self):
-        assert input_vector(10, "zeros") == [0] * 10
-        assert input_vector(10, "ones") == [1] * 10
-        assert sum(input_vector(10, "minority_one", 3)) == 1
-        assert input_vector(6, "alternating") == [0, 1, 0, 1, 0, 1]
         bits = input_vector(100, "random", 5)
         assert set(bits) <= {0, 1}
         assert input_vector(100, "random", 5) == bits  # seeded
@@ -42,9 +38,9 @@ class TestWorkloads:
         assert all(0 <= pid < 100 for pid in chosen)
 
     def test_byzantine_sample_biases_committee(self):
-        chosen = byzantine_sample(200, 10, seed=3, little_bias=1.0)
+        chosen = byzantine_sample(200, 10, seed=3)
         committee = max(5 * 10, 8)
-        assert all(pid < committee for pid in chosen)
+        assert sum(pid < committee for pid in chosen) >= 10 // 2
 
     def test_table1_bounds_monotone_in_n(self):
         for problem in ("consensus", "gossip", "checkpointing", "byzantine"):
@@ -276,7 +272,7 @@ class TestSeries:
             assert certificate["comm_ok"]
 
     def test_smoke_is_a_table1_slice(self):
-        smoke, table1 = series.smoke_spec(48, 3), series.table1_spec([48], 3)
+        smoke, table1 = series.smoke_spec(), series.table1_spec([48])
         assert smoke.name == "smoke"
         assert [u.params for u in smoke.expand()] == [u.params for u in table1.expand()]
         assert smoke.runner is table1.runner
@@ -316,7 +312,3 @@ class TestSeries:
         rows = run_sweep(series.lowerbounds_spec()).rows()
         for row in rows:
             assert row["measured"] >= row["bound"] - 1
-
-    def test_run_experiment_unknown(self):
-        with pytest.raises(KeyError):
-            run_experiment("e99")

@@ -5,11 +5,14 @@ import doctest
 import pathlib
 import re
 import sys
+import textwrap
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import check_links  # noqa: E402  (tools/ is not a package)
+import check_surface  # noqa: E402
 
 
 def test_faults_handbook_doctests():
@@ -163,3 +166,129 @@ def test_changes_entries_are_capped():
                 f"CHANGES.md entry for PR {header.group(1)} is "
                 f"{len(entry)} characters; the cap is 2,000"
             )
+
+
+# -- dead public surface (tools/check_surface.py) -----------------------------
+
+#: A tree with one of each kind of dead surface, and one of each way a
+#: name or a keyword stays live without a direct call.
+_SURFACE_TREE = {
+    "src/repro/__init__.py": "",
+    "src/repro/pkg/__init__.py": """
+        from repro.pkg.mod import exported
+
+        __all__ = ["exported"]
+    """,
+    "src/repro/pkg/mod.py": """
+        import argparse
+        from dataclasses import dataclass
+
+        KERNELS = {"k": "repro.pkg.mod:Kernel"}
+
+
+        class Kernel:
+            pass
+
+
+        def planted_unused():
+            return 1
+
+
+        def exported():
+            return 2
+
+
+        def entry():
+            return 3
+
+
+        def run(inputs, *, seed=0, never=1, **execution):
+            return inner(inputs, **execution)
+
+
+        def inner(inputs, forwarded=False):
+            return forwarded
+
+
+        @dataclass
+        class Config:
+            size: int = 1
+            planted_field: int = 2
+
+
+        def main(argv=None):
+            parser = argparse.ArgumentParser()
+            parser.add_argument("--used", type=int)
+            parser.add_argument("--planted-flag", action="store_true")
+            return parser.parse_args(argv)
+    """,
+    "examples/demo.py": """
+        from repro.pkg import exported
+        from repro.pkg.mod import Config, main, run
+
+        exported()
+        run([1], seed=3)
+        Config(size=4)
+        main(["--used", "1"])
+    """,
+    "pyproject.toml": """
+        [project.scripts]
+        demo = "repro.pkg.mod:entry"
+    """,
+    "tests/test_demo.py": """
+        from repro.pkg.mod import Config, planted_unused, run
+
+        planted_unused()
+        run([1], never=2)
+        Config(planted_field=3)
+    """,
+}
+
+
+def _surface_tree(root: pathlib.Path) -> pathlib.Path:
+    for name, text in _SURFACE_TREE.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text), encoding="utf-8")
+    return root
+
+
+def test_surface_checker_flags_each_kind_of_dead_surface(tmp_path):
+    """An unused function, a never-set keyword, a never-set dataclass
+    field and an unused flag are found, though a test uses them, and
+    nothing else: not a name reached only through a ``"module:Name"``
+    string, a pyproject entry point or an ``__all__`` re-export, nor a
+    keyword that a caller forwards through ``**execution``."""
+    report = check_surface.scan(_surface_tree(tmp_path))
+    assert set(report.findings) == {
+        "repro.pkg.mod.planted_unused",
+        "repro.pkg.mod.run(never=)",
+        "repro.pkg.mod.Config(planted_field=)",
+        "repro.pkg.mod --planted-flag",
+    }
+    # seed, never, forwarded, argv; size, planted_field
+    assert report.settable == 6
+
+
+def test_surface_checker_fails_on_unlisted_and_stale_entries(tmp_path):
+    report = check_surface.scan(_surface_tree(tmp_path))
+    listed = {key: "kept on purpose" for key in report.findings}
+    assert check_surface.problems(report, listed) == []
+    unlisted = check_surface.problems(report, {})
+    assert len(unlisted) == 4 and any("planted_unused" in p for p in unlisted)
+    stale = check_surface.problems(report, {**listed, "repro.pkg.mod.exported": "x"})
+    assert stale == [
+        "repro.pkg.mod.exported is allowlisted but no longer dead: drop it from ALLOWLIST"
+    ]
+
+
+def test_public_surface_has_a_live_caller_or_a_reason():
+    """Every public name, keyword default and flag under src/repro/ is
+    used by live code or allowlisted with a reason, and no allowlist
+    entry has gained a caller; the whole scan stays cheap."""
+    started = time.perf_counter()
+    report = check_surface.scan()
+    elapsed = time.perf_counter() - started
+    assert check_surface.problems(report) == []
+    assert all(reason for reason in check_surface.ALLOWLIST.values())
+    assert elapsed < 2.0, f"surface scan took {elapsed:.2f} s"

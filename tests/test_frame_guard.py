@@ -14,7 +14,7 @@ import asyncio
 
 import pytest
 
-from repro.net import FrameTooLargeError, MAX_FRAME_BYTES, TCPHub, connect_tcp
+from repro.net import FrameTooLargeError, MAX_FRAME_BYTES, TCPHub, TCPMux, connect_tcp
 from repro.net.codec import (
     BATCH,
     HEADER,
@@ -53,8 +53,9 @@ class TestCheckFrameSize:
             )
         assert "instance 17" in str(excinfo.value)
 
-    def test_negative_limit_disables_guard(self):
-        assert check_frame_size(2**31, limit=-1, peer="p", phase="x") == 2**31
+    def test_negative_limit_does_not_disable_guard(self):
+        with pytest.raises(FrameTooLargeError):
+            check_frame_size(2**31, limit=-1, peer="p", phase="x")
 
 
 class TestBatchGuard:
@@ -110,12 +111,13 @@ class TestBatchGuard:
             decode_batch(body, peer="p", phase="x")
         assert "blob index" in str(excinfo.value)
 
-    def test_whole_batch_limit_enforced_at_hub(self):
+    def test_whole_batch_limit_enforced_at_hub(self, monkeypatch):
         """A batch envelope over max_batch_bytes is rejected at the
         header read, before the body is awaited."""
+        monkeypatch.setattr(TCPHub, "max_batch_bytes", 1024)
 
         async def scenario():
-            hub = TCPHub("127.0.0.1", 0, max_batch_bytes=1024)
+            hub = TCPHub("127.0.0.1", 0)
             await hub.start()
             try:
                 reader, writer = await asyncio.open_connection(
@@ -134,17 +136,16 @@ class TestBatchGuard:
 
 
 class TestEndpointRecvGuard:
-    def test_oversize_frame_raises_before_body_read(self):
+    def test_oversize_frame_raises_before_body_read(self, monkeypatch):
         """A corrupt header arriving at a connected endpoint surfaces as
         FrameTooLargeError from recv(), naming instance and phase."""
+        monkeypatch.setattr(TCPMux, "max_frame_bytes", 64)
 
         async def scenario():
             hub = TCPHub("127.0.0.1", 0)
             await hub.start()
             try:
-                victim = await connect_tcp(
-                    "127.0.0.1", hub.port, 3, max_frame_bytes=64
-                )
+                victim = await connect_tcp("127.0.0.1", hub.port, 3)
                 # Reach under the endpoint and hand its connection a
                 # corrupt header as if the socket had delivered it.
                 victim._mux.data_received(HEADER.pack(2**31, 5, 3, 9))
@@ -179,12 +180,13 @@ class TestEndpointRecvGuard:
 
 
 class TestHubIngressGuard:
-    def test_poisoned_connection_dropped_hub_survives(self):
+    def test_poisoned_connection_dropped_hub_survives(self, monkeypatch):
         """A connection announcing an oversized frame is dropped before
         the body is read; healthy endpoints keep working."""
+        monkeypatch.setattr(TCPHub, "max_frame_bytes", 1024)
 
         async def scenario():
-            hub = TCPHub("127.0.0.1", 0, max_frame_bytes=1024)
+            hub = TCPHub("127.0.0.1", 0)
             await hub.start()
             try:
                 good_a = await connect_tcp("127.0.0.1", hub.port, 0)
@@ -212,20 +214,18 @@ class TestHubIngressGuard:
 
         asyncio.run(scenario())
 
-    def test_legit_traffic_under_small_limit(self):
+    def test_legit_traffic_under_small_limit(self, monkeypatch):
         """Frames under the limit pass untouched even when the limit is
         tiny -- the guard never rewrites or truncates."""
+        monkeypatch.setattr(TCPHub, "max_frame_bytes", 4096)
+        monkeypatch.setattr(TCPMux, "max_frame_bytes", 4096)
 
         async def scenario():
-            hub = TCPHub("127.0.0.1", 0, max_frame_bytes=4096)
+            hub = TCPHub("127.0.0.1", 0)
             await hub.start()
             try:
-                a = await connect_tcp(
-                    "127.0.0.1", hub.port, 0, max_frame_bytes=4096
-                )
-                b = await connect_tcp(
-                    "127.0.0.1", hub.port, 1, max_frame_bytes=4096
-                )
+                a = await connect_tcp("127.0.0.1", hub.port, 0)
+                b = await connect_tcp("127.0.0.1", hub.port, 1)
                 payload = ("bulk", list(range(100)))
                 await a.send(1, payload)
                 src, obj = await asyncio.wait_for(b.recv(), timeout=5.0)

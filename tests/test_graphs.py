@@ -10,9 +10,6 @@ import pytest
 
 from repro.graphs.expander import (
     edges_between,
-    induced_volume,
-    is_connected_within,
-    is_ramanujan,
     mixing_lemma_gap,
     ramanujan_bound,
     second_eigenvalue,
@@ -25,7 +22,6 @@ from repro.graphs.ramanujan import (
     clear_graph_cache,
     complete_graph,
     paper_delta,
-    paper_ell,
 )
 
 
@@ -94,7 +90,7 @@ class TestSpectra:
         # K_{4,4} has eigenvalues ±4 and 0s: λ = 4 > 2·sqrt(3).
         edges = [(i, 4 + j) for i in range(4) for j in range(4)]
         graph = Graph.from_edges(8, edges)
-        assert not is_ramanujan(graph, d=4)
+        assert spectral_certificate(graph, 4)["ratio"] > 1
 
 
 class TestSetCombinatorics:
@@ -105,7 +101,9 @@ class TestSetCombinatorics:
         first, second = set(range(0, 30)), set(range(30, 60))
         count = edges_between(self.graph, first, second)
         total = self.graph.edge_count
-        inside = induced_volume(self.graph, first) + induced_volume(self.graph, second)
+        inside = sum(
+            (u in first) == (v in first) for u in range(60) for v in self.graph.adj[u] if u < v
+        )
         assert count == total - inside
 
     def test_edges_between_requires_disjoint(self):
@@ -118,16 +116,6 @@ class TestSetCombinatorics:
         # disjoint sets (this exercises the eigenvalue computation).
         first, second = set(range(0, 20)), set(range(20, 45))
         assert mixing_lemma_gap(self.graph, first, second) >= -1e-6
-
-    def test_connectivity(self):
-        assert is_connected_within(self.graph)
-        assert is_connected_within(self.graph, [])
-        assert is_connected_within(self.graph, [5])
-
-    def test_disconnected_subset_detected(self):
-        graph = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert not is_connected_within(graph, [0, 1, 2, 3])
-        assert is_connected_within(graph, [0, 1])
 
 
 class TestConstructions:
@@ -159,12 +147,6 @@ class TestConstructions:
 
 
 class TestPaperFormulas:
-    def test_paper_ell(self):
-        assert paper_ell(100, 5**8) == pytest.approx(4 * 100 * (5**8) ** (-1 / 8))
-        # The paper's choice makes ell = 4t for committees of 5t nodes:
-        # with d = 5^8, d^(1/8) = 5 and ell(5t, d) = 4*5t/5 = 4t.
-        assert paper_ell(5 * 7, 5**8) == pytest.approx(4 * 7)
-
     def test_paper_delta_positive_and_monotone(self):
         values = [paper_delta(d) for d in (4, 8, 16, 32, 64)]
         assert all(v >= 1 for v in values)

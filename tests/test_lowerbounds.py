@@ -58,7 +58,7 @@ class TestGossipIsolation:
         rumors_a = ["x"] * n
         rumors_b = ["x"] * n
         rumors_b[7] = "y"
-        report = isolation_report(factory, rumors_a, rumors_b, t, victim=0)
+        report = isolation_report(factory, rumors_a, rumors_b, t)
         assert report.digests_matched
         assert report.isolated_rounds >= t // 2 - 1
         assert report.crashes_used <= t
@@ -69,8 +69,8 @@ class TestGossipIsolation:
         factory = ring_factory(n)
         rumors_a, rumors_b = ["x"] * n, ["x"] * n
         rumors_b[5] = "y"
-        small = isolation_report(factory, rumors_a, rumors_b, 10, victim=0)
-        large = isolation_report(factory, rumors_a, rumors_b, 20, victim=0)
+        small = isolation_report(factory, rumors_a, rumors_b, 10)
+        large = isolation_report(factory, rumors_a, rumors_b, 20)
         assert large.isolated_rounds >= 2 * small.isolated_rounds - 2
 
     def test_ring_gossip_is_correct_failure_free(self):

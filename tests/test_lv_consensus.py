@@ -122,7 +122,7 @@ class TestBitsAccounting:
         # the same 128-bit instance lv-consensus pays ~n times fewer
         # payload bits than flooding.  Model costs are exact, both
         # engine loops agree on them, and README quotes the quotient.
-        rows = run_sweep(series.families_spec(n=80, t=16, seed=1)).rows()
+        rows = run_sweep(series.families_spec(n=80, t=16)).rows()
         model = ("rounds", "messages", "bits", "completed")
         cost = {
             backend: {

@@ -39,7 +39,7 @@ from repro.net import (
 from repro.net import runtime as runtime_mod
 from repro.net.codec import decode
 from repro.net.runtime import run_nodes
-from repro.net.transport import _Router
+from repro.net.transport import TCPMux, _Router
 from repro.scenarios import OmissionSpec, Scenario
 from repro.sim import Engine
 from repro.sim.process import Multicast, Process
@@ -356,6 +356,7 @@ class TestBundleCap:
         # cap, yet one bundle of them would not fit this connection's
         # 8 KiB guard -- a frame per message, as the model has it, would.
         monkeypatch.setattr(runtime_mod, "_BUNDLE_BYTES", 2048)
+        monkeypatch.setattr(TCPMux, "max_frame_bytes", 8192)
 
         class Courier(Process):
             def on_start(self):
@@ -373,7 +374,7 @@ class TestBundleCap:
         async def main():
             hub = TCPHub()
             await hub.start()
-            mux = await open_mux("127.0.0.1", hub.port, max_frame_bytes=8192)
+            mux = await open_mux("127.0.0.1", hub.port)
             host = asyncio.ensure_future(run_nodes(procs, mux.endpoint(0), 16))
             try:
                 return await Session(16, timeout=30.0).run(mux.endpoint(16))
@@ -390,7 +391,9 @@ class TestBundleCap:
             src = (proc.pid - 1) % 16
             assert proc.got == [(src, bytes([src]) * 1024)]
 
-    def test_one_oversized_payload_still_trips_the_frame_guard(self):
+    def test_one_oversized_payload_still_trips_the_frame_guard(self, monkeypatch):
+        monkeypatch.setattr(TCPMux, "max_frame_bytes", 4096)
+
         class Shouter(Process):
             def send(self, rnd):
                 return [((self.pid + 1) % self.n, b"x" * 20_000)]
@@ -398,7 +401,7 @@ class TestBundleCap:
         async def main():
             hub = TCPHub()
             await hub.start()
-            mux = await open_mux("127.0.0.1", hub.port, max_frame_bytes=4096)
+            mux = await open_mux("127.0.0.1", hub.port)
             host = asyncio.ensure_future(
                 run_nodes([Shouter(pid, 2) for pid in range(2)], mux.endpoint(0), 2)
             )

@@ -360,7 +360,6 @@ def test_progress_reporter_throttles_and_closes():
         total=3,
         label="check",
         stream=stream,
-        interval=2.0,
         jobs=2,
         enabled=True,
         clock=clock,

@@ -19,7 +19,7 @@ from benchmarks.perf.workloads import WORKLOADS, build_workload
 from repro.api import build_recipe_processes
 from repro.check.driver import sample_instance
 from repro.families import REGISTRY
-from repro.graphs import ramanujan
+from repro.graphs import expander, ramanujan
 from repro.graphs.expander import ramanujan_bound, second_eigenvalue
 from repro.graphs.ramanujan import certified_ramanujan_graph, clear_graph_cache
 from tests.test_bench_harness import GOLDEN
@@ -92,7 +92,7 @@ class TestCheck:
         assert checked is not unchecked and checked.adj == unchecked.adj
 
     def test_graph_over_the_bound_raises(self, monkeypatch):
-        monkeypatch.setattr(ramanujan, "second_eigenvalue", lambda graph: 99.0)
+        monkeypatch.setattr(expander, "second_eigenvalue", lambda graph: 99.0)
         with pytest.raises(RuntimeError, match=r"G\(70,6\) on seed 4 .*λ=99\.000 > bound"):
             certified_ramanujan_graph(70, 6, 4, certify=True)
 
@@ -100,7 +100,7 @@ class TestCheck:
         def missing(graph):
             raise ModuleNotFoundError("No module named 'numpy'")
 
-        monkeypatch.setattr(ramanujan, "second_eigenvalue", missing)
+        monkeypatch.setattr(expander, "second_eigenvalue", missing)
         assert certified_ramanujan_graph(72, 6, 4).is_regular()  # default skips
         with pytest.raises(ImportError):
             certified_ramanujan_graph(74, 6, 4, certify=True)

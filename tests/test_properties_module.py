@@ -65,21 +65,21 @@ class TestConsensusPredicate:
 class TestAEAPredicate:
     def test_accepts_enough_deciders(self):
         result = fake_result(5, {0: 1, 1: 1, 2: 1})
-        check_aea(result, [1, 1, 1, 0, 0], kappa=0.6)
+        check_aea(result, [1, 1, 1, 0, 0])
 
     def test_catches_poor_coverage(self):
         result = fake_result(5, {0: 1})
         with pytest.raises(PropertyViolation, match="coverage"):
-            check_aea(result, [1, 1, 1, 0, 0], kappa=0.6)
+            check_aea(result, [1, 1, 1, 0, 0])
 
     def test_crashes_count_toward_coverage(self):
         result = fake_result(5, {0: 1}, crashed={1, 2})
-        check_aea(result, [1, 1, 1, 0, 0], kappa=0.6)
+        check_aea(result, [1, 1, 1, 0, 0])
 
     def test_catches_decider_disagreement(self):
         result = fake_result(5, {0: 1, 1: 0, 2: 1})
         with pytest.raises(PropertyViolation, match="agreement"):
-            check_aea(result, [1, 1, 1, 0, 0], kappa=0.6)
+            check_aea(result, [1, 1, 1, 0, 0])
 
 
 class TestSCVPredicate:

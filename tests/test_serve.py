@@ -288,10 +288,11 @@ class TestSessionTimeout:
             await real_run_nodes(processes, endpoint, coordinator, **kwargs)
 
         monkeypatch.setattr(server_mod, "run_nodes", wedged_run_nodes)
+        monkeypatch.setattr(RunServer, "session_timeout", 0.5)
         wedged, healthy = make_recipe("flood-none", 1), make_recipe("churn", 2)
 
         async def main():
-            server = RunServer(workers=workers, session_timeout=0.5)
+            server = RunServer(workers=workers)
             await server.start()
             if workers:
                 # Hosting is the worker's: wedge run 1 by losing its
@@ -619,9 +620,11 @@ class TestRetention:
 
 
 class TestHubBackpressure:
-    def test_slow_consumer_dropped_other_sessions_advance(self):
+    def test_slow_consumer_dropped_other_sessions_advance(self, monkeypatch):
+        monkeypatch.setattr(TCPHub, "max_queue_frames", 16)
+
         async def scenario():
-            hub = TCPHub("127.0.0.1", 0, max_queue_frames=16)
+            hub = TCPHub("127.0.0.1", 0)
             await hub.start()
             # Laggard: a raw connection that binds (instance 7, addr 1)
             # and then never reads its socket.
@@ -688,12 +691,14 @@ class _NeverDrains:
 
 
 class TestServeBackpressure:
-    def test_client_queue_overflow_names_laggard_run(self):
+    def test_client_queue_overflow_names_laggard_run(self, monkeypatch):
         # Unit wall on the bound itself: push past the stream queue and
         # the connection is killed with an error naming the run whose
         # stream the client stopped consuming.
+        monkeypatch.setattr(RunServer, "stream_queue", 4)
+
         async def scenario():
-            server = RunServer(stream_queue=4)
+            server = RunServer()
             writer = _NeverDrains()
             conn = _ClientConn(server, writer, "client test", 4)
             for _ in range(4):
@@ -709,14 +714,15 @@ class TestServeBackpressure:
         assert "run-000042" in error
         assert "undelivered" in error
 
-    def test_stalled_watcher_does_not_stall_other_sessions(self):
+    def test_stalled_watcher_does_not_stall_other_sessions(self, monkeypatch):
         # Integration wall: a client that stops reading entirely (tiny
         # receive buffer, no reads) is eventually dropped, and healthy
         # clients' sessions run to completion throughout.
         protocol, execution = make_recipe("flood-none", 5)
+        monkeypatch.setattr(RunServer, "stream_queue", 8)
 
         async def scenario():
-            server = RunServer(stream_queue=8)
+            server = RunServer()
             await server.start()
             port = await server.listen("127.0.0.1", 0)
 

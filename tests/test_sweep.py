@@ -90,14 +90,14 @@ class TestRunSweep:
     def test_parallel_rows_identical_to_serial(self):
         # A real protocol sweep (not an echo): deterministic seeding must
         # make worker count invisible in both row content and order.
-        spec = series.consensus_few_spec(ns=[30, 42], seed=2)
+        spec = series.consensus_few_spec(ns=[30, 42])
         serial = run_sweep(spec, jobs=1).rows()
         parallel = run_sweep(spec, jobs=4).rows()
         assert serial == parallel
         assert [row["n"] for row in serial] == [30, 42]
 
     def test_parallel_heterogeneous_units(self):
-        spec = series.baselines_spec(n=60, seed=2)
+        spec = series.baselines_spec(n=60)
         assert run_sweep(spec, jobs=2).rows() == run_sweep(spec, jobs=1).rows()
 
     def test_unit_exception_propagates(self):
@@ -126,7 +126,7 @@ class TestArtifacts:
             runner=describe_unit,
             grid={"n": [4, 8], "kind": "demo", "seed": [5]},
         )
-        return run_sweep(spec, meta={"purpose": "round-trip"})
+        return run_sweep(spec)
 
     def test_json_round_trip(self, tmp_path):
         report = self._report()
@@ -134,7 +134,6 @@ class TestArtifacts:
         write_json(report, path)
         loaded = read_json(path)
         assert loaded["experiment"] == "artifact-demo"
-        assert loaded["meta"] == {"purpose": "round-trip"}
         assert [unit["row"] for unit in loaded["units"]] == report.rows()
         assert [unit["params"] for unit in loaded["units"]] == [
             outcome.unit.params for outcome in report.outcomes

@@ -38,7 +38,6 @@ from repro.net.codec import (
     BATCH,
     CONTROL,
     HEADER,
-    MAX_BATCH_BYTES,
     MAX_FRAME_BYTES,
     encode,
     encode_batch,
@@ -53,9 +52,8 @@ KINDS = ["memory", "local", "mux", "tcp"]
 class _Pair:
     """Endpoints at addresses 0 and 1 of one hub of the given kind."""
 
-    def __init__(self, kind: str, **receiver_options):
+    def __init__(self, kind: str):
         self.kind = kind
-        self.receiver_options = receiver_options
         self.hub = None
         self.muxes = []
 
@@ -70,11 +68,11 @@ class _Pair:
             return self.hub.endpoint(0), self.hub.endpoint(1)
         if self.kind == "tcp":
             sender = await connect_tcp("127.0.0.1", port, 0)
-            receiver = await connect_tcp("127.0.0.1", port, 1, **self.receiver_options)
+            receiver = await connect_tcp("127.0.0.1", port, 1)
             self.muxes = [sender._mux, receiver._mux]
             return sender, receiver
         send_mux = await open_mux("127.0.0.1", port)
-        recv_mux = await open_mux("127.0.0.1", port, **self.receiver_options)
+        recv_mux = await open_mux("127.0.0.1", port)
         self.muxes = [send_mux, recv_mux]
         return send_mux.endpoint(0), recv_mux.endpoint(1)
 
@@ -165,9 +163,11 @@ def test_eof_is_left_for_the_blocking_recv(kind):
 
 
 @pytest.mark.parametrize("kind", ["mux", "tcp"])
-def test_frame_guard_error_is_left_for_the_blocking_recv(kind):
+def test_frame_guard_error_is_left_for_the_blocking_recv(kind, monkeypatch):
+    monkeypatch.setattr(TCPMux, "max_frame_bytes", 64)
+
     async def scenario():
-        async with _Pair(kind, max_frame_bytes=64) as (sender, receiver):
+        async with _Pair(kind) as (sender, receiver):
             await sender.send(1, "fits")
             assert await _poll(receiver) == (0, "fits")
             await sender.send(1, "x" * 4096)
@@ -419,11 +419,13 @@ def _connect(end, max_frame_bytes=MAX_FRAME_BYTES):
     frame it dispatches is appended to.  Needs a running loop."""
     dispatched = []
     if end == "mux recv":
-        connection = TCPMux("the hub", max_frame_bytes, MAX_BATCH_BYTES, True)
+        connection = TCPMux("the hub", True)
+        connection.max_frame_bytes = max_frame_bytes
         dispatch = connection._dispatch
         connection._dispatch = lambda *frame: (dispatched.append(frame), dispatch(*frame))
     else:
-        hub = TCPHub(max_frame_bytes=max_frame_bytes)
+        hub = TCPHub()
+        hub.max_frame_bytes = max_frame_bytes
         connection = _ConnSink(hub)
         ingress = hub._ingress
         hub._ingress = lambda sink, *frame: (dispatched.append(frame), ingress(sink, *frame))
