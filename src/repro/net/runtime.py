@@ -24,33 +24,37 @@ sender; envelopes are the runtime's business.
    coordinator restores them to the live set so they participate in
    round ``r``'s send phase.
 2. ``START(r)`` -- the coordinator opens round ``r`` on every host with
-   a live pid and names those hosts.  The frame also names the live
-   pids with a fault this round: the partial-send budget ``keep`` of a
-   pid the adversary crashes now, its blocked-destination set for link
-   faults (omission/partition scenarios) and whether it should await a
-   rejoin.  The host walks its own live pids in pid order and runs the
-   ``send(r)`` hook of each awake one (see "Wake table"), truncates and
-   filters the sends of a pid with a fault through the engine's own
-   ``collect_sends`` + ``apply_link_filter``, counts each pid's
-   messages, payload bits and dropped messages, and ships ``DATA``
-   bundles of the surviving send groups (pickled once; they go through
-   the hub like every frame, so a one-host ``tcp`` run still sends its
-   bundle out of its connection and back): every *other* opened host
-   gets at least one, empty when there is nothing for it, and itself
-   one when it has mail for its own pids; the last bundle to each host
-   is flagged.  It then reports one ``SENT`` with a row per pid that
-   sent, dropped or recorded something, or whose status moved.
+   a live pid and names those hosts.  The frame also carries the
+   round's faults for the host's live pids: the partial-send budget
+   ``keep`` of each pid the adversary crashes now, the blocked
+   destinations of each pid a link fault (omission/partition scenarios)
+   names, and which crashing pids should await a rejoin.  The host runs
+   its shard's send phase (:meth:`~repro.sim.shard.Shard.send`, the
+   one the engine runs) under those faults, splits the resulting
+   entries by destination host and ships them as ``DATA`` bundles
+   (pickled once; they go through the hub like every frame, so a
+   one-host ``tcp`` run still sends its bundle out of its connection
+   and back): every *other* opened host gets at least one, empty when
+   there is nothing for it, and itself one when it has mail for its own
+   pids; the last bundle to each host is flagged.  It then reports one
+   ``SENT`` with the shard's rows (a pid that sent or dropped something,
+   or stops running) and a status row per such pid whose status moved;
+   any other pid it called is still running and awake, so ``DONE``
+   carries its status.
 3. Receive -- a host whose pids are not all gone collects one flagged
    last bundle from each host that ships to it (bundles may arrive
-   before its own ``START`` and are buffered), builds each inbox ordered
-   by ``(sender, send-order)`` -- byte-for-byte the simulator's delivery
-   order -- discards what was addressed to a crashed or halted pid, runs
-   the ``receive(r)`` hooks of its awake pids and of every sleeper that
-   got mail, and reports one ``DONE`` with a row per pid whose status
-   moved and, after a round in which it neither sent nor received a
-   message, its earliest wake.  The coordinator collects ``SENT`` and
-   ``DONE`` in any host order and closes the round once every opened
-   host has sent the one and every host with a surviving pid the other.
+   before its own ``START`` and are buffered), puts their entries in
+   ``(sender, send order)`` and runs its shard's receive phase
+   (:meth:`~repro.sim.shard.Shard.deliver`), which builds each inbox
+   -- byte-for-byte the simulator's delivery order -- and discards
+   what was addressed to a crashed or halted pid.  It reports one
+   ``DONE`` with a row per pid whose status moved and, after a round in
+   which it neither sent nor received a message, its earliest wake.
+   The coordinator books each ``SENT``'s rows through
+   :meth:`~repro.sim.rounds.RoundControl.account`, as the engine books
+   its shard's, collects ``SENT`` and ``DONE`` in any host order and
+   closes the round once every opened host has sent the one and every
+   host with a surviving pid the other.
 
 Reports carry news only: a status moved when any of ``halted`` and
 ``decided`` differs from the pid's last row or its ``decision`` is not
@@ -66,15 +70,16 @@ decision``)::
                             fast_forward
     REJOIN    C -> host     round, [pid, ...]
     REJOINED  host -> C     round, [(pid, *status), ...]
-    START     C -> host     round, {pid: (crashing, keep, mask,
-                            will_rejoin)} for the live pids with a
-                            fault, record, [opened host, ...]
+    START     C -> host     round, {pid: keep} crashing, {pid: mask},
+                            [crashing pid to await a rejoin, ...],
+                            record, [opened host, ...]
     DATA      host -> host  round, [(src, seq, dsts, payload), ...], last
                             (dsts None: every pid behind the receiving
                             host but src)
-    SENT      host -> C     round, [(pid, msgs, bits, dropped, records,
-                              *status), ...] per pid that sent, dropped
-                            or recorded something or whose status moved
+    SENT      host -> C     round, [(pid, msgs, bits, dropped, records),
+                            ...] per pid that sent or dropped something
+                            or stops running, [(pid, *status), ...] per
+                            such pid whose status moved
     DONE      host -> C     round, [(pid, *status), ...] per pid whose
                             status moved, earliest wake (None after a
                             round the host sent or received a message in)
@@ -82,46 +87,44 @@ decision``)::
     ERROR     host -> C     pid whose hook raised (None: the host
                             itself), exception class name, text
 
-A ``DATA`` bundle holds, per send group with a destination behind the
-receiving host, the sender, the group's index in the sender's send
-order, those destinations and the payload.  A sender whose whole output
-is one multicast to every pid but itself -- proved as the engine proves
-its broadcast column, by :func:`~repro.sim.process.proves_everyone_else`
--- ships one entry with ``dsts`` None per host, and the receiving host
-delivers those entries as the engine's column; any other group is split
-by host once per destination tuple object per pid.  A bundle closes at
-:data:`_BUNDLE_PAIRS` ``(group, destination)`` pairs (a ``None`` entry
-counts ``n - 1``) or :data:`_BUNDLE_BYTES` of counted payload,
-whichever comes first, and ``last`` marks a sender's final bundle to
-that host in the round (the hubs keep each sender-receiver stream in
-order).  Receivers behind one host are handed the *same* decoded
-payload object (as ``Engine`` hands every receiver the sender's object);
-receivers behind different hosts, and the sender, never share one.
+A ``DATA`` bundle holds the shard's entries with a destination behind
+the receiving host: the sender, the group's index in the sender's send
+order, those destinations and the payload.  A broadcast entry (``dsts``
+None, the engine's column) goes as it is to every host with a pid
+other than its sender, and the receiving shard delivers it as its
+column; any other entry is split by host once per destination tuple
+object per pid.  A bundle closes at :data:`_BUNDLE_PAIRS` ``(group,
+destination)`` pairs (a ``None`` entry counts ``n - 1``) or
+:data:`_BUNDLE_BYTES` of counted payload, whichever comes first, and
+``last`` marks a sender's final bundle to that host in the round (the
+hubs keep each sender-receiver stream in order).  Receivers behind one
+host are handed the *same* decoded payload object (as ``Engine`` hands
+every receiver the sender's object); receivers behind different hosts,
+and the sender, never share one.
 
 The barrier guarantees the paper's synchrony: no process observes round
 ``r + 1`` before every round-``r`` message is delivered.  Who rejoins,
 who crashes, which links are blocked, fast-forward over quiescent
 stretches and termination are decided by the session's
-:class:`~repro.sim.rounds.RoundControl`, as on every backend; hosts
-truncate, filter, prove broadcasts and count with the engine's own
-helpers, pid by pid.  That makes the sim/net parity tests exact rather
-than statistical -- and independent of how pids are dealt to hosts.
+:class:`~repro.sim.rounds.RoundControl`, as on every backend, and what
+a host's pids do in a round is its shard's two calls, the statements
+the engine runs.  That makes the sim/net parity tests exact rather than
+statistical -- and independent of how pids are dealt to hosts.
 
 Wake table
 ----------
 A round costs what it delivers, not ``n``.  Each host drives one
-:class:`~repro.sim.shard.Shard` of its own pids -- the engine's start,
-churn snapshot, wake table and sleep rule (stated in
-:mod:`repro.sim.shard`) -- so a net round makes exactly the hook calls
-a sim-opt round makes.  The coordinator keeps the live pids per host
-and the set of running non-Byzantine pids, so its share of a round is
-O(hosts + rows), with no walk over ``range(n)``; the earliest wakes the
-hosts report in ``DONE`` are where a quiescent round jumps to.  When a
-trace recorder
-or checker is attached (:mod:`repro.trace`), hosts compute the
-structural digest of every payload next to the wire and ship the
-records inside their ``SENT`` reports, so the coordinator records or
-verifies the same events the engine would.
+:class:`~repro.sim.shard.Shard` of its own pids -- the engine's send
+and receive phases, start, churn snapshot, wake table and sleep rule
+(stated in :mod:`repro.sim.shard`) -- so a net round makes exactly the
+hook calls a sim-opt round makes.  The coordinator keeps the live pids
+per host and the set of running non-Byzantine pids, so its share of a
+round is O(hosts + rows), with no walk over ``range(n)``; the earliest
+wakes the hosts report in ``DONE`` are where a quiescent round jumps
+to.  When a trace recorder or checker is attached (:mod:`repro.trace`),
+the shard digests every payload next to the wire and the host ships
+the records in its ``SENT`` rows, so the coordinator records or
+verifies the same events the engine does.
 
 A barrier wait costs one suspension, not one per report: the
 coordinator first drains every report already queued
@@ -182,23 +185,11 @@ from repro.net.faults import NodeStatus, RuntimeView
 from repro.obs.recorder import coerce_recorder
 from repro.net.transport import Endpoint, MemoryHub, TCPHub, open_mux
 from repro.sim.adversary import CrashAdversary, NoFailures
-from repro.sim.engine import (
-    RunResult,
-    apply_link_filter,
-    check_pid_order,
-    collect_sends,
-)
+from repro.sim.engine import RunResult, check_pid_order
 from repro.sim.metrics import Metrics
-from repro.sim.process import (
-    Multicast,
-    Process,
-    ProtocolError,
-    payload_bits_cached,
-    proves_everyone_else,
-)
+from repro.sim.process import Process, ProtocolError, payload_bits_cached
 from repro.sim.rounds import RoundControl
 from repro.sim.shard import Shard
-from repro.trace import payload_digest
 
 __all__ = [
     "NetRuntimeError",
@@ -239,9 +230,9 @@ _BUNDLE_PAIRS = 65_536
 #: counted one.
 _BUNDLE_BYTES = MAX_FRAME_BYTES // 16
 
-#: ``START``'s per-pid fault fields ``(crashing, keep, mask,
-#: will_rejoin)`` for a pid the frame does not mention.
-_NO_FAULT = (False, None, (), False)
+#: ``START``'s fault fields ``(crashing, masks, awaiting)`` for a host
+#: whose live pids have none.
+_NO_FAULT = ({}, {}, ())
 
 
 def _status_of(proc: Process) -> tuple[bool, bool, Any]:
@@ -249,9 +240,6 @@ def _status_of(proc: Process) -> tuple[bool, bool, Any]:
 
 
 # -- host side ---------------------------------------------------------------
-
-
-_by_sender = itemgetter(0)
 
 
 def _bundles(
@@ -289,14 +277,13 @@ class _Host:
         procs = list(processes)
         # The horizon: any int above every round, since the control caps
         # a reported wake at max_rounds (which a host does not know).
-        self.n = n = procs[0].n if procs else 0
+        n = procs[0].n if procs else 0
         self.shard = Shard(procs, n, sys.maxsize, churn_pids)
         self.endpoint = endpoint
         self.coordinator = coordinator
         self.tel = coerce_recorder(telemetry)
-        #: the pid whose hook is running, so an escaping exception is
-        #: reported against it
-        self.at: Optional[int] = None
+        #: the track of this host's ``node.send`` / ``node.deliver`` spans
+        self.track = f"host-{endpoint.address}"
         #: crashed local pids awaiting their REJOIN: with the shard's
         #: running pids, who the coordinator may still address (the
         #: host ends when neither is left)
@@ -306,12 +293,8 @@ class _Host:
         #: the hosts a broadcast of a pid here goes to: every host with
         #: a pid other than the sender (LAYOUT)
         self.fanout: tuple[int, ...] = ()
-        #: every pid, what a broadcast is proved against
-        self.universe = frozenset(range(n))
-        #: pid -> its last destination tuple proved every pid but it
-        self.peers: dict[int, tuple[int, ...]] = {}
-        #: pid -> (its last multicast destination tuple found in range,
-        #: that tuple's ``(host, destinations)`` split)
+        #: pid -> (its last multicast destination tuple, that tuple's
+        #: ``(host, destinations)`` split)
         self.routes: dict[int, tuple] = {}
         #: pid -> the ``(halted, decided, decision)`` of its last row
         self.reported: dict[int, tuple[bool, bool, Any]] = {}
@@ -360,33 +343,35 @@ class _Host:
                 await self._receive_phase()
 
     def _boot(self, pids: Iterable[int], rnd: int = 0) -> list[tuple]:
-        """Start ``pids`` at ``rnd`` on the shard, one at a time so a
-        raising ``on_start`` is reported against its pid, and return
-        their ``(pid, *status)`` rows; a halted pid is never addressed."""
+        """Start ``pids`` at ``rnd`` on the shard and return their
+        ``(pid, *status)`` rows; a halted pid is never addressed."""
+        pids = list(pids)
+        self.awaiting.difference_update(pids)
+        self.shard.start(pids, rnd)
         rows = []
         for pid in pids:
-            self.at = pid
-            self.awaiting.discard(pid)
-            self.shard.start((pid,), rnd)
             self.reported[pid] = status = _status_of(self.shard.procs[pid])
             rows.append((pid, *status))
-        self.at = None
         return rows
 
-    def _changed(self, proc: Process) -> bool:
-        """Whether ``proc``'s ``(halted, decided, decision)`` moved since
-        its last row -- the decision compared by identity, so that an
-        unsure case is a change -- noting a changed status as reported
-        (the caller ships its row)."""
-        last = self.reported[proc.pid]
-        if (
-            proc.halted is last[0]
-            and proc.decided is last[1]
-            and proc.decision is last[2]
-        ):
-            return False
-        self.reported[proc.pid] = _status_of(proc)
-        return True
+    def _news(self, procs: Iterable[Process]) -> list[tuple]:
+        """The ``(pid, *status)`` rows of ``procs`` whose ``(halted,
+        decided, decision)`` moved since their last row -- the decision
+        compared by identity, so that an unsure case is a change --
+        noting each as reported."""
+        rows = []
+        reported = self.reported
+        for proc in procs:
+            last = reported[proc.pid]
+            if (
+                proc.halted is last[0]
+                and proc.decided is last[1]
+                and proc.decision is last[2]
+            ):
+                continue
+            reported[proc.pid] = status = _status_of(proc)
+            rows.append((proc.pid, *status))
+        return rows
 
     def _buffer(self, rnd: int, bundle: list[tuple], last: bool) -> None:
         if rnd != self.bundle_round:
@@ -402,84 +387,44 @@ class _Host:
     async def _send_phase(
         self,
         rnd: int,
-        faults: Mapping[int, tuple],
+        crashing: Mapping[int, Optional[int]],
+        masks: Mapping[int, frozenset[int]],
+        awaiting: Sequence[int],
         record: bool,
         opened: Sequence[int],
     ) -> None:
-        """The shard's send phase: per awake pid, in pid order, route
-        its sends (:meth:`_route`) and count messages, payload bits and
-        drops (plus per-group trace records when ``record``).  A pid
-        with a fault is normalised first by the engine's own
-        :func:`repro.sim.engine.collect_sends`, which truncates a
-        crashing pid's sends, and
-        :func:`repro.sim.engine.apply_link_filter`, which removes its
-        link-blocked destinations -- the single sources of partial-send
-        and omission semantics on both substrates.  A sleeper is
-        skipped, and just crashes if ``faults`` crashes it.  The routed
-        entries leave as ``DATA`` bundles, the last one to each host
-        flagged: at least one to every other ``opened`` host, one to
-        this host only if it has mail for its own pids.  Then one
-        ``SENT`` report with a row per pid that sent, dropped or
-        recorded something or whose status changed, and the round's
-        receive phase is due unless no pid here is left running."""
-        tel = self.tel
+        """The shard's send phase (:meth:`repro.sim.shard.Shard.send`)
+        under this round's faults, its entries routed by destination
+        host (:meth:`_route`).  They leave as ``DATA`` bundles, the last
+        one to each host flagged: at least one to every other
+        ``opened`` host, one to this host only if it has mail for its
+        own pids.  Then one ``SENT`` report -- the shard's rows and the
+        status rows of their pids that moved -- and the round's receive
+        phase is due unless no pid here is left running."""
         shard = self.shard
-        wake = shard.wake
-        n = self.n
-        bits_cache: dict[int, tuple[Any, int]] = {}
-        out: dict[int, list[tuple]] = {}
-        reports = []
-        stopped = set()
-        for proc in shard.running:
-            pid = proc.pid
-            self.at = pid
-            crashing, keep, mask, will_rejoin = (
-                faults.get(pid, _NO_FAULT) if faults else _NO_FAULT
-            )
-            if crashing:
-                stopped.add(pid)
-                if will_rejoin and pid not in shard.snapshots:
-                    raise NetRuntimeError(
-                        f"node {pid} is scheduled to rejoin but was hosted "
-                        "without churn (pass the adversary's rejoin_pids() "
-                        "as churn_pids to host_nodes_tcp/run_nodes)"
-                    )
-                if will_rejoin:
-                    self.awaiting.add(pid)
-            if wake[pid] > rnd:
-                continue  # asleep: nothing to send, and a crash is all
-            if tel is not None:
-                t_send = tel.clock()
-            dropped = 0
-            if crashing or mask:
-                groups = collect_sends(proc, rnd, keep, n)
-                if mask:
-                    groups, dropped = apply_link_filter(groups, mask)
-                sent = [Multicast(*group) for group in groups]
-            else:
-                sent = proc.send(rnd)
-            msgs, bits, records = self._route(pid, sent, out, bits_cache, record)
-            if not (msgs or dropped):
-                # A sender whose whole output is dropped here still sent,
-                # so it stays awake without being asked.
-                shard.silent[pid] = rnd
-            changed = self._changed(proc)
-            if changed or msgs or dropped or records:
-                reports.append((pid, msgs, bits, dropped, records, *self.reported[pid]))
-            if tel is not None:
-                tel.span("node.send", rnd, t_send, tel.clock(), track=f"node-{pid}")
-            if proc.halted:
-                # Halted inside send(): the engine skips such a process
-                # from the receive phase onwards, and the coordinator
-                # (told via the SENT report) never addresses it again.
-                stopped.add(pid)
-        self.at = None
-        if stopped:
-            shard.prune(stopped)
+        for pid in awaiting:
+            if pid not in shard.snapshots:
+                shard.at = pid
+                raise NetRuntimeError(
+                    f"node {pid} is scheduled to rejoin but was hosted "
+                    "without churn (pass the adversary's rejoin_pids() "
+                    "as churn_pids to host_nodes_tcp/run_nodes)"
+                )
+        self.awaiting.update(awaiting)
+        tel = self.tel
+        if tel is not None:
+            t_send = tel.clock()
+        entries, rows = shard.send(rnd, crashing, masks, record)
+        out = self._route(entries)
+        if tel is not None:
+            tel.span("node.send", rnd, t_send, tel.clock(), track=self.track)
+        # A pid called without news is still running and awake, so the
+        # receive phase calls it and DONE carries its status.
+        statuses = self._news(shard.procs[row[0]] for row in rows)
         # Mail for a host that is not opened is for crashed pids: lost.
         me = self.endpoint.address
         for host in opened:
-            bundles = list(_bundles(out.get(host, ()), bits_cache, n))
+            bundles = list(_bundles(out.get(host, ()), shard.bits_cache, shard.n))
             if not bundles and host != me:
                 bundles.append([])
             last = len(bundles) - 1
@@ -487,98 +432,41 @@ class _Host:
                 await self.endpoint.send_encoded(
                     host, self._encode(rnd, bundle, i == last)
                 )
-        await self.endpoint.send(self.coordinator, (_SENT, rnd, reports))
+        await self.endpoint.send(self.coordinator, (_SENT, rnd, rows, statuses))
         if shard.running:
             # Open this round's buffer (dropping a stale round's mail).
             self._buffer(rnd, [], False)
             self.due = len(opened) - (me not in out)
-            self.sent_any = bool(out)
+            self.sent_any = bool(entries)
 
-    def _route(
-        self,
-        pid: int,
-        sent: Iterable[Any],
-        out: dict[int, list[tuple]],
-        bits_cache: dict[int, tuple[Any, int]],
-        record: bool,
-    ) -> tuple[int, int, Optional[list]]:
-        """Append ``pid``'s round output ``sent`` to ``out`` (destination
-        host -> ``(src, seq, dsts, payload)`` entries, ``seq`` the
-        item's index in the send order) and return its messages, bits
-        and trace records (None unless ``record``).
-
-        A sender whose whole output is one multicast to every pid but
-        itself -- proved as the engine proves it, once per tuple object
-        -- ships one entry with ``dsts`` None to each host in
-        :attr:`fanout`; the receivers take it as the engine's broadcast
-        column.  Any other multicast is range-checked and split by
-        destination host once per tuple object per pid, and a
-        point-to-point message goes to its destination's host.  A
-        payload is pickled once per destination host, not once per
-        destination."""
-        records: Optional[list] = [] if record else None
-        if (
-            type(sent) in (list, tuple)
-            and len(sent) == 1
-            and isinstance(sent[0], Multicast)
-        ):
-            dsts, payload = sent[0]
-            if type(dsts) is tuple and (
-                dsts is self.peers.get(pid)
-                or proves_everyone_else(dsts, pid, self.universe)
-            ):
-                self.peers[pid] = dsts
-                bits_each = payload_bits_cached(payload, bits_cache)
-                if records is not None:
-                    records.append((dsts, bits_each, payload_digest(payload)))
-                entry = (pid, 0, None, payload)
-                for host in self.fanout:
-                    out.setdefault(host, []).append(entry)
-                return len(dsts), bits_each * len(dsts), records
-        msgs = bits = 0
-        for seq, item in enumerate(sent):
-            if isinstance(item, Multicast):
-                dsts, payload = item
-                width = len(dsts)
-                if not width:
-                    continue
-                route = self.routes.get(pid)
-                if route is None or route[0] is not dsts:
-                    route = (dsts, self._split(pid, dsts))
-                    if type(dsts) is tuple:
-                        self.routes[pid] = route
-                split = route[1]
+    def _route(self, entries: list[tuple]) -> dict[int, list[tuple]]:
+        """The shard's ``(src, seq, dsts, payload)`` entries by
+        destination host.  A broadcast entry (``dsts`` None) goes as it
+        is to each host in :attr:`fanout`, whose receivers take it as
+        their column; any other is split by destination host, once per
+        destination tuple object per sender.  A payload is pickled once
+        per destination host, not once per destination."""
+        out: defaultdict[int, list[tuple]] = defaultdict(list)
+        host_of, routes, fanout = self.host_of, self.routes, self.fanout
+        for entry in entries:
+            src, seq, dsts, payload = entry
+            if dsts is None:
+                for host in fanout:
+                    out[host].append(entry)
+            elif len(dsts) == 1:
+                out[host_of[dsts[0]]].append(entry)
             else:
-                dst, payload = item
-                if dst < 0 or dst >= self.n:
-                    raise ProtocolError(f"process {pid} sent to invalid pid {dst}")
-                width = 1
-                dsts = (dst,)
-                split = ((self.host_of[dst], dsts),)
-            bits_each = payload_bits_cached(payload, bits_cache)
-            msgs += width
-            bits += bits_each * width
-            if records is not None:
-                # Digest computed next to the wire, so the coordinator's
-                # trace records exactly what this host serialised.
-                records.append((tuple(dsts), bits_each, payload_digest(payload)))
-            for host, local in split:
-                out.setdefault(host, []).append((pid, seq, local, payload))
-        return msgs, bits, records
-
-    def _split(
-        self, pid: int, dsts: Sequence[int]
-    ) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """``pid``'s multicast destinations ``dsts``, range-checked, as
-        ``(host, destinations behind it)`` pairs."""
-        n = self.n
-        if min(dsts) < 0 or max(dsts) >= n:
-            bad = next(d for d in dsts if not 0 <= d < n)
-            raise ProtocolError(f"process {pid} sent to invalid pid {bad}")
-        split: dict[int, list[int]] = {}
-        for dst in dsts:
-            split.setdefault(self.host_of[dst], []).append(dst)
-        return tuple((host, tuple(local)) for host, local in split.items())
+                route = routes.get(src)
+                if route is None or route[0] is not dsts:
+                    split: dict[int, list[int]] = {}
+                    for dst in dsts:
+                        split.setdefault(host_of[dst], []).append(dst)
+                    route = (dsts, [(host, tuple(local)) for host, local in split.items()])
+                    if type(dsts) is tuple:
+                        routes[src] = route
+                for host, local in route[1]:
+                    out[host].append((src, seq, local, payload))
+        return out
 
     def _encode(self, rnd: int, bundle: list[tuple], last: bool) -> bytes:
         try:
@@ -586,24 +474,23 @@ class _Host:
         except Exception:
             # Re-raise against the pid whose payload does not serialise.
             for src, _seq, _dsts, payload in bundle:
-                self.at = src
-                encode(payload)
-            self.at = None
+                try:
+                    encode(payload)
+                except Exception:
+                    self.shard.at = src
+                    raise
             raise
 
     async def _receive_phase(self) -> None:
-        """With every bundle of the open round in, hand each awake pid
-        and each sleeper with mail its inbox ordered by ``(sender pid,
-        per-sender send order)`` -- the simulator's delivery order --
-        and report ``DONE`` (a row per pid whose status changed, and the
-        earliest wake of the pids still running after a round this host
-        sent and received nothing in: only then may the round have
-        delivered nothing, the one case the coordinator reads it).  The
-        sort key excludes the payload (payloads need not be comparable);
-        each bundle is already in that order, so one bundle needs no sort
-        at all.  Broadcast entries (``dsts`` None) form the engine's
-        column: each receiver gets one copy of it minus its own entry,
-        merged by sender with the rest of its mail."""
+        """With every bundle of the open round in, run the shard's
+        receive phase (:meth:`repro.sim.shard.Shard.deliver`) over them
+        in ``(sender, send order)`` -- each bundle is already in that
+        order, so one bundle needs no sort, and the key excludes the
+        payload, which need not be comparable -- and report ``DONE``: a
+        row per pid whose status moved, and the earliest wake of the
+        pids still running after a round this host sent and received
+        nothing in (only then may the round have delivered nothing, the
+        one case the coordinator reads it)."""
         tel = self.tel
         rnd, bundles = self.bundle_round, self.bundles
         self.bundles, self.due = [], None
@@ -611,66 +498,17 @@ class _Host:
             entries = bundles[0]
         else:
             entries = sorted(chain.from_iterable(bundles), key=itemgetter(0, 1))
-        # Messages for a local pid that is not running -- crashed or
-        # halted -- are never looked up, so they are discarded here.
-        inboxes: defaultdict[int, list[tuple[int, Any]]] = defaultdict(list)
-        column: list[tuple[int, Any]] = []
-        column_at: dict[int, int] = {}
-        for src, _seq, dsts, payload in entries:
-            if dsts is None:
-                column_at[src] = len(column)
-                column.append((src, payload))
-                continue
-            item = (src, payload)
-            for dst in dsts:
-                inboxes[dst].append(item)
         shard = self.shard
-        wake = shard.wake
-        reports = []
-        halted = False
-        for proc in shard.running:
-            pid = proc.pid
-            inbox = inboxes.get(pid)
-            asleep = wake[pid] > rnd
-            if asleep and not inbox and not column:
-                continue
-            self.at = pid
-            if tel is not None:
-                t_deliver = tel.clock()
-            if column:
-                # A column sender sends nothing else, so a stable sort
-                # by sender restores the (sender, send order) order.
-                merged = column.copy()
-                at = column_at.get(pid)
-                if at is not None:
-                    del merged[at]
-                if inbox:
-                    merged += inbox
-                    merged.sort(key=_by_sender)
-                inbox = merged
-            if inbox:
-                proc.receive(rnd, inbox)
-                if asleep:
-                    # Woken by a delivery: its send for this round was
-                    # skipped, the next one is not.
-                    wake[pid] = rnd
-            else:
-                proc.receive(rnd, [])
-                shard.idle(proc, rnd)
-            if self._changed(proc):
-                reports.append((pid, *self.reported[pid]))
-            if proc.halted:
-                halted = True
-            if tel is not None:
-                tel.span(
-                    "node.deliver", rnd, t_deliver, tel.clock(), track=f"node-{pid}"
-                )
-        self.at = None
-        if halted:
-            shard.prune(())
+        if tel is not None:
+            t_deliver = tel.clock()
+        called = shard.deliver(rnd, entries)
+        if tel is not None:
+            tel.span("node.deliver", rnd, t_deliver, tel.clock(), track=self.track)
         quiet = shard.fast_forward and not (self.sent_any or entries)
-        earliest = min(wake) if quiet else None
-        await self.endpoint.send(self.coordinator, (_DONE, rnd, reports, earliest))
+        earliest = min(shard.wake) if quiet else None
+        await self.endpoint.send(
+            self.coordinator, (_DONE, rnd, self._news(called), earliest)
+        )
 
 
 async def run_nodes(
@@ -700,12 +538,13 @@ async def run_nodes(
     driving process even when this host lives in a remote worker.
 
     ``telemetry`` (a live :class:`repro.obs.TelemetryRecorder` sharing
-    the coordinator's event loop, or ``None``) adds ``node.send`` /
-    ``node.deliver`` spans on a per-pid ``node-<pid>`` track, one per
-    hook call (a sleeping pid has none).  Only the
-    in-process runners wire it; hosts in remote worker processes
-    (:func:`host_nodes_tcp`) have no recorder, so a distributed profile
-    shows the coordinator's barrier view only.
+    the coordinator's event loop, or ``None``) adds one ``node.send``
+    and one ``node.deliver`` span per round on the host's
+    ``host-<address>`` track: its shard's send phase with the routing,
+    and its receive phase.  Only the in-process runners wire it; hosts
+    in remote worker processes (:func:`host_nodes_tcp`) have no
+    recorder, so a distributed profile shows the coordinator's barrier
+    view only.
     """
     host = _Host(processes, endpoint, coordinator, churn_pids, telemetry)
     try:
@@ -715,7 +554,7 @@ async def run_nodes(
     except Exception as exc:  # report, then end this host quietly
         try:
             await endpoint.send(
-                coordinator, (_ERROR, host.at, type(exc).__name__, str(exc))
+                coordinator, (_ERROR, host.shard.at, type(exc).__name__, str(exc))
             )
         except Exception:
             pass  # transport already down; nothing left to tell
@@ -732,9 +571,10 @@ class Session:
     A data plane under :class:`~repro.sim.rounds.RoundControl`
     (:attr:`control`), which consults the adversary through the
     session's :class:`~repro.net.faults.RuntimeView` and decides
-    rejoins, crashes, link masks, termination and fast-forward; the
-    session drives the rejoin and round barriers and the
-    :class:`~repro.sim.metrics.Metrics` accounting.  That a seeded
+    rejoins, crashes, link masks, termination and fast-forward, and
+    books the hosts' ``SENT`` rows into the
+    :class:`~repro.sim.metrics.Metrics`; the session drives the rejoin
+    and round barriers.  That a seeded
     schedule yields identical rounds, message/bit totals, per-node and
     per-round tallies, crash sets and decisions on both substrates is
     pinned by the parity tests, not by shared statements with the
@@ -777,8 +617,8 @@ class Session:
         self.fast_forward = fast_forward
         self.timeout = timeout
         #: trace hook (:class:`repro.trace.TraceRecorder` / ``TraceChecker``);
-        #: when set, hosts are asked to ship per-group send records in
-        #: their ``SENT`` reports and every fault event is forwarded
+        #: when set, hosts are asked to ship per-group send digests in
+        #: their ``SENT`` rows and every fault event is forwarded
         self.recorder = recorder
         #: wall-clock instrumentation (see :mod:`repro.obs`); the
         #: coordinator's send/deliver spans include the barrier wait for
@@ -1032,25 +872,29 @@ class Session:
         rnd: int,
         crashing: Mapping[int, Optional[int]],
         blocked: Optional[Mapping[int, frozenset[int]]],
-    ) -> dict[int, dict[int, tuple]]:
-        """``START``'s ``(crashing, keep, mask, will_rejoin)`` fields
-        per host, for the live pids where one of them is set."""
-        faults: dict[int, dict[int, tuple]] = {}
-        masks = blocked or {}
-        for pid in {*crashing, *masks}:
+    ) -> dict[int, tuple[dict, dict, list]]:
+        """``START``'s fault fields per host, for its live pids:
+        ``crashing`` (pid -> ``keep``) and ``masks`` (pid -> blocked
+        destinations), as :meth:`repro.sim.shard.Shard.send` takes them,
+        and ``awaiting``, the crashing pids with a rejoin ahead."""
+        faults: dict[int, tuple[dict, dict, list]] = {}
+
+        def fields(pid: int) -> Optional[tuple[dict, dict, list]]:
             host = self.host_of.get(pid)
             if host is None or pid not in self.live_at[host]:
-                continue
-            crashes_now = pid in crashing
-            mask = masks.get(pid)
-            if not (crashes_now or mask):
-                continue
-            faults.setdefault(host, {})[pid] = (
-                crashes_now,
-                crashing.get(pid),
-                mask or (),
-                crashes_now and self.adversary.next_rejoin(pid, rnd) is not None,
-            )
+                return None
+            return faults.setdefault(host, ({}, {}, []))
+
+        for pid, keep in crashing.items():
+            at = fields(pid)
+            if at is not None:
+                at[0][pid] = keep
+                if self.adversary.next_rejoin(pid, rnd) is not None:
+                    at[2].append(pid)
+        for pid, mask in (blocked or {}).items():
+            at = fields(pid) if mask else None
+            if at is not None:
+                at[1][pid] = mask
         return faults
 
     async def _round_loop(self, endpoint: Endpoint) -> None:
@@ -1072,7 +916,7 @@ class Session:
             opened = [host for host, live in live_at.items() if live]
             for host in opened:
                 await endpoint.send(
-                    host, (_START, rnd, faults.get(host, {}), record, opened)
+                    host, (_START, rnd, *faults.get(host, _NO_FAULT), record, opened)
                 )
             sending = set(opened)
             receiving: set[int] = set()
@@ -1092,43 +936,24 @@ class Session:
                 )
                 if frame[0] == _DONE:
                     receiving.discard(host)
-                    _, _r, reports, wake = frame
+                    _, _r, statuses, wake = frame
                     self.last_progress[host] = ("deliver", rnd, time.monotonic())
-                    for pid, halted, decided, decision in reports:
-                        self._update(host, pid, halted, decided, decision)
+                    for pid, *status in statuses:
+                        self._update(host, pid, *status)
                     if wake is not None and (earliest is None or wake < earliest):
                         earliest = wake
                     continue
                 sending.discard(host)
-                _, _r, reports = frame
+                _, _r, reports, statuses = frame
                 self.last_progress[host] = ("send", rnd, time.monotonic())
-                for (pid, msgs, bits, dropped, records,
-                     halted, decided, decision) in reports:
-                    self._update(host, pid, halted, decided, decision)
-                    if msgs:
-                        delivered_any = True
-                        self.metrics.record_send(
-                            pid, msgs, bits, rnd, pid not in self.byzantine
-                        )
-                    if dropped:
-                        if pid not in self.byzantine:
-                            self.metrics.record_drop(dropped)
-                        if record:
-                            self.recorder.record_drops(rnd, pid, dropped)
-                        if tel is not None:
-                            tel.point(
-                                "drop", rnd, tel.clock(), pid=pid, count=dropped
-                            )
-                    if record and records:
-                        for dsts, bits_each, digest in records:
-                            self.recorder.record_send_digest(
-                                rnd, pid, dsts, bits_each, digest
-                            )
-                for pid, fault in faults.get(host, {}).items():
-                    if fault[0]:
-                        self.crashed.add(pid)
-                        live_at[host].discard(pid)
-                        self.running.discard(pid)
+                for pid, *status in statuses:
+                    self._update(host, pid, *status)
+                if ctl.account(rnd, reports, self.metrics):
+                    delivered_any = True
+                for pid in faults.get(host, _NO_FAULT)[0]:
+                    self.crashed.add(pid)
+                    live_at[host].discard(pid)
+                    self.running.discard(pid)
                 if live_at[host]:
                     receiving.add(host)
                 if tel is not None and not sending:
@@ -1279,8 +1104,8 @@ def run_protocol_net(
     in-memory hub or a loopback TCP hub (real sockets, one OS process);
     ``recorder`` attaches a :mod:`repro.trace` recorder/checker;
     ``telemetry`` (see :mod:`repro.obs`) adds coordinator round/phase
-    spans, per-pid ``node.send``/``node.deliver`` tracks and aggregated
-    codec timings, sealed onto ``result.telemetry``.  ``batching``
+    spans, the host's ``node.send``/``node.deliver`` track and
+    aggregated codec timings, sealed onto ``result.telemetry``.  ``batching``
     (TCP only) toggles wire-write coalescing in the transport --
     delivery semantics and results are identical either way; the off
     position exists to measure the gain (the perf ladder's

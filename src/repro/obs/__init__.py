@@ -5,7 +5,7 @@ The repo's logical metrics (:class:`~repro.sim.metrics.Metrics`) answer
 answers *where the wall-clock went*.  Every execution substrate --
 :class:`~repro.sim.engine.Engine` (both round loops),
 :class:`~repro.sim.vec.engine.VecEngine`, and the :mod:`repro.net`
-:class:`~repro.net.runtime.Session` and node tasks -- emits the
+:class:`~repro.net.runtime.Session` and host tasks -- emits the
 same span taxonomy into a :class:`Recorder`, so one timeline format
 covers all backends.
 
@@ -24,9 +24,10 @@ span            meaning
 ``deliver``     receive phase; on the net runtime the rest of the
                 barrier wait, up to the last ``DONE`` report
 ``kernel.step`` one vectorized round body (``backend="vec"`` kernels)
-``node.send``   one pid's send phase inside its net host, on its own
-                per-pid track
-``node.deliver``one pid's ``receive`` hook inside its net host
+``node.send``   one net host's send phase (its shard's ``send`` and
+                the routing), on the host's ``host-<address>`` track
+``node.deliver``one net host's receive phase (its shard's ``deliver``),
+                on the same track
 ``codec.encode``/``codec.decode``  aggregated frame codec cost (stats
                 only, no per-frame events)
 ==============  ============================================================

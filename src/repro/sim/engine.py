@@ -57,48 +57,24 @@ The engine carries two interchangeable round-loop implementations:
 * the **reference** path (``Engine(..., optimized=False)``) is the
   original straight-line loop kept as the executable specification --
   of the send and receive phases and of the round's control flow
-  alike, written without the control it is compared against;
-* the **optimized** path (default) is a data plane under
-  :class:`~repro.sim.rounds.RoundControl`, the one other statement of
-  that control flow (which the vec and net backends drive too).  Its
-  send and receive phases batch metric recording per sender
-  per round, share one ``(src, payload)`` envelope across a
-  multicast's recipients, reuse preallocated inbox lists, cache
-  :func:`~repro.sim.process.payload_bits` per payload object within a
-  round, and walk an incrementally-maintained list of active (neither
-  crashed nor halted) processes instead of testing membership per
-  process per phase.  A sender whose whole output for a round is one
-  :class:`~repro.sim.process.Multicast` to every pid but itself is not
-  fanned out at all: its envelope joins one per-round **broadcast
-  column**, and each receiver's inbox is that column minus its own
-  entry (one list copy and a ``del``), merged by sender pid with
-  whatever reached it through the append buffers -- so an all-to-all
-  round costs one list per receiver, not one append per message.  The
-  destination tuple is proved to be every pid but the sender (once per
-  tuple object, by :func:`~repro.sim.process.proves_everyone_else`,
-  which a :mod:`repro.net` host runs too), never
-  assumed; anything else takes the general path, which
-  range-checks a multicast's destination tuple once per tuple object
-  per sender too (an overlay neighbourhood is one tuple for the run).
-
-  A round costs what it delivers, not ``n``: the loop walks one
-  :class:`~repro.sim.shard.Shard` of all ``n`` processes and reads its
-  wake table inline (the rules are stated in :mod:`repro.sim.shard`).
-
-  The send phase has two deliveries, the column and the batched loop,
-  and every sender's output takes one of them.  A sender with a fault
-  this round -- it crashes now or the round's link mask names it -- is
-  normalised first: :func:`collect_sends` truncates to the crash-round
-  ``keep``, :func:`apply_link_filter` removes the blocked destinations
-  and the drops are tallied; what survives is handed on as ordinary
-  multicasts, so a crasher that finished its broadcast still joins the
-  column, and a crasher's prefix or a masked sender's remainder goes
-  through the append buffers and is merged by sender pid on the
-  receiver side like any point-to-point message.  An omission round
-  thus slows the two or three senders it masks and nobody else.  The
-  trace recorder's ``record_send_group`` hook is called where a group
-  is accounted, in the column and in the batched loop: a recorded run
-  executes exactly what an unrecorded run executes, plus hook calls.
+  alike, written without the control and the shard it is compared
+  against;
+* the **optimized** path (default) is :class:`~repro.sim.rounds.RoundControl`
+  plus the two calls of one :class:`~repro.sim.shard.Shard` of all
+  ``n`` processes, the round's data plane that every :mod:`repro.net`
+  host drives too: :meth:`~repro.sim.shard.Shard.send` asks the awake
+  processes for their output (normalising a faulted sender through
+  ``collect_sends`` / ``apply_link_filter``, proving broadcasts into
+  one column, caching ``payload_bits`` per payload) and
+  :meth:`~repro.sim.shard.Shard.deliver` hands each receiver its inbox
+  and applies the sleep rule.  An engine round is a one-host round: the
+  entries go straight from the one call to the other, without a wire.
+  The control books what the shard reports
+  (:meth:`~repro.sim.rounds.RoundControl.account`: metrics, drops,
+  trace records) and decides the rest.  A round costs what it
+  delivers, not ``n`` (the wake table of :mod:`repro.sim.shard`), and
+  an all-to-all round costs one list per receiver, not one append per
+  message (the broadcast column).
 
 Both paths produce identical rounds/messages/bits, per-node and
 per-round tallies, decisions, crash sets and inboxes (ascending sender
@@ -109,30 +85,16 @@ this for every protocol family.
 from __future__ import annotations
 
 from functools import partial
-from operator import itemgetter
 from typing import Any, Optional, Sequence
 
 from repro.obs.recorder import coerce_recorder
 from repro.sim.adversary import CrashAdversary, NoFailures
 from repro.sim.metrics import Metrics
-from repro.sim.process import (
-    Multicast,
-    Process,
-    ProtocolError,
-    payload_bits,
-    payload_bits_cached,
-    proves_everyone_else,
-)
+from repro.sim.process import Process, ProtocolError, payload_bits, payload_digest
 from repro.sim.rounds import RoundControl, RunResult
-from repro.sim.shard import Shard
+from repro.sim.shard import Shard, apply_link_filter, collect_sends
 
-__all__ = [
-    "Engine",
-    "RunResult",
-    "apply_link_filter",
-    "check_pid_order",
-    "collect_sends",
-]
+__all__ = ["Engine", "RunResult", "check_pid_order"]
 
 
 def check_pid_order(processes: Sequence[Process]) -> None:
@@ -143,66 +105,6 @@ def check_pid_order(processes: Sequence[Process]) -> None:
                 f"process at index {index} has pid {proc.pid}; "
                 "processes must be listed in pid order"
             )
-
-
-def collect_sends(
-    proc: Process, rnd: int, keep: Optional[int], n: int
-) -> list[tuple[tuple[int, ...], Any]]:
-    """Normalise a process's round-``rnd`` sends, applying a partial-send
-    budget.
-
-    Returns a list of ``(destinations, payload)`` groups.  ``keep`` (when
-    not ``None``) limits the total number of point-to-point messages
-    delivered, truncating in the node's own send order -- this realises
-    the crash-round partial send.  Shared by :class:`Engine` and the
-    :mod:`repro.net` runtime so both substrates truncate identically.
-    """
-    groups: list[tuple[tuple[int, ...], Any]] = []
-    remaining = keep
-    for item in proc.send(rnd):
-        if remaining is not None and remaining <= 0:
-            break
-        if isinstance(item, Multicast):
-            dsts, payload = item.dsts, item.payload
-        else:
-            dst, payload = item
-            dsts = (dst,)
-        for dst in dsts:
-            if not (0 <= dst < n):
-                raise ProtocolError(
-                    f"process {proc.pid} sent to invalid pid {dst}"
-                )
-        if remaining is not None and len(dsts) > remaining:
-            dsts = tuple(dsts[:remaining])
-        if dsts:
-            groups.append((dsts, payload))
-            if remaining is not None:
-                remaining -= len(dsts)
-    return groups
-
-
-def apply_link_filter(
-    groups: list[tuple[tuple[int, ...], Any]], blocked: frozenset[int]
-) -> tuple[list[tuple[tuple[int, ...], Any]], int]:
-    """Remove ``blocked`` destinations from normalised send groups.
-
-    Returns ``(surviving_groups, dropped_count)``.  Applied *after* the
-    crash-round ``keep`` truncation of :func:`collect_sends` -- the
-    partial-send budget is spent on the messages the node attempted, and
-    the link fault then removes some of the attempted messages in
-    transit.  Shared by both :class:`Engine` round loops and the
-    :mod:`repro.net` node send phase, so every substrate drops exactly
-    the same point-to-point messages for a given
-    :meth:`~repro.sim.adversary.CrashAdversary.blocked_links` mask.
-    """
-    kept: list[tuple[tuple[int, ...], Any]] = []
-    dropped = 0
-    for dsts, payload in groups:
-        surviving = tuple(dst for dst in dsts if dst not in blocked)
-        dropped += len(dsts) - len(surviving)
-        if surviving:
-            kept.append((surviving, payload))
-    return kept, dropped
 
 
 class Engine:
@@ -230,7 +132,7 @@ class Engine:
     recorder:
         Optional trace hook (:class:`repro.trace.TraceRecorder` or
         :class:`repro.trace.TraceChecker`, or any object with the same
-        ``round_events`` / ``record_send_group`` / ``record_drops``
+        ``round_events`` / ``record_send_digest`` / ``record_drops``
         methods).  Both loops call the hooks where they account a send
         group or a drop; attaching one selects no other code path and
         leaves metrics unaffected.
@@ -429,8 +331,8 @@ class Engine:
                         pid, len(dsts), bits_each * len(dsts), rnd, counted
                     )
                     if recorder is not None:
-                        recorder.record_send_group(
-                            rnd, pid, dsts, bits_each, payload
+                        recorder.record_send_digest(
+                            rnd, pid, dsts, bits_each, payload_digest(payload)
                         )
                     for dst in dsts:
                         inboxes.setdefault(dst, []).append((pid, payload))
@@ -474,55 +376,23 @@ class Engine:
         return completed, last_active_round
 
     def _loop_optimized(self, observer, fast_forward: bool) -> RunResult:
-        """Batched hot-path round loop: a data plane under
-        :class:`~repro.sim.rounds.RoundControl`, observably identical to
-        :meth:`_loop_reference` (see module docstring and the parity
-        tests)."""
-        n = self.n
-        metrics = self.metrics
-        byzantine = self.byzantine
+        """The data plane under :class:`~repro.sim.rounds.RoundControl`:
+        a one-host round of the engine's :class:`~repro.sim.shard.Shard`,
+        whose entries go straight from its send to its deliver."""
+        processes = self.processes
         crashed = self.crashed
-        recorder = self.recorder
-        # One append buffer per destination (indexed by pid, replacing
-        # the reference path's dict+setdefault per message).  A buffer
-        # that received messages is handed to its consumer and then
-        # *abandoned* (replaced with a fresh list), and empty receivers
-        # get a fresh list instead of the buffer, so a process that
-        # retains its inbox reference never observes reuse.
-        inboxes: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
-        # id(payload) -> (payload, bits); pins the payload so ids cannot
-        # be recycled while cached.  Cleared every round.
-        bits_cache: dict[int, tuple[Any, int]] = {}
-        # Broadcast column (see module docstring): the envelopes of this
-        # round's pure broadcasters in ascending pid, ``column_at[pid]``
-        # the sender's own index (-1: not in it).  ``peers[pid]`` pins
-        # the last destination tuple *proved* to be every pid but
-        # ``pid``, so the proof (:func:`proves_everyone_else`) runs once
-        # per tuple object, not per round.
-        column: list[tuple[int, Any]] = []
-        column_at = [-1] * n
-        peers: list[Optional[tuple[int, ...]]] = [None] * n
-        # ``checked[pid]`` pins the last multicast destination tuple of
-        # ``pid`` found in range, the same way: an overlay neighbourhood
-        # is one tuple object for the whole run.
-        checked: list[Optional[tuple[int, ...]]] = [None] * n
-        universe = frozenset(range(n))
-        by_sender = itemgetter(0)
-        # The shard's wake table, read and written inline.
         shard = self.shard
-        active, wake, silent = shard.running, shard.wake, shard.silent
-        idle = shard.idle
+        record = self.recorder is not None
         tel = self.telemetry
         ctl = RoundControl(
             self,
             self.adversary,
-            byzantine=byzantine,
+            byzantine=self.byzantine,
             max_rounds=self.max_rounds,
             fast_forward=fast_forward,
-            recorder=recorder,
+            recorder=self.recorder,
             telemetry=tel,
         )
-
         rnd = ctl.begin()
         while rnd is not None:
             rejoining = ctl.rejoining(rnd)
@@ -530,216 +400,29 @@ class Engine:
                 crashed.difference_update(rejoining)
                 shard.start(rejoining, rnd)
             crashing, blocked = ctl.open(rnd, rejoining)
-            membership_dirty = bool(crashing)
             for pid in crashing:
-                # A sleeper has nothing to send: it just crashes.
-                if (
-                    wake[pid] > rnd
-                    and pid not in crashed
-                    and not self.processes[pid].halted
-                ):
+                # As in the spec, a halted pid does not crash.
+                if pid not in crashed and not processes[pid].halted:
                     crashed.add(pid)
-
-            # Send phase.  A sender with a fault this round (it crashes
-            # now or the link mask names it) is normalised first by the
-            # shared helpers; what survives is delivered below like
-            # anyone's output: the column or the batched loop.
-            masks = blocked or {}
-            faulty = bool(crashing) or bool(masks)
-            bits_cache.clear()
-            touched: list[int] = []
-            delivered_any = False
-            for proc in active:
-                pid = proc.pid
-                if wake[pid] > rnd:
-                    continue
-                if proc.halted:
-                    # Halted since the last membership rebuild (e.g.
-                    # during on_start); skip, mirroring the reference.
-                    membership_dirty = True
-                    continue
-                if faulty and (pid in crashing or masks.get(pid)):
-                    crashes_now = pid in crashing
-                    groups = collect_sends(
-                        proc, rnd, crashing[pid] if crashes_now else None, n
-                    )
-                    if crashes_now:
-                        crashed.add(pid)
-                    if not groups:
-                        silent[pid] = rnd
-                        continue
-                    mask = masks.get(pid)
-                    if mask:
-                        groups, dropped = apply_link_filter(groups, mask)
-                        if dropped:
-                            if pid not in byzantine:
-                                metrics.record_drop(dropped)
-                            if recorder is not None:
-                                recorder.record_drops(rnd, pid, dropped)
-                            if tel is not None:
-                                tel.point(
-                                    "drop", rnd, tel.clock(), pid=pid,
-                                    count=dropped,
-                                )
-                        if not groups:
-                            # Everything it sent was dropped: it sent,
-                            # so it stays awake without being asked.
-                            continue
-                    sent = [Multicast(*group) for group in groups]
-                else:
-                    sent = proc.send(rnd)
-                if (
-                    type(sent) in (list, tuple)
-                    and len(sent) == 1
-                    and isinstance(sent[0], Multicast)
-                ):
-                    dsts, payload = sent[0]
-                    if type(dsts) is tuple and (
-                        dsts is peers[pid]
-                        or proves_everyone_else(dsts, pid, universe)
-                    ):
-                        # The sender's whole output is one multicast to
-                        # every pid but itself: one column entry instead
-                        # of n - 1 appends.
-                        peers[pid] = dsts
-                        bits_each = payload_bits_cached(payload, bits_cache)
-                        metrics.record_send(
-                            pid, n - 1, bits_each * (n - 1), rnd,
-                            pid not in byzantine,
-                        )
-                        if recorder is not None:
-                            recorder.record_send_group(
-                                rnd, pid, dsts, bits_each, payload
-                            )
-                        column_at[pid] = len(column)
-                        column.append((pid, payload))
-                        delivered_any = True
-                        continue
-                msg_total = 0
-                bit_total = 0
-                for item in sent:
-                    if isinstance(item, Multicast):
-                        dsts = item.dsts
-                        payload = item.payload
-                        width = len(dsts)
-                        if width == 0:
-                            continue
-                        if dsts is not checked[pid]:
-                            if min(dsts) < 0 or max(dsts) >= n:
-                                bad = next(
-                                    d for d in dsts if not (0 <= d < n)
-                                )
-                                raise ProtocolError(
-                                    f"process {pid} sent to invalid pid {bad}"
-                                )
-                            if type(dsts) is tuple:
-                                checked[pid] = dsts
-                        bits_each = payload_bits_cached(payload, bits_cache)
-                        msg_total += width
-                        bit_total += bits_each * width
-                        if recorder is not None:
-                            recorder.record_send_group(
-                                rnd, pid, dsts, bits_each, payload
-                            )
-                        envelope = (pid, payload)
-                        for dst in dsts:
-                            box = inboxes[dst]
-                            if not box:
-                                touched.append(dst)
-                            box.append(envelope)
-                    else:
-                        dst, payload = item
-                        if dst < 0 or dst >= n:
-                            raise ProtocolError(
-                                f"process {pid} sent to invalid pid {dst}"
-                            )
-                        bits_each = payload_bits_cached(payload, bits_cache)
-                        msg_total += 1
-                        bit_total += bits_each
-                        if recorder is not None:
-                            recorder.record_send_group(
-                                rnd, pid, (dst,), bits_each, payload
-                            )
-                        box = inboxes[dst]
-                        if not box:
-                            touched.append(dst)
-                        box.append((pid, payload))
-                if msg_total:
-                    metrics.record_send(
-                        pid, msg_total, bit_total, rnd, pid not in byzantine
-                    )
-                    delivered_any = True
-                else:
-                    silent[pid] = rnd
+            entries, rows = shard.send(rnd, crashing, blocked or {}, record)
+            delivered_any = ctl.account(rnd, rows, self.metrics)
             if tel is not None:
                 ctl.phase("send", rnd)
-
-            # Receive phase.
-            for proc in active:
-                pid = proc.pid
-                box = inboxes[pid]
-                asleep = wake[pid] > rnd
-                if asleep and not box and not column:
-                    continue
-                if proc.halted:
-                    membership_dirty = True
-                    continue
-                if crashing and pid in crashed:
-                    continue
-                if column:
-                    # A private list by one C copy (minus the receiver's
-                    # own entry); anything that came through the append
-                    # buffer (a crasher's prefix, a masked sender, a
-                    # point-to-point message) is merged back into
-                    # ascending-sender order, which is the reference
-                    # loop's inbox order element for element.
-                    merged = column.copy()
-                    at = column_at[pid]
-                    if at >= 0:
-                        del merged[at]
-                    if box:
-                        merged += box
-                        merged.sort(key=by_sender)
-                    box = merged
-                if box:
-                    proc.receive(rnd, box)
-                    if asleep:
-                        # Woken by a delivery: its send for this round
-                        # was skipped, the next one is not.
-                        wake[pid] = rnd
-                else:
-                    proc.receive(rnd, [])
-                    idle(proc, rnd)
-                if proc.halted:
-                    membership_dirty = True
-
-            # Abandon delivered inboxes to their consumers.
-            for dst in touched:
-                inboxes[dst] = []
-            if column:
-                for src, _ in column:
-                    column_at[src] = -1
-                column = []
+            shard.deliver(rnd, entries)
             if tel is not None:
-                ctl.phase("deliver", rnd, self.processes)
-
+                ctl.phase("deliver", rnd, processes)
             if observer is not None:
-                observer(rnd, self.processes)
-
-            if membership_dirty:
-                shard.prune(crashed)
-
-            # All operational non-Byzantine halted, i.e. only Byzantine
-            # processes remain active.  After a quiescent round every
-            # awake process has just been asked (or had its sends
-            # dropped and stays awake), so the table holds every answer.
+                observer(rnd, processes)
+            # After a quiescent round every awake process has just been
+            # asked (or had its sends dropped and stays awake), so the
+            # wake table holds every answer.
             rnd = ctl.close(
                 rnd,
                 delivered_any,
-                all(p.pid in byzantine for p in active),
-                partial(min, wake),
+                all(proc.pid in self.byzantine for proc in shard.running),
+                partial(min, shard.wake),
             )
-        return ctl.seal(self.processes, metrics)
+        return ctl.seal(processes, self.metrics)
 
     # -- internals --------------------------------------------------------
 

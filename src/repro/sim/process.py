@@ -20,6 +20,8 @@ see :meth:`Process.next_activity`) never changes observable behaviour.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from typing import Any, Iterable, NamedTuple, Optional
 
 __all__ = [
@@ -27,8 +29,10 @@ __all__ = [
     "Multicast",
     "Process",
     "ProtocolError",
+    "canonical",
     "payload_bits",
     "payload_bits_cached",
+    "payload_digest",
     "proves_everyone_else",
     "shared_peers",
 ]
@@ -105,7 +109,7 @@ def payload_bits_cached(
 
     ``cache`` maps ``id(payload)`` to ``(payload, bits)``; storing the
     payload itself pins the object so its id cannot be recycled while
-    the entry lives.  The engine keeps one cache per round: the paper's
+    the entry lives.  A shard keeps one cache per round: the paper's
     protocols broadcast the same candidate/extant object to every
     neighbour, so within a round the size computation (which walks
     containers recursively) runs once per distinct payload instead of
@@ -119,6 +123,70 @@ def payload_bits_cached(
     bits = payload_bits(payload)
     cache[id(payload)] = (payload, bits)
     return bits
+
+
+def canonical(value: Any) -> Any:
+    """A hashable, process-stable structural form of a payload.
+
+    Rules: primitives pass through; dicts/lists/tuples recurse
+    (NamedTuples keep their class name); sets are *sorted* by the repr
+    of their canonical elements (so hash randomization cannot reorder
+    them); dataclasses, ``__dict__``- and ``__slots__``-objects flatten
+    to ``(classname, ((field, value), ...))``.  The result contains only
+    primitives, strings and tuples, so its ``repr`` — and therefore
+    :func:`payload_digest` — is identical across interpreter processes.
+    """
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return value
+    if isinstance(value, dict):
+        return (
+            "dict",
+            tuple(
+                sorted(
+                    ((canonical(k), canonical(v)) for k, v in value.items()),
+                    key=repr,
+                )
+            ),
+        )
+    if isinstance(value, tuple):
+        if hasattr(value, "_fields"):  # NamedTuple
+            return (type(value).__name__, tuple(canonical(v) for v in value))
+        return ("tuple", tuple(canonical(v) for v in value))
+    if isinstance(value, list):
+        return ("list", tuple(canonical(v) for v in value))
+    if isinstance(value, (set, frozenset)):
+        return ("set", tuple(sorted((canonical(v) for v in value), key=repr)))
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return (
+            type(value).__name__,
+            tuple(
+                (field.name, canonical(getattr(value, field.name)))
+                for field in dataclasses.fields(value)
+            ),
+        )
+    if hasattr(value, "__dict__"):
+        return (
+            type(value).__name__,
+            tuple(
+                sorted((key, canonical(val)) for key, val in vars(value).items())
+            ),
+        )
+    slots = getattr(type(value), "__slots__", None)
+    if slots is not None:
+        if isinstance(slots, str):
+            slots = (slots,)
+        return (
+            type(value).__name__,
+            tuple((name, canonical(getattr(value, name))) for name in slots),
+        )
+    raise TypeError(f"cannot canonicalise payload type {type(value)!r}")
+
+
+def payload_digest(payload: Any) -> str:
+    """A 64-bit hex digest of :func:`canonical` form, the trace's notion
+    of message identity."""
+    text = repr(canonical(payload)).encode("utf-8", "backslashreplace")
+    return hashlib.sha256(text).hexdigest()[:16]
 
 
 #: Bound of the shared peer tables: at most this many destination slots
@@ -147,10 +215,10 @@ def proves_everyone_else(
     but ``pid``: by identity with the peer tuple
     :meth:`Process.everyone_else` handed ``(n, pid)``, else by a set
     difference.  The one statement of the broadcast column's proof, run
-    by the engine's optimized loop and by a :mod:`repro.net` host, each
-    pinning a proved tuple per pid so that it runs once per tuple
-    object; a pin needs an immutable ``dsts``, so both callers only ask
-    about a ``tuple``."""
+    by :meth:`repro.sim.shard.Shard.send` (the engine's and every
+    :mod:`repro.net` host's), which pins a proved tuple per pid so that
+    it runs once per tuple object; a pin needs an immutable ``dsts``, so
+    it only asks about a ``tuple``."""
     n = len(universe)
     return len(dsts) == n - 1 > 0 and (
         dsts is shared_peers(n, pid) or universe.difference(dsts) == {pid}

@@ -5,9 +5,11 @@ extensions of :mod:`repro.scenarios`); what differs is where the
 processes live -- Python objects walked one by one, numpy arrays, hosts
 behind a barrier (a single-port vector is ordinary processes on any of
 these).  :class:`RoundControl` owns every statement of an execution
-that does *not* depend on that: which crashed
-pids rejoin, who the adversary crashes and which links it blocks, the
-trace recorder's ``round_events``, the ``rejoin`` / ``crash`` / ``round``
+that does *not* depend on that: which crashed pids rejoin, who the
+adversary crashes and which links it blocks, the trace recorder's
+``round_events``, the booking of a send phase's rows
+(:meth:`RoundControl.account`: messages, bits, drops, the recorder's
+send digests, ``drop`` points), the ``rejoin`` / ``crash`` / ``round``
 spans and ``decide`` points, termination, the quiescence fast-forward,
 the ``max_rounds`` horizon, the everyone-crashed fixup and the sealed
 :class:`RunResult`.  A backend is a *data plane* beneath it, making
@@ -52,7 +54,7 @@ twice -- the spec and this control -- and nowhere else;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.sim.adversary import CrashAdversary
 from repro.sim.metrics import Metrics
@@ -200,6 +202,30 @@ class RoundControl:
             for pid in crashing:
                 tel.point("crash", rnd, t_crash, pid=pid, keep=crashing[pid])
         return crashing, blocked
+
+    def account(self, rnd: int, rows: Iterable[tuple], metrics: Metrics) -> bool:
+        """Book round ``rnd``'s send rows ``(pid, msgs, bits, dropped,
+        records)`` (:meth:`repro.sim.shard.Shard.send`) into ``metrics``,
+        the trace recorder and ``drop`` points; whether any message was
+        sent.  A Byzantine sender's messages are tallied apart and its
+        drops not at all."""
+        byzantine, recorder, tel = self.byzantine, self.recorder, self.telemetry
+        sent = False
+        for pid, msgs, bits, dropped, records in rows:
+            if msgs:
+                sent = True
+                metrics.record_send(pid, msgs, bits, rnd, pid not in byzantine)
+            if dropped:
+                if pid not in byzantine:
+                    metrics.record_drop(dropped)
+                if recorder is not None:
+                    recorder.record_drops(rnd, pid, dropped)
+                if tel is not None:
+                    tel.point("drop", rnd, tel.clock(), pid=pid, count=dropped)
+            if records:
+                for dsts, bits_each, digest in records:
+                    recorder.record_send_digest(rnd, pid, dsts, bits_each, digest)
+        return sent
 
     def phase(self, name: str, rnd: int, deciders: Sequence[Any] = ()) -> float:
         """Telemetry only (call under ``if tel is not None``): close the

@@ -124,8 +124,8 @@ def deliver(
     Row ``i`` of ``attempts`` is what sender ``first + i`` attempted
     this round -- a full ``(sender, receiver)`` matrix by default; a
     kernel with one sender a round passes that one row.  The sequence
-    is the engine's (:func:`repro.sim.engine.collect_sends`, then
-    :func:`~repro.sim.engine.apply_link_filter`): the crash-round
+    is the engine's (:func:`repro.sim.shard.collect_sends`, then
+    :func:`~repro.sim.shard.apply_link_filter`): the crash-round
     ``keep`` budget truncates a row to a prefix, then blocked links are
     removed and tallied as drops -- a drop is an *attempted* message
     (post truncation) removed in transit, counted only for senders

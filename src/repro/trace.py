@@ -24,11 +24,13 @@ That turns two workflows into artifacts:
   (:class:`TraceAdversary`).
 
 The recording hooks are shared with the substrates through a small
-duck-typed interface (``round_events`` / ``record_send_group`` /
-``record_send_digest`` / ``record_drops``): the engine calls it with
-live payloads, the net coordinator with digests its nodes computed
-next to the wire.  :class:`TraceRecorder` implements it by writing a
-trace; :class:`TraceChecker` implements it by verifying against one.
+duck-typed interface (``round_events`` / ``record_send_digest`` /
+``record_drops``), called by the round's control
+(:class:`~repro.sim.rounds.RoundControl`) with the digests the shard
+computed next to its sends -- next to the wire, on a net host -- and by
+the reference loop with digests of its own.  :class:`TraceRecorder`
+implements it by writing a trace; :class:`TraceChecker` implements it
+by verifying against one.
 
 Payload digests use :func:`canonical`, a structural freeze (sets
 sorted, objects flattened to ``(classname, fields)``), so a digest is
@@ -45,13 +47,12 @@ Usage::
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
-from typing import Any, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.sim.adversary import FixedSchedule
+from repro.sim.process import canonical, payload_digest
 
 __all__ = [
     "Trace",
@@ -74,73 +75,6 @@ class TraceDivergence(RuntimeError):
     expected vs observed record), so a failed cross-backend parity
     check reads like a diff instead of a boolean.
     """
-
-
-# -- structural payload digests ----------------------------------------------
-
-
-def canonical(value: Any) -> Any:
-    """A hashable, process-stable structural form of a payload.
-
-    Rules: primitives pass through; dicts/lists/tuples recurse
-    (NamedTuples keep their class name); sets are *sorted* by the repr
-    of their canonical elements (so hash randomization cannot reorder
-    them); dataclasses, ``__dict__``- and ``__slots__``-objects flatten
-    to ``(classname, ((field, value), ...))``.  The result contains only
-    primitives, strings and tuples, so its ``repr`` — and therefore
-    :func:`payload_digest` — is identical across interpreter processes.
-    """
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return value
-    if isinstance(value, dict):
-        return (
-            "dict",
-            tuple(
-                sorted(
-                    ((canonical(k), canonical(v)) for k, v in value.items()),
-                    key=repr,
-                )
-            ),
-        )
-    if isinstance(value, tuple):
-        if hasattr(value, "_fields"):  # NamedTuple
-            return (type(value).__name__, tuple(canonical(v) for v in value))
-        return ("tuple", tuple(canonical(v) for v in value))
-    if isinstance(value, list):
-        return ("list", tuple(canonical(v) for v in value))
-    if isinstance(value, (set, frozenset)):
-        return ("set", tuple(sorted((canonical(v) for v in value), key=repr)))
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (
-            type(value).__name__,
-            tuple(
-                (field.name, canonical(getattr(value, field.name)))
-                for field in dataclasses.fields(value)
-            ),
-        )
-    if hasattr(value, "__dict__"):
-        return (
-            type(value).__name__,
-            tuple(
-                sorted((key, canonical(val)) for key, val in vars(value).items())
-            ),
-        )
-    slots = getattr(type(value), "__slots__", None)
-    if slots is not None:
-        if isinstance(slots, str):
-            slots = (slots,)
-        return (
-            type(value).__name__,
-            tuple((name, canonical(getattr(value, name))) for name in slots),
-        )
-    raise TypeError(f"cannot canonicalise payload type {type(value)!r}")
-
-
-def payload_digest(payload: Any) -> str:
-    """A 64-bit hex digest of :func:`canonical` form, the trace's notion
-    of message identity."""
-    text = repr(canonical(payload)).encode("utf-8", "backslashreplace")
-    return hashlib.sha256(text).hexdigest()[:16]
 
 
 # -- the trace artifact ------------------------------------------------------
@@ -326,13 +260,13 @@ class TraceRecorder:
 
     Both substrates call, per executed round and in this order:
     ``round_events(rnd, crashing, rejoining, blocked)`` once at the top
-    of the round, then ``record_send_group`` /
-    ``record_send_digest`` (per surviving send group, grouped by
-    sender) and ``record_drops`` during the send phase.  Rounds are
-    buffered and flushed when the next round opens; senders are
-    serialized in ascending pid order regardless of callback arrival
-    order, so the engine (pid-ordered walk) and the net coordinator
-    (completion-ordered ``SENT`` reports) produce identical traces.
+    of the round, then ``record_send_digest`` (per surviving send
+    group, grouped by sender) and ``record_drops`` during the send
+    phase.  Rounds are buffered and flushed when the next round opens;
+    senders are serialized in ascending pid order regardless of
+    callback arrival order, so the engine (pid-ordered walk) and the
+    net coordinator (completion-ordered ``SENT`` reports) produce
+    identical traces.
     """
 
     def __init__(
@@ -378,11 +312,6 @@ class TraceRecorder:
             if blocked
             else None
         )
-
-    def record_send_group(
-        self, rnd: int, src: int, dsts: Iterable[int], bits_each: int, payload: Any
-    ) -> None:
-        self.record_send_digest(rnd, src, dsts, bits_each, payload_digest(payload))
 
     def record_send_digest(
         self, rnd: int, src: int, dsts: Iterable[int], bits_each: int, digest: str
@@ -480,9 +409,6 @@ class TraceChecker:
                 f"round {rnd}: rejoins {sorted(rejoining)!r} != "
                 f"recorded {sorted(expected_rejoins)!r}"
             )
-
-    def record_send_group(self, rnd, src, dsts, bits_each, payload) -> None:
-        self.record_send_digest(rnd, src, dsts, bits_each, payload_digest(payload))
 
     def record_send_digest(self, rnd, src, dsts, bits_each, digest) -> None:
         queue = self._pending.get((rnd, src))

@@ -28,11 +28,10 @@ from repro import (
 from repro.baselines import FloodingConsensusProcess
 from repro.bench.workloads import byzantine_sample, input_vector, rumor_vector
 from repro.check.oracles import check_parity
-from repro.net import runtime as runtime_module
 from repro.scenarios import ChurnSpec, OmissionSpec, Scenario
 from repro.sim import Engine, crash_schedule
-from repro.sim import engine as engine_module
 from repro.sim import process as process_module
+from repro.sim import shard as shard_module
 from repro.sim.adversary import CrashSpec, ScheduledCrashes
 from repro.sim.process import Multicast, Process, ProtocolError
 from tests.conftest import (
@@ -61,24 +60,24 @@ def broadcast(proc, rnd):
 
 @contextmanager
 def counted_set_proofs():
-    """Yield ``{backend: list}`` for the two callers of the shared proof
-    (``proves_everyone_else``), the optimized loop and a net host: each
-    list grows by one per set proof that caller runs on a broadcast's
-    destination tuple.  The universe each caller hands the helper is
-    its module's only ``frozenset`` that is asked for a difference."""
-    proofs = {"sim-opt": [], "net": []}
+    """Yield one list per :class:`~repro.sim.shard.Shard` built, in build
+    order (a ``scripted_pair`` builds the optimized loop's, the
+    reference loop's and the net host's): each grows by one per set
+    proof that shard runs on a broadcast's destination tuple
+    (``proves_everyone_else``).  The universe a shard hands the helper
+    is its module's only ``frozenset``."""
+    proofs = []
 
-    def universe(backend):
-        class Universe(frozenset):
-            def difference(self, *others):
-                proofs[backend].append(others)
-                return frozenset.difference(self, *others)
+    class Universe(frozenset):
+        def __init__(self, *args):
+            self.proofs = []
+            proofs.append(self.proofs)
 
-        return Universe
+        def difference(self, *others):
+            self.proofs.append(others)
+            return frozenset.difference(self, *others)
 
-    with mock.patch.object(
-        engine_module, "frozenset", universe("sim-opt"), create=True
-    ), mock.patch.object(runtime_module, "frozenset", universe("net"), create=True):
+    with mock.patch.object(shard_module, "frozenset", Universe, create=True):
         yield proofs
 
 
@@ -381,11 +380,12 @@ class TestEngineEdgeParity:
         # pids 1.. are proved by identity; pid 0 once per tuple object
         # that is not in the table ("evicted": the fresh tuple of round
         # 0, then its own), and every round if the proof fails -- on the
-        # engine and on the host alike.
-        for backend in ("sim-opt", "net"):
-            assert len(proofs[backend]) == {
-                "list": 0, "mutated-list": 0, "generator": 0, "evicted": 2,
-            }.get(case, 3), backend
+        # engine's shard and on the host's alike; the reference proves
+        # nothing.
+        asked = {
+            "list": 0, "mutated-list": 0, "generator": 0, "evicted": 2,
+        }.get(case, 3)
+        assert [len(shard) for shard in proofs] == [asked, 0, asked]
         assert result.messages == 3 * n * (n - 1)
         expect = {
             "duplicate": [0, 0, 1, 2, 4],
@@ -649,13 +649,13 @@ class TestEngineEdgeParity:
 
             proc.send = send
 
-        collect = engine_module.collect_sends
+        collect = shard_module.collect_sends
 
         def counting(proc, rnd, keep, n):
             collected.append((rnd, proc.pid))
             return collect(proc, rnd, keep, n)
 
-        with mock.patch.object(engine_module, "collect_sends", counting):
+        with mock.patch.object(shard_module, "collect_sends", counting):
             result = api._execute(
                 prepared.processes,
                 prepared.adversary,

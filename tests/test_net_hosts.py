@@ -420,19 +420,35 @@ class TestBundleCap:
 
 
 class TestDiagnosticsStayPerPid:
-    def test_a_raising_hook_names_its_pid(self):
+    @pytest.mark.parametrize("hook", ["send", "receive", "next_activity"])
+    def test_a_raising_hook_names_its_pid(self, hook):
+        # Nobody sends; pid 3's hook raises in round 0 (its next_activity
+        # is asked there: silent, empty inbox, not halted) and the shard
+        # names it, whichever of its two phases the hook runs in.
         class Fragile(Process):
+            def fire(self, where):
+                if self.pid == 3 and where == hook:
+                    raise ValueError(f"{where} on fire")
+
+            def send(self, rnd):
+                self.fire("send")
+                return []
+
             def receive(self, rnd, inbox):
-                if self.pid == 3:
-                    raise ValueError("inbox on fire")
-                self.halt()
+                self.fire("receive")
+                if self.pid != 3:
+                    self.halt()
+
+            def next_activity(self, rnd):
+                self.fire("next_activity")
+                return rnd + 1
 
         prepared = prepare_recipe(
             {"name": "flooding", "inputs": [0] * 5, "t": 1}, crashes=None
         )
         prepared.processes = [Fragile(pid, 5) for pid in range(5)]
         with pytest.raises(
-            NetRuntimeError, match="node 3 failed with ValueError: inbox on fire"
+            NetRuntimeError, match=f"node 3 failed with ValueError: {hook} on fire"
         ):
             asyncio.run(drive(prepared, [[0, 1], [2, 3, 4]]))
 

@@ -182,7 +182,7 @@ def test_net_span_taxonomy_and_node_tracks():
     # the codec probe feeds aggregate-only stats
     assert {"codec.encode", "codec.decode"} <= set(telemetry.phases)
     tracks = {event["track"] for event in telemetry.events}
-    assert any(track.startswith("node-") for track in tracks)
+    assert any(track.startswith("host-") for track in tracks)
 
 
 @pytest.mark.parametrize("backend", ["sim", "net"])

@@ -434,3 +434,43 @@ def test_a_process_life_is_stated_in_the_shard_and_the_spec_only():
         where.startswith(("core/", "baselines/")) for where in delegations
     )
     assert snapshots == ["sim/shard.py"]
+
+
+def _owners(tree):
+    """``id(node) ->`` the innermost function definition around it."""
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions first, inner ones overwrite
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[id(node)] = fn
+    return owner
+
+
+def test_a_round_is_sent_and_delivered_in_the_shard_and_the_spec_only():
+    # A process's hooks: ``<expr>.send(rnd)`` and ``<expr>.receive(rnd,
+    # inbox)`` (an endpoint's send takes two arguments, a shard's four).
+    arity = {"send": 1, "receive": 2}
+    sites, delegations = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        for call in _method_calls(tree, set(arity)):
+            hook, fn = call.func.attr, owner.get(id(call))
+            if len(call.args) != arity[hook] or call.keywords:
+                continue
+            if fn.name == hook and len(fn.args.args) == 1 + arity[hook]:
+                # A protocol's own hook may call a component's.
+                delegations.append(where)
+            else:
+                sites.add((where, fn.name, hook))
+    # The round's data plane is Shard.send / Shard.deliver (with the
+    # collect_sends a faulted sender goes through); the reference loop
+    # delivers by itself and sends through that same collect_sends.
+    assert sites == {
+        ("sim/shard.py", "collect_sends", "send"),
+        ("sim/shard.py", "send", "send"),
+        ("sim/shard.py", "deliver", "receive"),
+        ("sim/engine.py", "_loop_reference", "receive"),
+    }
+    assert delegations and all(where.startswith("core/") for where in delegations)
