@@ -54,15 +54,11 @@ def set_to_mask(members: set[int]) -> int:
 
 
 def mask_to_set(mask: int) -> frozenset[int]:
-    """Decode a decision mask back into the extant set of pids."""
-    members = set()
-    index = 0
-    while mask:
-        if mask & 1:
-            members.add(index)
-        mask >>= 1
-        index += 1
-    return frozenset(members)
+    """Decode a decision mask back into the extant set of pids, reading
+    its binary digits least significant first (``bin`` builds them in
+    one pass, where shifting bit by bit copies the int each time)."""
+    digits = bin(mask)[:1:-1]  # without the "0b" prefix
+    return frozenset(pid for pid, digit in enumerate(digits) if digit == "1")
 
 
 class CheckpointingProcess(Process):

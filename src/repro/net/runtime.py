@@ -8,9 +8,11 @@ a shard of unmodified :class:`~repro.sim.process.Process` objects -- all
 distributed one.  A coordinator task (:class:`Session`) implements the
 synchronous model of Section 2 as one barrier per round, and talks to
 hosts, not to pids: a round costs three control frames per host and
-one data frame per ordered host pair, whatever ``n`` and the number of
-messages are.  The model's cost is the messages and bits counted at the
-sender; envelopes are the runtime's business.
+one data frame per ordered pair of distinct hosts, whatever ``n`` and
+the number of messages are -- and a host alone in its round, as in
+every single-process run, costs two: ``START`` and ``DONE``.  The
+model's cost is the messages and bits counted at the sender; envelopes
+are the runtime's business.
 
 0. ``READY`` / ``LAYOUT`` -- each host runs ``on_start`` for its pids
    and reports them; the coordinator learns which pids live behind which
@@ -32,15 +34,17 @@ sender; envelopes are the runtime's business.
    its shard's send phase (:meth:`~repro.sim.shard.Shard.send`, the
    one the engine runs) under those faults, splits the resulting
    entries by destination host and ships them as ``DATA`` bundles
-   (pickled once; they go through the hub like every frame, so a
-   one-host ``tcp`` run still sends its bundle out of its connection
-   and back): every *other* opened host gets at least one, empty when
-   there is nothing for it, and itself one when it has mail for its own
-   pids; the last bundle to each host is flagged.  It then reports one
-   ``SENT`` with the shard's rows (a pid that sent or dropped something,
-   or stops running) and a status row per such pid whose status moved;
-   any other pid it called is still running and awake, so ``DONE``
-   carries its status.
+   (pickled once): every *other* opened host gets at least one, empty
+   when there is nothing for it, and the last bundle to each host is
+   flagged.  Mail for its own pids never reaches the hub: it is pickled
+   and unpickled in place, so its receivers hold a copy as every
+   receiver does.  It then reports one ``SENT`` with the shard's rows
+   (a pid that sent or dropped something, or stops running) and a
+   status row per such pid whose status moved; any other pid it called
+   is still running and awake, so ``DONE`` carries its status.  A host
+   that ships no bundle -- it is the round's only opened host -- and
+   has a pid left running sends no ``SENT``: its ``DONE`` carries the
+   same two lists.
 3. Receive -- a host whose pids are not all gone collects one flagged
    last bundle from each host that ships to it (bundles may arrive
    before its own ``START`` and are buffered), puts their entries in
@@ -50,17 +54,18 @@ sender; envelopes are the runtime's business.
    what was addressed to a crashed or halted pid.  It reports one
    ``DONE`` with a row per pid whose status moved and, after a round in
    which it neither sent nor received a message, its earliest wake.
-   The coordinator books each ``SENT``'s rows through
-   :meth:`~repro.sim.rounds.RoundControl.account`, as the engine books
-   its shard's, collects ``SENT`` and ``DONE`` in any host order and
-   closes the round once every opened host has sent the one and every
-   host with a surviving pid the other.
+   The coordinator books each ``SENT``'s rows, and those a ``DONE``
+   carries, through :meth:`~repro.sim.rounds.RoundControl.account`, as
+   the engine books its shard's, collects ``SENT`` and ``DONE`` in any
+   host order and closes the round once every opened host has reported
+   its send phase and every host with a surviving pid its receive
+   phase.
 
 Reports carry news only: a status moved when any of ``halted`` and
 ``decided`` differs from the pid's last row or its ``decision`` is not
 the same object (an unsure case ships a row), and a pid without a row
 keeps the status of its last one.  The coordinator stamps barrier
-progress once per report frame, per host.
+progress once per phase reported, per host.
 
 Frames (``C`` is the coordinator; every status is ``halted, decided,
 decision``)::
@@ -82,7 +87,9 @@ decision``)::
                             such pid whose status moved
     DONE      host -> C     round, [(pid, *status), ...] per pid whose
                             status moved, earliest wake (None after a
-                            round the host sent or received a message in)
+                            round the host sent or received a message
+                            in), SENT's two lists when it is folded in
+                            (else None)
     STOP      C -> host     --
     ERROR     host -> C     pid whose hook raised (None: the host
                             itself), exception class name, text
@@ -97,10 +104,11 @@ object per pid.  A bundle closes at :data:`_BUNDLE_PAIRS` ``(group,
 destination)`` pairs (a ``None`` entry counts ``n - 1``) or
 :data:`_BUNDLE_BYTES` of counted payload, whichever comes first, and
 ``last`` marks a sender's final bundle to that host in the round (the
-hubs keep each sender-receiver stream in order).  Receivers behind one
-host are handed the *same* decoded payload object (as ``Engine`` hands
-every receiver the sender's object); receivers behind different hosts,
-and the sender, never share one.
+hubs keep each sender-receiver stream in order).  A host's own mail is
+one bundle, never cut or shipped.  Receivers behind one host are handed
+the *same* decoded payload object (as ``Engine`` hands every receiver
+the sender's object); receivers behind different hosts, and the sender,
+never share one.
 
 The barrier guarantees the paper's synchrony: no process observes round
 ``r + 1`` before every round-``r`` message is delivered.  Who rejoins,
@@ -140,7 +148,8 @@ completed span, raised within ``[timeout, timeout + period]`` of the
 wait's start.  Hosts wait on each other's bundles, so ``SENT`` is the
 progress mark that tells a dead host from the peers it blocks: one
 that dies before shipping round ``r`` is the only one missing from
-round ``r``'s send phase.
+round ``r``'s send phase.  A host alone in its round blocks nobody,
+which is why it may fold that mark into ``DONE``.
 
 Deployment shapes
 -----------------
@@ -180,7 +189,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.net.codec import MAX_FRAME_BYTES, encode, set_codec_probe
+from repro.net.codec import MAX_FRAME_BYTES, decode, encode, set_codec_probe
 from repro.net.faults import NodeStatus, RuntimeView
 from repro.obs.recorder import coerce_recorder
 from repro.net.transport import Endpoint, MemoryHub, TCPHub, open_mux
@@ -309,6 +318,9 @@ class _Host:
         self.due: Optional[int] = None
         #: whether a pid of this host sent a message in the open round
         self.sent_any = False
+        #: the open round's ``SENT`` body ``(rows, statuses)`` when its
+        #: ``DONE`` carries it (no peer host waits on a bundle from here)
+        self.folded: Optional[tuple[list, list]] = None
 
     async def run(self) -> None:
         send = self.endpoint.send
@@ -395,12 +407,13 @@ class _Host:
     ) -> None:
         """The shard's send phase (:meth:`repro.sim.shard.Shard.send`)
         under this round's faults, its entries routed by destination
-        host (:meth:`_route`).  They leave as ``DATA`` bundles, the last
-        one to each host flagged: at least one to every other
-        ``opened`` host, one to this host only if it has mail for its
-        own pids.  Then one ``SENT`` report -- the shard's rows and the
-        status rows of their pids that moved -- and the round's receive
-        phase is due unless no pid here is left running."""
+        host (:meth:`_route`).  They leave as ``DATA`` bundles, at least
+        one to every other ``opened`` host, the last one to each
+        flagged; own mail goes through the codec into the buffer.  The
+        send-phase report -- the shard's rows and the status rows of
+        their pids that moved -- is one ``SENT``, or, with no other host
+        opened, left for ``DONE`` to carry; the round's receive phase is
+        due unless no pid here is left running."""
         shard = self.shard
         for pid in awaiting:
             if pid not in shard.snapshots:
@@ -424,20 +437,31 @@ class _Host:
         # Mail for a host that is not opened is for crashed pids: lost.
         me = self.endpoint.address
         for host in opened:
+            if host == me:
+                continue
             bundles = list(_bundles(out.get(host, ()), shard.bits_cache, shard.n))
-            if not bundles and host != me:
-                bundles.append([])
+            bundles = bundles or [[]]
             last = len(bundles) - 1
             for i, bundle in enumerate(bundles):
                 await self.endpoint.send_encoded(
                     host, self._encode(rnd, bundle, i == last)
                 )
-        await self.endpoint.send(self.coordinator, (_SENT, rnd, rows, statuses))
+        own = out.get(me)
+        if own:
+            # Own mail never reaches the hub, but is pickled all the same:
+            # its receivers share one decoded copy, not the sender's object.
+            self._buffer(*decode(self._encode(rnd, own, False))[1:])
         if shard.running:
             # Open this round's buffer (dropping a stale round's mail).
             self._buffer(rnd, [], False)
-            self.due = len(opened) - (me not in out)
+            self.due = len(opened) - 1
             self.sent_any = bool(entries)
+            if not self.due:
+                # No peer waits on a bundle from here, so DONE carries
+                # the send report.
+                self.folded = (rows, statuses)
+                return
+        await self.endpoint.send(self.coordinator, (_SENT, rnd, rows, statuses))
 
     def _route(self, entries: list[tuple]) -> dict[int, list[tuple]]:
         """The shard's ``(src, seq, dsts, payload)`` entries by
@@ -490,7 +514,8 @@ class _Host:
         row per pid whose status moved, and the earliest wake of the
         pids still running after a round this host sent and received
         nothing in (only then may the round have delivered nothing, the
-        one case the coordinator reads it)."""
+        one case the coordinator reads it), and the send-phase report
+        if no ``SENT`` carried it."""
         tel = self.tel
         rnd, bundles = self.bundle_round, self.bundles
         self.bundles, self.due = [], None
@@ -506,8 +531,9 @@ class _Host:
             tel.span("node.deliver", rnd, t_deliver, tel.clock(), track=self.track)
         quiet = shard.fast_forward and not (self.sent_any or entries)
         earliest = min(shard.wake) if quiet else None
+        folded, self.folded = self.folded, None
         await self.endpoint.send(
-            self.coordinator, (_DONE, rnd, self._news(called), earliest)
+            self.coordinator, (_DONE, rnd, self._news(called), earliest, folded)
         )
 
 
@@ -572,7 +598,7 @@ class Session:
     (:attr:`control`), which consults the adversary through the
     session's :class:`~repro.net.faults.RuntimeView` and decides
     rejoins, crashes, link masks, termination and fast-forward, and
-    books the hosts' ``SENT`` rows into the
+    books the hosts' send-phase rows into the
     :class:`~repro.sim.metrics.Metrics`; the session drives the rejoin
     and round barriers.  That a seeded
     schedule yields identical rounds, message/bit totals, per-node and
@@ -897,6 +923,30 @@ class Session:
                 at[1][pid] = mask
         return faults
 
+    def _book_sent(
+        self,
+        host: int,
+        rnd: int,
+        rows: list[tuple],
+        statuses: list[tuple],
+        crashed: Iterable[int],
+    ) -> bool:
+        """Book ``host``'s send-phase report (a ``SENT``, or the one a
+        ``DONE`` carries): its status rows, its shard's rows through
+        :meth:`~repro.sim.rounds.RoundControl.account`, and the crash of
+        each of its pids the round's faults crashed; whether a message
+        was sent."""
+        self.last_progress[host] = ("send", rnd, time.monotonic())
+        for pid, *status in statuses:
+            self._update(host, pid, *status)
+        sent = self.control.account(rnd, rows, self.metrics)
+        live = self.live_at[host]
+        for pid in crashed:
+            self.crashed.add(pid)
+            live.discard(pid)
+            self.running.discard(pid)
+        return sent
+
     async def _round_loop(self, endpoint: Endpoint) -> None:
         ctl = self.control
         record = self.recorder is not None
@@ -911,7 +961,8 @@ class Session:
 
             # Open the round on every host with a live pid.  Each reports
             # SENT once its bundles are out and, unless its pids all
-            # crashed or halted there, DONE once its peers' are in.
+            # crashed or halted there, DONE once its peers' are in; a host
+            # alone in the round folds SENT into its DONE.
             faults = self._faults(rnd, crashing, blocked)
             opened = [host for host, live in live_at.items() if live]
             for host in opened:
@@ -934,32 +985,27 @@ class Session:
                 host, frame = await self._recv(
                     endpoint, (_SENT, _DONE), phase, rnd, missing
                 )
-                if frame[0] == _DONE:
+                done = frame[0] == _DONE
+                sent = frame[4] if done else frame[2:]
+                if sent is not None:
+                    sending.discard(host)
+                    crashes = faults.get(host, _NO_FAULT)[0]
+                    if self._book_sent(host, rnd, *sent, crashes):
+                        delivered_any = True
+                    if not done and live_at[host]:
+                        receiving.add(host)
+                    if tel is not None and not sending:
+                        # The send span covers opening the round up to the
+                        # last send report.
+                        ctl.phase("send", rnd)
+                if done:
                     receiving.discard(host)
-                    _, _r, statuses, wake = frame
+                    _, _r, statuses, wake, _sent = frame
                     self.last_progress[host] = ("deliver", rnd, time.monotonic())
                     for pid, *status in statuses:
                         self._update(host, pid, *status)
                     if wake is not None and (earliest is None or wake < earliest):
                         earliest = wake
-                    continue
-                sending.discard(host)
-                _, _r, reports, statuses = frame
-                self.last_progress[host] = ("send", rnd, time.monotonic())
-                for pid, *status in statuses:
-                    self._update(host, pid, *status)
-                if ctl.account(rnd, reports, self.metrics):
-                    delivered_any = True
-                for pid in faults.get(host, _NO_FAULT)[0]:
-                    self.crashed.add(pid)
-                    live_at[host].discard(pid)
-                    self.running.discard(pid)
-                if live_at[host]:
-                    receiving.add(host)
-                if tel is not None and not sending:
-                    # The send span covers opening the round up to the
-                    # last SENT report.
-                    ctl.phase("send", rnd)
             if tel is not None:
                 # Deliver covers the rest of the barrier, up to the last
                 # DONE report.
@@ -1037,7 +1083,8 @@ async def _run_async(
         elif transport == "tcp":
             # One OS process, one hub connection: the host and the
             # coordinator bind on the same mux, and every frame between
-            # them really crosses the socket to the hub and back.
+            # them -- START and DONE a round -- really crosses the
+            # socket to the hub and back.
             hub = TCPHub(host, port, batching=batching)
             await hub.start()
             mux = await open_mux(host, hub.port, batching=batching)

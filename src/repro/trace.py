@@ -265,7 +265,7 @@ class TraceRecorder:
     phase.  Rounds are buffered and flushed when the next round opens;
     senders are serialized in ascending pid order regardless of
     callback arrival order, so the engine (pid-ordered walk) and the
-    net coordinator (completion-ordered ``SENT`` reports) produce
+    net coordinator (completion-ordered send reports) produce
     identical traces.
     """
 

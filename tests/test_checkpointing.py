@@ -1,5 +1,7 @@
 """Integration tests for Checkpointing (Fig. 6, Thm. 10)."""
 
+import random
+
 import pytest
 
 from repro import check_checkpointing, run_checkpointing
@@ -20,6 +22,17 @@ class TestMaskCodec:
     def test_dense(self):
         members = set(range(100))
         assert mask_to_set(set_to_mask(members)) == frozenset(members)
+
+    @pytest.mark.parametrize("n", [0, 1, 160, 4096])
+    def test_roundtrip_at_size(self, n):
+        # Empty, full, the top pid alone and random halves of range(n).
+        rng = random.Random(n)
+        subsets = [set(), set(range(n)), set(range(n)[-1:])]
+        subsets += [{pid for pid in range(n) if rng.random() < 0.5} for _ in range(4)]
+        for members in subsets:
+            mask = set_to_mask(members)
+            assert mask_to_set(mask) == frozenset(members)
+            assert set_to_mask(mask_to_set(mask)) == mask
 
 
 class TestCorrectness:

@@ -9,7 +9,9 @@
   replays.
 * **Frame budget**, counted at ``_Router._route`` (every frame of both
   hubs passes through it): a round is one barrier and costs three
-  control frames per host and one data frame per host pair.
+  control frames per host and one data frame per ordered pair of
+  distinct hosts; a host's mail for its own pids never reaches the hub,
+  and a host alone in a round reports ``START`` and ``DONE`` only.
 * **Bundle cap** and the frame-size guard behind it.
 * **Sharing contract**: co-hosted receivers of one send group get the
   same decoded object (as ``Engine`` hands every receiver the sender's
@@ -275,25 +277,29 @@ class TestFrameBudget:
         assert served.metrics.messages > 0
         h = len(shards)
         if h == 1:
-            assert len(routed) <= 4 * len(executed) + 8
-        # START, SENT, DONE per host and a bundle per host pair each
-        # round; READY, LAYOUT, STOP (and one spare) per host each run;
-        # REJOIN and REJOINED per host each rejoin.
+            # START and DONE a round: own mail stays in the host.
+            assert len(routed) <= 2 * len(executed) + 8
+            assert routed.count("data") == 0
+        # START, SENT, DONE per host and a bundle per ordered pair of
+        # distinct hosts each round; READY, LAYOUT, STOP (and one spare)
+        # per host each run; REJOIN and REJOINED per host each rejoin.
         rejoins = routed.count("rejoin")
         assert rejoins <= h * (case == "flooding-churn")
-        assert len(routed) <= (h * h + 3 * h) * len(executed) + 4 * h + 2 * rejoins
-        assert routed.count("data") <= h * h * len(executed)
+        assert len(routed) <= (h * h + 2 * h) * len(executed) + 4 * h + 2 * rejoins
+        assert routed.count("data") <= h * (h - 1) * len(executed)
 
     @pytest.mark.parametrize("backend", ["net", "tcp"])
     def test_run_recipe_is_one_host(self, backend, routed):
         recipe, execution = BUDGET_CASES["flooding"]
         result = run_recipe(recipe, backend=backend, **execution)
-        assert len(routed) <= 4 * result.rounds + 8
+        assert len(routed) <= 2 * result.rounds + 8
+        assert routed.count("data") == 0
 
     def test_reports_carry_news_only(self, wire):
-        # A row of SENT or DONE is a pid that sent, or one whose
-        # (halted, decided, decision) moved: not one per hook call (at
-        # the parent commit this run shipped 503 rows for 314 news).
+        # A row of SENT or DONE -- the shard's rows and the status rows,
+        # also those a DONE carries for the SENT it folds in -- is a pid
+        # that sent, or one whose (halted, decided, decision) moved: not
+        # one per hook call (a row per call made 503 rows for 314 news).
         recipe, execution = BUDGET_CASES["flooding"]
         prepared = prepare_recipe(recipe, **execution)
         senders, changes = set(), []
@@ -311,25 +317,35 @@ class TestFrameBudget:
                 setattr(proc, hook, spied)
         served = asyncio.run(drive(prepared, [list(range(prepared.n))]))
         check_parity(served, run_recipe(recipe, **execution), "host", "sim")
-        rows = sum(
-            len(frame[2]) for _s, _d, frame in wire if frame[0] in ("sent", "done")
-        )
-        assert rows <= len(senders) + len(changes)
+        reports = []
+        for _s, _d, frame in wire:
+            if frame[0] == "sent":
+                reports += frame[2:]
+            elif frame[0] == "done":
+                reports.append(frame[2])
+                reports += frame[4] or ()
+        assert any(frame[0] == "done" and frame[4] for _s, _d, frame in wire)
+        assert sum(map(len, reports)) <= len(senders) + len(changes)
 
     def test_dense_flooding_ships_broadcasts_without_destinations(self, wire):
         recipe, execution = BUDGET_CASES["flooding"]
-        net = run_recipe(recipe, backend="net", **execution)
-        check_parity(net, run_recipe(recipe, **execution), "net", "sim")
+        prepared = prepare_recipe(recipe, **execution)
+        net = asyncio.run(drive(prepared, deal(prepared.n, 2, 0)))
+        check_parity(net, run_recipe(recipe, **execution), "hosts", "sim")
         entries = [
             entry for _s, _d, frame in wire if frame[0] == "data" for entry in frame[2]
         ]
-        # Every sender broadcasts every round: a broadcast entry stands
-        # for its 63 messages, and all that carries destination ints is
-        # a crasher's prefix.
-        broadcasts = sum(dsts is None for _src, _seq, dsts, _p in entries)
+        # Every sender broadcasts every round: a broadcast crosses to
+        # the other host as one entry standing for its 63 messages, and
+        # all that carries destination ints is a crasher's prefix.
+        broadcasts = Counter(src for src, _seq, dsts, _p in entries if dsts is None)
         prefixes = [(src, dsts) for src, _seq, dsts, _p in entries if dsts is not None]
+        assert prefixes
         assert all(src in net.crashed and len(dsts) < 63 for src, dsts in prefixes)
-        assert 63 * broadcasts + sum(len(d) for _s, d in prefixes) == net.metrics.messages
+        for pid, sent in net.metrics.per_node_messages.items():
+            rest = sent - 63 * broadcasts[pid]
+            shown = sum(len(dsts) for src, dsts in prefixes if src == pid)
+            assert (shown <= rest < 63) if pid in net.crashed else rest == 0
 
 
 class TestBundleCap:
@@ -338,10 +354,11 @@ class TestBundleCap:
 
     def test_dense_flooding_ships_capped_bundles(self, monkeypatch, routed):
         monkeypatch.setattr(runtime_mod, "_BUNDLE_PAIRS", 50)
-        net = run_recipe(self.RECIPE, backend="net", **self.EXECUTION)
-        check_parity(net, run_recipe(self.RECIPE, **self.EXECUTION), "net", "sim")
-        # ~40 groups of 39 destinations a round; the second group takes
-        # a bundle past 50 pairs and closes it.
+        prepared = prepare_recipe(self.RECIPE, **self.EXECUTION)
+        net = asyncio.run(drive(prepared, deal(40, 2, 0)))
+        check_parity(net, run_recipe(self.RECIPE, **self.EXECUTION), "hosts", "sim")
+        # ~20 broadcasts a round cross each way, each counting 39 pairs;
+        # the second takes a bundle past 50 pairs and closes it.
         assert routed.count("data") > 10 * net.rounds
 
     def test_two_hosts_count_bundles_per_destination(self, monkeypatch, routed):
@@ -369,22 +386,13 @@ class TestBundleCap:
                 self.got = inbox
                 self.halt()
 
-        procs = [Courier(pid, 16) for pid in range(16)]
-
-        async def main():
-            hub = TCPHub()
-            await hub.start()
-            mux = await open_mux("127.0.0.1", hub.port)
-            host = asyncio.ensure_future(run_nodes(procs, mux.endpoint(0), 16))
-            try:
-                return await Session(16, timeout=30.0).run(mux.endpoint(16))
-            finally:
-                host.cancel()
-                await asyncio.gather(host, return_exceptions=True)
-                await mux.close()
-                await hub.close()
-
-        result = asyncio.run(main())
+        # Even and odd pids on two hosts, so that every message crosses.
+        prepared = prepare_recipe(
+            {"name": "flooding", "inputs": [0] * 16, "t": 1}, crashes=None
+        )
+        prepared.processes = procs = [Courier(pid, 16) for pid in range(16)]
+        shards = [list(range(0, 16, 2)), list(range(1, 16, 2))]
+        result = asyncio.run(drive(prepared, shards, "tcp"))
         assert result.completed and result.metrics.messages == 16
         assert routed.count("data") == 8
         for proc in procs:
@@ -401,20 +409,24 @@ class TestBundleCap:
         async def main():
             hub = TCPHub()
             await hub.start()
-            mux = await open_mux("127.0.0.1", hub.port)
-            host = asyncio.ensure_future(
-                run_nodes([Shouter(pid, 2) for pid in range(2)], mux.endpoint(0), 2)
-            )
+            muxes = [await open_mux("127.0.0.1", hub.port) for _ in range(2)]
+            hosts = [
+                asyncio.ensure_future(run_nodes([Shouter(pid, 2)], mux.endpoint(pid), 2))
+                for pid, mux in enumerate(muxes)
+            ]
             try:
-                await Session(2, timeout=30.0).run(mux.endpoint(2))
+                await Session(2, timeout=30.0).run(muxes[0].endpoint(2))
             finally:
-                host.cancel()
-                await asyncio.gather(host, return_exceptions=True)
-                await mux.close()
+                for host in hosts:
+                    host.cancel()
+                await asyncio.gather(*hosts, return_exceptions=True)
+                for mux in muxes:
+                    await mux.close()
                 await hub.close()
 
-        # The bundle comes back over this connection's 4 KiB guard: the
-        # error names the peer it was read from and the read phase.
+        # One pid per host: pid 1's bundle reaches the coordinator's
+        # connection (pid 0's host shares it) over its 4 KiB guard, and
+        # the error names the peer it was read from and the read phase.
         with pytest.raises(FrameTooLargeError, match=r"hub 127\.0\.0\.1:\d+.*mux recv"):
             asyncio.run(main())
 
@@ -488,7 +500,7 @@ class TestDiagnosticsStayPerPid:
 
 class TestBroadcastColumn:
     def test_column_crosses_hosts_beside_a_masked_sender_and_a_prefix(self, wire):
-        # Six all-to-all broadcasters on two hosts.  In round 1 pid 2
+        # Six all-to-all broadcasters on three hosts.  In round 1 pid 2
         # crashes after 4 of its 5 messages and the link 4 -> 1 is
         # blocked: those two senders' groups are split by host, every
         # other sender ships one entry with dsts None per host, and each
@@ -497,8 +509,8 @@ class TestBroadcastColumn:
         scenario = Scenario(
             n=n, crashes=[(2, 1, 4)], omissions=[OmissionSpec(4, 1, (1,))]
         )
-        shards = deal(n, 2, 1)
-        assert shards == [[0, 1, 3], [2, 4, 5]]
+        shards = deal(n, 3, 163)
+        assert shards == [[4], [2, 5], [0, 1, 3]]
 
         def plan(proc, rnd):
             return [Multicast(proc.everyone_else(), ("b", rnd, proc.pid))]
@@ -529,8 +541,9 @@ class TestBroadcastColumn:
         # ... while the crasher's prefix and the masked remainder carry
         # the destinations behind each host.
         assert (2, 0, (2, 0, (0, 1, 3), ("b", 1, 2))) in round_one
-        assert (2, 2, (2, 0, (4,), ("b", 1, 2))) in round_one
-        assert (2, 0, (4, 0, (0, 3), ("b", 1, 4))) in round_one
+        assert (2, 4, (2, 0, (4,), ("b", 1, 2))) in round_one
+        assert (4, 0, (4, 0, (0, 3), ("b", 1, 4))) in round_one
+        assert (4, 2, (4, 0, (2, 5), ("b", 1, 4))) in round_one
         assert {src for _s, _d, (src, _q, dsts, _p) in round_one if dsts is None} == {
             0, 1, 3, 5
         }
@@ -556,19 +569,29 @@ class _Keeper(Process):
 
 
 class TestSharingContract:
-    @pytest.mark.parametrize("transport", ["memory", "tcp"])
-    def test_one_copy_per_destination_host(self, transport):
+    @staticmethod
+    def keep(shards, transport):
+        """Run the keepers over ``shards``; check that every receiver
+        got the sender's value, co-hosted receivers one decoded object,
+        hosts never the same one, and nobody the sender's own."""
         procs = [_Keeper(pid, 5) for pid in range(5)]
         prepared = prepare_recipe(
             {"name": "flooding", "inputs": [0] * 5, "t": 1}, crashes=None
         )
         prepared.processes = procs
-        asyncio.run(drive(prepared, [[0, 1, 2], [3, 4]], transport))
+        asyncio.run(drive(prepared, shards, transport))
         sender = procs[0].sent
         assert all(proc.got == sender for proc in procs)
-        # Co-hosted receivers share the decoded object ...
-        assert procs[0].got is procs[1].got is procs[2].got
-        assert procs[3].got is procs[4].got
-        # ... hosts never do, and nobody holds the sender's own.
-        assert procs[0].got is not procs[3].got
+        for shard in shards:
+            assert len({id(procs[pid].got) for pid in shard}) == 1
+        assert len({id(proc.got) for proc in procs}) == len(shards)
         assert all(proc.got is not sender for proc in procs)
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_one_copy_per_destination_host(self, transport):
+        self.keep([[0, 1, 2], [3, 4]], transport)
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_own_mail_is_a_decoded_copy(self, transport):
+        # Own mail never reaches the hub, and is pickled all the same.
+        self.keep([[0, 1, 2, 3, 4]], transport)
