@@ -106,7 +106,6 @@ __all__ = [
     "build_recipe_processes",
     "build_scv_processes",
     "prepare_recipe",
-    "rebuild_trace_processes",
     "run_recipe",
     "run_aea",
     "run_ab_consensus",
@@ -279,7 +278,7 @@ def build_recipe_processes(
 
     The single builder behind every consumer of recipe dicts -- the run
     path (:func:`run_recipe`, :func:`prepare_recipe`), trace replay
-    (:func:`rebuild_trace_processes`) and the run-server's remote
+    (:func:`repro.trace.replay_trace`) and the run-server's remote
     workers (:mod:`repro.serve`), which must rebuild process shards
     *identical* to what the submitting client would build locally.
     Deterministic in the recipe, by the same argument as the
@@ -292,19 +291,6 @@ def build_recipe_processes(
     args = family.recipe_args(protocol)
     processes, horizon = family.builder(**args)
     return processes, horizon, frozenset(args.get("byzantine", ()))
-
-
-def rebuild_trace_processes(
-    protocol: dict,
-) -> tuple[list[Process], frozenset[int]]:
-    """Rebuild ``(processes, byzantine)`` from a trace's protocol recipe.
-
-    The inverse of the ``protocol`` dicts the ``run_*`` entry points
-    record into traces; used by :func:`repro.trace.replay_trace` for
-    standalone replays.  Thin view over :func:`build_recipe_processes`.
-    """
-    processes, _horizon, byzantine = build_recipe_processes(protocol)
-    return processes, byzantine
 
 
 @dataclass(slots=True)
@@ -382,8 +368,8 @@ def run_recipe(
     """Execute a protocol recipe: the one run path behind every ``run_*``.
 
     ``protocol`` is the JSON-safe recipe dict the ``run_*`` helpers
-    state and record into traces (and :func:`rebuild_trace_processes`
-    consumes) -- protocol ``name`` plus its instance arguments.  The
+    state and record into traces (and :func:`build_recipe_processes`
+    rebuilds) -- protocol ``name`` plus its instance arguments.  The
     keywords are the uniform execution parameters, so one recipe can be
     re-run under different fault schedules and substrates.  This is the
     surface :mod:`repro.check` fuzzes and shrinks through: a fuzz

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro import api
@@ -100,8 +100,6 @@ class FuzzConfig:
     #: for out-of-model scenarios to exercise the catch->shrink->replay
     #: pipeline end to end
     include_safety: Optional[bool] = None
-    #: extra metadata for reports (victim pool, horizon, ...)
-    info: dict = field(default_factory=dict)
 
 
 def sample_instance(
@@ -193,7 +191,7 @@ def sample_config(
     rng = random.Random(derive_seed(seed, ("repro.check", index)))
     family = families[index % len(families)]
     recipe = sample_instance(family, rng, seed)
-    horizon, window, max_rounds = fault_window(family, recipe)
+    _horizon, window, max_rounds = fault_window(family, recipe)
     kind, scenario = _sample_scenario(
         family, recipe, rng, window, name=f"fuzz-{seed}-{index}"
     )
@@ -211,7 +209,6 @@ def sample_config(
         kind=kind,
         max_rounds=max_rounds,
         backends=backends,
-        info={"horizon": horizon, "event_window": window},
     )
 
 

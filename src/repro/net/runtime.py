@@ -155,9 +155,11 @@ Deployment shapes
 -----------------
 The process that owns the hub binds on it directly
 (``hub.endpoint(...)``); every other OS process holds one hub
-connection (:class:`~repro.net.transport.TCPMux`).  Per session there
-is one host endpoint per process -- by convention at the lowest pid it
-hosts; the coordinator sits at address ``n``.
+connection (:class:`~repro.net.transport.TCPMux`) and binds on that
+(``mux.endpoint(...)``).  Either way the binding is one
+:class:`~repro.net.transport.Endpoint`.  Per session there is one host
+endpoint per process -- by convention at the lowest pid it hosts; the
+coordinator sits at address ``n``.
 
 * :func:`run_protocol_net` -- everything (hub, coordinator, one host of
   all ``n`` processes) in one OS process, over the in-memory or TCP

@@ -1,13 +1,13 @@
 """Pluggable transports: an in-memory hub and a TCP hub.
 
-Both expose the same endpoint interface -- ``await send(dst, obj)``,
+Both hand out one :class:`Endpoint` class -- ``await send(dst, obj)``,
 ``await recv() -> (src, obj)``, the non-blocking ``recv_nowait()`` and
 ``await close()`` -- over a hub (star) topology: every endpoint holds a
 link to a central router that forwards frames by
 ``(instance, destination address)``.  The process that owns a hub binds
-on it directly (``hub.endpoint(...)``, a queue); only other processes
-dial a :class:`TCPHub`'s socket, so a frame crosses a socket exactly
-where a process boundary is.  Addresses within one
+on it directly (``hub.endpoint(...)``); only other processes dial a
+:class:`TCPHub`'s socket (``mux.endpoint(...)``), so a frame crosses a
+socket exactly where a process boundary is.  Addresses within one
 protocol instance are one per host (by convention the lowest pid it
 hosts) plus the coordinator at address ``n``; the *instance* tag is
 what lets many protocol instances
@@ -19,7 +19,8 @@ participant: message and bit accounting happens at the sending node
 exactly as in the simulator, so the topology does not affect the
 paper's communication measures.
 
-Delivery semantics (shared by both hubs via :class:`_Router`): frames
+Delivery semantics (one router: a :class:`TCPHub` is a
+:class:`MemoryHub` plus a listening socket): frames
 for an ``(instance, address)`` that has not attached yet are buffered
 and flushed on attach, which makes startup order irrelevant; frames for
 a key that has already detached (a host whose processes all halted or
@@ -61,7 +62,7 @@ import asyncio
 import sys
 from collections import deque
 from functools import partial
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.net.codec import (
     BATCH,
@@ -79,9 +80,7 @@ from repro.net.codec import (
 
 __all__ = [
     "Endpoint",
-    "MemoryEndpoint",
     "MemoryHub",
-    "MuxEndpoint",
     "SlowConsumerError",
     "TCPEndpoint",
     "TCPHub",
@@ -106,7 +105,26 @@ class SlowConsumerError(RuntimeError):
 
 
 class Endpoint:
-    """Interface every transport endpoint implements.
+    """One ``(instance, address)`` attachment to either kind of hub.
+
+    What it sends goes to the ``route(src, dst, instance, body)`` of
+    whatever attached it -- a hub's router in the hub's own process, a
+    :class:`TCPMux`'s outbound queue in any other -- and :meth:`close`
+    calls that owner's ``detach``; :meth:`deliver` is the hub's sink
+    interface.  Frames are pickled on send and unpickled on receive even
+    in-process, so a frame arrives as an equal *copy*, never as the
+    sender's object (one copy per destination host for the round
+    runtime's data bundles):
+
+    >>> async def echo():
+    ...     hub = MemoryHub()
+    ...     sender, receiver = hub.endpoint(0), hub.endpoint(1)
+    ...     frame = ["value", 1]
+    ...     await sender.send(1, frame)
+    ...     src, got = await receiver.recv()
+    ...     return src, got == frame, got is frame
+    >>> asyncio.run(echo())
+    (0, True, False)
 
     Ordering contract: frames from one sender to one destination are
     delivered FIFO, and a destination's frames from *all* senders pass
@@ -119,16 +137,23 @@ class Endpoint:
     entry order at every hop.
     """
 
-    address: int
-    #: protocol-instance tag; 0 for single-instance runs
-    instance: int = 0
+    def __init__(self, address: int, instance: int, route: Callable, detach: Callable):
+        self.address = address
+        #: protocol-instance tag; 0 for single-instance runs
+        self.instance = instance
+        self._route = route
+        self._detach = detach
+        self._queue: asyncio.Queue = asyncio.Queue()
+
+    def deliver(self, src: int, dst: int, instance: int, body: bytes) -> None:
+        self._queue.put_nowait((src, body))
 
     async def send(self, dst: int, obj: Any) -> None:
         """Encode and send one frame to ``dst`` within this endpoint's
         instance (fire-and-forget: frames to detached or never-attached
         addresses are buffered or dropped by the hub, mirroring the
         simulator's delivery rules)."""
-        await self.send_encoded(dst, encode(obj))
+        self._route(self.address, dst, self.instance, encode(obj))
 
     async def send_encoded(self, dst: int, body: bytes) -> None:
         """Send an already-:func:`~repro.net.codec.encode`-d frame body.
@@ -137,7 +162,7 @@ class Endpoint:
         bytes across destinations instead of re-pickling per recipient
         (batching additionally interns the shared bytes on the wire).
         """
-        raise NotImplementedError
+        self._route(self.address, dst, self.instance, body)
 
     async def recv(self) -> tuple[int, Any]:
         """Await the next inbound frame as ``(source address, body)``.
@@ -146,9 +171,16 @@ class Endpoint:
         with a peer's bundle or a coordinator frame (``START``,
         ``REJOIN`` or ``STOP``), and a peer that dies before shipping is
         named by the coordinator's watchdog, whose ``STOP`` then ends
-        the wait.
+        the wait.  A connection's end (EOF, a frame-guard error) is
+        queued behind its last frame as the exception that ended it,
+        which this and every later call raise.
         """
-        raise NotImplementedError
+        item = await self._queue.get()
+        if isinstance(item, BaseException):
+            self._queue.put_nowait(item)  # keep later recv() calls failing too
+            raise item
+        src, body = item
+        return src, decode(body)
 
     def recv_nowait(self) -> Optional[tuple[int, Any]]:
         """The next inbound frame if one is already queued, else ``None``.
@@ -160,30 +192,38 @@ class Endpoint:
         a collector can drain whatever a burst delivered and pay one
         suspension only once the queue is empty.
         """
-        raise NotImplementedError
+        queue = self._queue
+        if queue.empty():
+            return None
+        item = queue.get_nowait()
+        if isinstance(item, BaseException):
+            queue.put_nowait(item)  # left for the blocking recv() to raise
+            return None
+        src, body = item
+        return src, decode(body)
 
     async def close(self) -> None:
         """Detach from the hub; subsequent frames to this
         ``(instance, address)`` are dropped (a crashed or halted node
         receives nothing)."""
-        raise NotImplementedError
+        self._detach((self.instance, self.address), self)
 
 
-class _Router:
-    """Attach/route/detach bookkeeping and the in-process endpoints of
-    both hubs.
+class MemoryHub:
+    """The router both hubs are: every endpoint a same-process one.
 
     Routing keys are ``(instance, address)`` pairs; each attached key
     maps to a *sink* (an object with ``deliver(src, dst, instance,
-    body)``): a queue for an endpoint bound with :meth:`endpoint` in the
-    hub's own process, a connection's outbound queue for one bound over
-    a :class:`TCPHub` socket.  Frames for a key that has not attached
-    yet are buffered
+    body)``): an :class:`Endpoint` bound with :meth:`endpoint` in the
+    hub's own process, or a connection's outbound queue for one bound
+    over a :class:`TCPHub` socket.  Frames for a key that has not
+    attached yet are buffered
     and flushed on attach (startup order becomes irrelevant); frames for
     a key that attached and then detached — a crashed or halted node —
     are dropped, mirroring the simulator's "crashed nodes receive
-    nothing".  Both transports inherit this, so their delivery semantics
-    cannot drift apart.
+    nothing".  :class:`TCPHub` inherits this, so the two hubs' delivery
+    semantics cannot drift apart.  Routing is synchronous: routing order
+    *is* send order, the FIFO guarantee of :class:`Endpoint` for free.
     """
 
     def __init__(self) -> None:
@@ -202,39 +242,26 @@ class _Router:
         key = (instance, dst)
         sink = self._sinks.get(key)
         if sink is not None:
-            try:
-                sink.deliver(src, dst, instance, body)
-            except SlowConsumerError as exc:
-                self._on_slow_consumer(sink, exc)
+            sink.deliver(src, dst, instance, body)
         elif key not in self._seen:
             self._pending.setdefault(key, []).append((src, body))
         # else: destination detached (crashed/halted); drop.
 
-    def _on_slow_consumer(self, sink: Any, exc: SlowConsumerError) -> None:
-        raise exc  # memory endpoints are unbounded; TCPHub overrides
+    def _detach(self, key: tuple[int, int], sink: Any) -> None:
+        if self._sinks.get(key) is sink:
+            del self._sinks[key]
 
-    def _detach(self, key: tuple[int, int], sink: Any = None) -> None:
-        if sink is None or self._sinks.get(key) is sink:
-            self._sinks.pop(key, None)
-
-    def endpoint(self, address: int, instance: int = 0) -> "MemoryEndpoint":
+    def endpoint(self, address: int, instance: int = 0) -> Endpoint:
         """Attach ``(instance, address)`` in the hub's own process and
         return its endpoint (flushing any frames buffered for it before
-        it attached)."""
-        queue: asyncio.Queue = asyncio.Queue()
-        endpoint = MemoryEndpoint(self, address, instance, queue)
-        self._attach((instance, address), _QueueSink(queue))
+        it attached).  A key that is attached already raises
+        ``ValueError``."""
+        key = (instance, address)
+        if key in self._sinks:
+            raise ValueError(f"endpoint {key} already attached to this hub")
+        endpoint = Endpoint(address, instance, self._route, self._detach)
+        self._attach(key, endpoint)
         return endpoint
-
-    def route(self, src: int, dst: int, body: bytes, instance: int = 0) -> None:
-        """Forward one frame; synchronous, so routing order *is* send
-        order -- the FIFO guarantee of :class:`Endpoint` for free."""
-        self._route(src, dst, instance, body)
-
-    def detach(self, address: int, instance: int = 0) -> None:
-        """Drop ``(instance, address)`` from the routing table; later
-        frames to it are discarded (crashed/halted node semantics)."""
-        self._detach((instance, address))
 
     def purge_instance(self, instance: int) -> None:
         """Forget every routing entry of one protocol instance.
@@ -250,60 +277,6 @@ class _Router:
             for key in [k for k in table if k[0] == instance]:
                 del table[key]
         self._seen -= {k for k in self._seen if k[0] == instance}
-
-
-# -- in-memory ---------------------------------------------------------------
-
-
-class _QueueSink:
-    """Adapter giving a plain ``asyncio.Queue`` the sink interface."""
-
-    def __init__(self, queue: asyncio.Queue):
-        self.queue = queue
-
-    def deliver(self, src: int, dst: int, instance: int, body: bytes) -> None:
-        self.queue.put_nowait((src, body))
-
-
-class MemoryHub(_Router):
-    """The bare router: every endpoint is a same-process queue."""
-
-
-class MemoryEndpoint(Endpoint):
-    """One attachment point in the hub's own process (either hub kind).
-
-    Frames are pickled on send and unpickled on receive even though they
-    never leave the process, so a local endpoint has the exact delivery
-    semantics of a socket-attached one: a frame arrives as an equal
-    *copy*, never as the sender's object (one copy per destination host
-    for the round runtime's data bundles).
-    """
-
-    def __init__(
-        self, hub: _Router, address: int, instance: int, queue: asyncio.Queue
-    ):
-        self._hub = hub
-        self.address = address
-        self.instance = instance
-        self._queue = queue
-
-    async def send_encoded(self, dst: int, body: bytes) -> None:
-        self._hub.route(self.address, dst, body, self.instance)
-
-    async def recv(self) -> tuple[int, Any]:
-        src, body = await self._queue.get()
-        return src, decode(body)
-
-    def recv_nowait(self) -> Optional[tuple[int, Any]]:
-        if self._queue.empty():
-            return None
-        src, body = self._queue.get_nowait()
-        return src, decode(body)
-
-    async def close(self) -> None:
-        self._hub.detach(self.address, self.instance)
-
-
 
 
 # -- TCP ---------------------------------------------------------------------
@@ -491,9 +464,9 @@ class _ConnSink(_Connection):
     at the end of the ``data_received`` call that routed into it, or on
     the next turn for frames a local endpoint sent.  ``maxsize`` is the
     backpressure bound: a consumer that stops reading pauses its
-    transport, the queue fills, and the overflow raises
-    :class:`SlowConsumerError` naming this connection and the instance
-    whose frame hit the limit.
+    transport, the queue fills, and the overflow drops this connection
+    with a :class:`SlowConsumerError` naming it and the instance whose
+    frame hit the limit.
     """
 
     phase = "hub ingress"
@@ -560,13 +533,14 @@ class _ConnSink(_Connection):
 
     def deliver(self, src: int, dst: int, instance: int, body: bytes) -> None:
         if len(self.frames) >= self.maxsize:
-            raise SlowConsumerError(
+            self.hub._on_slow_consumer(self, SlowConsumerError(
                 f"outbound queue for {self.label()} overflowed its "
                 f"{self.maxsize}-frame bound on a frame for instance "
                 f"{instance} (addr {dst}); the consumer stopped reading -- "
                 "dropping the laggard connection so other sessions' rounds "
                 "keep advancing"
-            )
+            ))
+            return
         self._enqueue((src, dst, instance, body))
         self.delivered += 1
         if len(self.frames) > self.queue_hwm:
@@ -580,7 +554,7 @@ class _ConnSink(_Connection):
             dirtied.append(self)
 
 
-class TCPHub(_Router):
+class TCPHub(MemoryHub):
     """A TCP frame router (software switch): the router plus one
     listening socket for endpoints in other processes.
 
@@ -709,10 +683,6 @@ class TCPHub(_Router):
             self._route(src, dst, instance, body)
 
 
-#: queued behind a dead connection's last frame (see ``TCPMux._recv_on``)
-_EOF = object()
-
-
 class TCPMux(_Connection):
     """One multiplexed hub connection hosting many virtual endpoints.
 
@@ -730,7 +700,7 @@ class TCPMux(_Connection):
 
     def __init__(self, peer: str, batching: bool):
         super().__init__(peer, batching)
-        self._queues: dict[tuple[int, int], asyncio.Queue] = {}
+        self._endpoints: dict[tuple[int, int], Endpoint] = {}
         self._error: Optional[BaseException] = None
         self._closing = False
 
@@ -742,9 +712,9 @@ class TCPMux(_Connection):
         self._enqueue((src, dst, instance, body))
 
     def _dispatch(self, src: int, dst: int, instance: int, body: bytes) -> None:
-        queue = self._queues.get((instance, dst))
-        if queue is not None:
-            queue.put_nowait((src, body))
+        endpoint = self._endpoints.get((instance, dst))
+        if endpoint is not None:
+            endpoint.deliver(src, dst, instance, body)
         # else: endpoint closed locally; drop (detached semantics)
 
     def _on_stream_end(self, error: Optional[Exception]) -> None:
@@ -752,54 +722,37 @@ class TCPMux(_Connection):
         # (or its stream is corrupt), so blocking forever would hide the
         # failure.
         self._error = error
-        for queue in self._queues.values():
-            queue.put_nowait(_EOF)
+        end = error or ConnectionResetError(
+            f"mux connection to {self.peer} closed while awaiting frames"
+        )
+        for endpoint in self._endpoints.values():
+            endpoint._queue.put_nowait(end)
 
     # -- endpoint management ----------------------------------------------
 
-    def endpoint(self, address: int, instance: int = 0) -> "MuxEndpoint":
+    def endpoint(self, address: int, instance: int = 0) -> Endpoint:
         """Bind ``(instance, address)`` on the hub and return its
-        virtual endpoint.  The bind control frame travels through the
-        same FIFO stream as subsequent data, so nothing this endpoint
-        sends can arrive at the hub before its binding."""
-        return MuxEndpoint(self, address, instance, self._bind(address, instance))
+        virtual endpoint (``ValueError`` if the key is bound already).
 
-    def _bind(self, address: int, instance: int) -> asyncio.Queue:
-        key = (instance, address)
-        if key in self._queues:
+        Its sends join the connection's batched outbound queue, and its
+        ``close`` unbinds only this key.  The bind control frame travels
+        through the same FIFO stream as subsequent data, so nothing this
+        endpoint sends can arrive at the hub before its binding."""
+        return self._attach(Endpoint(address, instance, self._send, self._detach))
+
+    def _attach(self, endpoint: Endpoint) -> Endpoint:
+        key = (endpoint.instance, endpoint.address)
+        if key in self._endpoints:
             raise ValueError(f"endpoint {key} already bound on this connection")
-        queue: asyncio.Queue = asyncio.Queue()
-        self._queues[key] = queue
-        self._send(address, CONTROL, instance, encode(("bind", address)))
-        return queue
+        self._endpoints[key] = endpoint
+        self._send(key[1], CONTROL, key[0], encode(("bind", key[1])))
+        return endpoint
 
-    def _close_endpoint(self, key: tuple[int, int]) -> None:
-        if self._queues.pop(key, None) is None:
-            return
-        if self._error is None and not self._closing:
-            self._send(key[1], CONTROL, key[0], encode(("unbind", key[1])))
-
-    async def _recv_on(self, queue: asyncio.Queue) -> tuple[int, Any]:
-        item = await queue.get()
-        if item is _EOF:
-            queue.put_nowait(_EOF)  # keep later recv() calls failing too
-            if self._error is not None:
-                raise self._error
-            raise ConnectionResetError(
-                f"mux connection to {self.peer} closed while awaiting frames"
-            )
-        src, body = item
-        return src, decode(body)
-
-    def _recv_nowait_on(self, queue: asyncio.Queue) -> Optional[tuple[int, Any]]:
-        if queue.empty():
-            return None
-        item = queue.get_nowait()
-        if item is _EOF:
-            queue.put_nowait(_EOF)  # left for the blocking recv() to raise
-            return None
-        src, body = item
-        return src, decode(body)
+    def _detach(self, key: tuple[int, int], endpoint: Endpoint) -> None:
+        if self._endpoints.get(key) is endpoint:
+            del self._endpoints[key]
+            if self._error is None and not self._closing:
+                self._send(key[1], CONTROL, key[0], encode(("unbind", key[1])))
 
     # -- lifecycle --------------------------------------------------------
 
@@ -834,46 +787,13 @@ class TCPMux(_Connection):
         await _wait_closed([self], 5.0)
 
 
-class MuxEndpoint(Endpoint):
-    """One ``(instance, address)`` virtual endpoint on a :class:`TCPMux`.
+class TCPEndpoint(Endpoint):
+    """The one endpoint of a dedicated :class:`TCPMux`, which its
+    ``close`` tears down: what :func:`connect_tcp` returns."""
 
-    ``send_encoded`` appends to the connection's shared outbound queue
-    (written out in batches once per event-loop turn) and returns
-    immediately, so a whole send phase coalesces into one wire write;
-    ``close`` unbinds only this key, leaving the connection and its
-    other endpoints untouched.
-    """
-
-    def __init__(
-        self, mux: TCPMux, address: int, instance: int, queue: asyncio.Queue
-    ):
+    def __init__(self, mux: TCPMux, address: int):
+        super().__init__(address, 0, mux._send, mux._detach)
         self._mux = mux
-        self.address = address
-        self.instance = instance
-        self._queue = queue
-
-    async def send_encoded(self, dst: int, body: bytes) -> None:
-        self._mux._send(self.address, dst, self.instance, body)
-
-    async def recv(self) -> tuple[int, Any]:
-        return await self._mux._recv_on(self._queue)
-
-    def recv_nowait(self) -> Optional[tuple[int, Any]]:
-        return self._mux._recv_nowait_on(self._queue)
-
-    async def close(self) -> None:
-        self._mux._close_endpoint((self.instance, self.address))
-
-
-class TCPEndpoint(MuxEndpoint):
-    """The one endpoint of a dedicated :class:`TCPMux`.
-
-    What :func:`connect_tcp` returns, for a process that needs exactly
-    one address on a hub in another process (a probe, a single remote
-    node): ``close`` tears down the whole connection.  A process
-    hosting several addresses opens one :class:`TCPMux` and binds them
-    all on it instead.
-    """
 
     async def close(self) -> None:
         await self._mux.close()
@@ -907,4 +827,4 @@ async def connect_tcp(
     """Connect one endpoint (instance 0) to a :class:`TCPHub`, retrying
     as :func:`open_mux` does."""
     mux = await open_mux(host, port, batching=batching)
-    return TCPEndpoint(mux, address, 0, mux._bind(address, 0))
+    return mux._attach(TCPEndpoint(mux, address))

@@ -553,7 +553,7 @@ def replay_trace(
             raise ValueError(
                 "trace has no recorded protocol recipe; pass processes="
             )
-        processes, byzantine = api.rebuild_trace_processes(trace.protocol)
+        processes, _horizon, byzantine = api.build_recipe_processes(trace.protocol)
     if len(processes) != trace.n:
         raise ValueError(
             f"trace was recorded with n={trace.n}, got {len(processes)} processes"

@@ -7,7 +7,7 @@
   for every family of ``repro.families.REGISTRY`` under the fuzzer's
   random crash/omission/partition/churn scenarios, and its trace
   replays.
-* **Frame budget**, counted at ``_Router._route`` (every frame of both
+* **Frame budget**, counted at ``MemoryHub._route`` (every frame of both
   hubs passes through it): a round is one barrier and costs three
   control frames per host and one data frame per ordered pair of
   distinct hosts; a host's mail for its own pids never reaches the hub,
@@ -41,7 +41,7 @@ from repro.net import (
 from repro.net import runtime as runtime_mod
 from repro.net.codec import decode
 from repro.net.runtime import run_nodes
-from repro.net.transport import TCPMux, _Router
+from repro.net.transport import TCPMux
 from repro.scenarios import OmissionSpec, Scenario
 from repro.sim import Engine
 from repro.sim.process import Multicast, Process
@@ -210,13 +210,13 @@ class TestPartitionInvariance:
 def routed(monkeypatch):
     """Kinds of every frame either hub routes, in routing order."""
     kinds = []
-    route = _Router._route
+    route = MemoryHub._route
 
     def counting_route(self, src, dst, instance, body):
         kinds.append(decode(body)[0])
         return route(self, src, dst, instance, body)
 
-    monkeypatch.setattr(_Router, "_route", counting_route)
+    monkeypatch.setattr(MemoryHub, "_route", counting_route)
     return kinds
 
 
@@ -225,13 +225,13 @@ def wire(monkeypatch):
     """``(src, dst, decoded frame)`` of every frame either hub routes,
     in routing order."""
     frames = []
-    route = _Router._route
+    route = MemoryHub._route
 
     def spying_route(self, src, dst, instance, body):
         frames.append((src, dst, decode(body)))
         return route(self, src, dst, instance, body)
 
-    monkeypatch.setattr(_Router, "_route", spying_route)
+    monkeypatch.setattr(MemoryHub, "_route", spying_route)
     return frames
 
 

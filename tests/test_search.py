@@ -53,39 +53,42 @@ def _config_digest(family: str, seed: int) -> str:
 
 
 # sha256 prefixes of sample_config(family, seed) with backends removed,
-# recorded when sample_instance was extracted.  A change here means the
-# whole seeded fuzz corpus shifted -- do that deliberately or not at all.
+# recorded when sample_instance was extracted and re-pinned when the
+# unread ``FuzzConfig.info`` field went (each new prefix is the old
+# config's digest with ``info`` popped: no draw moved).  A change here
+# means the whole seeded fuzz corpus shifted -- do that deliberately or
+# not at all.
 SAMPLE_CONFIG_DIGESTS = {
-    "consensus-few/0": "46e28884ee4c0fc4",
-    "consensus-many/0": "af8c955c09db4977",
-    "aea/0": "8d2aeb538b999fca",
-    "scv/0": "393bbfcc2029ca0a",
-    "gossip/0": "38805aacca78ba12",
-    "checkpointing/0": "1731c226a3549746",
-    "ab-consensus/0": "ce3324fb60635605",
-    "flooding/0": "46c26bbcb72dbaf0",
-    "consensus-few/1": "7106a36d4fee2233",
-    "consensus-many/1": "70d5cbdff9c80fd1",
-    "aea/1": "49f52d5547a9e300",
-    "scv/1": "aca93029f051fb25",
-    "gossip/1": "2b6214bd903fb796",
-    "checkpointing/1": "60b7e56ed97bd722",
-    "ab-consensus/1": "41726ccfb625e01e",
-    "flooding/1": "49756bf1707ed195",
-    "consensus-few/2": "401b0a775f173a6d",
-    "consensus-many/2": "9cd305c9eddd350c",
-    "aea/2": "34c408f1c94de28c",
-    "scv/2": "b9b330e8f1c3b28e",
-    "gossip/2": "22121f2d5b426196",
-    "checkpointing/2": "f48e6e91369658eb",
-    "ab-consensus/2": "9dbbb200276f4800",
-    "flooding/2": "cf575a4e606566c2",
-    "approximate/0": "500f5ca1721a8cb8",
-    "lv-consensus/0": "c163de8fae66c01e",
-    "approximate/1": "c38e8cb8a5dbe1e5",
-    "lv-consensus/1": "0e33739e52074315",
-    "approximate/2": "e9df1928405b95b5",
-    "lv-consensus/2": "fc85eabae51fa8dd",
+    "consensus-few/0": "b9e77697721f4042",
+    "consensus-many/0": "2b50e8f08e3c0b12",
+    "aea/0": "918b2de4f8735385",
+    "scv/0": "ab3a672d6aaf3a72",
+    "gossip/0": "712412bde9602088",
+    "checkpointing/0": "d163ba432d749a9e",
+    "ab-consensus/0": "93f50e18303cef69",
+    "flooding/0": "1e06eeb38eb97e72",
+    "consensus-few/1": "ead6a004cbf75099",
+    "consensus-many/1": "cccfc3a1d3e4064d",
+    "aea/1": "cd505e4a601e9252",
+    "scv/1": "7182a421733713a8",
+    "gossip/1": "30fae953719bb381",
+    "checkpointing/1": "b8c2bc816ce610ad",
+    "ab-consensus/1": "01c471a455d62ffe",
+    "flooding/1": "fbcaba25c15a8e32",
+    "consensus-few/2": "ded874b74ebaf1f1",
+    "consensus-many/2": "65ded7c2b239ac02",
+    "aea/2": "497a2ea025519dd2",
+    "scv/2": "72759d15b52229aa",
+    "gossip/2": "2942aba902ae7536",
+    "checkpointing/2": "1eb74ed68b53a7ed",
+    "ab-consensus/2": "795c152682c050b1",
+    "flooding/2": "433f1183f0ca65f3",
+    "approximate/0": "e8924c285cb4a651",
+    "lv-consensus/0": "9c521d7b453ecf25",
+    "approximate/1": "343d4a35137663d5",
+    "lv-consensus/1": "7aec672dbe261f39",
+    "approximate/2": "989a4ec3c916d3a9",
+    "lv-consensus/2": "9984ea026e57de11",
 }
 
 

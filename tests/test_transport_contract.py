@@ -132,10 +132,10 @@ async def _until(condition, deadline: float = 5.0):
         await asyncio.sleep(0.005)
 
 
-async def _reader_finished(receiver):
+async def _reader_finished(pair):
     """Wait until the receiver's connection has seen the end of its
-    stream (EOF or a frame-guard error) and queued the sentinel."""
-    await _until(lambda: receiver._mux.stream_ended)
+    stream (EOF or a frame-guard error) and queued that end."""
+    await _until(lambda: pair.muxes[1].stream_ended)
 
 
 async def _assert_failure_survives_nowait_reads(receiver, error):
@@ -154,7 +154,7 @@ def test_eof_is_left_for_the_blocking_recv(kind):
             await sender.send(1, "last words")
             assert await _poll(receiver) == (0, "last words")
             await pair.hub.close()  # the receiver's EOF
-            await _reader_finished(receiver)
+            await _reader_finished(pair)
             await _assert_failure_survives_nowait_reads(
                 receiver, ConnectionResetError
             )
@@ -167,14 +167,56 @@ def test_frame_guard_error_is_left_for_the_blocking_recv(kind, monkeypatch):
     monkeypatch.setattr(TCPMux, "max_frame_bytes", 64)
 
     async def scenario():
-        async with _Pair(kind) as (sender, receiver):
+        pair = _Pair(kind)
+        async with pair as (sender, receiver):
             await sender.send(1, "fits")
             assert await _poll(receiver) == (0, "fits")
             await sender.send(1, "x" * 4096)
-            await _reader_finished(receiver)
+            await _reader_finished(pair)
             await _assert_failure_survives_nowait_reads(
                 receiver, FrameTooLargeError
             )
+
+    asyncio.run(scenario())
+
+
+def test_a_mux_send_after_a_frame_guard_failure_raises_that_failure(monkeypatch):
+    monkeypatch.setattr(TCPMux, "max_frame_bytes", 64)
+
+    async def scenario():
+        pair = _Pair("mux")
+        async with pair as (sender, receiver):
+            await sender.send(1, "x" * 4096)
+            await _reader_finished(pair)
+            with pytest.raises(FrameTooLargeError):
+                await receiver.send(0, "reply")
+
+    asyncio.run(scenario())
+
+
+def test_a_mux_send_while_the_connection_closes_is_refused():
+    async def scenario():
+        pair = _Pair("mux")
+        async with pair as (sender, _receiver):
+            await pair.muxes[0].close()
+            with pytest.raises(ConnectionResetError, match="closing"):
+                await sender.send(1, "too late")
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("kind", ["memory", "local", "mux"])
+def test_a_bound_key_cannot_be_bound_twice(kind):
+    async def scenario():
+        pair = _Pair(kind)
+        async with pair as (sender, receiver):
+            owner = pair.muxes[1] if kind == "mux" else pair.hub
+            with pytest.raises(ValueError, match=r"\(0, 1\)"):
+                owner.endpoint(1)
+            # The first binding still owns the key's mail.
+            await sender.send(1, "still mine")
+            assert await _poll(receiver) == (0, "still mine")
+            assert receiver.recv_nowait() is None
 
     asyncio.run(scenario())
 
