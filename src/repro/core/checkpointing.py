@@ -28,7 +28,9 @@ The decided extant set is ``{i : instance i decided 1}``, satisfying:
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from functools import lru_cache
+from itertools import compress
+from typing import Any, Iterable, Optional
 
 from repro.core.consensus import FewCrashesConsensusProcess
 from repro.core.gossip import GossipProcess, gossip_overlay
@@ -44,21 +46,35 @@ __all__ = ["CheckpointingProcess", "mask_to_set", "set_to_mask"]
 _DUMMY_RUMOR = 1
 
 
-def set_to_mask(members: set[int]) -> int:
+#: a byte -> 1 if it is the digit ``"1"``, else 0 (a ``translate`` table)
+_DIGIT_BITS = bytes(byte == ord("1") for byte in range(256))
+
+
+def set_to_mask(members: Iterable[int]) -> int:
     """Encode a set of pids as the bitmask consumed by the combined
-    consensus instances."""
-    mask = 0
+    consensus instances, through its binary digits (``int(..., 2)``
+    reads them in one pass, where or-ing bit by bit copies the int each
+    time)."""
+    members = tuple(members)
+    if not members:
+        return 0
+    digits = bytearray(b"0") * (max(members) + 1)
     for pid in members:
-        mask |= 1 << pid
-    return mask
+        digits[pid] = 49  # ord("1")
+    digits.reverse()  # most significant first
+    return int(digits, 2)
 
 
+@lru_cache(maxsize=1)
 def mask_to_set(mask: int) -> frozenset[int]:
     """Decode a decision mask back into the extant set of pids, reading
     its binary digits least significant first (``bin`` builds them in
-    one pass, where shifting bit by bit copies the int each time)."""
-    digits = bin(mask)[:1:-1]  # without the "0b" prefix
-    return frozenset(pid for pid, digit in enumerate(digits) if digit == "1")
+    one pass, where shifting bit by bit copies the int each time).
+
+    The nodes of a run agree on one mask, so the last set decoded is
+    kept and returned again: their decisions share one frozenset."""
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)  # no "0b"
+    return frozenset(compress(range(len(digits)), digits))
 
 
 class CheckpointingProcess(Process):
@@ -77,26 +93,26 @@ class CheckpointingProcess(Process):
         self.params = params
         self._overlay = graph if graph is not None else gossip_overlay(params)
         self._spread = spread if spread is not None else spread_graph(params.n, params.seed)
-        self.gossip = GossipProcess(pid, params, _DUMMY_RUMOR, graph=self._overlay)
+        self.gossip = _GossipPart(pid, params, _DUMMY_RUMOR, graph=self._overlay)
         self._consensus_start = self.gossip.end_round
         self.consensus: Optional[FewCrashesConsensusProcess] = None
 
     def _ensure_consensus(self) -> FewCrashesConsensusProcess:
         if self.consensus is None:
-            present = {q for q, _ in self.gossip.extant.items()}
             # The gossip overlay and the AEA committee overlay are the
             # same deterministic graph (both G(little_count, d) with the
             # shared seed), so it is passed straight through.
             proc = FewCrashesConsensusProcess(
                 self.pid,
                 self.params,
-                set_to_mask(present),
+                set_to_mask(self.gossip.extant),  # the pids it holds
                 aea_graph=self._overlay,
                 spread=self._spread,
             )
             # Shift the embedded consensus schedule to start after gossip.
             proc = _ShiftedConsensus(proc, self._consensus_start)
             self.consensus = proc
+            self.gossip = None  # its extant set is the candidate now
         return self.consensus
 
     def send(self, rnd: int):
@@ -107,8 +123,10 @@ class CheckpointingProcess(Process):
     def receive(self, rnd: int, inbox: list[tuple[int, Any]]) -> None:
         if rnd < self._consensus_start:
             self.gossip.receive(rnd, inbox)
-            # Gossip halts itself; the checkpointing wrapper continues.
-            self.gossip.halted = False
+            if self.gossip.halted:
+                # Gossip's last round: its extant set is final, so the
+                # candidate is taken now and the gossip state let go.
+                self._ensure_consensus()
             return
         consensus = self._ensure_consensus()
         consensus.receive(rnd, inbox)
@@ -123,6 +141,14 @@ class CheckpointingProcess(Process):
         if rnd < self._consensus_start:
             return self._consensus_start
         return self._ensure_consensus().next_activity(rnd)
+
+
+class _GossipPart(GossipProcess):
+    """Gossip as Part 1: its last round halts without deciding, since
+    the extant set it holds is the consensus candidate."""
+
+    def _finish(self) -> None:
+        self.halt()
 
 
 class _ShiftedConsensus:

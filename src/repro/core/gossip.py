@@ -27,6 +27,19 @@ size is that of the full set (:class:`SetDelta.bits_size`).  This is
 behaviour-preserving because knowledge is monotone and delivery between
 operational nodes is guaranteed, and it keeps the simulator's processing
 cost near-linear.
+
+A node's extant set maps a pid to the ``(pid, rumor)`` pair object as a
+message delivered it: deltas, pushes and inquiry responses forward those
+objects and the decision lists them in pid order, so in memory every
+node shares the one pair its owner created (over a wire each host holds
+decoded copies).  A run holds ``n`` pairs, not ``n²``:
+
+>>> from repro import run_gossip
+>>> result = run_gossip(["a", "b", "c", "d", "e", "f"], 1, crashes=None)
+>>> result.decisions[0]
+((0, 'a'), (1, 'b'), (2, 'c'), (3, 'd'), (4, 'e'), (5, 'f'))
+>>> all(mine is yours for mine, yours in zip(result.decisions[0], result.decisions[5]))
+True
 """
 
 from __future__ import annotations
@@ -92,9 +105,9 @@ class GossipProcess(Process):
         self.graph = graph if graph is not None else gossip_overlay(params)
         self.is_little = params.is_little(pid)
 
-        #: Extant set: known (node, rumor) pairs; absent nodes are the
-        #: missing keys ("nil pairs").
-        self.extant: dict[int, Any] = {pid: rumor}
+        #: Extant set: pid -> its ``(pid, rumor)`` pair as delivered;
+        #: absent nodes are the missing keys ("nil pairs").
+        self.extant: dict[int, tuple[int, Any]] = {pid: (pid, rumor)}
         #: Completion set (Part 2): nodes known to have been served.
         self.completion: set[int] = {pid}
 
@@ -114,7 +127,8 @@ class GossipProcess(Process):
         self._did_final_inquiry = False
         self._probe: Optional[LocalProbe] = None
         self._inquirers: list[int] = []
-        self._extant_delta: dict[int, Any] = dict(self.extant)
+        #: pairs learned since the last probe send, in learning order
+        self._extant_delta: list[tuple[int, Any]] = list(self.extant.values())
         self._completion_delta: set[int] = set(self.completion)
 
     # -- schedule ------------------------------------------------------------
@@ -173,24 +187,21 @@ class GossipProcess(Process):
                         if q not in self.completion
                     )
                     if fresh:
-                        payload = SetDelta(tuple(self.extant.items()), len(self.extant))
+                        payload = SetDelta(tuple(self.extant.values()), len(self.extant))
                         out.append(Multicast(fresh, payload))
                         self.completion.update(fresh)
                         self._completion_delta.update(fresh)
         elif offset == 1:
             if self._inquirers:
-                own_pair = (self.pid, self.extant[self.pid])
-                out.append(Multicast(tuple(self._inquirers), own_pair))
+                out.append(Multicast(tuple(self._inquirers), self.extant[self.pid]))
                 self._inquirers = []
         else:
             if self.is_little:
                 probe = self._probe_for(rnd, offset)
                 if not probe.paused and probe.neighbors:
                     if part == 1:
-                        payload = SetDelta(
-                            tuple(self._extant_delta.items()), len(self.extant)
-                        )
-                        self._extant_delta = {}
+                        payload = SetDelta(tuple(self._extant_delta), len(self.extant))
+                        self._extant_delta = []
                     else:
                         payload = SetDelta(
                             tuple(self._completion_delta), len(self.completion)
@@ -214,9 +225,7 @@ class GossipProcess(Process):
                     self._absorb_extant(payload.entries)
         elif offset == 1:
             if part == 1:
-                for _, payload in inbox:
-                    q, rumor = payload
-                    self._learn(q, rumor)
+                self._absorb_extant([pair for _, pair in inbox])
             # Part 2 offset 1 is an absorption slack round; pushes were
             # already merged at offset 0.
         else:
@@ -235,8 +244,34 @@ class GossipProcess(Process):
                 if probe.finished(rnd):
                     self._survived_last = probe.survived
         if rnd >= self.end_round - 1:
-            self.decide(tuple(sorted(self.extant.items(), key=itemgetter(0))))
-            self.halt()
+            self._finish()
+
+    def _finish(self) -> None:
+        """The last round: decide the pairs in pid order (one dict probe
+        per pid, no sort) and halt."""
+        self.decide(tuple(filter(None, map(self.extant.get, range(self.n)))))
+        self.halt()
+
+    def halt(self) -> None:
+        super().halt()
+        # what only a running node needs (the decision keeps the pairs)
+        self._probe = self._inquirers = None
+        self._extant_delta = self._completion_delta = None
+
+    def untouched(self) -> bool:
+        """Whether this node is still in its initial state: it knows,
+        has served and has probed nothing but itself (where a vec
+        kernel may take over)."""
+        own = [self.extant.get(self.pid)]
+        return (
+            list(self.extant.values()) == own
+            and self._extant_delta == own
+            and self.completion == self._completion_delta == {self.pid}
+            and self._survived_last
+            and not self._did_final_inquiry
+            and self._probe is None
+            and not self._inquirers
+        )
 
     def next_activity(self, rnd: int) -> int:
         if self.is_little:
@@ -247,14 +282,11 @@ class GossipProcess(Process):
 
     # -- internals ----------------------------------------------------------------
 
-    def _learn(self, q: int, rumor: Any) -> None:
-        if q not in self.extant:
-            self.extant[q] = rumor
-            self._extant_delta[q] = rumor
-
-    def _absorb_extant(self, entries: tuple) -> None:
-        # ``entries`` are a sender's dict items: no pid twice.
+    def _absorb_extant(self, pairs) -> None:
+        # ``pairs`` name no pid twice (a sender's extant values, or the
+        # responses of distinct responders).
         extant = self.extant
-        new = [entry for entry in entries if entry[0] not in extant]
-        extant.update(new)
-        self._extant_delta.update(new)
+        new = [pair for pair in pairs if pair[0] not in extant]
+        if new:
+            extant.update(zip(map(itemgetter(0), new), new))
+            self._extant_delta += new

@@ -705,11 +705,18 @@ class TCPMux(_Connection):
         self._closing = False
 
     def _send(self, src: int, dst: int, instance: int, body: bytes) -> None:
+        self._check_open()
+        self._enqueue((src, dst, instance, body))
+
+    def _check_open(self) -> None:
+        """Raise the connection's end, if it has one: the recorded
+        failure, the local close, or the peer's EOF."""
         if self._error is not None:
             raise self._error
         if self._closing:
             raise ConnectionResetError("mux connection is closing")
-        self._enqueue((src, dst, instance, body))
+        if self.stream_ended:
+            raise ConnectionResetError(f"mux connection to {self.peer} has ended")
 
     def _dispatch(self, src: int, dst: int, instance: int, body: bytes) -> None:
         endpoint = self._endpoints.get((instance, dst))
@@ -744,6 +751,7 @@ class TCPMux(_Connection):
         key = (endpoint.instance, endpoint.address)
         if key in self._endpoints:
             raise ValueError(f"endpoint {key} already bound on this connection")
+        self._check_open()  # bound after the end, its recv would wait forever
         self._endpoints[key] = endpoint
         self._send(key[1], CONTROL, key[0], encode(("bind", key[1])))
         return endpoint
@@ -751,7 +759,7 @@ class TCPMux(_Connection):
     def _detach(self, key: tuple[int, int], endpoint: Endpoint) -> None:
         if self._endpoints.get(key) is endpoint:
             del self._endpoints[key]
-            if self._error is None and not self._closing:
+            if not (self.stream_ended or self._closing):
                 self._send(key[1], CONTROL, key[0], encode(("unbind", key[1])))
 
     # -- lifecycle --------------------------------------------------------

@@ -9,7 +9,8 @@ number is only ever reported for a *correct* run.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import AbstractSet, Any, Iterable, Optional, Sequence
 
 __all__ = [
     "PropertyViolation",
@@ -23,6 +24,9 @@ __all__ = [
 
 #: AEA's coverage κ (Theorem 5): the share of nodes that decide or fail.
 KAPPA = 3 / 5
+
+#: a gossip ``(pid, rumor)`` pair's fields
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 class PropertyViolation(AssertionError):
@@ -141,10 +145,12 @@ def check_scv(result, common_value: Any) -> None:
 
 
 def _gossip_conditions(
-    result, decided_sets: dict[int, set[int]], never_sent: set[int]
+    result, decided_sets: Iterable[tuple[int, AbstractSet[int]]], never_sent: set[int]
 ) -> None:
+    """Conditions (1)-(2) over ``(pid, decided pids)`` pairs, consumed
+    one at a time (a lazy iterable holds one set of ``n`` at once)."""
     correct = set(_correct_pids(result))
-    for pid, members in decided_sets.items():
+    for pid, members in decided_sets:
         ghosts = members & never_sent
         if ghosts:
             raise PropertyViolation(
@@ -173,12 +179,17 @@ def check_gossip(result, rumors: Optional[Sequence[Any]] = None) -> None:
     never_sent = {
         pid for pid in result.crashed if result.metrics.per_node_messages[pid] == 0
     }
-    decided_sets = {
-        pid: {q for q, _ in extant} for pid, extant in decisions.items()
-    }
+    decided_sets = (
+        (pid, set(map(_first, extant))) for pid, extant in decisions.items()
+    )
     _gossip_conditions(result, decided_sets, never_sent)
     if rumors is not None:
         for pid, extant in decisions.items():
+            # one C-level comparison per decision (shared rumors compare
+            # by identity); a mismatch is then named pair by pair
+            expected = map(rumors.__getitem__, map(_first, extant))
+            if list(map(_second, extant)) == list(expected):
+                continue
             for q, rumor in extant:
                 if rumor != rumors[q]:
                     raise PropertyViolation(
@@ -207,5 +218,5 @@ def check_checkpointing(result) -> None:
     never_sent = {
         pid for pid in result.crashed if result.metrics.per_node_messages[pid] == 0
     }
-    decided_sets = {pid: set(members) for pid, members in decisions.items()}
+    decided_sets = ((pid, frozenset(members)) for pid, members in decisions.items())
     _gossip_conditions(result, decided_sets, never_sent)

@@ -35,13 +35,15 @@ is always safe to request:
   and is bit-verified through the same fallback.
 
 numpy is an optional extra: ``pip install -e .[vec]``.  Without it,
-``vec_run`` raises immediately with an actionable error and nothing in
-this package imports numpy at module scope, keeping a bare install
-fully functional.
+``vec_run`` raises immediately with an actionable error.  This module
+only looks numpy up (:data:`HAVE_NUMPY`); the kernel modules import it
+when a kernel is first built, so ``import repro.sim.vec`` -- and
+``repro.check``, which imports it -- loads no numpy.
 """
 
 from __future__ import annotations
 
+from importlib.util import find_spec
 from typing import Any, Optional, Sequence
 
 from repro.families import REGISTRY
@@ -52,12 +54,9 @@ from repro.sim.process import Process
 
 __all__ = ["HAVE_NUMPY", "KERNEL_FAMILIES", "has_kernel", "vec_run"]
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as _numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAVE_NUMPY = False
+#: Whether numpy is importable, found without importing it (a blocked
+#: ``sys.modules["numpy"] = None`` reads False too).
+HAVE_NUMPY = find_spec("numpy") is not None
 
 #: Protocol families whose registry record carries a step kernel; other
 #: families fall back to the optimized engine (see the module docstring).

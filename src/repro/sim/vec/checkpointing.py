@@ -23,11 +23,11 @@ bit; the gossip part accounts as in the gossip kernel.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.checkpointing import CheckpointingProcess, _DUMMY_RUMOR
 from repro.graphs.families import scv_inquiry_graph
 from repro.sim.process import Process
 from repro.sim.vec.engine import (
@@ -115,22 +115,10 @@ class CheckpointingKernel(Kernel):
                 or proc.decided
             ):
                 return None
-            gossip = proc.gossip
-            if (
-                gossip.extant != {proc.pid: _DUMMY_RUMOR}
-                or gossip.completion != {proc.pid}
-                or not gossip._survived_last
-                or gossip._did_final_inquiry
-                or gossip._probe is not None
-                or gossip._inquirers
-                or gossip._extant_delta != gossip.extant
-                or gossip._completion_delta != gossip.completion
-            ):
+            if not proc.gossip.untouched():
                 return None
-        core = GossipCore(
-            params, overlay, [_DUMMY_RUMOR] * params.n
-        )
-        return cls(core, spread)
+        pairs = [proc.gossip.extant[proc.pid] for proc in processes]
+        return cls(GossipCore(params, overlay, pairs), spread)
 
     # -- helpers ----------------------------------------------------------
 
@@ -373,11 +361,14 @@ class CheckpointingKernel(Kernel):
         return int(wake[active].min()) + self.cs
 
     def finalize(self, processes: Sequence[Process]) -> None:
+        # equal decisions share one frozenset, as mask_to_set's do
+        decoded: dict[bytes, frozenset[int]] = {}
         for pid, proc in enumerate(processes):
             if self.halted[pid]:
                 proc.halted = True
             if self.decided[pid]:
-                decision = frozenset(
-                    int(q) for q in np.nonzero(self.value[pid])[0]
-                )
-                proc.decide(decision)
+                row = self.value[pid]
+                key = row.tobytes()
+                if key not in decoded:
+                    decoded[key] = frozenset(compress(range(self.n), row.tolist()))
+                proc.decide(decoded[key])

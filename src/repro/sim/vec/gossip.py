@@ -10,8 +10,9 @@ becomes boolean membership matrices over ``(node, member)``:
 Rumor *values* need no per-entry storage: every extant entry for node
 ``q`` anywhere in the system carries ``q``'s initial rumor (entries
 originate from ``q``'s own pair, and a churn rejoin resets ``q`` to the
-same initial rumor), so ``E`` row bits plus the initial rumor vector
-reconstruct the exact extant dicts and decisions.
+same initial rumor), so ``E`` row bits select from one ``(q, rumor)``
+pair per pid the exact extant dicts and decisions, which share those
+pairs as the object code's do.
 
 Set transport is one boolean matrix product per round: with delivery
 matrix ``D`` (``D[i, q]`` = a message from ``i`` reached ``q``) and
@@ -29,6 +30,8 @@ evaluates ``send()`` fully.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -68,7 +71,7 @@ class GossipCore:
         self,
         params: ProtocolParams,
         graph: Graph,
-        rumors: Sequence[Any],
+        pairs: Sequence[tuple[int, Any]],
     ) -> None:
         n = params.n
         self.n = n
@@ -83,13 +86,10 @@ class GossipCore:
         self.phases = params.gossip_phase_count
         self.part1_end = self.phases * self.phase_len
         self.end_round = 2 * self.part1_end
-        self.rumors = list(rumors)
+        #: the one ``(pid, rumor)`` pair of each pid: the processes' own
+        self.pairs = list(pairs)
         self.resp_bits = np.array(
-            [
-                payload_bits((pid, self.rumors[pid]))
-                for pid in range(n)
-            ],
-            dtype=np.int64,
+            [payload_bits(pair) for pair in self.pairs], dtype=np.int64
         )
         self._inquiry_adj: dict[int, np.ndarray] = {}
 
@@ -284,12 +284,6 @@ class GossipCore:
             return rnd + 1
         return max(rnd + 1, self.end_round - 1)
 
-    def extant_dict(self, pid: int) -> dict[int, Any]:
-        return {
-            int(q): self.rumors[int(q)]
-            for q in np.nonzero(self.E[pid])[0]
-        }
-
 
 class GossipKernel(Kernel):
     """Standalone gossip: the core plus decide-and-halt at the end."""
@@ -308,25 +302,13 @@ class GossipKernel(Kernel):
         graph = first.graph
         if len(processes) != params.n:
             return None
-        rumors = []
         for proc in processes:
             if proc.params is not params or proc.graph is not graph:
                 return None
-            if proc.halted or proc.decided:
+            if proc.halted or proc.decided or not proc.untouched():
                 return None
-            if (
-                proc.extant != {proc.pid: proc.extant.get(proc.pid)}
-                or proc.completion != {proc.pid}
-                or not proc._survived_last
-                or proc._did_final_inquiry
-                or proc._probe is not None
-                or proc._inquirers
-                or proc._extant_delta != proc.extant
-                or proc._completion_delta != proc.completion
-            ):
-                return None
-            rumors.append(proc.extant[proc.pid])
-        return cls(GossipCore(params, graph, rumors))
+        pairs = [proc.extant[proc.pid] for proc in processes]
+        return cls(GossipCore(params, graph, pairs))
 
     def step(
         self,
@@ -357,12 +339,11 @@ class GossipKernel(Kernel):
     def finalize(self, processes: Sequence[Process]) -> None:
         core = self.core
         for pid, proc in enumerate(processes):
-            proc.extant = core.extant_dict(pid)
-            proc.completion = {
-                int(q) for q in np.nonzero(core.C[pid])[0]
-            }
+            known = tuple(compress(core.pairs, core.E[pid].tolist()))  # pid order
+            proc.extant = dict(zip(map(itemgetter(0), known), known))
+            proc.completion = set(compress(range(core.n), core.C[pid].tolist()))
             proc._survived_last = bool(core.survived[pid])
-            if self.halted[pid]:
-                proc.halted = True
             if self.decided[pid]:
-                proc.decide(tuple(sorted(proc.extant.items())))
+                proc.decide(known)
+            if self.halted[pid]:
+                proc.halt()

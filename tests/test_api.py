@@ -159,17 +159,28 @@ OPTIONAL = ("numpy", "scipy", "networkx")
 
 class TestImportCost:
     def test_heavy_graph_dependencies_load_on_first_use_only(self):
-        """Importing the run, serve and net surfaces and running a small
-        recipe imports none of :data:`OPTIONAL`: a serve client, a
+        """Importing the run, serve, net and check surfaces and running a
+        small recipe imports none of :data:`OPTIONAL`: a serve client, a
         server child or a worker that runs small recipes never needs
-        them (half of ``import repro.serve``)."""
+        them (half of ``import repro.serve``), and ``repro.check`` only
+        asks whether numpy is there."""
         code = (
-            "import sys; import repro.api, repro.serve, repro.net; "
+            "import sys; import repro.api, repro.serve, repro.net, repro.check; "
             "from repro.api import run_recipe; "
             "assert run_recipe({'name': 'flooding', 'inputs': [0, 1, 1, 0], 't': 1}).completed; "
             f"print(sorted(set({OPTIONAL!r}) & set(sys.modules)))"
         )
         assert _python(code) == "[]"
+
+    def test_a_blocked_numpy_reads_as_missing(self):
+        """``HAVE_NUMPY`` looks numpy up without importing it, and a
+        blocked module is as good as none."""
+        code = (
+            "import sys; sys.modules['numpy'] = None; "
+            "from repro.sim.vec import HAVE_NUMPY, has_kernel; "
+            "print(HAVE_NUMPY, has_kernel('gossip'))"
+        )
+        assert _python(code) == "False False"
 
     def test_bare_interpreter_runs_every_family(self):
         """With every one of :data:`OPTIONAL` blocked, each family's run

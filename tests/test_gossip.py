@@ -1,10 +1,18 @@
 """Integration tests for Gossip (Fig. 5, Thm. 9)."""
 
+import gc
+import hashlib
+import json
+import tracemalloc
+
 import pytest
 
-from repro import check_gossip, run_gossip
+from repro import check_gossip, run_checkpointing, run_gossip, scenario_schedule
 from repro.core.params import ProtocolParams
 from repro.sim.adversary import CrashSpec, ScheduledCrashes
+from repro.sim.vec import HAVE_NUMPY
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="no numpy")
 
 
 def rumors_for(n):
@@ -87,3 +95,77 @@ class TestPerformanceShape:
         # Probe messages are charged the full extant-set size.
         result = run_gossip(rumors_for(60), 8, crashes=None)
         assert result.bits > result.messages  # far above one bit each
+
+
+def retained_bytes(run) -> int:
+    """Bytes a second ``run()``'s result still holds after collection
+    (the first run warms the overlay and graph caches)."""
+    run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run()  # noqa: F841 -- alive while measured
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSharedPairs:
+    """A node's extant set holds the ``(pid, rumor)`` pair objects its
+    messages delivered, so a run holds n pairs, not n²."""
+
+    def test_trace_digests_pinned(self):
+        # Every send of one recorded run -- destinations, bits and the
+        # payload digest of each SetDelta, response and inquiry -- as
+        # pinned before the pairs were shared.
+        result = run_gossip(rumors_for(24), 3, crashes="random", seed=5, record_trace=True)
+        sends = json.dumps([[e["round"], e["sends"]] for e in result.trace.events], sort_keys=True)
+        assert (
+            hashlib.sha256(sends.encode()).hexdigest()
+            == "7ffb14ac8f333183a86326df3e97347343ce8d6cd74e05371e0fc02e6c66847e"
+        )
+        assert result.messages == 12705
+
+    @pytest.mark.parametrize("backend", ["sim", pytest.param("vec", marks=needs_numpy)])
+    def test_crash_free_deciders_share_each_pair(self, backend):
+        n = 40
+        result = run_gossip(rumors_for(n), 5, crashes=None, backend=backend)
+        decisions = list(result.decisions.values())
+        assert len(decisions) == n
+        for q in range(n):
+            pair = decisions[0][q]
+            assert pair == (q, f"rumor-{q}")
+            assert all(extant[q] is pair for extant in decisions)
+
+    @needs_numpy
+    @pytest.mark.parametrize("seed", range(3))
+    def test_vec_decisions_equal_sim(self, seed):
+        # The kernel builds each decision by ``compress`` over one pair
+        # per pid; it must equal the object code's, churn included.
+        n = 30
+        scenario = scenario_schedule(
+            n, seed=seed, crashes=3, omission_links=4, churn_nodes=1, max_round=40
+        )
+        for crashes in ("random", scenario):
+            runs = [
+                run_gossip(rumors_for(n), 4, crashes=crashes, seed=seed, backend=backend)
+                for backend in ("sim", "vec")
+            ]
+            assert runs[0].decisions == runs[1].decisions
+            assert runs[0].messages == runs[1].messages
+
+    @pytest.mark.parametrize("backend", ["sim", pytest.param("vec", marks=needs_numpy)])
+    def test_retained_result_bytes(self, backend):
+        # n = 64: n² fresh pairs alone would add ~260 kB to a gossip
+        # result, and checkpointing's n gossip parts and n decoded
+        # decision sets as much again.
+        n = 64
+        gossip = retained_bytes(
+            lambda: run_gossip(rumors_for(n), 8, crashes=None, backend=backend)
+        )
+        checkpointing = retained_bytes(
+            lambda: run_checkpointing(n, 8, crashes=None, backend=backend)
+        )
+        assert gossip < 400_000
+        assert checkpointing < 200_000

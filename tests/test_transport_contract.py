@@ -20,6 +20,7 @@ alone, and every routed frame is counted in ``connection_stats()``.
 """
 
 import asyncio
+import re
 from itertools import cycle
 
 import pytest
@@ -201,6 +202,38 @@ def test_a_mux_send_while_the_connection_closes_is_refused():
             await pair.muxes[0].close()
             with pytest.raises(ConnectionResetError, match="closing"):
                 await sender.send(1, "too late")
+
+    asyncio.run(scenario())
+
+
+def test_a_mux_send_after_eof_raises_the_end():
+    async def scenario():
+        pair = _Pair("mux")
+        async with pair as (_sender, receiver):
+            await pair.hub.close()  # the receiver's EOF
+            await _reader_finished(pair)
+            peer = re.escape(pair.muxes[1].peer)
+            with pytest.raises(ConnectionResetError, match=peer):
+                await asyncio.wait_for(receiver.send(0, "reply"), 5.0)
+            # unbinding a key on an ended stream sends nothing
+            await asyncio.wait_for(receiver.close(), 5.0)
+
+    asyncio.run(scenario())
+
+
+def test_a_mux_endpoint_bound_after_eof_is_refused():
+    async def scenario():
+        pair = _Pair("mux")
+        async with pair:
+            await pair.hub.close()
+            await _reader_finished(pair)
+            mux = pair.muxes[1]
+            with pytest.raises(ConnectionResetError, match=re.escape(mux.peer)):
+                late = mux.endpoint(5)
+                # what a bind that succeeded would do: wait forever
+                await asyncio.wait_for(late.recv(), 5.0)
+            with pytest.raises(ConnectionResetError):
+                mux.endpoint(5)  # the refused key was left unbound
 
     asyncio.run(scenario())
 

@@ -66,7 +66,6 @@ _FAKE = "tests/test_obs.py drives heartbeats on a fake clock into a buffer"
 #: name, ``module.callee(param=)`` for a knob, ``module --flag`` for a flag.
 ALLOWLIST: dict[str, str] = {
     "repro.api.run_aea": _API,
-    "repro.api.run_gossip": _API,
     "repro.api.run_scv": _API,
     "repro.api.run_ab_consensus(overlay_seed=)": _API,
     "repro.api.run_aea(overlay_seed=)": _API,
