@@ -70,7 +70,6 @@ from repro.net.codec import (
     HEADER,
     MAX_BATCH_BYTES,
     MAX_FRAME_BYTES,
-    FrameTooLargeError,
     check_frame_size,
     decode,
     decode_batch,
@@ -298,7 +297,8 @@ class _Connection(asyncio.Protocol):
     hands them to the transport, once per event-loop turn, so a send
     burst -- a host's data bundles and its ``SENT`` -- coalesces into
     one batch write; while the transport's buffer is over its
-    high-water mark (``pause_writing``) the queue is left to grow.
+    high-water mark (``pause_writing``) the queue is left to grow, up
+    to ``max_queue`` frames (see :meth:`_enqueue`).
     """
 
     #: names this end of the connection in frame-guard errors
@@ -310,6 +310,9 @@ class _Connection(asyncio.Protocol):
     #: whole-batch ceiling for ``dst == BATCH`` frames; inner frames
     #: are additionally held to ``max_frame_bytes`` at decode time
     max_batch_bytes = MAX_BATCH_BYTES
+    #: outbound queue bound (backpressure); unbounded unless an end
+    #: sets it
+    max_queue = sys.maxsize
 
     def __init__(self, peer: str, batching: bool):
         self.peer = peer
@@ -342,8 +345,9 @@ class _Connection(asyncio.Protocol):
         self._inbound += data
         try:
             self._parse()
-        except (FrameTooLargeError, ValueError) as exc:
-            # Left to propagate, asyncio would log it and no more.
+        except Exception as exc:
+            # A guard failure, a corrupt batch, a body that does not
+            # decode: left to propagate, asyncio would log it and no more.
             self._inbound = bytearray()
             self._end_stream(exc)
 
@@ -378,6 +382,18 @@ class _Connection(asyncio.Protocol):
     def _dispatch(self, src: int, dst: int, instance: int, body: bytes) -> None:
         raise NotImplementedError
 
+    def _decode(self, body: bytes) -> Any:
+        """:func:`~repro.net.codec.decode` for ``_dispatch``: a body that
+        does not decode ends the stream with an error naming the peer
+        and the cause."""
+        try:
+            return decode(body)
+        except Exception as exc:
+            raise ValueError(
+                f"undecodable frame body from {self.peer} ({self.phase}): "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
+
     def eof_received(self) -> None:
         # Neither end half-closes and goes on reading: the peer is gone,
         # so let the transport close (it writes its buffer out first).
@@ -398,11 +414,23 @@ class _Connection(asyncio.Protocol):
 
     # -- outbound ---------------------------------------------------------
 
-    def _enqueue(self, frame: tuple[int, int, int, bytes]) -> None:
+    def _enqueue(self, frame: tuple[int, int, int, bytes]) -> bool:
+        """Queue one outbound frame; ``False`` if the queue is full.
+
+        Frames pile up only while the transport refuses bytes, so one
+        that finds ``max_queue`` waiting means the consumer stopped
+        reading: it is refused and the connection dropped -- aborted,
+        so what is queued is lost and the peer sees EOF -- and the
+        caller names the laggard.  Every other connection keeps flowing.
+        """
+        if len(self.frames) >= self.max_queue:
+            self._transport.abort()
+            return False
         self.frames.append(frame)
         if not self._flush_due and self._resumed is None:
             self._flush_due = True
             self._flush_soon()
+        return True
 
     def _flush_soon(self) -> None:
         self._loop.call_soon(self._write_pending)
@@ -462,11 +490,10 @@ class _ConnSink(_Connection):
     queue -- :meth:`deliver` never writes through, so ``delivered`` and
     ``queue_hwm`` see all of them -- and ``_write_pending`` empties it:
     at the end of the ``data_received`` call that routed into it, or on
-    the next turn for frames a local endpoint sent.  ``maxsize`` is the
-    backpressure bound: a consumer that stops reading pauses its
-    transport, the queue fills, and the overflow drops this connection
-    with a :class:`SlowConsumerError` naming it and the instance whose
-    frame hit the limit.
+    the next turn for frames a local endpoint sent.  Its ``max_queue``
+    is the hub's ``max_queue_frames``; the overflow's
+    :class:`SlowConsumerError` names the connection and the instance
+    whose frame hit the bound.
     """
 
     phase = "hub ingress"
@@ -476,7 +503,7 @@ class _ConnSink(_Connection):
         self.max_frame_bytes = hub.max_frame_bytes
         self.max_batch_bytes = hub.max_batch_bytes
         self.hub = hub
-        self.maxsize = hub.max_queue_frames
+        self.max_queue = hub.max_queue_frames
         self.bound: set[tuple[int, int]] = set()
         #: accounting: frames delivered through this connection, and the
         #: deepest its outbound queue ever got (the slow-consumer gauge)
@@ -532,16 +559,15 @@ class _ConnSink(_Connection):
         self.hub._conns.discard(self)
 
     def deliver(self, src: int, dst: int, instance: int, body: bytes) -> None:
-        if len(self.frames) >= self.maxsize:
+        if not self._enqueue((src, dst, instance, body)):
             self.hub._on_slow_consumer(self, SlowConsumerError(
                 f"outbound queue for {self.label()} overflowed its "
-                f"{self.maxsize}-frame bound on a frame for instance "
+                f"{self.max_queue}-frame bound on a frame for instance "
                 f"{instance} (addr {dst}); the consumer stopped reading -- "
                 "dropping the laggard connection so other sessions' rounds "
                 "keep advancing"
             ))
             return
-        self._enqueue((src, dst, instance, body))
         self.delivered += 1
         if len(self.frames) > self.queue_hwm:
             self.queue_hwm = len(self.frames)
@@ -625,7 +651,7 @@ class TCPHub(MemoryHub):
                 "peer": sink.label(),
                 "delivered": sink.delivered,
                 "queue_hwm": sink.queue_hwm,
-                "queue_bound": sink.maxsize,
+                "queue_bound": sink.max_queue,
             }
             for sink in sorted(self._conns, key=lambda s: s.peer)
         ]
@@ -653,26 +679,32 @@ class TCPHub(MemoryHub):
         sink.bound.clear()
 
     def _on_slow_consumer(self, sink: _ConnSink, exc: SlowConsumerError) -> None:
-        # Drop the laggard: abort its connection (what is queued for it
-        # is lost, and the consumer sees EOF), detach its keys so
-        # further frames to it are discarded like any detached
+        # The laggard's connection is aborted already: detach its keys
+        # so further frames to it are discarded like any detached
         # endpoint's, and keep the diagnostic -- the drop alone would
         # otherwise read as an anonymous connection death.
         self.last_backpressure_error = str(exc)
         self.backpressure_drops += 1
         print(f"TCPHub: {exc}", file=sys.stderr)
         self._unbind(sink)
-        sink._transport.abort()
 
     def _ingress(
         self, sink: _ConnSink, src: int, dst: int, instance: int, body: bytes
     ) -> None:
         """Process one inbound frame from a connection: control frames
-        (un)bind routing keys on its sink, everything else routes."""
+        (un)bind routing keys on its sink, everything else routes.  A
+        bind of a key attached elsewhere is refused: it ends the binding
+        connection's stream (which drops it), and the key's mail stays
+        where it was."""
         if dst == CONTROL:
-            op, addr = decode(body)
+            op, addr = sink._decode(body)
             key = (instance, addr)
             if op == "bind":
+                if self._sinks.get(key, sink) is not sink:
+                    raise ValueError(
+                        f"{sink.peer} binds instance {instance} addr {addr}, "
+                        "which is attached already; refusing the bind"
+                    )
                 sink.bound.add(key)
                 self._attach(key, sink)
             elif op == "unbind":
@@ -816,13 +848,18 @@ async def open_mux(host: str, port: int, *, batching: bool = True) -> TCPMux:
     :meth:`TCPMux.endpoint`; see :func:`connect_tcp` for the
     single-endpoint convenience shape.
     """
+    return await _dial(partial(TCPMux, f"hub {host}:{port}", batching), host, port)
+
+
+async def _dial(factory: Callable[[], _Connection], host: str, port: int) -> Any:
+    """Dial ``host:port`` and return the connection ``factory`` made,
+    retrying a refused dial for :data:`CONNECT_DEADLINE` seconds."""
     loop = asyncio.get_running_loop()
     give_up = loop.time() + CONNECT_DEADLINE
-    factory = partial(TCPMux, f"hub {host}:{port}", batching)
     while True:
         try:
-            _transport, mux = await loop.create_connection(factory, host, port)
-            return mux
+            _transport, connection = await loop.create_connection(factory, host, port)
+            return connection
         except OSError:
             if loop.time() >= give_up:
                 raise

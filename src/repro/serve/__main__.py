@@ -2,8 +2,8 @@
 
 Boots a :class:`~repro.serve.server.RunServer`, prints the client-API
 endpoint, and serves until interrupted.  Clients connect with
-:class:`~repro.serve.client.ServeClient` (or any speaker of the
-length-prefixed pickle message protocol in :mod:`repro.serve.wire`).
+:class:`~repro.serve.client.ServeClient` (or anything that writes
+:mod:`repro.net.codec` frames, as :mod:`repro.serve.wire` does).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _parse_args(argv: Optional[list] = None) -> argparse.Namespace:
         dest="batching",
         action="store_false",
         help="disable frame batching on worker connections only -- with "
-        "--workers 0 no frame crosses a socket (diagnostic)",
+        "--workers 0 no session frame crosses a socket (diagnostic)",
     )
     return parser.parse_args(argv)
 

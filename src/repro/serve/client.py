@@ -1,9 +1,12 @@
 """Async client for the run-server's submit/stream API.
 
-One :class:`ServeClient` is one TCP connection; a background reader
-task demultiplexes server messages to the pending request futures and
-watch queues, so any number of submissions and watches can be in
-flight at once.
+One :class:`ServeClient` is one TCP connection, and an
+``asyncio.Protocol`` on the hub connections' own design
+(:class:`repro.net.transport._Connection`: codec frames, the frame-size
+guard, one batched write per event-loop turn).  The turn a server
+message arrives in hands it to the pending request's future or the
+watch queue, so any number of submissions and watches can be in flight
+at once, with no task of the connection's own.
 
     client = await ServeClient.connect(host, port)
     run_id = await client.submit({"name": "flooding", ...})
@@ -15,95 +18,78 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+from functools import partial
 from typing import Any, Optional
 
-from repro.net.transport import CONNECT_DEADLINE
-from repro.serve.wire import read_msg, send_msg
+from repro.net.codec import encode
+from repro.net.transport import _Connection, _dial, _wait_closed
 
 __all__ = ["ServeClient"]
 
 
-class ServeClient:
+class ServeClient(_Connection):
     """One connection to a :class:`~repro.serve.server.RunServer`."""
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
+    phase = "serve reply"
+
+    def __init__(self, peer: str):
+        super().__init__(peer, batching=True)
         self._tokens = itertools.count()
         self._submits: dict[int, asyncio.Future] = {}
         self._results: dict[str, asyncio.Future] = {}
         self._status: list[asyncio.Future] = []
         self._watches: dict[str, asyncio.Queue] = {}
-        #: the reader's terminal error, once the connection is gone
+        #: what ended the connection, once it is gone
         self._error: Optional[BaseException] = None
-        self._closed = False
-        self._reader_task = asyncio.create_task(self._read_loop())
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServeClient":
-        loop = asyncio.get_running_loop()
-        give_up = loop.time() + CONNECT_DEADLINE
-        while True:
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
-                return cls(reader, writer)
-            except OSError:
-                if loop.time() >= give_up:
-                    raise
-                await asyncio.sleep(0.05)
+        """Dial a run-server, retrying as :func:`~repro.net.transport.open_mux` does."""
+        return await _dial(partial(cls, f"run-server {host}:{port}"), host, port)
 
-    async def _read_loop(self) -> None:
-        error: Optional[BaseException] = None
-        try:
-            while True:
-                msg = await read_msg(self._reader, peer="run-server")
-                kind = msg[0]
-                if kind == "accepted":
-                    _, token, run_id = msg
-                    fut = self._submits.pop(token, None)
-                    if fut is not None and not fut.done():
-                        fut.set_result(run_id)
-                elif kind == "result":
-                    _, run_id, result = msg
-                    fut = self._results.pop(run_id, None)
-                    if fut is not None and not fut.done():
-                        fut.set_result(result)
-                elif kind in ("update", "done"):
-                    _, run_id, info = msg
-                    queue = self._watches.get(run_id)
-                    if queue is not None:
-                        queue.put_nowait((kind, info))
-                elif kind == "status":
-                    if self._status:
-                        fut = self._status.pop(0)
-                        if not fut.done():
-                            fut.set_result(msg[1])
-                elif kind == "error":
-                    _, ref, text = msg
-                    fut = self._submits.pop(ref, None) or self._results.pop(
-                        ref, None
-                    )
-                    if fut is None and ref in self._watches:
-                        self._watches.pop(ref).put_nowait(("error", text))
-                    elif fut is not None and not fut.done():
-                        fut.set_exception(RuntimeError(f"run-server error: {text}"))
-        except (asyncio.IncompleteReadError, ConnectionError):
-            error = ConnectionResetError("run-server connection closed")
-        except asyncio.CancelledError:
-            error = ConnectionResetError("client closed")
-        except Exception as exc:
-            error = exc
-        finally:
-            self._error = error = error or ConnectionResetError()
-            for fut in (
-                list(self._submits.values())
-                + list(self._results.values())
-                + self._status
-            ):
+    def _dispatch(self, src: int, dst: int, instance: int, body: bytes) -> None:
+        msg = self._decode(body)
+        kind = msg[0]
+        if kind == "accepted":
+            _, token, run_id = msg
+            fut = self._submits.pop(token, None)
+            if fut is not None and not fut.done():
+                fut.set_result(run_id)
+        elif kind == "result":
+            _, run_id, result = msg
+            fut = self._results.pop(run_id, None)
+            if fut is not None and not fut.done():
+                fut.set_result(result)
+        elif kind in ("update", "done"):
+            _, run_id, info = msg
+            queue = self._watches.get(run_id)
+            if queue is not None:
+                queue.put_nowait((kind, info))
+        elif kind == "status":
+            if self._status:
+                fut = self._status.pop(0)
                 if not fut.done():
-                    fut.set_exception(error)
-            for queue in self._watches.values():
-                queue.put_nowait(("closed", None))
+                    fut.set_result(msg[1])
+        elif kind == "error":
+            _, ref, text = msg
+            fut = self._submits.pop(ref, None) or self._results.pop(ref, None)
+            if fut is None and ref in self._watches:
+                self._watches.pop(ref).put_nowait(("error", text))
+            elif fut is not None and not fut.done():
+                fut.set_exception(RuntimeError(f"run-server error: {text}"))
+
+    def _on_stream_end(self, error: Optional[Exception]) -> None:
+        # EOF, a lost connection, a frame-guard or decode failure, or
+        # close(): every pending request fails with it, every watch ends.
+        self._error = error = error or ConnectionResetError(
+            "run-server connection closed"
+        )
+        for fut in (*self._submits.values(), *self._results.values(), *self._status):
+            if not fut.done():
+                fut.set_exception(error)
+        for queue in self._watches.values():
+            queue.put_nowait(("closed", None))
+        self._transport.close()
 
     def _check_open(self) -> None:
         """Fail a request at once when the connection is already gone."""
@@ -112,9 +98,8 @@ class ServeClient:
                 f"run-server connection is gone: {self._error}"
             )
 
-    async def _send(self, msg: tuple) -> None:
-        send_msg(self._writer, msg)
-        await self._writer.drain()
+    def _send(self, msg: tuple) -> None:
+        self._enqueue((0, 0, 0, encode(msg)))
 
     async def submit(
         self, protocol: dict, execution: Optional[dict] = None
@@ -122,9 +107,8 @@ class ServeClient:
         """Submit one recipe; returns the server-assigned ``run_id``."""
         self._check_open()
         token = next(self._tokens)
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._submits[token] = fut
-        await self._send(("submit", token, protocol, dict(execution or {})))
+        self._send(("submit", token, protocol, dict(execution or {})))
+        fut = self._submits[token] = self._loop.create_future()
         return await fut
 
     def watch(self, run_id: str) -> asyncio.Queue:
@@ -140,9 +124,7 @@ class ServeClient:
                 queue.put_nowait(("closed", None))
                 return queue
             self._watches[run_id] = queue
-            # Buffered, not drained: a watch is a few bytes, and a failed
-            # write ends the reader, which closes the queue.
-            send_msg(self._writer, ("watch", run_id))
+            self._send(("watch", run_id))
         return queue
 
     async def result(self, run_id: str) -> Any:
@@ -150,30 +132,21 @@ class ServeClient:
         fut = self._results.get(run_id)
         if fut is None:
             self._check_open()
-            fut = asyncio.get_running_loop().create_future()
-            self._results[run_id] = fut
-            await self._send(("result", run_id))
+            self._send(("result", run_id))
+            fut = self._results[run_id] = self._loop.create_future()
         return await fut
 
     async def status(self) -> dict:
         """Fetch the server's gauges (active/peak/completed counts)."""
         self._check_open()
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._send(("status",))
+        fut = self._loop.create_future()
         self._status.append(fut)
-        await self._send(("status",))
         return await fut
 
     async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        """Write out the queued requests and close; what is still
+        pending fails, and every watch reads ``("closed", None)``."""
+        self._write_pending()
+        self._end_stream(ConnectionResetError("client closed"))
+        await _wait_closed([self], 5.0)

@@ -27,12 +27,14 @@ fault-schedule and round-bound defaults through
 parity-certified net runtime.
 
 Clients: :meth:`RunServer.listen` opens the submit/stream TCP API
-(:mod:`repro.serve.client` speaks it).  Each client connection's
-outbound stream is a *bounded* queue drained by a writer task; a
+(:mod:`repro.serve.client` speaks it) on the hub's own connection
+design: codec frames, the frame-size guard, one batched write per
+event-loop turn, and a *bounded* outbound queue (``stream_queue``).  A
 client that stops reading (a stalled watcher) never blocks a session
 -- round updates are fire-and-forget -- and at the bound the
 connection is dropped with an error naming the laggard and the run it
-was watching (``last_client_error``).
+was watching (``last_client_error``); so is one whose stream fails the
+guard or does not decode.
 
 Retention: the server forgets a run once its outcome is collected -- an
 in-process :meth:`RunServer.result` call returned or raised, or a
@@ -54,16 +56,16 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import pickle
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import Any, Optional, Sequence
 
 from repro.api import PreparedRun, prepare_recipe
 from repro.net.runtime import NetRuntimeError, Session, run_nodes
-from repro.net.transport import MemoryHub, TCPHub
+from repro.net.codec import encode
+from repro.net.transport import MemoryHub, TCPHub, _Connection, _wait_closed
 from repro.serve import worker as worker_mod
-from repro.serve.wire import read_msg, send_msg
 from repro.sim.engine import RunResult
 
 __all__ = ["RunServer", "run_many"]
@@ -135,8 +137,8 @@ class RunServer:
         follows from this number; ``status()["transport"]`` reports it.
     batching:
         Toggle frame batching on the worker connections, the only
-        sockets frames cross (on by default; the off position exists
-        for benchmarks).
+        sockets session frames cross (on by default; the off position
+        exists for benchmarks).  Client connections always batch.
     """
 
     #: Per-barrier-wait timeout for each session (``None`` disables):
@@ -145,7 +147,7 @@ class RunServer:
     #: loop time; raise this before suspecting a hang.
     session_timeout: Optional[float] = 120.0
     #: Bound of each client connection's outbound message queue (the
-    #: slow-consumer guard).
+    #: slow-consumer guard: the connection's ``max_queue``).
     stream_queue = 256
 
     def __init__(self, *, workers: int = 0, batching: bool = True):
@@ -158,7 +160,7 @@ class RunServer:
         self._ctrl: Any = None
         self._worker_procs: list[Any] = []
         self._listener: Optional[asyncio.base_events.Server] = None
-        self._client_tasks: set[asyncio.Task] = set()
+        self._clients: set[_ServedClient] = set()
         self._runs: dict[str, _Run] = {}
         self._tasks: dict[str, asyncio.Task] = {}
         self._next_instance = 1  # instance 0 is the worker-control channel
@@ -198,19 +200,23 @@ class RunServer:
 
     async def listen(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Open the client submit/stream API; returns the bound port."""
-        self._listener = await asyncio.start_server(
-            self._handle_client, host, port
+        self._listener = await asyncio.get_running_loop().create_server(
+            partial(_ServedClient, self), host, port
         )
         return self._listener.sockets[0].getsockname()[1]
 
     async def close(self) -> None:
-        """Stop accepting, cancel in-flight sessions, stop workers/hub."""
+        """Stop accepting, close the client connections, cancel
+        in-flight sessions, stop workers/hub."""
         if self._listener is not None:
+            # Clients first: from 3.12.1 on, the listener's wait_closed()
+            # also waits for the connections it accepted.
             self._listener.close()
+            clients = list(self._clients)
+            for client in clients:
+                client._transport.close()
+            await _wait_closed(clients, TCPHub.drain_timeout)
             await self._listener.wait_closed()
-        for task in list(self._client_tasks):
-            task.cancel()
-        await asyncio.gather(*self._client_tasks, return_exceptions=True)
         for task in list(self._tasks.values()):
             task.cancel()
         await asyncio.gather(*self._tasks.values(), return_exceptions=True)
@@ -238,6 +244,9 @@ class RunServer:
         (:data:`EXECUTION_KEYS`).  Validation (unknown keys, recipe
         constraint violations) raises here, before a session exists.
         """
+        return self._accept(protocol, execution).run_id
+
+    def _accept(self, protocol: dict, execution: Optional[dict]) -> _Run:
         execution = dict(execution or {})
         unknown = set(execution) - EXECUTION_KEYS
         if unknown:
@@ -257,7 +266,7 @@ class RunServer:
         task = asyncio.create_task(self._drive(run))
         self._tasks[run_id] = task
         task.add_done_callback(lambda _t: self._tasks.pop(run_id, None))
-        return run_id
+        return run
 
     async def result(self, run_id: str) -> RunResult:
         """Await a run's completion and return its result (raising the
@@ -398,95 +407,81 @@ class RunServer:
         for deliver in list(run.watchers):
             deliver(message)
 
-    # -- client API --------------------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._client_tasks.add(task)
-        task.add_done_callback(self._client_tasks.discard)
-        peer = f"client {writer.get_extra_info('peername')}"
-        conn = _ClientConn(self, writer, peer, self.stream_queue)
-        try:
-            while True:
-                msg = await read_msg(reader, peer=peer)
-                kind = msg[0]
-                if kind == "submit":
-                    _, token, protocol, execution = msg
-                    try:
-                        run = self._runs[await self.submit(protocol, execution)]
-                        run.holders = set()
-                        conn.hold(run)
-                        conn.push(("accepted", token, run.run_id))
-                    except Exception as exc:
-                        conn.push(("error", token, f"{type(exc).__name__}: {exc}"))
-                elif kind == "watch":
-                    _, run_id = msg
-                    try:
-                        self.watch(
-                            run_id,
-                            lambda m, _c=conn, _r=run_id: _c.push(m, run=_r),
-                        )
-                        conn.hold(self._runs[run_id])
-                    except KeyError as exc:
-                        conn.push(("error", run_id, exc.args[0]))
-                elif kind == "result":
-                    _, run_id = msg
-                    # Awaiting here would head-of-line-block this
-                    # client's later requests behind a long run.
-                    asyncio.create_task(self._send_result(conn, run_id))
-                elif kind == "status":
-                    conn.push(("status", self.status()))
-                else:
-                    conn.push(("error", None, f"unknown request {kind!r}"))
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass
-        except asyncio.CancelledError:
-            pass  # server shutdown cancels client handlers en masse
-        except Exception as exc:
-            self.last_client_error = f"{peer}: {exc}"
-        finally:
-            await conn.aclose()
+class _ServedClient(_Connection):
+    """One client connection, server side: each request is handled in
+    the turn it arrives, and replies and stream messages leave through
+    the bounded outbound queue (``max_queue`` is ``stream_queue``).
 
-    async def _send_result(self, conn: "_ClientConn", run_id: str) -> None:
+    :meth:`push` never blocks -- it is called from session round loops.
+    Queue overflow means the client stopped reading: the connection is
+    dropped with a diagnostic naming the laggard and the run whose
+    message overflowed, and no session ever waits on it.
+    """
+
+    phase = "serve request"
+
+    def __init__(self, server: RunServer):
+        super().__init__("client", batching=True)
+        self.server = server
+        self.max_queue = server.stream_queue
+        #: ids of the uncollected runs this connection submitted or
+        #: watches (see the module's Retention paragraph)
+        self.held: set[str] = set()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self.peer = f"client {transport.get_extra_info('peername')}"
+        self.server._clients.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self.server._clients.discard(self)
+
+    def _dispatch(self, src: int, dst: int, instance: int, body: bytes) -> None:
+        server = self.server
+        msg = self._decode(body)
+        kind = msg[0]
+        if kind == "submit":
+            _, token, protocol, execution = msg
+            try:
+                run = server._accept(protocol, execution)
+            except Exception as exc:
+                self.push(("error", token, f"{type(exc).__name__}: {exc}"))
+                return
+            run.holders = set()
+            self.hold(run)
+            self.push(("accepted", token, run.run_id))
+        elif kind == "watch":
+            _, run_id = msg
+            try:
+                server.watch(run_id, lambda m: self.push(m, run=run_id))
+                self.hold(server._runs[run_id])
+            except KeyError as exc:
+                self.push(("error", run_id, exc.args[0]))
+        elif kind == "result":
+            _, run_id = msg
+            # Awaiting here would head-of-line-block this client's later
+            # requests behind a long run.
+            asyncio.create_task(self._send_result(run_id))
+        elif kind == "status":
+            self.push(("status", server.status()))
+        else:
+            self.push(("error", None, f"unknown request {kind!r}"))
+
+    async def _send_result(self, run_id: str) -> None:
         try:
-            result = await self.result(run_id)
+            result = await self.server.result(run_id)
             # Live process objects (and attached trace/telemetry) stay
             # server-side: they can hold unpicklable state and are
             # meaningless across the wire.  Metrics, decisions, crash
             # sets and completion -- everything check_parity compares --
             # travel intact.
-            conn.push(("result", run_id, replace(result, processes=(), trace=None, telemetry=None)))
+            self.push(("result", run_id, replace(result, processes=(), trace=None, telemetry=None)))
         except KeyError as exc:
-            conn.push(("error", run_id, exc.args[0]))
+            self.push(("error", run_id, exc.args[0]))
         except Exception as exc:
-            conn.push(("error", run_id, f"{type(exc).__name__}: {exc}"))
-
-
-class _ClientConn:
-    """One client connection's bounded outbound stream.
-
-    ``push`` enqueues without blocking (it is called from session round
-    loops); the writer task drains to the socket.  Queue overflow means
-    the client stopped reading: the connection is killed with a
-    diagnostic naming the laggard and the run whose message overflowed,
-    and -- crucially -- no session ever waits on it.
-    """
-
-    def __init__(
-        self, server: RunServer, writer: asyncio.StreamWriter, peer: str, bound: int
-    ):
-        self.server = server
-        self.writer = writer
-        self.peer = peer
-        self.bound = bound
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=bound)
-        self.dead = False
-        #: ids of the uncollected runs this connection submitted or
-        #: watches (see the module's Retention paragraph)
-        self.held: set[str] = set()
-        self._task = asyncio.create_task(self._drain())
+            self.push(("error", run_id, f"{type(exc).__name__}: {exc}"))
 
     def hold(self, run: _Run) -> None:
         if run.holders is not None:
@@ -494,53 +489,30 @@ class _ClientConn:
             self.held.add(run.run_id)
 
     def push(self, message: tuple, run: Optional[str] = None) -> None:
-        if self.dead:
+        if self._transport.is_closing():
             return
         try:
-            self.queue.put_nowait(message)
-        except asyncio.QueueFull:
+            body = encode(message)
+        except Exception as exc:
+            # An unserializable payload: tell the client which response
+            # was dropped and keep the connection alive.
+            ref = message[1] if len(message) > 1 else None
+            body = encode((
+                "error",
+                ref,
+                f"unserializable response {message[0]!r}: {type(exc).__name__}: {exc}",
+            ))
+        if not self._enqueue((0, 0, 0, body)):
             detail = f" while streaming {run}" if run else ""
-            self._kill(
-                f"{self.peer} stalled{detail}: {self.bound} undelivered "
+            self._report(
+                f"{self.peer} stalled{detail}: {self.max_queue} undelivered "
                 "messages (slow consumer) -- dropping the connection so "
                 "sessions keep advancing"
             )
 
-    def _kill(self, reason: str) -> None:
-        if self.dead:
-            return
-        self.dead = True
-        self.server.last_client_error = reason
-        print(f"RunServer: {reason}", file=sys.stderr)
-        self._task.cancel()
-        self.writer.close()
-
-    async def _drain(self) -> None:
-        try:
-            while True:
-                message = await self.queue.get()
-                try:
-                    send_msg(self.writer, message)
-                except (TypeError, AttributeError, pickle.PicklingError) as exc:
-                    # An unserializable payload must not kill the drain
-                    # loop silently -- tell the client which response
-                    # was dropped and keep the connection alive.
-                    ref = message[1] if len(message) > 1 else None
-                    send_msg(
-                        self.writer,
-                        (
-                            "error",
-                            ref,
-                            f"unserializable response "
-                            f"{message[0]!r}: {type(exc).__name__}: {exc}",
-                        ),
-                    )
-                await self.writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-
-    async def aclose(self) -> None:
-        self.dead = True
+    def _on_stream_end(self, error: Optional[Exception]) -> None:
+        # EOF, a dropped connection, a frame-guard or decode failure:
+        # release this connection's holds, say why if it failed, close.
         runs = self.server._runs
         for run_id in self.held:
             run = runs[run_id]
@@ -548,12 +520,13 @@ class _ClientConn:
             if not run.holders and run.done.is_set():
                 del runs[run_id]  # an unfinished one: _drive's finally
         self.held.clear()
-        self._task.cancel()
-        try:
-            await self._task
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        self.writer.close()
+        if error is not None:
+            self._report(f"{self.peer}: {error}")
+        self._transport.close()
+
+    def _report(self, reason: str) -> None:
+        self.server.last_client_error = reason
+        print(f"RunServer: {reason}", file=sys.stderr)
 
 
 def run_many(

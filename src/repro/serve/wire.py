@@ -1,42 +1,32 @@
-"""Client-facing wire helpers for the run-server.
+"""The codec frame on an asyncio stream.
 
-The submit/stream API speaks the simplest possible framing -- a ``u32``
-length prefix and a pickled tuple -- over one TCP connection per
-client.  Like :mod:`repro.net.codec` this is a *trusted-cluster*
-protocol: the server and its clients are processes of one experiment,
-never untrusted peers.  The same max-frame guard applies: a corrupt
-length header fails fast with a named error instead of a gigabyte
-``readexactly``.
+Every socket carries :mod:`repro.net.codec` frames -- ``HEADER`` plus an
+:func:`~repro.net.codec.encode`-d body -- parsed by the transports'
+``asyncio.Protocol`` connections, the run-server's client API included.
+These two helpers speak the same frame over a stream reader / writer
+pair, for code that holds one: a raw test client, or a probe timing the
+framing alone.  :func:`read_msg` reads one unbatched frame (what
+:func:`send_msg` writes), held to the frame-size guard before its body.
 """
 
 from __future__ import annotations
 
 import asyncio
-import pickle
-import struct
 from typing import Any
 
-from repro.net.codec import MAX_FRAME_BYTES, check_frame_size
+from repro.net.codec import HEADER, check_frame_size, decode, encode
 
-__all__ = ["MSG_HEADER", "read_msg", "send_msg"]
-
-MSG_HEADER = struct.Struct(">I")
+__all__ = ["read_msg", "send_msg"]
 
 
 def send_msg(writer: asyncio.StreamWriter, obj: Any) -> None:
     """Frame and buffer one message (caller drains)."""
-    body = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    writer.write(MSG_HEADER.pack(len(body)) + body)
+    body = encode(obj)
+    writer.write(HEADER.pack(len(body), 0, 0, 0) + body)
 
 
-async def read_msg(
-    reader: asyncio.StreamReader,
-    *,
-    peer: str,
-) -> Any:
-    """Read one framed message; raises ``IncompleteReadError`` on EOF."""
-    header = await reader.readexactly(MSG_HEADER.size)
-    (length,) = MSG_HEADER.unpack(header)
-    check_frame_size(length, limit=MAX_FRAME_BYTES, peer=peer, phase="serve message")
-    body = await reader.readexactly(length)
-    return pickle.loads(body)
+async def read_msg(reader: asyncio.StreamReader, *, peer: str) -> Any:
+    """Read one frame; raises ``IncompleteReadError`` on EOF."""
+    length, _src, _dst, instance = HEADER.unpack(await reader.readexactly(HEADER.size))
+    check_frame_size(length, peer=peer, phase="serve message", instance=instance)
+    return decode(await reader.readexactly(length))

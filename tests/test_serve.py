@@ -33,13 +33,12 @@ from hypothesis import strategies as st
 from repro.api import run_recipe
 from repro.check import check_parity
 from repro.check.driver import FAMILIES, sample_instance
-from repro.net.codec import CONTROL, HEADER, encode
+from repro.net.codec import CONTROL, HEADER, MAX_FRAME_BYTES, encode
 from repro.net.runtime import NetRuntimeError
 from repro.net.transport import TCPHub, open_mux
 from repro.scenarios import Scenario
 from repro.serve import RunServer, ServeClient, run_many
 from repro.serve import server as server_mod
-from repro.serve.server import _ClientConn
 from repro.serve.wire import send_msg
 
 RECIPE_KINDS = ["flood-none", "flood-random", "flood-early", "gossip", "churn"]
@@ -177,14 +176,14 @@ class TestHubPlacement:
 
     def test_no_workers_opens_no_socket_before_listen(self, monkeypatch):
         opened = []
-        for name in ("start_server", "open_connection"):
-            real = getattr(asyncio, name)
+        for name in ("create_server", "create_connection"):
+            real = getattr(BaseEventLoop, name)
 
             def counting(*args, _name=name, _real=real, **kwargs):
                 opened.append(_name)
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(asyncio, name, counting)
+            monkeypatch.setattr(BaseEventLoop, name, counting)
         protocol, execution = make_recipe("gossip", 2)
 
         async def scenario():
@@ -201,7 +200,7 @@ class TestHubPlacement:
         served, before_listen, status = asyncio.run(scenario())
         check_parity(served, sim_reference(protocol, execution), "served", "sim")
         assert before_listen == []
-        assert opened == ["start_server"]  # the client API, nothing else
+        assert opened == ["create_server"]  # the client API, nothing else
         assert status["transport"] == "memory"
 
     def test_served_session_stays_within_the_turn_budget(self, monkeypatch):
@@ -502,6 +501,78 @@ class TestServeClientAPI:
         assert asyncio.run(scenario()) == []
 
 
+class TestServeFrameGuard:
+    """A client socket is a hub-style connection: a stream that fails
+    the frame-size guard or does not decode ends that client alone,
+    with an error naming it and the cause, never in asyncio's logger."""
+
+    @pytest.mark.parametrize("poison", ["oversize", "undecodable"])
+    def test_poisoned_client_is_dropped_others_are_served(self, poison):
+        protocol, execution = make_recipe("flood-none", 3)
+
+        async def scenario():
+            logged = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: logged.append(context["message"])
+            )
+            server = RunServer()
+            await server.start()
+            port = await server.listen("127.0.0.1", 0)
+            client = await ServeClient.connect("127.0.0.1", port)
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                if poison == "oversize":  # not one body byte follows
+                    writer.write(HEADER.pack(MAX_FRAME_BYTES + 1, 0, 0, 0))
+                else:
+                    writer.write(HEADER.pack(12, 0, 0, 0) + b"not a pickle")
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(1), 5) == b""
+                error = server.last_client_error
+                peer = writer.get_extra_info("sockname")
+                writer.close()
+                await writer.wait_closed()
+                run_id = await client.submit(protocol, execution)
+                served = await asyncio.wait_for(client.result(run_id), 30)
+                return error, peer, served, logged
+            finally:
+                await client.close()
+                await server.close()
+
+        error, peer, served, logged = asyncio.run(scenario())
+        assert error.startswith(f"client {peer}: ")
+        if poison == "oversize":
+            assert f"over the {MAX_FRAME_BYTES}-byte limit (serve request)" in error
+        else:
+            assert "undecodable frame body" in error and "UnpicklingError" in error
+        check_parity(served, sim_reference(protocol, execution), "served", "sim")
+        assert logged == []
+
+    def test_an_undecodable_reply_fails_what_is_pending(self):
+        async def scenario():
+            server = RunServer()
+            await server.start()
+            port = await server.listen("127.0.0.1", 0)
+            client = await ServeClient.connect("127.0.0.1", port)
+            try:
+                queue = client.watch("run-000001")
+                pending = asyncio.ensure_future(client.status())
+                await asyncio.sleep(0)
+                client.data_received(HEADER.pack(12, 0, 0, 0) + b"not a pickle")
+                with pytest.raises(ValueError) as excinfo:
+                    await pending
+                assert queue.get_nowait() == ("closed", None)
+                with pytest.raises(ConnectionError, match="undecodable"):
+                    await client.status()
+                return str(excinfo.value)
+            finally:
+                await client.close()
+                await server.close()
+
+        error = asyncio.run(scenario())
+        assert "undecodable frame body from run-server 127.0.0.1:" in error
+        assert "(serve reply): UnpicklingError" in error
+
+
 class TestRetention:
     """The server's memory follows its in-flight runs, not its history:
     a run is forgotten once its outcome reached whoever asked for it."""
@@ -603,7 +674,7 @@ class TestRetention:
                     pass
                 watched = await watcher.result(run_ids[-1])
                 await watcher.close()
-                while server._client_tasks:  # both disconnects served
+                while server._clients:  # both disconnects served
                     await asyncio.sleep(0.01)
                 return submitted, kept, watched, server.status(), local
             finally:
@@ -671,23 +742,25 @@ class TestHubBackpressure:
         assert "dropping the laggard" in error
 
 
-class _NeverDrains:
-    """A StreamWriter stand-in whose transport never accepts bytes."""
+class _FullTransport(asyncio.Transport):
+    """A transport whose buffer never empties: the connection is told
+    to pause writing and never to resume."""
 
     def __init__(self):
-        self.closed = False
+        super().__init__({"peername": ("test", 0)})
+        self.aborted = False
 
     def write(self, data):
         pass
 
-    async def drain(self):
-        await asyncio.Event().wait()  # block forever
+    def is_closing(self):
+        return self.aborted
+
+    def abort(self):
+        self.aborted = True
 
     def close(self):
-        self.closed = True
-
-    def get_extra_info(self, key):
-        return ("test", 0)
+        pass
 
 
 class TestServeBackpressure:
@@ -699,15 +772,18 @@ class TestServeBackpressure:
 
         async def scenario():
             server = RunServer()
-            writer = _NeverDrains()
-            conn = _ClientConn(server, writer, "client test", 4)
+            transport = _FullTransport()
+            conn = server_mod._ServedClient(server)
+            conn.connection_made(transport)
+            conn.pause_writing()
             for _ in range(4):
                 conn.push(("update", "run-000042", {}), run="run-000042")
             assert server.last_client_error is None
             conn.push(("update", "run-000042", {}), run="run-000042")
             assert server.last_client_error is not None
-            assert writer.closed
-            await conn.aclose()
+            assert transport.aborted
+            conn.connection_lost(None)
+            assert not server._clients
             return server.last_client_error
 
         error = asyncio.run(scenario())

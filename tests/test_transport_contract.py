@@ -254,6 +254,30 @@ def test_a_bound_key_cannot_be_bound_twice(kind):
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("owner", ["local", "remote"])
+def test_a_second_connection_cannot_bind_a_bound_key(owner):
+    # The same rule across a socket: a remote bind of a key attached
+    # elsewhere is refused by dropping the binding connection, named in
+    # last_frame_error, and the key's mail still goes to the first.
+    async def scenario():
+        async with _OwnerAndDialler() as (hub, first, second):
+            if owner == "local":
+                bound = hub.endpoint(5, 1)
+            else:
+                bound = first.endpoint(5, instance=1)
+                await _until(lambda: (1, 5) in hub._sinks)
+            thief = second.endpoint(5, instance=1)
+            with pytest.raises(ConnectionResetError):
+                await _recv(thief)
+            error = hub.last_frame_error
+            assert "binds instance 1 addr 5, which is attached already" in error
+            assert re.search(r"connection \('127\.0\.0\.1', \d+\)", error)
+            await hub.endpoint(0, 1).send(5, "hello")
+            assert await _recv(bound) == (0, "hello")
+
+    asyncio.run(scenario())
+
+
 class _CountingProbe(Recorder):
     enabled = True
 
