@@ -41,7 +41,7 @@ import time
 
 from repro.bench import series
 from repro.bench.sweep import run_sweep, write_csv, write_json
-from repro.obs.export import format_summary
+from repro.obs.export import format_summary, summary_rows
 
 __all__ = [
     "EXPERIMENTS",
@@ -159,7 +159,7 @@ def profile_main(argv: list[str]) -> int:
         f"== profile {args.experiment}: {title}  "
         f"[{report.elapsed:.1f}s, jobs={report.jobs}]"
     )
-    print(format_summary(telemetry.summary_rows()))
+    print(format_summary(summary_rows(telemetry)))
     workers = report.worker_stats()
     print(
         "workers: "

@@ -18,10 +18,9 @@ record's ``envelope`` -- the fields the fuzzer's bound certificate reads
 -- so a theorem holds if ``<measure>/envelope`` stays under the
 ``constant`` printed beside it as the sweep grows.
 
-Rows are byte-identical across runs and ``--jobs`` counts, with one
-documented exception: the ``net`` series' ``sim_ms``/``net_ms``/
-``net/sim`` columns are wall-clock measurements (its remaining columns
-stay deterministic; see :func:`net_unit`).
+Rows are byte-identical across runs and ``--jobs`` counts: every
+column is a model cost or a verdict, never a wall-clock reading.
+Wall-clock lives in the perf ladder (``benchmarks/perf/``).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-import time
 from typing import Optional
 
 from repro import check_consensus, run_recipe
@@ -535,30 +533,24 @@ def families_unit(params: dict) -> dict:
 
     Instances are derived from the unit seed, so the protocol-metric
     columns (``rounds``/``messages``/``bits``/``completed``) are
-    deterministic and must agree across backends; ``msgs_per_sec`` /
-    ``elapsed_sec`` are wall-clock measurements and jitter like the
-    ``net`` series' timing columns (excluded from the byte-identical
-    contract).  Every run is validated by its family's correctness
-    predicate before its numbers are reported.
+    deterministic and must agree across backends.  Every run is
+    validated by its family's correctness predicate before its numbers
+    are reported.
     """
     family, n, t, backend = (params[key] for key in ("family", "n", "t", "backend"))
-    start = time.perf_counter()
     draw_seed = derive_seed(params["seed"], ("families", family, n, t))
     inputs = input_vector(n, params["kind"], draw_seed, params["width"])
     _, _, result = _run_checked(
         {**params, "inputs": inputs}, crashes=None, **BACKENDS[backend]
     )
-    elapsed = time.perf_counter() - start
     return {
         "family": family,
         "n": n,
         "t": t,
         "backend": backend,
-        "msgs_per_sec": int(result.messages / max(elapsed, 1e-9)),
         "rounds": result.rounds,
         "messages": result.messages,
         "bits": result.bits,
-        "elapsed_sec": round(elapsed, 4),
         "completed": result.completed,
     }
 
@@ -590,24 +582,15 @@ def families_spec(n: int = 40, t: int = 8) -> SweepSpec:
 def net_unit(params: dict) -> dict:
     """One sim-vs-net comparison: run the same protocol, seed and crash
     schedule on the lock-step engine and on the asyncio runtime
-    (in-memory transport), report both costs and check exact parity.
-
-    Unlike every other series, this row mixes deterministic columns
-    (``problem``/``n``/``t``/``rounds``/``messages``/``bits``/``parity``
-    -- identical across runs and ``--jobs`` counts) with wall-clock
-    *measurements* (``sim_ms``/``net_ms``/``net/sim``), which jitter
-    between runs like any timing and are excluded from the sweep
-    harness's byte-identical-rows contract."""
+    (in-memory transport), report the model costs and check exact
+    parity.  How long each backend takes is the perf ladder's
+    ``wire-ladder`` workload, not a column here."""
     problem, n, seed = params["problem"], params["n"], params["seed"]
     t = n // 6
     instance = {**params, "family": problem, "t": t}
 
-    def execute(backend: str):
-        started = time.perf_counter()
-        _, _, result = _run_checked(instance, seed=seed, **BACKENDS[backend])
-        return result, time.perf_counter() - started
-
-    (sim, sim_s), (net, net_s) = (execute(b) for b in ("sim-opt", "net"))
+    _, _, sim = _run_checked(instance, seed=seed, **BACKENDS["sim-opt"])
+    _, _, net = _run_checked(instance, seed=seed, **BACKENDS["net"])
     # One parity definition across tests / fuzzing / bench certification;
     # the labels carry the unit context so a violation raised from a
     # pool worker still names its row.
@@ -620,9 +603,6 @@ def net_unit(params: dict) -> dict:
         "messages": sim.messages,
         "bits": sim.bits,
         "parity": "exact",
-        "sim_ms": round(1000 * sim_s, 1),
-        "net_ms": round(1000 * net_s, 1),
-        "net/sim": round(net_s / sim_s, 2) if sim_s else float("inf"),
     }
 
 

@@ -37,12 +37,11 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.core.params import ProtocolParams
-from repro.families import REGISTRY, by_family, by_recipe, instance_shape
+from repro.families import by_family, by_recipe, instance_shape
 from repro.properties import PropertyViolation
 from repro.scenarios import Scenario
 
 __all__ = [
-    "BOUND_CONSTANTS",
     "OracleViolation",
     "bound_certificate",
     "check_parity",
@@ -186,12 +185,6 @@ def _churn_consistency(
 
 
 # -- paper-bound certificates -------------------------------------------------
-
-#: Family -> (communication measure, envelope constant), as stated on
-#: the registry records (:mod:`repro.families` explains the calibration).
-BOUND_CONSTANTS: dict[str, tuple[str, float]] = {
-    family.family: family.bound for family in REGISTRY
-}
 
 #: Slack added to the failure-free round count: the paper's running
 #: times are ``O(t + log n)`` over the oblivious schedule, and the only

@@ -85,8 +85,8 @@ __all__ = [
 #: Optional telemetry probe (see :mod:`repro.obs`): when set, every
 #: :func:`encode` / :func:`decode` call aggregates its wall-clock cost
 #: into the recorder's ``codec.encode`` / ``codec.decode`` phase stats
-#: via :meth:`~repro.obs.Recorder.sample` -- aggregates only, never
-#: per-frame events, so a million-frame run stays cheap to profile.
+#: via :meth:`~repro.obs.TelemetryRecorder.sample` -- aggregates only,
+#: never per-frame events, so a million-frame run stays cheap to profile.
 #: Unset (the default), the cost is one module-global truth test per
 #: call.
 _PROBE: Any = None
@@ -100,7 +100,7 @@ def set_codec_probe(recorder: Any) -> None:
     in their cleanup path.  Runs without telemetry never touch it.
     """
     global _PROBE
-    _PROBE = recorder if recorder is not None and recorder.enabled else None
+    _PROBE = recorder
 
 #: ``(body_len, src, dst, instance)`` -- the one header layout, both
 #: directions; the hub routes by ``(instance, dst)`` without rewriting.

@@ -6,8 +6,8 @@ answers *where the wall-clock went*.  Every execution substrate --
 :class:`~repro.sim.engine.Engine` (both round loops),
 :class:`~repro.sim.vec.engine.VecEngine`, and the :mod:`repro.net`
 :class:`~repro.net.runtime.Session` and host tasks -- emits the
-same span taxonomy into a :class:`Recorder`, so one timeline format
-covers all backends.
+same span taxonomy into a :class:`TelemetryRecorder`, so one timeline
+format covers all backends.
 
 Span taxonomy
 -------------
@@ -38,24 +38,27 @@ wants markers for.
 
 Zero overhead when disabled
 ---------------------------
-``telemetry=`` defaults to off everywhere.  The substrates normalise a
-disabled recorder (``enabled`` false, e.g. :class:`NullRecorder`) to
-``None`` once at run start and guard every instrumentation site with a
-plain ``is not None`` test, so the disabled hot path performs no calls,
-no clock reads and no allocations -- pinned by
-``tests/test_obs.py::test_disabled_recorder_is_never_invoked`` and the
-allocation test next to it.
+``telemetry=`` defaults to off everywhere.  :func:`coerce_recorder`
+turns the parameter into a :class:`TelemetryRecorder` or ``None`` once
+at run start, and every instrumentation site is guarded by a plain
+``is not None`` test, so a run without telemetry performs no obs calls,
+no clock reads and no obs allocations -- pinned by
+``tests/test_obs.py::test_disabled_path_allocates_nothing_from_obs``
+and ``tests/test_round_control.py``'s
+``test_without_telemetry_no_clock_is_read``.
 
 Artifacts and surfaces
 ----------------------
 A finished recorder seals into a :class:`RunTelemetry` artifact
 (attached as ``result.telemetry`` by the :mod:`repro.api` entry
-points) with three exporters: the telemetry JSON itself, a JSONL event
-log, and a Chrome trace-event JSON loadable in Perfetto or
-``chrome://tracing``.  ``python -m repro.obs summarize <events.jsonl>``
-prints the flat per-phase table; ``repro-bench profile <series>``
-profiles a whole sweep (one track per worker process) through the same
-format.  :class:`~repro.obs.progress.ProgressReporter` renders live
+points) that :meth:`RunTelemetry.write` serialises by suffix: the
+telemetry JSON itself, a JSONL event log, or a write-only Chrome
+trace-event JSON loadable in Perfetto or ``chrome://tracing``.
+:meth:`RunTelemetry.load` reads either of the first two back to the
+same artifact, and ``python -m repro.obs summarize <file>`` prints its
+flat per-phase table; ``repro-bench profile <series>`` profiles a
+whole sweep (one track per worker process) through the same format.
+:class:`~repro.obs.progress.ProgressReporter` renders live
 heartbeats (units/sec, ETA, per-worker utilization) for the
 long-running ``repro.check`` and ``repro-bench`` surfaces.
 
@@ -73,38 +76,28 @@ from repro.obs.export import (
     SCHEMA,
     chrome_trace,
     format_summary,
-    summarize_events,
     sweep_telemetry,
     validate_chrome_trace,
-    validate_jsonl_lines,
-    validate_telemetry_dict,
 )
 from repro.obs.progress import ProgressReporter
 from repro.obs.recorder import (
-    NULL_RECORDER,
-    NullRecorder,
     PhaseStats,
-    Recorder,
     RunTelemetry,
     TelemetryRecorder,
     coerce_recorder,
+    validate_telemetry_dict,
 )
 
 __all__ = [
-    "NULL_RECORDER",
-    "NullRecorder",
     "PhaseStats",
     "ProgressReporter",
-    "Recorder",
     "RunTelemetry",
     "SCHEMA",
     "TelemetryRecorder",
     "chrome_trace",
     "coerce_recorder",
     "format_summary",
-    "summarize_events",
     "sweep_telemetry",
     "validate_chrome_trace",
-    "validate_jsonl_lines",
     "validate_telemetry_dict",
 ]

@@ -6,17 +6,18 @@ Formats
 **JSONL** -- line 1 is a ``{"type": "meta", ...}`` header carrying the
 schema, run metadata and the exact per-phase aggregates; every further
 line is one event record (``{"type": "span"|"point", "name", "track",
-"round", "ts", "dur"}``, timestamps in seconds since run start).  A
-JSONL file is self-contained: :func:`summarize_events` rebuilds the
-phase table from the event lines alone, so a truncated log still
-summarises.
+"round", "ts", "dur"}``, timestamps in seconds since run start).  The
+header and the event lines together are the whole artifact, so
+:meth:`~repro.obs.recorder.RunTelemetry.load` reads a JSONL file back
+into the same :class:`RunTelemetry` the telemetry JSON loads to.
 
 **Chrome trace-event JSON** -- the ``{"traceEvents": [...]}`` format
 Perfetto and ``chrome://tracing`` load.  Spans become complete (``X``)
 events, points become instants (``i``), and each telemetry track (the
 engine/coordinator, every net node, every sweep worker) becomes one
 named thread via ``thread_name`` metadata events.  Timestamps are
-microseconds since run start.
+microseconds since run start.  The format is write-only: it keeps the
+timeline but not the exact phase aggregates.
 
 **Sweep adapter** -- :func:`sweep_telemetry` converts a
 :class:`~repro.bench.sweep.SweepReport` into the same
@@ -29,7 +30,7 @@ sweep profiles into Perfetto exactly like a single run does.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Optional
+from typing import Iterable
 
 from repro.obs.recorder import SCHEMA, PhaseStats, RunTelemetry
 
@@ -38,12 +39,9 @@ __all__ = [
     "chrome_trace",
     "format_summary",
     "jsonl_lines",
-    "summarize_events",
     "summary_rows",
     "sweep_telemetry",
     "validate_chrome_trace",
-    "validate_jsonl_lines",
-    "validate_telemetry_dict",
     "write_chrome_trace",
     "write_jsonl",
 ]
@@ -203,47 +201,6 @@ def format_summary(rows: list[dict]) -> str:
     return f"{header}\n{rule}\n{body}"
 
 
-def summarize_events(lines: Iterable[str]) -> tuple[dict, list[dict]]:
-    """Rebuild ``(meta_header, summary_rows)`` from JSONL event lines.
-
-    Aggregates are recomputed from the event lines themselves (not the
-    header), so a truncated or concatenated log still summarises; the
-    header (when present) contributes the wall-clock for the share
-    column and is returned for context.
-    """
-    meta: dict = {}
-    stats: dict[str, PhaseStats] = {}
-    counts: dict[str, int] = {}
-    horizon = 0.0
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        kind = record.get("type")
-        if kind == "meta":
-            meta = record
-        elif kind == "span":
-            phase = stats.get(record["name"])
-            if phase is None:
-                phase = stats[record["name"]] = PhaseStats()
-            phase.add(record["dur"])
-            horizon = max(horizon, record["ts"] + record["dur"])
-        elif kind == "point":
-            counts[record["name"]] = counts.get(record["name"], 0) + 1
-            horizon = max(horizon, record["ts"])
-        else:
-            raise ValueError(f"unknown event record type {kind!r}")
-    wall = meta.get("wall_seconds") or horizon
-    telemetry = RunTelemetry(
-        meta=meta.get("meta", {}),
-        wall_seconds=wall,
-        phases={name: s.to_dict() for name, s in sorted(stats.items())},
-        counts=dict(sorted(counts.items())),
-    )
-    return meta, summary_rows(telemetry)
-
-
 # -- sweep adapter ------------------------------------------------------------
 
 _SCALARS = (str, int, float, bool)
@@ -307,29 +264,7 @@ def sweep_telemetry(report) -> RunTelemetry:
     )
 
 
-# -- validators (tests + CI artifact checks) ----------------------------------
-
-
-def validate_telemetry_dict(data: dict) -> None:
-    """Raise ``ValueError`` unless ``data`` is a valid telemetry artifact."""
-    if not str(data.get("schema", "")).startswith("repro-obs"):
-        raise ValueError(f"bad schema tag {data.get('schema')!r}")
-    for key in ("meta", "wall_seconds", "phases", "events"):
-        if key not in data:
-            raise ValueError(f"telemetry artifact missing {key!r}")
-    for name, stats in data["phases"].items():
-        for key in ("count", "total_sec", "mean_sec", "min_sec", "max_sec"):
-            if key not in stats:
-                raise ValueError(f"phase {name!r} missing {key!r}")
-        if stats["count"] <= 0:
-            raise ValueError(f"phase {name!r} has no samples")
-    for event in data["events"]:
-        if event.get("type") not in ("span", "point"):
-            raise ValueError(f"bad event type in {event!r}")
-        if "name" not in event or "ts" not in event:
-            raise ValueError(f"event missing name/ts: {event!r}")
-        if event["type"] == "span" and event.get("dur", -1.0) < 0.0:
-            raise ValueError(f"span with negative duration: {event!r}")
+# -- Chrome trace validator (tests + CI artifact checks) ----------------------
 
 
 def validate_chrome_trace(data: dict) -> None:
@@ -354,32 +289,3 @@ def validate_chrome_trace(data: dict) -> None:
     used = {e.get("tid") for e in events if e.get("ph") in ("X", "i")}
     if not used <= named_threads:
         raise ValueError(f"tracks {used - named_threads} lack thread_name metadata")
-
-
-def validate_jsonl_lines(lines: Iterable[str]) -> int:
-    """Validate a JSONL event log; returns the number of event lines."""
-    count = 0
-    saw_meta = False
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        kind = record.get("type")
-        if kind == "meta":
-            if not str(record.get("schema", "")).startswith("repro-obs"):
-                raise ValueError(f"bad schema tag {record.get('schema')!r}")
-            saw_meta = True
-        elif kind == "span":
-            if record.get("dur", -1.0) < 0.0 or "name" not in record:
-                raise ValueError(f"bad span line: {record!r}")
-            count += 1
-        elif kind == "point":
-            if "name" not in record or "ts" not in record:
-                raise ValueError(f"bad point line: {record!r}")
-            count += 1
-        else:
-            raise ValueError(f"unknown line type {kind!r}")
-    if not saw_meta:
-        raise ValueError("event log has no meta header line")
-    return count

@@ -1,17 +1,18 @@
-"""The recorder protocol, its null and collecting implementations, and
-the :class:`RunTelemetry` artifact they seal into.
+"""The collecting recorder and the :class:`RunTelemetry` artifact it
+seals into.
 
 Design constraints (see the package docstring):
 
-* the **null** implementation must cost nothing on the hot path -- the
-  substrates normalise ``enabled``-false recorders to ``None`` via
-  :func:`coerce_recorder` and guard every site with ``is not None``;
-* the **collecting** implementation must stay cheap enough to profile
-  multi-hour sweeps: per-phase wall-clock aggregates are always exact
-  (O(1) memory per phase name), while the individual span/point events
-  behind the timeline exporters are capped at ``max_events`` -- beyond
-  the cap only the aggregates keep growing and ``dropped_events``
-  records how many events the timeline lost.
+* telemetry **off** must cost nothing on the hot path -- the substrates
+  normalise ``telemetry=`` via :func:`coerce_recorder` once, to a
+  :class:`TelemetryRecorder` or ``None``, and guard every site with
+  ``is not None``;
+* the recorder must stay cheap enough to profile multi-hour sweeps:
+  per-phase wall-clock aggregates are always exact (O(1) memory per
+  phase name), while the individual span/point events behind the
+  timeline exporters are capped at ``max_events`` -- beyond the cap
+  only the aggregates keep growing and ``dropped_events`` records how
+  many events the timeline lost.
 """
 
 from __future__ import annotations
@@ -23,75 +24,20 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 __all__ = [
-    "NULL_RECORDER",
-    "NullRecorder",
     "PhaseStats",
-    "Recorder",
     "RunTelemetry",
     "TelemetryRecorder",
     "coerce_recorder",
+    "validate_telemetry_dict",
 ]
 
 #: Artifact schema tag; bumped on breaking layout changes.
 SCHEMA = "repro-obs/1"
 
-
-class Recorder:
-    """Duck-typed surface every substrate instruments against.
-
-    ``enabled`` is the single flag the substrates read: when false the
-    recorder is dropped (normalised to ``None``) before the round loop
-    starts, so none of the methods below is ever called on a disabled
-    run.  ``clock`` is the timestamp source shared by caller and
-    recorder -- substrates read ``tel.clock()`` around a phase and hand
-    both endpoints to :meth:`span`, which keeps the recorder free to
-    swap clocks (tests inject deterministic ones).
-    """
-
-    enabled: bool = False
-    clock = staticmethod(time.perf_counter)
-
-    def run_begin(self, *, backend: str = "", n: int = 0, **meta: Any) -> None:
-        """Open the run span; ``backend``/``n``/``meta`` go to the artifact."""
-
-    def run_end(self, **meta: Any) -> None:
-        """Close the run span, merging final metadata (rounds, totals)."""
-
-    def span(
-        self,
-        name: str,
-        rnd: int,
-        start: float,
-        end: float,
-        track: str = "run",
-        **args: Any,
-    ) -> None:
-        """Record a completed ``[start, end]`` span on ``track``."""
-
-    def point(self, name: str, rnd: int, ts: float, **args: Any) -> None:
-        """Record an instantaneous event (crash / rejoin / drop / decide)
-        on the ``run`` track."""
-
-    def sample(self, name: str, duration: float, track: str = "run") -> None:
-        """Aggregate a duration into the phase stats without storing an
-        event -- the high-frequency form used by the codec probe."""
-
-    def finish(self, result: Any = None) -> Optional["RunTelemetry"]:
-        """Seal into an artifact (``None`` for the null recorder)."""
-        return None
-
-
-class NullRecorder(Recorder):
-    """The do-nothing recorder; exists so callers can pass a recorder
-    object unconditionally.  Substrates never actually invoke it: they
-    drop ``enabled``-false recorders at run start (pinned by
-    ``tests/test_obs.py``)."""
-
-    __slots__ = ()
-
-
-#: Shared no-op instance.
-NULL_RECORDER = NullRecorder()
+#: Suffixes of the Chrome trace-event serialisation, which
+#: :meth:`RunTelemetry.write` writes and :meth:`RunTelemetry.load`
+#: refuses: it keeps the timeline but not the phase aggregates.
+CHROME_SUFFIXES = (".trace.json", ".chrome.json")
 
 
 def coerce_recorder(telemetry: Any) -> Optional["TelemetryRecorder"]:
@@ -99,18 +45,21 @@ def coerce_recorder(telemetry: Any) -> Optional["TelemetryRecorder"]:
     or ``None``.
 
     Accepts ``None``/``False`` (off), ``True`` (fresh
-    :class:`TelemetryRecorder`), a recorder instance (used as-is when
-    ``enabled``, dropped otherwise), or a path (fresh recorder whose
-    artifact the caller writes there -- path handling lives in
-    :func:`repro.api._execute`).
+    :class:`TelemetryRecorder`), a :class:`TelemetryRecorder` (used
+    as-is), or a path (fresh recorder whose artifact the caller writes
+    there -- path handling lives in :func:`repro.api._execute`).
+    Anything else raises ``TypeError``.
     """
     if telemetry is None or telemetry is False:
         return None
     if telemetry is True or isinstance(telemetry, (str, os.PathLike)):
         return TelemetryRecorder()
-    if not getattr(telemetry, "enabled", False):
-        return None
-    return telemetry
+    if isinstance(telemetry, TelemetryRecorder):
+        return telemetry
+    raise TypeError(
+        "telemetry= takes None, False, True, a path or a TelemetryRecorder, "
+        f"not {type(telemetry).__name__}"
+    )
 
 
 class PhaseStats:
@@ -142,16 +91,21 @@ class PhaseStats:
         }
 
 
-class TelemetryRecorder(Recorder):
-    """The collecting recorder behind ``telemetry=True``.
+class TelemetryRecorder:
+    """The recorder behind ``telemetry=True``, and the surface every
+    substrate instruments against.
 
-    Not thread-safe by design: one recorder instruments one execution
-    (the asyncio substrates run all tasks on one loop).  Timestamps are
-    ``time.perf_counter`` values; the artifact normalises them relative
-    to ``run_begin`` so events are comparable across artifacts.
+    ``clock`` is the timestamp source shared by caller and recorder --
+    substrates read ``tel.clock()`` around a phase and hand both
+    endpoints to :meth:`span`, which keeps the recorder free to swap
+    clocks (tests inject deterministic ones).  Not thread-safe by
+    design: one recorder instruments one execution (the asyncio
+    substrates run all tasks on one loop).  The artifact normalises
+    timestamps relative to ``run_begin`` so events are comparable
+    across artifacts.
     """
 
-    enabled = True
+    clock = staticmethod(time.perf_counter)
 
     def __init__(self, *, max_events: int = 200_000) -> None:
         self.max_events = max_events
@@ -168,6 +122,7 @@ class TelemetryRecorder(Recorder):
     # -- recording sites --------------------------------------------------
 
     def run_begin(self, *, backend: str = "", n: int = 0, **meta: Any) -> None:
+        """Open the run span; ``backend``/``n``/``meta`` go to the artifact."""
         # Idempotent on re-begin (the api layer may label the backend
         # before the substrate opens the run): the first clock wins so
         # every event stays inside the run span.
@@ -180,6 +135,7 @@ class TelemetryRecorder(Recorder):
         self.meta.update(meta)
 
     def run_end(self, **meta: Any) -> None:
+        """Close the run span, merging final metadata (rounds, totals)."""
         self._t1 = self.clock()
         self.meta.update(meta)
 
@@ -192,6 +148,7 @@ class TelemetryRecorder(Recorder):
         track: str = "run",
         **args: Any,
     ) -> None:
+        """Record a completed ``[start, end]`` span on ``track``."""
         stats = self.stats.get(name)
         if stats is None:
             stats = self.stats[name] = PhaseStats()
@@ -204,6 +161,8 @@ class TelemetryRecorder(Recorder):
             self.dropped_events += 1
 
     def point(self, name: str, rnd: int, ts: float, **args: Any) -> None:
+        """Record an instantaneous event (crash / rejoin / drop / decide)
+        on the ``run`` track."""
         self.counts[name] = self.counts.get(name, 0) + 1
         if len(self.events) < self.max_events:
             self.events.append(("point", name, "run", rnd, ts, args or None))
@@ -211,6 +170,8 @@ class TelemetryRecorder(Recorder):
             self.dropped_events += 1
 
     def sample(self, name: str, duration: float, track: str = "run") -> None:
+        """Aggregate a duration into the phase stats without storing an
+        event -- the high-frequency form used by the codec probe."""
         stats = self.stats.get(name)
         if stats is None:
             stats = self.stats[name] = PhaseStats()
@@ -307,53 +268,71 @@ class RunTelemetry:
             schema=data.get("schema", SCHEMA),
         )
 
-    def save(self, path) -> None:
-        """Write the telemetry JSON artifact."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, default=str)
-            handle.write("\n")
-
     @classmethod
     def load(cls, path) -> "RunTelemetry":
+        """Read back what :meth:`write` wrote, dispatching on the same
+        suffixes: ``*.jsonl`` is the event log (a meta header line, then
+        one line per event), anything else the telemetry JSON.  Both
+        serialisations hold the whole artifact, so both load to the
+        same ``RunTelemetry``.  A Chrome trace-event file is refused:
+        that format is write-only."""
+        name = os.fspath(path)
+        if name.endswith(CHROME_SUFFIXES):
+            raise ValueError(
+                f"{name}: a Chrome trace-event file is write-only; load the "
+                "run's telemetry .json or .jsonl event log instead"
+            )
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
-    # -- exporter conveniences (implemented in repro.obs.export) ----------
-
-    def jsonl_lines(self) -> list[str]:
-        from repro.obs.export import jsonl_lines
-
-        return jsonl_lines(self)
-
-    def write_jsonl(self, path) -> None:
-        from repro.obs.export import write_jsonl
-
-        write_jsonl(self, path)
-
-    def chrome_trace(self) -> dict:
-        from repro.obs.export import chrome_trace
-
-        return chrome_trace(self)
-
-    def write_chrome_trace(self, path) -> None:
-        from repro.obs.export import write_chrome_trace
-
-        write_chrome_trace(self, path)
-
-    def summary_rows(self) -> list[dict]:
-        from repro.obs.export import summary_rows
-
-        return summary_rows(self)
+            if not name.endswith(".jsonl"):
+                data = json.load(handle)
+            else:
+                records = [json.loads(line) for line in handle if line.strip()]
+                header = records[0] if records else None
+                if not isinstance(header, dict) or header.get("type") != "meta":
+                    raise ValueError("event log has no meta header line")
+                data = {**header, "events": records[1:]}
+        validate_telemetry_dict(data)
+        return cls.from_dict(data)
 
     def write(self, path) -> None:
         """Suffix-dispatching writer behind ``telemetry="<path>"``:
         ``*.jsonl`` writes the event log, ``*.trace.json`` /
         ``*.chrome.json`` the Chrome trace-event file, anything else
         the telemetry JSON artifact itself."""
+        from repro.obs.export import write_chrome_trace, write_jsonl
+
         name = os.fspath(path)
         if name.endswith(".jsonl"):
-            self.write_jsonl(path)
-        elif name.endswith((".trace.json", ".chrome.json")):
-            self.write_chrome_trace(path)
+            write_jsonl(self, path)
+        elif name.endswith(CHROME_SUFFIXES):
+            write_chrome_trace(self, path)
         else:
-            self.save(path)
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(self.to_dict(), handle, indent=2, default=str)
+                handle.write("\n")
+
+
+def validate_telemetry_dict(data: dict) -> None:
+    """Raise ``ValueError`` unless ``data`` is a valid telemetry artifact
+    -- the dict :meth:`RunTelemetry.to_dict` makes and
+    :meth:`RunTelemetry.load` reads from either serialisation."""
+    if not isinstance(data, dict):
+        raise ValueError(f"telemetry artifact is a {type(data).__name__}, not an object")
+    if not str(data.get("schema", "")).startswith("repro-obs"):
+        raise ValueError(f"bad schema tag {data.get('schema')!r}")
+    for key in ("meta", "wall_seconds", "phases", "events"):
+        if key not in data:
+            raise ValueError(f"telemetry artifact missing {key!r}")
+    for name, stats in data["phases"].items():
+        for key in ("count", "total_sec", "mean_sec", "min_sec", "max_sec"):
+            if key not in stats:
+                raise ValueError(f"phase {name!r} missing {key!r}")
+        if stats["count"] <= 0:
+            raise ValueError(f"phase {name!r} has no samples")
+    for event in data["events"]:
+        if not isinstance(event, dict) or event.get("type") not in ("span", "point"):
+            raise ValueError(f"bad event type in {event!r}")
+        if "name" not in event or "ts" not in event:
+            raise ValueError(f"event missing name/ts: {event!r}")
+        if event["type"] == "span" and event.get("dur", -1.0) < 0.0:
+            raise ValueError(f"span with negative duration: {event!r}")

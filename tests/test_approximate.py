@@ -177,7 +177,7 @@ class TestFuzzRotation:
         assert row["violations"] == 0, row
 
     def test_certificate_measures_bits(self):
-        from repro.check.oracles import BOUND_CONSTANTS
+        from repro.families import by_family
 
-        measure, constant = BOUND_CONSTANTS["approximate"]
+        measure, constant = by_family("approximate").bound
         assert measure == "bits" and constant >= 1.0

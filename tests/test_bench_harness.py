@@ -80,8 +80,8 @@ class TestFormatTable:
 #: series that run one instance on several backends -- at small sizes:
 #: id -> (run, pinned columns, one tuple per row).  Model costs are
 #: exact, so these tuples are the proof that a change to how rows are
-#: *built* moved no execution: only ratio and wall-clock columns may
-#: differ between two commits that both pass this.
+#: *built* moved no execution: only ratio columns may differ between
+#: two commits that both pass this.
 GOLDEN = {
     "table1": (
         lambda: run_sweep(series.table1_spec(ns=[40, 60])).rows(),

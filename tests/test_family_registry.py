@@ -4,8 +4,8 @@ Parametrised over :data:`repro.families.REGISTRY`, so a new record is
 covered by being appended: its sampler must produce recipes its own
 schema accepts, its ``run_*`` shim must state exactly the recipe
 ``run_recipe`` reproduces, and every table other modules expose
-(``FAMILIES``, ``BOUND_CONSTANTS``, ``KERNEL_FAMILIES``, kernel
-dispatch) must be the registry's, not a copy.
+(``FAMILIES``, ``KERNEL_FAMILIES``, kernel dispatch) must be the
+registry's, not a copy.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 import repro
 from repro.api import build_recipe_processes, run_recipe
 from repro.check.driver import FAMILIES, sample_instance
-from repro.check.oracles import BOUND_CONSTANTS, check_parity
+from repro.check.oracles import check_parity
 from repro.core.params import ProtocolParams
 from repro.families import REGISTRY, by_family, by_recipe, instance_shape
 from repro.sim.vec import HAVE_NUMPY, KERNEL_FAMILIES
@@ -86,13 +86,11 @@ def test_record_carries_an_oracle_and_a_positive_envelope(family):
     measure, constant = family.bound
     assert measure in ("bits", "messages") and constant > 0
     assert family.envelope(ProtocolParams(n=n, t=t), recipe) > 0
-    assert BOUND_CONSTANTS[family.family] == family.bound
 
 
 def test_tables_are_the_registry():
     names = tuple(family.family for family in REGISTRY)
     assert FAMILIES == names and len(set(names)) == len(REGISTRY) == 10
-    assert set(BOUND_CONSTANTS) == set(names)
     assert all(by_family(name).family == name for name in names)
     with pytest.raises(ValueError, match="unknown family"):
         by_family("lv_consensus")  # a recipe name is not a family name

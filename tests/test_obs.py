@@ -5,15 +5,15 @@ Two contracts matter most and get the heaviest coverage:
 * **Parity is telemetry-invariant** -- attaching a recorder to any
   backend must not change a single observable field of the run
   (``check_parity`` over the full surface, instrumented vs. bare).
-* **Disabled costs nothing** -- ``telemetry=None``/``False`` (and any
-  ``enabled``-false recorder) normalises to no recorder at all before
-  the round loop starts: no calls, no clock reads, and no allocations
-  attributable to the obs package anywhere on the hot path.
+* **Disabled costs nothing** -- ``telemetry=None``/``False``
+  normalises to no recorder at all before the round loop starts: no
+  calls, no clock reads, and no allocations attributable to the obs
+  package anywhere on the hot path.
 
 Plus the artifact layer: recorder sealing, JSONL / Chrome trace-event
-exporters and their validators, the sweep adapter, progress heartbeats,
-the ``python -m repro.obs`` CLI, and the coordinator's laggard
-diagnostics.
+exporters, ``RunTelemetry.load`` and the validators, the sweep adapter,
+progress heartbeats, the ``python -m repro.obs`` CLI, and the
+coordinator's laggard diagnostics.
 """
 
 import io
@@ -28,21 +28,17 @@ from repro.check.driver import describe_fuzz_outcome
 from repro.check.oracles import check_parity
 from repro.net.runtime import Session
 from repro.obs import (
-    NULL_RECORDER,
-    NullRecorder,
     ProgressReporter,
-    Recorder,
     RunTelemetry,
     TelemetryRecorder,
     coerce_recorder,
     format_summary,
-    summarize_events,
     sweep_telemetry,
     validate_chrome_trace,
-    validate_jsonl_lines,
     validate_telemetry_dict,
 )
 from repro.obs.cli import main as obs_main
+from repro.obs.export import chrome_trace, jsonl_lines, summary_rows
 from repro.scenarios import Scenario
 from repro.sim.vec import HAVE_NUMPY
 
@@ -57,45 +53,23 @@ def _flooding(telemetry=False, backend="sim", **kw):
 # -- coercion: the single normalisation point --------------------------------
 
 
-class ExplodingRecorder(Recorder):
-    """A disabled recorder whose every method proves it was called."""
-
-    enabled = False
-
-    def _boom(self, *args, **kwargs):
-        raise AssertionError("disabled recorder was invoked on the hot path")
-
-    run_begin = run_end = span = point = sample = finish = _boom
-
-
 def test_coerce_recorder_contract():
     assert coerce_recorder(None) is None
     assert coerce_recorder(False) is None
-    assert coerce_recorder(NULL_RECORDER) is None
-    assert coerce_recorder(NullRecorder()) is None
-    assert coerce_recorder(ExplodingRecorder()) is None
     assert isinstance(coerce_recorder(True), TelemetryRecorder)
     assert isinstance(coerce_recorder("events.jsonl"), TelemetryRecorder)
     live = TelemetryRecorder()
     assert coerce_recorder(live) is live
 
 
-@pytest.mark.parametrize(
-    "backend,kw",
-    [
-        ("sim", {"optimized": True}),
-        ("sim", {"optimized": False}),
-        pytest.param(
-            "vec", {}, marks=pytest.mark.skipif(not HAVE_NUMPY, reason="no numpy")
-        ),
-        ("net", {}),
-    ],
-)
-def test_disabled_recorder_is_never_invoked(backend, kw):
-    """Every substrate drops enabled-false recorders before its loop."""
-    result = _flooding(telemetry=ExplodingRecorder(), backend=backend, **kw)
-    assert result.completed
-    assert result.telemetry is None
+@pytest.mark.parametrize("value", [1, 0.5, object()], ids=["int", "float", "object"])
+def test_a_non_recorder_is_refused_by_type(value):
+    """Only None, False, True, a path or a TelemetryRecorder is a
+    ``telemetry=`` value; anything else fails before the run starts."""
+    with pytest.raises(TypeError, match=type(value).__name__):
+        coerce_recorder(value)
+    with pytest.raises(TypeError, match=type(value).__name__):
+        _flooding(telemetry=value)
 
 
 def test_disabled_path_allocates_nothing_from_obs():
@@ -270,10 +244,10 @@ def _sample_telemetry() -> RunTelemetry:
 
 def test_jsonl_round_trip_and_validation():
     telemetry = _sample_telemetry()
-    lines = telemetry.jsonl_lines()
-    assert validate_jsonl_lines(lines) == 3
-    meta, rows = summarize_events(lines)
-    assert meta["meta"]["backend"] == "sim-opt"
+    lines = jsonl_lines(telemetry)
+    assert len(lines) == 4 and json.loads(lines[0])["type"] == "meta"
+    validate_telemetry_dict(telemetry.to_dict())
+    rows = summary_rows(telemetry)
     phases = {row["phase"] for row in rows}
     assert {"round", "send", "[decide]"} <= phases
     assert "round" in format_summary(rows)
@@ -281,7 +255,7 @@ def test_jsonl_round_trip_and_validation():
 
 def test_chrome_trace_shape():
     telemetry = _sample_telemetry()
-    trace = telemetry.chrome_trace()
+    trace = chrome_trace(telemetry)
     validate_chrome_trace(trace)
     phases = {event["ph"] for event in trace["traceEvents"]}
     assert phases == {"M", "X", "i"}
@@ -301,12 +275,10 @@ def test_write_dispatches_on_suffix(tmp_path):
     plain = tmp_path / "run.json"
     for path in (events, trace, plain):
         telemetry.write(path)
-    assert validate_jsonl_lines(events.read_text().splitlines()) == 3
     validate_chrome_trace(json.loads(trace.read_text()))
     validate_telemetry_dict(json.loads(plain.read_text()))
-    loaded = RunTelemetry.load(plain)
-    assert loaded.phases == telemetry.phases
-    assert loaded.events == telemetry.events
+    for path in (events, plain):
+        assert RunTelemetry.load(path).to_dict() == telemetry.to_dict()
 
 
 def test_api_telemetry_path_writes_artifact(tmp_path):
@@ -326,7 +298,7 @@ def test_sweep_telemetry_places_units_on_worker_tracks():
     report = run_sweep(spec)
     telemetry = sweep_telemetry(report)
     validate_telemetry_dict(telemetry.to_dict())
-    validate_chrome_trace(telemetry.chrome_trace())
+    validate_chrome_trace(chrome_trace(telemetry))
     assert telemetry.meta["experiment"] == "demo"
     assert telemetry.meta["units"] == 3
     assert telemetry.phases["demo"]["count"] == 3
@@ -427,6 +399,66 @@ def test_obs_cli_validate_flags_corrupt_artifact(tmp_path, capsys):
     bad.write_text(json.dumps({"schema": "nope", "events": []}))
     assert obs_main(["validate", str(bad)]) == 1
     assert "FAIL" in capsys.readouterr().err
+    headless = tmp_path / "headless.events.jsonl"
+    headless.write_text(json.dumps({"type": "span", "name": "round", "ts": 0.0}) + "\n")
+    assert obs_main(["validate", str(headless)]) == 1
+    assert "no meta header line" in capsys.readouterr().err
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[]")
+    assert obs_main(["summarize", str(not_an_object)]) == 1
+    assert capsys.readouterr().err == "error: telemetry artifact is a list, not an object\n"
+
+
+def _summarize(path, capsys) -> str:
+    assert obs_main(["summarize", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+def test_both_serialisations_load_and_summarise_alike(tmp_path, capsys):
+    """A net run's telemetry JSON and JSONL event log are one artifact:
+    the codec phases (aggregates with no events) survive both."""
+    telemetry = _flooding(telemetry=True, backend="net").telemetry
+    plain = tmp_path / "flood-net.json"
+    events = tmp_path / "flood-net.events.jsonl"
+    telemetry.write(plain)
+    telemetry.write(events)
+    loaded = RunTelemetry.load(plain)
+    assert RunTelemetry.load(events).to_dict() == loaded.to_dict()
+    assert {"codec.encode", "codec.decode"} <= set(loaded.phases)
+    table = _summarize(plain, capsys)
+    assert "codec.encode" in table and "codec.decode" in table
+    assert _summarize(events, capsys) == table
+
+
+def test_a_capped_event_log_summarises_exactly(tmp_path, capsys):
+    """Dropped timeline events cost the summary nothing: the phase
+    aggregates and point counts are the recorder's, not a recount."""
+    recorder = TelemetryRecorder(max_events=5)
+    result = api.run_flooding([0, 1] * 10, t=4, crashes=None, telemetry=recorder)
+    events = tmp_path / "capped.events.jsonl"
+    result.telemetry.write(events)
+    loaded = RunTelemetry.load(events)
+    assert len(loaded.events) == 5 and loaded.dropped_events > 0
+    counts = {row["phase"]: row["count"] for row in summary_rows(loaded)}
+    assert counts["round"] == result.rounds == 5
+    assert counts["[decide]"] == 20
+    plain = tmp_path / "capped.json"
+    result.telemetry.write(plain)
+    assert _summarize(events, capsys) == _summarize(plain, capsys)
+
+
+def test_a_chrome_trace_is_refused_by_name(tmp_path, capsys):
+    trace = tmp_path / "run.trace.json"
+    _flooding(telemetry=str(trace))
+    with pytest.raises(ValueError, match="write-only") as refused:
+        RunTelemetry.load(trace)
+    assert str(trace) in str(refused.value)
+    for command in ("summarize", "chrome"):
+        assert obs_main([command, str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(trace) in captured.err and "write-only" in captured.err
 
 
 # -- coordinator laggard diagnostics -----------------------------------------

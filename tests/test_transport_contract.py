@@ -45,7 +45,7 @@ from repro.net.codec import (
     set_codec_probe,
 )
 from repro.net.transport import _ConnSink
-from repro.obs.recorder import Recorder
+from repro.obs import TelemetryRecorder
 
 KINDS = ["memory", "local", "mux", "tcp"]
 
@@ -278,10 +278,9 @@ def test_a_second_connection_cannot_bind_a_bound_key(owner):
     asyncio.run(scenario())
 
 
-class _CountingProbe(Recorder):
-    enabled = True
-
+class _CountingProbe(TelemetryRecorder):
     def __init__(self):
+        super().__init__()
         self.samples = []
 
     def sample(self, name, duration, track="run"):
