@@ -108,9 +108,7 @@ def mcc_overlay(params: ProtocolParams) -> Graph:
     a certified (near-)Ramanujan graph on all ``n`` nodes with degree
     ``d(α)`` (paper: ``(4/(1−α))^8``, here capped; see
     :attr:`~repro.core.params.ProtocolParams.mcc_degree`)."""
-    return certified_ramanujan_graph(
-        params.n, params.mcc_degree, seed=params.seed, certify=params.n <= 2048
-    )
+    return certified_ramanujan_graph(params.n, params.mcc_degree, seed=params.seed)
 
 
 class ManyCrashesConsensusProcess(Process):

@@ -132,11 +132,13 @@ def certified_ramanujan_graph(
     even degree sum).
 
     ``certify=None`` (default) checks ``λ ≤ 2·sqrt(d − 1)·(1 + SLACK)``
-    when the eigensolve is cheap (``n ≤ 4096``) and numpy (plus scipy
-    above 600 vertices) is installed; pass ``True``/``False`` to force,
-    and ``True`` without them raises ``ImportError``.  A graph over the
-    bound raises ``RuntimeError``: the check never swaps in another
-    seed, so the graph is the same with or without it.
+    whenever an eigensolver is installed: the stdlib's up to 100
+    vertices, so a bare install checks every such graph, numpy's up to
+    600 and scipy's above (the ``[vec]`` extra); without one the check
+    is skipped.  ``False`` skips it, and ``True`` raises ``ImportError``
+    where the default skips.  A graph over the bound raises
+    ``RuntimeError``: the check never swaps in another seed, so the
+    graph is the same with or without it.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -146,7 +148,7 @@ def certified_ramanujan_graph(
         d += 1
         if d >= n - 1:
             return complete_graph(n)
-    do_certify = certify if certify is not None else n <= 4096
+    do_certify = certify is not False
     key = ("ramanujan", n, d, seed, do_certify)
     if key in _CACHE:
         return _CACHE[key]

@@ -229,11 +229,15 @@ class MemoryHub:
         self._sinks: dict[tuple[int, int], Any] = {}
         self._seen: set[tuple[int, int]] = set()
         self._pending: dict[tuple[int, int], list[tuple[int, bytes]]] = {}
+        #: instance -> every key of it in the three tables above, so a
+        #: purge touches its own keys only.
+        self._keys: dict[int, set[tuple[int, int]]] = {}
 
     def _attach(self, key: tuple[int, int], sink: Any) -> None:
         self._sinks[key] = sink
         self._seen.add(key)
         instance, address = key
+        self._keys.setdefault(instance, set()).add(key)
         for src, body in self._pending.pop(key, []):
             sink.deliver(src, address, instance, body)
 
@@ -244,6 +248,7 @@ class MemoryHub:
             sink.deliver(src, dst, instance, body)
         elif key not in self._seen:
             self._pending.setdefault(key, []).append((src, body))
+            self._keys.setdefault(instance, set()).add(key)
         # else: destination detached (crashed/halted); drop.
 
     def _detach(self, key: tuple[int, int], sink: Any) -> None:
@@ -272,10 +277,10 @@ class MemoryHub:
         the instance's keys, so it must only happen after the instance
         is quiescent.
         """
-        for table in (self._sinks, self._pending):
-            for key in [k for k in table if k[0] == instance]:
-                del table[key]
-        self._seen -= {k for k in self._seen if k[0] == instance}
+        for key in self._keys.pop(instance, ()):
+            self._sinks.pop(key, None)
+            self._pending.pop(key, None)
+            self._seen.discard(key)
 
 
 # -- TCP ---------------------------------------------------------------------

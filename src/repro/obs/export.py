@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from repro.obs.recorder import SCHEMA, PhaseStats, RunTelemetry
+from repro.obs.recorder import SCHEMA, PhaseStats, RunTelemetry, _expect
 
 __all__ = [
     "SCHEMA",
@@ -268,24 +268,28 @@ def sweep_telemetry(report) -> RunTelemetry:
 
 
 def validate_chrome_trace(data: dict) -> None:
-    """Raise ``ValueError`` unless ``data`` is a loadable trace-event file."""
-    events = data.get("traceEvents")
+    """Raise ``ValueError`` unless ``data`` is a loadable trace-event
+    file; every nested value is type-checked, with the field named."""
+    events = _expect(data, dict, "chrome trace").get("traceEvents")
     if not isinstance(events, list) or not events:
         raise ValueError("chrome trace has no traceEvents list")
     named_threads = set()
     for event in events:
-        ph = event.get("ph")
+        ph = _expect(event, dict, "trace event").get("ph")
         if ph not in ("X", "i", "M"):
             raise ValueError(f"unexpected event phase {ph!r}")
         if ph == "M":
             if event.get("name") == "thread_name":
-                named_threads.add(event.get("tid"))
+                named_threads.add(_expect(event.get("tid"), int, "tid of thread_name"))
             continue
         for key in ("name", "ts", "pid", "tid"):
             if key not in event:
                 raise ValueError(f"trace event missing {key!r}: {event!r}")
-        if ph == "X" and event.get("dur", -1.0) < 0.0:
+        what = f"trace event {event['name']!r}"
+        _expect(event["tid"], int, f"tid of {what}")
+        _expect(event["ts"], (int, float), f"ts of {what}")
+        if ph == "X" and _expect(event.get("dur"), (int, float), f"dur of {what}") < 0:
             raise ValueError(f"complete event with negative dur: {event!r}")
-    used = {e.get("tid") for e in events if e.get("ph") in ("X", "i")}
+    used = {e["tid"] for e in events if e["ph"] in ("X", "i")}
     if not used <= named_threads:
         raise ValueError(f"tracks {used - named_threads} lack thread_name metadata")

@@ -312,27 +312,59 @@ class RunTelemetry:
                 handle.write("\n")
 
 
+#: What :func:`_expect` calls each kind of JSON value in its errors.
+_KINDS = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    (int, float): "a number",
+}
+
+
+def _expect(value: Any, kind: Any, what: str) -> Any:
+    """``value``, or a ``ValueError`` naming ``what`` unless it is a
+    ``kind`` (a key of :data:`_KINDS`)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} is a {type(value).__name__}, not {_KINDS[kind]}")
+    return value
+
+
 def validate_telemetry_dict(data: dict) -> None:
     """Raise ``ValueError`` unless ``data`` is a valid telemetry artifact
     -- the dict :meth:`RunTelemetry.to_dict` makes and
-    :meth:`RunTelemetry.load` reads from either serialisation."""
-    if not isinstance(data, dict):
-        raise ValueError(f"telemetry artifact is a {type(data).__name__}, not an object")
+    :meth:`RunTelemetry.load` reads from either serialisation.  Every
+    nested value is type-checked, so a malformed file fails here, with
+    the field named, and not later in a reader."""
+    _expect(data, dict, "telemetry artifact")
     if not str(data.get("schema", "")).startswith("repro-obs"):
         raise ValueError(f"bad schema tag {data.get('schema')!r}")
     for key in ("meta", "wall_seconds", "phases", "events"):
         if key not in data:
             raise ValueError(f"telemetry artifact missing {key!r}")
-    for name, stats in data["phases"].items():
+    _expect(data["meta"], dict, "meta")
+    _expect(data["wall_seconds"], (int, float), "wall_seconds")
+    _expect(data.get("dropped_events", 0), int, "dropped_events")
+    for name, count in _expect(data.get("counts", {}), dict, "counts").items():
+        _expect(count, int, f"count {name!r}")
+    for name, stats in _expect(data["phases"], dict, "phases").items():
+        _expect(stats, dict, f"phase {name!r}")
         for key in ("count", "total_sec", "mean_sec", "min_sec", "max_sec"):
             if key not in stats:
                 raise ValueError(f"phase {name!r} missing {key!r}")
+            _expect(stats[key], (int, float), f"phase {name!r} {key}")
         if stats["count"] <= 0:
             raise ValueError(f"phase {name!r} has no samples")
-    for event in data["events"]:
+    for event in _expect(data["events"], list, "events"):
         if not isinstance(event, dict) or event.get("type") not in ("span", "point"):
             raise ValueError(f"bad event type in {event!r}")
         if "name" not in event or "ts" not in event:
             raise ValueError(f"event missing name/ts: {event!r}")
-        if event["type"] == "span" and event.get("dur", -1.0) < 0.0:
-            raise ValueError(f"span with negative duration: {event!r}")
+        what = f"{event['type']} {event['name']!r}"
+        _expect(event["name"], str, f"name of {what}")
+        _expect(event["ts"], (int, float), f"ts of {what}")
+        _expect(event.get("track", ""), str, f"track of {what}")
+        _expect(event.get("args", {}), dict, f"args of {what}")
+        if event["type"] == "span":
+            if _expect(event.get("dur"), (int, float), f"dur of {what}") < 0.0:
+                raise ValueError(f"span with negative duration: {event!r}")

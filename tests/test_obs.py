@@ -409,6 +409,62 @@ def test_obs_cli_validate_flags_corrupt_artifact(tmp_path, capsys):
     assert capsys.readouterr().err == "error: telemetry artifact is a list, not an object\n"
 
 
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ({"phases": []}, "phases is a list, not an object"),
+        ({"meta": [1]}, "meta is a list, not an object"),
+        ({"wall_seconds": "1.0"}, "wall_seconds is a str, not a number"),
+        ({"counts": {"decide": "2"}}, "count 'decide' is a str, not an integer"),
+        ({"phases": {"round": [1, 2]}}, "phase 'round' is a list, not an object"),
+        (
+            {"phases": {"round": dict.fromkeys(("count", "total_sec", "mean_sec"), "x")}},
+            "phase 'round' count is a str, not a number",
+        ),
+        ({"events": {}}, "events is a dict, not a list"),
+        (
+            {"events": [{"type": "span", "name": "round", "ts": 0.0, "dur": None}]},
+            "dur of span 'round' is a NoneType, not a number",
+        ),
+        (
+            {"events": [{"type": "point", "name": "decide", "ts": 0.0, "args": [1]}]},
+            "args of point 'decide' is a list, not an object",
+        ),
+    ],
+)
+def test_obs_cli_names_the_malformed_field(tmp_path, capsys, fields, error):
+    """A file of the right shape at the top but the wrong one inside
+    fails validation with the field named: one ``error:`` line, exit 1."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**_sample_telemetry().to_dict(), **fields}))
+    assert obs_main(["summarize", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert obs_main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == f"FAIL {bad}: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        ([], "chrome trace is a list, not an object"),
+        ({"traceEvents": [[]]}, "trace event is a list, not an object"),
+        (
+            {"traceEvents": [{"ph": "X", "name": "round", "ts": "0", "pid": 1, "tid": 0}]},
+            "ts of trace event 'round' is a str, not a number",
+        ),
+        (
+            {"traceEvents": [{"ph": "i", "name": "decide", "ts": 0, "pid": 1, "tid": [0]}]},
+            "tid of trace event 'decide' is a list, not an integer",
+        ),
+    ],
+)
+def test_obs_cli_validate_names_the_malformed_trace_field(tmp_path, capsys, content, error):
+    bad = tmp_path / "x.trace.json"
+    bad.write_text(json.dumps(content))
+    assert obs_main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == f"FAIL {bad}: {error}\n"
+
+
 def _summarize(path, capsys) -> str:
     assert obs_main(["summarize", str(path)]) == 0
     return capsys.readouterr().out

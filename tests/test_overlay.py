@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -21,7 +22,8 @@ from repro.check.driver import sample_instance
 from repro.families import REGISTRY
 from repro.graphs import expander, ramanujan
 from repro.graphs.expander import ramanujan_bound, second_eigenvalue
-from repro.graphs.ramanujan import certified_ramanujan_graph, clear_graph_cache
+from repro.graphs.graph import Graph
+from repro.graphs.ramanujan import certified_ramanujan_graph, clear_graph_cache, complete_graph
 from tests.test_bench_harness import GOLDEN
 
 #: The fuzzer's n (every ``REGISTRY`` record's ``n_range`` lies in
@@ -86,7 +88,6 @@ class TestGeneratorPinned:
 
 class TestCheck:
     def test_check_never_changes_the_graph(self):
-        pytest.importorskip("numpy")
         checked = certified_ramanujan_graph(100, 8, 5, certify=True)
         unchecked = certified_ramanujan_graph(100, 8, 5, certify=False)
         assert checked is not unchecked and checked.adj == unchecked.adj
@@ -138,8 +139,20 @@ SOURCES = {
 }
 
 
+def _eigvalsh_lambda(graph) -> float:
+    """``λ`` from numpy's dense ``eigvalsh``, the reference the stdlib
+    solver is held to."""
+    np = pytest.importorskip("numpy")
+    matrix = np.zeros((graph.n, graph.n))
+    for u, row in enumerate(graph.adj):
+        matrix[u, list(row)] = 1.0
+    return float(np.sort(np.abs(np.linalg.eigvalsh(matrix)))[-2])
+
+
 @pytest.mark.parametrize("source", list(SOURCES))
 def test_every_built_overlay_passes_on_its_own_seed(source):
+    """Every overlay the repo builds is under the bound on its own seed,
+    and up to the stdlib cutoff its ``λ`` is ``eigvalsh``'s."""
     pytest.importorskip("numpy")
     clear_graph_cache()
     SOURCES[source]()
@@ -148,3 +161,51 @@ def test_every_built_overlay_passes_on_its_own_seed(source):
             n, d, seed = key[1:4]
             lam = second_eigenvalue(graph)
             assert lam <= ramanujan_bound(d) * (1 + ramanujan.SLACK), (n, d, seed, lam)
+            if n <= expander._STDLIB_CUTOFF:
+                assert abs(lam - _eigvalsh_lambda(graph)) <= 1e-9, (n, d, seed)
+
+
+def _cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _complete_bipartite(k):
+    return Graph.from_edges(2 * k, [(i, k + j) for i in range(k) for j in range(k)])
+
+
+#: Shapes with repeated, zero and negative eigenvalues next to random
+#: regular ones, up to the stdlib cutoff.
+SHAPES = {
+    **{f"G({n},{d})": (n, d) for n in (17, 40, 63, 80, 100) for d in (3, 4, 8, 16, 32)},
+    **{f"cycle-{n}": _cycle(n) for n in (3, 4, 5, 31, 100)},
+    **{f"complete-{n}": complete_graph(n) for n in (3, 4, 33, 100)},
+    **{f"K({k},{k})": _complete_bipartite(k) for k in (2, 3, 17, 50)},
+    "empty-9": Graph.from_edges(9, []),
+    "two-triangles": Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+}
+
+
+class TestStdlibSolver:
+    @pytest.mark.parametrize("name", list(SHAPES))
+    def test_matches_eigvalsh(self, name):
+        graph = SHAPES[name]
+        if isinstance(graph, tuple):
+            n, d = graph
+            graph = certified_ramanujan_graph(n, d, 3, certify=False)
+        assert graph.n <= expander._STDLIB_CUTOFF
+        assert abs(second_eigenvalue(graph) - _eigvalsh_lambda(graph)) <= 1e-9
+
+    def test_a_bare_install_certifies_a_small_overlay(self, monkeypatch):
+        """With numpy and scipy blocked, ``certify=True`` checks G(80, 16)
+        instead of raising ``ImportError``, and a bound the graph misses
+        still raises."""
+        for name in ("numpy", "scipy"):
+            monkeypatch.setitem(sys.modules, name, None)
+        clear_graph_cache()
+        graph = certified_ramanujan_graph(80, 16, certify=True)
+        assert graph.is_regular() and expander.spectral_certificate(graph, 16)["ratio"] <= 1.0
+        monkeypatch.setattr(ramanujan, "SLACK", -0.5)
+        with pytest.raises(RuntimeError, match=r"G\(80,16\) on seed 1 is not near-Ramanujan"):
+            certified_ramanujan_graph(80, 16, 1, certify=True)
+        with pytest.raises(ImportError):
+            second_eigenvalue(certified_ramanujan_graph(101, 16, certify=False))

@@ -153,7 +153,8 @@ class TestGraphInvariants:
         seed=st.integers(0, 50),
     )
     def test_certified_graphs_regular_with_gap(self, n, d, seed):
-        pytest.importorskip("numpy")
+        if n > 100:  # above the stdlib solver's cutoff
+            pytest.importorskip("numpy")
         graph = certified_ramanujan_graph(n, d, seed=seed)
         degree = graph.max_degree
         assert graph.is_regular()

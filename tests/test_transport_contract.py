@@ -442,6 +442,33 @@ class TestLocalAndRemoteEndpointsShareOneRouter:
 
         asyncio.run(scenario())
 
+    def test_purging_one_of_many_instances_leaves_the_others_routing(self):
+        """A batch of sessions on one hub: each instance has a live key,
+        a detached one and mail buffered for a key not yet attached, and
+        purging one instance removes exactly its keys."""
+
+        async def scenario():
+            hub = MemoryHub()
+            live = {}
+            for instance in range(40):
+                live[instance] = hub.endpoint(0, instance), hub.endpoint(1, instance)
+                await hub.endpoint(2, instance).close()
+                await live[instance][0].send(3, ("early", instance))
+
+            before = dict(hub._sinks), set(hub._seen), dict(hub._pending)
+            hub.purge_instance(17)
+            for old, new in zip(before, (hub._sinks, hub._seen, hub._pending)):
+                assert set(new) == {key for key in old if key[0] != 17}
+            for instance in (0, 16, 18, 39):
+                await live[instance][1].send(0, "ping")
+                assert await _recv(live[instance][0]) == (1, "ping")
+                await live[instance][0].send(2, "to the detached key")
+                assert (instance, 2) not in hub._pending  # dropped
+                late = hub.endpoint(3, instance)
+                assert await _recv(late) == (0, ("early", instance))
+
+        asyncio.run(scenario())
+
 
 class TestCloseWritesOutWhatIsQueued:
     """A local sender's frames wait in the hub's per-connection queues,
