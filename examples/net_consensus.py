@@ -20,7 +20,7 @@ import multiprocessing
 from repro import check_consensus, run_consensus
 from repro.api import build_consensus_processes
 from repro.bench.workloads import input_vector
-from repro.net import TCPHub, host_nodes_tcp, serve_tcp
+from repro.net import Session, TCPHub, drive_session, host_nodes_tcp
 from repro.sim.adversary import crash_schedule
 
 N = 20  # network size (acceptance floor for the TCP demo is n >= 16)
@@ -55,10 +55,10 @@ async def coordinate(adversary):
     try:
         # timeout: fail fast with the coordinator's phase/pid diagnostics
         # instead of hanging CI if a worker dies.
-        result = await serve_tcp(
-            N, adversary, hub=hub, max_rounds=200_000, timeout=60.0
-        )
+        session = Session(N, adversary, max_rounds=200_000, timeout=60.0)
+        result = await drive_session(session, hub, ())
     finally:
+        await hub.close()
         for proc in workers:
             proc.join(timeout=30)
             if proc.is_alive():

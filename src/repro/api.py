@@ -30,7 +30,7 @@ same seeded crash schedule and the same metrics on all four:
   in-memory hub transport: concurrent node tasks, real message frames,
   a barrier per round.
 * ``"tcp"`` -- the asyncio runtime over loopback TCP sockets (one OS
-  process; :func:`repro.net.serve_tcp` / :func:`repro.net.host_nodes_tcp`
+  process; :func:`repro.net.drive_session` / :func:`repro.net.host_nodes_tcp`
   split coordinator and node shards across OS processes).
 
 :data:`BACKENDS` names the five runs a checker or a bench row compares

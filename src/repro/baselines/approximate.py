@@ -8,11 +8,15 @@ correctness notion is **ε-agreement** -- decided values lie within
 average of initial values, so decisions never leave
 ``[min(inputs), max(inputs)]``.
 
-Two averaging rules are exposed:
+Two averaging rules are exposed, both variants of the phase-based
+``AlgorithmOne`` in SNIPPETS.md:
 
 * ``mode="midpoint"`` -- ``(min + max) / 2`` of the seen values, which
-  halves the spread every clean round (AlgorithmTwo-style);
-* ``mode="mean"`` -- the arithmetic mean (AlgorithmOne-style).
+  halves the spread every clean round (snippet 2);
+* ``mode="mean"`` -- the arithmetic mean (snippet 1).
+
+SNIPPETS.md's ``AlgorithmTwo`` (snippet 3), a running mean that jumps
+ahead to a later phase it hears of, is not implemented here.
 
 In the paper's crash model (≤ ``t`` crashes, partial sends) at most
 ``t`` rounds are *dirty* (contain a crash), and in any clean round

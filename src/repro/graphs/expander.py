@@ -51,7 +51,8 @@ def second_eigenvalue(graph: Graph) -> float:
     """``λ = max(|λ₂|, |λₙ|)`` of the adjacency matrix.
 
     For a connected non-bipartite ``d``-regular graph this is the second
-    largest eigenvalue magnitude.  Complete graphs return 1.0.  The
+    largest eigenvalue magnitude.  Complete graphs return 1.0, ``K2``
+    included; a single vertex returns 0.0.  The
     solver follows from the vertex count alone: the stdlib up to
     ``_STDLIB_CUTOFF`` (100) vertices, numpy's dense ``eigvalsh`` up to
     ``_DENSE_CUTOFF`` (600), scipy's sparse ``eigsh`` above that.  The
@@ -60,7 +61,7 @@ def second_eigenvalue(graph: Graph) -> float:
     vertices and the rest of the package runs on the stdlib.
     """
     n = graph.n
-    if n <= 2:
+    if n <= 1:
         return 0.0
     if n <= _STDLIB_CUTOFF:
         matrix = [[0.0] * n for _ in range(n)]

@@ -35,8 +35,10 @@ Single runs use instance ``0`` throughout and are unaffected.
 
 Entry points: :func:`~repro.net.runtime.run_protocol_net` executes a
 process list end-to-end in one OS process over either transport;
-:func:`~repro.net.runtime.serve_tcp` / :func:`~repro.net.runtime.host_nodes_tcp`
-split the coordinator and the shards across OS processes (see
+:func:`~repro.net.runtime.drive_session` runs a
+:class:`~repro.net.runtime.Session` on a hub, hosting a shard itself or
+none, and with :func:`~repro.net.runtime.host_nodes_tcp` splits the
+coordinator and the shards across OS processes (see
 ``examples/net_consensus.py``).  The high-level ``repro.api.run_*``
 helpers accept ``backend="net"`` / ``backend="tcp"`` and route here.
 """
@@ -46,10 +48,10 @@ from repro.net.faults import RuntimeView
 from repro.net.runtime import (
     NetRuntimeError,
     Session,
+    drive_session,
     host_nodes_tcp,
     run_nodes,
     run_protocol_net,
-    serve_tcp,
 )
 from repro.net.transport import (
     MemoryHub,
@@ -71,9 +73,9 @@ __all__ = [
     "TCPHub",
     "TCPMux",
     "connect_tcp",
+    "drive_session",
     "host_nodes_tcp",
     "open_mux",
     "run_nodes",
     "run_protocol_net",
-    "serve_tcp",
 ]

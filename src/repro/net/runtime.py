@@ -161,12 +161,17 @@ connection (:class:`~repro.net.transport.TCPMux`) and binds on that
 endpoint per process -- by convention at the lowest pid it hosts; the
 coordinator sits at address ``n``.
 
+Each runner drives its :class:`Session` through :func:`drive_session`,
+which binds the coordinator, hosts one shard at address 0 or none
+(``()``: the hosts dial in), awaits the run and tears both down:
+
 * :func:`run_protocol_net` -- everything (hub, coordinator, one host of
   all ``n`` processes) in one OS process, over the in-memory or TCP
   transport.
-* :func:`serve_tcp` + :func:`host_nodes_tcp` -- the coordinator
-  (bound locally on the :class:`~repro.net.transport.TCPHub` it owns)
-  and disjoint shards in separate OS processes dialling that hub (see
+* ``drive_session(Session(n, adversary, ...), hub, ())`` +
+  :func:`host_nodes_tcp` -- the coordinator (bound locally on a
+  :class:`~repro.net.transport.TCPHub` the caller owns and closes) and
+  disjoint shards in separate OS processes dialling that hub (see
   ``examples/net_consensus.py``).
 * :mod:`repro.serve` -- a long-lived run-server advancing *many*
   :class:`Session` objects concurrently on one event loop, bound on the
@@ -205,10 +210,10 @@ from repro.sim.shard import Shard
 __all__ = [
     "NetRuntimeError",
     "Session",
+    "drive_session",
     "host_nodes_tcp",
     "run_nodes",
     "run_protocol_net",
-    "serve_tcp",
 ]
 
 
@@ -1039,92 +1044,80 @@ class Session:
 # -- runners -----------------------------------------------------------------
 
 
+async def drive_session(
+    session: Session, hub: Any, processes: Sequence[Process]
+) -> RunResult:
+    """Run ``session`` to completion on ``hub`` and return its result.
+
+    ``hub`` is a hub or a hub connection: the coordinator binds on it at
+    ``(n, session.instance)``.  ``processes`` is one shard, hosted here
+    by a single :func:`run_nodes` task at ``(0, instance)`` with the
+    session's telemetry and churn pids; ``()`` means the hosts dial in
+    from elsewhere.  The host is awaited after the session and torn down
+    with the coordinator on any exit; ``result.processes`` holds the
+    hosted objects when there are any.
+    """
+    n, instance = session.n, session.instance
+    coordinator = hub.endpoint(n, instance)
+    host = None
+    try:
+        if processes:
+            host = asyncio.create_task(
+                run_nodes(
+                    processes,
+                    hub.endpoint(0, instance),
+                    n,
+                    churn_pids=session.adversary.rejoin_pids(),
+                    telemetry=session.telemetry,
+                )
+            )
+        result = await session.run(coordinator)
+        if host is not None:
+            await host
+            result.processes = list(processes)
+        return result
+    finally:
+        if host is not None:
+            host.cancel()
+            await asyncio.gather(host, return_exceptions=True)
+        await coordinator.close()
+
+
 async def _run_async(
+    session: Session,
     processes: Sequence[Process],
-    adversary: Optional[CrashAdversary],
-    byzantine: frozenset[int],
-    max_rounds: int,
-    fast_forward: bool,
     transport: str,
     host: str,
     port: int,
-    timeout: Optional[float],
-    recorder: Optional[Any] = None,
-    telemetry: Any = None,
-    batching: bool = True,
+    batching: bool,
 ) -> RunResult:
-    n = len(processes)
-    tel = coerce_recorder(telemetry)
-    # First, so that a schedule the control rejects fails before a hub,
-    # a socket or the codec probe exists.
-    sync = Session(
-        n,
-        adversary,
-        byzantine=byzantine,
-        max_rounds=max_rounds,
-        fast_forward=fast_forward,
-        timeout=timeout,
-        recorder=recorder,
-        telemetry=tel,
-    )
+    tel = session.telemetry
     if tel is not None:
         # Label and open the run span before any transport setup so the
         # host/coordinator spans all land inside it; install the codec
         # probe so frame encode/decode cost aggregates into the stats.
-        tel.run_begin(
-            backend="net" if transport == "memory" else "tcp", n=n
-        )
+        tel.run_begin(backend="net" if transport == "memory" else "tcp", n=session.n)
         set_codec_probe(tel)
-    hub: Any = None
-    mux: Any = None
-    coordinator = None
-    host_tasks = []
+    hub = mux = None
     try:
         if transport == "memory":
-            hub = mux = MemoryHub()
-        elif transport == "tcp":
-            # One OS process, one hub connection: the host and the
-            # coordinator bind on the same mux, and every frame between
-            # them -- START and DONE a round -- really crosses the
-            # socket to the hub and back.
-            hub = TCPHub(host, port, batching=batching)
-            await hub.start()
-            mux = await open_mux(host, hub.port, batching=batching)
-        else:
-            raise ValueError(f"unknown transport {transport!r}")
-        coordinator = mux.endpoint(n)
-        # All n processes are one shard: one host task at address 0 (an
-        # empty run has no host, and address 0 is then the coordinator's).
-        if processes:
-            host_tasks.append(
-                asyncio.create_task(
-                    run_nodes(
-                        processes,
-                        mux.endpoint(0),
-                        n,
-                        churn_pids=sync.adversary.rejoin_pids(),
-                        telemetry=tel,
-                    )
-                )
-            )
-        result = await sync.run(coordinator)
-        await asyncio.gather(*host_tasks)
+            return await drive_session(session, MemoryHub(), processes)
+        # One OS process, one hub connection: the host and the
+        # coordinator bind on the same mux, and every frame between
+        # them -- START and DONE a round -- really crosses the socket
+        # to the hub and back.
+        hub = TCPHub(host, port, batching=batching)
+        await hub.start()
+        mux = await open_mux(host, hub.port, batching=batching)
+        return await drive_session(session, mux, processes)
     finally:
         if tel is not None:
             set_codec_probe(None)
-        for task in host_tasks:
-            if not task.done():
-                task.cancel()
-        await asyncio.gather(*host_tasks, return_exceptions=True)
-        if coordinator is not None:
-            await coordinator.close()
-        if transport == "tcp":
-            # A dial or bind that failed must not leave the hub listening.
-            if mux is not None:
-                await mux.close()
+        # A dial or bind that failed must not leave the hub listening.
+        if mux is not None:
+            await mux.close()
+        if hub is not None:
             await hub.close()
-    result.processes = list(processes)
-    return result
 
 
 def run_protocol_net(
@@ -1162,49 +1155,23 @@ def run_protocol_net(
     leaves a single run few frames to coalesce).
     """
     check_pid_order(processes)
-    return asyncio.run(
-        _run_async(
-            processes,
-            adversary,
-            frozenset(byzantine),
-            max_rounds,
-            fast_forward,
-            transport,
-            host,
-            port,
-            timeout,
-            recorder,
-            telemetry,
-            batching,
-        )
+    # First, so that a schedule the control rejects fails before a hub,
+    # a socket or the codec probe exists.
+    session = Session(
+        len(processes),
+        adversary,
+        byzantine=byzantine,
+        max_rounds=max_rounds,
+        fast_forward=fast_forward,
+        timeout=timeout,
+        recorder=recorder,
+        telemetry=telemetry,
     )
-
-
-async def serve_tcp(
-    n: int,
-    adversary: Optional[CrashAdversary] = None,
-    *,
-    hub: TCPHub,
-    max_rounds: int = 100_000,
-    timeout: Optional[float] = 120.0,
-) -> RunResult:
-    """Run the coordinator of an ``n``-node TCP deployment on ``hub``.
-
-    Shards connect from worker processes via :func:`host_nodes_tcp`;
-    the coordinator binds on the hub (``hub.endpoint(n)``, no socket of
-    its own), so a coordinator<->host frame crosses one socket.  This
-    coroutine returns once the protocol terminates.  Pass a
-    ``start()``-ed hub to bind the port race-free before spawning
-    workers (read the bound port from ``hub.port``); ownership transfers
-    -- this coroutine closes it.
-    """
-    endpoint = hub.endpoint(n)
-    try:
-        sync = Session(n, adversary, max_rounds=max_rounds, timeout=timeout)
-        return await sync.run(endpoint)
-    finally:
-        await endpoint.close()
-        await hub.close()
+    if transport not in ("memory", "tcp"):
+        raise ValueError(f"unknown transport {transport!r}")
+    return asyncio.run(
+        _run_async(session, processes, transport, host, port, batching)
+    )
 
 
 async def host_nodes_tcp(

@@ -62,7 +62,7 @@ from functools import partial
 from typing import Any, Optional, Sequence
 
 from repro.api import PreparedRun, prepare_recipe
-from repro.net.runtime import NetRuntimeError, Session, run_nodes
+from repro.net.runtime import NetRuntimeError, Session, drive_session
 from repro.net.codec import encode
 from repro.net.transport import MemoryHub, TCPHub, _Connection, _wait_closed
 from repro.serve import worker as worker_mod
@@ -86,8 +86,6 @@ class _Run:
         "run_id",
         "instance",
         "protocol",
-        "execution",
-        "prepared",
         "done",
         "result",
         "error",
@@ -96,20 +94,10 @@ class _Run:
         "holders",
     )
 
-    def __init__(
-        self,
-        run_id: str,
-        instance: int,
-        protocol: dict,
-        execution: dict,
-        prepared: PreparedRun,
-    ):
+    def __init__(self, run_id: str, instance: int, protocol: dict):
         self.run_id = run_id
         self.instance = instance
         self.protocol = protocol
-        self.execution = execution
-        #: released (``None``) when the session ends
-        self.prepared: Optional[PreparedRun] = prepared
         self.done = asyncio.Event()
         self.result: Optional[RunResult] = None
         self.error: Optional[BaseException] = None
@@ -258,12 +246,12 @@ class RunServer:
         instance = self._next_instance
         self._next_instance += 1
         run_id = f"run-{instance:06d}"
-        run = _Run(run_id, instance, dict(protocol), execution, prepared)
+        run = _Run(run_id, instance, dict(protocol))
         self._runs[run_id] = run
         self._submitted += 1
         self._active += 1
         self._peak_concurrent = max(self._peak_concurrent, self._active)
-        task = asyncio.create_task(self._drive(run))
+        task = asyncio.create_task(self._drive(run, prepared))
         self._tasks[run_id] = task
         task.add_done_callback(lambda _t: self._tasks.pop(run_id, None))
         return run
@@ -316,44 +304,32 @@ class RunServer:
             raise KeyError(f"unknown run_id {run_id!r}")
         return run
 
-    async def _drive(self, run: _Run) -> None:
-        prepared = run.prepared
-        instance = run.instance
-        n = prepared.n
+    async def _drive(self, run: _Run, prepared: PreparedRun) -> None:
         session = Session(
-            n,
+            prepared.n,
             prepared.adversary,
             byzantine=prepared.byzantine,
             max_rounds=prepared.max_rounds,
             fast_forward=prepared.fast_forward,
             timeout=self.session_timeout,
-            instance=instance,
+            instance=run.instance,
         )
         session.on_round = lambda s, rnd: self._on_round(run, s, rnd)
-        churn_pids = prepared.adversary.rejoin_pids()
-        coordinator = self.hub.endpoint(n, instance)
-        host_task: Optional[asyncio.Task] = None
+        processes = prepared.processes
+        del prepared  # the session holds what the run needs from here on
         try:
             if self.workers:
-                index = instance % self.workers
                 await self._ctrl.send(
-                    worker_mod.worker_addr(index),
-                    ("host", instance, run.protocol, sorted(churn_pids)),
+                    worker_mod.worker_addr(run.instance % self.workers),
+                    (
+                        "host",
+                        run.instance,
+                        run.protocol,
+                        sorted(session.adversary.rejoin_pids()),
+                    ),
                 )
-            else:
-                host_task = asyncio.create_task(
-                    run_nodes(
-                        prepared.processes,
-                        self.hub.endpoint(0, instance),
-                        n,
-                        churn_pids=churn_pids,
-                    )
-                )
-            result = await session.run(coordinator)
-            if host_task is not None:
-                await host_task
-                result.processes = list(prepared.processes)
-            run.result = result
+                processes = ()  # the worker builds its own
+            run.result = await drive_session(session, self.hub, processes)
             self._completed += 1
         except asyncio.CancelledError:
             run.error = NetRuntimeError(f"{run.run_id} cancelled at shutdown")
@@ -363,15 +339,10 @@ class RunServer:
             self._failed += 1
         finally:
             self._active -= 1
-            run.prepared = None
-            if host_task is not None:
-                host_task.cancel()
-                await asyncio.gather(host_task, return_exceptions=True)
-            await coordinator.close()
             # The hub's per-(instance, pid) routing state is garbage
             # once the session ends; a long-lived server must not
             # accumulate it across thousands of runs.
-            self.hub.purge_instance(instance)
+            self.hub.purge_instance(run.instance)
             run.done.set()
             self._publish(run, ("done", run.run_id, self._final_info(run)))
             run.watchers.clear()

@@ -58,8 +58,8 @@ class TestGraphType:
 
 class TestSpectra:
     def test_complete_graph_lambda_is_one(self):
-        graph = complete_graph(10)
-        assert second_eigenvalue(graph) == pytest.approx(1.0, abs=1e-8)
+        for n in (2, 10):
+            assert second_eigenvalue(complete_graph(n)) == pytest.approx(1.0, abs=1e-8)
 
     def test_cycle_spectrum(self):
         # C_n has eigenvalues 2cos(2πk/n); for n=6 the second largest

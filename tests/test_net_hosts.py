@@ -40,7 +40,7 @@ from repro.net import (
 )
 from repro.net import runtime as runtime_mod
 from repro.net.codec import decode
-from repro.net.runtime import run_nodes
+from repro.net.runtime import drive_session, run_nodes
 from repro.net.transport import TCPMux
 from repro.scenarios import OmissionSpec, Scenario
 from repro.sim import Engine
@@ -94,7 +94,7 @@ async def drive(
         for shard, mux in zip(shards, muxes)
     ]
     try:
-        result = await session.run(muxes[-1].endpoint(n))
+        result = await drive_session(session, muxes[-1], ())
         await asyncio.gather(*hosts)
     finally:
         for task in hosts:

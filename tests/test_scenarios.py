@@ -448,7 +448,7 @@ class TestDistributedTCP:
         import asyncio
         import multiprocessing
 
-        from repro.net import TCPHub, serve_tcp
+        from repro.net import Session, TCPHub, drive_session
 
         n, t = 20, 3
         inputs = input_vector(n, "random", 11)
@@ -473,8 +473,10 @@ class TestDistributedTCP:
             for proc in workers:
                 proc.start()
             try:
-                return await serve_tcp(n, scenario.adversary(), hub=hub)
+                session = Session(n, scenario.adversary())
+                return await drive_session(session, hub, ())
             finally:
+                await hub.close()
                 for proc in workers:
                     proc.join(timeout=30)
 

@@ -24,6 +24,7 @@ import gc
 import random
 import socket
 import time
+import weakref
 from asyncio.base_events import BaseEventLoop
 
 import pytest
@@ -33,6 +34,7 @@ from hypothesis import strategies as st
 from repro.api import run_recipe
 from repro.check import check_parity
 from repro.check.driver import FAMILIES, sample_instance
+from repro.net import runtime as runtime_mod
 from repro.net.codec import CONTROL, HEADER, MAX_FRAME_BYTES, encode
 from repro.net.runtime import NetRuntimeError
 from repro.net.transport import TCPHub, open_mux
@@ -40,6 +42,7 @@ from repro.scenarios import Scenario
 from repro.serve import RunServer, ServeClient, run_many
 from repro.serve import server as server_mod
 from repro.serve.wire import send_msg
+from repro.sim.adversary import crash_schedule
 
 RECIPE_KINDS = ["flood-none", "flood-random", "flood-early", "gossip", "churn"]
 
@@ -278,14 +281,14 @@ class TestSessionTimeout:
 
     @pytest.mark.parametrize("workers", [0, 1], ids=["memory", "tcp"])
     def test_wedged_run_fails_alone_naming_run_and_pid(self, workers, monkeypatch):
-        real_run_nodes = server_mod.run_nodes
+        real_run_nodes = runtime_mod.run_nodes
 
         async def wedged_run_nodes(processes, endpoint, coordinator, **kwargs):
             if endpoint.instance == 1:
                 await asyncio.Event().wait()  # hosted, never reports READY
             await real_run_nodes(processes, endpoint, coordinator, **kwargs)
 
-        monkeypatch.setattr(server_mod, "run_nodes", wedged_run_nodes)
+        monkeypatch.setattr(runtime_mod, "run_nodes", wedged_run_nodes)
         monkeypatch.setattr(RunServer, "session_timeout", 0.5)
         wedged, healthy = make_recipe("flood-none", 1), make_recipe("churn", 2)
 
@@ -628,7 +631,6 @@ class TestRetention:
                 # An uncollected run stays, finished or not, until asked for.
                 await server._runs[kept].done.wait()
                 assert (await client.status())["retained"] == 1
-                assert server._runs[kept].prepared is None
                 assert (await client.result(kept)).completed
                 assert (await client.status())["retained"] == 0
                 with pytest.raises(KeyError, match="unknown run_id"):
@@ -639,6 +641,28 @@ class TestRetention:
 
         asyncio.run(scenario())
 
+    def test_a_retained_run_releases_what_it_ran_with(self):
+        # A finished run keeps its outcome until collected, not its
+        # inputs: the submitted adversary object is garbage by then.
+        protocol, _ = make_recipe("flood-none", 1)
+
+        async def scenario():
+            server = RunServer()
+            await server.start()
+            try:
+                adversary = crash_schedule(6, 2, seed=1, max_round=3)
+                held = weakref.ref(adversary)
+                run_id = await server.submit(protocol, {"crashes": adversary})
+                del adversary
+                await server._runs[run_id].done.wait()
+                gc.collect()
+                return held() is None, server.status()["retained"]
+            finally:
+                await server.close()
+
+        released, retained = asyncio.run(scenario())
+        assert retained == 1
+        assert released
 
     def test_runs_nobody_can_ask_for_are_forgotten(self):
         # A submitter that went away without asking for its results
